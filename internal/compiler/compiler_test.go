@@ -429,11 +429,12 @@ void main() {
 		if err != nil {
 			t.Fatal(err)
 		}
+		lay := vm.LayoutOf(prog)
 		m := vm.New(prog)
 		var loads, total uint64
 		_, err = m.Run(vm.Config{Hook: func(ev *vm.Event) {
 			total++
-			if ev.Instr.Class() == isa.ClassLoad {
+			if lay.Instr(ev.Site).Class() == isa.ClassLoad {
 				loads++
 			}
 		}})

@@ -176,7 +176,7 @@ func constFold(f *isa.Func) {
 		clear(known)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			_, def := ir.UseDef(in)
+			_, _, def := ir.UseDef2(in)
 			get := func(r isa.RegID) (cval, bool) {
 				v, ok := known[r]
 				return v, ok && v.known
@@ -280,7 +280,7 @@ func copyProp(f *isa.Func) {
 					r = s
 				}
 			})
-			_, def := ir.UseDef(in)
+			_, _, def := ir.UseDef2(in)
 			if def != isa.NoReg {
 				delete(copies, def)
 				for k, v := range copies {
@@ -333,7 +333,7 @@ func localCSE(f *isa.Func) {
 				epochL++
 				continue
 			}
-			_, def := ir.UseDef(in)
+			_, _, def := ir.UseDef2(in)
 			if def == isa.NoReg || isa.HasSideEffects(in.Op) && in.Op != isa.CALL {
 				continue
 			}
@@ -444,7 +444,7 @@ func strengthReduce(f *isa.Func) {
 					continue
 				}
 			}
-			_, def := ir.UseDef(&in)
+			_, _, def := ir.UseDef2(&in)
 			if def != isa.NoReg {
 				delete(knownI, def)
 			}
@@ -467,7 +467,7 @@ func deadCodeElim(f *isa.Func) bool {
 			keep := make([]bool, len(b.Instrs))
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := &b.Instrs[i]
-				uses, def := ir.UseDef(in)
+				u1, u2, def := ir.UseDef2(in)
 				if in.Op == isa.NOP {
 					roundChanged = true
 					continue
@@ -480,8 +480,10 @@ func deadCodeElim(f *isa.Func) bool {
 				if def != isa.NoReg {
 					live.clear(def)
 				}
-				for _, u := range uses {
-					live.set(u)
+				for _, u := range [2]isa.RegID{u1, u2} {
+					if u != isa.NoReg {
+						live.set(u)
+					}
 				}
 			}
 			if roundChanged {
@@ -545,7 +547,7 @@ func hoistLoop(f *isa.Func, succs [][]int, loop *ir.Loop) {
 	for bi, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			_, def := ir.UseDef(in)
+			_, _, def := ir.UseDef2(in)
 			if def != isa.NoReg {
 				defsGlobal[def]++
 				if inLoop[bi] {
@@ -587,7 +589,7 @@ func hoistLoop(f *isa.Func, succs [][]int, loop *ir.Loop) {
 	removed := make(map[*isa.Instr]bool)
 
 	invariantUse := func(r isa.RegID) bool {
-		return defsInLoop[r] == 0 || hoisted[r]
+		return r == isa.NoReg || defsInLoop[r] == 0 || hoisted[r]
 	}
 	for changedRound := true; changedRound; {
 		changedRound = false
@@ -598,7 +600,7 @@ func hoistLoop(f *isa.Func, succs [][]int, loop *ir.Loop) {
 				if removed[in] {
 					continue
 				}
-				uses, def := ir.UseDef(in)
+				u1, u2, def := ir.UseDef2(in)
 				if def == isa.NoReg || hoisted[def] || isa.HasSideEffects(in.Op) {
 					continue
 				}
@@ -617,14 +619,7 @@ func hoistLoop(f *isa.Func, succs [][]int, loop *ir.Loop) {
 						continue
 					}
 				}
-				ok := true
-				for _, u := range uses {
-					if !invariantUse(u) {
-						ok = false
-						break
-					}
-				}
-				if !ok {
+				if !invariantUse(u1) || !invariantUse(u2) {
 					continue
 				}
 				moved = append(moved, *in)

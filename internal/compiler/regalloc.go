@@ -1,8 +1,9 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
@@ -67,9 +68,9 @@ func liveness(f *isa.Func) (liveIn, liveOut []bitset) {
 		use[b], def[b] = newBitset(n), newBitset(n)
 		liveIn[b], liveOut[b] = newBitset(n), newBitset(n)
 		for i := range f.Blocks[b].Instrs {
-			uses, d := ir.UseDef(&f.Blocks[b].Instrs[i])
-			for _, u := range uses {
-				if !def[b].has(u) {
+			u1, u2, d := ir.UseDef2(&f.Blocks[b].Instrs[i])
+			for _, u := range [2]isa.RegID{u1, u2} {
+				if u != isa.NoReg && !def[b].has(u) {
 					use[b].set(u)
 				}
 			}
@@ -78,6 +79,7 @@ func liveness(f *isa.Func) (liveIn, liveOut []bitset) {
 			}
 		}
 	}
+	tmp := newBitset(n)
 	for changed := true; changed; {
 		changed = false
 		for b := nb - 1; b >= 0; b-- {
@@ -87,9 +89,8 @@ func liveness(f *isa.Func) (liveIn, liveOut []bitset) {
 				}
 			}
 			// liveIn = use ∪ (liveOut − def)
-			tmp := liveOut[b].clone()
 			for i := range tmp {
-				tmp[i] = use[b][i] | (tmp[i] &^ def[b][i])
+				tmp[i] = use[b][i] | (liveOut[b][i] &^ def[b][i])
 			}
 			if liveIn[b].orInto(tmp) {
 				changed = true
@@ -149,59 +150,68 @@ func allocate(f *isa.Func, target *isa.Desc) error {
 		liveIn[b].forEach(func(r isa.RegID) { extend(r, s) })
 		liveOut[b].forEach(func(r isa.RegID) { extend(r, e) })
 		for i := range f.Blocks[b].Instrs {
-			uses, d := ir.UseDef(&f.Blocks[b].Instrs[i])
-			for _, u := range uses {
-				extend(u, s+i)
-			}
-			if d != isa.NoReg {
-				extend(d, s+i)
+			u1, u2, d := ir.UseDef2(&f.Blocks[b].Instrs[i])
+			for _, r := range [3]isa.RegID{u1, u2, d} {
+				if r != isa.NoReg {
+					extend(r, s+i)
+				}
 			}
 		}
 	}
 
-	var itvs []interval
+	itvs := make([]interval, 0, f.NumRegs)
 	for r := 0; r < f.NumRegs; r++ {
 		if begin[r] >= 0 {
 			itvs = append(itvs, interval{isa.RegID(r), begin[r], end[r]})
 		}
 	}
-	sort.Slice(itvs, func(i, j int) bool {
-		if itvs[i].begin != itvs[j].begin {
-			return itvs[i].begin < itvs[j].begin
+	// (begin, reg) is a total order, since each register has one interval.
+	slices.SortFunc(itvs, func(a, b interval) int {
+		if a.begin != b.begin {
+			return cmp.Compare(a.begin, b.begin)
 		}
-		return itvs[i].reg < itvs[j].reg
+		return cmp.Compare(a.reg, b.reg)
 	})
 
 	// Two registers are reserved as spill scratch; the rest are allocatable.
 	alloc := k - 2
-	scratch0, scratch1 := isa.RegID(k-2), isa.RegID(k-1)
+	scratch := [2]isa.RegID{isa.RegID(k - 2), isa.RegID(k - 1)}
 
-	phys := make(map[isa.RegID]isa.RegID)
-	spillSlot := make(map[isa.RegID]int64)
-	var free []isa.RegID
+	// Per virtual register: its physical register, or NoReg when it has
+	// none, and its spill slot, or -1 when it is not spilled. No register
+	// has both.
+	phys := make([]isa.RegID, f.NumRegs)
+	spillSlot := make([]int64, f.NumRegs)
+	for r := range phys {
+		phys[r], spillSlot[r] = isa.NoReg, -1
+	}
+	free := make([]isa.RegID, 0, alloc)
 	for p := alloc - 1; p >= 0; p-- {
 		free = append(free, isa.RegID(p))
 	}
-	var active []interval // sorted by end ascending
+	// active holds the intervals that own a physical register, sorted by
+	// end ascending, so it never outgrows the allocatable registers.
+	active := make([]interval, 0, alloc)
 
 	insertActive := func(it interval) {
-		i := sort.Search(len(active), func(i int) bool { return active[i].end >= it.end })
-		active = append(active, interval{})
-		copy(active[i+1:], active[i:])
-		active[i] = it
+		i, _ := slices.BinarySearchFunc(active, it.end, func(a interval, end int) int {
+			return cmp.Compare(a.end, end)
+		})
+		active = slices.Insert(active, i, it)
 	}
 	spill := func(r isa.RegID) {
-		slot := int64(f.NumSlots)
+		spillSlot[r] = int64(f.NumSlots)
 		f.NumSlots++
-		spillSlot[r] = slot
 	}
 
 	for _, it := range itvs {
-		// Expire finished intervals.
-		for len(active) > 0 && active[0].end < it.begin {
-			free = append(free, phys[active[0].reg])
-			active = active[1:]
+		// Expire finished intervals: a prefix of active.
+		n := 0
+		for n < len(active) && active[n].end < it.begin {
+			free = append(free, phys[active[n].reg])
+			n++
 		}
+		active = slices.Delete(active, 0, n)
 		if len(free) > 0 {
 			p := free[len(free)-1]
 			free = free[:len(free)-1]
@@ -213,7 +223,7 @@ func allocate(f *isa.Func, target *isa.Desc) error {
 		victim := active[len(active)-1]
 		if victim.end > it.end {
 			phys[it.reg] = phys[victim.reg]
-			delete(phys, victim.reg)
+			phys[victim.reg] = isa.NoReg
 			spill(victim.reg)
 			active = active[:len(active)-1]
 			insertActive(it)
@@ -222,43 +232,46 @@ func allocate(f *isa.Func, target *isa.Desc) error {
 		}
 	}
 
-	// Rewrite instructions: physical renaming plus spill code.
+	// Rewrite instructions: physical renaming plus spill code. An
+	// instruction reads at most two registers, so its spilled operands are
+	// each loaded once, into scratch[0] then scratch[1].
 	for _, b := range f.Blocks {
 		out := make([]isa.Instr, 0, len(b.Instrs))
 		for _, in := range b.Instrs {
-			loaded := make(map[isa.RegID]isa.RegID)
-			nextScratch := scratch0
-			var pre []isa.Instr
+			var loaded [2]isa.RegID
+			nLoaded := 0
 			mapUses(&in, func(r isa.RegID) isa.RegID {
-				if p, ok := phys[r]; ok {
+				if p := phys[r]; p != isa.NoReg {
 					return p
 				}
-				slot, ok := spillSlot[r]
-				if !ok {
+				slot := spillSlot[r]
+				if slot < 0 {
 					return r // untouched (should not happen)
 				}
-				if s, seen := loaded[r]; seen {
-					return s
+				for i := 0; i < nLoaded; i++ {
+					if loaded[i] == r {
+						return scratch[i]
+					}
 				}
-				s := nextScratch
-				nextScratch = scratch1
-				pre = append(pre, isa.Instr{Op: isa.LDL, Dst: s, Imm: slot})
-				loaded[r] = s
+				s := scratch[nLoaded]
+				loaded[nLoaded] = r
+				nLoaded++
+				out = append(out, isa.Instr{Op: isa.LDL, Dst: s, Imm: slot})
 				return s
 			})
-			out = append(out, pre...)
-			_, d := ir.UseDef(&in)
-			var post []isa.Instr
+			_, _, d := ir.UseDef2(&in)
+			storeSlot := int64(-1)
 			if d != isa.NoReg {
-				if p, ok := phys[d]; ok {
+				if p := phys[d]; p != isa.NoReg {
 					in.Dst = p
-				} else if slot, ok := spillSlot[d]; ok {
-					in.Dst = scratch0
-					post = append(post, isa.Instr{Op: isa.STL, A: scratch0, Imm: slot})
+				} else if storeSlot = spillSlot[d]; storeSlot >= 0 {
+					in.Dst = scratch[0]
 				}
 			}
 			out = append(out, in)
-			out = append(out, post...)
+			if storeSlot >= 0 {
+				out = append(out, isa.Instr{Op: isa.STL, A: scratch[0], Imm: storeSlot})
+			}
 		}
 		b.Instrs = out
 	}

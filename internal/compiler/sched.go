@@ -56,10 +56,11 @@ func scheduleBlock(b *isa.Block) {
 		adj[i] = append(adj[i], j)
 		indeg[j]++
 	}
-	usesOf := make([][]isa.RegID, n)
+	// Unused use slots hold NoReg, which never equals a def tested below.
+	usesOf := make([][2]isa.RegID, n)
 	defOf := make([]isa.RegID, n)
 	for i := range b.Instrs {
-		usesOf[i], defOf[i] = ir.UseDef(&b.Instrs[i])
+		usesOf[i][0], usesOf[i][1], defOf[i] = ir.UseDef2(&b.Instrs[i])
 	}
 	for j := 1; j < n; j++ {
 		oj := b.Instrs[j].Op

@@ -88,8 +88,9 @@ type Report struct {
 	Truncated bool
 }
 
-// Synthesize generates a benchmark clone from a statistical profile.
-func Synthesize(p *profile.Profile, cfg Config) (*hlc.Program, Report, error) {
+// Synthesize generates a benchmark clone from a statistical profile and
+// returns it type-checked.
+func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, error) {
 	if p == nil || p.Graph == nil {
 		return nil, Report{}, fmt.Errorf("core: nil profile")
 	}
@@ -334,10 +335,11 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.Program, Report, error) {
 
 	// The clone must be a valid HLC program; a failure here is a bug in
 	// the generator, surfaced as an error for the caller.
-	if _, err := hlc.Check(prog); err != nil {
+	cp, err := hlc.Check(prog)
+	if err != nil {
 		return nil, rep, fmt.Errorf("core: generated clone does not type-check: %w", err)
 	}
-	return prog, rep, nil
+	return cp, rep, nil
 }
 
 // measureClone compiles a candidate clone at -O0 and executes it to obtain

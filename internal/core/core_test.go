@@ -28,20 +28,17 @@ func profileSrc(t *testing.T, name, src string) *profile.Profile {
 
 // runClone compiles and executes a synthesized clone, returning the VM
 // result and the dynamic mix.
-func runClone(t *testing.T, clone *hlc.Program, target *isa.Desc, level compiler.OptLevel) (vm.Result, [isa.NumClasses]uint64) {
+func runClone(t *testing.T, clone *hlc.CheckedProgram, target *isa.Desc, level compiler.OptLevel) (vm.Result, [isa.NumClasses]uint64) {
 	t.Helper()
-	cp, err := hlc.Check(clone)
-	if err != nil {
-		t.Fatalf("clone does not check: %v", err)
-	}
-	prog, err := compiler.Compile(cp, target, level)
+	prog, err := compiler.Compile(clone, target, level)
 	if err != nil {
 		t.Fatalf("clone does not compile: %v", err)
 	}
 	var mix [isa.NumClasses]uint64
+	lay := vm.LayoutOf(prog)
 	m := vm.New(prog)
 	res, err := m.Run(vm.Config{MaxInstrs: 100_000_000, Hook: func(ev *vm.Event) {
-		mix[ev.Instr.Class()]++
+		mix[lay.Instr(ev.Site).Class()]++
 	}})
 	if err != nil {
 		t.Fatalf("clone traps: %v", err)
@@ -121,10 +118,10 @@ func TestSynthesizeDeterministicBySeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hlc.Print(a) != hlc.Print(b) {
+	if hlc.Print(a.Prog) != hlc.Print(b.Prog) {
 		t.Error("same seed should reproduce the clone exactly")
 	}
-	if hlc.Print(a) == hlc.Print(c) {
+	if hlc.Print(a.Prog) == hlc.Print(c.Prog) {
 		t.Error("different seeds should vary the clone")
 	}
 }
@@ -180,14 +177,14 @@ func TestCloneContainsLoopsAndFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := hlc.Print(clone)
+	src := hlc.Print(clone.Prog)
 	if !strings.Contains(src, "for (") {
 		t.Error("clone should contain for loops (SFGL loop annotation)")
 	}
 	if rep.Functions < 1 {
 		t.Error("clone should have work functions")
 	}
-	if clone.Func("main") == nil {
+	if clone.Prog.Func("main") == nil {
 		t.Fatal("clone has no main")
 	}
 	// The obfuscation property at the source level: no identifier of the

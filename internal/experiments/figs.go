@@ -174,11 +174,16 @@ type Fig6Result struct {
 }
 
 func measureMix(prog *isa.Program, setup func(*vm.VM) error) ([4]float64, error) {
+	lay := vm.LayoutOf(prog)
+	classBySite := make([]isa.Class, lay.NumSites())
+	for s := range classBySite {
+		classBySite[s] = lay.Instr(s).Class()
+	}
 	var mix [isa.NumClasses]uint64
 	var total uint64
 	_, err := runProgram(prog, setup, func(ev *vm.Event) {
 		total++
-		mix[ev.Instr.Class()]++
+		mix[classBySite[ev.Site]]++
 	})
 	var out [4]float64
 	if err != nil {
@@ -374,10 +379,20 @@ type Fig9Result struct {
 
 func measureBranchAcc(prog *isa.Program, setup func(*vm.VM) error) (float64, error) {
 	meter := &bpred.Meter{P: bpred.DefaultHybrid()}
+	// Per-site predictor PCs, derived from each branch's static location.
+	lay := vm.LayoutOf(prog)
+	isBranch := make([]bool, lay.NumSites())
+	pcBySite := make([]uint64, lay.NumSites())
+	for s := range pcBySite {
+		if lay.Instr(s).Op == isa.BR {
+			loc := lay.Loc(s)
+			isBranch[s] = true
+			pcBySite[s] = uint64(loc.Func)<<24 ^ uint64(loc.Block)<<10 ^ uint64(loc.Index)
+		}
+	}
 	_, err := runProgram(prog, setup, func(ev *vm.Event) {
-		if ev.Instr.Op == isa.BR {
-			pc := uint64(ev.Func)<<24 ^ uint64(ev.Block)<<10 ^ uint64(ev.Index)
-			meter.Observe(pc, ev.Taken)
+		if isBranch[ev.Site] {
+			meter.Observe(pcBySite[ev.Site], ev.Taken)
 		}
 	})
 	if err != nil {

@@ -292,8 +292,10 @@ func Succs(f *isa.Func) [][]int {
 	return out
 }
 
-// UseDef2 is an allocation-free variant of UseDef for hot paths (timing
-// models process hundreds of millions of events). Unused slots are NoReg.
+// UseDef2 returns the registers an instruction reads (u1, u2) and the
+// register it writes (def); unused slots are NoReg. CALL passes arguments
+// through memory, so it reads no registers. It allocates nothing: the
+// compiler calls it per instruction in every pass.
 func UseDef2(in *isa.Instr) (u1, u2, def isa.RegID) {
 	u1, u2, def = isa.NoReg, isa.NoReg, isa.NoReg
 	switch in.Op {
@@ -316,49 +318,4 @@ func UseDef2(in *isa.Instr) (u1, u2, def isa.RegID) {
 		def = in.Dst
 	}
 	return u1, u2, def
-}
-
-// UseDef returns the registers read and the register written by an
-// instruction (def == isa.NoReg when the instruction writes nothing).
-// CALL passes arguments through memory, so it uses no registers.
-func UseDef(in *isa.Instr) (uses []isa.RegID, def isa.RegID) {
-	def = isa.NoReg
-	add := func(r isa.RegID) {
-		if r != isa.NoReg {
-			uses = append(uses, r)
-		}
-	}
-	switch in.Op {
-	case isa.NOP, isa.JMP:
-	case isa.MOVI, isa.MOVF:
-		def = in.Dst
-	case isa.MOV, isa.NEG, isa.NOTB, isa.FNEG, isa.ITOF, isa.FTOI,
-		isa.FSQRT, isa.FSIN, isa.FCOS, isa.FABS:
-		add(in.A)
-		def = in.Dst
-	case isa.LD:
-		add(in.A)
-		def = in.Dst
-	case isa.ST:
-		add(in.A)
-		add(in.B)
-	case isa.LDL:
-		def = in.Dst
-	case isa.STL:
-		add(in.A)
-	case isa.BR:
-		add(in.A)
-	case isa.RET:
-		add(in.A)
-	case isa.CALL:
-		def = in.Dst
-	case isa.PRINTI, isa.PRINTF:
-		add(in.A)
-	default:
-		// Binary ALU/FP operations.
-		add(in.A)
-		add(in.B)
-		def = in.Dst
-	}
-	return uses, def
 }

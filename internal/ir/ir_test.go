@@ -166,9 +166,15 @@ func TestUseDef(t *testing.T) {
 		{isa.Instr{Op: isa.PRINTI, A: 0}, 1, isa.NoReg},
 	}
 	for _, tc := range cases {
-		uses, def := UseDef(&tc.in)
-		if len(uses) != tc.uses || def != tc.def {
-			t.Errorf("%v: uses=%v def=%v, want %d uses def=%d", tc.in, uses, def, tc.uses, tc.def)
+		u1, u2, def := UseDef2(&tc.in)
+		uses := 0
+		for _, u := range []isa.RegID{u1, u2} {
+			if u != isa.NoReg {
+				uses++
+			}
+		}
+		if uses != tc.uses || def != tc.def {
+			t.Errorf("%v: uses=%v,%v def=%v, want %d uses def=%d", tc.in, u1, u2, def, tc.uses, tc.def)
 		}
 	}
 }

@@ -53,11 +53,7 @@ func BenchmarkPipelineSequentialSeed(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			clone, _, err := core.Synthesize(prof, core.Config{Seed: experiments.CloneSeed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ccp, err := hlc.Check(clone)
+			ccp, _, err := core.Synthesize(prof, core.Config{Seed: experiments.CloneSeed})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -266,22 +266,18 @@ func (p *Pipeline) Synthesize(ctx context.Context, w *workloads.Workload) (*Clon
 // synthesizeClone runs the synthesis core on a profile and packages the
 // result, shared by Synthesize and SynthesizeProfile.
 func (p *Pipeline) synthesizeClone(prof *profile.Profile, workload string) (*Clone, error) {
-	prog, rep, err := core.Synthesize(prof, core.Config{
+	cp, rep, err := core.Synthesize(prof, core.Config{
 		Seed:      p.opts.Seed,
 		TargetDyn: p.opts.TargetDyn,
 	})
 	if err != nil {
 		return nil, &StageError{Stage: StageSynthesize, Workload: workload, Clone: true, Err: err}
 	}
-	cp, err := hlc.Check(prog)
-	if err != nil {
-		return nil, &StageError{Stage: StageSynthesize, Workload: workload, Clone: true, Err: err}
-	}
 	return &Clone{
-		Prog:    prog,
+		Prog:    cp.Prog,
 		Checked: cp,
 		Report:  rep,
-		Source:  hlc.Print(prog),
+		Source:  hlc.Print(cp.Prog),
 		Profile: prof,
 	}, nil
 }

@@ -234,7 +234,8 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string, opts Opti
 	classBySite := make([]isa.Class, nSites)
 	kindBySite := make([]uint8, nSites)
 	blockBySite := make([]int32, nSites)
-	siteSym := make([]int32, nSites) // CALL callee index
+	entryBySite := make([]bool, nSites) // first instruction of its block
+	siteSym := make([]int32, nSites)    // CALL callee index
 	const (
 		siteOther = iota
 		siteMem
@@ -247,6 +248,7 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string, opts Opti
 		loc := lay.Loc(s)
 		classBySite[s] = in.Class()
 		blockBySite[s] = int32(lay.BlockID(loc.Func, loc.Block))
+		entryBySite[s] = loc.Index == 0
 		switch in.Op {
 		case isa.LD, isa.ST, isa.LDL, isa.STL:
 			kindBySite[s] = siteMem
@@ -272,7 +274,7 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string, opts Opti
 		total++
 		s := ev.Site
 		mix[classBySite[s]]++
-		if ev.Index == 0 {
+		if entryBySite[s] {
 			blockCounts[blockBySite[s]]++
 		}
 		switch kindBySite[s] {

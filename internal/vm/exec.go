@@ -78,12 +78,11 @@ func (vm *VM) runHooked(hook Hook, limit uint64, maxOutput, maxDepth int) (Resul
 		dyn   uint64
 	)
 
+	// Event holds no pointers, so refilling it per instruction is a plain
+	// store with no GC write barrier.
 	var ev Event
-	emit := func(fn int32, in *pins, isMem bool, addr uint64, taken bool) {
-		ev = Event{
-			Func: int(fn), Block: int(in.block), Index: int(in.index), Site: int(in.site),
-			Instr: in.src, Addr: addr, IsMem: isMem, Taken: taken,
-		}
+	emit := func(in *pins, isMem bool, addr uint64, taken bool) {
+		ev = Event{Site: int(in.site), Addr: addr, IsMem: isMem, Taken: taken}
 		hook(&ev)
 	}
 
@@ -134,136 +133,136 @@ run:
 
 			switch in.op {
 			case isa.NOP:
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 
 			case isa.MOVI: // also carries fused MOVF constants
 				regs[in.dst] = in.imm
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.MOV:
 				regs[in.dst] = regs[in.a]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 
 			case isa.ADD:
 				regs[in.dst] = regs[in.a] + regs[in.b]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.SUB:
 				regs[in.dst] = regs[in.a] - regs[in.b]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.MUL:
 				regs[in.dst] = regs[in.a] * regs[in.b]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.DIV:
 				if regs[in.b] == 0 {
 					return trapAt("integer division by zero", in, dyn)
 				}
 				regs[in.dst] = regs[in.a] / regs[in.b]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.MOD:
 				if regs[in.b] == 0 {
 					return trapAt("integer division by zero", in, dyn)
 				}
 				regs[in.dst] = regs[in.a] % regs[in.b]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.AND:
 				regs[in.dst] = regs[in.a] & regs[in.b]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.OR:
 				regs[in.dst] = regs[in.a] | regs[in.b]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.XOR:
 				regs[in.dst] = regs[in.a] ^ regs[in.b]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.SHL:
 				regs[in.dst] = regs[in.a] << (uint64(regs[in.b]) & 63)
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.SHR:
 				regs[in.dst] = regs[in.a] >> (uint64(regs[in.b]) & 63)
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.NEG:
 				regs[in.dst] = -regs[in.a]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.NOTB:
 				regs[in.dst] = ^regs[in.a]
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 
 			case isa.CMPEQ:
 				regs[in.dst] = b2i(regs[in.a] == regs[in.b])
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.CMPNE:
 				regs[in.dst] = b2i(regs[in.a] != regs[in.b])
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.CMPLT:
 				regs[in.dst] = b2i(regs[in.a] < regs[in.b])
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.CMPLE:
 				regs[in.dst] = b2i(regs[in.a] <= regs[in.b])
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.CMPGT:
 				regs[in.dst] = b2i(regs[in.a] > regs[in.b])
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.CMPGE:
 				regs[in.dst] = b2i(regs[in.a] >= regs[in.b])
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 
 			case isa.FADD:
 				a := math.Float64frombits(uint64(regs[in.a]))
 				b := math.Float64frombits(uint64(regs[in.b]))
 				regs[in.dst] = int64(math.Float64bits(a + b))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FSUB:
 				a := math.Float64frombits(uint64(regs[in.a]))
 				b := math.Float64frombits(uint64(regs[in.b]))
 				regs[in.dst] = int64(math.Float64bits(a - b))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FMUL:
 				a := math.Float64frombits(uint64(regs[in.a]))
 				b := math.Float64frombits(uint64(regs[in.b]))
 				regs[in.dst] = int64(math.Float64bits(a * b))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FDIV:
 				a := math.Float64frombits(uint64(regs[in.a]))
 				b := math.Float64frombits(uint64(regs[in.b]))
 				regs[in.dst] = int64(math.Float64bits(a / b))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FCMPEQ:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) == math.Float64frombits(uint64(regs[in.b])))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FCMPNE:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) != math.Float64frombits(uint64(regs[in.b])))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FCMPLT:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) < math.Float64frombits(uint64(regs[in.b])))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FCMPLE:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) <= math.Float64frombits(uint64(regs[in.b])))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FCMPGT:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) > math.Float64frombits(uint64(regs[in.b])))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FCMPGE:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) >= math.Float64frombits(uint64(regs[in.b])))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FNEG:
 				regs[in.dst] = int64(math.Float64bits(-math.Float64frombits(uint64(regs[in.a]))))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FSQRT:
 				regs[in.dst] = int64(math.Float64bits(math.Sqrt(math.Float64frombits(uint64(regs[in.a])))))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FSIN:
 				regs[in.dst] = int64(math.Float64bits(math.Sin(math.Float64frombits(uint64(regs[in.a])))))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FCOS:
 				regs[in.dst] = int64(math.Float64bits(math.Cos(math.Float64frombits(uint64(regs[in.a])))))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FABS:
 				regs[in.dst] = int64(math.Float64bits(math.Abs(math.Float64frombits(uint64(regs[in.a])))))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.ITOF:
 				regs[in.dst] = int64(math.Float64bits(float64(regs[in.a])))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.FTOI:
 				regs[in.dst] = isa.F2I(math.Float64frombits(uint64(regs[in.a])))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 
 			case isa.LD:
 				idx := in.imm + regs[in.a]
@@ -272,7 +271,7 @@ run:
 						idx, vm.prog.Globals[in.gi].Name, len(in.mem)), in, dyn)
 				}
 				regs[in.dst] = in.mem[idx]
-				emit(fnIdx, in, true, in.base+uint64(idx)*in.esize, false)
+				emit(in, true, in.base+uint64(idx)*in.esize, false)
 			case isa.ST:
 				idx := in.imm + regs[in.a]
 				if uint64(idx) >= uint64(len(in.mem)) {
@@ -280,30 +279,30 @@ run:
 						idx, vm.prog.Globals[in.gi].Name, len(in.mem)), in, dyn)
 				}
 				in.mem[idx] = regs[in.b]
-				emit(fnIdx, in, true, in.base+uint64(idx)*in.esize, false)
+				emit(in, true, in.base+uint64(idx)*in.esize, false)
 			case isa.LDL:
 				regs[in.dst] = slots[in.imm]
-				emit(fnIdx, in, true, base+in.base, false)
+				emit(in, true, base+in.base, false)
 			case isa.STL:
 				slots[in.imm] = regs[in.a]
-				emit(fnIdx, in, true, base+in.base, false)
+				emit(in, true, base+in.base, false)
 
 			case isa.BR:
 				if regs[in.a] != 0 {
-					emit(fnIdx, in, false, 0, true)
+					emit(in, false, 0, true)
 					pc = in.t0
 				} else {
-					emit(fnIdx, in, false, 0, false)
+					emit(in, false, 0, false)
 					pc = in.t1
 				}
 				continue run
 			case isa.JMP:
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 				pc = in.t0
 				continue run
 
 			case isa.CALL:
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 				if len(frames) >= maxDepth {
 					return trapAt("stack overflow", in, dyn)
 				}
@@ -328,7 +327,7 @@ run:
 				continue run
 
 			case isa.RET:
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 				var retVal int64
 				if in.a != isa.NoReg {
 					retVal = regs[in.a]
@@ -354,11 +353,11 @@ run:
 
 			case isa.PRINTI:
 				record(strconv.FormatInt(regs[in.a], 10))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 			case isa.PRINTF:
 				f := math.Float64frombits(uint64(regs[in.a]))
 				record(strconv.FormatFloat(f, 'g', 12, 64))
-				emit(fnIdx, in, false, 0, false)
+				emit(in, false, 0, false)
 
 			case opFellOff:
 				return trapAt("fell off the end of a basic block", in, dyn)

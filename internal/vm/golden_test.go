@@ -22,7 +22,8 @@ import (
 )
 
 // goldenEvent is one recorded hook event (Instr identity is compared as a
-// pointer: both interpreters must report the same static instruction).
+// pointer: the VM's Site, resolved through vm.Layout, must name the same
+// static instruction the reference executed).
 type goldenEvent struct {
 	fn, block, index int
 	instr            *isa.Instr
@@ -299,22 +300,15 @@ func TestGoldenEventStream(t *testing.T) {
 					return
 				}
 				e := want[i]
-				if ev.Func != e.fn || ev.Block != e.block || ev.Index != e.index ||
-					ev.Instr != e.instr || ev.Addr != e.addr || ev.IsMem != e.isMem || ev.Taken != e.taken {
+				// The Site contract: the Layout's numbering of Site must
+				// name the location and instruction the reference ran.
+				loc, instr := lay.Loc(ev.Site), lay.Instr(ev.Site)
+				if loc.Func != e.fn || loc.Block != e.block || loc.Index != e.index ||
+					instr != e.instr || ev.Addr != e.addr || ev.IsMem != e.isMem || ev.Taken != e.taken {
 					if mismatches < 5 {
-						t.Errorf("event %d: got {F%d B%d I%d addr=%#x mem=%v taken=%v}, want {F%d B%d I%d addr=%#x mem=%v taken=%v}",
-							i, ev.Func, ev.Block, ev.Index, ev.Addr, ev.IsMem, ev.Taken,
+						t.Errorf("event %d: got {Site %d = F%d B%d I%d addr=%#x mem=%v taken=%v}, want {F%d B%d I%d addr=%#x mem=%v taken=%v}",
+							i, ev.Site, loc.Func, loc.Block, loc.Index, ev.Addr, ev.IsMem, ev.Taken,
 							e.fn, e.block, e.index, e.addr, e.isMem, e.taken)
-					}
-					mismatches++
-				}
-				// The Site contract: Event.Site must equal the Layout's
-				// numbering of (Func, Block, Index).
-				loc := lay.Loc(ev.Site)
-				if loc.Func != ev.Func || loc.Block != ev.Block || loc.Index != ev.Index {
-					if mismatches < 5 {
-						t.Errorf("event %d: Site %d maps to %v, want {%d %d %d}",
-							i, ev.Site, loc, ev.Func, ev.Block, ev.Index)
 					}
 					mismatches++
 				}

@@ -19,16 +19,15 @@ const opFellOff isa.Opcode = -1
 // frame-slot byte offsets, the dense static-site ID — so the dispatch loop
 // touches no program structure beyond this array.
 type pins struct {
-	mem   []int64    // LD/ST: the global's backing storage
-	src   *isa.Instr // the original instruction (Event.Instr identity)
-	imm   int64      // immediate; MOVF is fused to MOVI with float bits here
-	base  uint64     // LD/ST: global byte base; LDL/STL: slot byte offset
-	esize uint64     // LD/ST: element size in bytes
-	t0    int32      // BR taken / JMP target (flat PC)
-	t1    int32      // BR fall-through target (flat PC)
-	site  int32      // dense static-site ID (-1 for sentinels)
-	block int32      // static block index within the function
-	index int32      // static instruction index within the block
+	mem   []int64 // LD/ST: the global's backing storage
+	imm   int64   // immediate; MOVF is fused to MOVI with float bits here
+	base  uint64  // LD/ST: global byte base; LDL/STL: slot byte offset
+	esize uint64  // LD/ST: element size in bytes
+	t0    int32   // BR taken / JMP target (flat PC)
+	t1    int32   // BR fall-through target (flat PC)
+	site  int32   // dense static-site ID (-1 for sentinels)
+	block int32   // static block index within the function
+	index int32   // static instruction index within the block
 	// segLen is the number of instructions from this one to the end of its
 	// block, inclusive. At a control transfer the dispatch loop authorizes
 	// that many instructions against the budget at once, so the hot path
@@ -76,7 +75,7 @@ func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) []fcod
 			for ii := range blk.Instrs {
 				in := &blk.Instrs[ii]
 				pi := pins{
-					src: in, op: in.Op, dst: in.Dst, a: in.A, b: in.B, imm: in.Imm,
+					op: in.Op, dst: in.Dst, a: in.A, b: in.B, imm: in.Imm,
 					site: site, block: int32(bi), index: int32(ii),
 					segLen: int32(nb - ii),
 				}
@@ -84,8 +83,8 @@ func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) []fcod
 				switch in.Op {
 				case isa.MOVF:
 					// A float constant is an integer constant holding the
-					// IEEE bits; fuse to MOVI (Event.Instr stays the
-					// original MOVF through src).
+					// IEEE bits; fuse to MOVI here (the program is
+					// untouched, so Layout.Instr still reports the MOVF).
 					pi.op = isa.MOVI
 					pi.imm = int64(math.Float64bits(in.F))
 				case isa.LD, isa.ST:

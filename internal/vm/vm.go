@@ -20,15 +20,15 @@ import (
 	"repro/internal/isa"
 )
 
-// Event describes one executed instruction to observers.
+// Event describes one executed instruction to observers. It carries only
+// what varies per execution; everything static about the instruction (its
+// location, opcode and operands) comes from LayoutOf, by Site.
 type Event struct {
-	Func, Block, Index int // static location of the instruction
 	// Site is the instruction's dense static-site ID: its position in the
 	// program-wide enumeration of instructions in (function, block, index)
 	// order, exactly the numbering LayoutOf assigns. Hooks use it to index
-	// flat per-site state instead of keying maps by location.
+	// flat per-site tables built once from the Layout.
 	Site  int
-	Instr *isa.Instr
 	Addr  uint64 // data address (valid when IsMem)
 	IsMem bool
 	Taken bool // branch outcome (valid for BR)

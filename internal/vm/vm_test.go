@@ -54,11 +54,13 @@ func TestHandProgram(t *testing.T) {
 }
 
 func TestHookSeesEveryInstruction(t *testing.T) {
-	m := New(handProg())
+	p := handProg()
+	lay := LayoutOf(p)
+	m := New(p)
 	var classes []isa.Class
 	var memAddrs []uint64
 	res, err := m.Run(Config{Hook: func(ev *Event) {
-		classes = append(classes, ev.Instr.Class())
+		classes = append(classes, lay.Instr(ev.Site).Class())
 		if ev.IsMem {
 			memAddrs = append(memAddrs, ev.Addr)
 		}
@@ -237,9 +239,10 @@ func TestBranchEventsReportDirection(t *testing.T) {
 		},
 	}
 	p := &isa.Program{ISA: isa.AMD64, Funcs: []*isa.Func{main}, Entry: 0}
+	lay := LayoutOf(p)
 	taken, notTaken := 0, 0
 	_, err := New(p).Run(Config{Hook: func(ev *Event) {
-		if ev.Instr.Op == isa.BR {
+		if lay.Instr(ev.Site).Op == isa.BR {
 			if ev.Taken {
 				taken++
 			} else {

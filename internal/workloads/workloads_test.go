@@ -173,10 +173,11 @@ func TestSuiteHasBehavioralDiversity(t *testing.T) {
 		if err := w.Setup(m); err != nil {
 			t.Fatal(err)
 		}
+		lay := vm.LayoutOf(prog)
 		var fp, total uint64
 		_, err = m.Run(vm.Config{MaxInstrs: 80_000_000, Hook: func(ev *vm.Event) {
 			total++
-			switch ev.Instr.Class() {
+			switch lay.Instr(ev.Site).Class() {
 			case isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPDiv:
 				fp++
 			}
