@@ -58,10 +58,10 @@ type benchReport struct {
 	// VM microbenchmark: raw interpreter throughput on one fixed workload
 	// with no hook (the validate/calibration path) and with a counting
 	// hook (the profiling path's lower bound).
-	VMWorkload  string  `json:"vmWorkload"`
-	VMDyn       uint64  `json:"vmDyn"`
-	VMFastMIPS  float64 `json:"vmFastMIPS"`
-	VMHookMIPS  float64 `json:"vmHookMIPS"`
+	VMWorkload string  `json:"vmWorkload"`
+	VMDyn      uint64  `json:"vmDyn"`
+	VMFastMIPS float64 `json:"vmFastMIPS"`
+	VMHookMIPS float64 `json:"vmHookMIPS"`
 }
 
 func cmdBench(ctx context.Context, args []string, stdout, stderr io.Writer) error {

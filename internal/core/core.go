@@ -52,9 +52,6 @@ type Config struct {
 	MaxSkeletonItems int
 }
 
-// debugSynth enables synthesis calibration tracing (tests only).
-var debugSynth = false
-
 // DefaultTargetDyn is the default synthetic dynamic instruction target.
 const DefaultTargetDyn = 150_000
 
@@ -238,12 +235,6 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 			if err != nil {
 				return nil, rep, fmt.Errorf("core: mix calibration: %w", err)
 			}
-			if debugSynth {
-				fmt.Printf("[cal] attempt=%d dyn=%d loadFrac=%.3f/%.3f brFrac=%.3f/%.3f missPI=%.5f/%.5f compDyn=%.0f scale=%.2f brPI=%.1f fp=%.2f\n",
-					attempt, actual, float64(mix[isa.ClassLoad])/float64(actual), targetLoadFrac,
-					float64(mix[isa.ClassBranch])/float64(actual), targetBrFrac,
-					miss, targetMiss, compDyn, missScale, brPerIter, fpShare)
-			}
 			if float64(actual) > maxTotal && compDyn > 0 {
 				compDyn -= float64(actual) - maxTotal
 				if compDyn < 0 {
@@ -388,10 +379,9 @@ func measureClone(prog *hlc.Program, budget uint64, cacheCfg cache.Config) (uint
 }
 
 // measureCloneDyn is measureClone without instrumentation: it compiles the
-// candidate and executes it through the VM's no-hook fast path, returning
-// only the dynamic instruction count. Phase-1 R calibration needs nothing
-// else, and the fast path interprets several times quicker than a hooked
-// run.
+// candidate and runs it with no hook, returning only the dynamic
+// instruction count. Phase-1 R calibration needs nothing else, and a run
+// with no hook skips the per-instruction event and observer call.
 func measureCloneDyn(prog *hlc.Program, budget uint64) (uint64, error) {
 	cp, err := hlc.Check(prog)
 	if err != nil {

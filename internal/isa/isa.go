@@ -145,7 +145,7 @@ const (
 const NumOpcodes = int(PRINTF) + 1
 
 var opcodeNames = [NumOpcodes]string{
-	NOP: "nop",
+	NOP:  "nop",
 	MOVI: "movi", MOVF: "movf", MOV: "mov",
 	ADD: "add", SUB: "sub", MUL: "mul", DIV: "div", MOD: "mod",
 	AND: "and", OR: "or", XOR: "xor", SHL: "shl", SHR: "shr",

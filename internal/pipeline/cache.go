@@ -178,9 +178,10 @@ type artifactCache struct {
 	diskHits   atomic.Uint64
 	diskErrors atomic.Uint64
 	computed   [NumStages]atomic.Uint64
-	// tm mirrors the atomics above into the telemetry registry (and traces
-	// computations); every increment site updates both, so /metrics always
-	// agrees with CacheStats.
+	// tm records the same increments into the telemetry registry (and
+	// traces computations). The registry's series sum over every pipeline
+	// sharing it, so /metrics agrees with CacheStats only for a pipeline
+	// that owns its registry.
 	tm *cacheTelemetry
 }
 

@@ -59,9 +59,10 @@ type Options struct {
 	// must take care not to store a typed nil here; pass a literal nil.
 	Store store.Backend
 	// Metrics, when non-nil, receives the pipeline's cache and per-stage
-	// metrics (synth_pipeline_*). The counters mirror CacheStats increment
-	// for increment, so a /metrics scrape always matches the printed stats.
-	// Nil disables metric recording at zero cost.
+	// metrics (synth_pipeline_*), incremented alongside CacheStats. Every
+	// pipeline on a registry adds into the same series, so a scrape matches
+	// this pipeline's CacheStats only when no other pipeline shares the
+	// registry. Nil disables metric recording at zero cost.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one span per artifact computation,
 	// named after the stage and nested along the stage dataflow (a cold

@@ -13,9 +13,11 @@ var stageSecondsBuckets = []float64{
 // cacheTelemetry holds the pipeline's pre-resolved metric handles and the
 // span tracer. Built from a nil registry/tracer it is entirely no-op
 // handles, so the cache's hot path pays only nil checks when telemetry is
-// disabled. The counters mirror CacheStats exactly — every increment site
-// updates both — so a /metrics scrape and the printed stats can never
-// disagree.
+// disabled. Every increment site updates both these counters and the
+// cache's own atomics. The counters live in the registry, though, and
+// pipelines sharing one registry (cluster.Supervisor builds one per
+// dispatch digest) add into the same series, so a /metrics scrape equals
+// CacheStats only when one pipeline owns the registry.
 type cacheTelemetry struct {
 	hits       *telemetry.Counter
 	misses     *telemetry.Counter

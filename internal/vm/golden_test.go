@@ -344,9 +344,10 @@ func TestGoldenEventStream(t *testing.T) {
 	}
 }
 
-// TestVMFastPathMatchesHooked asserts the no-hook fast path and the hooked
-// path produce identical results (count, output hash) — they are separate
-// dispatch loops and must never drift.
+// TestVMFastPathMatchesHooked asserts that a run with no hook and a run
+// with a hook produce identical results (count, output hash), and that the
+// hook sees one event per counted instruction: installing an observer must
+// not change what the program does.
 func TestVMFastPathMatchesHooked(t *testing.T) {
 	for _, name := range []string{"crc32/small", "fft/small1"} {
 		w, prog := compileWorkload(t, name, compiler.O0)

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,19 +12,43 @@ import (
 // instruction exactly once (the pre-predecode interpreter double-counted
 // it), while a budget trap reports MaxInstrs+1 — one past the cap, marking
 // "there was more".
+//
+// The event contract at traps: an instruction that faults before it
+// completes (DIV/MOD by zero, an out-of-bounds LD/ST, the fell-off
+// sentinel) emits no event, a CALL emits its event before the depth check
+// can trap, and a budget trap has emitted exactly MaxInstrs events.
 
-func runTrap(t *testing.T, main *isa.Func, globals []isa.Global, cfg Config) (Result, *Trap) {
+// runTrap runs a one-function program twice — with no hook and with a
+// hook recording every event — and requires both runs to trap with the
+// same Result and the same Trap. It returns the hooked run's Result, Trap
+// and events.
+func runTrap(t *testing.T, main *isa.Func, globals []isa.Global, cfg Config) (Result, *Trap, []Event) {
 	t.Helper()
-	p := &isa.Program{ISA: isa.AMD64, Globals: globals, Funcs: []*isa.Func{main}, Entry: 0}
-	res, err := New(p).Run(cfg)
-	if err == nil {
-		t.Fatalf("expected a trap")
+	run := func(hook Hook) (Result, *Trap) {
+		t.Helper()
+		p := &isa.Program{ISA: isa.AMD64, Globals: globals, Funcs: []*isa.Func{main}, Entry: 0}
+		c := cfg
+		c.Hook = hook
+		res, err := New(p).Run(c)
+		if err == nil {
+			t.Fatalf("expected a trap")
+		}
+		trap, ok := err.(*Trap)
+		if !ok {
+			t.Fatalf("expected *Trap, got %T: %v", err, err)
+		}
+		return res, trap
 	}
-	trap, ok := err.(*Trap)
-	if !ok {
-		t.Fatalf("expected *Trap, got %T: %v", err, err)
+	plainRes, plainTrap := run(nil)
+	var events []Event
+	res, trap := run(func(ev *Event) { events = append(events, *ev) })
+	if !reflect.DeepEqual(plainRes, res) {
+		t.Fatalf("no-hook result %+v != hooked result %+v", plainRes, res)
 	}
-	return res, trap
+	if *plainTrap != *trap {
+		t.Fatalf("no-hook trap %+v != hooked trap %+v", *plainTrap, *trap)
+	}
+	return res, trap, events
 }
 
 func TestTrapCountsFaultingInstructionOnce(t *testing.T) {
@@ -39,7 +64,7 @@ func TestTrapCountsFaultingInstructionOnce(t *testing.T) {
 			},
 		}},
 	}
-	res, trap := runTrap(t, main, nil, Config{})
+	res, trap, _ := runTrap(t, main, nil, Config{})
 	if !strings.Contains(trap.Reason, "division by zero") {
 		t.Fatalf("reason = %q", trap.Reason)
 	}
@@ -64,7 +89,7 @@ func TestTrapOutOfBoundsCountsOnce(t *testing.T) {
 		}},
 	}
 	globals := []isa.Global{{Name: "g", Kind: isa.KindInt, Len: 4}}
-	res, trap := runTrap(t, main, globals, Config{})
+	res, trap, _ := runTrap(t, main, globals, Config{})
 	if !strings.Contains(trap.Reason, "out of bounds") {
 		t.Fatalf("reason = %q", trap.Reason)
 	}
@@ -82,12 +107,15 @@ func TestBudgetTrapCountsCapPlusOne(t *testing.T) {
 		}},
 	}
 	for _, budget := range []uint64{1, 7, 1000} {
-		res, trap := runTrap(t, main, nil, Config{MaxInstrs: budget})
+		res, trap, events := runTrap(t, main, nil, Config{MaxInstrs: budget})
 		if trap.Reason != TrapBudgetExhausted {
 			t.Fatalf("reason = %q", trap.Reason)
 		}
 		if res.DynInstrs != budget+1 {
 			t.Fatalf("budget %d: DynInstrs = %d, want %d", budget, res.DynInstrs, budget+1)
+		}
+		if uint64(len(events)) != budget {
+			t.Fatalf("budget %d: hook saw %d events, want %d", budget, len(events), budget)
 		}
 	}
 }
@@ -103,11 +131,59 @@ func TestStackOverflowCountsOnce(t *testing.T) {
 			},
 		}},
 	}
-	res, trap := runTrap(t, main, nil, Config{MaxDepth: 4})
+	res, trap, events := runTrap(t, main, nil, Config{MaxDepth: 4})
 	if trap.Reason != "stack overflow" {
 		t.Fatalf("reason = %q", trap.Reason)
 	}
 	if res.DynInstrs != 4 {
 		t.Fatalf("DynInstrs = %d, want 4", res.DynInstrs)
+	}
+	// The overflowing CALL is counted and emitted before it traps.
+	if len(events) != 4 {
+		t.Fatalf("hook saw %d events, want 4", len(events))
+	}
+	for i, ev := range events {
+		if ev.Site != 0 {
+			t.Fatalf("event %d at site %d, want every event at the CALL (site 0)", i, ev.Site)
+		}
+	}
+}
+
+func TestFaultingInstructionEmitsNoEvent(t *testing.T) {
+	// Each program sets r0=7, r1=0 and then faults at index 2: the
+	// faulting instruction is counted but emits no event, so the hook sees
+	// exactly the two MOVIs before it.
+	globals := []isa.Global{{Name: "g", Kind: isa.KindInt, Len: 4}}
+	for _, tc := range []struct {
+		name   string
+		fault  []isa.Instr // instructions from index 2 on
+		reason string
+	}{
+		{"DIV", []isa.Instr{{Op: isa.DIV, Dst: 2, A: 0, B: 1}, {Op: isa.RET, A: isa.NoReg}}, "division by zero"},
+		{"MOD", []isa.Instr{{Op: isa.MOD, Dst: 2, A: 0, B: 1}, {Op: isa.RET, A: isa.NoReg}}, "division by zero"},
+		{"LD", []isa.Instr{{Op: isa.LD, Dst: 2, A: 0, Sym: 0}, {Op: isa.RET, A: isa.NoReg}}, "load index 7 out of bounds"},
+		{"ST", []isa.Instr{{Op: isa.ST, A: 0, B: 1, Sym: 0}, {Op: isa.RET, A: isa.NoReg}}, "store index 7 out of bounds"},
+		{"fell off", nil, "fell off the end of a basic block"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			instrs := append([]isa.Instr{{Op: isa.MOVI, Dst: 0, Imm: 7}, {Op: isa.MOVI, Dst: 1, Imm: 0}}, tc.fault...)
+			main := &isa.Func{
+				Name: "main", RetKind: isa.KindVoid, NumRegs: 3, NumSlots: 1, FirstArgSlot: -1,
+				Blocks: []*isa.Block{{Instrs: instrs}},
+			}
+			res, trap, events := runTrap(t, main, globals, Config{})
+			if !strings.Contains(trap.Reason, tc.reason) {
+				t.Fatalf("reason = %q, want %q", trap.Reason, tc.reason)
+			}
+			if trap.Block != 0 || trap.Index != 2 {
+				t.Fatalf("trap at block %d index %d, want 0/2", trap.Block, trap.Index)
+			}
+			if res.DynInstrs != 3 {
+				t.Fatalf("DynInstrs = %d, want 3", res.DynInstrs)
+			}
+			if len(events) != 2 || events[0].Site != 0 || events[1].Site != 1 {
+				t.Fatalf("events = %+v, want the two MOVIs (sites 0 and 1) only", events)
+			}
+		})
 	}
 }

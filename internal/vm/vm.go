@@ -7,10 +7,10 @@
 // Loading a program predecodes it: each function's blocks are flattened
 // into one contiguous instruction array with branch targets resolved to
 // flat PCs, global bases and element sizes baked in, and a dense static-site
-// ID stamped on every instruction (see docs/vm.md). Run then dispatches to
-// one of two specialized loops — a no-hook fast path and a hooked path —
-// both of which authorize the instruction budget per basic block and pool
-// frame register/slot storage so calls do not allocate.
+// ID stamped on every instruction (see docs/vm.md). Run then executes it in
+// one dispatch loop that emits an Event only when a hook is installed,
+// authorizes the instruction budget per basic block, and pools frame
+// register/slot storage so calls do not allocate.
 package vm
 
 import (
@@ -203,13 +203,7 @@ func (vm *VM) Run(cfg Config) (Result, error) {
 	if entry.NumParams != 0 {
 		return Result{OutputHash: fnvOffset}, fmt.Errorf("vm: entry function %s takes parameters", entry.Name)
 	}
-	var res Result
-	var err error
-	if cfg.Hook == nil {
-		res, err = vm.runFast(limit, maxOutput, maxDepth)
-	} else {
-		res, err = vm.runHooked(cfg.Hook, limit, maxOutput, maxDepth)
-	}
+	res, err := vm.run(cfg.Hook, limit, maxOutput, maxDepth)
 	// One atomic add per Run, not per instruction: the process-wide
 	// telemetry counter must not slow the dispatch loop.
 	executedInstrs.Add(res.DynInstrs)
