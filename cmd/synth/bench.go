@@ -282,6 +282,7 @@ func loadBenchReport(path string) (*benchReport, error) {
 
 // compareBench fails when the fresh report regresses beyond the allowed
 // fraction against the baseline: wall time up, or throughput down.
+// compileSec is not gated: a few milliseconds over the suite, it is noise.
 func compareBench(fresh, base *benchReport, maxRegress float64, stderr io.Writer) error {
 	if fresh.Suite != base.Suite {
 		return fmt.Errorf("bench: suite %q vs baseline %q", fresh.Suite, base.Suite)
@@ -315,6 +316,7 @@ func compareBench(fresh, base *benchReport, maxRegress float64, stderr io.Writer
 	}
 	slower("totalSec", fresh.TotalSec, base.TotalSec)
 	slower("profileSec", fresh.ProfileSec, base.ProfileSec)
+	slower("synthesizeSec", fresh.SynthesizeSec, base.SynthesizeSec)
 	slower("validateSec", fresh.ValidateSec, base.ValidateSec)
 	faster("profileMIPS", fresh.ProfileMIPS, base.ProfileMIPS)
 	faster("vmFastMIPS", fresh.VMFastMIPS, base.VMFastMIPS)

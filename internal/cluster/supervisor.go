@@ -96,13 +96,12 @@ type SupervisorStatus struct {
 	// Min and Max are the autoscaler bounds.
 	Min int `json:"min"`
 	Max int `json:"max"`
-	// Jobs, Failed, and Panics count acked jobs, the failed subset, and
-	// recovered execution panics since the supervisor started.
-	Jobs   int `json:"jobs"`
-	Failed int `json:"failed"`
-	Panics int `json:"panics"`
-	// Reclaimed counts expired leases returned to pending by the
-	// coordinator ticker.
+	// Jobs, Failed, Panics, and Reclaimed are read from Metrics: acked
+	// jobs, the failed subset, recovered execution panics, and expired
+	// leases returned to pending, since the supervisor started.
+	Jobs      int `json:"jobs"`
+	Failed    int `json:"failed"`
+	Panics    int `json:"panics"`
 	Reclaimed int `json:"reclaimed"`
 	// Decisions is the most recent autoscaler history, newest last.
 	Decisions []Decision `json:"decisions,omitempty"`
@@ -139,12 +138,8 @@ type Supervisor struct {
 	idleTicks int
 	running   bool
 
-	wg        sync.WaitGroup
-	busy      atomic.Int64
-	jobs      atomic.Int64
-	failed    atomic.Int64
-	panics    atomic.Int64
-	reclaimed atomic.Int64
+	wg   sync.WaitGroup
+	busy atomic.Int64
 }
 
 // supWorker is the supervisor's handle on one pool goroutine. Closing stop
@@ -266,7 +261,6 @@ func (s *Supervisor) spawnLocked(ctx context.Context) string {
 // whether the pool should grow or shrink.
 func (s *Supervisor) tick() {
 	if n, err := s.q.Reclaim(s.opts.TTL); err == nil && n > 0 {
-		s.reclaimed.Add(int64(n))
 		s.metrics.Reclaimed(n)
 		s.event("reclaim", "", "", fmt.Sprintf("re-pended %d expired lease(s)", n))
 	}
@@ -399,7 +393,6 @@ func (s *Supervisor) runOne(ctx context.Context, w *Worker, lease *Lease) {
 		s.event("job-timeout", w.ID, id, res.Err)
 	}
 	if panicked {
-		s.panics.Add(1)
 		s.metrics.Panic()
 		s.mu.Lock()
 		first := !s.panicked[id]
@@ -416,10 +409,8 @@ func (s *Supervisor) runOne(ctx context.Context, w *Worker, lease *Lease) {
 		s.event("job-failed", w.ID, id, err.Error())
 		return
 	}
-	s.jobs.Add(1)
 	typ := "job-done"
 	if res.Err != "" {
-		s.failed.Add(1)
 		typ = "job-failed"
 	}
 	s.event(typ, w.ID, id, fmt.Sprintf("%s in %dms: %s", lease.Job.Workload, res.Millis, res.Err))
@@ -469,8 +460,8 @@ func (s *Supervisor) pipelineFor(digest string) (*pipeline.Pipeline, error) {
 	return p, nil
 }
 
-// Metrics returns the supervisor's job-lifecycle metric handles, shared by
-// its pool workers; the status endpoint snapshots them.
+// Metrics returns the supervisor's job-lifecycle counters, shared by
+// its pool workers; Status and the status endpoint read them.
 func (s *Supervisor) Metrics() *Metrics { return s.metrics }
 
 // Status returns a point-in-time snapshot for the status endpoint.
@@ -485,9 +476,10 @@ func (s *Supervisor) Status() SupervisorStatus {
 	}
 	s.mu.Unlock()
 	st.Busy = int(s.busy.Load())
-	st.Jobs = int(s.jobs.Load())
-	st.Failed = int(s.failed.Load())
-	st.Panics = int(s.panics.Load())
-	st.Reclaimed = int(s.reclaimed.Load())
+	m := s.metrics.Snapshot()
+	st.Jobs = int(m.JobsOK + m.JobsFailed)
+	st.Failed = int(m.JobsFailed)
+	st.Panics = int(m.Panics)
+	st.Reclaimed = int(m.Reclaims)
 	return st
 }

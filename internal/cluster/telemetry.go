@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -12,56 +13,55 @@ var jobSecondsBuckets = []float64{
 	0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300,
 }
 
-// Metrics holds the cluster's job-lifecycle metric handles: claims, acks
-// (by result), ack retries, lease reclaims, panics, and timeouts, plus a
-// job duration histogram. Build one per registry with NewMetrics and share
-// it across the workers and supervisor of a node; all methods are no-ops
+// Metrics owns the cluster's job-lifecycle counters: claims, acks (by
+// result), ack retries, lease reclaims, panics, and timeouts, plus a job
+// duration histogram. Build one per node with NewMetrics and share it
+// across the workers and supervisor of that node; all methods are no-ops
 // on a nil *Metrics, so unplumbed paths cost nothing.
 type Metrics struct {
-	claims     *telemetry.Counter
-	jobsOK     *telemetry.Counter
-	jobsFailed *telemetry.Counter
-	ackRetries *telemetry.Counter
-	reclaims   *telemetry.Counter
-	panics     *telemetry.Counter
-	timeouts   *telemetry.Counter
+	claims     atomic.Uint64
+	jobsOK     atomic.Uint64
+	jobsFailed atomic.Uint64
+	ackRetries atomic.Uint64
+	reclaims   atomic.Uint64
+	panics     atomic.Uint64
+	timeouts   atomic.Uint64
 	jobSeconds *telemetry.Histogram
 }
 
-// NewMetrics resolves the cluster metric handles in reg (nil reg yields
-// no-op handles).
+// NewMetrics builds the counters and exposes them in reg (nil reg: they
+// count unscraped).
 func NewMetrics(reg *telemetry.Registry) *Metrics {
-	return &Metrics{
-		claims: reg.Counter("synth_cluster_claims_total",
-			"Job leases claimed by this node's workers."),
-		jobsOK: reg.Counter("synth_cluster_jobs_total",
-			"Jobs acked by this node, by result.", "result", "ok"),
-		jobsFailed: reg.Counter("synth_cluster_jobs_total",
-			"Jobs acked by this node, by result.", "result", "failed"),
-		ackRetries: reg.Counter("synth_cluster_ack_retries_total",
-			"Failed ack attempts that were retried with backoff."),
-		reclaims: reg.Counter("synth_cluster_reclaims_total",
-			"Expired leases returned to pending by this node."),
-		panics: reg.Counter("synth_cluster_panics_total",
-			"Job executions that panicked (recovered)."),
-		timeouts: reg.Counter("synth_cluster_job_timeouts_total",
-			"Jobs acked as failed because they outran the job timeout."),
-		jobSeconds: reg.Histogram("synth_cluster_job_seconds",
-			"Wall time of acked jobs.", jobSecondsBuckets),
-	}
+	m := &Metrics{jobSeconds: reg.Histogram("synth_cluster_job_seconds",
+		"Wall time of acked jobs.", jobSecondsBuckets)}
+	reg.CounterFunc("synth_cluster_claims_total",
+		"Job leases claimed by this node's workers.", m.claims.Load)
+	reg.CounterFunc("synth_cluster_jobs_total",
+		"Jobs acked by this node, by result.", m.jobsOK.Load, "result", "ok")
+	reg.CounterFunc("synth_cluster_jobs_total",
+		"Jobs acked by this node, by result.", m.jobsFailed.Load, "result", "failed")
+	reg.CounterFunc("synth_cluster_ack_retries_total",
+		"Failed ack attempts that were retried with backoff.", m.ackRetries.Load)
+	reg.CounterFunc("synth_cluster_reclaims_total",
+		"Expired leases returned to pending by this node.", m.reclaims.Load)
+	reg.CounterFunc("synth_cluster_panics_total",
+		"Job executions that panicked (recovered).", m.panics.Load)
+	reg.CounterFunc("synth_cluster_job_timeouts_total",
+		"Jobs acked as failed because they outran the job timeout.", m.timeouts.Load)
+	return m
 }
 
 // Claim records one successful lease claim.
 func (m *Metrics) Claim() {
 	if m != nil {
-		m.claims.Inc()
+		m.claims.Add(1)
 	}
 }
 
 // AckRetry records one failed ack attempt that will be retried.
 func (m *Metrics) AckRetry() {
 	if m != nil {
-		m.ackRetries.Inc()
+		m.ackRetries.Add(1)
 	}
 }
 
@@ -71,9 +71,9 @@ func (m *Metrics) Acked(d time.Duration, failed bool) {
 		return
 	}
 	if failed {
-		m.jobsFailed.Inc()
+		m.jobsFailed.Add(1)
 	} else {
-		m.jobsOK.Inc()
+		m.jobsOK.Add(1)
 	}
 	m.jobSeconds.Observe(d.Seconds())
 }
@@ -88,14 +88,14 @@ func (m *Metrics) Reclaimed(n int) {
 // Panic records one recovered job panic.
 func (m *Metrics) Panic() {
 	if m != nil {
-		m.panics.Inc()
+		m.panics.Add(1)
 	}
 }
 
 // Timeout records one job acked as failed after outrunning its timeout.
 func (m *Metrics) Timeout() {
 	if m != nil {
-		m.timeouts.Inc()
+		m.timeouts.Add(1)
 	}
 }
 
@@ -111,20 +111,19 @@ type MetricsSnapshot struct {
 	Timeouts   uint64 `json:"timeouts"`
 }
 
-// Snapshot reads every counter once (all zeros on a nil or unregistered
-// *Metrics).
+// Snapshot reads every counter once (all zeros on a nil *Metrics).
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	if m == nil {
 		return MetricsSnapshot{}
 	}
 	return MetricsSnapshot{
-		Claims:     m.claims.Value(),
-		JobsOK:     m.jobsOK.Value(),
-		JobsFailed: m.jobsFailed.Value(),
-		AckRetries: m.ackRetries.Value(),
-		Reclaims:   m.reclaims.Value(),
-		Panics:     m.panics.Value(),
-		Timeouts:   m.timeouts.Value(),
+		Claims:     m.claims.Load(),
+		JobsOK:     m.jobsOK.Load(),
+		JobsFailed: m.jobsFailed.Load(),
+		AckRetries: m.ackRetries.Load(),
+		Reclaims:   m.reclaims.Load(),
+		Panics:     m.panics.Load(),
+		Timeouts:   m.timeouts.Load(),
 	}
 }
 

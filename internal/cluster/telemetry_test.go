@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,24 +53,34 @@ func TestClusterTelemetryWorkerDrain(t *testing.T) {
 }
 
 // TestClusterTelemetrySupervisorPool runs a supervised drain with a
-// registry attached and asserts the pool gauges and lifecycle counters are
-// scrapable, including a panic and the queue-depth gauges over the drained
-// queue.
+// registry attached — one scripted failure, one panic, and one lease
+// abandoned by a vanished worker — and asserts the pool gauges and
+// lifecycle counters are scrapable, including the queue-depth gauges over
+// the drained queue. Status is a view over the same counters: its job
+// counts must equal both Metrics().Snapshot() and the synth_cluster_*
+// series.
 func TestClusterTelemetrySupervisorPool(t *testing.T) {
 	q := testQueue(t)
-	fakeJobs(t, q, 2)
+	fakeJobs(t, q, 3)
+	// A worker that claims a job and vanishes: its lease expires and the
+	// coordinator ticker reclaims it once.
+	if l, err := q.Claim("ghost"); err != nil || l == nil {
+		t.Fatalf("ghost claim: %v, %v", l, err)
+	}
 
 	reg := telemetry.NewRegistry()
 	RegisterQueueGauges(reg, q)
-	panicked := false
+	var panicked atomic.Bool
 	sup, err := NewSupervisor(q, SupervisorOptions{
-		Node: "tele", Min: 1, Max: 2, TTL: time.Hour,
+		Node: "tele", Min: 1, Max: 2, TTL: 300 * time.Millisecond,
 		Poll: 5 * time.Millisecond, Interval: 10 * time.Millisecond,
 		Telemetry: reg,
 		exec: func(ctx context.Context, j Job) error {
-			if !panicked && strings.HasSuffix(j.Workload, "job0") {
-				panicked = true
+			switch {
+			case strings.HasSuffix(j.Workload, "job0") && panicked.CompareAndSwap(false, true):
 				panic("scripted panic")
+			case strings.HasSuffix(j.Workload, "job1"):
+				return fmt.Errorf("scripted failure")
 			}
 			return nil
 		},
@@ -85,7 +96,7 @@ func TestClusterTelemetrySupervisorPool(t *testing.T) {
 	}()
 	waitFor(t, 30*time.Second, "queue to converge", func() bool {
 		c, err := q.Counts()
-		return err == nil && c.Done == 2
+		return err == nil && c.Done == 3
 	})
 	cancel()
 	<-done
@@ -95,9 +106,20 @@ func TestClusterTelemetrySupervisorPool(t *testing.T) {
 		t.Fatalf("scrape: %v", err)
 	}
 	out := b.String()
+	st, m := sup.Status(), sup.Metrics().Snapshot()
+	if st.Jobs != 3 || st.Failed != 1 || st.Panics != 1 || st.Reclaimed != 1 {
+		t.Fatalf("status counters: %+v", st)
+	}
+	if uint64(st.Jobs) != m.JobsOK+m.JobsFailed || uint64(st.Failed) != m.JobsFailed ||
+		uint64(st.Panics) != m.Panics || uint64(st.Reclaimed) != m.Reclaims {
+		t.Fatalf("status %+v disagrees with metrics snapshot %+v", st, m)
+	}
 	for _, line := range []string{
-		"synth_cluster_panics_total 1",
-		"synth_cluster_queue_done 2",
+		fmt.Sprintf(`synth_cluster_jobs_total{result="ok"} %d`, st.Jobs-st.Failed),
+		fmt.Sprintf(`synth_cluster_jobs_total{result="failed"} %d`, st.Failed),
+		fmt.Sprintf("synth_cluster_panics_total %d", st.Panics),
+		fmt.Sprintf("synth_cluster_reclaims_total %d", st.Reclaimed),
+		"synth_cluster_queue_done 3",
 		"synth_cluster_queue_pending 0",
 		"synth_cluster_pool_busy 0",
 	} {
@@ -105,11 +127,32 @@ func TestClusterTelemetrySupervisorPool(t *testing.T) {
 			t.Fatalf("scrape missing %q:\n%s", line, out)
 		}
 	}
-	if !strings.Contains(out, "synth_cluster_jobs_total") ||
-		!strings.Contains(out, "synth_cluster_pool_workers") {
+	if !strings.Contains(out, "synth_cluster_pool_workers") {
 		t.Fatalf("scrape missing cluster families:\n%s", out)
 	}
 	if age, err := q.OldestLeaseAge(); err != nil || age != 0 {
 		t.Fatalf("OldestLeaseAge on drained queue = %v, %v; want 0", age, err)
+	}
+}
+
+// TestClusterMetricsCountWithoutRegistry pins that a Metrics built without
+// a registry still counts — Status reads it on registry-less nodes — and
+// that a nil *Metrics is a no-op.
+func TestClusterMetricsCountWithoutRegistry(t *testing.T) {
+	m := NewMetrics(nil)
+	m.Claim()
+	m.Acked(time.Millisecond, false)
+	m.Acked(time.Millisecond, true)
+	m.Reclaimed(2)
+	m.Panic()
+	want := MetricsSnapshot{Claims: 1, JobsOK: 1, JobsFailed: 1, Reclaims: 2, Panics: 1}
+	if got := m.Snapshot(); got != want {
+		t.Fatalf("snapshot = %+v, want %+v", got, want)
+	}
+	var nilM *Metrics
+	nilM.Claim()
+	nilM.Acked(time.Millisecond, true)
+	if got := nilM.Snapshot(); got != (MetricsSnapshot{}) {
+		t.Fatalf("nil metrics snapshot = %+v", got)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // Key identifies one artifact in the content-addressed cache. Two jobs that
@@ -163,6 +164,29 @@ type codec struct {
 	decode func([]byte) (any, error)
 }
 
+// cacheCounters is the one store of a cache's CacheStats counts; the
+// metrics registry reads it at scrape time (see newCacheTelemetry).
+type cacheCounters struct {
+	hits       atomic.Uint64
+	misses     atomic.Uint64
+	diskHits   atomic.Uint64
+	diskErrors atomic.Uint64
+	computed   [NumStages]atomic.Uint64
+}
+
+func (n *cacheCounters) stats() CacheStats {
+	s := CacheStats{
+		Hits:       n.hits.Load(),
+		Misses:     n.misses.Load(),
+		DiskHits:   n.diskHits.Load(),
+		DiskErrors: n.diskErrors.Load(),
+	}
+	for i := range n.computed {
+		s.Computed[i] = n.computed[i].Load()
+	}
+	return s
+}
+
 // artifactCache is the content-addressed store behind a Pipeline: an
 // in-memory map with single-flight coalescing, optionally backed by a
 // persistent disk tier shared across processes. The map is keyed by the
@@ -170,36 +194,16 @@ type codec struct {
 // as the map key would turn a 64-bit hash collision into a silently wrong
 // artifact.
 type artifactCache struct {
-	mu         sync.Mutex
-	m          map[Key]*entry
-	disk       store.Backend // nil = memory-only
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	diskHits   atomic.Uint64
-	diskErrors atomic.Uint64
-	computed   [NumStages]atomic.Uint64
-	// tm records the same increments into the telemetry registry (and
-	// traces computations). The registry's series sum over every pipeline
-	// sharing it, so /metrics agrees with CacheStats only for a pipeline
-	// that owns its registry.
-	tm *cacheTelemetry
+	mu   sync.Mutex
+	m    map[Key]*entry
+	disk store.Backend  // nil = memory-only
+	n    *cacheCounters // its own allocation: scrape funcs hold it, not the cache
+	tm   *cacheTelemetry
 }
 
-func newArtifactCache(disk store.Backend, tm *cacheTelemetry) *artifactCache {
-	return &artifactCache{m: make(map[Key]*entry), disk: disk, tm: tm}
-}
-
-func (c *artifactCache) stats() CacheStats {
-	s := CacheStats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		DiskHits:   c.diskHits.Load(),
-		DiskErrors: c.diskErrors.Load(),
-	}
-	for i := range c.computed {
-		s.Computed[i] = c.computed[i].Load()
-	}
-	return s
+func newArtifactCache(disk store.Backend, reg *telemetry.Registry, tracer *telemetry.Tracer) *artifactCache {
+	n := &cacheCounters{}
+	return &artifactCache{m: make(map[Key]*entry), disk: disk, n: n, tm: newCacheTelemetry(reg, tracer, n)}
 }
 
 // fromDisk tries to satisfy k from the persistent tier. A damaged or
@@ -217,8 +221,7 @@ func (c *artifactCache) fromDisk(k Key, cd *codec) (any, bool) {
 	}
 	v, err := cd.decode(payload)
 	if err != nil {
-		c.diskErrors.Add(1)
-		c.tm.diskErrors.Inc()
+		c.n.diskErrors.Add(1)
 		return nil, false
 	}
 	return v, true
@@ -235,8 +238,7 @@ func (c *artifactCache) toDisk(k Key, cd *codec, v any) {
 		err = c.disk.Put(k.Digest(), cd.kind, k.Canonical(), payload)
 	}
 	if err != nil {
-		c.diskErrors.Add(1)
-		c.tm.diskErrors.Inc()
+		c.n.diskErrors.Add(1)
 	}
 }
 
@@ -256,8 +258,7 @@ func (c *artifactCache) do(ctx context.Context, k Key, cd *codec, fn func(contex
 		c.mu.Lock()
 		if e, ok := c.m[k]; ok {
 			c.mu.Unlock()
-			c.hits.Add(1)
-			c.tm.hits.Inc()
+			c.n.hits.Add(1)
 			select {
 			case <-e.ready:
 				if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
@@ -276,8 +277,7 @@ func (c *artifactCache) do(ctx context.Context, k Key, cd *codec, fn func(contex
 		c.mu.Unlock()
 
 		if v, ok := c.fromDisk(k, cd); ok {
-			c.diskHits.Add(1)
-			c.tm.diskHits.Inc()
+			c.n.diskHits.Add(1)
 			e.val = v
 			close(e.ready)
 			return v, nil
@@ -305,12 +305,10 @@ func (c *artifactCache) do(ctx context.Context, k Key, cd *codec, fn func(contex
 // it into the stage duration histogram, and wrapping it in a span named
 // after the stage so nested stage calls trace as children.
 func (c *artifactCache) compute(ctx context.Context, k Key, fn func(context.Context) (any, error)) (any, error) {
-	c.misses.Add(1)
-	c.tm.misses.Inc()
-	inRange := int(k.Stage) < len(c.computed)
+	c.n.misses.Add(1)
+	inRange := int(k.Stage) < NumStages
 	if inRange {
-		c.computed[k.Stage].Add(1)
-		c.tm.computed[k.Stage].Inc()
+		c.n.computed[k.Stage].Add(1)
 	}
 	ctx, span := c.tm.tracer.Start(ctx, k.Stage.String())
 	span.SetAttr("workload", k.Workload)
@@ -369,8 +367,7 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, fn f
 				// claim; it may have finished between our last poll and now.
 				if v, ok := c.fromDisk(k, cd); ok {
 					c.disk.Remove(marker)
-					c.diskHits.Add(1)
-					c.tm.diskHits.Inc()
+					c.n.diskHits.Add(1)
 					c.tm.wipAdopted.Inc()
 					return v, nil
 				}
@@ -380,8 +377,7 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, fn f
 		if !errors.Is(err, fs.ErrExist) {
 			// Store flake on the marker path: fall back to computing without
 			// coordination rather than blocking the pipeline.
-			c.diskErrors.Add(1)
-			c.tm.diskErrors.Inc()
+			c.n.diskErrors.Add(1)
 			v, ferr := c.compute(ctx, k, fn)
 			if ferr == nil {
 				c.toDisk(k, cd, v)
@@ -396,8 +392,7 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, fn f
 		case <-time.After(wipPoll):
 		}
 		if v, ok := c.fromDisk(k, cd); ok {
-			c.diskHits.Add(1)
-			c.tm.diskHits.Inc()
+			c.n.diskHits.Add(1)
 			c.tm.wipAdopted.Inc()
 			return v, nil
 		}

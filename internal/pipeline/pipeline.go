@@ -59,10 +59,10 @@ type Options struct {
 	// must take care not to store a typed nil here; pass a literal nil.
 	Store store.Backend
 	// Metrics, when non-nil, receives the pipeline's cache and per-stage
-	// metrics (synth_pipeline_*), incremented alongside CacheStats. Every
-	// pipeline on a registry adds into the same series, so a scrape matches
-	// this pipeline's CacheStats only when no other pipeline shares the
-	// registry. Nil disables metric recording at zero cost.
+	// metrics (synth_pipeline_*), read from the counters CacheStats
+	// reports. A scrape sums every pipeline on the registry, so it equals
+	// this pipeline's CacheStats when no other shares it. Nil disables
+	// metric recording at zero cost.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one span per artifact computation,
 	// named after the stage and nested along the stage dataflow (a cold
@@ -93,7 +93,7 @@ func New(opts Options) *Pipeline {
 		opts.ProfileCache = profile.DefaultCache
 	}
 	return &Pipeline{opts: opts,
-		cache: newArtifactCache(opts.Store, newCacheTelemetry(opts.Metrics, opts.Tracer))}
+		cache: newArtifactCache(opts.Store, opts.Metrics, opts.Tracer)}
 }
 
 // Workers returns the fan-out bound.
@@ -103,7 +103,7 @@ func (p *Pipeline) Workers() int { return p.opts.Workers }
 func (p *Pipeline) Seed() int64 { return p.opts.Seed }
 
 // CacheStats reports artifact-cache hit/miss counts so far.
-func (p *Pipeline) CacheStats() CacheStats { return p.cache.stats() }
+func (p *Pipeline) CacheStats() CacheStats { return p.cache.n.stats() }
 
 // ProfilePoint returns the (ISA, level) compilation point profiling and
 // clone measurement run at.

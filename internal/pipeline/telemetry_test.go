@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -144,5 +145,80 @@ func TestPipelineMetricsMatchCacheStats(t *testing.T) {
 	}
 	if stats.Hits == 0 || stats.Misses == 0 {
 		t.Fatalf("run exercised no cache traffic: %+v", stats)
+	}
+}
+
+// scrapeCacheStats reads the synth_pipeline_* cache series of reg back
+// into a CacheStats.
+func scrapeCacheStats(t *testing.T, reg *telemetry.Registry) CacheStats {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatalf("scrape: %v", err)
+	}
+	var s CacheStats
+	fields := map[string]*uint64{
+		"synth_pipeline_cache_hits_total":        &s.Hits,
+		"synth_pipeline_cache_misses_total":      &s.Misses,
+		"synth_pipeline_cache_disk_hits_total":   &s.DiskHits,
+		"synth_pipeline_cache_disk_errors_total": &s.DiskErrors,
+	}
+	for st := Stage(0); int(st) < NumStages; st++ {
+		fields[fmt.Sprintf("synth_pipeline_stage_computed_total{stage=%q}", st.String())] = &s.Computed[st]
+	}
+	seen := 0
+	for _, line := range strings.Split(b.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if p := fields[name]; ok && p != nil {
+			if _, err := fmt.Sscan(val, p); err != nil {
+				t.Fatalf("unparsable exposition line %q: %v", line, err)
+			}
+			seen++
+		}
+	}
+	if seen != len(fields) {
+		t.Fatalf("scrape carries %d of %d cache series:\n%s", seen, len(fields), b.String())
+	}
+	return s
+}
+
+// TestPipelineMetricsSumSharedRegistry builds two pipelines on one
+// registry over one store, as cluster.Supervisor does per dispatch, and
+// lets both compute. Every synth_pipeline_* cache series must scrape as
+// the sum of the two pipelines' CacheStats.
+func TestPipelineMetricsSumSharedRegistry(t *testing.T) {
+	ctx := context.Background()
+	reg := telemetry.NewRegistry()
+	dir := t.TempDir()
+	newPipe := func() *Pipeline {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(Options{Workers: 2, Metrics: reg, Store: st})
+	}
+	a, b := newPipe(), newPipe()
+	crc, fft := workloads.ByName("crc32/small"), workloads.ByName("fft/small1")
+	if crc == nil || fft == nil {
+		t.Fatal("workloads crc32/small, fft/small1 not found")
+	}
+	if _, err := a.Synthesize(ctx, crc); err != nil {
+		t.Fatalf("a Synthesize: %v", err)
+	}
+	if _, err := a.Synthesize(ctx, crc); err != nil {
+		t.Fatalf("a warm Synthesize: %v", err)
+	}
+	// b finds crc32's profile in the store and computes fft's.
+	for _, w := range []*workloads.Workload{crc, fft} {
+		if _, err := b.Profile(ctx, w); err != nil {
+			t.Fatalf("b Profile %s: %v", w.Name, err)
+		}
+	}
+	as, bs := a.CacheStats(), b.CacheStats()
+	if as.Misses == 0 || bs.Misses == 0 || as.Hits == 0 || bs.DiskHits == 0 {
+		t.Fatalf("pipelines did not both compute, hit, and read the store: a %+v, b %+v", as, bs)
+	}
+	if got, want := scrapeCacheStats(t, reg), as.Add(bs); got != want {
+		t.Fatalf("scrape is not the sum of the pipelines' CacheStats:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -55,7 +55,7 @@ type family struct {
 	buckets []float64 // histogram upper bounds (without +Inf)
 
 	mu     sync.Mutex
-	series map[string]any // label string -> *Counter/*Gauge/*Histogram/func
+	series map[string]any // label string -> *Counter/*Gauge/*Histogram/*counterFuncs/func
 	order  []string       // label strings in first-registration order
 }
 
@@ -200,15 +200,23 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	return f.getSeries(labelString(labels), func() any { return newHistogram(buckets) }).(*Histogram)
 }
 
+// counterFuncs is one CounterFunc series; it scrapes as the sum of its funcs.
+type counterFuncs []func() uint64
+
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — for monotone counts maintained elsewhere (the VM's executed
-// instruction total). No-op on a nil registry.
+// time — for monotone counts owned elsewhere (a pipeline's CacheStats).
+// Registering again under the same name and labels adds fn to the series,
+// which scrapes as the sum, so per-instance counts total across instances
+// and a process-wide count is registered once. No-op on a nil registry.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...string) {
 	if r == nil {
 		return
 	}
 	f := r.getFamily(name, help, kindCounterFunc, nil)
-	f.getSeries(labelString(labels), func() any { return fn })
+	fs := f.getSeries(labelString(labels), func() any { return &counterFuncs{} }).(*counterFuncs)
+	f.mu.Lock()
+	*fs = append(*fs, fn)
+	f.mu.Unlock()
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time —
@@ -276,8 +284,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s %s\n", seriesName(f.name, ls, ""), formatFloat(s.Value()))
 			case *Histogram:
 				s.write(&b, f.name, ls)
-			case func() uint64:
-				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name, ls, ""), s())
+			case *counterFuncs:
+				var v uint64
+				for _, fn := range *s {
+					v += fn()
+				}
+				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name, ls, ""), v)
 			case func() float64:
 				fmt.Fprintf(&b, "%s %s\n", seriesName(f.name, ls, ""), formatFloat(s()))
 			}

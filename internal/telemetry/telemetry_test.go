@@ -87,6 +87,37 @@ synth_stage_seconds_count{stage="parse"} 3
 	}
 }
 
+// TestTelemetryCounterFuncSums pins that a CounterFunc registered again
+// under one name and label set adds to that series: the scrape reports the
+// sum of every registered func, read at scrape time, while other label
+// sets stay separate.
+func TestTelemetryCounterFuncSums(t *testing.T) {
+	r := NewRegistry()
+	a, b := uint64(3), uint64(4)
+	r.CounterFunc("synth_hits_total", "Hits.", func() uint64 { return a }, "stage", "parse")
+	r.CounterFunc("synth_hits_total", "Hits.", func() uint64 { return b }, "stage", "parse")
+	r.CounterFunc("synth_hits_total", "Hits.", func() uint64 { return 5 }, "stage", "check")
+	scrape := func() string {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatalf("WritePrometheus: %v", err)
+		}
+		return sb.String()
+	}
+	const want = `# HELP synth_hits_total Hits.
+# TYPE synth_hits_total counter
+synth_hits_total{stage="parse"} 7
+synth_hits_total{stage="check"} 5
+`
+	if got := scrape(); got != want {
+		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	b = 10
+	if got := scrape(); !strings.Contains(got, `synth_hits_total{stage="parse"} 13`+"\n") {
+		t.Fatalf("sum not read at scrape time:\n%s", got)
+	}
+}
+
 // TestTelemetryRegistryRace hammers counters, gauges, histograms, and
 // get-or-create from many goroutines while a scraper renders the registry;
 // run under -race this pins the concurrency contract.
@@ -101,6 +132,8 @@ func TestTelemetryRegistryRace(t *testing.T) {
 			c := r.Counter("race_total", "race", "w", "a")
 			g := r.Gauge("race_depth", "race")
 			h := r.Histogram("race_seconds", "race", DefaultLatencyBuckets)
+			// Duplicate CounterFunc registrations race the scraper too.
+			r.CounterFunc("race_funcs_total", "race", func() uint64 { return 1 })
 			for j := 0; j < 2000; j++ {
 				c.Inc()
 				g.Add(1)
@@ -151,6 +184,13 @@ func TestTelemetryRegistryRace(t *testing.T) {
 	}
 	if got := r.Histogram("race_seconds", "race", DefaultLatencyBuckets).Count(); got != 4*2000 {
 		t.Fatalf("race_seconds count = %d, want %d", got, 4*2000)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatalf("scrape: %v", err)
+	}
+	if !strings.Contains(b.String(), "race_funcs_total 4\n") {
+		t.Fatalf("race_funcs_total is not the sum of 4 registrations:\n%s", b.String())
 	}
 }
 
