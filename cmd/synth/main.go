@@ -9,7 +9,6 @@
 //	synth synthesize {-workload NAME | -from PROFILE.json} [-seed N] [-report] [-validate]
 //	synth consolidate [-name NAME] [-synthesize] WORKLOAD-OR-PROFILE.json...
 //	synth experiments [-suite tiny|quick|full] [-only LIST] [-stats] [-store DIR]
-//	synth bench [-suite quick] [-out FILE] [-check BASELINE.json] [-max-regress 0.2]
 //	synth explore {-spec FILE | -preset NAME} [-store DIR] [-top K] [-json] [-dispatch [-wait]] [-generate FILE]
 //	synth generate [-n N] [-spec FILE] [-suite quick] [-seed N] [-json] [-out DIR] [-dispatch [-wait]]
 //	synth dispatch -store DIR [-suite quick] [-isas LIST] [-levels LIST] [-wait] [-force]
@@ -190,8 +189,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		err = cmdConsolidate(ctx, args[1:], stdout, stderr)
 	case "experiments":
 		err = cmdExperiments(ctx, args[1:], stdout, stderr)
-	case "bench":
-		err = cmdBench(ctx, args[1:], stdout, stderr)
 	case "explore":
 		err = cmdExplore(ctx, args[1:], stdout, stderr)
 	case "generate":
@@ -232,7 +229,6 @@ Commands:
   synthesize   synthesize a clone (from a workload or -from a saved profile)
   consolidate  merge several profiles into one consolidated proxy profile
   experiments  regenerate the paper's tables and figures
-  bench        time the cold profile+validate path and emit a JSON report
   explore      sweep a microarchitecture design space and rank the points
   generate     sample and realize synthetic workloads targeting coverage holes
   dispatch     enqueue a suite's jobs into a shared store's cluster queue

@@ -59,7 +59,10 @@ func EncodeProgram(p *isa.Program) ([]byte, error) {
 }
 
 // DecodeProgram deserializes a compiled program, re-linking its ISA
-// descriptor by name.
+// descriptor by name. A checksum only proves the payload arrived intact —
+// a store peer can checksum a malformed program — so the program is
+// validated here, once: whatever DecodeProgram returns, vm.New loads and
+// Run executes without panicking.
 func DecodeProgram(data []byte) (*isa.Program, error) {
 	var pj programJSON
 	if err := json.Unmarshal(data, &pj); err != nil {
@@ -69,15 +72,110 @@ func DecodeProgram(data []byte) (*isa.Program, error) {
 	if desc == nil {
 		return nil, fmt.Errorf("store: decode program: unknown ISA %q", pj.ISA)
 	}
-	if pj.Entry < 0 || pj.Entry >= len(pj.Funcs) {
-		return nil, fmt.Errorf("store: decode program: entry %d out of range", pj.Entry)
-	}
-	for i, f := range pj.Funcs {
-		if f == nil || len(f.Blocks) == 0 {
-			return nil, fmt.Errorf("store: decode program: function %d is empty", i)
-		}
+	if err := validateProgram(&pj); err != nil {
+		return nil, fmt.Errorf("store: decode program: %w", err)
 	}
 	return &isa.Program{ISA: desc, Globals: pj.Globals, Funcs: pj.Funcs, Entry: pj.Entry}, nil
+}
+
+// Size bounds on a decoded program, far above anything the compiler emits
+// (over the full suite: 65536 elements in the largest global, 67 slots in
+// the largest frame), so a hostile payload cannot make loading or running
+// it allocate without limit. Register IDs are 16 bits with isa.NoReg
+// reserved, which bounds a frame's registers.
+const (
+	maxGlobalElems = 1 << 24 // all globals together
+	maxFrameSlots  = 1 << 16 // one function's stack frame
+)
+
+// validateProgram checks every index the VM's loader and dispatch loop
+// take from the program: sizes, register operands, global and callee
+// symbols, frame slots, and branch successors.
+func validateProgram(pj *programJSON) error {
+	if pj.Entry < 0 || pj.Entry >= len(pj.Funcs) {
+		return fmt.Errorf("entry %d out of range", pj.Entry)
+	}
+	elems := 0
+	for i, g := range pj.Globals {
+		if g.Len < 0 || g.Len > maxGlobalElems-elems {
+			return fmt.Errorf("global %d: length %d out of range", i, g.Len)
+		}
+		elems += g.Len
+	}
+	// Frames first: a CALL reads its callee's parameter count.
+	for i, f := range pj.Funcs {
+		if f == nil || len(f.Blocks) == 0 {
+			return fmt.Errorf("function %d is empty", i)
+		}
+		if f.NumRegs < 0 || f.NumRegs > int(isa.NoReg) ||
+			f.NumSlots < 0 || f.NumSlots > maxFrameSlots ||
+			f.NumParams < 0 || f.NumParams > f.NumSlots {
+			return fmt.Errorf("function %d: frame of %d registers, %d slots, %d parameters out of range",
+				i, f.NumRegs, f.NumSlots, f.NumParams)
+		}
+	}
+	for fi, f := range pj.Funcs {
+		for bi, b := range f.Blocks {
+			if b == nil {
+				return fmt.Errorf("function %d block %d is missing", fi, bi)
+			}
+			for _, s := range b.Succs {
+				if s < 0 || s >= len(f.Blocks) {
+					return fmt.Errorf("function %d block %d: successor %d out of range", fi, bi, s)
+				}
+			}
+			if b.Bundle != nil && len(b.Bundle) != len(b.Instrs) {
+				return fmt.Errorf("function %d block %d: %d bundle entries for %d instructions",
+					fi, bi, len(b.Bundle), len(b.Instrs))
+			}
+			for ii := range b.Instrs {
+				if in := &b.Instrs[ii]; !instrValid(pj, f, b, in) {
+					return fmt.Errorf("function %d block %d instruction %d: malformed %v", fi, bi, ii, *in)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// instrValid reports whether the operands in reads and writes are in
+// range. isa.NoReg is allowed only where the VM gives it a meaning: a
+// scalar LD/ST index, a void RET, and a CALL whose result is unused.
+func instrValid(pj *programJSON, f *isa.Func, b *isa.Block, in *isa.Instr) bool {
+	reg := func(r isa.RegID) bool { return int(r) < f.NumRegs }
+	optReg := func(r isa.RegID) bool { return r == isa.NoReg || reg(r) }
+	slots := func(first int64, n int) bool { return first >= 0 && first <= int64(f.NumSlots-n) }
+	global := func(sym int32) bool { return sym >= 0 && int(sym) < len(pj.Globals) }
+	switch in.Op {
+	case isa.NOP:
+		return true
+	case isa.MOVI, isa.MOVF:
+		return reg(in.Dst)
+	case isa.MOV, isa.NEG, isa.NOTB, isa.FNEG, isa.ITOF, isa.FTOI,
+		isa.FSQRT, isa.FSIN, isa.FCOS, isa.FABS:
+		return reg(in.Dst) && reg(in.A)
+	case isa.LD:
+		return reg(in.Dst) && optReg(in.A) && global(in.Sym)
+	case isa.ST:
+		return optReg(in.A) && reg(in.B) && global(in.Sym)
+	case isa.LDL:
+		return reg(in.Dst) && slots(in.Imm, 1)
+	case isa.STL:
+		return reg(in.A) && slots(in.Imm, 1)
+	case isa.BR:
+		return reg(in.A) && len(b.Succs) >= 2
+	case isa.JMP:
+		return len(b.Succs) >= 1
+	case isa.RET:
+		return optReg(in.A)
+	case isa.CALL:
+		return optReg(in.Dst) && in.Sym >= 0 && int(in.Sym) < len(pj.Funcs) &&
+			slots(in.Imm, pj.Funcs[in.Sym].NumParams)
+	case isa.PRINTI, isa.PRINTF:
+		return reg(in.A)
+	}
+	// Binary integer and floating-point operations.
+	return in.Op >= 0 && int(in.Op) < isa.NumOpcodes && reg(in.Dst) && reg(in.A) && reg(in.B)
 }
 
 // Clone is the serialized form of a synthesized benchmark clone. The HLC

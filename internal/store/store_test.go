@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -146,14 +147,82 @@ func TestStoreProgramRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreProgramDecodeRejects covers the validation paths.
+// smallProgram is a valid program: main prints 1 and returns.
+func smallProgram() *isa.Program {
+	return &isa.Program{ISA: isa.AMD64, Funcs: []*isa.Func{{
+		Name: "main", NumRegs: 1,
+		Blocks: []*isa.Block{{Instrs: []isa.Instr{
+			{Op: isa.MOVI, Dst: 0, A: isa.NoReg, B: isa.NoReg, Imm: 1},
+			{Op: isa.PRINTI, Dst: isa.NoReg, A: 0, B: isa.NoReg},
+			{Op: isa.RET, Dst: isa.NoReg, A: isa.NoReg, B: isa.NoReg},
+		}}},
+	}}}
+}
+
+func mustEncode(t testing.TB, p *isa.Program) []byte {
+	t.Helper()
+	enc, err := store.EncodeProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestStoreProgramDecodeRejects covers the validation paths. Past the JSON
+// and the header, each case is a valid encoding of a program with an
+// operand, symbol, successor or size out of range; most of them made
+// vm.New or Run panic before DecodeProgram validated programs.
 func TestStoreProgramDecodeRejects(t *testing.T) {
-	for name, data := range map[string]string{
-		"bad json":    `{`,
-		"unknown isa": `{"isa":"z80","funcs":[],"entry":0}`,
-		"bad entry":   `{"isa":"amd64v","funcs":[],"entry":0}`,
+	if _, err := store.DecodeProgram(mustEncode(t, smallProgram())); err != nil {
+		t.Fatalf("valid program rejected: %v", err)
+	}
+	cases := map[string][]byte{
+		"bad json":    []byte(`{`),
+		"unknown isa": []byte(`{"isa":"z80","funcs":[],"entry":0}`),
+		"bad entry":   []byte(`{"isa":"amd64v","funcs":[],"entry":0}`),
+	}
+	first := func(p *isa.Program) *isa.Block { return p.Funcs[0].Blocks[0] }
+	for name, mutate := range map[string]func(p *isa.Program){
+		"register past NumRegs": func(p *isa.Program) { first(p).Instrs[0].Dst = 500 },
+		"load from missing global": func(p *isa.Program) {
+			first(p).Instrs[0] = isa.Instr{Op: isa.LD, Dst: 0, A: isa.NoReg, Sym: 9}
+		},
+		"call to missing function": func(p *isa.Program) {
+			first(p).Instrs[0] = isa.Instr{Op: isa.CALL, Dst: isa.NoReg, Sym: 7}
+		},
+		"jump past the last block": func(p *isa.Program) {
+			first(p).Instrs[2] = isa.Instr{Op: isa.JMP}
+			first(p).Succs = []int{9}
+		},
+		"jump without successor":  func(p *isa.Program) { first(p).Instrs[2] = isa.Instr{Op: isa.JMP} },
+		"negative register count": func(p *isa.Program) { p.Funcs[0].NumRegs = -1 },
+		"negative slot count":     func(p *isa.Program) { p.Funcs[0].NumSlots = -1 },
+		"negative global length": func(p *isa.Program) {
+			p.Globals = []isa.Global{{Name: "g", Len: -1}}
+		},
+		"slot past the frame": func(p *isa.Program) {
+			first(p).Instrs[0] = isa.Instr{Op: isa.LDL, Dst: 0, Imm: 3}
+		},
+		"slot index overflowing": func(p *isa.Program) {
+			p.Funcs[0].NumSlots = 1
+			first(p).Instrs[0] = isa.Instr{Op: isa.LDL, Dst: 0, Imm: math.MaxInt64}
+		},
+		"branch with one successor": func(p *isa.Program) {
+			first(p).Instrs[2] = isa.Instr{Op: isa.BR, A: 0}
+			first(p).Succs = []int{0}
+		},
+		"parameters past the frame": func(p *isa.Program) { p.Funcs[0].NumParams = 2 },
+		"unknown opcode":            func(p *isa.Program) { first(p).Instrs[0].Op = isa.Opcode(isa.NumOpcodes) },
+		"short bundle list":         func(p *isa.Program) { first(p).Bundle = []int{0} },
+		"oversized global":          func(p *isa.Program) { p.Globals = []isa.Global{{Name: "g", Len: 1 << 40}} },
+		"oversized frame":           func(p *isa.Program) { p.Funcs[0].NumSlots = 1 << 40 },
 	} {
-		if _, err := store.DecodeProgram([]byte(data)); err == nil {
+		p := smallProgram()
+		mutate(p)
+		cases[name] = mustEncode(t, p)
+	}
+	for name, data := range cases {
+		if _, err := store.DecodeProgram(data); err == nil {
 			t.Errorf("%s: decode accepted invalid input", name)
 		}
 	}
