@@ -29,6 +29,35 @@ func TestSynthesizeFromProfile(t *testing.T) {
 	}
 }
 
+// TestSynthesizeFromPreStreamProfile feeds `synth synthesize -from` a
+// profile written before stream profiling (memory sites without stream
+// descriptors): it must exit non-zero with an error naming the cause,
+// not synthesize a clone whose every access always hits.
+func TestSynthesizeFromPreStreamProfile(t *testing.T) {
+	p := loadProfileString(t, drainRun(t, "profile", "-workload", "crc32/small", "-seed", "1"))
+	for _, n := range p.Graph.Nodes {
+		for i := range n.Instrs {
+			n.Instrs[i].Stream = nil
+		}
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{"synthesize", "-from", path}, &out, &errb)
+	if code == 0 || !strings.Contains(errb.String(), "pre-stream profile") || !strings.Contains(errb.String(), path) {
+		t.Errorf("synthesize -from a pre-stream profile: exit %d, stderr %q", code, errb.String())
+	}
+	if out.Len() != 0 {
+		t.Error("synthesize -from a pre-stream profile wrote a clone")
+	}
+}
+
 // TestSynthesizeFlagConflicts covers the mutually exclusive flag paths.
 func TestSynthesizeFlagConflicts(t *testing.T) {
 	for _, args := range [][]string{

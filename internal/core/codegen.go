@@ -10,20 +10,13 @@ import (
 	"repro/internal/sfgl"
 )
 
-// Stream geometry: stride arrays must exceed the largest cache of the
-// Fig. 7/8 sweep (32KB) so that stride-class miss rates materialize. The
-// walking index is masked only when it advances (pi = (pi+s) & mask), and
-// arrays carry streamPad extra elements so accesses can use small constant
-// offsets without re-masking — keeping the compiled access as dense in
-// loads as the original code's (index load + element load).
+// The always-hit arrays (mStream0, fStream0) hold smallStreamLen elements,
+// like the paper's Fig. 3 example: constant-index accesses into them back
+// the synthetic accumulator stores, branch-arm filler and leftover-op
+// compensation. Profiled memory sites use stream walkers (streams.go).
 const (
-	intStreamLen    = 16384 // walking range: 64KB of 4-byte elements
-	intStreamMask   = intStreamLen - 1
-	floatStreamLen  = 8192 // walking range: 64KB of 8-byte elements
-	floatStreamMask = floatStreamLen - 1
-	streamPad       = 16 // headroom for constant offsets past the index
-	smallStreamLen  = 64 // class 0 (always hit) working set
-	guardLen        = 64
+	smallStreamLen = 64
+	guardLen       = 64
 )
 
 // generator turns a skeleton into an HLC program.
@@ -31,16 +24,19 @@ type generator struct {
 	g   *sfgl.Graph
 	rng *rand.Rand
 
-	usedInt   [sfgl.NumMemClasses]bool
-	usedFloat [sfgl.NumMemClasses]bool
-	guardUsed bool
+	// smallInt and smallFloat record that the always-hit arrays are
+	// referenced; smallWeight is the profiled access weight routed
+	// through them (int, float), which compensation re-targets at a
+	// scalar pool.
+	smallInt    bool
+	smallFloat  bool
+	smallWeight [2]float64
+	guardUsed   bool
 
 	// Stream-walker state (streams.go): per-signature walkers for
-	// stream-profiled sites, profiled access weight per legacy class
-	// stream, and the hard-branch entropy sites.
+	// stream-profiled sites and the hard-branch entropy sites.
 	walkers      []*walker
 	walkerBySig  map[walkerSpec]*walker
-	classWeight  [2][sfgl.NumMemClasses]float64
 	hardBranches map[*sfgl.BranchInfo]int
 	sharedArena  [2]bool // shared short-walker arena declared (int, float)
 	compBrUsed   bool    // the compensation loop allocated its entropy state
@@ -106,19 +102,19 @@ func (gen *generator) coverage() float64 {
 	return cov
 }
 
-func (gen *generator) usedClasses() []int {
-	var out []int
-	for c := 0; c < sfgl.NumMemClasses; c++ {
-		if gen.usedInt[c] || gen.usedFloat[c] {
-			out = append(out, c)
-		}
+// streamClasses is Report.StreamClasses: [0] when an always-hit array is
+// referenced, nil otherwise.
+func (gen *generator) streamClasses() []int {
+	if gen.smallInt || gen.smallFloat {
+		return []int{0}
 	}
-	return out
+	return nil
 }
 
-// program assembles the full clone: functions from skeleton chunks, global
-// stream arrays and indices, and a main that calls every function and
-// prints stream heads so no compiler can discard the computation.
+// program assembles the full clone: functions from skeleton chunks, the
+// always-hit arrays and walker globals, and a main that calls every
+// function and prints array heads so no compiler can discard the
+// computation.
 func (gen *generator) program(items []item) *hlc.Program {
 	for start := 0; start < len(items); {
 		size := 3 + gen.rng.Intn(6)
@@ -140,34 +136,22 @@ func (gen *generator) program(items []item) *hlc.Program {
 		gen.funcs = append(gen.funcs, &hlc.FuncDecl{
 			Name: "work0", Ret: hlc.TypeVoid,
 			Body: &hlc.Block{Stmts: []hlc.Stmt{
-				&hlc.AssignStmt{LHS: gen.intStreamRef(0, 0), Op: hlc.Assign, RHS: intLit(1)},
+				&hlc.AssignStmt{LHS: gen.smallRef(false, 0), Op: hlc.Assign, RHS: intLit(1)},
 			}},
 		})
-		gen.usedInt[0] = true
 	}
 	if fn := gen.mixCompensationFunc(); fn != nil {
 		gen.funcs = append(gen.funcs, fn)
 	}
 
 	prog := &hlc.Program{}
-	// Globals: stream arrays and walking indices for every used class.
-	for c := 0; c < sfgl.NumMemClasses; c++ {
-		if gen.usedInt[c] {
-			prog.Globals = append(prog.Globals,
-				&hlc.VarDecl{Name: intStreamName(c), Type: hlc.TypeInt, ArrayLen: intLenFor(c)})
-			if c > 0 {
-				prog.Globals = append(prog.Globals,
-					&hlc.VarDecl{Name: intIdxName(c), Type: hlc.TypeInt})
-			}
-		}
-		if gen.usedFloat[c] {
-			prog.Globals = append(prog.Globals,
-				&hlc.VarDecl{Name: floatStreamName(c), Type: hlc.TypeFloat, ArrayLen: floatLenFor(c)})
-			if c > 0 {
-				prog.Globals = append(prog.Globals,
-					&hlc.VarDecl{Name: floatIdxName(c), Type: hlc.TypeInt})
-			}
-		}
+	if gen.smallInt {
+		prog.Globals = append(prog.Globals,
+			&hlc.VarDecl{Name: smallName(false), Type: hlc.TypeInt, ArrayLen: smallStreamLen})
+	}
+	if gen.smallFloat {
+		prog.Globals = append(prog.Globals,
+			&hlc.VarDecl{Name: smallName(true), Type: hlc.TypeFloat, ArrayLen: smallStreamLen})
 	}
 	prog.Globals = append(prog.Globals, gen.walkerDecls()...)
 	for i := 0; i < gen.fpAccs; i++ {
@@ -194,15 +178,13 @@ func (gen *generator) program(items []item) *hlc.Program {
 	for _, f := range gen.funcs {
 		mainStmts = append(mainStmts, &hlc.ExprStmt{X: &hlc.CallExpr{Name: f.Name}})
 	}
-	for c := 0; c < sfgl.NumMemClasses; c++ {
-		if gen.usedInt[c] {
-			mainStmts = append(mainStmts, &hlc.PrintStmt{Args: []hlc.Expr{
-				&hlc.IndexExpr{Name: intStreamName(c), Idx: intLit(0)}}})
-		}
-		if gen.usedFloat[c] {
-			mainStmts = append(mainStmts, &hlc.PrintStmt{Args: []hlc.Expr{
-				&hlc.IndexExpr{Name: floatStreamName(c), Idx: intLit(0)}}})
-		}
+	if gen.smallInt {
+		mainStmts = append(mainStmts, &hlc.PrintStmt{Args: []hlc.Expr{
+			&hlc.IndexExpr{Name: smallName(false), Idx: intLit(0)}}})
+	}
+	if gen.smallFloat {
+		mainStmts = append(mainStmts, &hlc.PrintStmt{Args: []hlc.Expr{
+			&hlc.IndexExpr{Name: smallName(true), Idx: intLit(0)}}})
 	}
 	for _, w := range gen.walkers {
 		if w.kind == walkScalar {
@@ -247,8 +229,9 @@ const compSlots = 12
 // profile dominated by always-hit scalar sites compensates with
 // constant-index loads, one with a hot irregular site compensates through
 // its chase walker, and the clone's aggregate miss rate survives the added
-// load volume. Legacy profiles without stream descriptors fall back to the
-// walking classes in use, the pre-stream behavior.
+// load volume. Access weight through the always-hit arrays compensates
+// through a scalar pool, the same dense always-hit idiom the translated
+// sites use; a clone with no weighted source at all uses that pool alone.
 func (gen *generator) compSources(float bool) []memRef {
 	type cand struct {
 		ref    memRef
@@ -270,34 +253,12 @@ func (gen *generator) compSources(float bool) []memRef {
 		cands = append(cands, cand{ref, w.weight})
 		total += w.weight
 	}
-	for c := 0; c < sfgl.NumMemClasses; c++ {
-		wgt := gen.classWeight[boolIdx(float)][c]
-		if wgt <= 0 {
-			continue
-		}
-		ref := memRef{cls: c}
-		if c == 0 {
-			// Scalar weight compensates through a scalar pool, the same
-			// dense always-hit idiom the translated sites use.
-			ref = memRef{w: gen.walkerForSpec(walkerSpec{kind: walkScalar, float: float})}
-		}
-		cands = append(cands, cand{ref, wgt})
+	if wgt := gen.smallWeight[boolIdx(float)]; wgt > 0 {
+		cands = append(cands, cand{gen.scalarRef(float), wgt})
 		total += wgt
 	}
 	if total == 0 {
-		if float {
-			return []memRef{{w: gen.walkerForSpec(walkerSpec{kind: walkScalar, float: true})}}
-		}
-		var out []memRef
-		for c := 1; c < sfgl.NumMemClasses; c++ {
-			if gen.usedInt[c] || gen.usedFloat[c] {
-				out = append(out, memRef{cls: c})
-			}
-		}
-		if len(out) == 0 {
-			out = []memRef{{cls: 2}}
-		}
-		return out
+		return []memRef{gen.scalarRef(float)}
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].weight > cands[j].weight })
 	var out []memRef
@@ -326,7 +287,7 @@ func (gen *generator) compSources(float bool) []memRef {
 		if !r.small() {
 			nonSmall++
 			if nonSmall > compSlots/3 {
-				out[i] = memRef{w: gen.walkerForSpec(walkerSpec{kind: walkScalar, float: float})}
+				out[i] = gen.scalarRef(float)
 			}
 		}
 	}
@@ -335,11 +296,11 @@ func (gen *generator) compSources(float bool) []memRef {
 
 // refCost estimates one compensation reference's -O0 footprint.
 func refCost(r memRef) (loads, instrs float64) {
-	if r.w != nil && r.w.kind == walkScalar {
-		return 1, 1.2
-	}
-	if r.small() {
+	switch {
+	case r.w == nil:
 		return 1, 2
+	case r.w.kind == walkScalar:
+		return 1, 1.2
 	}
 	return 2, 4
 }
@@ -349,8 +310,6 @@ func advCost(r memRef) (loads, instrs float64) {
 	switch {
 	case r.small():
 		return 0, 0
-	case r.w == nil:
-		return 1, 4
 	case r.w.kind == walkChase:
 		return 2, 3
 	}
@@ -598,7 +557,7 @@ func (gen *generator) mixCompensationFunc() *hlc.FuncDecl {
 		instrsPerIter += 8
 		hardFrac, kList := gen.branchMixture()
 		nHard := int(float64(nB)*hardFrac + 0.5)
-		scalar := memRef{w: gen.walkerForSpec(walkerSpec{kind: walkScalar})}
+		scalar := gen.scalarRef(false)
 		for j := 0; j < nB; j++ {
 			// Arms carry a scalar load chain so branch mass stays
 			// load-dense instead of trading against the mix target; the
@@ -725,9 +684,8 @@ func (gen *generator) stmts(items []item, ctx loopCtx, w float64) []hlc.Stmt {
 	}
 	if len(out) == 0 {
 		// Never emit an empty function/loop body: keep one anchor store.
-		gen.usedInt[0] = true
 		out = append(out, &hlc.AssignStmt{
-			LHS: gen.intStreamRef(0, 0), Op: hlc.PlusEq, RHS: intLit(1)})
+			LHS: gen.smallRef(false, 0), Op: hlc.PlusEq, RHS: intLit(1)})
 	}
 	return out
 }
@@ -877,30 +835,18 @@ func (gen *generator) guardRef() hlc.Expr {
 }
 
 func (gen *generator) printFiller() hlc.Stmt {
-	cls := gen.anyUsedIntClass()
-	return &hlc.PrintStmt{Args: []hlc.Expr{gen.intStreamRef(cls, int64(gen.rng.Intn(8)))}}
+	return &hlc.PrintStmt{Args: []hlc.Expr{gen.smallRef(false, int64(gen.rng.Intn(8)))}}
 }
 
-// smallStmt emits a minimal stride statement for branch arms; w is the
+// smallStmt emits a minimal always-hit statement for branch arms; w is the
 // expected execution weight of the arm.
 func (gen *generator) smallStmt(w float64) hlc.Stmt {
-	cls := gen.anyUsedIntClass()
 	gen.account(stmtFootprint{loads: 2, stores: 1, ialu: 2}, w)
 	return &hlc.AssignStmt{
-		LHS: gen.intStreamWalk(cls, 0),
+		LHS: gen.smallWalk(false),
 		Op:  hlc.Assign,
-		RHS: &hlc.BinaryExpr{Op: hlc.Plus, X: gen.intStreamWalk(cls, 1), Y: intLit(int64(1 + gen.rng.Intn(9)))},
+		RHS: &hlc.BinaryExpr{Op: hlc.Plus, X: gen.smallWalk(false), Y: intLit(int64(1 + gen.rng.Intn(9)))},
 	}
-}
-
-func (gen *generator) anyUsedIntClass() int {
-	for c := range gen.usedInt {
-		if gen.usedInt[c] {
-			return c
-		}
-	}
-	gen.usedInt[0] = true
-	return 0
 }
 
 func toBlock(s hlc.Stmt) *hlc.Block {
@@ -921,85 +867,28 @@ func fpAccName(i int) string { return fmt.Sprintf("facc%d", i) }
 // fpAccLocal names the i-th accumulator's in-loop local.
 func fpAccLocal(i int) string { return fmt.Sprintf("fl%d", i) }
 
-func intStreamName(c int) string   { return fmt.Sprintf("mStream%d", c) }
-func floatStreamName(c int) string { return fmt.Sprintf("fStream%d", c) }
-func intIdxName(c int) string      { return fmt.Sprintf("pi%d", c) }
-func floatIdxName(c int) string    { return fmt.Sprintf("pf%d", c) }
-
-func intLenFor(c int) int {
-	if c == 0 {
-		return smallStreamLen
-	}
-	return intStreamLen + streamPad
-}
-
-func floatLenFor(c int) int {
-	if c == 0 {
-		return smallStreamLen
-	}
-	return floatStreamLen + streamPad
-}
-
-// intStreamRef returns mStreamC[off] (a fixed element).
-func (gen *generator) intStreamRef(c int, off int64) *hlc.IndexExpr {
-	gen.usedInt[c] = true
-	return &hlc.IndexExpr{Name: intStreamName(c), Idx: intLit(off)}
-}
-
-// intStreamWalk returns mStreamC[piC + off]: the stride-walking reference
-// of Section III.B.4 / Table I. The index stays in range because only the
-// advance statement changes it (masked there) and off is below streamPad.
-// Class 0 (always hit) uses plain constant indices into a small array, like
-// the paper's Fig. 3 example.
-func (gen *generator) intStreamWalk(c int, off int64) *hlc.IndexExpr {
-	gen.usedInt[c] = true
-	if c == 0 {
-		return &hlc.IndexExpr{Name: intStreamName(0),
-			Idx: intLit(int64(gen.rng.Intn(smallStreamLen)))}
-	}
-	idx := hlc.Expr(&hlc.VarRef{Name: intIdxName(c)})
-	if off != 0 {
-		idx = &hlc.BinaryExpr{Op: hlc.Plus, X: idx, Y: intLit(off % streamPad)}
-	}
-	return &hlc.IndexExpr{Name: intStreamName(c), Idx: idx}
-}
-
-func (gen *generator) floatStreamWalk(c int, off int64) *hlc.IndexExpr {
-	gen.usedFloat[c] = true
-	if c == 0 {
-		return &hlc.IndexExpr{Name: floatStreamName(0),
-			Idx: intLit(int64(gen.rng.Intn(smallStreamLen)))}
-	}
-	idx := hlc.Expr(&hlc.VarRef{Name: floatIdxName(c)})
-	if off != 0 {
-		idx = &hlc.BinaryExpr{Op: hlc.Plus, X: idx, Y: intLit(off % streamPad)}
-	}
-	return &hlc.IndexExpr{Name: floatStreamName(c), Idx: idx}
-}
-
-// advanceStmt walks a stream index by its Table I stride, wrapping with a
-// power-of-two mask so subsequent offset accesses stay within the padded
-// array.
-func (gen *generator) advanceStmt(c int, float bool, w float64) hlc.Stmt {
-	gen.account(stmtFootprint{loads: 1, stores: 1, ialu: 2}, w)
-	name := intIdxName(c)
-	mask := int64(intStreamMask)
-	step := int64(sfgl.StrideBytes(c) / isa.IntBytes)
+// smallName names the always-hit array of the given element type.
+func smallName(float bool) string {
 	if float {
-		name = floatIdxName(c)
-		mask = floatStreamMask
-		step = int64((sfgl.StrideBytes(c) + isa.FloatBytes - 1) / isa.FloatBytes)
+		return "fStream0"
 	}
-	if step < 1 {
-		step = 1 // class 0 walks within its tiny always-hit array
+	return "mStream0"
+}
+
+// smallRef returns the always-hit array's element off and marks the array
+// used.
+func (gen *generator) smallRef(float bool, off int64) *hlc.IndexExpr {
+	if float {
+		gen.smallFloat = true
+	} else {
+		gen.smallInt = true
 	}
-	return &hlc.AssignStmt{
-		LHS: &hlc.VarRef{Name: name},
-		Op:  hlc.Assign,
-		RHS: &hlc.BinaryExpr{Op: hlc.Amp,
-			X: &hlc.BinaryExpr{Op: hlc.Plus, X: &hlc.VarRef{Name: name}, Y: intLit(step)},
-			Y: intLit(mask)},
-	}
+	return &hlc.IndexExpr{Name: smallName(float), Idx: intLit(off)}
+}
+
+// smallWalk returns an always-hit reference at a random constant index.
+func (gen *generator) smallWalk(float bool) *hlc.IndexExpr {
+	return gen.smallRef(float, int64(gen.rng.Intn(smallStreamLen)))
 }
 
 // stmtFootprint estimates the O0 instruction classes a generated statement

@@ -11,9 +11,10 @@
 //     over the profiled instruction sequences (Table II), compensating for
 //     uncovered instructions,
 //  5. model branches (easy branches become always/never-taken tests whose
-//     dead arm prints results; hard branches become modulo tests on loop
-//     iterators) and memory accesses (stride walks over pre-allocated
-//     arrays, Table I).
+//     dead arm prints results; hard branches test a per-site pseudo-random
+//     entropy stream against their taken rate) and memory accesses (each
+//     site's stride stream becomes a stride walk, a pointer chase or a
+//     scalar pool; see streams.go and docs/streams.md).
 //
 // The emitted program is an hlc.Program: it can be pretty-printed for
 // distribution, compiled at any optimization level for any ISA, executed,
@@ -67,8 +68,11 @@ type Report struct {
 	Coverage float64
 	// Functions is the number of synthetic functions emitted.
 	Functions int
-	// StreamClasses lists the Table I classes that received stride arrays
-	// (legacy-profile sites and always-hit fallbacks).
+	// StreamClasses is [0] when the clone declares an always-hit array
+	// (the accumulator stores, branch-arm filler and leftover-op
+	// compensation use one) and empty otherwise. It is a remnant of the
+	// per-class Table I arrays, kept so stored clone artifacts stay
+	// byte-identical until the next store schema change drops it.
 	StreamClasses []int
 	// StreamWalkers counts the stream walkers materialized from per-site
 	// stride descriptors; ChaseWalkers is the pointer-chase subset.
@@ -158,7 +162,7 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 			ScaledLoops:     len(scaled.Loops),
 			Coverage:        gen.coverage(),
 			Functions:       len(prog.Funcs) - 1, // excluding main
-			StreamClasses:   gen.usedClasses(),
+			StreamClasses:   gen.streamClasses(),
 			StreamWalkers:   len(gen.walkers),
 			ChaseWalkers:    chases,
 			HardBranchSites: len(gen.hardBranches),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/hlc"
 	"repro/internal/isa"
 	"repro/internal/profile"
+	"repro/internal/sfgl"
 	"repro/internal/vm"
 )
 
@@ -294,6 +295,64 @@ void main() {
 func TestSynthesizeErrors(t *testing.T) {
 	if _, _, err := Synthesize(nil, Config{}); err == nil {
 		t.Error("expected error for nil profile")
+	}
+}
+
+// TestSynthesizeWithoutMemorySites synthesizes from a hand-built profile
+// whose graph has no memory site at all, while its mix still asks for
+// loads and FP work. Calibration then grows a compensation loop with no
+// profiled source to draw from, so both its int and float slots fall back
+// to the scalar pools. The clone must check, compile and run.
+func TestSynthesizeWithoutMemorySites(t *testing.T) {
+	in := func(ops ...isa.Opcode) []sfgl.InstrInfo {
+		var out []sfgl.InstrInfo
+		for _, op := range ops {
+			out = append(out, sfgl.InstrInfo{Op: op, Class: op.ClassOf(), MemClass: -1})
+		}
+		return out
+	}
+	g := &sfgl.Graph{
+		FuncNames: []string{"main"},
+		FuncCalls: []uint64{1},
+		Nodes: []*sfgl.Node{
+			{ID: 0, Count: 1, Instrs: in(isa.MOVI)},
+			{ID: 1, Block: 1, Count: 20000, Instrs: in(isa.ADD, isa.MOVI, isa.CMPLT, isa.BR),
+				Branch: &sfgl.BranchInfo{Taken: 19999, Total: 20000, Transitions: 1,
+					TakenRate: 0.99995, TransRate: 0.00005}},
+			{ID: 2, Block: 2, Count: 1, Instrs: in(isa.RET)},
+		},
+		Edges: []*sfgl.Edge{{From: 0, To: 1, Count: 1}, {From: 1, To: 1, Count: 19999}, {From: 1, To: 2, Count: 1}},
+		Loops: []*sfgl.Loop{{ID: 0, Header: 1, Nodes: []int{1}, Parent: -1, Depth: 1,
+			Entries: 1, Iterations: 20000}},
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	p := &profile.Profile{Workload: "nomem", Graph: g, TotalDyn: 80002}
+	p.Mix[isa.ClassIntALU] = 40001
+	p.Mix[isa.ClassLoad] = 20000
+	p.Mix[isa.ClassFPAdd] = 5000
+	p.Mix[isa.ClassBranch] = 15000
+	p.Mix[isa.ClassRet] = 1
+	clone, rep, err := Synthesize(p, Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ChaseWalkers != 0 {
+		t.Errorf("memory-free profile produced %d chase walkers", rep.ChaseWalkers)
+	}
+	src := hlc.Print(clone.Prog)
+	for _, want := range []string{"mcomp", "zi", "zf"} {
+		if !strings.Contains(src, want) {
+			t.Errorf("clone has no %q: the compensation loop did not use both scalar pools\n%s", want, src)
+		}
+	}
+	for _, target := range []*isa.Desc{isa.AMD64, isa.IA64} {
+		for _, level := range []compiler.OptLevel{compiler.O0, compiler.O2} {
+			if res, _ := runClone(t, clone, target, level); res.DynInstrs == 0 {
+				t.Errorf("%s %v: clone executed nothing", target.Name, level)
+			}
+		}
 	}
 }
 

@@ -33,8 +33,7 @@ const (
 type tok struct {
 	kind   tkind
 	op     isa.Opcode
-	mem    int          // Table I class for loads/stores (-1 unknown)
-	stream *sfgl.Stream // per-site stride stream (nil on legacy profiles)
+	stream *sfgl.Stream // per-site stride stream (nil: always-hit)
 }
 
 func kindOf(in sfgl.InstrInfo) tkind {
@@ -91,7 +90,7 @@ func (gen *generator) translate(n *sfgl.Node, w float64) []hlc.Stmt {
 		if k == kSkip {
 			continue
 		}
-		seq = append(seq, tok{kind: k, op: in.Op, mem: in.MemClass, stream: in.Stream})
+		seq = append(seq, tok{kind: k, op: in.Op, stream: in.Stream})
 	}
 	gen.totalInstrs += w * float64(len(seq))
 
@@ -190,7 +189,7 @@ func (gen *generator) translate(n *sfgl.Node, w float64) []hlc.Stmt {
 		// accumulator store so its loads and operations survive with
 		// their classes intact.
 		if g.nTokens == 0 && j > i && (len(g.loads) > 0 || len(g.ops) >= 2) {
-			g.store = tok{kind: kStore, op: isa.ST, mem: 0}
+			g.store = tok{kind: kStore, op: isa.ST}
 			g.synthStore = true
 			g.nTokens = j - i
 		}
@@ -227,8 +226,7 @@ func (gen *generator) translate(n *sfgl.Node, w float64) []hlc.Stmt {
 // emitGroup renders one recognized group as an assignment statement,
 // chaining every load and operation so the clone's dynamic instruction
 // classes match the profile's. Each load keeps its profiled memory source:
-// a stream walker matching its stride signature when the profile carries
-// stream descriptors, or its Table I class stream otherwise.
+// the stream walker matching its stride signature.
 func (gen *generator) emitGroup(g *group, w float64) []hlc.Stmt {
 	dst := gen.refFor(g.store, g.isFloat)
 	var srcs []memRef
@@ -303,9 +301,8 @@ func (gen *generator) emitGroup(g *group, w float64) []hlc.Stmt {
 	stmt := &hlc.AssignStmt{LHS: gen.srcWalk(dst, 0, g.isFloat), Op: hlc.Assign, RHS: expr}
 
 	// Accounting: element accesses plus index-variable overhead (each
-	// access through a walker or walking class reads its index; small
-	// always-hit sources use constant indices and cost only the element
-	// access).
+	// access through a walker reads its index; small always-hit sources
+	// use constant indices and cost only the element access).
 	walkAccesses := 0.0
 	if !dst.small() {
 		walkAccesses++
@@ -380,13 +377,6 @@ func opToken(op isa.Opcode) (tk hlc.Token, constOnly bool) {
 	return hlc.Plus, false
 }
 
-func (gen *generator) memClassOf(t tok) int {
-	if t.mem >= 0 {
-		return t.mem
-	}
-	return 0
-}
-
 func (gen *generator) smallConst() *hlc.IntLit { return intLit(int64(1 + gen.rng.Intn(9))) }
 func (gen *generator) shiftConst() *hlc.IntLit { return intLit(int64(1 + gen.rng.Intn(5))) }
 func (gen *generator) floatConst() *hlc.FloatLit {
@@ -406,8 +396,8 @@ func (gen *generator) rhsConst(tk hlc.Token) hlc.Expr {
 
 // compensateInt folds leftover integer operations (instructions no pattern
 // covered) into chained statements — the paper's "compensate for those
-// instructions on a later occasion". Leftover loads keep their class: they
-// become stream reads rather than constant operands.
+// instructions on a later occasion". Leftover loads stay loads: they
+// become always-hit array reads rather than constant operands.
 func (gen *generator) compensateInt(ops []isa.Opcode, loads int, w float64) []hlc.Stmt {
 	var out []hlc.Stmt
 	for len(ops) > 0 || loads > 0 {
@@ -415,14 +405,13 @@ func (gen *generator) compensateInt(ops []isa.Opcode, loads int, w float64) []hl
 		if take > 3 {
 			take = 3
 		}
-		cls := gen.anyUsedIntClass()
-		expr := hlc.Expr(gen.intStreamWalk(cls, 0))
+		expr := hlc.Expr(gen.smallWalk(false))
 		nLoads := 1.0
 		for _, op := range ops[:take] {
 			tk, constOnly := opToken(op)
 			var operand hlc.Expr
 			if !constOnly && loads > 0 {
-				operand = gen.intStreamWalk(cls, int64(loads))
+				operand = gen.smallWalk(false)
 				loads--
 				nLoads++
 			} else {
@@ -432,15 +421,14 @@ func (gen *generator) compensateInt(ops []isa.Opcode, loads int, w float64) []hl
 		}
 		// Loads with no operation left to carry them chain on with adds.
 		for extra := 0; take == 0 && loads > 0 && extra < 3; extra++ {
-			expr = &hlc.BinaryExpr{Op: hlc.Plus, X: expr, Y: gen.intStreamWalk(cls, int64(loads))}
+			expr = &hlc.BinaryExpr{Op: hlc.Plus, X: expr, Y: gen.smallWalk(false)}
 			loads--
 			nLoads++
 		}
 		gen.account(stmtFootprint{loads: 1 + nLoads, stores: 2, ialu: 2 + float64(take)}, w)
 		out = append(out, &hlc.AssignStmt{
-			LHS: gen.intStreamWalk(cls, 1), Op: hlc.Assign, RHS: expr,
+			LHS: gen.smallWalk(false), Op: hlc.Assign, RHS: expr,
 		})
-		out = append(out, gen.advances(false, w, cls)...)
 		ops = ops[take:]
 	}
 	return out
@@ -453,8 +441,7 @@ func (gen *generator) compensateFloat(ops []isa.Opcode, w float64) []hlc.Stmt {
 		if take > 3 {
 			take = 3
 		}
-		cls := 0
-		expr := hlc.Expr(gen.floatStreamWalk(cls, 0))
+		expr := hlc.Expr(gen.smallWalk(true))
 		for _, op := range ops[:take] {
 			if op == isa.FSQRT || op == isa.FSIN || op == isa.FCOS || op == isa.FABS {
 				name := intrinsicName(op)
@@ -469,7 +456,7 @@ func (gen *generator) compensateFloat(ops []isa.Opcode, w float64) []hlc.Stmt {
 		}
 		gen.account(stmtFootprint{loads: 2, stores: 2, fpu: float64(take), ialu: 2}, w)
 		out = append(out, &hlc.AssignStmt{
-			LHS: gen.floatStreamWalk(cls, 1), Op: hlc.Assign, RHS: expr,
+			LHS: gen.smallWalk(true), Op: hlc.Assign, RHS: expr,
 		})
 		ops = ops[take:]
 	}
@@ -484,19 +471,4 @@ func floatSafe(tk hlc.Token) hlc.Token {
 		return hlc.Plus
 	}
 	return tk
-}
-
-// advances emits the stride-index updates for the distinct classes a
-// statement touched (class 0 uses constant indices and never advances).
-func (gen *generator) advances(float bool, w float64, classes ...int) []hlc.Stmt {
-	seen := map[int]bool{}
-	var out []hlc.Stmt
-	for _, c := range classes {
-		if c == 0 || seen[c] {
-			continue
-		}
-		seen[c] = true
-		out = append(out, gen.advanceStmt(c, float, w))
-	}
-	return out
 }

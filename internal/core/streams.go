@@ -9,7 +9,7 @@ import (
 
 // This file implements the stream-walker layer of the synthesizer: the
 // translation of per-site stride streams (sfgl.Stream) into memory walkers.
-// Where the Table I machinery gives every memory class one shared
+// Where the paper's Table I gives every memory class one shared
 // fixed-stride array, stream walkers are allocated per stride signature —
 // a fractional-stride walk for regular sites (the index lives in
 // quarter-element units and references shift it down, so miss rates are
@@ -18,15 +18,14 @@ import (
 // irregular sites (whose address stream no cache can pattern away, and
 // whose advances form a load-to-load dependence chain), and scalar pools
 // for always-hit sites. A walk advances one stride per reference sharing
-// the statement: the per-class design advanced one shared index per
-// statement, which diluted the clone's miss volume by the number of
-// references sharing it. Sites profiled without streams (old profiles)
-// keep the Table I class path untouched.
+// the statement: one shared index advanced per statement would dilute the
+// clone's miss volume by the number of references sharing it. Every
+// profiled memory site carries a stream (sfgl.Graph.Validate rejects
+// profiles that do not).
 
-// Walker geometry. Stride arrays keep the Table I walking ranges (64KB,
-// beyond the largest Fig. 7/8 cache); chase arrays are sized per miss
-// rate. Pads give same-statement references line-spread offsets without
-// re-masking.
+// Walker geometry. Stride arrays walk 64KB, beyond the largest Fig. 7/8
+// cache; chase arrays are sized per miss rate. Pads give same-statement
+// references line-spread offsets without re-masking.
 const (
 	strideWalkLen  = 16384 // int stride-walker walking range (64KB of 4-byte elements)
 	strideWalkLenF = 8192  // float walking range (64KB of 8-byte elements)
@@ -118,19 +117,20 @@ type walker struct {
 }
 
 // memRef names one memory-access source: a stream walker, or (w == nil)
-// a legacy Table I class stream.
+// the always-hit array of the reference's element type.
 type memRef struct {
-	w   *walker
-	cls int
+	w *walker
 }
 
 // small reports whether the ref is an always-hit source with no walking
-// index (a legacy class-0 constant-index access or a scalar-pool global).
+// index (a constant-index array access or a scalar-pool global).
 func (r memRef) small() bool {
-	if r.w != nil {
-		return r.w.kind == walkScalar
-	}
-	return r.cls == 0
+	return r.w == nil || r.w.kind == walkScalar
+}
+
+// scalarRef returns the scalar-pool source of the given element type.
+func (gen *generator) scalarRef(float bool) memRef {
+	return memRef{w: gen.walkerForSpec(walkerSpec{kind: walkScalar, float: float})}
 }
 
 // walker caps: stride walkers beyond the cap reuse the nearest existing
@@ -138,12 +138,12 @@ func (r memRef) small() bool {
 // bounded; chase walkers are naturally capped by their three sizes.
 const maxStrideWalkers = 12
 
-// refFor maps one profiled load/store token to its memory source. Tokens
-// without a stream descriptor (pre-stream profiles) keep the Table I
-// class path.
+// refFor maps one load/store token to its memory source. Tokens without a
+// stream descriptor — the synthetic accumulator store and accesses the
+// profiler never observed — use the always-hit array.
 func (gen *generator) refFor(t tok, float bool) memRef {
 	if t.stream == nil {
-		return memRef{cls: gen.memClassOf(t)}
+		return memRef{}
 	}
 	spec, _ := gen.streamSpec(t.stream, float)
 	return memRef{w: gen.walkerForSpec(spec)}
@@ -366,10 +366,7 @@ func (gen *generator) srcWalk(r memRef, slot int, float bool) hlc.LValue {
 		}
 		return gen.walkerRefOff(r.w, slot*refLineStep)
 	}
-	if float {
-		return gen.floatStreamWalk(r.cls, int64(slot))
-	}
-	return gen.intStreamWalk(r.cls, int64(slot))
+	return gen.smallWalk(float)
 }
 
 // intTwin returns the integer-array walker spec with the same byte-level
@@ -433,39 +430,27 @@ func (gen *generator) advanceWalker(w *walker, mult int, weight float64) []hlc.S
 }
 
 // advancesFor emits index updates for the sources a statement's references
-// touched — one advance per distinct source, scaled by how many references
+// touched — one advance per distinct walker, scaled by how many references
 // shared it — and charges each source's profiled weight for compensation
-// targeting. Small always-hit sources never advance. refs must hold one
-// entry per emitted reference.
+// targeting. Always-hit sources never advance. refs must hold one entry
+// per emitted reference.
 func (gen *generator) advancesFor(refs []memRef, float bool, weight float64) []hlc.Stmt {
-	countW := map[int]int{}
-	countC := map[int]int{}
-	var orderW []*walker
-	var orderC []int
+	count := map[int]int{}
+	var order []*walker
 	for _, r := range refs {
-		if r.w != nil {
-			r.w.weight += weight
-			if countW[r.w.id] == 0 {
-				orderW = append(orderW, r.w)
-			}
-			countW[r.w.id]++
+		if r.w == nil {
+			gen.smallWeight[boolIdx(float)] += weight
 			continue
 		}
-		gen.classWeight[boolIdx(float)][r.cls] += weight
-		if r.cls == 0 {
-			continue
+		r.w.weight += weight
+		if count[r.w.id] == 0 {
+			order = append(order, r.w)
 		}
-		if countC[r.cls] == 0 {
-			orderC = append(orderC, r.cls)
-		}
-		countC[r.cls]++
+		count[r.w.id]++
 	}
 	var out []hlc.Stmt
-	for _, w := range orderW {
-		out = append(out, gen.advanceWalker(w, countW[w.id], weight)...)
-	}
-	for _, c := range orderC {
-		out = append(out, gen.advanceStmt(c, float, weight))
+	for _, w := range order {
+		out = append(out, gen.advanceWalker(w, count[w.id], weight)...)
 	}
 	return out
 }

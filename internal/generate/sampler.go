@@ -418,9 +418,9 @@ func cloneProfile(p *profile.Profile) *profile.Profile {
 }
 
 // CheckProfile verifies the invariants a realizable synthetic profile
-// must satisfy: a valid SFGL (known stream versions), an instruction mix
-// summing to the dynamic total, and every stream and branch statistic in
-// range. The sampler discards candidates that fail it, and tests assert
+// must satisfy: a valid SFGL (a known-version stream on every memory
+// site), an instruction mix summing to the dynamic total, and every
+// stream and branch statistic in range. The sampler discards candidates that fail it, and tests assert
 // every emitted point passes it.
 func CheckProfile(p *profile.Profile) error {
 	if p == nil || p.Graph == nil {

@@ -2,8 +2,10 @@ package pipeline_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -149,6 +151,72 @@ func TestPipelineDiskCorruptionIsMiss(t *testing.T) {
 	}
 	if hs := healed.CacheStats(); hs.ComputedFor(pipeline.StageCompile) != 0 ||
 		hs.ComputedFor(pipeline.StageProfile) != 0 {
+		t.Errorf("store did not heal after recomputation: %+v", hs)
+	}
+}
+
+// TestPipelineDiskCloneWithoutProfileIsError stores a well-formed clone
+// entry (valid checksum) whose profile was removed. A fresh pipeline must
+// count it as a disk error and recompute the clone, which heals the
+// store: serving it would hand callers a clone with a nil Profile.
+func TestPipelineDiskCloneWithoutProfileIsError(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	w := mustWorkload(t, "crc32/small")
+	cold := pipeline.New(pipeline.Options{Workers: 1, Seed: 1, Store: openStore(t, dir)})
+	want, err := cold.Synthesize(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := openStore(t, dir)
+	stripped := 0
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var env struct {
+			Kind    string                     `json:"kind"`
+			Key     string                     `json:"key"`
+			Payload map[string]json.RawMessage `json:"payload"`
+		}
+		if err := json.Unmarshal(raw, &env); err != nil || env.Kind != store.KindClone {
+			return err
+		}
+		delete(env.Payload, "profile")
+		payload, err := json.Marshal(env.Payload)
+		if err != nil {
+			return err
+		}
+		stripped++
+		return s.Put(strings.TrimSuffix(filepath.Base(path), ".json"), env.Kind, env.Key, payload)
+	})
+	if err != nil || stripped != 1 {
+		t.Fatalf("strip clone profile: %v, %d clone entries", err, stripped)
+	}
+
+	warm := pipeline.New(pipeline.Options{Workers: 1, Seed: 1, Store: openStore(t, dir)})
+	got, err := warm.Synthesize(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := warm.CacheStats()
+	if ws.DiskErrors != 1 || ws.ComputedFor(pipeline.StageSynthesize) != 1 {
+		t.Errorf("profile-less clone: want 1 disk error and 1 synthesis, got %+v", ws)
+	}
+	if got.Profile == nil || got.Source != want.Source {
+		t.Error("recomputed clone lacks its profile or differs from the cold one")
+	}
+
+	healed := pipeline.New(pipeline.Options{Workers: 1, Seed: 1, Store: openStore(t, dir)})
+	if _, err := healed.Synthesize(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	if hs := healed.CacheStats(); hs.DiskErrors != 0 || hs.ComputedFor(pipeline.StageSynthesize) != 0 {
 		t.Errorf("store did not heal after recomputation: %+v", hs)
 	}
 }

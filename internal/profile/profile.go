@@ -488,8 +488,9 @@ func (p *Profile) Save(w io.Writer) error {
 }
 
 // Load reads a profile from JSON. Structurally broken payloads — no graph,
-// or stream descriptors from an unknown version — are errors, never
-// panics: profiles cross process boundaries (`synth synthesize -from`, the
+// memory sites without a stream descriptor (pre-stream profiles), or
+// stream descriptors from an unknown version — are errors, never panics:
+// profiles cross process boundaries (`synth synthesize -from`, the
 // artifact store) and must fail loudly instead of synthesizing garbage.
 func Load(r io.Reader) (*Profile, error) {
 	var p Profile

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/compiler"
@@ -277,5 +278,31 @@ func TestProfileSaveLoad(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString("nope")); err == nil {
 		t.Error("expected decode error")
+	}
+}
+
+// TestLoadRejectsPreStreamProfile checks that a profile whose memory
+// sites carry a Table I class but no stream descriptor (one written
+// before stream profiling) fails to load with an error naming the cause.
+func TestLoadRejectsPreStreamProfile(t *testing.T) {
+	p := collect(t, `int a[64]; void main() { for (int i = 0; i < 64; i++) { a[i] = i; } print(a[3]); }`)
+	sites := 0
+	for _, n := range p.Graph.Nodes {
+		for i := range n.Instrs {
+			if n.Instrs[i].MemClass >= 0 {
+				n.Instrs[i].Stream = nil
+				sites++
+			}
+		}
+	}
+	if sites == 0 {
+		t.Fatal("profile has no memory sites")
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "pre-stream profile") {
+		t.Errorf("Load(pre-stream profile) = %v, want a pre-stream profile error", err)
 	}
 }

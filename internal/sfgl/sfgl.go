@@ -18,11 +18,11 @@ import (
 
 // InstrInfo describes one static instruction of a basic block: its opcode
 // and class (the paper's "instruction types" with operand kinds, which our
-// opcodes encode), plus the memory-access class of Table I for loads and
-// stores and — on stream-profiled graphs — the per-site stride-stream
-// descriptor. Stream is optional and versioned: profiles written before
-// stream profiling existed decode with a nil Stream, and the synthesizer
-// falls back to the Table I class.
+// opcodes encode), plus the memory-access class of Table I and the
+// per-site stride-stream descriptor for profiled loads and stores. Every
+// site with a memory class must carry a Stream: the synthesizer builds
+// memory accesses from streams alone, so Validate rejects profiles written
+// before stream profiling existed.
 type InstrInfo struct {
 	Op       isa.Opcode `json:"op"`
 	Class    isa.Class  `json:"class"`
@@ -94,8 +94,9 @@ func (s *Stream) TopFrac(n int) float64 {
 	return f
 }
 
-// Validate checks a graph's stream descriptors: every version must be
-// known and positive. Load calls it so that corrupt or future-versioned
+// Validate checks a graph's stream descriptors: every memory site (memory
+// class >= 0) must carry one, and every version must be known and
+// positive. Load calls it so that corrupt, pre-stream or future-versioned
 // profiles fail loudly instead of synthesizing from garbage.
 func (g *Graph) Validate() error {
 	for _, n := range g.Nodes {
@@ -105,6 +106,10 @@ func (g *Graph) Validate() error {
 		for i := range n.Instrs {
 			s := n.Instrs[i].Stream
 			if s == nil {
+				if n.Instrs[i].MemClass >= 0 {
+					return fmt.Errorf("sfgl: node %d instr %d: memory site has no stream descriptor (pre-stream profile: re-profile it)",
+						n.ID, i)
+				}
 				continue
 			}
 			if s.V < 1 || s.V > StreamVersion {
@@ -369,8 +374,9 @@ func (g *Graph) Save(w io.Writer) error {
 	return enc.Encode(g)
 }
 
-// Load reads a graph from JSON. Graphs with corrupt structure or stream
-// descriptors from an unknown version are rejected with an error.
+// Load reads a graph from JSON. Graphs with corrupt structure, memory
+// sites without a stream descriptor, or stream descriptors from an
+// unknown version are rejected with an error.
 func Load(r io.Reader) (*Graph, error) {
 	var g Graph
 	if err := json.NewDecoder(r).Decode(&g); err != nil {

@@ -26,13 +26,23 @@ func DecodeProfile(data []byte) (*profile.Profile, error) {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("store: decode profile: %w", err)
 	}
-	if p.Graph == nil {
-		return nil, fmt.Errorf("store: decode profile: missing graph")
-	}
-	if err := p.Graph.Validate(); err != nil {
+	if err := checkProfile(&p); err != nil {
 		return nil, fmt.Errorf("store: decode profile: %w", err)
 	}
 	return &p, nil
+}
+
+// checkProfile is what every decoded profile must satisfy, standalone or
+// inside a clone: present, with a graph that passes sfgl.Graph.Validate
+// (known stream versions, a stream on every memory site).
+func checkProfile(p *profile.Profile) error {
+	switch {
+	case p == nil:
+		return fmt.Errorf("missing profile")
+	case p.Graph == nil:
+		return fmt.Errorf("missing graph")
+	}
+	return p.Graph.Validate()
 }
 
 // programJSON is the portable form of a compiled program: the ISA is stored
@@ -197,7 +207,9 @@ func EncodeClone(c *Clone) ([]byte, error) {
 	return json.Marshal(c)
 }
 
-// DecodeClone deserializes a synthesized clone.
+// DecodeClone deserializes a synthesized clone. The profile is required
+// and checked like DecodeProfile's: readers use it as the clone's
+// original (Fig. 4 reads its dynamic size).
 func DecodeClone(data []byte) (*Clone, error) {
 	var c Clone
 	if err := json.Unmarshal(data, &c); err != nil {
@@ -205,6 +217,9 @@ func DecodeClone(data []byte) (*Clone, error) {
 	}
 	if c.Source == "" {
 		return nil, fmt.Errorf("store: decode clone: empty source")
+	}
+	if err := checkProfile(c.Profile); err != nil {
+		return nil, fmt.Errorf("store: decode clone: %w", err)
 	}
 	return &c, nil
 }

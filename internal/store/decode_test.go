@@ -1,13 +1,21 @@
 package store_test
 
 import (
+	"context"
+	"encoding/json"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/cpu"
 	"repro/internal/experiments"
 	"repro/internal/hlc"
 	"repro/internal/isa"
+	"repro/internal/pipeline"
+	"repro/internal/profile"
+	"repro/internal/sfgl"
 	"repro/internal/store"
 	"repro/internal/vm"
 )
@@ -70,5 +78,138 @@ func FuzzDecodeProgram(f *testing.F) {
 		// Only a panic fails the target; a trap is a valid outcome. A
 		// shallow stack keeps a recursive program's frames small.
 		vm.New(prog).Run(vm.Config{MaxInstrs: 10_000, MaxDepth: 64})
+	})
+}
+
+// preStreamProfile is testProfile as a profile written before stream
+// profiling: its memory site has a Table I class but no stream.
+func preStreamProfile() *profile.Profile {
+	p := testProfile()
+	p.Graph.Nodes[0].Instrs[0].Stream = nil
+	return p
+}
+
+// TestDecodeProfileRejectsPreStream checks that a stored profile whose
+// memory site has no stream descriptor is an error naming the cause.
+func TestDecodeProfileRejectsPreStream(t *testing.T) {
+	data, err := json.Marshal(preStreamProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = store.DecodeProfile(data)
+	if err == nil || !strings.Contains(err.Error(), "pre-stream profile") {
+		t.Fatalf("DecodeProfile(pre-stream) = %v, want a pre-stream profile error", err)
+	}
+}
+
+// TestDecodeCloneRejects requires a stored clone to carry a valid
+// profile: readers use it as the clone's original, so a clone without
+// one must be a decode error (a disk miss the pipeline recomputes), not a
+// hit with a nil profile.
+func TestDecodeCloneRejects(t *testing.T) {
+	encode := func(c any) []byte {
+		data, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	futureStream := testProfile()
+	futureStream.Graph.Nodes[0].Instrs[0].Stream.V = sfgl.StreamVersion + 1
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"null profile", []byte(`{"source":"void main() {}","profile":null}`), "missing profile"},
+		{"no profile field", []byte(`{"source":"void main() {}"}`), "missing profile"},
+		{"missing graph", encode(&store.Clone{Source: progSrc, Profile: &profile.Profile{Workload: "w"}}), "missing graph"},
+		{"pre-stream profile", encode(&store.Clone{Source: progSrc, Profile: preStreamProfile()}), "pre-stream profile"},
+		{"future stream version", encode(&store.Clone{Source: progSrc, Profile: futureStream}), "unsupported stream version"},
+	}
+	for _, tc := range cases {
+		_, err := store.DecodeClone(tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeClone = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := store.DecodeClone(encode(&store.Clone{Source: progSrc, Profile: testProfile()})); err != nil {
+		t.Errorf("valid clone rejected: %v", err)
+	}
+}
+
+// quickArtifacts holds the quick suite's clones at the default seed and a
+// short simulation of each original, encoded as the store holds them: the
+// fuzzers' seeds.
+type quickArtifacts struct {
+	clones, sims [][]byte
+	err          error
+}
+
+var quickSeeds = sync.OnceValue(func() (a quickArtifacts) {
+	ctx := context.Background()
+	p := pipeline.New(pipeline.Options{Seed: experiments.CloneSeed})
+	for _, w := range experiments.Quick() {
+		cl, err := p.Synthesize(ctx, w)
+		if err != nil {
+			return quickArtifacts{err: err}
+		}
+		data, err := store.EncodeClone(&store.Clone{Source: cl.Source, Report: cl.Report, Profile: cl.Profile})
+		if err != nil {
+			return quickArtifacts{err: err}
+		}
+		a.clones = append(a.clones, data)
+		sum, err := p.Simulate(ctx, w, isa.AMD64, compiler.O2, cpu.Simulated2Wide(8), false, 20_000)
+		if err == nil {
+			data, err = store.EncodeSim(sum)
+		}
+		if err != nil {
+			return quickArtifacts{err: err}
+		}
+		a.sims = append(a.sims, data)
+	}
+	return a
+})
+
+// FuzzDecodeClone asserts that DecodeClone never panics and that what it
+// accepts has a source and a profile that passes validation.
+func FuzzDecodeClone(f *testing.F) {
+	seeds := quickSeeds()
+	if seeds.err != nil {
+		f.Fatal(seeds.err)
+	}
+	for _, data := range seeds.clones {
+		f.Add(data)
+	}
+	f.Add([]byte(`{"source":"void main() {}","profile":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := store.DecodeClone(data)
+		if err != nil {
+			return
+		}
+		if c.Source == "" || c.Profile == nil || c.Profile.Graph == nil {
+			t.Fatalf("accepted clone without source or profile: %+v", c)
+		}
+		if err := c.Profile.Graph.Validate(); err != nil {
+			t.Fatalf("accepted clone whose profile fails validation: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeSim asserts that DecodeSim never panics and never accepts an
+// empty simulation.
+func FuzzDecodeSim(f *testing.F) {
+	seeds := quickSeeds()
+	if seeds.err != nil {
+		f.Fatal(seeds.err)
+	}
+	for _, data := range seeds.sims {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := store.DecodeSim(data)
+		if err == nil && s.Instrs == 0 {
+			t.Fatalf("accepted an empty simulation: %+v", s)
+		}
 	})
 }

@@ -21,7 +21,8 @@ import (
 )
 
 // testProfile builds a small hand-made profile exercising every optional
-// field: branch info, loops with parents, mem classes, func calls.
+// field: branch info, loops with parents, mem classes with their stream
+// descriptor, func calls.
 func testProfile() *profile.Profile {
 	g := &sfgl.Graph{
 		FuncNames: []string{"main", "helper"},
@@ -29,7 +30,9 @@ func testProfile() *profile.Profile {
 		Nodes: []*sfgl.Node{
 			{ID: 0, Func: 0, Block: 0, Count: 100,
 				Instrs: []sfgl.InstrInfo{
-					{Op: isa.LD, Class: isa.ClassLoad, MemClass: 3},
+					{Op: isa.LD, Class: isa.ClassLoad, MemClass: 3, Stream: &sfgl.Stream{
+						V: sfgl.StreamVersion, Accesses: 100, MissRate: 0.375, MissWide: 0.125,
+						Strides: []sfgl.StrideBin{{Stride: 12, Frac: 0.9}}, Regularity: 0.9}},
 					{Op: isa.ADD, Class: isa.ClassIntALU, MemClass: -1},
 					{Op: isa.BR, Class: isa.ClassBranch, MemClass: -1},
 				},
