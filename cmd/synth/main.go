@@ -347,8 +347,8 @@ func cmdSynthesize(ctx context.Context, args []string, stdout, stderr io.Writer)
 	}
 	if *report {
 		rep := cl.Report
-		fmt.Fprintf(stderr, "workload %s: R=%d coverage=%.3f functions=%d stream classes=%v\n",
-			rep.Workload, rep.Reduction, rep.Coverage, rep.Functions, rep.StreamClasses)
+		fmt.Fprintf(stderr, "workload %s: R=%d coverage=%.3f functions=%d walkers=%d\n",
+			rep.Workload, rep.Reduction, rep.Coverage, rep.Functions, rep.StreamWalkers)
 	}
 	fmt.Fprint(stdout, cl.Source)
 	return nil

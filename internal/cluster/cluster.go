@@ -37,8 +37,10 @@ import (
 // dispatches (Spec.Explore, Job.Kind/Sims); version 3 added generation
 // dispatches (Spec.Generate, Job.GenIndex); version 4 cut over to the
 // store-queue timing model and its v5 artifact keys, so mixed fleets
-// can't blend pre- and post-forwarding cycle counts in one queue.
-const SchemaVersion = 4
+// can't blend pre- and post-forwarding cycle counts in one queue; version
+// 5 moved to store schema 6, whose simulations count a forwarded
+// out-of-order load as a cache access.
+const SchemaVersion = 5
 
 // Spec declares one dispatch: which workloads to synthesize, over which
 // (ISA, level) grid, and the pipeline options that shape the artifacts.

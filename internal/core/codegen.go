@@ -102,15 +102,6 @@ func (gen *generator) coverage() float64 {
 	return cov
 }
 
-// streamClasses is Report.StreamClasses: [0] when an always-hit array is
-// referenced, nil otherwise.
-func (gen *generator) streamClasses() []int {
-	if gen.smallInt || gen.smallFloat {
-		return []int{0}
-	}
-	return nil
-}
-
 // program assembles the full clone: functions from skeleton chunks, the
 // always-hit arrays and walker globals, and a main that calls every
 // function and prints array heads so no compiler can discard the

@@ -68,12 +68,6 @@ type Report struct {
 	Coverage float64
 	// Functions is the number of synthetic functions emitted.
 	Functions int
-	// StreamClasses is [0] when the clone declares an always-hit array
-	// (the accumulator stores, branch-arm filler and leftover-op
-	// compensation use one) and empty otherwise. It is a remnant of the
-	// per-class Table I arrays, kept so stored clone artifacts stay
-	// byte-identical until the next store schema change drops it.
-	StreamClasses []int
 	// StreamWalkers counts the stream walkers materialized from per-site
 	// stride descriptors; ChaseWalkers is the pointer-chase subset.
 	StreamWalkers int
@@ -162,7 +156,6 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 			ScaledLoops:     len(scaled.Loops),
 			Coverage:        gen.coverage(),
 			Functions:       len(prog.Funcs) - 1, // excluding main
-			StreamClasses:   gen.streamClasses(),
 			StreamWalkers:   len(gen.walkers),
 			ChaseWalkers:    chases,
 			HardBranchSites: len(gen.hardBranches),
@@ -172,19 +165,28 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 		return gen
 	}
 	gen := generate()
+	// meas is the measurement of the current prog, or nil once a knob
+	// change regenerates it; a measured prog is never compiled and run
+	// twice, and the clone returned is the measured one when there is one.
+	var meas *measurement
 	profCache := p.CacheCfg
 	if profCache == (cache.Config{}) {
 		profCache = profile.DefaultCache
 	}
 	if cfg.Reduction == 0 {
+		// Every measurement runs under one instruction budget. It must see
+		// past the phase-2 size ceiling (maxTotal below, at most 3.8×
+		// TargetDyn), or that loop would keep growing compDyn against a
+		// truncated reading and the ceiling guard could never fire.
+		budget := 16 * cfg.TargetDyn
 		// Phase 1: calibrate R so the base clone (no compensation yet)
 		// lands near TargetDyn.
 		for attempt := 0; attempt < 3; attempt++ {
-			actual, err := measureCloneDyn(prog, 16*cfg.TargetDyn)
-			if err != nil {
+			var err error
+			if meas, err = measureClone(prog, budget, profCache); err != nil {
 				return nil, rep, fmt.Errorf("core: calibration run: %w", err)
 			}
-			ratio := float64(actual) / float64(cfg.TargetDyn)
+			ratio := float64(meas.dyn) / float64(cfg.TargetDyn)
 			if ratio < 1.4 && ratio > 0.7 {
 				break
 			}
@@ -196,7 +198,7 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 				break
 			}
 			r = nr
-			gen = generate()
+			gen, meas = generate(), nil
 		}
 		// Phase 2: jointly fit the compensation budget and the miss scale.
 		// The two knobs are near-orthogonal — compDyn sets the load
@@ -227,24 +229,20 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 		// target, or the proxy stops being cheap; compensation never
 		// grows the total beyond this ceiling.
 		maxTotal := min(0.75*float64(p.TotalDyn), 3.8*float64(cfg.TargetDyn))
-		// The measurement must be able to see past the ceiling, or the
-		// loop would keep growing compDyn against a truncated reading
-		// and the ceiling guard could never fire.
-		budget := 16 * cfg.TargetDyn
-		if mb := uint64(2 * maxTotal); budget < mb {
-			budget = mb
-		}
 		for attempt := 0; attempt < 7; attempt++ {
-			actual, mix, miss, err := measureClone(prog, budget, profCache)
-			if err != nil {
-				return nil, rep, fmt.Errorf("core: mix calibration: %w", err)
+			if meas == nil {
+				var err error
+				if meas, err = measureClone(prog, budget, profCache); err != nil {
+					return nil, rep, fmt.Errorf("core: mix calibration: %w", err)
+				}
 			}
+			actual, mix, miss := meas.dyn, meas.mix, meas.missPI
 			if float64(actual) > maxTotal && compDyn > 0 {
 				compDyn -= float64(actual) - maxTotal
 				if compDyn < 0 {
 					compDyn = 0
 				}
-				gen = generate()
+				gen, meas = generate(), nil
 				continue
 			}
 			changed := false
@@ -324,8 +322,11 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 			if !changed {
 				break
 			}
-			gen = generate()
+			gen, meas = generate(), nil
 		}
+	}
+	if meas != nil {
+		return meas.cp, rep, nil
 	}
 
 	// The clone must be a valid HLC program; a failure here is a bug in
@@ -337,19 +338,28 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 	return cp, rep, nil
 }
 
-// measureClone compiles a candidate clone at -O0 and executes it to obtain
-// its true dynamic instruction count, class mix, and per-access miss rate
-// at the given profiling cache. The clone is self-contained (stride arrays
-// start zeroed), so no input setup is needed.
-func measureClone(prog *hlc.Program, budget uint64, cacheCfg cache.Config) (uint64, [isa.NumClasses]uint64, float64, error) {
-	var mix [isa.NumClasses]uint64
+// measurement is one calibration run of a candidate clone: the
+// type-checked program it compiled, and what the run observed.
+type measurement struct {
+	cp     *hlc.CheckedProgram
+	dyn    uint64                 // dynamic instructions (the budget when truncated)
+	mix    [isa.NumClasses]uint64 // dynamic instructions per class
+	missPI float64                // misses per instruction at the profiling cache
+}
+
+// measureClone type-checks a candidate clone, compiles it at -O0 and
+// executes it to obtain its true dynamic instruction count, class mix, and
+// per-access miss rate at the given profiling cache. The clone is
+// self-contained (stride arrays start zeroed), so no input setup is
+// needed.
+func measureClone(prog *hlc.Program, budget uint64, cacheCfg cache.Config) (*measurement, error) {
 	cp, err := hlc.Check(prog)
 	if err != nil {
-		return 0, mix, 0, err
+		return nil, err
 	}
 	mp, err := compiler.Compile(cp, isa.AMD64, compiler.O0)
 	if err != nil {
-		return 0, mix, 0, err
+		return nil, err
 	}
 	// Per-site class table: the hook indexes it by the event's dense
 	// static-site ID instead of classifying the opcode per instruction.
@@ -358,51 +368,29 @@ func measureClone(prog *hlc.Program, budget uint64, cacheCfg cache.Config) (uint
 	for s := range classBySite {
 		classBySite[s] = uint8(lay.Instr(s).Class())
 	}
+	m := &measurement{cp: cp}
 	c := cache.New(cacheCfg)
 	var misses uint64
 	res, err := vm.New(mp).Run(vm.Config{
 		MaxInstrs: budget,
 		Hook: func(ev *vm.Event) {
-			mix[classBySite[ev.Site]]++
+			m.mix[classBySite[ev.Site]]++
 			if ev.IsMem && !c.Access(ev.Addr) {
 				misses++
 			}
 		},
 	})
-	missPI := 0.0
+	if err != nil {
+		if t, ok := err.(*vm.Trap); !ok || t.Reason != vm.TrapBudgetExhausted {
+			return nil, err
+		}
+		// Budget exhausted: report the cap.
+	}
+	m.dyn = res.DynInstrs
 	if res.DynInstrs > 0 {
-		missPI = float64(misses) / float64(res.DynInstrs)
+		m.missPI = float64(misses) / float64(res.DynInstrs)
 	}
-	if err != nil {
-		if t, ok := err.(*vm.Trap); ok && t.Reason == vm.TrapBudgetExhausted {
-			return res.DynInstrs, mix, missPI, nil // budget exhausted: report the cap
-		}
-		return 0, mix, 0, err
-	}
-	return res.DynInstrs, mix, missPI, nil
-}
-
-// measureCloneDyn is measureClone without instrumentation: it compiles the
-// candidate and runs it with no hook, returning only the dynamic
-// instruction count. Phase-1 R calibration needs nothing else, and a run
-// with no hook skips the per-instruction event and observer call.
-func measureCloneDyn(prog *hlc.Program, budget uint64) (uint64, error) {
-	cp, err := hlc.Check(prog)
-	if err != nil {
-		return 0, err
-	}
-	mp, err := compiler.Compile(cp, isa.AMD64, compiler.O0)
-	if err != nil {
-		return 0, err
-	}
-	res, err := vm.New(mp).Run(vm.Config{MaxInstrs: budget})
-	if err != nil {
-		if t, ok := err.(*vm.Trap); ok && t.Reason == vm.TrapBudgetExhausted {
-			return res.DynInstrs, nil // budget exhausted: report the cap
-		}
-		return 0, err
-	}
-	return res.DynInstrs, nil
+	return m, nil
 }
 
 // profileMissPerInstr returns the profile's misses per dynamic instruction

@@ -124,13 +124,15 @@ func Simulate(prog *isa.Program, setup func(*vm.VM) error, cfg Config, maxInstrs
 }
 
 // SimulateMany times prog on every configuration in one interpretation:
-// a single hooked VM run feeds each dynamic instruction to one timing
-// model per config, and the models share the program's static-site table.
-// Result i is exactly what Simulate(prog, setup, cfgs[i], maxInstrs)
-// returns, and a config Simulate would reject fails the whole call with
-// the same error. This is Hill & Smith's single-pass evaluation applied
-// to whole machines: a design-space sweep pays for interpretation once
-// per program instead of once per design point. Every model lives for
+// a single hooked VM run feeds each dynamic instruction to a shared front
+// end and then to one timing back end per config, and the back ends share
+// the program's static-site table. Result i is exactly what
+// Simulate(prog, setup, cfgs[i], maxInstrs) returns, and a config Simulate
+// would reject fails the whole call with the same error. This is Hill &
+// Smith's single-pass evaluation applied to whole machines: a design-space
+// sweep pays for interpretation once per program instead of once per
+// design point, and for each distinct cache geometry and branch predictor
+// once instead of once per config (see frontEnd). Every back end lives for
 // the whole run, so memory grows with len(cfgs); callers bound it.
 func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, maxInstrs uint64) ([]Result, error) {
 	for _, cfg := range cfgs {
@@ -160,17 +162,43 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 	for _, f := range prog.Funcs {
 		maxRegs = max(maxRegs, f.NumRegs)
 	}
-	models := make([]timingModel, len(cfgs))
+	fe := newFrontEnd(cfgs)
+	// The back ends are held by concrete type, so the per-event loop makes
+	// direct calls, and the hook is built for the group's one model kind:
+	// Go keeps no register live across a call, so every value the hook
+	// holds is reloaded after each call it makes, and a lean hook is what
+	// keeps a one-config group as fast as a fused model.
+	var (
+		hook       vm.Hook
+		oooModels  []*ooOModel
+		epicModels []*epicModel
+	)
 	for i, cfg := range cfgs {
 		if cfg.EPIC {
-			models[i] = newEPICModel(sites, maxRegs, cfg)
+			epicModels = append(epicModels, newEPICModel(maxRegs, cfg, fe.slots[i]))
 		} else {
-			models[i] = newOoOModel(sites, maxRegs, cfg)
+			oooModels = append(oooModels, newOoOModel(len(sites), maxRegs, cfg, fe.slots[i]))
 		}
 	}
-	hook := func(ev *vm.Event) {
-		for _, md := range models {
-			md.observe(ev)
+	if len(epicModels) > 0 {
+		hook = func(ev *vm.Event) {
+			si := &sites[ev.Site]
+			if si.kind-kindLoad <= kindBranch-kindLoad {
+				fe.observe(ev, si)
+			}
+			for _, md := range epicModels {
+				md.observe(ev, si)
+			}
+		}
+	} else {
+		hook = func(ev *vm.Event) {
+			si := &sites[ev.Site]
+			if si.kind-kindLoad <= kindBranch-kindLoad {
+				fe.observe(ev, si)
+			}
+			for _, md := range oooModels {
+				md.observe(ev, si)
+			}
 		}
 	}
 	runRes, err := m.Run(vm.Config{Hook: hook, MaxInstrs: maxInstrs})
@@ -181,9 +209,16 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 		}
 		// Instruction budget exhausted: keep the truncated measurement.
 	}
+	cycles := make([]uint64, len(cfgs))
+	for i, md := range oooModels {
+		cycles[i] = md.cycles()
+	}
+	for i, md := range epicModels {
+		cycles[i] = md.cycles()
+	}
 	out := make([]Result, len(cfgs))
 	for i, cfg := range cfgs {
-		res := models[i].finish()
+		res := fe.finish(fe.slots[i], cycles[i])
 		res.Machine = cfg.Name
 		res.Run = runRes
 		res.Instrs = runRes.DynInstrs
@@ -198,9 +233,124 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 	return out, nil
 }
 
-type timingModel interface {
-	observe(ev *vm.Event)
-	finish() Result
+// Hit levels a front-end hierarchy reports for a load or store: the
+// level that held the line. A back end indexes its latencies with it.
+const (
+	levelL1 = iota
+	levelL2
+	levelMem
+)
+
+// frontEnd is the timing-independent half of a SimulateMany group. Every
+// load and store touches the cache in program order, and every branch is
+// predicted and trained in program order, so the hit level and the
+// mispredict bit depend only on the cache geometry and the predictor, not
+// on any back end's timing. The front end therefore holds one hierarchy
+// per distinct geometry and one predictor per distinct predictor, feeds
+// each event to them once, and leaves the outcome in a slot the back ends
+// read. In the calibration sweep all eight configs of a group share one
+// of each.
+type frontEnd struct {
+	hiers []*cache.Hierarchy
+	preds []bpred.Predictor
+	// level holds, per hierarchy, the hit level of the last load or store.
+	level []uint8
+	// mispredicted holds, per predictor, whether the last branch
+	// mispredicted; mispredicts counts them.
+	mispredicted []bool
+	mispredicts  []uint64
+	branches     uint64
+	// slots[i] locates config i's hierarchy and predictor.
+	slots []feSlot
+}
+
+// feSlot is one config's view of the front end: pointers at the outcome
+// of its own hierarchy and predictor for the current event, and their
+// indexes for the final statistics.
+type feSlot struct {
+	level        *uint8
+	mispredicted *bool
+	hier, pred   int
+}
+
+// geometry is the part of a Config that shapes cache hit levels.
+type geometry struct{ l1KB, l1Assoc, l2KB, l2Assoc int }
+
+func newFrontEnd(cfgs []Config) *frontEnd {
+	fe := &frontEnd{slots: make([]feSlot, len(cfgs))}
+	hierOf := map[geometry]int{}
+	predOf := map[string]int{}
+	for i, cfg := range cfgs {
+		g := geometry{cfg.L1KB, cfg.L1Assoc, cfg.L2KB, cfg.L2Assoc}
+		h, ok := hierOf[g]
+		if !ok {
+			h = len(fe.hiers)
+			hierOf[g] = h
+			fe.hiers = append(fe.hiers, newHierarchy(cfg))
+		}
+		pr := newPredictor(cfg)
+		p, ok := predOf[pr.Name()]
+		if !ok {
+			p = len(fe.preds)
+			predOf[pr.Name()] = p
+			fe.preds = append(fe.preds, pr)
+		}
+		fe.slots[i] = feSlot{hier: h, pred: p}
+	}
+	fe.level = make([]uint8, len(fe.hiers))
+	fe.mispredicted = make([]bool, len(fe.preds))
+	fe.mispredicts = make([]uint64, len(fe.preds))
+	for i := range fe.slots {
+		s := &fe.slots[i]
+		s.level, s.mispredicted = &fe.level[s.hier], &fe.mispredicted[s.pred]
+	}
+	return fe
+}
+
+// observe runs a load or store through every hierarchy, or a branch
+// through every predictor. The hook calls it for those kinds only.
+func (fe *frontEnd) observe(ev *vm.Event, si *siteInfo) {
+	switch si.kind {
+	case kindLoad:
+		for i, h := range fe.hiers {
+			fe.level[i] = uint8(h.AccessLatency(ev.Addr))
+		}
+	case kindStore:
+		for i, h := range fe.hiers {
+			fe.level[i] = uint8(h.StoreLatency(ev.Addr))
+		}
+	case kindBranch:
+		fe.branches++
+		for i, p := range fe.preds {
+			miss := p.Predict(si.pc) != ev.Taken
+			p.Update(si.pc, ev.Taken)
+			fe.mispredicted[i] = miss
+			if miss {
+				fe.mispredicts[i]++
+			}
+		}
+	}
+}
+
+// finish builds a config's result from its back end's cycle count and its
+// slot's cache and branch statistics.
+func (fe *frontEnd) finish(s feSlot, cycles uint64) Result {
+	h := fe.hiers[s.hier]
+	res := Result{
+		Cycles:      cycles,
+		L1:          h.L1.Stats,
+		L2:          h.L2.Stats,
+		L1Store:     h.L1.StoreStats,
+		L2Store:     h.L2.StoreStats,
+		Branches:    fe.branches,
+		Mispredicts: fe.mispredicts[s.pred],
+	}
+	if res.Branches > 0 {
+		res.BranchAcc = 1 - float64(res.Mispredicts)/float64(res.Branches)
+	} else {
+		res.BranchAcc = 1
+	}
+	return res
 }
 
 // latencyFor returns the fixed functional-unit latency per class (loads and
@@ -229,6 +379,9 @@ func latencyFor(class isa.Class) uint64 {
 	return 1
 }
 
+// newHierarchy builds cfg's cache geometry for the front end. Its
+// "latencies" are the hit levels, so AccessLatency and StoreLatency report
+// which level held the line and each back end applies its own latencies.
 func newHierarchy(cfg Config) *cache.Hierarchy {
 	return &cache.Hierarchy{
 		L1: cache.New(cache.Config{
@@ -237,9 +390,9 @@ func newHierarchy(cfg Config) *cache.Hierarchy {
 		L2: cache.New(cache.Config{
 			Name: "L2", Size: cfg.L2KB * 1024, LineSize: 32, Assoc: max(cfg.L2Assoc, 1),
 		}),
-		L1Lat:  cfg.L1Lat,
-		L2Lat:  cfg.L2Lat,
-		MemLat: cfg.MemLat,
+		L1Lat:  levelL1,
+		L2Lat:  levelL2,
+		MemLat: levelMem,
 	}
 }
 
@@ -267,6 +420,8 @@ type siteInfo struct {
 	kind        uint8
 }
 
+// Site kinds. The front end's kinds, kindLoad through kindBranch, are
+// consecutive, so one compare selects them.
 const (
 	kindOther = iota
 	kindLoad
@@ -349,11 +504,11 @@ type storeQueue struct {
 	count int
 }
 
-func newStoreQueue(n int) *storeQueue {
+func newStoreQueue(n int) storeQueue {
 	if n <= 0 {
 		n = DefaultStoreQueue
 	}
-	return &storeQueue{q: make([]storeEntry, n)}
+	return storeQueue{q: make([]storeEntry, n)}
 }
 
 // drain retires entries completed at or before now.
@@ -400,8 +555,7 @@ func (sq *storeQueue) match(line uint64, t uint64) (storeEntry, bool) {
 // stamp matches the current frame. A CALL's return-value register is
 // defined when the matching RET resolves, in the caller's frame.
 type regFile struct {
-	ready []uint64
-	stamp []uint32
+	regs  []regState
 	frame uint32
 	next  uint32
 	calls []frameRet
@@ -414,18 +568,24 @@ type frameRet struct {
 	ret   isa.RegID
 }
 
-func newRegFile(maxRegs int) *regFile {
-	return &regFile{
-		ready: make([]uint64, maxRegs+1),
-		stamp: make([]uint32, maxRegs+1),
-	}
+// regState is one register's ready time and the stamp of the frame that
+// defined it, side by side so a lookup touches one cache line.
+type regState struct {
+	ready uint64
+	stamp uint32
+}
+
+func newRegFile(maxRegs int) regFile {
+	return regFile{regs: make([]regState, maxRegs+1)}
 }
 
 // readyAt folds register r's readiness into start (identity when r is
 // unwritten in the current frame).
 func (rf *regFile) readyAt(r isa.RegID, start uint64) uint64 {
-	if r != isa.NoReg && rf.stamp[r] == rf.frame && rf.ready[r] > start {
-		return rf.ready[r]
+	if r != isa.NoReg {
+		if st := rf.regs[r]; st.stamp == rf.frame && st.ready > start {
+			return st.ready
+		}
 	}
 	return start
 }
@@ -433,8 +593,7 @@ func (rf *regFile) readyAt(r isa.RegID, start uint64) uint64 {
 // define marks register r ready at time t in the current frame.
 func (rf *regFile) define(r isa.RegID, t uint64) {
 	if r != isa.NoReg {
-		rf.ready[r] = t
-		rf.stamp[r] = rf.frame
+		rf.regs[r] = regState{ready: t, stamp: rf.frame}
 	}
 }
 
@@ -459,58 +618,55 @@ func (rf *regFile) ret(t uint64) {
 	rf.define(fr.ret, t)
 }
 
-// ooOModel is the out-of-order window model.
+// memLatencies maps a front-end hit level to cfg's latency in cycles.
+func memLatencies(cfg Config) [3]uint64 {
+	return [3]uint64{levelL1: uint64(cfg.L1Lat), levelL2: uint64(cfg.L2Lat), levelMem: uint64(cfg.MemLat)}
+}
+
+// ooOModel is the out-of-order window back end.
 type ooOModel struct {
-	cfg   Config
-	hier  *cache.Hierarchy
-	pred  bpred.Predictor
-	sites []siteInfo
-	stats struct {
-		branches, mispredicts uint64
-	}
+	width, l1Lat, penalty uint64    // the config's dispatch width, L1 latency and mispredict penalty
+	memLat                [3]uint64 // per hit level
+	fe                    feSlot
 
 	cycle          uint64 // current fetch cycle
-	fetchedThis    int    // instructions dispatched in the current cycle
-	regs           *regFile
-	sq             *storeQueue
+	fetchedThis    uint64 // instructions dispatched in the current cycle
+	regs           regFile
+	sq             storeQueue
 	depTrained     []bool   // per load site: store-set predictor entry
 	rob            []uint64 // completion times, ring buffer of ROB size
-	robHead        int
-	robCount       int
+	robPos         int      // the oldest entry, which the next dispatch replaces
 	lastCompletion uint64
 }
 
-func newOoOModel(sites []siteInfo, maxRegs int, cfg Config) *ooOModel {
+func newOoOModel(numSites, maxRegs int, cfg Config, fe feSlot) *ooOModel {
 	return &ooOModel{
-		cfg:        cfg,
-		hier:       newHierarchy(cfg),
-		pred:       newPredictor(cfg),
-		sites:      sites,
+		width:      uint64(cfg.Width),
+		l1Lat:      uint64(cfg.L1Lat),
+		penalty:    uint64(cfg.MispredictPenalty),
+		memLat:     memLatencies(cfg),
+		fe:         fe,
 		regs:       newRegFile(maxRegs),
 		sq:         newStoreQueue(cfg.StoreQueue),
-		depTrained: make([]bool, len(sites)),
+		depTrained: make([]bool, numSites),
 		rob:        make([]uint64, max(cfg.ROB, 8)),
 	}
 }
 
-func (m *ooOModel) observe(ev *vm.Event) {
+func (m *ooOModel) observe(ev *vm.Event, si *siteInfo) {
 	// Dispatch: bounded by width and ROB occupancy.
-	if m.fetchedThis >= m.cfg.Width {
+	if m.fetchedThis >= m.width {
 		m.cycle++
 		m.fetchedThis = 0
 	}
-	if m.robCount == len(m.rob) {
-		head := m.rob[m.robHead]
-		if head > m.cycle {
-			m.cycle = head
-			m.fetchedThis = 0
-		}
-		m.robHead = wrap(m.robHead+1, len(m.rob))
-		m.robCount--
+	// The instruction takes the oldest entry's place, waiting for it to
+	// complete if the ROB is full (entries are zero while it fills).
+	if head := m.rob[m.robPos]; head > m.cycle {
+		m.cycle = head
+		m.fetchedThis = 0
 	}
 	m.fetchedThis++
 
-	si := &m.sites[ev.Site]
 	start := m.regs.readyAt(si.u1, m.cycle)
 	start = m.regs.readyAt(si.u2, start)
 
@@ -520,19 +676,20 @@ func (m *ooOModel) observe(ev *vm.Event) {
 		line := ev.Addr >> lineShift
 		if e, ok := m.sq.match(line, start); ok {
 			// An older store to the same line is in flight: forward its
-			// data (the write never reaches the cache before the load).
+			// data. The load probed the cache in parallel (the front end
+			// counted the access), but the store queue supplies the value.
 			// The store-set predictor learns the conflict: the first time
 			// a load site hits one it has speculatively bypassed the
 			// store and replays; once trained, the site waits for the
 			// store data and pays only the forwarding latency.
-			data := max(start, e.dataReady) + uint64(m.cfg.L1Lat)
+			data := max(start, e.dataReady) + m.l1Lat
 			if !m.depTrained[ev.Site] {
 				m.depTrained[ev.Site] = true
-				data += uint64(m.cfg.MispredictPenalty)
+				data += m.penalty
 			}
 			lat = data - start
 		} else {
-			lat = uint64(m.hier.AccessLatency(ev.Addr))
+			lat = m.memLat[*m.fe.level]
 		}
 	case kindStore:
 		// Stores occupy a queue entry until the written line completes
@@ -554,7 +711,7 @@ func (m *ooOModel) observe(ev *vm.Event) {
 		m.sq.push(storeEntry{
 			line:      ev.Addr >> lineShift,
 			dataReady: start,
-			done:      start + uint64(m.hier.StoreLatency(ev.Addr)),
+			done:      start + m.memLat[*m.fe.level],
 		})
 		lat = 1
 	default:
@@ -562,18 +719,12 @@ func (m *ooOModel) observe(ev *vm.Event) {
 	}
 	done := start + lat
 
-	if si.kind == kindBranch {
-		m.stats.branches++
-		predicted := m.pred.Predict(si.pc)
-		m.pred.Update(si.pc, ev.Taken)
-		if predicted != ev.Taken {
-			m.stats.mispredicts++
-			// Front end restarts after the branch resolves.
-			refill := done + uint64(m.cfg.MispredictPenalty)
-			if refill > m.cycle {
-				m.cycle = refill
-				m.fetchedThis = 0
-			}
+	if si.kind == kindBranch && *m.fe.mispredicted {
+		// Front end restarts after the branch resolves.
+		refill := done + m.penalty
+		if refill > m.cycle {
+			m.cycle = refill
+			m.fetchedThis = 0
 		}
 	}
 
@@ -589,40 +740,22 @@ func (m *ooOModel) observe(ev *vm.Event) {
 		m.lastCompletion = done
 	}
 	// Enter the ROB.
-	tail := wrap(m.robHead+m.robCount, len(m.rob))
-	m.rob[tail] = done
-	m.robCount++
+	m.rob[m.robPos] = done
+	m.robPos = wrap(m.robPos+1, len(m.rob))
 }
 
-func (m *ooOModel) finish() Result {
-	res := Result{
-		Cycles:      max(m.cycle, m.lastCompletion),
-		L1:          m.hier.L1.Stats,
-		L2:          m.hier.L2.Stats,
-		L1Store:     m.hier.L1.StoreStats,
-		L2Store:     m.hier.L2.StoreStats,
-		Branches:    m.stats.branches,
-		Mispredicts: m.stats.mispredicts,
-	}
-	if m.stats.branches > 0 {
-		res.BranchAcc = 1 - float64(m.stats.mispredicts)/float64(m.stats.branches)
-	} else {
-		res.BranchAcc = 1
-	}
-	return res
-}
+func (m *ooOModel) cycles() uint64 { return max(m.cycle, m.lastCompletion) }
 
-// epicModel issues statically scheduled bundles in order.
+// epicModel is the in-order back end: it issues statically scheduled
+// bundles in order.
 type epicModel struct {
-	cfg   Config
-	hier  *cache.Hierarchy
-	pred  bpred.Predictor
-	sites []siteInfo
-	stats struct{ branches, mispredicts uint64 }
+	l1Lat, penalty uint64    // the config's L1 latency and mispredict penalty
+	memLat         [3]uint64 // per hit level
+	fe             feSlot
 
 	cycle          uint64
-	regs           *regFile
-	sq             *storeQueue
+	regs           regFile
+	sq             storeQueue
 	lastCompletion uint64
 
 	// Current bundle identity: instructions whose site shares a bkey
@@ -630,20 +763,19 @@ type epicModel struct {
 	curKey uint64
 }
 
-func newEPICModel(sites []siteInfo, maxRegs int, cfg Config) *epicModel {
+func newEPICModel(maxRegs int, cfg Config, fe feSlot) *epicModel {
 	return &epicModel{
-		cfg:    cfg,
-		hier:   newHierarchy(cfg),
-		pred:   newPredictor(cfg),
-		sites:  sites,
-		regs:   newRegFile(maxRegs),
-		sq:     newStoreQueue(cfg.StoreQueue),
-		curKey: ^uint64(0), // no bundle yet
+		l1Lat:   uint64(cfg.L1Lat),
+		penalty: uint64(cfg.MispredictPenalty),
+		memLat:  memLatencies(cfg),
+		fe:      fe,
+		regs:    newRegFile(maxRegs),
+		sq:      newStoreQueue(cfg.StoreQueue),
+		curKey:  ^uint64(0), // no bundle yet
 	}
 }
 
-func (m *epicModel) observe(ev *vm.Event) {
-	si := &m.sites[ev.Site]
+func (m *epicModel) observe(ev *vm.Event, si *siteInfo) {
 	if si.bkey != m.curKey {
 		m.cycle++ // one bundle per cycle baseline
 		m.curKey = si.bkey
@@ -665,11 +797,11 @@ func (m *epicModel) observe(ev *vm.Event) {
 		// written the cache (one L1 latency past its data being ready),
 		// then the load replays and pays its own cache access.
 		if e, ok := m.sq.match(ev.Addr>>lineShift, m.cycle); ok {
-			if t := e.dataReady + uint64(m.cfg.L1Lat); t > m.cycle {
+			if t := e.dataReady + m.l1Lat; t > m.cycle {
 				m.cycle = t
 			}
 		}
-		lat = uint64(m.hier.AccessLatency(ev.Addr))
+		lat = m.memLat[*m.fe.level]
 	case kindStore:
 		m.sq.drain(m.cycle)
 		if m.sq.full() {
@@ -681,7 +813,7 @@ func (m *epicModel) observe(ev *vm.Event) {
 		m.sq.push(storeEntry{
 			line:      ev.Addr >> lineShift,
 			dataReady: m.cycle,
-			done:      m.cycle + uint64(m.hier.StoreLatency(ev.Addr)),
+			done:      m.cycle + m.memLat[*m.fe.level],
 		})
 		lat = 1
 	default:
@@ -689,14 +821,8 @@ func (m *epicModel) observe(ev *vm.Event) {
 	}
 	done := m.cycle + lat
 
-	if si.kind == kindBranch {
-		m.stats.branches++
-		predicted := m.pred.Predict(si.pc)
-		m.pred.Update(si.pc, ev.Taken)
-		if predicted != ev.Taken {
-			m.stats.mispredicts++
-			m.cycle = done + uint64(m.cfg.MispredictPenalty)
-		}
+	if si.kind == kindBranch && *m.fe.mispredicted {
+		m.cycle = done + m.penalty
 	}
 
 	switch si.kind {
@@ -712,20 +838,4 @@ func (m *epicModel) observe(ev *vm.Event) {
 	}
 }
 
-func (m *epicModel) finish() Result {
-	res := Result{
-		Cycles:      max(m.cycle, m.lastCompletion),
-		L1:          m.hier.L1.Stats,
-		L2:          m.hier.L2.Stats,
-		L1Store:     m.hier.L1.StoreStats,
-		L2Store:     m.hier.L2.StoreStats,
-		Branches:    m.stats.branches,
-		Mispredicts: m.stats.mispredicts,
-	}
-	if m.stats.branches > 0 {
-		res.BranchAcc = 1 - float64(m.stats.mispredicts)/float64(m.stats.branches)
-	} else {
-		res.BranchAcc = 1
-	}
-	return res
-}
+func (m *epicModel) cycles() uint64 { return max(m.cycle, m.lastCompletion) }

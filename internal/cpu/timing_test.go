@@ -3,8 +3,10 @@ package cpu
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/isa"
+	"repro/internal/vm"
 )
 
 // Golden timing microbenchmarks for the memory-dependence model: each
@@ -59,6 +61,40 @@ func TestStoreForwardSameLineSerializes(t *testing.T) {
 	if same <= diff {
 		t.Errorf("same-line store→load loop (%d cycles) should be slower than different-line (%d)",
 			same, diff)
+	}
+}
+
+// TestStoreForwardProbesL1: a load that forwards from the store queue
+// still probes the cache, as a real core searches the store queue and L1
+// in parallel, so the front end's access stream is the same for every
+// config. In the same-line loop every load forwards from the store just
+// before it: each counts as one L1 load hit (the store filled the line),
+// and its latency still follows the forwarding rule, so the loop takes
+// exactly the cycles it took when forwarded loads skipped the cache.
+func TestStoreForwardProbesL1(t *testing.T) {
+	cfg := Simulated2Wide(16) // TestStoreForwardSameLineSerializes's machine
+	cfg.Width = 4
+	prog := compileFor(t, fwdSrc("0"), isa.AMD64, compiler.O1)
+	res, err := Simulate(prog, nil, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := vm.LayoutOf(prog)
+	var loads uint64
+	if _, err := vm.New(prog).Run(vm.Config{Hook: func(ev *vm.Event) {
+		if op := lay.Instr(ev.Site).Op; op == isa.LD || op == isa.LDL {
+			loads++
+		}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if want := (cache.Stats{Accesses: loads}); res.L1 != want || res.L2 != (cache.Stats{}) {
+		t.Errorf("L1 %+v, L2 %+v: want every one of the %d loads to hit L1", res.L1, res.L2, loads)
+	}
+	const wantCycles = 25506
+	if res.Cycles != wantCycles {
+		t.Errorf("same-line loop takes %d cycles, want %d: probing L1 changed the forwarded latency",
+			res.Cycles, wantCycles)
 	}
 }
 

@@ -6,8 +6,6 @@ import "fmt"
 // information the compiler front end needs.
 type CheckedProgram struct {
 	Prog *Program
-	// ExprTypes records the type of every expression node.
-	ExprTypes map[Expr]Type
 	// VarKinds records how each VarRef/IndexExpr name resolves in context;
 	// keyed by the expression node because names may shadow.
 	Resolved map[Expr]*Symbol
@@ -51,10 +49,9 @@ func Check(prog *Program) (*CheckedProgram, error) {
 	c := &checker{
 		prog: prog,
 		out: &CheckedProgram{
-			Prog:      prog,
-			ExprTypes: make(map[Expr]Type),
-			Resolved:  make(map[Expr]*Symbol),
-			LocalsOf:  make(map[*FuncDecl][]*Symbol),
+			Prog:     prog,
+			Resolved: make(map[Expr]*Symbol),
+			LocalsOf: make(map[*FuncDecl][]*Symbol),
 		},
 		globals: make(map[string]*Symbol),
 	}
@@ -274,12 +271,6 @@ func (c *checker) checkStmt(s Stmt) {
 }
 
 func (c *checker) exprType(e Expr) Type {
-	t := c.exprType1(e)
-	c.out.ExprTypes[e] = t
-	return t
-}
-
-func (c *checker) exprType1(e Expr) Type {
 	switch x := e.(type) {
 	case *IntLit:
 		return TypeInt

@@ -249,11 +249,22 @@ void main() {
   acc = f * 2 + 1;
   print(acc);
 }`
-	cp := MustCheck(src)
-	main := cp.Prog.Func("main")
-	asn := main.Body.Stmts[2].(*AssignStmt)
-	if typ := cp.ExprTypes[asn.RHS]; typ != TypeFloat {
-		t.Errorf("f + 2 has type %v, want float", typ)
+	MustCheck(src)
+	// Widening is one-way: mixed arithmetic is float, so it cannot
+	// initialize an int.
+	narrow := `
+void main() {
+  float f = 3;
+  int i = f + 2;
+  print(i);
+}`
+	prog, err := Parse(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Check(prog)
+	if err == nil || !strings.Contains(err.Error(), "cannot initialize int i with float") {
+		t.Errorf("int i = f + 2: got error %v, want \"cannot initialize int i with float\"", err)
 	}
 }
 

@@ -41,9 +41,11 @@ func (p *Pipeline) simKey(w *workloads.Workload, target *isa.Desc, level compile
 
 // simGroup bounds how many timing models one hooked interpretation
 // drives. A group pays for interpretation once instead of once per design
-// point, but each of its models (two cache levels, predictor tables, ROB,
-// store queue) stays live for the whole run, so a pool worker holds up to
-// simGroup models at a time. On the 48-point calibration sweep with two
+// point, and for each distinct cache geometry and predictor once (the
+// shared front end), but each of its timing back ends (ROB, store queue,
+// register table), and the caches and predictor tables of every geometry
+// and predictor it mixes, stay live for the whole run, so a pool worker
+// holds up to simGroup models at a time. On the 48-point calibration sweep with two
 // workers (2-vCPU Xeon), eight ran it about twice as fast as one point at
 // a time at the same peak memory; 16 and 48 ran no faster and raised peak
 // memory by 17% and 26%. The width changes speed and memory, never

@@ -34,8 +34,11 @@ import (
 // single-class ones; version 4 added the generation stage and its report
 // artifacts (pipeline canonical keys v4); version 5 invalidates artifacts
 // simulated or synthesized before the timing model's store-queue and
-// dependence-chain changes (pipeline canonical keys v5).
-const SchemaVersion = 5
+// dependence-chain changes (pipeline canonical keys v5); version 6
+// invalidates simulations made before forwarded out-of-order loads probed
+// the cache (the timing models' shared front end) and synthesis reports
+// that still carried the empty StreamClasses field.
+const SchemaVersion = 6
 
 // Artifact kinds. An entry's kind must match the reader's expectation, so
 // a digest collision between two different artifact types reads as a miss.

@@ -4,9 +4,8 @@ package vm_test
 // the "instrs/s" custom metric, so `go test -bench . ./internal/vm` gives
 // the raw dispatch-loop throughput; the benchmark ledger reports the same
 // layer as vm.fast_mips and vm.hooked_mips. Both run the one dispatch
-// loop: the fast benchmark with no hook (validate and phase-1
-// calibration), the hooked one with an empty hook, the floor of every
-// instrumented consumer.
+// loop: the fast benchmark with no hook (validation), the hooked one with
+// an empty hook, the floor of every instrumented consumer.
 
 import (
 	"testing"
