@@ -8,6 +8,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/pipeline"
@@ -55,6 +56,76 @@ func openQueue(storeDir string) (*cluster.Queue, error) {
 	return cluster.OpenQueue(st)
 }
 
+// dispatchFlags are the queue flags of every dispatching command
+// (dispatch, explore -dispatch, generate -dispatch), with one meaning and
+// one default everywhere.
+type dispatchFlags struct {
+	wait, force bool
+	ttl, poll   time.Duration
+}
+
+// addDispatchFlags registers the shared dispatch flags on fs.
+func addDispatchFlags(fs *flag.FlagSet, d *dispatchFlags) {
+	fs.BoolVar(&d.wait, "wait", false, "block until every job is done, then print the report")
+	fs.BoolVar(&d.force, "force", false, "re-enqueue jobs even when their artifacts are already stored")
+	fs.DurationVar(&d.ttl, "lease-ttl", cluster.DefaultLeaseTTL, "lease expiry for reclaiming crashed workers' jobs (with -wait)")
+	fs.DurationVar(&d.poll, "poll", cluster.DefaultPoll, "queue polling interval (with -wait)")
+}
+
+// dispatch is the one dispatch-and-wait path: open the -store queue, build
+// the dispatching pipeline over its store, dispatch spec, and print the
+// outcome as "synth <cmd>: N jobs (<shape>): ...". With -wait it then
+// blocks until the queue drains, printing progress, and consolidates the
+// results; every failed job is printed and fails the call, since a partial
+// result set has no report to aggregate. The report is zero without -wait.
+func (d *dispatchFlags) dispatch(ctx context.Context, c *commonFlags, cmd, shape string, spec cluster.Spec, stderr io.Writer) (*pipeline.Pipeline, cluster.Report, error) {
+	var rep cluster.Report
+	q, err := openQueue(c.storeDir)
+	if err != nil {
+		return nil, rep, err
+	}
+	p, err := c.pipelineWith(q.Store())
+	if err != nil {
+		return nil, rep, err
+	}
+	out, err := cluster.Dispatch(ctx, q, p, spec, cluster.DispatchOptions{Force: d.force})
+	if err != nil {
+		return nil, rep, err
+	}
+	fmt.Fprintf(stderr, "synth %s: %d jobs (%s): %d enqueued, %d deduped from store, %d already done, %d already queued\n",
+		cmd, out.Total, shape, out.Enqueued, out.Deduped, out.AlreadyDone, out.AlreadyQueued)
+	if !d.wait {
+		return p, rep, nil
+	}
+	last := cluster.Counts{Pending: -1}
+	results, err := cluster.Wait(ctx, q, cluster.WaitOptions{
+		TTL:  d.ttl,
+		Poll: d.poll,
+		Progress: func(cc cluster.Counts, total int) {
+			if cc != last {
+				fmt.Fprintf(stderr, "synth %s: %d/%d done, %d pending, %d leased\n",
+					cmd, cc.Done, total, cc.Pending, cc.Leased)
+				last = cc
+			}
+		},
+	})
+	if err != nil {
+		return nil, rep, err
+	}
+	m, err := q.Manifest()
+	if err != nil {
+		return nil, rep, err
+	}
+	rep = cluster.BuildReport(m, results)
+	for _, f := range rep.Failures {
+		fmt.Fprintf(stderr, "synth %s: job FAILED: %s\n", cmd, f)
+	}
+	if rep.Failed > 0 {
+		return nil, rep, fmt.Errorf("%d of %d jobs failed", rep.Failed, rep.Total)
+	}
+	return p, rep, nil
+}
+
 // cmdDispatch enumerates a suite's jobs, dedups them against the store,
 // enqueues the rest, and optionally waits for the cluster to drain.
 func cmdDispatch(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -62,13 +133,11 @@ func cmdDispatch(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	fs.SetOutput(stderr)
 	var c commonFlags
 	addCommon(fs, &c)
+	var df dispatchFlags
+	addDispatchFlags(fs, &df)
 	suite := fs.String("suite", "quick", "workload suite to dispatch: tiny, quick, or full")
 	isas := fs.String("isas", "", "comma-separated target ISA grid (default: the -isa profiling ISA)")
 	levels := fs.String("levels", "", "comma-separated optimization level grid (default: the -O profiling level)")
-	wait := fs.Bool("wait", false, "block until every job is done, then print the consolidated report")
-	force := fs.Bool("force", false, "re-enqueue jobs even when their artifacts are already stored")
-	ttl := fs.Duration("lease-ttl", cluster.DefaultLeaseTTL, "lease expiry for reclaiming crashed workers' jobs (with -wait)")
-	poll := fs.Duration("poll", cluster.DefaultPoll, "queue polling interval (with -wait)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -100,48 +169,12 @@ func cmdDispatch(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		ProfileISA:   c.isaName,
 		ProfileLevel: c.level,
 	}
-	q, err := openQueue(c.storeDir)
-	if err != nil {
+	shape := fmt.Sprintf("%s suite, %d ISAs × %d levels", *suite, len(isaGrid), len(levelGrid))
+	_, rep, err := df.dispatch(ctx, &c, "dispatch", shape, spec, stderr)
+	if err != nil || !df.wait {
 		return err
 	}
-	p, err := c.pipelineWith(q.Store())
-	if err != nil {
-		return err
-	}
-	out, err := cluster.Dispatch(ctx, q, p, spec, cluster.DispatchOptions{Force: *force})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "synth dispatch: %d jobs (%s suite, %d ISAs × %d levels): %d enqueued, %d deduped from store, %d already done, %d already queued\n",
-		out.Total, *suite, len(isaGrid), len(levelGrid),
-		out.Enqueued, out.Deduped, out.AlreadyDone, out.AlreadyQueued)
-	if !*wait {
-		return nil
-	}
-	last := cluster.Counts{Pending: -1}
-	results, err := cluster.Wait(ctx, q, cluster.WaitOptions{
-		TTL:  *ttl,
-		Poll: *poll,
-		Progress: func(c cluster.Counts, total int) {
-			if c != last {
-				fmt.Fprintf(stderr, "synth dispatch: %d/%d done, %d pending, %d leased\n",
-					c.Done, total, c.Pending, c.Leased)
-				last = c
-			}
-		},
-	})
-	if err != nil {
-		return err
-	}
-	m, err := q.Manifest()
-	if err != nil {
-		return err
-	}
-	rep := cluster.BuildReport(m, results)
 	rep.Print(stdout)
-	if rep.Failed > 0 {
-		return fmt.Errorf("%d of %d jobs failed", rep.Failed, rep.Total)
-	}
 	return nil
 }
 
@@ -223,20 +256,20 @@ func cmdWork(ctx context.Context, args []string, stdout, stderr io.Writer) error
 				*id, r.Job.Workload, r.Job.Cells(), r.Millis, status)
 		},
 	}
-	sum, err := w.Run(ctx)
+	// Interruption and errors exit nonzero with an honest summary — the
+	// queue may not be drained, and scripts trust the exit code.
+	err = w.Run(ctx)
+	state := "drained"
 	if err != nil {
-		// Interruption and errors exit nonzero with an honest summary —
-		// the queue may not be drained, and scripts trust the exit code.
-		fmt.Fprintf(stderr, "synth work %s: stopped (%v), jobs=%d failed=%d\n", *id, err, sum.Jobs, sum.Failed)
-		printStats(stderr, p)
-		return err
+		state = fmt.Sprintf("stopped (%v)", err)
 	}
-	fmt.Fprintf(stderr, "synth work %s: drained, jobs=%d failed=%d\n", *id, sum.Jobs, sum.Failed)
+	sum := w.Metrics.Snapshot()
+	fmt.Fprintf(stderr, "synth work %s: %s, jobs=%d failed=%d\n", *id, state, sum.JobsOK+sum.JobsFailed, sum.JobsFailed)
 	printStats(stderr, p)
-	if sum.Failed > 0 {
-		return fmt.Errorf("%d jobs failed", sum.Failed)
+	if err == nil && sum.JobsFailed > 0 {
+		err = fmt.Errorf("%d jobs failed", sum.JobsFailed)
 	}
-	return nil
+	return err
 }
 
 // cmdStoreGC prunes old entries from a persistent artifact store.

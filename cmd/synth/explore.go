@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cluster"
 	"repro/internal/explore"
 	"repro/internal/generate"
 	"repro/internal/pipeline"
@@ -22,7 +21,7 @@ import (
 // frontier — lands on stdout. With -dispatch the sweep's cells are
 // instead sharded through the store's cluster queue for `synth work`
 // fleets; -wait blocks for the drain and then aggregates the report from
-// the warm store.
+// the warm store, or exits nonzero naming every failed job.
 func cmdExplore(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("synth explore", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -35,10 +34,8 @@ func cmdExplore(ctx context.Context, args []string, stdout, stderr io.Writer) er
 	asJSON := fs.Bool("json", false, "emit the full report as JSON instead of the table")
 	stats := fs.Bool("stats", false, "print artifact-cache statistics to stderr afterwards")
 	dispatch := fs.Bool("dispatch", false, "enqueue the sweep into the store's cluster queue instead of simulating locally")
-	wait := fs.Bool("wait", false, "with -dispatch: block until the queue drains, then print the report")
-	force := fs.Bool("force", false, "with -dispatch: re-enqueue jobs even when their artifacts are already stored")
-	ttl := fs.Duration("lease-ttl", cluster.DefaultLeaseTTL, "lease expiry for reclaiming crashed workers' jobs (with -wait)")
-	poll := fs.Duration("poll", cluster.DefaultPoll, "queue polling interval (with -wait)")
+	var df dispatchFlags
+	addDispatchFlags(fs, &df)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -53,42 +50,21 @@ func cmdExplore(ctx context.Context, args []string, stdout, stderr io.Writer) er
 	}
 
 	var p *pipeline.Pipeline
-	if *genFile != "" && *dispatch {
-		// Workers rebuild their pipelines from the dispatch manifest and
-		// resolve workloads by name from the static registry; a generated
-		// corpus only exists in the dispatching process, so it cannot ride
-		// a cluster sweep.
-		return fmt.Errorf("-generate is local-only; it cannot be combined with -dispatch")
-	}
 	if *dispatch {
-		if c.storeDir == "" {
-			return fmt.Errorf("-dispatch needs -store (the cluster queue lives under the shared store)")
+		if *genFile != "" {
+			// Workers rebuild their pipelines from the dispatch manifest and
+			// resolve workloads by name from the static registry; a generated
+			// corpus only exists in the dispatching process, so it cannot
+			// ride a cluster sweep.
+			return fmt.Errorf("-generate is local-only; it cannot be combined with -dispatch")
 		}
-		q, err := openQueue(c.storeDir)
-		if err != nil {
-			return err
-		}
-		if p, err = c.pipelineWith(q.Store()); err != nil {
-			return err
-		}
+		shape := fmt.Sprintf("%d points × %d levels per workload", len(sw.Points), len(sw.Levels))
 		spec := sw.ClusterSpec(c.seed, c.isaName, c.level)
-		out, err := cluster.Dispatch(ctx, q, p, spec, cluster.DispatchOptions{Force: *force})
-		if err != nil {
+		if p, _, err = df.dispatch(ctx, &c, "explore", shape, spec, stderr); err != nil || !df.wait {
 			return err
 		}
-		fmt.Fprintf(stderr, "synth explore: %d jobs (%d points × %d levels per workload): %d enqueued, %d deduped from store, %d already done, %d already queued\n",
-			out.Total, len(sw.Points), len(sw.Levels),
-			out.Enqueued, out.Deduped, out.AlreadyDone, out.AlreadyQueued)
-		if !*wait {
-			return nil
-		}
-		if _, err := cluster.Wait(ctx, q, cluster.WaitOptions{TTL: *ttl, Poll: *poll}); err != nil {
-			return err
-		}
-	} else {
-		if p, err = c.pipeline(); err != nil {
-			return err
-		}
+	} else if p, err = c.pipeline(); err != nil {
+		return err
 	}
 
 	if *genFile != "" {

@@ -12,8 +12,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/explore"
 	"repro/internal/pipeline"
+	"repro/internal/store"
 )
 
 // testSweepSpec is the sweep the CLI and cluster tests share: the tiny
@@ -175,6 +177,57 @@ func TestClusterExploreSharded(t *testing.T) {
 	redispatch := dispatch(shared)
 	if !strings.Contains(redispatch, "0 enqueued") {
 		t.Errorf("re-dispatch enqueued work over a drained queue: %s", redispatch)
+	}
+}
+
+// TestClusterExploreDispatchReportsFailedJobs: jobs of a dispatched sweep
+// that the fleet acked as failed must fail `explore -dispatch -wait` with
+// a FAILED line per job, not be recomputed locally behind a zero exit.
+func TestClusterExploreDispatchReportsFailedJobs(t *testing.T) {
+	spec := writeSpec(t)
+	dir := t.TempDir()
+	args := []string{"explore", "-spec", spec, "-store", dir, "-seed", "1", "-dispatch"}
+	var out, errb bytes.Buffer
+	if c := run(context.Background(), args, &out, &errb); c != 0 {
+		t.Fatalf("explore -dispatch exited %d: %s", c, errb.String())
+	}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := cluster.OpenQueue(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for {
+		lease, err := q.Claim("saboteur")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lease == nil {
+			break
+		}
+		if err := lease.Ack(cluster.Result{Job: lease.Job, Worker: "saboteur", Err: "scripted failure"}); err != nil {
+			t.Fatal(err)
+		}
+		failed++
+	}
+	if failed == 0 {
+		t.Fatal("dispatch enqueued no jobs")
+	}
+
+	out.Reset()
+	errb.Reset()
+	if c := run(context.Background(), append(args, "-wait", "-poll", "20ms"), &out, &errb); c == 0 {
+		t.Fatalf("explore -dispatch -wait exited 0 over %d failed jobs:\n%s", failed, errb.String())
+	}
+	if n := strings.Count(errb.String(), "FAILED"); n != failed {
+		t.Errorf("printed %d FAILED lines for %d failed jobs:\n%s", n, failed, errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed a report over failed jobs:\n%s", out.String())
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/generate"
+	"repro/internal/pipeline"
 )
 
 // cmdGenerate runs directed workload generation: analyze the baseline
@@ -31,10 +31,8 @@ func cmdGenerate(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	stats := fs.Bool("stats", false, "print artifact-cache statistics to stderr afterwards")
 	outDir := fs.String("out", "", "write each accepted clone's HLC source (and report.json) into this directory")
 	dispatch := fs.Bool("dispatch", false, "enqueue one cluster job per point instead of realizing locally (requires -store)")
-	wait := fs.Bool("wait", false, "with -dispatch: block until the queue drains, then print the report")
-	force := fs.Bool("force", false, "with -dispatch: re-enqueue jobs even if already done")
-	ttl := fs.Duration("lease-ttl", cluster.DefaultLeaseTTL, "lease expiry for reclaiming crashed workers' jobs (with -dispatch -wait)")
-	poll := fs.Duration("poll", cluster.DefaultPoll, "queue polling interval (with -dispatch -wait)")
+	var df dispatchFlags
+	addDispatchFlags(fs, &df)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -45,12 +43,22 @@ func cmdGenerate(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		return err
 	}
 
+	var p *pipeline.Pipeline
 	if *dispatch {
-		return dispatchGenerate(ctx, &c, spec, *wait, *force, *ttl, *poll, stdout, stderr)
-	}
-
-	p, err := c.pipeline()
-	if err != nil {
+		// One job per sampled point. After the queue drains (with -wait),
+		// the closing generate.Run finds every synthesis warm in the shared
+		// store and only computes the report.
+		cspec := cluster.Spec{
+			Suite:        spec.Suite,
+			Seed:         c.seed,
+			ProfileISA:   c.isaName,
+			ProfileLevel: c.level,
+			Generate:     spec,
+		}
+		if p, _, err = df.dispatch(ctx, &c, "generate", "one per point", cspec, stderr); err != nil || !df.wait {
+			return err
+		}
+	} else if p, err = c.pipeline(); err != nil {
 		return err
 	}
 	rep, err := generate.Run(ctx, p, spec)
@@ -158,68 +166,4 @@ func writeCorpus(dir string, rep *generate.Report) error {
 	}
 	defer f.Close()
 	return writeIndentedJSON(f, rep)
-}
-
-// dispatchGenerate enqueues one cluster job per sampled point, sharing the
-// dispatch/wait plumbing of `synth dispatch`. After the queue drains (with
-// -wait), the closing generate.Run finds every synthesis warm in the
-// shared store and only computes the report.
-func dispatchGenerate(ctx context.Context, c *commonFlags, spec *generate.Spec, wait, force bool, ttl, poll time.Duration, stdout, stderr io.Writer) error {
-	q, err := openQueue(c.storeDir)
-	if err != nil {
-		return err
-	}
-	p, err := c.pipelineWith(q.Store())
-	if err != nil {
-		return err
-	}
-	cspec := cluster.Spec{
-		Suite:        spec.Suite,
-		Seed:         c.seed,
-		ProfileISA:   c.isaName,
-		ProfileLevel: c.level,
-		Generate:     spec,
-	}
-	out, err := cluster.Dispatch(ctx, q, p, cspec, cluster.DispatchOptions{Force: force})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "synth generate: %d point jobs: %d enqueued, %d already done, %d already queued\n",
-		out.Total, out.Enqueued, out.AlreadyDone, out.AlreadyQueued)
-	if !wait {
-		return nil
-	}
-	last := cluster.Counts{Pending: -1}
-	results, err := cluster.Wait(ctx, q, cluster.WaitOptions{
-		TTL:  ttl,
-		Poll: poll,
-		Progress: func(cc cluster.Counts, total int) {
-			if cc != last {
-				fmt.Fprintf(stderr, "synth generate: %d/%d done, %d pending, %d leased\n",
-					cc.Done, total, cc.Pending, cc.Leased)
-				last = cc
-			}
-		},
-	})
-	if err != nil {
-		return err
-	}
-	failed := 0
-	for _, r := range results {
-		if r.Err != "" {
-			failed++
-			fmt.Fprintf(stderr, "synth generate: job %s FAILED: %s\n", r.Job.Workload, r.Err)
-		}
-	}
-	rep, err := generate.Run(ctx, p, spec)
-	if err != nil {
-		return err
-	}
-	if err := renderGenerateReport(stdout, rep, false); err != nil {
-		return err
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d point jobs failed", failed, len(results))
-	}
-	return nil
 }

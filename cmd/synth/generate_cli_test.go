@@ -156,7 +156,7 @@ func TestClusterGenerateSharded(t *testing.T) {
 	if c := run(context.Background(), []string{"generate", "-spec", spec, "-store", dir, "-dispatch"}, &out, &errb); c != 0 {
 		t.Fatalf("generate -dispatch exited %d: %s", c, errb.String())
 	}
-	if !strings.Contains(errb.String(), "2 point jobs") {
+	if !strings.Contains(errb.String(), "2 jobs (one per point): 2 enqueued") {
 		t.Fatalf("dispatch did not enqueue 2 point jobs:\n%s", errb.String())
 	}
 	if code, errOut := runWorker(t, dir, "gen-worker"); code != 0 {

@@ -105,7 +105,7 @@ func soloReference(t *testing.T, spec Spec) (string, pipeline.CacheStats) {
 		t.Fatal(err)
 	}
 	w := &Worker{Queue: q, Pipe: p, ID: "solo", Poll: 5 * time.Millisecond}
-	if _, err := w.Run(ctx); err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	return dir, summedStats(t, q, spec)
@@ -169,7 +169,7 @@ func TestChaosWorkerCrashMidJob(t *testing.T) {
 	backdate(t, lease, time.Minute) // the dead worker stops heartbeating
 
 	w := &Worker{Queue: q, Pipe: p, ID: "healthy", TTL: time.Second, Poll: 5 * time.Millisecond}
-	if _, err := w.Run(ctx); err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatalf("healthy worker: %v", err)
 	}
 	sum := summedStats(t, q, spec)
@@ -208,7 +208,7 @@ func TestChaosStoreFlakeDuringAck(t *testing.T) {
 	// blip mid-drain, not a broken dispatch.
 	f.Script(store.FaultRule{Op: "writefile", Match: "cluster/done/", Count: 2, Err: errInjectedChaos})
 	w := &Worker{Queue: q, Pipe: p, ID: "w1", Poll: 5 * time.Millisecond}
-	if _, err := w.Run(ctx); err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatalf("worker under ack flake: %v", err)
 	}
 	if f.Fired("writefile") != 2 {
@@ -242,7 +242,7 @@ func TestChaosLeaseExpiryUnderStalledWorker(t *testing.T) {
 	backdate(t, stalled, time.Minute)
 
 	w := &Worker{Queue: q, Pipe: p, ID: "healthy", TTL: time.Second, Poll: 5 * time.Millisecond}
-	if _, err := w.Run(ctx); err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatalf("healthy worker: %v", err)
 	}
 	// The stalled worker finally finishes and acks its long-lost lease.
@@ -271,7 +271,7 @@ func TestChaosCorruptedArtifactRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &Worker{Queue: q, Pipe: p, ID: "warmup", Poll: 5 * time.Millisecond}
-	if _, err := w.Run(ctx); err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	f.Script(store.FaultRule{Op: "get", Count: 1, Corrupt: true})

@@ -41,12 +41,11 @@ func TestClusterDispatchDrainDedup(t *testing.T) {
 	}
 
 	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
-	sum, err := w.Run(ctx)
-	if err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if sum.Jobs != 2 || sum.Failed != 0 {
-		t.Fatalf("worker summary: %+v", sum)
+	if m := w.Metrics.Snapshot(); m.JobsOK != 2 || m.JobsFailed != 0 {
+		t.Fatalf("worker metrics: %+v", m)
 	}
 	results, err := Wait(ctx, q, WaitOptions{})
 	if err != nil {
@@ -97,7 +96,7 @@ func TestClusterDispatchDrainDedup(t *testing.T) {
 	}
 	warmPipe := testPipeline(t, q, spec)
 	w2 := &Worker{Queue: q, Pipe: warmPipe, ID: "w2"}
-	if _, err := w2.Run(ctx); err != nil {
+	if err := w2.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	results, err = q.Results()
@@ -132,7 +131,7 @@ func TestClusterDispatchConflict(t *testing.T) {
 
 	// Drain spec A; then spec B may reset and take over.
 	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
-	if _, err := w.Run(ctx); err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	out, err := Dispatch(ctx, q, p, specB, DispatchOptions{})
@@ -208,12 +207,11 @@ func TestClusterWorkerFailedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
-	sum, err := w.Run(ctx)
-	if err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if sum.Jobs != 1 || sum.Failed != 1 {
-		t.Fatalf("summary: %+v", sum)
+	if m := w.Metrics.Snapshot(); m.JobsOK != 0 || m.JobsFailed != 1 {
+		t.Fatalf("worker metrics: %+v", m)
 	}
 	results, err := q.Results()
 	if err != nil || len(results) != 1 || results[0].Err == "" {
@@ -233,7 +231,7 @@ func TestClusterWorkerCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
-	if _, err := w.Run(ctx); err == nil {
+	if err := w.Run(ctx); err == nil {
 		t.Fatal("canceled worker must return an error")
 	}
 	if c, _ := q.Counts(); c.Pending != 1 || c.Leased != 0 {
@@ -307,7 +305,7 @@ func TestClusterStalledQueueDetected(t *testing.T) {
 	}
 
 	w := &Worker{Queue: q, Pipe: p, ID: "w1", Poll: time.Millisecond, TTL: 30 * time.Millisecond}
-	if _, err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "stalled") {
+	if err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("worker on a stalled queue: %v", err)
 	}
 	if _, err := Wait(ctx, q, WaitOptions{Poll: time.Millisecond, TTL: 30 * time.Millisecond}); err == nil ||
@@ -336,7 +334,7 @@ func TestClusterWorkerRejectsForeignDispatch(t *testing.T) {
 	}
 
 	w := &Worker{Queue: q, Pipe: p, ID: "stale", Dispatch: specA.Digest()}
-	if _, err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "re-dispatched") {
+	if err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "re-dispatched") {
 		t.Fatalf("stale worker must abort on a foreign job: %v", err)
 	}
 	if c, _ := q.Counts(); c.Pending != 1 || c.Leased != 0 || c.Done != 0 {

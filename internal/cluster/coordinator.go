@@ -227,27 +227,60 @@ const (
 	DefaultPoll     = 250 * time.Millisecond
 )
 
-// The stall horizon: how long Wait and Worker.Run tolerate an impossible
-// queue state — nothing pending, nothing leased, yet fewer done than the
-// manifest total — before declaring the queue stalled. The horizon is the
-// lease TTL: a job mid-rename sits in "neither state" for microseconds,
-// and a dispatch still dedup-probing a large warm store enqueues its first
-// job well within the TTL (the same trust horizon the whole protocol
-// grants a silent participant). A shortfall persisting past it means jobs
-// were lost — an interrupted dispatch — and re-running the same dispatch
-// re-enqueues them.
+// durationOr returns d, or def when d is unset.
+func durationOr(d, def time.Duration) time.Duration {
+	if d <= 0 {
+		return def
+	}
+	return d
+}
 
 // errStalled diagnoses a queue whose jobs cannot all arrive.
 func errStalled(done, total int) error {
 	return fmt.Errorf("cluster: queue stalled at %d/%d jobs with nothing pending or leased (dispatch interrupted before enqueueing everything?); re-run the same dispatch to top it up", done, total)
 }
 
+// drained is the one convergence check of Wait and Worker.Run. It reads
+// the queue counts and reports whether the done count has reached total,
+// the manifest's job count. (The per-state reads are not one atomic
+// snapshot — a job mid-rename is briefly in neither state — so "pending
+// and leased both empty" would be a racy exit condition; the done count is
+// monotone. total < 0 means there is no manifest, and that emptiness
+// heuristic is all there is.)
+//
+// Nothing pending, nothing leased, yet fewer done than total is an
+// impossible state: the residue of an interrupted dispatch. drained
+// tolerates it for one lease TTL, tracked in *stalledSince across calls,
+// then reports it as an error. A job mid-rename sits in "neither state"
+// for microseconds, and a dispatch still dedup-probing a large warm store
+// enqueues its first job well within the TTL (the same trust horizon the
+// whole protocol grants a silent participant), so a shortfall persisting
+// past it means jobs were lost — and re-running the same dispatch
+// re-enqueues them.
+func (q *Queue) drained(total int, ttl time.Duration, stalledSince *time.Time) (Counts, bool, error) {
+	c, err := q.Counts()
+	if err != nil {
+		return c, false, err
+	}
+	idle := c.Pending == 0 && c.Leased == 0
+	switch {
+	case total >= 0 && c.Done >= total, total < 0 && idle:
+		return c, true, nil
+	case !idle:
+		*stalledSince = time.Time{}
+	case stalledSince.IsZero():
+		*stalledSince = time.Now()
+	case time.Since(*stalledSince) >= ttl:
+		return c, false, errStalled(c.Done, total)
+	}
+	return c, false, nil
+}
+
 // Wait blocks until every dispatched job reaches the done state,
 // reclaiming expired leases while it waits so a crashed worker's jobs are
 // re-leased even if no other worker is around to notice. It returns the
-// final results. A queue that cannot converge — fewer jobs exist than the
-// manifest total, the residue of an interrupted dispatch — is reported as
-// an error instead of polling forever.
+// final results. A queue that cannot converge (see Queue.drained) is
+// reported as an error instead of polling forever.
 func Wait(ctx context.Context, q *Queue, opts WaitOptions) ([]Result, error) {
 	m, err := q.Manifest()
 	if err != nil {
@@ -256,33 +289,18 @@ func Wait(ctx context.Context, q *Queue, opts WaitOptions) ([]Result, error) {
 	if m == nil {
 		return nil, fmt.Errorf("cluster: wait: nothing dispatched")
 	}
-	ttl, poll := opts.TTL, opts.Poll
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	if poll <= 0 {
-		poll = DefaultPoll
-	}
+	ttl := durationOr(opts.TTL, DefaultLeaseTTL)
 	var stalledSince time.Time
 	for {
-		c, err := q.Counts()
+		c, done, err := q.drained(m.Total, ttl, &stalledSince)
 		if err != nil {
 			return nil, err
 		}
 		if opts.Progress != nil {
 			opts.Progress(c, m.Total)
 		}
-		if c.Done >= m.Total {
+		if done {
 			return q.Results()
-		}
-		if c.Pending == 0 && c.Leased == 0 {
-			if stalledSince.IsZero() {
-				stalledSince = time.Now()
-			} else if time.Since(stalledSince) >= ttl {
-				return nil, errStalled(c.Done, m.Total)
-			}
-		} else {
-			stalledSince = time.Time{}
 		}
 		if _, err := q.Reclaim(ttl); err != nil {
 			return nil, err
@@ -290,7 +308,7 @@ func Wait(ctx context.Context, q *Queue, opts WaitOptions) ([]Result, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(poll):
+		case <-time.After(durationOr(opts.Poll, DefaultPoll)):
 		}
 	}
 }

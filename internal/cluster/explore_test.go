@@ -46,12 +46,11 @@ func TestClusterExploreDispatchExecuteDedup(t *testing.T) {
 	}
 
 	w := &Worker{Queue: q, Pipe: p, ID: "w1", Dispatch: spec.Digest()}
-	sum, err := w.Run(ctx)
-	if err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if sum.Jobs != 2 || sum.Failed != 0 {
-		t.Fatalf("worker summary: %+v", sum)
+	if m := w.Metrics.Snapshot(); m.JobsOK != 2 || m.JobsFailed != 0 {
+		t.Fatalf("worker metrics: %+v", m)
 	}
 	results, err := q.Results()
 	if err != nil {
@@ -116,7 +115,7 @@ func TestClusterExploreSpecValidation(t *testing.T) {
 	}
 	lease.Job.Kind = "teleport"
 	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
-	res, panicked, err := w.execute(ctx, lease, DefaultLeaseTTL)
+	res, panicked, err := w.execute(ctx, lease)
 	if err != nil || panicked {
 		t.Fatalf("execute: err=%v panicked=%v", err, panicked)
 	}
@@ -165,7 +164,7 @@ func TestClusterExploreWorkerExecutesPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
-	if _, err := w.Run(ctx); err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	wl := workloads.ByName("crc32/small")

@@ -133,13 +133,15 @@ type Supervisor struct {
 	workers   map[string]*supWorker
 	seq       int
 	decisions []Decision
-	panicked  map[string]bool
 	pipes     map[string]*pipeline.Pipeline
 	idleTicks int
 	running   bool
 
 	wg   sync.WaitGroup
 	busy atomic.Int64
+	// panicked is the node's one panic record, shared by every pool
+	// worker (see Worker.step).
+	panicked sync.Map
 }
 
 // supWorker is the supervisor's handle on one pool goroutine. Closing stop
@@ -178,12 +180,11 @@ func NewSupervisor(q *Queue, opts SupervisorOptions) (*Supervisor, error) {
 		opts.Interval = time.Second
 	}
 	s := &Supervisor{
-		q:        q,
-		opts:     opts,
-		metrics:  NewMetrics(opts.Telemetry),
-		workers:  make(map[string]*supWorker),
-		panicked: make(map[string]bool),
-		pipes:    make(map[string]*pipeline.Pipeline),
+		q:       q,
+		opts:    opts,
+		metrics: NewMetrics(opts.Telemetry),
+		workers: make(map[string]*supWorker),
+		pipes:   make(map[string]*pipeline.Pipeline),
 	}
 	if opts.Telemetry != nil {
 		opts.Telemetry.GaugeFunc("synth_cluster_pool_workers",
@@ -317,11 +318,26 @@ func (s *Supervisor) tick() {
 	}
 }
 
-// workerLoop is one pool goroutine: claim, execute, ack, repeat, until the
-// context is canceled or the worker is retired. It never exits on queue
-// convergence — an embedded node idles, awaiting the next dispatch.
+// workerLoop is one pool goroutine: claim, step, repeat, until the context
+// is canceled or the worker is retired. It never exits on queue
+// convergence — an embedded node idles, awaiting the next dispatch — and
+// it survives a failed ack: the step released the lease, and another
+// worker or a later claim retries the job. Each job runs under the
+// per-job timeout, so an overrunning job is acked as failed; on
+// parent-context cancellation the step releases the lease, so graceful
+// shutdown never strands a leased job.
 func (s *Supervisor) workerLoop(ctx context.Context, sw *supWorker) {
-	w := &Worker{Queue: s.q, ID: sw.id, TTL: s.opts.TTL, Metrics: s.metrics, exec: s.opts.exec}
+	w := &Worker{Queue: s.q, ID: sw.id, TTL: s.opts.TTL, Metrics: s.metrics,
+		exec: s.opts.exec, panicked: &s.panicked,
+		event: func(typ, job, detail string) { s.event(typ, sw.id, job, detail) },
+		OnJob: func(r Result) {
+			typ := "job-done"
+			if r.Err != "" {
+				typ = "job-failed"
+			}
+			s.event(typ, sw.id, r.Job.ID(), fmt.Sprintf("%s in %dms: %s", r.Job.Workload, r.Millis, r.Err))
+		},
+	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -330,10 +346,7 @@ func (s *Supervisor) workerLoop(ctx context.Context, sw *supWorker) {
 			return
 		default:
 		}
-		lease, err := s.q.Claim(sw.id)
-		if err == nil && lease != nil {
-			s.metrics.Claim()
-		}
+		lease, err := w.claim()
 		if err != nil || lease == nil {
 			select {
 			case <-ctx.Done():
@@ -344,76 +357,24 @@ func (s *Supervisor) workerLoop(ctx context.Context, sw *supWorker) {
 			}
 			continue
 		}
-		s.runOne(ctx, w, lease)
-	}
-}
-
-// runOne executes one claimed job with panic recovery, per-job timeout,
-// and ack retry. On parent-context cancellation the lease is released —
-// graceful shutdown must never strand a leased job until TTL expiry.
-func (s *Supervisor) runOne(ctx context.Context, w *Worker, lease *Lease) {
-	id := lease.Job.ID()
-	if s.q.HasResult(id) {
-		lease.Drop() // stale pending duplicate from a reclaim race
-		return
-	}
-	pipe, err := s.pipelineFor(lease.Job.Dispatch)
-	if err != nil {
-		// The job belongs to a dispatch this node cannot reconstruct
-		// (manifest unreadable or replaced mid-flight). Hand it back and
-		// let a reclaim or a correctly-configured worker take it.
-		lease.Release()
-		s.event("release", w.ID, id, err.Error())
-		time.Sleep(s.opts.Poll) // avoid hot-looping on the same job
-		return
-	}
-	w.Pipe = pipe
-
-	jobCtx, cancel := ctx, context.CancelFunc(func() {})
-	if s.opts.JobTimeout > 0 {
-		jobCtx, cancel = context.WithTimeout(ctx, s.opts.JobTimeout)
-	}
-	s.busy.Add(1)
-	res, panicked, execErr := w.execute(jobCtx, lease, s.opts.TTL)
-	cancel()
-	s.busy.Add(-1)
-
-	if execErr != nil {
-		if ctx.Err() != nil {
-			// Shutdown (or a canceled serve request tree): release so the
-			// job is immediately re-claimable, never abandoned mid-lease.
+		if w.Pipe, err = s.pipelineFor(lease.Job.Dispatch); err != nil {
+			// The job belongs to a dispatch this node cannot reconstruct
+			// (manifest unreadable or replaced mid-flight). Hand it back and
+			// let a reclaim or a correctly-configured worker take it.
 			lease.Release()
-			s.event("release", w.ID, id, "shutdown mid-job")
-			return
+			s.event("release", sw.id, lease.Job.ID(), err.Error())
+			time.Sleep(s.opts.Poll) // avoid hot-looping on the same job
+			continue
 		}
-		// The job's own deadline expired: ack it as failed so the queue
-		// converges instead of retrying a hung job forever.
-		res.Err = fmt.Sprintf("job timeout after %s: %v", s.opts.JobTimeout, execErr)
-		s.metrics.Timeout()
-		s.event("job-timeout", w.ID, id, res.Err)
-	}
-	if panicked {
-		s.metrics.Panic()
-		s.mu.Lock()
-		first := !s.panicked[id]
-		s.panicked[id] = true
-		s.mu.Unlock()
-		if first {
-			lease.Release()
-			s.event("panic", w.ID, id, res.Err+" (released for retry)")
-			return
+		jobCtx, cancel := ctx, context.CancelFunc(func() {})
+		if d := s.opts.JobTimeout; d > 0 {
+			jobCtx, cancel = context.WithTimeoutCause(ctx, d, fmt.Errorf("job timeout after %s", d))
 		}
-		s.event("panic", w.ID, id, res.Err+" (second panic, acking as failed)")
+		s.busy.Add(1)
+		_ = w.step(ctx, jobCtx, lease) // reported as an event; ctx is checked above
+		s.busy.Add(-1)
+		cancel()
 	}
-	if err := w.ack(lease, res); err != nil {
-		s.event("job-failed", w.ID, id, err.Error())
-		return
-	}
-	typ := "job-done"
-	if res.Err != "" {
-		typ = "job-failed"
-	}
-	s.event(typ, w.ID, id, fmt.Sprintf("%s in %dms: %s", lease.Job.Workload, res.Millis, res.Err))
 }
 
 // pipelineFor returns the pipeline for one dispatch digest, built from the

@@ -63,15 +63,14 @@ func TestWorkerPanicReleasesLease(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	sum, err := w.Run(ctx)
-	if err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("job executed %d times, want 2 (retry after first panic)", calls.Load())
 	}
-	if sum.Panics != 2 || sum.Jobs != 1 || sum.Failed != 1 {
-		t.Fatalf("summary = %+v, want 2 panics, 1 acked job, 1 failed", sum)
+	if m := w.Metrics.Snapshot(); m.Panics != 2 || m.JobsOK != 0 || m.JobsFailed != 1 {
+		t.Fatalf("metrics = %+v, want 2 panics, 1 acked job, 1 failed", m)
 	}
 	c, err := q.Counts()
 	if err != nil || c.Leased != 0 || c.Pending != 0 || c.Done != 1 {
@@ -80,6 +79,50 @@ func TestWorkerPanicReleasesLease(t *testing.T) {
 	results, err := q.Results()
 	if err != nil || len(results) != 1 || !strings.Contains(results[0].Err, "panicked") {
 		t.Fatalf("results = %+v, %v; want one failure recording the panic", results, err)
+	}
+}
+
+// TestSupervisorPanicTwiceAcksFailed is the embedded pool's counterpart of
+// TestWorkerPanicReleasesLease: a job that always panics runs exactly
+// twice across the pool — the first panic releases the lease for an
+// immediate retry (an hour-long TTL rules out reclaim by expiry), the
+// second acks the job as failed — and the node counts both panics.
+func TestSupervisorPanicTwiceAcksFailed(t *testing.T) {
+	q := testQueue(t)
+	fakeJobs(t, q, 1)
+
+	var calls atomic.Int64
+	sup, err := NewSupervisor(q, SupervisorOptions{
+		Node: "test", Min: 2, Max: 2, TTL: time.Hour,
+		Poll: 5 * time.Millisecond, Interval: 10 * time.Millisecond,
+		exec: func(ctx context.Context, j Job) error {
+			calls.Add(1)
+			panic("synthetic fault in job execution")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- sup.Run(ctx) }()
+
+	waitFor(t, 30*time.Second, "panicking job to be acked", func() bool {
+		c, err := q.Counts()
+		return err == nil && c.Done == 1
+	})
+	cancel()
+	<-runDone
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("job executed %d times, want 2 (retry after first panic)", n)
+	}
+	results, err := q.Results()
+	if err != nil || len(results) != 1 || !strings.Contains(results[0].Err, "panicked") {
+		t.Fatalf("results = %+v, %v; want one failure recording the panic", results, err)
+	}
+	if st := sup.Status(); st.Panics != 2 || st.Jobs != 1 || st.Failed != 1 {
+		t.Fatalf("status = %+v, want 2 panics, 1 acked job, 1 failed", st)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestClusterTelemetryWorkerDrain(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := w.Run(ctx); err != nil {
+	if err := w.Run(ctx); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	var b strings.Builder

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"repro/internal/compiler"
@@ -41,26 +42,21 @@ type Worker struct {
 	Poll time.Duration
 	// OnJob, when non-nil, observes every acked result (for CLI logging).
 	OnJob func(Result)
-	// Metrics, when non-nil, receives job-lifecycle telemetry (claims,
-	// acks, ack retries, reclaims, panics, job durations).
+	// Metrics receives job-lifecycle telemetry (claims, acks, ack
+	// retries, reclaims, panics, job durations); Run allocates a
+	// registry-less set when it is nil.
 	Metrics *Metrics
 
 	// exec, when non-nil, replaces the real job execution — a test hook
 	// so supervisor and chaos tests can script job behavior (block, fail,
 	// panic) without running the pipeline.
 	exec func(context.Context, Job) error
-}
-
-// Summary reports one worker's run.
-type Summary struct {
-	// Jobs counts acked jobs, Failed the subset that failed.
-	Jobs   int
-	Failed int
-	// Panics counts jobs whose execution panicked. The first panic of a
-	// job releases its lease for an immediate retry (the panic may be a
-	// transient of this process); a job that panics again is acked as
-	// failed so the queue still converges.
-	Panics int
+	// panicked holds the IDs of jobs whose execution has panicked once.
+	// Run allocates one per worker; a supervisor shares its own with every
+	// pool worker, so a job's second panic anywhere on the node is final.
+	panicked *sync.Map
+	// event, when non-nil, receives lifecycle events (set by the pool).
+	event func(typ, job, detail string)
 }
 
 // PipelineOptions translates a dispatch spec into the pipeline options a
@@ -84,118 +80,123 @@ func PipelineOptions(spec Spec) (pipeline.Options, error) {
 	}, nil
 }
 
-// Run drains the queue: claim a job, execute its grid, ack the result,
+// Run drains the queue: claim a job, step it through execute and ack,
 // repeat. When nothing is pending it reclaims expired leases (recovering
-// crashed siblings' jobs) and exits once the queue has converged: the done
-// count reaches the manifest total. (Counts' per-state reads are not one
-// atomic snapshot — a job mid-rename is briefly in neither state — so
-// "pending and leased both empty" would be a racy exit condition; the done
-// count is monotone. Without a manifest the emptiness heuristic is all
-// there is.) On cancellation a held lease is released back to pending so
-// the job is immediately re-claimable.
-func (w *Worker) Run(ctx context.Context) (Summary, error) {
-	var sum Summary
-	ttl, poll := w.TTL, w.Poll
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
+// crashed siblings' jobs) and exits once Queue.drained reports the queue
+// converged. On cancellation a held lease is released back to pending so
+// the job is immediately re-claimable. A Worker without Metrics gets a
+// registry-less set, so its job counts are readable after Run returns.
+func (w *Worker) Run(ctx context.Context) error {
+	if w.Metrics == nil {
+		w.Metrics = NewMetrics(nil)
 	}
-	if poll <= 0 {
-		poll = DefaultPoll
+	if w.panicked == nil {
+		w.panicked = new(sync.Map)
 	}
+	ttl := durationOr(w.TTL, DefaultLeaseTTL)
 	total := -1
 	if m, err := w.Queue.Manifest(); err != nil {
-		return sum, err
+		return err
 	} else if m != nil {
 		total = m.Total
 	}
 	var stalledSince time.Time
-	panickedJobs := make(map[string]bool)
 	for {
 		if err := ctx.Err(); err != nil {
-			return sum, err
+			return err
 		}
-		lease, err := w.Queue.Claim(w.ID)
+		lease, err := w.claim()
 		if err != nil {
-			return sum, err
+			return err
 		}
 		if lease == nil {
 			if n, err := w.Queue.Reclaim(ttl); err != nil {
-				return sum, err
+				return err
 			} else if n > 0 {
 				w.Metrics.Reclaimed(n)
 				continue // recovered jobs are pending again: go claim
 			}
-			c, err := w.Queue.Counts()
-			if err != nil {
-				return sum, err
-			}
-			if total >= 0 && c.Done >= total {
-				return sum, nil // queue converged
-			}
-			if total < 0 && c.Pending == 0 && c.Leased == 0 {
-				return sum, nil // no manifest: best-effort emptiness check
-			}
-			if c.Pending == 0 && c.Leased == 0 {
-				// Fewer jobs exist than the manifest promises: the
-				// residue of an interrupted dispatch, not a transient
-				// mid-rename window (see errStalled), tolerated for one
-				// lease TTL before giving up.
-				if stalledSince.IsZero() {
-					stalledSince = time.Now()
-				} else if time.Since(stalledSince) >= ttl {
-					return sum, errStalled(c.Done, total)
-				}
-			} else {
-				stalledSince = time.Time{}
+			if _, done, err := w.Queue.drained(total, ttl, &stalledSince); err != nil || done {
+				return err
 			}
 			select { // work is in flight elsewhere: wait for it or for a crash
 			case <-ctx.Done():
-				return sum, ctx.Err()
-			case <-time.After(poll):
+				return ctx.Err()
+			case <-time.After(durationOr(w.Poll, DefaultPoll)):
 			}
 			continue
 		}
 		stalledSince = time.Time{}
-		w.Metrics.Claim()
 		if w.Dispatch != "" && lease.Job.Dispatch != w.Dispatch {
 			lease.Release()
-			return sum, fmt.Errorf("cluster: queue was re-dispatched (job %s belongs to dispatch %s, this worker was built for %s); restart the worker",
+			return fmt.Errorf("cluster: queue was re-dispatched (job %s belongs to dispatch %s, this worker was built for %s); restart the worker",
 				lease.Job.Workload, lease.Job.Dispatch, w.Dispatch)
 		}
-		if w.Queue.HasResult(lease.Job.ID()) {
-			lease.Drop() // stale pending duplicate from a reclaim race
-			continue
+		if err := w.step(ctx, ctx, lease); err != nil {
+			return err
 		}
-		res, panicked, err := w.execute(ctx, lease, ttl)
-		if err != nil { // canceled mid-job: hand the job back
+	}
+}
+
+// claim leases one pending job (nil when none is pending) and counts it.
+func (w *Worker) claim() (*Lease, error) {
+	lease, err := w.Queue.Claim(w.ID)
+	if lease != nil {
+		w.Metrics.Claim()
+	}
+	return lease, err
+}
+
+// step is everything that happens to one claimed job, for `synth work`
+// and the embedded pool alike. A stale pending duplicate of a done job is
+// dropped unexecuted. Otherwise the job executes under jobCtx while the
+// lease heartbeats. The first panic of a job releases its lease for an
+// immediate retry — by us or any other node — in case the panic was
+// transient here; a second panic is deterministic, so the job is acked as
+// failed and the queue converges instead of bouncing it between workers
+// forever. A job that outruns jobCtx (the pool's per-job timeout) is acked
+// as failed too. step returns an error only when ctx was canceled
+// mid-job or the ack failed for good; either way the lease was released.
+func (w *Worker) step(ctx, jobCtx context.Context, lease *Lease) error {
+	id := lease.Job.ID()
+	if w.Queue.HasResult(id) {
+		lease.Drop() // stale pending duplicate from a reclaim race
+		return nil
+	}
+	res, panicked, err := w.execute(jobCtx, lease)
+	if err != nil {
+		if ctx.Err() != nil {
+			lease.Release() // hand the job back, never abandon it mid-lease
+			w.emit("release", id, "shutdown mid-job")
+			return ctx.Err()
+		}
+		res.Err = fmt.Sprintf("%v: %v", context.Cause(jobCtx), err)
+		w.Metrics.Timeout()
+		w.emit("job-timeout", id, res.Err)
+	}
+	if panicked {
+		w.Metrics.Panic()
+		if _, again := w.panicked.LoadOrStore(id, true); !again {
 			lease.Release()
-			return sum, err
+			w.emit("panic", id, res.Err+" (released for retry)")
+			return nil
 		}
-		if panicked {
-			sum.Panics++
-			w.Metrics.Panic()
-			if id := lease.Job.ID(); !panickedJobs[id] {
-				// First panic of this job: the lease must not leak until
-				// TTL expiry. Release it for an immediate retry — by us or
-				// any other node — in case the panic was transient here.
-				panickedJobs[id] = true
-				lease.Release()
-				continue
-			}
-			// Second panic of the same job: deterministic. Fall through and
-			// ack it as failed so the queue converges instead of bouncing
-			// the job between panicking workers forever.
-		}
-		if err := w.ack(lease, res); err != nil {
-			return sum, err
-		}
-		sum.Jobs++
-		if res.Err != "" {
-			sum.Failed++
-		}
-		if w.OnJob != nil {
-			w.OnJob(res)
-		}
+		w.emit("panic", id, res.Err+" (second panic, acking as failed)")
+	}
+	if err := w.ack(lease, res); err != nil {
+		w.emit("job-failed", id, err.Error())
+		return err
+	}
+	if w.OnJob != nil {
+		w.OnJob(res)
+	}
+	return nil
+}
+
+// emit reports a lifecycle event to the pool's supervisor, if any.
+func (w *Worker) emit(typ, job, detail string) {
+	if w.event != nil {
+		w.event(typ, job, detail)
 	}
 }
 
@@ -229,17 +230,17 @@ func (w *Worker) ack(lease *Lease, res Result) error {
 
 // execute runs one job's (ISA, level) grid through the pipeline,
 // heartbeating the lease in the background. Job failures are recorded in
-// the Result, not returned: only cancellation aborts the worker. The
-// second return reports that the job's execution panicked (recovered into
-// the Result), which Run turns into release-and-retry instead of an ack.
-func (w *Worker) execute(ctx context.Context, lease *Lease, ttl time.Duration) (Result, bool, error) {
+// the Result, not returned: only cancellation of ctx is. The second return
+// reports that the job's execution panicked (recovered into the Result),
+// which step turns into release-and-retry instead of an ack.
+func (w *Worker) execute(ctx context.Context, lease *Lease) (Result, bool, error) {
 	res := Result{Job: lease.Job, Worker: w.ID}
 
 	hbCtx, stopHB := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
-		t := time.NewTicker(ttl / 3)
+		t := time.NewTicker(durationOr(w.TTL, DefaultLeaseTTL) / 3)
 		defer t.Stop()
 		for {
 			select {
@@ -326,7 +327,7 @@ func (w *Worker) runJob(ctx context.Context, j Job) error {
 // runExploreJob executes one exploration shard: time the workload's
 // original and clone, at every level, on every machine configuration
 // through the pipeline's cached Simulate stage — the same
-// pipeline.SimulateColumns call explore.RunWorkload makes. Every
+// pipeline.SimulateColumns call explore.Run makes. Every
 // simulation (and the compiles, profile, and synthesis underneath) lands
 // in the shared store, so the dispatcher can aggregate the sweep report
 // warm.

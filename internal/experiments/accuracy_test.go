@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -39,7 +40,7 @@ func relErr(a, b float64) float64 {
 // the per-workload CPI error ceilings for the memory-irregular workloads
 // (qsort, susan) that the stride-stream model was built to fix.
 func TestAccuracyGateFig10(t *testing.T) {
-	res, err := Fig10(Quick())
+	res, err := shared().Fig10(context.Background(), Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestAccuracyGateFig11(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig11 sweeps the full machine grid; skipped with -short")
 	}
-	res, err := Fig11(Quick())
+	res, err := shared().Fig11(context.Background(), Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestAccuracyGateFig11(t *testing.T) {
 // TestAccuracyGateTableII asserts pattern coverage floors on the quick
 // suite (the paper claims >95% average).
 func TestAccuracyGateTableII(t *testing.T) {
-	res, err := TableII(Quick())
+	res, err := shared().TableII(context.Background(), Quick())
 	if err != nil {
 		t.Fatal(err)
 	}

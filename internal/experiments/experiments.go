@@ -1,21 +1,20 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section V): each ExperimentX function runs the corresponding
-// measurement over the workload suite and its synthetic clones and returns
-// printable rows. `cmd/synth experiments` renders them; bench_test.go wraps
-// the suite in benchmarks; EXPERIMENTS.md records paper-vs-measured values.
+// evaluation (Section V): each Runner method (Fig4 … Fig11, TableII,
+// Obfuscation) runs the corresponding measurement over the workload suite
+// and its synthetic clones and returns printable rows. `synth experiments`,
+// `synth serve`, and the benchmark ledger render them; EXPERIMENTS.md
+// records paper-vs-measured values.
 //
 // All measurement plumbing routes through internal/pipeline: a Runner
-// submits declarative jobs (workload × ISA × level points) to a shared
-// pipeline whose artifact cache computes each compile, profile, and clone
-// once across every experiment, and whose worker pool fans the jobs out.
-// The package-level ExperimentX functions run on a process-wide default
-// Runner seeded with CloneSeed.
+// (NewRunner) submits declarative jobs (workload × ISA × level points) to
+// the pipeline it wraps, whose artifact cache computes each compile,
+// profile, and clone once across every experiment, and whose worker pool
+// fans the jobs out. CloneSeed is the default clone seed of that pipeline
+// in the CLI and the ledger.
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/pipeline"
@@ -88,21 +87,6 @@ type Runner struct {
 // NewRunner wraps a pipeline in a Runner.
 func NewRunner(p *pipeline.Pipeline) *Runner { return &Runner{P: p} }
 
-var (
-	defaultOnce   sync.Once
-	defaultRunner *Runner
-)
-
-// DefaultRunner returns the process-wide Runner used by the package-level
-// experiment functions: CloneSeed, paper-default profiling, GOMAXPROCS
-// workers, and one shared artifact cache for the life of the process.
-func DefaultRunner() *Runner {
-	defaultOnce.Do(func() {
-		defaultRunner = NewRunner(pipeline.New(pipeline.Options{Seed: CloneSeed}))
-	})
-	return defaultRunner
-}
-
 // runProgram executes a compiled program with an optional setup and hook.
 func runProgram(prog *isa.Program, setup func(*vm.VM) error, hook vm.Hook) (vm.Result, error) {
 	m := vm.New(prog)
@@ -113,6 +97,3 @@ func runProgram(prog *isa.Program, setup func(*vm.VM) error, hook vm.Hook) (vm.R
 	}
 	return m.Run(vm.Config{Hook: hook, MaxInstrs: 200_000_000})
 }
-
-// background is the context for the package-level wrappers.
-func background() context.Context { return context.Background() }

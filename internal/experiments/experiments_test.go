@@ -2,11 +2,20 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/pipeline"
 	"repro/internal/workloads"
 )
+
+// shared is the one Runner every test in this package uses, so between
+// them they compute each compile, profile, and clone once.
+var shared = sync.OnceValue(func() *Runner {
+	return NewRunner(pipeline.New(pipeline.Options{Seed: CloneSeed}))
+})
 
 // tiny returns a minimal suite for fast experiment tests.
 func tiny() []*workloads.Workload {
@@ -22,7 +31,7 @@ func tiny() []*workloads.Workload {
 }
 
 func TestFig4ReductionShape(t *testing.T) {
-	res, err := Fig4(tiny())
+	res, err := shared().Fig4(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +57,7 @@ func TestFig4ReductionShape(t *testing.T) {
 }
 
 func TestFig5OptimizationTracking(t *testing.T) {
-	res, err := Fig5(tiny())
+	res, err := shared().Fig5(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +79,7 @@ func TestFig5OptimizationTracking(t *testing.T) {
 }
 
 func TestFig6MixSanity(t *testing.T) {
-	res, err := Fig6(tiny(), compiler.O0)
+	res, err := shared().Fig6(context.Background(), tiny(), compiler.O0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +98,7 @@ func TestFig6MixSanity(t *testing.T) {
 }
 
 func TestFigCacheMonotonicity(t *testing.T) {
-	res, err := FigCache(tiny(), compiler.O0)
+	res, err := shared().FigCache(context.Background(), tiny(), compiler.O0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +120,7 @@ func TestFigCacheMonotonicity(t *testing.T) {
 }
 
 func TestFig9Accuracies(t *testing.T) {
-	res, err := Fig9(tiny())
+	res, err := shared().Fig9(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +157,7 @@ func TestTableIStridesProduceTargetMissRates(t *testing.T) {
 }
 
 func TestTableIICoverage(t *testing.T) {
-	res, err := TableII(tiny())
+	res, err := shared().TableII(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +170,7 @@ func TestTableIICoverage(t *testing.T) {
 }
 
 func TestObfuscation(t *testing.T) {
-	res, err := Obfuscation(tiny())
+	res, err := shared().Obfuscation(context.Background(), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,6 @@ type Fig4Result struct {
 }
 
 // Fig4 measures original-vs-synthetic dynamic instruction counts.
-func Fig4(suite []*workloads.Workload) (*Fig4Result, error) {
-	return DefaultRunner().Fig4(background(), suite)
-}
-
-// Fig4 measures original-vs-synthetic dynamic instruction counts.
 func (r *Runner) Fig4(ctx context.Context, suite []*workloads.Workload) (*Fig4Result, error) {
 	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (Fig4Row, error) {
 		cl, err := r.P.Synthesize(ctx, w)
@@ -90,12 +85,6 @@ type Fig5Result struct {
 	Levels []string
 	Orig   []float64
 	Syn    []float64
-}
-
-// Fig5 measures how the dynamic instruction count responds to the
-// optimization level for originals and clones.
-func Fig5(suite []*workloads.Workload) (*Fig5Result, error) {
-	return DefaultRunner().Fig5(background(), suite)
 }
 
 // fig5Row is one workload's per-level dyn counts, normalized to its O0.
@@ -195,12 +184,6 @@ func measureMix(prog *isa.Program, setup func(*vm.VM) error) ([4]float64, error)
 	out[2] = float64(mix[isa.ClassBranch]) / t
 	out[3] = 1 - out[0] - out[1] - out[2]
 	return out, nil
-}
-
-// Fig6 measures the instruction mix per benchmark family at one level
-// (the paper shows O0 in Fig. 6(a) and O2 in Fig. 6(b)).
-func Fig6(suite []*workloads.Workload, level compiler.OptLevel) (*Fig6Result, error) {
-	return DefaultRunner().Fig6(background(), suite, level)
 }
 
 // Fig6 measures the instruction mix per benchmark family at one level.
@@ -309,12 +292,6 @@ func measureCacheSweep(prog *isa.Program, setup func(*vm.VM) error) ([]float64, 
 	return out, nil
 }
 
-// FigCache measures data-cache hit rates for 1KB..32KB caches, original vs
-// synthetic, at the given level (Fig. 7 uses O0, Fig. 8 uses O2).
-func FigCache(suite []*workloads.Workload, level compiler.OptLevel) (*FigCacheResult, error) {
-	return DefaultRunner().FigCache(background(), suite, level)
-}
-
 // FigCache measures data-cache hit rates for 1KB..32KB caches.
 func (r *Runner) FigCache(ctx context.Context, suite []*workloads.Workload, level compiler.OptLevel) (*FigCacheResult, error) {
 	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (CacheRow, error) {
@@ -399,12 +376,6 @@ func measureBranchAcc(prog *isa.Program, setup func(*vm.VM) error) (float64, err
 		return 0, err
 	}
 	return meter.S.Accuracy(), nil
-}
-
-// Fig9 measures hybrid-predictor accuracy for originals and clones at O0
-// and O2.
-func Fig9(suite []*workloads.Workload) (*Fig9Result, error) {
-	return DefaultRunner().Fig9(background(), suite)
 }
 
 // Fig9 measures hybrid-predictor accuracy for originals and clones.

@@ -37,12 +37,6 @@ type Fig10Result struct {
 	Correlation float64
 }
 
-// Fig10 runs detailed simulations of a 2-wide out-of-order processor while
-// varying the L1 data cache (the PTLSim experiment).
-func Fig10(suite []*workloads.Workload) (*Fig10Result, error) {
-	return DefaultRunner().Fig10(background(), suite)
-}
-
 // Fig10 runs detailed simulations of a 2-wide out-of-order processor. The
 // three L1 sizes time each program in one interpretation (cpu.SimulateMany).
 func (r *Runner) Fig10(ctx context.Context, suite []*workloads.Workload) (*Fig10Result, error) {
@@ -110,13 +104,6 @@ type Fig11Result struct {
 	AvgSpeedupErr float64
 	// MaxSpeedupErr is the worst case (the paper reports <20%).
 	MaxSpeedupErr float64
-}
-
-// Fig11 measures normalized execution time across the five Table III
-// machines and four optimization levels, for the original suite and the
-// synthetic clones.
-func Fig11(suite []*workloads.Workload) (*Fig11Result, error) {
-	return DefaultRunner().Fig11(background(), suite)
 }
 
 // fig11Job is one cell of the ISA × level × workload cross product: one
@@ -320,11 +307,6 @@ type TableIIResult struct {
 }
 
 // TableII reports the pattern-recognition coverage of every clone.
-func TableII(suite []*workloads.Workload) (*TableIIResult, error) {
-	return DefaultRunner().TableII(background(), suite)
-}
-
-// TableII reports the pattern-recognition coverage of every clone.
 func (r *Runner) TableII(ctx context.Context, suite []*workloads.Workload) (*TableIIResult, error) {
 	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (TableIIRow, error) {
 		cl, err := r.P.Synthesize(ctx, w)
@@ -383,12 +365,6 @@ type ObfRow struct {
 type ObfuscationResult struct {
 	Rows []ObfRow
 	Max  float64
-}
-
-// Obfuscation fingerprints each workload against its synthetic clone with
-// the Moss algorithm (winnowing).
-func Obfuscation(suite []*workloads.Workload) (*ObfuscationResult, error) {
-	return DefaultRunner().Obfuscation(background(), suite)
 }
 
 // Obfuscation fingerprints each workload against its synthetic clone.

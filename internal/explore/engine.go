@@ -38,8 +38,7 @@ func (sw *Sweep) cells() []cell {
 // cell order. A warm rerun of the same sweep over the same store computes
 // zero simulate-stage artifacts.
 func Run(ctx context.Context, p *pipeline.Pipeline, sw *Sweep) (*Report, error) {
-	cols := sw.columns(sw.Workloads)
-	sums, err := p.SimulateColumns(ctx, cols, sw.configs(), sw.Spec.MaxInstrs)
+	sums, err := p.SimulateColumns(ctx, sw.columns(), sw.configs(), sw.Spec.MaxInstrs)
 	if err != nil {
 		return nil, err
 	}
@@ -52,24 +51,11 @@ func Run(ctx context.Context, p *pipeline.Pipeline, sw *Sweep) (*Report, error) 
 	return buildReport(sw, cs, pairs), nil
 }
 
-// RunWorkload evaluates every (point, level) cell of one workload,
-// populating the simulation cache without aggregating a report — the
-// library entry point for embedding a per-workload drain. cluster.Worker's
-// exploration jobs (cluster cannot import this package) resolve the same
-// columns through the same pipeline.SimulateColumns call, and two tests pin
-// the paths together: TestRunWorkloadWarmsRun (RunWorkload leaves Run with
-// zero simulate computations) and cmd/synth's TestClusterExploreSharded (a
-// sharded drain's store is byte-identical to a solo run's).
-func RunWorkload(ctx context.Context, p *pipeline.Pipeline, sw *Sweep, w *workloads.Workload) error {
-	_, err := p.SimulateColumns(ctx, sw.columns([]*workloads.Workload{w}), sw.configs(), sw.Spec.MaxInstrs)
-	return err
-}
-
-// columns lists the programs the sweep times for ws: per workload and
-// level, the original then the clone.
-func (sw *Sweep) columns(ws []*workloads.Workload) []pipeline.Column {
+// columns lists the programs the sweep times: per workload and level, the
+// original then the clone.
+func (sw *Sweep) columns() []pipeline.Column {
 	var cols []pipeline.Column
-	for _, w := range ws {
+	for _, w := range sw.Workloads {
 		for _, l := range sw.Levels {
 			cols = append(cols,
 				pipeline.Column{Workload: w, Level: l},

@@ -200,34 +200,6 @@ func TestExploreRunAndWarmRerun(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadWarmsRun verifies the cluster worker's entry point: per-
-// workload evaluation over a shared store leaves Run with nothing to
-// compute — the sharded path and the solo path agree by construction.
-func TestRunWorkloadWarmsRun(t *testing.T) {
-	ctx := context.Background()
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := ParseSpec([]byte(tinySpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range sw.Workloads {
-		worker := pipeline.New(pipeline.Options{Workers: 2, Seed: 7, Store: st})
-		if err := RunWorkload(ctx, worker, sw, w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	agg := pipeline.New(pipeline.Options{Workers: 2, Seed: 7, Store: st})
-	if _, err := Run(ctx, agg, sw); err != nil {
-		t.Fatal(err)
-	}
-	if got := agg.CacheStats().ComputedFor(pipeline.StageSimulate); got != 0 {
-		t.Errorf("aggregation after RunWorkload computed %d simulations", got)
-	}
-}
-
 func TestClusterSpecBridge(t *testing.T) {
 	sw, err := ParseSpec([]byte(tinySpec))
 	if err != nil {

@@ -292,9 +292,6 @@ type Block struct {
 	Bundle []int
 }
 
-// Terminator returns the final instruction of the block.
-func (b *Block) Terminator() *Instr { return &b.Instrs[len(b.Instrs)-1] }
-
 // Func is a compiled function.
 //
 // The stack frame layout (in 8-byte slots) is:

@@ -154,8 +154,8 @@ type Column struct {
 // batch, then every column's second), so concurrent workers usually time
 // different programs; column-major order ran the same program's batches
 // side by side and raised a calibration sweep's peak memory by about 8%.
-// This is the one loop explore.Run, explore.RunWorkload and the cluster's
-// exploration jobs share.
+// This is the one loop explore.Run and the cluster's exploration jobs
+// share.
 func (p *Pipeline) SimulateColumns(ctx context.Context, cols []Column, cfgs []cpu.Config, maxInstrs uint64) ([][]cpu.Summary, error) {
 	var batches [][]int // indices into cfgs
 	open := map[*isa.Desc]int{}

@@ -27,14 +27,10 @@ func DefaultOptions() Options { return Options{K: 8, W: 4} }
 // Fingerprint is a winnowed set of k-gram hashes.
 type Fingerprint struct {
 	hashes map[uint64]bool
-	tokens int
 }
 
 // Size returns the number of selected fingerprints.
 func (f *Fingerprint) Size() int { return len(f.hashes) }
-
-// Tokens returns the length of the underlying canonical token stream.
-func (f *Fingerprint) Tokens() int { return f.tokens }
 
 // File fingerprints an HLC source text.
 func File(src string, opts Options) (*Fingerprint, error) {
@@ -82,7 +78,7 @@ func fingerprint(stream []uint64, opts Options) *Fingerprint {
 	if opts.W <= 0 {
 		opts.W = 4
 	}
-	fp := &Fingerprint{hashes: make(map[uint64]bool), tokens: len(stream)}
+	fp := &Fingerprint{hashes: make(map[uint64]bool)}
 	if len(stream) < opts.K {
 		return fp
 	}

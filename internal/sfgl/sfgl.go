@@ -239,17 +239,6 @@ func (g *Graph) InnermostLoopOf(id int) *Loop {
 	return best
 }
 
-// Children returns the loops directly nested inside loop id.
-func (g *Graph) Children(id int) []*Loop {
-	var out []*Loop
-	for _, l := range g.Loops {
-		if l.Parent == id {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // ScaleDown produces the scaled-down SFGL of Section III.B.1 / Fig. 2:
 // node counts are divided by the reduction factor R and blocks executed
 // fewer than R times disappear; loop iteration counts are scaled

@@ -8,10 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // WIPDir is the store subtree holding the pipeline's in-progress markers
@@ -35,11 +32,8 @@ type Remote struct {
 	base   string
 	token  string
 	client *http.Client
-	// ops counts round-trips per wire operation (always on); latency is
-	// the request-latency histogram attached by Instrument (nil until
-	// then). See remote_telemetry.go.
-	ops     map[string]*remoteOpStats
-	latency atomic.Pointer[telemetry.Histogram]
+	// ops counts round-trips per wire operation (see remote_telemetry.go).
+	ops map[string]*remoteOpStats
 }
 
 // OpenRemote returns a Remote speaking to base — the serve node's store
@@ -68,7 +62,7 @@ func OpenRemote(base, token string) (*Remote, error) {
 // returned as the mapped protocol errors (404 → fs.ErrNotExist, 409 →
 // fs.ErrExist) with the body's first line as context.
 func (r *Remote) do(method, route string, query url.Values, body []byte) (*http.Response, error) {
-	op, start := opName(method, route), time.Now()
+	op := opName(method, route)
 	u := r.base + "/" + route
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -79,7 +73,7 @@ func (r *Remote) do(method, route string, query url.Values, body []byte) (*http.
 	}
 	req, err := http.NewRequest(method, u, rd)
 	if err != nil {
-		r.record(op, start, true)
+		r.record(op, true)
 		return nil, err
 	}
 	if r.token != "" {
@@ -87,11 +81,11 @@ func (r *Remote) do(method, route string, query url.Values, body []byte) (*http.
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		r.record(op, start, true)
+		r.record(op, true)
 		return nil, err
 	}
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		r.record(op, start, false)
+		r.record(op, false)
 		return resp, nil
 	}
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
@@ -106,13 +100,13 @@ func (r *Remote) do(method, route string, query url.Values, body []byte) (*http.
 	switch resp.StatusCode {
 	case http.StatusNotFound:
 		// A miss is an expected protocol outcome, not a transport error.
-		r.record(op, start, false)
+		r.record(op, false)
 		return nil, notExist(name)
 	case http.StatusConflict:
-		r.record(op, start, false)
+		r.record(op, false)
 		return nil, exist(name)
 	}
-	r.record(op, start, true)
+	r.record(op, true)
 	return nil, fmt.Errorf("store: remote %s %s: %s: %s", method, route, resp.Status, detail)
 }
 

@@ -1,15 +1,8 @@
 package store
 
-import (
-	"sort"
-	"sync/atomic"
-	"time"
+import "sync/atomic"
 
-	"repro/internal/telemetry"
-)
-
-// remoteOps are the wire operations a Remote performs, in exposition
-// order. "file_get"/"file_put" split the coordination-file route by
+// remoteOps are the wire operations a Remote counts. "file_get"/"file_put" split the coordination-file route by
 // method; everything else maps one route to one op.
 var remoteOps = []string{
 	"create", "file_get", "file_put", "get", "has", "list",
@@ -17,8 +10,8 @@ var remoteOps = []string{
 }
 
 // remoteOpStats counts one operation's requests and errors. The counters
-// are always on — they are two atomic adds per round-trip — so `synth
-// work -remote` can print a transport summary even without a registry.
+// are two atomic adds per round-trip; `synth work -remote` prints their
+// totals as its transport summary, and the benchmark ledger reads them.
 type remoteOpStats struct {
 	requests atomic.Uint64
 	errors   atomic.Uint64
@@ -66,17 +59,13 @@ func opName(method, route string) string {
 	return route
 }
 
-// record counts one round-trip (and optionally its failure) and feeds the
-// latency histogram when the Remote is instrumented.
-func (r *Remote) record(op string, start time.Time, failed bool) {
+// record counts one round-trip and, if it failed, its error.
+func (r *Remote) record(op string, failed bool) {
 	if s, ok := r.ops[op]; ok {
 		s.requests.Add(1)
 		if failed {
 			s.errors.Add(1)
 		}
-	}
-	if h := r.latency.Load(); h != nil {
-		h.ObserveSince(start)
 	}
 }
 
@@ -92,30 +81,4 @@ func (r *Remote) Stats() RemoteStats {
 		}
 	}
 	return st
-}
-
-// Instrument exposes the Remote's round-trip counters in reg
-// (synth_store_remote_requests_total / synth_store_remote_errors_total,
-// labeled by op) and attaches a request latency histogram
-// (synth_store_remote_seconds). Safe to call at most once per Remote;
-// no-op on a nil registry.
-func (r *Remote) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	ops := make([]string, 0, len(r.ops))
-	for op := range r.ops {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		s := r.ops[op]
-		reg.CounterFunc("synth_store_remote_requests_total",
-			"Remote store round-trips, by operation.", s.requests.Load, "op", op)
-		reg.CounterFunc("synth_store_remote_errors_total",
-			"Remote store round-trips that failed (transport or unexpected status), by operation.",
-			s.errors.Load, "op", op)
-	}
-	r.latency.Store(reg.Histogram("synth_store_remote_seconds",
-		"Remote store round-trip latency.", telemetry.DefaultLatencyBuckets))
 }
