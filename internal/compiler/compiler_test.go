@@ -176,6 +176,56 @@ void main() {
 }`, []string{"45", "5", "23", "3"})
 }
 
+// A function whose body opens with a loop has that loop's header as its
+// entry block once tidy threads the entry jump. No edge enters such a loop,
+// so LICM must not hoist into a preheader: it would never run.
+func TestCompileLoopAtFunctionEntry(t *testing.T) {
+	allTargets(t, `
+int g = 0;
+int h = 0;
+void main() {
+  while (g < 10) {
+    h = 7 * 3;
+    g = g + h;
+  }
+  print(g);
+}`, []string{"21"})
+}
+
+// Local CSE and copy propagation must forget an entry once a register it
+// names is redefined. Lowered code seldom shows this, since copy
+// propagation renames most redefined variables first, so each case is one
+// hand-built block: the pass must leave its third instruction as want.
+func TestLocalTablesForgetRedefinedRegisters(t *testing.T) {
+	add := func(dst, a, b isa.RegID) isa.Instr { return isa.Instr{Op: isa.ADD, Dst: dst, A: a, B: b} }
+	movi := func(dst isa.RegID) isa.Instr { return isa.Instr{Op: isa.MOVI, Dst: dst, Imm: 9} }
+	mov := func(dst, a isa.RegID) isa.Instr { return isa.Instr{Op: isa.MOV, Dst: dst, A: a} }
+	cases := []struct {
+		name  string
+		pass  func(*isa.Func)
+		first isa.Instr
+		redef isa.RegID
+		third isa.Instr
+		want  isa.Instr
+	}{
+		{"cse reuses", localCSE, add(3, 1, 2), 5, add(4, 1, 2), mov(4, 3)},
+		{"cse first operand", localCSE, add(3, 1, 2), 1, add(4, 1, 2), add(4, 1, 2)},
+		{"cse second operand", localCSE, add(3, 1, 2), 2, add(4, 1, 2), add(4, 1, 2)},
+		{"cse holder", localCSE, add(3, 1, 2), 3, add(4, 1, 2), add(4, 1, 2)},
+		{"copy forwards", copyProp, mov(2, 1), 5, add(4, 2, 2), add(4, 1, 1)},
+		{"copy source", copyProp, mov(2, 1), 1, add(4, 2, 2), add(4, 2, 2)},
+		{"copy holder", copyProp, mov(2, 1), 2, add(4, 2, 2), add(4, 2, 2)},
+	}
+	for _, tc := range cases {
+		f := &isa.Func{NumRegs: 6, Blocks: []*isa.Block{{Instrs: []isa.Instr{
+			tc.first, movi(tc.redef), tc.third, {Op: isa.RET, A: isa.NoReg}}}}}
+		tc.pass(f)
+		if got := f.Blocks[0].Instrs[2]; got != tc.want {
+			t.Errorf("%s: third instruction %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestCompileNestedLoops(t *testing.T) {
 	allTargets(t, `
 void main() {

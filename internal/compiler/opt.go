@@ -3,6 +3,7 @@ package compiler
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
@@ -266,34 +267,51 @@ func constFold(f *isa.Func) {
 // copyProp forwards MOV sources to uses within each block and turns
 // self-moves into NOPs.
 func copyProp(f *isa.Func) {
-	copies := make(map[isa.RegID]isa.RegID)
+	// copyOf[r] is the register r is a copy of, or NoReg. copiesOf[s]
+	// lists the registers made copies of s; a register since redefined
+	// may still be listed.
+	copyOf := make([]isa.RegID, f.NumRegs)
+	for r := range copyOf {
+		copyOf[r] = isa.NoReg
+	}
+	copiesOf := make([][]isa.RegID, f.NumRegs)
+	var srcs []isa.RegID // registers with a nonempty copiesOf list
+	resolve := func(r isa.RegID) isa.RegID {
+		for copyOf[r] != isa.NoReg {
+			r = copyOf[r]
+		}
+		return r
+	}
 	for _, b := range f.Blocks {
-		clear(copies)
+		for _, s := range srcs {
+			for _, r := range copiesOf[s] {
+				copyOf[r] = isa.NoReg
+			}
+			copiesOf[s] = copiesOf[s][:0]
+		}
+		srcs = srcs[:0]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			mapUses(in, func(r isa.RegID) isa.RegID {
-				for {
-					s, ok := copies[r]
-					if !ok {
-						return r
-					}
-					r = s
-				}
-			})
+			mapUses(in, resolve)
 			_, _, def := ir.UseDef2(in)
 			if def != isa.NoReg {
-				delete(copies, def)
-				for k, v := range copies {
-					if v == def {
-						delete(copies, k)
+				copyOf[def] = isa.NoReg
+				for _, r := range copiesOf[def] {
+					if copyOf[r] == def {
+						copyOf[r] = isa.NoReg
 					}
 				}
+				copiesOf[def] = copiesOf[def][:0]
 			}
 			if in.Op == isa.MOV {
 				if in.Dst == in.A {
 					in.Op = isa.NOP
 				} else {
-					copies[in.Dst] = in.A
+					copyOf[in.Dst] = in.A
+					if len(copiesOf[in.A]) == 0 {
+						srcs = append(srcs, in.A)
+					}
+					copiesOf[in.A] = append(copiesOf[in.A], in.Dst)
 				}
 			}
 		}
@@ -305,20 +323,20 @@ func copyProp(f *isa.Func) {
 // invalidate them.
 type exprKey struct {
 	op       isa.Opcode
-	a, b     isa.RegID
 	imm      int64
 	fbits    uint64
-	sym      int32
 	memEpoch int
+	sym      int32
+	a, b     isa.RegID
 }
 
 // localCSE eliminates repeated computation of identical pure expressions
 // within each block (including redundant loads, which is much of what gcc's
 // GCSE does to -O2 code shapes).
 func localCSE(f *isa.Func) {
-	avail := make(map[exprKey]isa.RegID)
+	t := newCSETable(f.NumRegs)
 	for _, b := range f.Blocks {
-		clear(avail)
+		t.reset()
 		epochG, epochL := 0, 0
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -339,7 +357,7 @@ func localCSE(f *isa.Func) {
 			}
 			if in.Op == isa.CALL || in.Op == isa.NOP {
 				// calls are never CSE'd, but their def invalidates
-				invalidate(avail, in.Dst)
+				t.invalidate(in.Dst)
 				continue
 			}
 			key := exprKey{op: in.Op, a: in.A, b: in.B, imm: in.Imm,
@@ -350,37 +368,92 @@ func localCSE(f *isa.Func) {
 			case isa.LDL:
 				key.memEpoch = epochL
 			}
-			if prev, ok := avail[key]; ok && prev != def {
+			if prev, ok := t.avail[key]; ok && prev != def {
 				*in = isa.Instr{Op: isa.MOV, Dst: def, A: prev}
-				invalidate(avail, def)
-				avail[exprKey{op: isa.MOV, a: prev}] = def
+				t.invalidate(def)
+				t.put(exprKey{op: isa.MOV, a: prev}, def)
 				continue
 			}
-			invalidate(avail, def)
-			avail[key] = def
+			t.invalidate(def)
+			t.put(key, def)
 		}
 	}
 }
 
+// cseTable is localCSE's table of available expressions, indexed by the
+// registers each entry mentions so that a def invalidates only the
+// entries that name it.
+type cseTable struct {
+	avail map[exprKey]isa.RegID
+	// keys holds every key put since the last reset, and mentions one
+	// linked list per register of the keys whose entry mentioned it when
+	// it was put; an entry since deleted or replaced may still be listed.
+	// head[r] is the first node of r's list, or -1.
+	keys     []exprKey
+	head     []int32
+	mentions []cseMention
+	touched  []isa.RegID // registers with a nonempty list
+}
+
+type cseMention struct {
+	key, next int32
+}
+
+func newCSETable(numRegs int) *cseTable {
+	t := &cseTable{avail: make(map[exprKey]isa.RegID), head: make([]int32, numRegs)}
+	for r := range t.head {
+		t.head[r] = -1
+	}
+	return t
+}
+
+// put makes key available in register r.
+func (t *cseTable) put(key exprKey, r isa.RegID) {
+	t.avail[key] = r
+	t.keys = append(t.keys, key)
+	for _, m := range [3]isa.RegID{r, key.a, key.b} {
+		if m == isa.NoReg {
+			continue
+		}
+		if t.head[m] == -1 {
+			t.touched = append(t.touched, m)
+		}
+		t.mentions = append(t.mentions, cseMention{int32(len(t.keys) - 1), t.head[m]})
+		t.head[m] = int32(len(t.mentions) - 1)
+	}
+}
+
 // invalidate drops every available expression that mentions reg r.
-func invalidate(avail map[exprKey]isa.RegID, r isa.RegID) {
+func (t *cseTable) invalidate(r isa.RegID) {
 	if r == isa.NoReg {
 		return
 	}
-	for k, v := range avail {
-		if v == r || k.a == r || k.b == r {
-			delete(avail, k)
+	for i := t.head[r]; i != -1; i = t.mentions[i].next {
+		k := t.keys[t.mentions[i].key]
+		if v, ok := t.avail[k]; ok && (v == r || k.a == r || k.b == r) {
+			delete(t.avail, k)
 		}
 	}
+	t.head[r] = -1
+}
+
+// reset empties the table for the next block.
+func (t *cseTable) reset() {
+	clear(t.avail)
+	for _, r := range t.touched {
+		t.head[r] = -1
+	}
+	t.keys, t.mentions, t.touched = t.keys[:0], t.mentions[:0], t.touched[:0]
 }
 
 // strengthReduce rewrites expensive operations whose operand is a
 // block-locally known constant: multiplies by powers of two become shifts,
 // and algebraic identities collapse to moves.
 func strengthReduce(f *isa.Func) {
+	knownI := make(map[isa.RegID]int64)
 	for _, b := range f.Blocks {
-		knownI := make(map[isa.RegID]int64)
-		var out []isa.Instr
+		clear(knownI)
+		out := make([]isa.Instr, 0, len(b.Instrs))
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case isa.MOVI:
@@ -455,34 +528,40 @@ func strengthReduce(f *isa.Func) {
 }
 
 // deadCodeElim removes pure instructions whose results are never used,
-// using global liveness. Returns true when anything was removed.
-func deadCodeElim(f *isa.Func) bool {
-	changed := false
+// using global liveness.
+func deadCodeElim(f *isa.Func) {
+	// live[r] == gen: r is live at the current point of the block being
+	// walked; each block walk takes a new gen, which empties the set.
+	live := make([]uint32, f.NumRegs)
+	gen := uint32(0)
+	var keep []bool
 	for {
-		_, liveOut := liveness(f)
+		lv := liveness(f)
 		roundChanged := false
 		for bi, b := range f.Blocks {
-			live := liveOut[bi].clone()
+			gen++
+			lv.forEach(lv.out[bi], func(r isa.RegID) { live[r] = gen })
 			// Walk backward, marking removals.
-			keep := make([]bool, len(b.Instrs))
+			keep = slices.Grow(keep[:0], len(b.Instrs))[:len(b.Instrs)]
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := &b.Instrs[i]
 				u1, u2, def := ir.UseDef2(in)
+				keep[i] = false
 				if in.Op == isa.NOP {
 					roundChanged = true
 					continue
 				}
-				if def != isa.NoReg && !live.has(def) && !isa.HasSideEffects(in.Op) {
+				if def != isa.NoReg && live[def] != gen && !isa.HasSideEffects(in.Op) {
 					roundChanged = true
 					continue // drop
 				}
 				keep[i] = true
 				if def != isa.NoReg {
-					live.clear(def)
+					live[def] = 0
 				}
 				for _, u := range [2]isa.RegID{u1, u2} {
 					if u != isa.NoReg {
-						live.set(u)
+						live[u] = gen
 					}
 				}
 			}
@@ -497,114 +576,136 @@ func deadCodeElim(f *isa.Func) bool {
 			}
 		}
 		if !roundChanged {
-			return changed
+			return
 		}
-		changed = true
 	}
 }
 
 // licm hoists loop-invariant pure instructions into freshly created
-// preheaders. Memory loads are hoisted only from blocks that execute on
-// every iteration (they dominate all latches) and only when no store or
-// call in the loop could disturb them; trapping operations (DIV/MOD) and
-// calls are never hoisted.
+// preheaders, deepest loops first. Memory loads are hoisted only from
+// blocks that execute on every iteration (they dominate all latches) and
+// only when no store or call in the loop could disturb them; trapping
+// operations (DIV/MOD) and calls are never hoisted. A loop headed by the
+// function's entry block is left alone: no edge enters it, so a preheader
+// would never run.
+//
+// The CFG analyses (predecessors, dominators, loop forest) are built once
+// and updated in place as each preheader is added. Def counts are taken
+// once: hoisting moves instructions but never adds or removes a def.
 func licm(f *isa.Func) {
-	processed := make(map[int]bool) // by header block's first-instr identity: use header index after stabilization
+	succs := ir.Succs(f)
+	forest := ir.FindLoops(succs, 0)
+	h := &hoister{f: f, loops: forest.Loops, preds: ir.Preds(succs), idom: forest.Idom,
+		defs: make([]int32, f.NumRegs), defInLoop: make([]bool, f.NumRegs),
+		hoisted: make([]bool, f.NumRegs), inLoop: make([]bool, len(f.Blocks))}
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if _, _, def := ir.UseDef2(&b.Instrs[i]); def != isa.NoReg {
+				h.defs[def]++
+			}
+		}
+	}
+	processed := make([]bool, len(h.loops))
 	for {
-		succs := ir.Succs(f)
-		forest := ir.FindLoops(succs, 0)
 		// Pick the deepest unprocessed loop.
 		pick := -1
-		for i := range forest.Loops {
-			if processed[forest.Loops[i].Header] {
+		for i := range h.loops {
+			if processed[i] {
 				continue
 			}
-			if pick == -1 || forest.Loops[i].Depth > forest.Loops[pick].Depth {
+			if pick == -1 || h.loops[i].Depth > h.loops[pick].Depth {
 				pick = i
 			}
 		}
 		if pick == -1 {
 			return
 		}
-		loop := forest.Loops[pick]
-		processed[loop.Header] = true
-		hoistLoop(f, succs, &loop)
+		processed[pick] = true
+		if h.loops[pick].Header != 0 {
+			h.hoist(&h.loops[pick])
+		}
 	}
 }
 
-func hoistLoop(f *isa.Func, succs [][]int, loop *ir.Loop) {
-	inLoop := make(map[int]bool)
-	for _, b := range loop.Blocks {
-		inLoop[b] = true
-	}
-	// Global def counts and in-loop def counts per register; in-loop
-	// stores per global symbol and frame slot; calls in loop.
-	defsGlobal := make(map[isa.RegID]int)
-	defsInLoop := make(map[isa.RegID]int)
+// hoister is licm's state for one function: the CFG analyses, and
+// scratch slices indexed by register or by block that are cleared after
+// each loop, touching only the loop's own entries.
+type hoister struct {
+	f         *isa.Func
+	loops     []ir.Loop
+	preds     [][]int
+	idom      []int
+	defs      []int32 // function-wide def count per register
+	defInLoop []bool  // by register
+	hoisted   []bool  // by register
+	inLoop    []bool  // by block
+}
+
+// hoist moves the invariant instructions of one loop into a new preheader.
+func (h *hoister) hoist(loop *ir.Loop) {
+	f := h.f
+	// In-loop defs, stores per global symbol and frame slot, and calls.
+	var loopDefs []isa.RegID
 	storedSyms := make(map[int32]bool)
 	storedSlots := make(map[int64]bool)
 	callInLoop := false
-	for bi, b := range f.Blocks {
+	size := 0
+	for _, bi := range loop.Blocks {
+		h.inLoop[bi] = true
+		b := f.Blocks[bi]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			_, _, def := ir.UseDef2(in)
-			if def != isa.NoReg {
-				defsGlobal[def]++
-				if inLoop[bi] {
-					defsInLoop[def]++
-				}
+			if _, _, def := ir.UseDef2(in); def != isa.NoReg && !h.defInLoop[def] {
+				h.defInLoop[def] = true
+				loopDefs = append(loopDefs, def)
 			}
-			if inLoop[bi] {
-				switch in.Op {
-				case isa.ST:
-					storedSyms[in.Sym] = true
-				case isa.STL:
-					storedSlots[in.Imm] = true
-				case isa.CALL:
-					callInLoop = true
-				}
+			switch in.Op {
+			case isa.ST:
+				storedSyms[in.Sym] = true
+			case isa.STL:
+				storedSlots[in.Imm] = true
+			case isa.CALL:
+				callInLoop = true
 			}
 		}
+		size += len(b.Instrs)
 	}
 
-	idom := ir.Dominators(succs, 0)
-	preds := ir.Preds(succs)
 	var latches []int
-	for _, p := range preds[loop.Header] {
-		if inLoop[p] {
+	for _, p := range h.preds[loop.Header] {
+		if h.inLoop[p] {
 			latches = append(latches, p)
 		}
 	}
 	dominatesAllLatches := func(b int) bool {
 		for _, l := range latches {
-			if !ir.Dominates(idom, b, l) {
+			if !ir.Dominates(h.idom, b, l) {
 				return false
 			}
 		}
 		return true
 	}
 
-	hoisted := make(map[isa.RegID]bool)
+	removed := make([]bool, size) // by instruction of the loop, in block order
 	var moved []isa.Instr
-	removed := make(map[*isa.Instr]bool)
-
 	invariantUse := func(r isa.RegID) bool {
-		return r == isa.NoReg || defsInLoop[r] == 0 || hoisted[r]
+		return r == isa.NoReg || !h.defInLoop[r] || h.hoisted[r]
 	}
 	for changedRound := true; changedRound; {
 		changedRound = false
+		off := 0
 		for _, bi := range loop.Blocks {
 			b := f.Blocks[bi]
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
-				if removed[in] {
+				if removed[off+i] {
 					continue
 				}
 				u1, u2, def := ir.UseDef2(in)
-				if def == isa.NoReg || hoisted[def] || isa.HasSideEffects(in.Op) {
+				if def == isa.NoReg || h.hoisted[def] || isa.HasSideEffects(in.Op) {
 					continue
 				}
-				if defsGlobal[def] != 1 {
+				if h.defs[def] != 1 {
 					continue
 				}
 				switch in.Op {
@@ -623,40 +724,67 @@ func hoistLoop(f *isa.Func, succs [][]int, loop *ir.Loop) {
 					continue
 				}
 				moved = append(moved, *in)
-				removed[in] = true
-				hoisted[def] = true
+				removed[off+i] = true
+				h.hoisted[def] = true
 				changedRound = true
 			}
+			off += len(b.Instrs)
 		}
 	}
-	if len(moved) == 0 {
-		return
+	if len(moved) > 0 {
+		h.addPreheader(loop, moved, latches)
+		off := 0
+		for _, bi := range loop.Blocks {
+			b := f.Blocks[bi]
+			out := b.Instrs[:0]
+			for i := range b.Instrs {
+				if !removed[off+i] {
+					out = append(out, b.Instrs[i])
+				}
+			}
+			off += len(b.Instrs)
+			b.Instrs = out
+		}
 	}
 
-	// Create the preheader, redirect entry edges, and delete moved instrs.
-	pre := &isa.Block{Instrs: append(moved, isa.Instr{Op: isa.JMP}), Succs: []int{loop.Header}}
-	f.Blocks = append(f.Blocks, pre)
-	preIdx := len(f.Blocks) - 1
-	for pi, b := range f.Blocks {
-		if pi == preIdx || inLoop[pi] {
+	for _, bi := range loop.Blocks {
+		h.inLoop[bi] = false
+	}
+	for _, r := range loopDefs {
+		h.defInLoop[r], h.hoisted[r] = false, false
+	}
+}
+
+// addPreheader appends a preheader holding instrs to loop, redirects the
+// loop's entry edges to it, and updates the analyses: the header now has
+// the latches and the preheader as predecessors, and the preheader takes
+// the header's place in the dominator tree, directly above it. The
+// preheader joins every loop enclosing this one, which are its ancestors;
+// no loop's header, nesting or depth changes.
+func (h *hoister) addPreheader(loop *ir.Loop, instrs []isa.Instr, latches []int) {
+	f, hd := h.f, loop.Header
+	pre := len(f.Blocks)
+	f.Blocks = append(f.Blocks, &isa.Block{Instrs: append(instrs, isa.Instr{Op: isa.JMP}), Succs: []int{hd}})
+	var entries []int
+	for _, p := range h.preds[hd] {
+		if h.inLoop[p] {
 			continue
 		}
-		for si, s := range b.Succs {
-			if s == loop.Header {
-				b.Succs[si] = preIdx
+		entries = append(entries, p)
+		for si, s := range f.Blocks[p].Succs {
+			if s == hd {
+				f.Blocks[p].Succs[si] = pre
 			}
 		}
 	}
-	for _, bi := range loop.Blocks {
-		b := f.Blocks[bi]
-		out := b.Instrs[:0]
-		for i := range b.Instrs {
-			if !removed[&b.Instrs[i]] {
-				out = append(out, b.Instrs[i])
-			}
-		}
-		b.Instrs = out
+	h.preds[hd] = append(latches, pre)
+	h.preds = append(h.preds, entries)
+	h.idom = append(h.idom, h.idom[hd])
+	h.idom[hd] = pre
+	for a := loop.Parent; a != -1; a = h.loops[a].Parent {
+		h.loops[a].Blocks = append(h.loops[a].Blocks, pre)
 	}
+	h.inLoop = append(h.inLoop, false)
 }
 
 // inlineSmallFuncs splices the bodies of small leaf functions into their

@@ -3,26 +3,18 @@ package compiler
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
 )
 
-// bitset is a dense register set used by liveness analysis.
+// bitset is a dense set of small integers, used by liveness analysis.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (s bitset) set(r isa.RegID)      { s[r/64] |= 1 << (r % 64) }
-func (s bitset) clear(r isa.RegID)    { s[r/64] &^= 1 << (r % 64) }
-func (s bitset) has(r isa.RegID) bool { return s[r/64]&(1<<(r%64)) != 0 }
-
-func (s bitset) clone() bitset {
-	out := make(bitset, len(s))
-	copy(out, s)
-	return out
-}
+func (s bitset) set(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s bitset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
 // orInto ors other into s, reporting whether s changed.
 func (s bitset) orInto(other bitset) bool {
@@ -36,68 +28,100 @@ func (s bitset) orInto(other bitset) bool {
 	return changed
 }
 
-// forEach calls f for every register in the set.
-func (s bitset) forEach(f func(isa.RegID)) {
+// forEach calls f for every member of the set.
+func (s bitset) forEach(f func(int)) {
 	for w, word := range s {
 		for word != 0 {
-			b := word & -word
-			f(isa.RegID(w*64 + trailingZeros(word)))
-			word ^= b
+			f(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
 		}
 	}
 }
 
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
+// liveSets holds per-block live-in and live-out sets over the function's
+// global names: the registers read in some block before any write there.
+// Every other register is block-local, so it is live into or out of no
+// block and the sets leave it out (Briggs et al., "Practical improvements
+// to the construction and destruction of static single assignment form").
+// Set members are dense indices into regs.
+type liveSets struct {
+	regs    []isa.RegID
+	in, out []bitset
+}
+
+// forEach calls f for every register in s, one of l's sets.
+func (l *liveSets) forEach(s bitset, f func(isa.RegID)) {
+	s.forEach(func(i int) { f(l.regs[i]) })
 }
 
 // liveness computes per-block live-in/live-out register sets.
-func liveness(f *isa.Func) (liveIn, liveOut []bitset) {
+func liveness(f *isa.Func) *liveSets {
 	nb := len(f.Blocks)
-	n := f.NumRegs
-	use := make([]bitset, nb)
-	def := make([]bitset, nb)
-	liveIn = make([]bitset, nb)
-	liveOut = make([]bitset, nb)
-	for b := range f.Blocks {
-		use[b], def[b] = newBitset(n), newBitset(n)
-		liveIn[b], liveOut[b] = newBitset(n), newBitset(n)
-		for i := range f.Blocks[b].Instrs {
-			u1, u2, d := ir.UseDef2(&f.Blocks[b].Instrs[i])
+	// Number the global names densely: idx[r] is r's index in regs, or
+	// -1. written[r] is 1 + the last block that wrote r, so a read is
+	// upward-exposed unless its block wrote r first.
+	idx := make([]int32, f.NumRegs)
+	for r := range idx {
+		idx[r] = -1
+	}
+	written := make([]int32, f.NumRegs)
+	var regs []isa.RegID
+	for b, blk := range f.Blocks {
+		for i := range blk.Instrs {
+			u1, u2, d := ir.UseDef2(&blk.Instrs[i])
 			for _, u := range [2]isa.RegID{u1, u2} {
-				if u != isa.NoReg && !def[b].has(u) {
-					use[b].set(u)
+				if u != isa.NoReg && written[u] != int32(b+1) && idx[u] < 0 {
+					idx[u] = int32(len(regs))
+					regs = append(regs, u)
 				}
 			}
 			if d != isa.NoReg {
-				def[b].set(d)
+				written[d] = int32(b + 1)
 			}
 		}
 	}
-	tmp := newBitset(n)
+
+	// use, def, in and out of every block come from one slab.
+	words := (len(regs) + 63) / 64
+	slab := make([]uint64, 4*nb*words)
+	sets := make([]bitset, 4*nb)
+	for i := range sets {
+		sets[i], slab = slab[:words:words], slab[words:]
+	}
+	use, def := sets[:nb], sets[nb:2*nb]
+	l := &liveSets{regs: regs, in: sets[2*nb : 3*nb], out: sets[3*nb:]}
+	for b, blk := range f.Blocks {
+		for i := range blk.Instrs {
+			u1, u2, d := ir.UseDef2(&blk.Instrs[i])
+			for _, u := range [2]isa.RegID{u1, u2} {
+				if u != isa.NoReg && idx[u] >= 0 && !def[b].has(int(idx[u])) {
+					use[b].set(int(idx[u]))
+				}
+			}
+			if d != isa.NoReg && idx[d] >= 0 {
+				def[b].set(int(idx[d]))
+			}
+		}
+	}
+	tmp := make(bitset, words)
 	for changed := true; changed; {
 		changed = false
 		for b := nb - 1; b >= 0; b-- {
 			for _, s := range f.Blocks[b].Succs {
-				if liveOut[b].orInto(liveIn[s]) {
+				if l.out[b].orInto(l.in[s]) {
 					changed = true
 				}
 			}
-			// liveIn = use ∪ (liveOut − def)
+			// in = use ∪ (out − def)
 			for i := range tmp {
-				tmp[i] = use[b][i] | (liveOut[b][i] &^ def[b][i])
+				tmp[i] = use[b][i] | (l.out[b][i] &^ def[b][i])
 			}
-			if liveIn[b].orInto(tmp) {
+			if l.in[b].orInto(tmp) {
 				changed = true
 			}
 		}
 	}
-	return liveIn, liveOut
+	return l
 }
 
 // interval is a live interval over the linearized instruction numbering.
@@ -128,7 +152,7 @@ func allocate(f *isa.Func, target *isa.Desc) error {
 		startOf[b] = pos
 		pos += len(f.Blocks[b].Instrs)
 	}
-	liveIn, liveOut := liveness(f)
+	live := liveness(f)
 
 	begin := make([]int, f.NumRegs)
 	end := make([]int, f.NumRegs)
@@ -147,8 +171,8 @@ func allocate(f *isa.Func, target *isa.Desc) error {
 	for b := range f.Blocks {
 		s := startOf[b]
 		e := s + len(f.Blocks[b].Instrs) - 1
-		liveIn[b].forEach(func(r isa.RegID) { extend(r, s) })
-		liveOut[b].forEach(func(r isa.RegID) { extend(r, e) })
+		live.forEach(live.in[b], func(r isa.RegID) { extend(r, s) })
+		live.forEach(live.out[b], func(r isa.RegID) { extend(r, e) })
 		for i := range f.Blocks[b].Instrs {
 			u1, u2, d := ir.UseDef2(&f.Blocks[b].Instrs[i])
 			for _, r := range [3]isa.RegID{u1, u2, d} {

@@ -6,13 +6,17 @@ package compiler_test
 // use/def decoder it ran on. The inputs are every quick-suite workload and
 // its synthesized clone, on every ISA and optimization level; x86v's six
 // registers make many functions spill, so the spill-code path runs too.
+// The kept dense liveness is also the reference for the compiler's sparse
+// one.
 
 import (
 	"context"
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/compiler"
@@ -22,24 +26,37 @@ import (
 	"repro/internal/pipeline"
 )
 
-func TestAllocateMatchesReference(t *testing.T) {
+// program is one compiler input: a quick-suite workload or its clone.
+type program struct {
+	name  string
+	clone bool
+	cp    *hlc.CheckedProgram
+}
+
+// quickPrograms checks every quick-suite workload and synthesizes its
+// clone at the experiments' seed, once per test binary.
+var quickPrograms = sync.OnceValues(func() ([]program, error) {
 	ctx := context.Background()
 	p := pipeline.New(pipeline.Options{Seed: experiments.CloneSeed})
-	type program struct {
-		name string
-		cp   *hlc.CheckedProgram
-	}
 	var progs []program
 	for _, w := range experiments.Quick() {
 		cp, err := p.Check(ctx, w)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		cl, err := p.Synthesize(ctx, w)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		progs = append(progs, program{w.Name, cp}, program{w.Name + " clone", cl.Checked})
+		progs = append(progs, program{w.Name, false, cp}, program{w.Name + " clone", true, cl.Checked})
+	}
+	return progs, nil
+})
+
+func TestAllocateMatchesReference(t *testing.T) {
+	progs, err := quickPrograms()
+	if err != nil {
+		t.Fatal(err)
 	}
 	spilled := 0
 	for _, pr := range progs {
@@ -62,6 +79,43 @@ func TestAllocateMatchesReference(t *testing.T) {
 	}
 	if spilled == 0 {
 		t.Fatal("no function spilled, so the spill path went untested")
+	}
+}
+
+// TestLivenessMatchesDense checks the compiler's liveness, which tracks
+// only registers read before written in some block, against the dense
+// reference over all registers: on the virtual-register code of every
+// function of every quick-suite program at -O0 and -O2, the live-in and
+// live-out sets must hold the same registers.
+func TestLivenessMatchesDense(t *testing.T) {
+	progs, err := quickPrograms()
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := 0
+	for _, pr := range progs {
+		for _, level := range []compiler.OptLevel{compiler.O0, compiler.O2} {
+			prog, err := compiler.Compile(pr.cp, &isa.Desc{Name: "virtual", IntRegs: math.MaxInt32}, level)
+			if err != nil {
+				t.Fatalf("%s %v: %v", pr.name, level, err)
+			}
+			for _, f := range prog.Funcs {
+				funcs++
+				in, out := compiler.Liveness(f)
+				refIn, refOut := refLiveness(f)
+				for b := range f.Blocks {
+					wantIn, wantOut := refIn[b].regs(), refOut[b].regs()
+					if !slices.Equal(in[b], wantIn) || !slices.Equal(out[b], wantOut) {
+						t.Errorf("%s %v %s block %d: live-in %v, live-out %v; want %v, %v",
+							pr.name, level, f.Name, b, in[b], out[b], wantIn, wantOut)
+						break // the first differing block of each function
+					}
+				}
+			}
+		}
+	}
+	if funcs == 0 {
+		t.Fatal("no function checked")
 	}
 }
 
@@ -145,6 +199,13 @@ func (s refBitset) forEach(f func(isa.RegID)) {
 			word &= word - 1
 		}
 	}
+}
+
+// regs lists the set's registers in ascending order.
+func (s refBitset) regs() []isa.RegID {
+	var out []isa.RegID
+	s.forEach(func(r isa.RegID) { out = append(out, r) })
+	return out
 }
 
 // refLiveness computes per-block live-in/live-out register sets.

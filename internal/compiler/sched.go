@@ -16,8 +16,12 @@ import (
 // Bundles hold up to three mutually independent instructions with at most
 // two memory operations; the block terminator always issues alone, last.
 func scheduleEPIC(f *isa.Func) {
+	d := deps{lastDef: make([]int32, f.NumRegs), readers: make([][]int32, f.NumRegs)}
+	for r := range d.lastDef {
+		d.lastDef[r] = -1
+	}
 	for _, b := range f.Blocks {
-		scheduleBlock(b)
+		scheduleBlock(b, &d)
 	}
 }
 
@@ -44,7 +48,28 @@ func isBarrierOp(op isa.Opcode) bool {
 	return false
 }
 
-func scheduleBlock(b *isa.Block) {
+// deps is scheduleBlock's per-register state, by register: the block's
+// last instruction that wrote it (-1 if none), and the instructions that
+// read it since. scheduleBlock leaves it as it found it.
+type deps struct {
+	lastDef []int32
+	readers [][]int32
+}
+
+// scheduleBlock list-schedules one block. Instruction j depends on an
+// earlier i when one writes a register the other reads or writes, when
+// both touch memory and one stores, when either is a barrier, and when j
+// is the terminator. The graph is built in one pass with only the edges
+// that no path of others implies: j depends on the last write of each
+// register it reads or writes, on the reads since then of the register it
+// writes, on the last store if it touches memory, on the memory operations
+// since (and including) the last store if it stores, on the last barrier,
+// and on everything since (and including) the last barrier if it is one.
+// The scheduler makes an instruction ready only once all of its
+// predecessors have issued, in earlier cycles, so a path orders two
+// instructions as an edge would: the schedule is the one the full
+// pairwise dependence graph gives.
+func scheduleBlock(b *isa.Block, d *deps) {
 	n := len(b.Instrs)
 	if n == 0 {
 		b.Bundle = nil
@@ -56,45 +81,67 @@ func scheduleBlock(b *isa.Block) {
 		adj[i] = append(adj[i], j)
 		indeg[j]++
 	}
-	// Unused use slots hold NoReg, which never equals a def tested below.
-	usesOf := make([][2]isa.RegID, n)
-	defOf := make([]isa.RegID, n)
-	for i := range b.Instrs {
-		usesOf[i][0], usesOf[i][1], defOf[i] = ir.UseDef2(&b.Instrs[i])
-	}
-	for j := 1; j < n; j++ {
-		oj := b.Instrs[j].Op
-		for i := 0; i < j; i++ {
-			oi := b.Instrs[i].Op
-			dep := false
-			if d := defOf[i]; d != isa.NoReg {
-				if d == defOf[j] {
-					dep = true // WAW
-				}
-				for _, u := range usesOf[j] {
-					if u == d {
-						dep = true // RAW
-					}
-				}
+	// memOps holds the last store and the memory operations since, and
+	// sinceBarrier the last barrier and the instructions since; before
+	// the first store or barrier they hold everything from block start.
+	lastStore, lastBarrier := -1, -1
+	var memOps, sinceBarrier []int
+	for j := 0; j < n-1; j++ {
+		in := &b.Instrs[j]
+		u1, u2, def := ir.UseDef2(in)
+		for _, u := range [2]isa.RegID{u1, u2} {
+			if u != isa.NoReg && d.lastDef[u] >= 0 {
+				addEdge(int(d.lastDef[u]), j) // RAW
 			}
-			if d := defOf[j]; d != isa.NoReg && !dep {
-				for _, u := range usesOf[i] {
-					if u == d {
-						dep = true // WAR
-					}
-				}
+		}
+		if def != isa.NoReg {
+			if d.lastDef[def] >= 0 {
+				addEdge(int(d.lastDef[def]), j) // WAW
 			}
-			if !dep && (isStoreOp(oi) && isMemOp(oj) || isMemOp(oi) && isStoreOp(oj)) {
-				dep = true // conservative memory ordering
+			for _, i := range d.readers[def] {
+				addEdge(int(i), j) // WAR
 			}
-			if !dep && (isBarrierOp(oi) || isBarrierOp(oj)) {
-				dep = true
-			}
-			if !dep && j == n-1 {
-				dep = true // terminator issues after everything
-			}
-			if dep {
+		}
+		if op := in.Op; isStoreOp(op) {
+			for _, i := range memOps {
 				addEdge(i, j)
+			}
+			lastStore, memOps = j, append(memOps[:0], j)
+		} else if isMemOp(op) {
+			if lastStore >= 0 {
+				addEdge(lastStore, j)
+			}
+			memOps = append(memOps, j)
+		}
+		if isBarrierOp(in.Op) {
+			for _, i := range sinceBarrier {
+				addEdge(i, j)
+			}
+			lastBarrier, sinceBarrier = j, append(sinceBarrier[:0], j)
+		} else {
+			if lastBarrier >= 0 {
+				addEdge(lastBarrier, j)
+			}
+			sinceBarrier = append(sinceBarrier, j)
+		}
+		for _, u := range [2]isa.RegID{u1, u2} {
+			if u != isa.NoReg {
+				d.readers[u] = append(d.readers[u], int32(j))
+			}
+		}
+		if def != isa.NoReg {
+			d.lastDef[def] = int32(j)
+			d.readers[def] = d.readers[def][:0]
+		}
+	}
+	for i := 0; i < n-1; i++ {
+		addEdge(i, n-1) // the terminator issues after everything
+	}
+	for j := 0; j < n-1; j++ {
+		u1, u2, def := ir.UseDef2(&b.Instrs[j])
+		for _, r := range [3]isa.RegID{u1, u2, def} {
+			if r != isa.NoReg {
+				d.lastDef[r], d.readers[r] = -1, d.readers[r][:0]
 			}
 		}
 	}

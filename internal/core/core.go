@@ -398,8 +398,10 @@ func measureClone(prog *hlc.Program, budget uint64, cacheCfg cache.Config) (*mea
 // instruction — not per access — is the retargeting metric because the
 // clone's access population includes index and iterator overhead the
 // original does not have, while both sides execute comparable instruction
-// volumes per unit of profiled work. Profiles without streams report 0,
-// which disables the miss-retargeting phase.
+// volumes per unit of profiled work. Every memory site of a valid profile
+// carries a stream, so the result is 0 only when the profiled program
+// misses nowhere (or accesses no memory); the miss-retargeting phase then
+// has nothing to match and is skipped.
 func profileMissPerInstr(p *profile.Profile) float64 {
 	if p.TotalDyn == 0 {
 		return 0

@@ -129,7 +129,8 @@ func Dominates(idom []int, a, b int) bool {
 // Loop describes one natural loop.
 type Loop struct {
 	Header int
-	// Blocks contains every block in the loop body, including the header.
+	// Blocks contains every block in the loop body, including the header,
+	// in ascending order.
 	Blocks []int
 	// Parent is the index (within the forest) of the innermost enclosing
 	// loop, or -1 for top-level loops.
@@ -138,54 +139,30 @@ type Loop struct {
 	Depth int
 }
 
-// Contains reports whether block b is part of the loop body.
-func (l *Loop) Contains(b int) bool {
-	for _, x := range l.Blocks {
-		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
 // LoopForest is the set of natural loops of a CFG, with nesting resolved.
 type LoopForest struct {
 	Loops []Loop
 	// LoopOf maps each block to the index of its innermost containing
 	// loop, or -1.
 	LoopOf []int
-}
-
-// InnermostLoop returns the innermost loop containing block b, or nil.
-func (f *LoopForest) InnermostLoop(b int) *Loop {
-	if f.LoopOf[b] == -1 {
-		return nil
-	}
-	return &f.Loops[f.LoopOf[b]]
-}
-
-// IsBackEdge reports whether the CFG edge from -> to is a back edge of some
-// detected loop (i.e. to is a loop header dominating from).
-func (f *LoopForest) IsBackEdge(from, to int) bool {
-	for i := range f.Loops {
-		l := &f.Loops[i]
-		if l.Header == to && l.Contains(from) {
-			return true
-		}
-	}
-	return false
+	// Idom is the dominator tree the loops were found with, as returned
+	// by Dominators.
+	Idom []int
 }
 
 // FindLoops detects the natural loops of a CFG. Loops sharing a header are
 // merged (as in standard loop-nest construction). The returned loops are
-// ordered outermost-first within each nest.
+// ordered by header, ascending.
 func FindLoops(succs [][]int, entry int) *LoopForest {
 	n := len(succs)
 	idom := Dominators(succs, entry)
 	preds := Preds(succs)
 
-	// Collect back edges a -> h (h dominates a) and merge bodies per header.
-	bodies := make(map[int]map[int]bool)
+	// Collect back edges a -> h (h dominates a) and merge bodies per
+	// header: member[h] is the body of h's loop, nil if h heads none.
+	member := make([][]bool, n)
+	size := make([]int, n)
+	var stack []int
 	for a := 0; a < n; a++ {
 		if idom[a] == -1 && a != entry {
 			continue // unreachable
@@ -194,13 +171,14 @@ func FindLoops(succs [][]int, entry int) *LoopForest {
 			if !Dominates(idom, h, a) {
 				continue
 			}
-			body := bodies[h]
+			body := member[h]
 			if body == nil {
-				body = map[int]bool{h: true}
-				bodies[h] = body
+				body = make([]bool, n)
+				body[h] = true
+				member[h], size[h] = body, 1
 			}
 			// Walk predecessors backwards from a until h.
-			stack := []int{a}
+			stack = append(stack[:0], a)
 			for len(stack) > 0 {
 				b := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -208,29 +186,27 @@ func FindLoops(succs [][]int, entry int) *LoopForest {
 					continue
 				}
 				body[b] = true
-				for _, p := range preds[b] {
-					stack = append(stack, p)
-				}
+				size[h]++
+				stack = append(stack, preds[b]...)
 			}
 		}
 	}
 
-	forest := &LoopForest{LoopOf: make([]int, n)}
+	forest := &LoopForest{LoopOf: make([]int, n), Idom: idom}
 	for i := range forest.LoopOf {
 		forest.LoopOf[i] = -1
 	}
-	// Deterministic order: headers ascending.
-	var headers []int
-	for h := range bodies {
-		headers = append(headers, h)
-	}
-	sortInts(headers)
-	for _, h := range headers {
-		var blocks []int
-		for b := range bodies[h] {
-			blocks = append(blocks, b)
+	// Headers ascending, each body in ascending block order.
+	for h, body := range member {
+		if body == nil {
+			continue
 		}
-		sortInts(blocks)
+		blocks := make([]int, 0, size[h])
+		for b, in := range body {
+			if in {
+				blocks = append(blocks, b)
+			}
+		}
 		forest.Loops = append(forest.Loops, Loop{Header: h, Blocks: blocks, Parent: -1})
 	}
 
@@ -239,10 +215,7 @@ func FindLoops(succs [][]int, entry int) *LoopForest {
 	for i := range forest.Loops {
 		best := -1
 		for j := range forest.Loops {
-			if i == j {
-				continue
-			}
-			if !forest.Loops[j].Contains(forest.Loops[i].Header) {
+			if i == j || !member[forest.Loops[j].Header][forest.Loops[i].Header] {
 				continue
 			}
 			if len(forest.Loops[j].Blocks) <= len(forest.Loops[i].Blocks) {
@@ -271,16 +244,6 @@ func FindLoops(succs [][]int, entry int) *LoopForest {
 		}
 	}
 	return forest
-}
-
-func sortInts(a []int) {
-	// Insertion sort: loop bodies are small and this avoids importing sort
-	// for a hot path used in tests only.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Succs extracts the adjacency list of a compiled function.

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -79,17 +80,17 @@ func TestFindLoopsSimple(t *testing.T) {
 	if l.Header != 1 {
 		t.Errorf("header = %d, want 1", l.Header)
 	}
-	if !l.Contains(1) || !l.Contains(2) || l.Contains(3) || l.Contains(0) {
-		t.Errorf("loop blocks = %v", l.Blocks)
+	if !reflect.DeepEqual(l.Blocks, []int{1, 2}) {
+		t.Errorf("loop blocks = %v, want [1 2]", l.Blocks)
 	}
 	if l.Depth != 1 || l.Parent != -1 {
 		t.Errorf("depth=%d parent=%d, want 1/-1", l.Depth, l.Parent)
 	}
-	if !f.IsBackEdge(2, 1) {
-		t.Error("2->1 should be a back edge")
+	if !reflect.DeepEqual(f.LoopOf, []int{-1, 0, 0, -1}) {
+		t.Errorf("LoopOf = %v, want [-1 0 0 -1]", f.LoopOf)
 	}
-	if f.IsBackEdge(1, 2) {
-		t.Error("1->2 should not be a back edge")
+	if !reflect.DeepEqual(f.Idom, Dominators(simpleLoop(), 0)) {
+		t.Errorf("Idom = %v, want the dominator tree", f.Idom)
 	}
 }
 
@@ -98,33 +99,19 @@ func TestFindLoopsNested(t *testing.T) {
 	if len(f.Loops) != 2 {
 		t.Fatalf("found %d loops, want 2: %+v", len(f.Loops), f.Loops)
 	}
-	var outer, inner *Loop
-	for i := range f.Loops {
-		switch f.Loops[i].Header {
-		case 1:
-			outer = &f.Loops[i]
-		case 2:
-			inner = &f.Loops[i]
-		}
+	// Loops come ordered by header: the outer loop (header 1), then the
+	// inner one (header 2).
+	want := []Loop{
+		{Header: 1, Blocks: []int{1, 2, 3, 4}, Parent: -1, Depth: 1},
+		{Header: 2, Blocks: []int{2, 3}, Parent: 0, Depth: 2},
 	}
-	if outer == nil || inner == nil {
-		t.Fatalf("missing loop headers: %+v", f.Loops)
+	if !reflect.DeepEqual(f.Loops, want) {
+		t.Errorf("loops = %+v, want %+v", f.Loops, want)
 	}
-	if inner.Depth != 2 || outer.Depth != 1 {
-		t.Errorf("depths: inner=%d outer=%d, want 2/1", inner.Depth, outer.Depth)
-	}
-	if &f.Loops[inner.Parent] != outer {
-		t.Errorf("inner.Parent should be outer")
-	}
-	// Block 3 is innermost in the inner loop; block 4 only in the outer.
-	if f.InnermostLoop(3) != inner {
-		t.Errorf("block 3 innermost loop = %+v, want inner", f.InnermostLoop(3))
-	}
-	if f.InnermostLoop(4) != outer {
-		t.Errorf("block 4 innermost loop = %+v, want outer", f.InnermostLoop(4))
-	}
-	if f.InnermostLoop(5) != nil {
-		t.Errorf("block 5 should not be in a loop")
+	// Blocks 2 and 3 are innermost in the inner loop; block 4 only in the
+	// outer; blocks 0 and 5 in none.
+	if !reflect.DeepEqual(f.LoopOf, []int{-1, 0, 1, 1, 0, -1}) {
+		t.Errorf("LoopOf = %v, want [-1 0 1 1 0 -1]", f.LoopOf)
 	}
 }
 
