@@ -52,23 +52,20 @@ type generator struct {
 	missScale   float64
 	chaseBudget float64
 
-	// Mix accounting for the paper's compensation mechanism: target
-	// accumulates the instruction classes of translated profile blocks,
-	// emitted accumulates the estimated O0 footprint of generated
-	// statements; deficits steer pattern variants.
-	target  [isa.NumClasses]float64
-	emitted [isa.NumClasses]float64
+	// target accumulates the instruction classes of translated profile
+	// blocks; the compensation loop sizes its ALU slice from it.
+	target [isa.NumClasses]float64
 
 	// Pattern coverage (Table II's >95% claim), dynamically weighted.
 	consumedInstrs float64
 	totalInstrs    float64
 
 	// compDyn is the dynamic-instruction budget for the mix-compensation
-	// loop (0 = derive a warm start from the footprint deficit);
-	// compDensity reports the loads-per-instruction density the emitted
-	// loop achieves and compTrips its emitted trip count, for Synthesize's
+	// loop (below 1 = no compensation loop);
+	// compDensity reports the loads-per-instruction density the generated
+	// loop achieves and compTrips its trip count, for Synthesize's
 	// feedback calibration. fpShare is the fraction of compensation
-	// statements emitted as float chains, closing the FP-operation
+	// statements generated as float chains, closing the FP-operation
 	// dilution the same way compDyn closes the load one; brPerIter is the
 	// number of branch statements per compensation iteration, closing the
 	// branch-density dilution with the profile's own hardness mix.
@@ -285,7 +282,9 @@ func (gen *generator) compSources(float bool) []memRef {
 	return out
 }
 
-// refCost estimates one compensation reference's -O0 footprint.
+// refCost estimates one compensation reference's -O0 loads and
+// instructions; the loop's trip count and compDensity are derived from
+// these estimates.
 func refCost(r memRef) (loads, instrs float64) {
 	switch {
 	case r.w == nil:
@@ -355,14 +354,13 @@ func (gen *generator) mixCompensationFunc() *hlc.FuncDecl {
 	// from collapsing the loads at higher optimization levels. The first
 	// nFloat statements are float multiply-add chains over the clone's
 	// float sources — FP compensation riding the same loop.
-	// termsPerStmt loads feed each slot; subTerms of them go into each
-	// C-sized sub-statement (the flush granularity of the local chains).
+	// termsPerStmt loads feed each slot, one C-sized sub-statement per
+	// term (the flush granularity of the local chains).
 	const termsPerStmt = 8
-	const subTerms = 1
 	const iter = "mcomp"
 	var body []hlc.Stmt
-	var emitted, emittedF []memRef
-	var loadsPerIter, instrsPerIter, fpPerIter, storesPerIter float64
+	var refs, refsF []memRef
+	var loadsPerIter, instrsPerIter float64
 	// Scalar references rotate through a pool of four per statement:
 	// at -O0 every occurrence is its own reload (like the stack traffic
 	// it models), and at higher levels CSE registerizes the repeats —
@@ -405,9 +403,8 @@ func (gen *generator) mixCompensationFunc() *hlc.FuncDecl {
 					Y: gen.srcWalk(term, slotOf(term, s+t), true)}
 				l, in := refCost(term)
 				loadsPerIter, instrsPerIter = loadsPerIter+l, instrsPerIter+in+1
-				fpPerIter++
-				emittedF = append(emittedF, term)
-				if t%subTerms == 0 && t < termsPerStmt-1 {
+				refsF = append(refsF, term)
+				if t < termsPerStmt-1 {
 					// Flush the partial chain into the accumulator, C
 					// statement style. At -O0 the store and reload
 					// serialize the sub-statements through forwarding;
@@ -415,12 +412,10 @@ func (gen *generator) mixCompensationFunc() *hlc.FuncDecl {
 					body = append(body, &hlc.AssignStmt{LHS: acc, Op: hlc.Assign, RHS: rhs})
 					rhs = hlc.Expr(acc)
 					loadsPerIter, instrsPerIter = loadsPerIter+1, instrsPerIter+2
-					storesPerIter++
 				}
 			}
 			body = append(body, &hlc.AssignStmt{LHS: acc, Op: hlc.Assign, RHS: rhs})
 			instrsPerIter += 2
-			storesPerIter++
 			continue
 		}
 		pool := srcs
@@ -443,8 +438,8 @@ func (gen *generator) mixCompensationFunc() *hlc.FuncDecl {
 				Y: gen.srcWalk(term, slotOf(term, s+t), false)}
 			l, in = refCost(term)
 			loadsPerIter, instrsPerIter = loadsPerIter+l, instrsPerIter+in+1
-			emitted = append(emitted, term)
-			if t%subTerms == 0 && t < termsPerStmt-1 {
+			refs = append(refs, term)
+			if t < termsPerStmt-1 {
 				if !declared {
 					body = append(body, &hlc.DeclStmt{Decl: &hlc.VarDecl{
 						Name: mt.Name, Type: hlc.TypeInt, Init: rhs}})
@@ -456,7 +451,6 @@ func (gen *generator) mixCompensationFunc() *hlc.FuncDecl {
 					loadsPerIter++
 				}
 				rhs = hlc.Expr(mt)
-				storesPerIter++
 			}
 		}
 		if declared {
@@ -468,8 +462,7 @@ func (gen *generator) mixCompensationFunc() *hlc.FuncDecl {
 		})
 		l, in = refCost(dst)
 		loadsPerIter, instrsPerIter = loadsPerIter+l, instrsPerIter+in+2
-		storesPerIter++
-		emitted = append(emitted, first, dst)
+		refs = append(refs, first, dst)
 	}
 	seen := map[memRef]bool{}
 	for _, r := range append(append([]memRef{}, srcs...), fsrcs...) {
@@ -480,8 +473,8 @@ func (gen *generator) mixCompensationFunc() *hlc.FuncDecl {
 		l, in := advCost(r)
 		loadsPerIter, instrsPerIter = loadsPerIter+l, instrsPerIter+in
 	}
-	body = append(body, gen.advancesFor(emitted, false, 0)...)
-	body = append(body, gen.advancesFor(emittedF, true, 0)...)
+	body = append(body, gen.advancesFor(refs, false, 0)...)
+	body = append(body, gen.advancesFor(refsF, true, 0)...)
 	loadsPerIter += 2 // loop iterator compare and increment
 	instrsPerIter += 9
 
@@ -517,7 +510,6 @@ func (gen *generator) mixCompensationFunc() *hlc.FuncDecl {
 		})
 		loadsPerIter += 2
 		instrsPerIter += 6
-		storesPerIter++
 	}
 	if nA > 0 {
 		gen.aluChainUsed = true
@@ -602,13 +594,6 @@ func (gen *generator) mixCompensationFunc() *hlc.FuncDecl {
 	}
 	gen.compTrips = trip
 	gen.compDensity = loadsPerIter / instrsPerIter
-	gen.account(stmtFootprint{
-		loads:    loadsPerIter,
-		stores:   storesPerIter + 2,
-		ialu:     float64((compSlots-nFloat)*termsPerStmt) + 6 + 3*float64(nB) + 3*float64(nA),
-		fpu:      fpPerIter,
-		branches: 1 + float64(nB),
-	}, float64(trip))
 	// The accumulator locals wrap the loop: declared (stack slots at -O0,
 	// registers after mem2reg) before it, and published to the printed
 	// globals after it so the chains stay live.
@@ -691,9 +676,8 @@ func (gen *generator) loopStmt(it *loopItem, ctx loopCtx, w float64) []hlc.Stmt 
 		Post: &hlc.AssignStmt{LHS: &hlc.VarRef{Name: iter}, Op: hlc.PlusEq, RHS: intLit(1)},
 		Body: &hlc.Block{Stmts: body},
 	}
-	gen.account(stmtFootprint{branches: 1, ialu: 2, loads: 2, stores: 1}, w*it.freq*float64(it.trip))
 	if it.freq < 0.95 {
-		return []hlc.Stmt{gen.wrapFreq(loop, it.freq, ctx, w)}
+		return []hlc.Stmt{gen.wrapFreq(loop, it.freq, ctx)}
 	}
 	return []hlc.Stmt{loop}
 }
@@ -709,17 +693,16 @@ func (gen *generator) blockStmts(it *blockItem, ctx loopCtx, w float64) []hlc.St
 	}
 	stmts := gen.translate(n, wEff)
 	if n.Branch != nil && !it.latch {
-		stmts = append(stmts, gen.branchStmt(n.Branch, ctx, wEff))
+		stmts = append(stmts, gen.branchStmt(n.Branch))
 	}
 	if it.freq < 0.95 && len(stmts) > 0 {
 		// Low-frequency blocks execute conditionally; below 5% the paper
 		// drops them into the never-executed arm of an easy branch whose
 		// body prints results.
 		if it.freq < 0.05 {
-			gen.guardUsed = true
-			return []hlc.Stmt{gen.neverTakenIf(stmts, w)}
+			return []hlc.Stmt{gen.neverTakenIf(stmts)}
 		}
-		return []hlc.Stmt{gen.wrapFreq(&hlc.Block{Stmts: stmts}, it.freq, ctx, w)}
+		return []hlc.Stmt{gen.wrapFreq(&hlc.Block{Stmts: stmts}, it.freq, ctx)}
 	}
 	return stmts
 }
@@ -727,17 +710,15 @@ func (gen *generator) blockStmts(it *blockItem, ctx loopCtx, w float64) []hlc.St
 // wrapFreq makes stmt execute approximately frac of the time using a
 // modulo test on the innermost loop iterator (the paper's hard-branch
 // mechanism); outside loops it falls back to a guard test.
-func (gen *generator) wrapFreq(stmt hlc.Stmt, frac float64, ctx loopCtx, w float64) hlc.Stmt {
+func (gen *generator) wrapFreq(stmt hlc.Stmt, frac float64, ctx loopCtx) hlc.Stmt {
 	iter, ok := ctx.innermost()
 	if !ok {
-		gen.guardUsed = true
 		if frac >= 0.5 {
-			return gen.alwaysTakenIf([]hlc.Stmt{stmt}, w)
+			return gen.alwaysTakenIf([]hlc.Stmt{stmt})
 		}
-		return gen.neverTakenIf([]hlc.Stmt{stmt}, w)
+		return gen.neverTakenIf([]hlc.Stmt{stmt})
 	}
 	m, k := moduloFor(frac, 0.5)
-	gen.account(stmtFootprint{branches: 1, ialu: 2, loads: 1}, w)
 	return &hlc.IfStmt{
 		Cond: &hlc.BinaryExpr{Op: hlc.Lt,
 			X: &hlc.BinaryExpr{Op: hlc.Amp, X: &hlc.VarRef{Name: iter}, Y: intLit(int64(m - 1))},
@@ -781,26 +762,22 @@ func moduloFor(takenFrac, transRate float64) (int, int) {
 // entropy stream (see hardBranchStmts), so they mispredict like the
 // original's data-dependent branches instead of settling into a
 // predictor-learnable iterator pattern.
-func (gen *generator) branchStmt(b *sfgl.BranchInfo, ctx loopCtx, w float64) hlc.Stmt {
-	gen.account(stmtFootprint{branches: 1, ialu: 1, loads: 1}, w)
+func (gen *generator) branchStmt(b *sfgl.BranchInfo) hlc.Stmt {
 	if !b.Hard {
-		gen.guardUsed = true
 		if b.TakenRate >= 0.5 {
-			return gen.alwaysTakenIf([]hlc.Stmt{gen.smallStmt(w)}, w)
+			return gen.alwaysTakenIf([]hlc.Stmt{gen.smallStmt()})
 		}
-		return gen.neverTakenIf([]hlc.Stmt{gen.smallStmt(0)}, w)
+		return gen.neverTakenIf([]hlc.Stmt{gen.smallStmt()})
 	}
 	return &hlc.Block{Stmts: gen.hardBranchStmts(b,
-		[]hlc.Stmt{gen.smallStmt(w * b.TakenRate)},
-		[]hlc.Stmt{gen.smallStmt(w * (1 - b.TakenRate))}, w)}
+		[]hlc.Stmt{gen.smallStmt()}, []hlc.Stmt{gen.smallStmt()})}
 }
 
 // neverTakenIf wraps statements in a condition that is never true at run
 // time (the guard array is never written), adding the paper's print-the-
 // results filler so the compiler must keep everything reachable.
-func (gen *generator) neverTakenIf(inner []hlc.Stmt, w float64) hlc.Stmt {
+func (gen *generator) neverTakenIf(inner []hlc.Stmt) hlc.Stmt {
 	gen.guardUsed = true
-	gen.account(stmtFootprint{branches: 1, ialu: 1, loads: 1}, w)
 	body := append([]hlc.Stmt{}, inner...)
 	body = append(body, gen.printFiller())
 	return &hlc.IfStmt{
@@ -811,9 +788,8 @@ func (gen *generator) neverTakenIf(inner []hlc.Stmt, w float64) hlc.Stmt {
 
 // alwaysTakenIf wraps statements in a condition that always holds; the dead
 // else arm prints results.
-func (gen *generator) alwaysTakenIf(inner []hlc.Stmt, w float64) hlc.Stmt {
+func (gen *generator) alwaysTakenIf(inner []hlc.Stmt) hlc.Stmt {
 	gen.guardUsed = true
-	gen.account(stmtFootprint{branches: 1, ialu: 1, loads: 1}, w)
 	return &hlc.IfStmt{
 		Cond: &hlc.BinaryExpr{Op: hlc.Lt, X: gen.guardRef(), Y: intLit(99)},
 		Then: &hlc.Block{Stmts: inner},
@@ -829,10 +805,8 @@ func (gen *generator) printFiller() hlc.Stmt {
 	return &hlc.PrintStmt{Args: []hlc.Expr{gen.smallRef(false, int64(gen.rng.Intn(8)))}}
 }
 
-// smallStmt emits a minimal always-hit statement for branch arms; w is the
-// expected execution weight of the arm.
-func (gen *generator) smallStmt(w float64) hlc.Stmt {
-	gen.account(stmtFootprint{loads: 2, stores: 1, ialu: 2}, w)
+// smallStmt returns a minimal always-hit statement for branch arms.
+func (gen *generator) smallStmt() hlc.Stmt {
 	return &hlc.AssignStmt{
 		LHS: gen.smallWalk(false),
 		Op:  hlc.Assign,
@@ -880,18 +854,4 @@ func (gen *generator) smallRef(float bool, off int64) *hlc.IndexExpr {
 // smallWalk returns an always-hit reference at a random constant index.
 func (gen *generator) smallWalk(float bool) *hlc.IndexExpr {
 	return gen.smallRef(float, int64(gen.rng.Intn(smallStreamLen)))
-}
-
-// stmtFootprint estimates the O0 instruction classes a generated statement
-// compiles to; the compensation accounting runs on these estimates.
-type stmtFootprint struct {
-	loads, stores, ialu, fpu, branches float64
-}
-
-func (gen *generator) account(f stmtFootprint, w float64) {
-	gen.emitted[isa.ClassLoad] += f.loads * w
-	gen.emitted[isa.ClassStore] += f.stores * w
-	gen.emitted[isa.ClassIntALU] += f.ialu * w
-	gen.emitted[isa.ClassFPAdd] += f.fpu * w
-	gen.emitted[isa.ClassBranch] += f.branches * w
 }

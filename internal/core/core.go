@@ -16,7 +16,7 @@
 //     site's stride stream becomes a stride walk, a pointer chase or a
 //     scalar pool; see streams.go and docs/streams.md).
 //
-// The emitted program is an hlc.Program: it can be pretty-printed for
+// The clone is an hlc.Program: it can be pretty-printed for
 // distribution, compiled at any optimization level for any ISA, executed,
 // profiled, and fingerprinted exactly like a hand-written workload.
 package core
@@ -36,21 +36,16 @@ import (
 
 // Config controls synthesis.
 type Config struct {
-	// Reduction is the factor R of Section III.B.1. Zero selects it
-	// automatically so the clone executes roughly TargetDyn instructions.
-	Reduction uint64
-	// TargetDyn is the clone's intended dynamic instruction count when
-	// Reduction is 0 (default 150k; the paper targets 10M on MiBench-scale
-	// inputs — the repo's workloads are scaled down ~60x to keep `go
-	// test` fast, and so is this default).
+	// TargetDyn is the clone's intended dynamic instruction count; the
+	// reduction factor R of Section III.B.1 is calibrated to reach it
+	// (default 150k; the paper targets 10M on MiBench-scale inputs — the
+	// repo's workloads are scaled down ~60x to keep `go test` fast, and so
+	// is this default).
 	TargetDyn uint64
 	// Seed drives the semi-random binary-to-source translation that
 	// obfuscates proprietary structure. Equal seeds reproduce clones
 	// exactly.
 	Seed int64
-	// MaxSkeletonItems caps generated top-level code size as a safety
-	// valve (default 4096).
-	MaxSkeletonItems int
 }
 
 // DefaultTargetDyn is the default synthetic dynamic instruction target.
@@ -66,7 +61,7 @@ type Report struct {
 	// Coverage is the fraction of scaled-profile instructions consumed by
 	// Table II patterns (the paper reports >95%).
 	Coverage float64
-	// Functions is the number of synthetic functions emitted.
+	// Functions is the number of synthetic functions generated.
 	Functions int
 	// StreamWalkers counts the stream walkers materialized from per-site
 	// stride descriptors; ChaseWalkers is the pointer-chase subset.
@@ -79,7 +74,7 @@ type Report struct {
 	// MissScale is the final miss-rate feedback factor applied to walker
 	// strides (1 = the profile's site miss rates were used unscaled).
 	MissScale float64
-	// Truncated reports that the skeleton hit MaxSkeletonItems.
+	// Truncated reports that the skeleton hit its size cap.
 	Truncated bool
 }
 
@@ -98,15 +93,9 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 	if cap := p.TotalDyn / 4; cfg.TargetDyn > cap && cap > 0 {
 		cfg.TargetDyn = cap
 	}
-	if cfg.MaxSkeletonItems == 0 {
-		cfg.MaxSkeletonItems = 4096
-	}
-	r := cfg.Reduction
+	r := p.TotalDyn / cfg.TargetDyn
 	if r == 0 {
-		r = p.TotalDyn / cfg.TargetDyn
-		if r == 0 {
-			r = 1
-		}
+		r = 1
 	}
 
 	// The paper picks R empirically so the clone hits a fixed dynamic
@@ -127,7 +116,7 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 	generate := func() *generator {
 		rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5FC9))
 		scaled := p.Graph.ScaleDown(r)
-		sk := buildSkeleton(scaled, rng, cfg.MaxSkeletonItems)
+		sk := buildSkeleton(scaled, rng)
 		gen := newGenerator(scaled, rng)
 		gen.compDyn = compDyn
 		gen.missScale = missScale
@@ -150,7 +139,6 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 		}
 		rep = Report{
 			Workload:        p.Workload,
-			Reduction:       r,
 			OriginalDyn:     p.TotalDyn,
 			ScaledBlocks:    len(scaled.Nodes),
 			ScaledLoops:     len(scaled.Loops),
@@ -162,6 +150,7 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 			MissScale:       missScale,
 			Truncated:       sk.truncated,
 		}
+		rep.Reduction = r
 		return gen
 	}
 	gen := generate()
@@ -173,157 +162,155 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 	if profCache == (cache.Config{}) {
 		profCache = profile.DefaultCache
 	}
-	if cfg.Reduction == 0 {
-		// Every measurement runs under one instruction budget. It must see
-		// past the phase-2 size ceiling (maxTotal below, at most 3.8×
-		// TargetDyn), or that loop would keep growing compDyn against a
-		// truncated reading and the ceiling guard could never fire.
-		budget := 16 * cfg.TargetDyn
-		// Phase 1: calibrate R so the base clone (no compensation yet)
-		// lands near TargetDyn.
-		for attempt := 0; attempt < 3; attempt++ {
+	// Every measurement runs under one instruction budget. It must see
+	// past the phase-2 size ceiling (maxTotal below, at most 3.8×
+	// TargetDyn), or that loop would keep growing compDyn against a
+	// truncated reading and the ceiling guard could never fire.
+	budget := 16 * cfg.TargetDyn
+	// Phase 1: calibrate R so the base clone (no compensation yet)
+	// lands near TargetDyn.
+	for attempt := 0; attempt < 3; attempt++ {
+		var err error
+		if meas, err = measureClone(prog, budget, profCache); err != nil {
+			return nil, rep, fmt.Errorf("core: calibration run: %w", err)
+		}
+		ratio := float64(meas.dyn) / float64(cfg.TargetDyn)
+		if ratio < 1.4 && ratio > 0.7 {
+			break
+		}
+		nr := uint64(float64(r) * ratio)
+		if nr < 1 {
+			nr = 1
+		}
+		if nr == r {
+			break
+		}
+		r = nr
+		gen, meas = generate(), nil
+	}
+	// Phase 2: jointly fit the compensation budget and the miss scale.
+	// The two knobs are near-orthogonal — compDyn sets the load
+	// fraction (the compensation loop's size), missScale sets walker
+	// strides and chase working sets (which leave instruction counts
+	// almost untouched) — but each regeneration perturbs the other's
+	// measurement, so both are updated from one shared measurement per
+	// iteration until both land in band.
+	//
+	// Mix: solving (L + d*X)/(T + X) = f for the extra instructions X,
+	// where d is the loop's load density, f the profile's load
+	// fraction. The density bounds the reachable fraction, so f backs
+	// off just under d, and the budget is capped so the clone keeps a
+	// healthy reduction factor over the original (Fig. 4).
+	//
+	// Miss: the profile's misses per dynamic instruction at the
+	// profiling cache vs. the clone's. The clone spends extra
+	// instructions on translation overhead (iterators, indices, the
+	// compensation loop), which dilutes per-instruction miss volume;
+	// the scale concentrates the per-site miss rates until the clone
+	// stalls like the original.
+	targetLoadFrac := float64(p.Mix[isa.ClassLoad]) / float64(p.TotalDyn)
+	targetFPFrac := float64(p.Mix[isa.ClassFPAdd]+p.Mix[isa.ClassFPMul]+p.Mix[isa.ClassFPDiv]) / float64(p.TotalDyn)
+	targetBrFrac := float64(p.Mix[isa.ClassBranch]) / float64(p.TotalDyn)
+	targetMiss := profileMissPerInstr(p)
+	// The clone must stay well under the original's dynamic size or
+	// the Fig. 4 reduction factor inverts — and near its configured
+	// target, or the proxy stops being cheap; compensation never
+	// grows the total beyond this ceiling.
+	maxTotal := min(0.75*float64(p.TotalDyn), 3.8*float64(cfg.TargetDyn))
+	for attempt := 0; attempt < 7; attempt++ {
+		if meas == nil {
 			var err error
 			if meas, err = measureClone(prog, budget, profCache); err != nil {
-				return nil, rep, fmt.Errorf("core: calibration run: %w", err)
+				return nil, rep, fmt.Errorf("core: mix calibration: %w", err)
 			}
-			ratio := float64(meas.dyn) / float64(cfg.TargetDyn)
-			if ratio < 1.4 && ratio > 0.7 {
-				break
-			}
-			nr := uint64(float64(r) * ratio)
-			if nr < 1 {
-				nr = 1
-			}
-			if nr == r {
-				break
-			}
-			r = nr
-			gen, meas = generate(), nil
 		}
-		// Phase 2: jointly fit the compensation budget and the miss scale.
-		// The two knobs are near-orthogonal — compDyn sets the load
-		// fraction (the compensation loop's size), missScale sets walker
-		// strides and chase working sets (which leave instruction counts
-		// almost untouched) — but each regeneration perturbs the other's
-		// measurement, so both are updated from one shared measurement per
-		// iteration until both land in band.
-		//
-		// Mix: solving (L + d*X)/(T + X) = f for the extra instructions X,
-		// where d is the loop's load density, f the profile's load
-		// fraction. The density bounds the reachable fraction, so f backs
-		// off just under d, and the budget is capped so the clone keeps a
-		// healthy reduction factor over the original (Fig. 4).
-		//
-		// Miss: the profile's misses per dynamic instruction at the
-		// profiling cache vs. the clone's. The clone spends extra
-		// instructions on translation overhead (iterators, indices, the
-		// compensation loop), which dilutes per-instruction miss volume;
-		// the scale concentrates the per-site miss rates until the clone
-		// stalls like the original.
-		targetLoadFrac := float64(p.Mix[isa.ClassLoad]) / float64(p.TotalDyn)
-		targetFPFrac := float64(p.Mix[isa.ClassFPAdd]+p.Mix[isa.ClassFPMul]+p.Mix[isa.ClassFPDiv]) / float64(p.TotalDyn)
-		targetBrFrac := float64(p.Mix[isa.ClassBranch]) / float64(p.TotalDyn)
-		targetMiss := profileMissPerInstr(p)
-		// The clone must stay well under the original's dynamic size or
-		// the Fig. 4 reduction factor inverts — and near its configured
-		// target, or the proxy stops being cheap; compensation never
-		// grows the total beyond this ceiling.
-		maxTotal := min(0.75*float64(p.TotalDyn), 3.8*float64(cfg.TargetDyn))
-		for attempt := 0; attempt < 7; attempt++ {
-			if meas == nil {
-				var err error
-				if meas, err = measureClone(prog, budget, profCache); err != nil {
-					return nil, rep, fmt.Errorf("core: mix calibration: %w", err)
-				}
-			}
-			actual, mix, miss := meas.dyn, meas.mix, meas.missPI
-			if float64(actual) > maxTotal && compDyn > 0 {
-				compDyn -= float64(actual) - maxTotal
-				if compDyn < 0 {
-					compDyn = 0
-				}
-				gen, meas = generate(), nil
-				continue
-			}
-			changed := false
-			density := gen.compDensity
-			if density == 0 {
-				density = compDensityEstimate
-			}
-			f := targetLoadFrac
-			if f > density-0.05 {
-				f = density - 0.05
-			}
-			loadFrac := float64(mix[isa.ClassLoad]) / float64(actual)
-			if f > 0 && (loadFrac <= f-0.02 || loadFrac >= f+0.02) {
-				delta := (f*float64(actual) - float64(mix[isa.ClassLoad])) / (density - f)
-				if room := maxTotal - float64(actual); delta > room {
-					delta = room
-				}
-				next := compDyn + delta
-				if next < 0 {
-					next = 0
-				}
-				if next != compDyn {
-					compDyn = next
-					changed = true
-				}
-			}
-			// Branch density: the compensation mass must carry the
-			// profile's conditional-branch fraction (with its hardness
-			// mix) or the clone's mispredict density dilutes toward zero.
-			// Branch statements are load-poor, so they only grow while the
-			// load fraction is within reach of its own target — loads are
-			// the paper's headline mix metric (Fig. 6) and win ties.
-			// Branches may trade against loads only down to the Fig. 6
-			// band (load fraction within 15 points of the original, kept
-			// with margin); below that, loads win and branch mass sheds.
-			if targetBrFrac > 0.01 && gen.compTrips > 0 {
-				if loadFrac > targetLoadFrac-0.14 {
-					brNeed := targetBrFrac*float64(actual) - float64(mix[isa.ClassBranch])
-					delta := brNeed / float64(gen.compTrips)
-					next := min(max(brPerIter+delta, 0), 64)
-					if d := next - brPerIter; d > 0.5 || d < -0.5 {
-						brPerIter = next
-						changed = true
-					}
-				} else if brPerIter > 0 && loadFrac < targetLoadFrac-0.155 {
-					// Load fraction sank well below its target: shed branch
-					// mass back to load-dense statements. Loads are the
-					// paper's headline mix metric and win the trade.
-					brPerIter = max(brPerIter-2, 0)
-					changed = true
-				}
-			}
-			// FP share: size the float slice of the compensation loop so
-			// the clone's FP fraction tracks the profile's (float comp
-			// statements average fpCompDensity FP ops per instruction).
-			if targetFPFrac > 0.02 && compDyn > 1 {
-				const fpCompDensity = 0.16
-				fpMeas := float64(mix[isa.ClassFPAdd] + mix[isa.ClassFPMul] + mix[isa.ClassFPDiv])
-				fpNeed := targetFPFrac*float64(actual) - fpMeas
-				share := min(max(fpShare+fpNeed/fpCompDensity/compDyn, 0), 0.9)
-				if d := share - fpShare; d > 0.04 || d < -0.04 {
-					fpShare = share
-					changed = true
-				}
-			}
-			if targetMiss > 0.002 && miss > 0 {
-				ratio := targetMiss / miss
-				if ratio <= 0.85 || ratio >= 1.15 {
-					ratio = min(max(ratio, 0.5), 3)
-					next := min(max(missScale*ratio, 0.25), 4)
-					if next != missScale {
-						missScale = next
-						changed = true
-					}
-				}
-			}
-			if !changed {
-				break
+		actual, mix, miss := meas.dyn, meas.mix, meas.missPI
+		if float64(actual) > maxTotal && compDyn > 0 {
+			compDyn -= float64(actual) - maxTotal
+			if compDyn < 0 {
+				compDyn = 0
 			}
 			gen, meas = generate(), nil
+			continue
 		}
+		changed := false
+		density := gen.compDensity
+		if density == 0 {
+			density = compDensityEstimate
+		}
+		f := targetLoadFrac
+		if f > density-0.05 {
+			f = density - 0.05
+		}
+		loadFrac := float64(mix[isa.ClassLoad]) / float64(actual)
+		if f > 0 && (loadFrac <= f-0.02 || loadFrac >= f+0.02) {
+			delta := (f*float64(actual) - float64(mix[isa.ClassLoad])) / (density - f)
+			if room := maxTotal - float64(actual); delta > room {
+				delta = room
+			}
+			next := compDyn + delta
+			if next < 0 {
+				next = 0
+			}
+			if next != compDyn {
+				compDyn = next
+				changed = true
+			}
+		}
+		// Branch density: the compensation mass must carry the
+		// profile's conditional-branch fraction (with its hardness
+		// mix) or the clone's mispredict density dilutes toward zero.
+		// Branch statements are load-poor, so they only grow while the
+		// load fraction is within reach of its own target — loads are
+		// the paper's headline mix metric (Fig. 6) and win ties.
+		// Branches may trade against loads only down to the Fig. 6
+		// band (load fraction within 15 points of the original, kept
+		// with margin); below that, loads win and branch mass sheds.
+		if targetBrFrac > 0.01 && gen.compTrips > 0 {
+			if loadFrac > targetLoadFrac-0.14 {
+				brNeed := targetBrFrac*float64(actual) - float64(mix[isa.ClassBranch])
+				delta := brNeed / float64(gen.compTrips)
+				next := min(max(brPerIter+delta, 0), 64)
+				if d := next - brPerIter; d > 0.5 || d < -0.5 {
+					brPerIter = next
+					changed = true
+				}
+			} else if brPerIter > 0 && loadFrac < targetLoadFrac-0.155 {
+				// Load fraction sank well below its target: shed branch
+				// mass back to load-dense statements. Loads are the
+				// paper's headline mix metric and win the trade.
+				brPerIter = max(brPerIter-2, 0)
+				changed = true
+			}
+		}
+		// FP share: size the float slice of the compensation loop so
+		// the clone's FP fraction tracks the profile's (float comp
+		// statements average fpCompDensity FP ops per instruction).
+		if targetFPFrac > 0.02 && compDyn > 1 {
+			const fpCompDensity = 0.16
+			fpMeas := float64(mix[isa.ClassFPAdd] + mix[isa.ClassFPMul] + mix[isa.ClassFPDiv])
+			fpNeed := targetFPFrac*float64(actual) - fpMeas
+			share := min(max(fpShare+fpNeed/fpCompDensity/compDyn, 0), 0.9)
+			if d := share - fpShare; d > 0.04 || d < -0.04 {
+				fpShare = share
+				changed = true
+			}
+		}
+		if targetMiss > 0.002 && miss > 0 {
+			ratio := targetMiss / miss
+			if ratio <= 0.85 || ratio >= 1.15 {
+				ratio = min(max(ratio, 0.5), 3)
+				next := min(max(missScale*ratio, 0.25), 4)
+				if next != missScale {
+					missScale = next
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+		gen, meas = generate(), nil
 	}
 	if meas != nil {
 		return meas.cp, rep, nil

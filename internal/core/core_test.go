@@ -197,27 +197,6 @@ func TestCloneContainsLoopsAndFunctions(t *testing.T) {
 	}
 }
 
-func TestSynthesizeFixedReduction(t *testing.T) {
-	p := profileSrc(t, "loopy", loopyWorkload)
-	cloneBig, repBig, err := Synthesize(p, Config{Reduction: 10, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloneSmall, repSmall, err := Synthesize(p, Config{Reduction: 100, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repBig.Reduction != 10 || repSmall.Reduction != 100 {
-		t.Fatalf("explicit reduction not honored: %d/%d", repBig.Reduction, repSmall.Reduction)
-	}
-	resBig, _ := runClone(t, cloneBig, isa.AMD64, compiler.O0)
-	resSmall, _ := runClone(t, cloneSmall, isa.AMD64, compiler.O0)
-	if resSmall.DynInstrs >= resBig.DynInstrs {
-		t.Errorf("R=100 clone (%d instrs) should run shorter than R=10 (%d)",
-			resSmall.DynInstrs, resBig.DynInstrs)
-	}
-}
-
 func TestSynthesizeFloatWorkload(t *testing.T) {
 	src := `
 float sig[1024];

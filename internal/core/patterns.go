@@ -68,10 +68,6 @@ type group struct {
 	store   tok
 	isFloat bool
 	nTokens int // tokens consumed, for coverage accounting
-	// synthStore marks store-less patterns (Table II's three-load row and
-	// long expression runs): the group closes with an accumulator store
-	// that the profile did not contain.
-	synthStore bool
 }
 
 // maxGroupLen bounds how many instruction tokens one statement absorbs.
@@ -190,7 +186,6 @@ func (gen *generator) translate(n *sfgl.Node, w float64) []hlc.Stmt {
 		// their classes intact.
 		if g.nTokens == 0 && j > i && (len(g.loads) > 0 || len(g.ops) >= 2) {
 			g.store = tok{kind: kStore, op: isa.ST}
-			g.synthStore = true
 			g.nTokens = j - i
 		}
 		if g.nTokens > 0 {
@@ -218,8 +213,8 @@ func (gen *generator) translate(n *sfgl.Node, w float64) []hlc.Stmt {
 		i = j
 	}
 
-	out = append(out, gen.compensateInt(leftoverI, leftoverLoads, w)...)
-	out = append(out, gen.compensateFloat(leftoverF, w)...)
+	out = append(out, gen.compensateInt(leftoverI, leftoverLoads)...)
+	out = append(out, gen.compensateFloat(leftoverF)...)
 	return out
 }
 
@@ -255,7 +250,6 @@ func (gen *generator) emitGroup(g *group, w float64) []hlc.Stmt {
 		expr = gen.smallConst()
 	}
 
-	nInt, nFP := 0.0, 0.0
 	for _, op := range g.ops {
 		if op == isa.FSQRT || op == isa.FSIN || op == isa.FCOS || op == isa.FABS {
 			name := intrinsicName(op)
@@ -263,7 +257,6 @@ func (gen *generator) emitGroup(g *group, w float64) []hlc.Stmt {
 				expr = &hlc.CallExpr{Name: "fabs", Args: []hlc.Expr{expr}}
 			}
 			expr = &hlc.CallExpr{Name: name, Args: []hlc.Expr{expr}}
-			nFP++
 			continue
 		}
 		tk, constOnly := opToken(op)
@@ -279,11 +272,6 @@ func (gen *generator) emitGroup(g *group, w float64) []hlc.Stmt {
 			operand = cst(tk)
 		}
 		expr = &hlc.BinaryExpr{Op: tk, X: expr, Y: operand}
-		if g.isFloat {
-			nFP++
-		} else {
-			nInt++
-		}
 	}
 	// Chain any loads the operations did not absorb so the load count
 	// still matches the profile.
@@ -291,34 +279,9 @@ func (gen *generator) emitGroup(g *group, w float64) []hlc.Stmt {
 	for loadIdx < len(srcs) {
 		expr = &hlc.BinaryExpr{Op: plus, X: expr, Y: walk(srcs[loadIdx], loadIdx)}
 		loadIdx++
-		if g.isFloat {
-			nFP++
-		} else {
-			nInt++
-		}
 	}
 
 	stmt := &hlc.AssignStmt{LHS: gen.srcWalk(dst, 0, g.isFloat), Op: hlc.Assign, RHS: expr}
-
-	// Accounting: element accesses plus index-variable overhead (each
-	// access through a walker reads its index; small always-hit sources
-	// use constant indices and cost only the element access).
-	walkAccesses := 0.0
-	if !dst.small() {
-		walkAccesses++
-	}
-	for _, r := range srcs {
-		if !r.small() {
-			walkAccesses++
-		}
-	}
-	gen.account(stmtFootprint{
-		loads:  float64(len(srcs)) + walkAccesses,
-		stores: 1,
-		ialu:   nInt + walkAccesses,
-		fpu:    nFP,
-	}, w)
-
 	refs := append([]memRef{dst}, srcs...)
 	return append([]hlc.Stmt{stmt}, gen.advancesFor(refs, g.isFloat, w)...)
 }
@@ -398,7 +361,7 @@ func (gen *generator) rhsConst(tk hlc.Token) hlc.Expr {
 // covered) into chained statements — the paper's "compensate for those
 // instructions on a later occasion". Leftover loads stay loads: they
 // become always-hit array reads rather than constant operands.
-func (gen *generator) compensateInt(ops []isa.Opcode, loads int, w float64) []hlc.Stmt {
+func (gen *generator) compensateInt(ops []isa.Opcode, loads int) []hlc.Stmt {
 	var out []hlc.Stmt
 	for len(ops) > 0 || loads > 0 {
 		take := len(ops)
@@ -406,14 +369,12 @@ func (gen *generator) compensateInt(ops []isa.Opcode, loads int, w float64) []hl
 			take = 3
 		}
 		expr := hlc.Expr(gen.smallWalk(false))
-		nLoads := 1.0
 		for _, op := range ops[:take] {
 			tk, constOnly := opToken(op)
 			var operand hlc.Expr
 			if !constOnly && loads > 0 {
 				operand = gen.smallWalk(false)
 				loads--
-				nLoads++
 			} else {
 				operand = gen.rhsConst(tk)
 			}
@@ -423,9 +384,7 @@ func (gen *generator) compensateInt(ops []isa.Opcode, loads int, w float64) []hl
 		for extra := 0; take == 0 && loads > 0 && extra < 3; extra++ {
 			expr = &hlc.BinaryExpr{Op: hlc.Plus, X: expr, Y: gen.smallWalk(false)}
 			loads--
-			nLoads++
 		}
-		gen.account(stmtFootprint{loads: 1 + nLoads, stores: 2, ialu: 2 + float64(take)}, w)
 		out = append(out, &hlc.AssignStmt{
 			LHS: gen.smallWalk(false), Op: hlc.Assign, RHS: expr,
 		})
@@ -434,7 +393,7 @@ func (gen *generator) compensateInt(ops []isa.Opcode, loads int, w float64) []hl
 	return out
 }
 
-func (gen *generator) compensateFloat(ops []isa.Opcode, w float64) []hlc.Stmt {
+func (gen *generator) compensateFloat(ops []isa.Opcode) []hlc.Stmt {
 	var out []hlc.Stmt
 	for len(ops) > 0 {
 		take := len(ops)
@@ -454,7 +413,6 @@ func (gen *generator) compensateFloat(ops []isa.Opcode, w float64) []hlc.Stmt {
 			tk, _ := opToken(op)
 			expr = &hlc.BinaryExpr{Op: floatSafe(tk), X: expr, Y: gen.floatConst()}
 		}
-		gen.account(stmtFootprint{loads: 2, stores: 2, fpu: float64(take), ialu: 2}, w)
 		out = append(out, &hlc.AssignStmt{
 			LHS: gen.smallWalk(true), Op: hlc.Assign, RHS: expr,
 		})

@@ -22,13 +22,12 @@ type blockItem struct {
 	// sub-unity frequencies into conditional execution.
 	freq float64
 	// latch marks blocks whose terminating branch is a loop back edge
-	// (the for statement models it; no extra branch is emitted).
+	// (the for statement models it; no extra branch is generated).
 	latch bool
 }
 
 // loopItem is one emission of a loop.
 type loopItem struct {
-	loop *sfgl.Loop
 	trip int
 	body []item
 	// freq is the per-iteration entry fraction when nested in an outer
@@ -49,21 +48,23 @@ type skeletonBuilder struct {
 	rng       *rand.Rand
 	remaining map[int]float64 // node ID -> execution budget left
 	itemCount int
-	maxItems  int
 	latches   map[int]bool // node IDs whose branch is a back edge
 }
+
+// maxSkeletonItems caps the skeleton's size as a safety valve; Report's
+// Truncated flag records a clone that hit it.
+const maxSkeletonItems = 4096
 
 // buildSkeleton realizes the paper's generation loop: pick a random block
 // weighted by remaining execution count; if it is inside a loop, generate
 // that whole loop (outermost first, nested loops inside); otherwise chain
 // along its hottest successors; decrement counts; repeat until the scaled
 // SFGL is exhausted.
-func buildSkeleton(g *sfgl.Graph, rng *rand.Rand, maxItems int) *skeleton {
+func buildSkeleton(g *sfgl.Graph, rng *rand.Rand) *skeleton {
 	b := &skeletonBuilder{
 		g:         g,
 		rng:       rng,
 		remaining: make(map[int]float64),
-		maxItems:  maxItems,
 		latches:   make(map[int]bool),
 	}
 	for _, n := range g.Nodes {
@@ -83,13 +84,13 @@ func buildSkeleton(g *sfgl.Graph, rng *rand.Rand, maxItems int) *skeleton {
 		if id < 0 {
 			break
 		}
-		if b.itemCount >= b.maxItems {
+		if b.itemCount >= maxSkeletonItems {
 			sk.truncated = true
 			break
 		}
 		n := b.g.Node(id)
 		if l := b.outermostLoop(id); l != nil {
-			sk.items = append(sk.items, b.emitLoop(l, 1))
+			sk.items = append(sk.items, b.emitLoop(l))
 			continue
 		}
 		// Straight-line region: emit the block, then follow the hottest
@@ -102,9 +103,9 @@ func buildSkeleton(g *sfgl.Graph, rng *rand.Rand, maxItems int) *skeleton {
 			// while the execution count is preserved.
 			trip := int(budget)
 			var body []item
-			body = append(body, b.emitBlockOnce(n, 1))
+			body = append(body, b.emitBlockOnce(n))
 			for next := b.hottestSuccessor(id); next != nil; next = b.hottestSuccessor(next.ID) {
-				body = append(body, b.emitBlockOnce(next, 1))
+				body = append(body, b.emitBlockOnce(next))
 			}
 			for _, it := range body {
 				if bi, ok := it.(*blockItem); ok {
@@ -114,13 +115,13 @@ func buildSkeleton(g *sfgl.Graph, rng *rand.Rand, maxItems int) *skeleton {
 			sk.items = append(sk.items, &loopItem{trip: trip, body: body, freq: 1})
 			continue
 		}
-		sk.items = append(sk.items, b.emitBlockOnce(n, 1))
+		sk.items = append(sk.items, b.emitBlockOnce(n))
 		for next := b.hottestSuccessor(id); next != nil; next = b.hottestSuccessor(next.ID) {
-			if b.itemCount >= b.maxItems {
+			if b.itemCount >= maxSkeletonItems {
 				sk.truncated = true
 				break
 			}
-			sk.items = append(sk.items, b.emitBlockOnce(next, 1))
+			sk.items = append(sk.items, b.emitBlockOnce(next))
 		}
 	}
 	return sk
@@ -180,10 +181,10 @@ func (b *skeletonBuilder) loopByID(id int) *sfgl.Loop {
 }
 
 // emitBlockOnce emits one occurrence of a block and decrements its budget.
-func (b *skeletonBuilder) emitBlockOnce(n *sfgl.Node, freq float64) *blockItem {
+func (b *skeletonBuilder) emitBlockOnce(n *sfgl.Node) *blockItem {
 	b.remaining[n.ID]--
 	b.itemCount++
-	return &blockItem{node: n, freq: freq, latch: b.latches[n.ID]}
+	return &blockItem{node: n, freq: 1, latch: b.latches[n.ID]}
 }
 
 // hottestSuccessor picks the successor (outside loops) with the largest
@@ -210,8 +211,8 @@ func (b *skeletonBuilder) hottestSuccessor(id int) *sfgl.Node {
 // emitLoop generates one entry of a loop — the loop's own blocks in block
 // order with nested loops inserted at the position of their headers — and
 // decrements every contained block's budget by its per-entry share.
-func (b *skeletonBuilder) emitLoop(l *sfgl.Loop, freq float64) *loopItem {
-	it := b.emitLoopNested(l, freq)
+func (b *skeletonBuilder) emitLoop(l *sfgl.Loop) *loopItem {
+	it := b.emitLoopNested(l, 1)
 	entries := float64(l.Entries)
 	if entries < 1 {
 		entries = 1
@@ -231,7 +232,7 @@ func (b *skeletonBuilder) emitLoopNested(l *sfgl.Loop, freq float64) *loopItem {
 	if trip < 1 {
 		trip = 1
 	}
-	it := &loopItem{loop: l, trip: trip, freq: freq}
+	it := &loopItem{trip: trip, freq: freq}
 
 	childOf := make(map[int]*sfgl.Loop)
 	covered := make(map[int]bool)

@@ -407,20 +407,18 @@ func intTwin(spec walkerSpec) walkerSpec {
 // fixed stride per class could not express. One jump per statement
 // suffices for any mult: a jump teleports the index, so the line-spread
 // reference slots each land on their own cold line.
-func (gen *generator) advanceWalker(w *walker, mult int, weight float64) []hlc.Stmt {
+func (gen *generator) advanceWalker(w *walker, mult int) []hlc.Stmt {
 	idx := &hlc.VarRef{Name: w.idxName()}
 	if w.kind == walkScalar || mult < 1 || (w.kind == walkStride && w.qstep == 0) {
 		return nil
 	}
 	if w.kind == walkChase {
-		gen.account(stmtFootprint{loads: 2, stores: 1, ialu: 1}, weight)
 		return []hlc.Stmt{&hlc.AssignStmt{
 			LHS: idx, Op: hlc.Assign,
 			RHS: &hlc.IndexExpr{Name: w.arrName(), Idx: &hlc.VarRef{Name: w.idxName()}},
 		}}
 	}
 	mask := int64(4*w.walkLen() - 1)
-	gen.account(stmtFootprint{loads: 1, stores: 1, ialu: 2}, weight)
 	return []hlc.Stmt{&hlc.AssignStmt{
 		LHS: idx, Op: hlc.Assign,
 		RHS: &hlc.BinaryExpr{Op: hlc.Amp,
@@ -433,7 +431,7 @@ func (gen *generator) advanceWalker(w *walker, mult int, weight float64) []hlc.S
 // touched — one advance per distinct walker, scaled by how many references
 // shared it — and charges each source's profiled weight for compensation
 // targeting. Always-hit sources never advance. refs must hold one entry
-// per emitted reference.
+// per generated reference.
 func (gen *generator) advancesFor(refs []memRef, float bool, weight float64) []hlc.Stmt {
 	count := map[int]int{}
 	var order []*walker
@@ -450,7 +448,7 @@ func (gen *generator) advancesFor(refs []memRef, float bool, weight float64) []h
 	}
 	var out []hlc.Stmt
 	for _, w := range order {
-		out = append(out, gen.advanceWalker(w, count[w.id], weight)...)
+		out = append(out, gen.advanceWalker(w, count[w.id])...)
 	}
 	return out
 }
@@ -539,7 +537,6 @@ func (gen *generator) chaseInitStmts() []hlc.Stmt {
 			Post: &hlc.AssignStmt{LHS: &hlc.VarRef{Name: iter}, Op: hlc.PlusEq, RHS: intLit(1)},
 			Body: &hlc.Block{Stmts: body},
 		})
-		gen.account(stmtFootprint{loads: 2, stores: 2, ialu: 5, branches: 1}, float64(w.chaseLen))
 	}
 	return out
 }
@@ -573,7 +570,7 @@ func (gen *generator) hardBranchState(b *sfgl.BranchInfo) string {
 // short periodic pattern every history-based predictor learns perfectly —
 // the LCG sequence is unlearnable at predictor scale, so the clone's hard
 // branches mispredict like the original's data-dependent ones.
-func (gen *generator) hardBranchStmts(b *sfgl.BranchInfo, thenS, elseS []hlc.Stmt, weight float64) []hlc.Stmt {
+func (gen *generator) hardBranchStmts(b *sfgl.BranchInfo, thenS, elseS []hlc.Stmt) []hlc.Stmt {
 	name := gen.hardBranchState(b)
 	state := &hlc.VarRef{Name: name}
 	k := int64(b.TakenRate*256 + 0.5)
@@ -583,7 +580,6 @@ func (gen *generator) hardBranchStmts(b *sfgl.BranchInfo, thenS, elseS []hlc.Stm
 	if k > 255 {
 		k = 255
 	}
-	gen.account(stmtFootprint{loads: 1, stores: 1, ialu: 5, branches: 1}, weight)
 	adv := &hlc.AssignStmt{
 		LHS: state, Op: hlc.Assign,
 		RHS: &hlc.BinaryExpr{Op: hlc.Amp,
@@ -595,11 +591,8 @@ func (gen *generator) hardBranchStmts(b *sfgl.BranchInfo, thenS, elseS []hlc.Stm
 	cond := &hlc.BinaryExpr{Op: hlc.Lt,
 		X: &hlc.BinaryExpr{Op: hlc.Amp, X: state, Y: intLit(255)},
 		Y: intLit(k)}
-	ifs := &hlc.IfStmt{Cond: cond, Then: &hlc.Block{Stmts: thenS}}
-	if len(elseS) > 0 {
-		ifs.Else = &hlc.Block{Stmts: elseS}
-	}
-	return []hlc.Stmt{adv, ifs}
+	return []hlc.Stmt{adv, &hlc.IfStmt{Cond: cond,
+		Then: &hlc.Block{Stmts: thenS}, Else: &hlc.Block{Stmts: elseS}}}
 }
 
 // hardBranchDecls returns the entropy-state globals in allocation order.

@@ -211,7 +211,7 @@ func TestSampleDeterministicAndValid(t *testing.T) {
 		t.Fatalf("sampled %d points, want %d", len(first), spec.N)
 	}
 	for _, sp := range first {
-		if err := CheckProfile(sp.Profile); err != nil {
+		if err := sp.Profile.Validate(); err != nil {
 			t.Errorf("%s: sampled profile invalid: %v", sp.Name, err)
 		}
 		if got := FromProfile(sp.Profile); !reflect.DeepEqual(got, sp.Requested) {
@@ -240,12 +240,12 @@ func TestSampleDeterministicAndValid(t *testing.T) {
 func TestCheckProfileRejectsCorruptMutant(t *testing.T) {
 	p := pipeline.New(pipeline.Options{Workers: 2, Seed: 1})
 	prof := suiteProfiles(t, p, "tiny")[0]
-	if err := CheckProfile(prof); err != nil {
+	if err := prof.Validate(); err != nil {
 		t.Fatalf("real profile rejected: %v", err)
 	}
 	bad := cloneProfile(prof)
 	bad.TotalDyn = prof.TotalDyn + 12345 // mix no longer sums to the total
-	if err := CheckProfile(bad); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("corrupt mix total accepted")
 	}
 }

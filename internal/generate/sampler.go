@@ -94,7 +94,7 @@ func Sample(spec *Spec, baseline []*profile.Profile) ([]SampledPoint, error) {
 			for _, axis := range picked {
 				mutateAxis(rng, mutant, axis, spec.strength())
 			}
-			if err := CheckProfile(mutant); err != nil {
+			if err := mutant.Validate(); err != nil {
 				continue // a mutation drove the profile out of bounds
 			}
 			feats := FromProfile(mutant)
@@ -140,7 +140,7 @@ func lerp(v, target, s float64) float64 { return v + (target-v)*s }
 
 // mutateAxis perturbs one axis of the profile toward a random end of its
 // bound, scaled by strength. Every mutation preserves the profile
-// invariants CheckProfile enforces.
+// invariants profile.Profile.Validate enforces.
 func mutateAxis(rng *rand.Rand, p *profile.Profile, axis string, strength float64) {
 	b := axisBounds[axis]
 	target := b[0]
@@ -415,57 +415,6 @@ func cloneProfile(p *profile.Profile) *profile.Profile {
 	}
 	out.Graph = ng
 	return &out
-}
-
-// CheckProfile verifies the invariants a realizable synthetic profile
-// must satisfy: a valid SFGL (a known-version stream on every memory
-// site), an instruction mix summing to the dynamic total, and every
-// stream and branch statistic in range. The sampler discards candidates that fail it, and tests assert
-// every emitted point passes it.
-func CheckProfile(p *profile.Profile) error {
-	if p == nil || p.Graph == nil {
-		return fmt.Errorf("generate: nil profile or graph")
-	}
-	if err := p.Graph.Validate(); err != nil {
-		return err
-	}
-	if p.TotalDyn == 0 {
-		return fmt.Errorf("generate: profile has no dynamic instructions")
-	}
-	var sum uint64
-	for _, c := range p.Mix {
-		sum += c
-	}
-	if sum != p.TotalDyn {
-		return fmt.Errorf("generate: mix sums to %d, want TotalDyn=%d", sum, p.TotalDyn)
-	}
-	var err error
-	check01 := func(what string, v float64) {
-		if err == nil && (math.IsNaN(v) || v < 0 || v > 1) {
-			err = fmt.Errorf("generate: %s=%v out of [0,1]", what, v)
-		}
-	}
-	forEachStream(p, func(st *sfgl.Stream) {
-		check01("missRate", st.MissRate)
-		check01("missWide", st.MissWide)
-		check01("regularity", st.Regularity)
-		check01("shortReuse", st.ShortReuse)
-		var mass float64
-		for _, b := range st.Strides {
-			if err == nil && (b.Frac < 0 || math.IsNaN(b.Frac)) {
-				err = fmt.Errorf("generate: negative stride fraction %v", b.Frac)
-			}
-			mass += b.Frac
-		}
-		if err == nil && mass > 1+1e-9 {
-			err = fmt.Errorf("generate: stride fractions sum to %v > 1", mass)
-		}
-	})
-	forEachBranch(p, func(bi *sfgl.BranchInfo) {
-		check01("takenRate", bi.TakenRate)
-		check01("transRate", bi.TransRate)
-	})
-	return err
 }
 
 func min64(a, b uint64) uint64 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/sfgl"
 )
@@ -15,6 +16,7 @@ func validProfileJSON(t testing.TB) []byte {
 	p := &profile.Profile{
 		Workload: "fuzz/seed",
 		TotalDyn: 10,
+		Mix:      [isa.NumClasses]uint64{isa.ClassLoad: 5, isa.ClassIntALU: 5},
 		Graph: &sfgl.Graph{
 			FuncNames: []string{"main"},
 			FuncCalls: []uint64{1},
@@ -54,11 +56,8 @@ func FuzzProfileLoad(f *testing.F) {
 			return
 		}
 		// Whatever loads must satisfy the documented invariants.
-		if p.Graph == nil {
-			t.Fatal("Load returned nil graph without error")
-		}
-		if err := p.Graph.Validate(); err != nil {
-			t.Fatalf("Load returned invalid graph without error: %v", err)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Load returned an invalid profile without error: %v", err)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/cache"
@@ -487,21 +488,80 @@ func (p *Profile) Save(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// Load reads a profile from JSON. Structurally broken payloads — no graph,
-// memory sites without a stream descriptor (pre-stream profiles), or
-// stream descriptors from an unknown version — are errors, never panics:
-// profiles cross process boundaries (`synth synthesize -from`, the
-// artifact store) and must fail loudly instead of synthesizing garbage.
+// Load reads a profile from JSON and checks it with Validate. Broken
+// payloads are errors, never panics: profiles cross process boundaries
+// (`synth synthesize -from`, the artifact store) and must fail loudly
+// instead of synthesizing garbage.
 func Load(r io.Reader) (*Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
-	if p.Graph == nil {
-		return nil, fmt.Errorf("profile: decode: missing graph")
-	}
-	if err := p.Graph.Validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
 	return &p, nil
+}
+
+// Validate is the single profile validator: Load, the artifact store's
+// profile and clone decoders, and the generate sampler's mutant filter
+// all call it, so a profile no synthesis should start from is rejected
+// the same way wherever it comes from. A valid profile is present, has a
+// graph that passes sfgl.Graph.Validate (a known-version stream on every
+// memory site), a nonzero dynamic total that its instruction mix sums
+// to, and every stream and executed-branch statistic in [0,1] with
+// stride fractions non-negative and summing to at most 1.
+func (p *Profile) Validate() error {
+	switch {
+	case p == nil:
+		return fmt.Errorf("missing profile")
+	case p.Graph == nil:
+		return fmt.Errorf("missing graph")
+	}
+	if err := p.Graph.Validate(); err != nil {
+		return err
+	}
+	if p.TotalDyn == 0 {
+		return fmt.Errorf("profile has no dynamic instructions")
+	}
+	var sum uint64
+	for _, c := range p.Mix {
+		sum += c
+	}
+	if sum != p.TotalDyn {
+		return fmt.Errorf("mix sums to %d, want totalDyn=%d", sum, p.TotalDyn)
+	}
+	var err error
+	check01 := func(n *sfgl.Node, what string, v float64) {
+		if err == nil && (math.IsNaN(v) || v < 0 || v > 1) {
+			err = fmt.Errorf("node %d: %s=%v out of [0,1]", n.ID, what, v)
+		}
+	}
+	for _, n := range p.Graph.Nodes {
+		for i := range n.Instrs {
+			s := n.Instrs[i].Stream
+			if s == nil {
+				continue
+			}
+			check01(n, "missRate", s.MissRate)
+			check01(n, "missWide", s.MissWide)
+			check01(n, "regularity", s.Regularity)
+			check01(n, "shortReuse", s.ShortReuse)
+			var mass float64
+			for _, b := range s.Strides {
+				if err == nil && (b.Frac < 0 || math.IsNaN(b.Frac)) {
+					err = fmt.Errorf("node %d: negative stride fraction %v", n.ID, b.Frac)
+				}
+				mass += b.Frac
+			}
+			if err == nil && mass > 1+1e-9 {
+				err = fmt.Errorf("node %d: stride fractions sum to %v > 1", n.ID, mass)
+			}
+		}
+		if b := n.Branch; b != nil && b.Total > 0 {
+			check01(n, "takenRate", b.TakenRate)
+			check01(n, "transRate", b.TransRate)
+		}
+	}
+	return err
 }

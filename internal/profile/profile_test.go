@@ -306,3 +306,39 @@ func TestLoadRejectsPreStreamProfile(t *testing.T) {
 		t.Errorf("Load(pre-stream profile) = %v, want a pre-stream profile error", err)
 	}
 }
+
+// TestLoadRejectsOutOfRangeStats checks that Load applies Validate's
+// range checks: a collected profile whose stream miss rate is pushed
+// outside [0,1] is an error naming the statistic, while the unmodified
+// profile loads.
+func TestLoadRejectsOutOfRangeStats(t *testing.T) {
+	p := collect(t, `int a[64]; void main() { for (int i = 0; i < 64; i++) { a[i] = i; } print(a[3]); }`)
+	var site *sfgl.Stream
+	for _, n := range p.Graph.Nodes {
+		for i := range n.Instrs {
+			if s := n.Instrs[i].Stream; s != nil && site == nil {
+				site = s
+			}
+		}
+	}
+	if site == nil {
+		t.Fatal("profile has no stream")
+	}
+	load := func() error {
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		return err
+	}
+	if err := load(); err != nil {
+		t.Fatalf("collected profile rejected: %v", err)
+	}
+	for _, miss := range []float64{7, -3} {
+		site.MissRate = miss
+		if err := load(); err == nil || !strings.Contains(err.Error(), "missRate") {
+			t.Errorf("Load(missRate=%v) = %v, want a missRate range error", miss, err)
+		}
+	}
+}

@@ -20,29 +20,17 @@ func EncodeProfile(p *profile.Profile) ([]byte, error) {
 	return json.Marshal(p)
 }
 
-// DecodeProfile deserializes a statistical profile.
+// DecodeProfile deserializes a statistical profile and checks it with
+// profile.Profile.Validate.
 func DecodeProfile(data []byte) (*profile.Profile, error) {
 	var p profile.Profile
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("store: decode profile: %w", err)
 	}
-	if err := checkProfile(&p); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("store: decode profile: %w", err)
 	}
 	return &p, nil
-}
-
-// checkProfile is what every decoded profile must satisfy, standalone or
-// inside a clone: present, with a graph that passes sfgl.Graph.Validate
-// (known stream versions, a stream on every memory site).
-func checkProfile(p *profile.Profile) error {
-	switch {
-	case p == nil:
-		return fmt.Errorf("missing profile")
-	case p.Graph == nil:
-		return fmt.Errorf("missing graph")
-	}
-	return p.Graph.Validate()
 }
 
 // programJSON is the portable form of a compiled program: the ISA is stored
@@ -208,7 +196,7 @@ func EncodeClone(c *Clone) ([]byte, error) {
 }
 
 // DecodeClone deserializes a synthesized clone. The profile is required
-// and checked like DecodeProfile's: readers use it as the clone's
+// and validated like DecodeProfile's: readers use it as the clone's
 // original (Fig. 4 reads its dynamic size).
 func DecodeClone(data []byte) (*Clone, error) {
 	var c Clone
@@ -218,7 +206,7 @@ func DecodeClone(data []byte) (*Clone, error) {
 	if c.Source == "" {
 		return nil, fmt.Errorf("store: decode clone: empty source")
 	}
-	if err := checkProfile(c.Profile); err != nil {
+	if err := c.Profile.Validate(); err != nil {
 		return nil, fmt.Errorf("store: decode clone: %w", err)
 	}
 	return &c, nil

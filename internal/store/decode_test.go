@@ -102,6 +102,41 @@ func TestDecodeProfileRejectsPreStream(t *testing.T) {
 	}
 }
 
+// TestDecodeProfileRejectsOutOfRange checks that stored profiles and
+// clones pass profile.Profile.Validate's range and mix checks, not just
+// the graph's: a stream miss rate outside [0,1] or a mix that does not sum
+// to the dynamic total must be a decode error naming the cause.
+func TestDecodeProfileRejectsOutOfRange(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(p *profile.Profile)
+		want   string
+	}{
+		{"missRate 7", func(p *profile.Profile) { p.Graph.Nodes[0].Instrs[0].Stream.MissRate = 7 }, "missRate"},
+		{"missRate -3", func(p *profile.Profile) { p.Graph.Nodes[0].Instrs[0].Stream.MissRate = -3 }, "missRate"},
+		{"takenRate 2", func(p *profile.Profile) { p.Graph.Nodes[0].Branch.TakenRate = 2 }, "takenRate"},
+		{"mix total", func(p *profile.Profile) { p.TotalDyn++ }, "mix sums to"},
+	}
+	for _, tc := range cases {
+		p := testProfile()
+		tc.mutate(p)
+		data, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.DecodeProfile(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeProfile = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		data, err = json.Marshal(&store.Clone{Source: progSrc, Profile: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.DecodeClone(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeClone = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestDecodeCloneRejects requires a stored clone to carry a valid
 // profile: readers use it as the clone's original, so a clone without
 // one must be a decode error (a disk miss the pipeline recomputes), not a
@@ -187,10 +222,10 @@ func FuzzDecodeClone(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if c.Source == "" || c.Profile == nil || c.Profile.Graph == nil {
-			t.Fatalf("accepted clone without source or profile: %+v", c)
+		if c.Source == "" {
+			t.Fatalf("accepted clone without source: %+v", c)
 		}
-		if err := c.Profile.Graph.Validate(); err != nil {
+		if err := c.Profile.Validate(); err != nil {
 			t.Fatalf("accepted clone whose profile fails validation: %v", err)
 		}
 	})

@@ -14,9 +14,8 @@ import (
 // drops — event streams are for operators, and a silently truncated stream
 // is worse than brief backpressure.
 type Sink struct {
-	prefix string
-	ch     chan []byte
-	done   chan struct{}
+	ch   chan []byte
+	done chan struct{}
 
 	mu     sync.Mutex
 	closed bool
@@ -30,7 +29,7 @@ const sinkBuffer = 256
 // w. Close it to flush; after Close, Emit is a no-op. A nil Sink is also
 // valid: Emit and Close on it are no-ops.
 func NewSink(w io.Writer, prefix string) *Sink {
-	s := &Sink{prefix: prefix, ch: make(chan []byte, sinkBuffer), done: make(chan struct{})}
+	s := &Sink{ch: make(chan []byte, sinkBuffer), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		for line := range s.ch {
