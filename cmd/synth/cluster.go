@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/pipeline"
+	"repro/internal/profile"
 	"repro/internal/store"
 )
 
@@ -84,10 +85,7 @@ func (d *dispatchFlags) dispatch(ctx context.Context, c *commonFlags, cmd, shape
 	if err != nil {
 		return nil, rep, err
 	}
-	p, err := c.pipelineWith(q.Store())
-	if err != nil {
-		return nil, rep, err
-	}
+	p := c.pipelineWith(q.Store())
 	out, err := cluster.Dispatch(ctx, q, p, spec, cluster.DispatchOptions{Force: d.force})
 	if err != nil {
 		return nil, rep, err
@@ -136,8 +134,8 @@ func cmdDispatch(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	var df dispatchFlags
 	addDispatchFlags(fs, &df)
 	suite := fs.String("suite", "quick", "workload suite to dispatch: tiny, quick, or full")
-	isas := fs.String("isas", "", "comma-separated target ISA grid (default: the -isa profiling ISA)")
-	levels := fs.String("levels", "", "comma-separated optimization level grid (default: the -O profiling level)")
+	isas := fs.String("isas", "", "comma-separated target ISA grid (default: the profiling ISA, "+profile.Target.Name+")")
+	levels := fs.String("levels", "", fmt.Sprintf("comma-separated optimization level grid (default: the profiling level, %d)", profile.Level))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -151,23 +149,21 @@ func cmdDispatch(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	}
 	isaGrid := splitList(*isas)
 	if len(isaGrid) == 0 {
-		isaGrid = []string{c.isaName}
+		isaGrid = []string{profile.Target.Name}
 	}
 	levelGrid, err := parseLevels(*levels)
 	if err != nil {
 		return err
 	}
 	if len(levelGrid) == 0 {
-		levelGrid = []int{c.level}
+		levelGrid = []int{int(profile.Level)}
 	}
 	spec := cluster.Spec{
-		Suite:        *suite,
-		Workloads:    names,
-		ISAs:         isaGrid,
-		Levels:       levelGrid,
-		Seed:         c.seed,
-		ProfileISA:   c.isaName,
-		ProfileLevel: c.level,
+		Suite:     *suite,
+		Workloads: names,
+		ISAs:      isaGrid,
+		Levels:    levelGrid,
+		Seed:      c.seed,
 	}
 	shape := fmt.Sprintf("%s suite, %d ISAs × %d levels", *suite, len(isaGrid), len(levelGrid))
 	_, rep, err := df.dispatch(ctx, &c, "dispatch", shape, spec, stderr)
@@ -232,13 +228,7 @@ func cmdWork(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	if m == nil {
 		return fmt.Errorf("nothing dispatched yet (run \"synth dispatch\" first)")
 	}
-	opts, err := cluster.PipelineOptions(m.Spec)
-	if err != nil {
-		return err
-	}
-	opts.Workers = *workers
-	opts.Store = q.Store()
-	p := pipeline.New(opts)
+	p := pipeline.New(pipeline.Options{Workers: *workers, Seed: m.Spec.Seed, Store: q.Store()})
 
 	w := &cluster.Worker{
 		Queue:    q,
@@ -320,29 +310,9 @@ type clusterStatus struct {
 	Deduped int            `json:"deduped"`
 	Workers map[string]int `json:"workers"` // active leases per worker
 	// Node is the serving process's embedded worker pool, when one is
-	// running: pool size, autoscaler bounds, and recent scaling decisions.
+	// running: pool size, autoscaler bounds, recent scaling decisions, and
+	// the pool's job-lifecycle counters (node.jobs).
 	Node *cluster.SupervisorStatus `json:"node,omitempty"`
-	// Telemetry is the node's key telemetry snapshot — the same counters
-	// /metrics exposes, JSON-shaped so dashboards need not parse the
-	// Prometheus exposition. The pre-existing fields above keep their
-	// meaning and wire names.
-	Telemetry *nodeTelemetry `json:"telemetry,omitempty"`
-}
-
-// nodeTelemetry is the telemetry section of a cluster status response:
-// queue depth, the pool's busy/idle split, and job-lifecycle counts.
-type nodeTelemetry struct {
-	// QueueDepth is pending + leased: work not yet concluded.
-	QueueDepth int `json:"queue_depth"`
-	// WorkersBusy and WorkersIdle split the embedded pool (both 0 when the
-	// node runs no pool).
-	WorkersBusy int `json:"workers_busy"`
-	WorkersIdle int `json:"workers_idle"`
-	// JobsAcked counts every job this node concluded; JobsFailed the
-	// failed subset. Jobs is the full lifecycle counter set.
-	JobsAcked  uint64                  `json:"jobs_acked"`
-	JobsFailed uint64                  `json:"jobs_failed"`
-	Jobs       cluster.MetricsSnapshot `json:"jobs"`
 }
 
 // buildClusterStatus reads a queue's current shape. It returns nil (no

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/store"
 )
@@ -217,11 +216,8 @@ func TestClusterShardedQuickSuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cf := commonFlags{workers: 2, seed: 1, isaName: isa.AMD64.Name}
-		p, err := cf.pipelineWith(st)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cf := commonFlags{workers: 2, seed: 1}
+		p := cf.pipelineWith(st)
 		const token = "fabric-secret"
 		srv := httptest.NewServer(newServer(p, serverOptions{
 			token: token, queue: q, storeBackend: st, sup: sup,

@@ -59,7 +59,7 @@ func cmdExplore(ctx context.Context, args []string, stdout, stderr io.Writer) er
 			return fmt.Errorf("-generate is local-only; it cannot be combined with -dispatch")
 		}
 		shape := fmt.Sprintf("%d points × %d levels per workload", len(sw.Points), len(sw.Levels))
-		spec := sw.ClusterSpec(c.seed, c.isaName, c.level)
+		spec := sw.ClusterSpec(c.seed)
 		if p, _, err = df.dispatch(ctx, &c, "explore", shape, spec, stderr); err != nil || !df.wait {
 			return err
 		}

@@ -48,13 +48,7 @@ func cmdGenerate(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		// One job per sampled point. After the queue drains (with -wait),
 		// the closing generate.Run finds every synthesis warm in the shared
 		// store and only computes the report.
-		cspec := cluster.Spec{
-			Suite:        spec.Suite,
-			Seed:         c.seed,
-			ProfileISA:   c.isaName,
-			ProfileLevel: c.level,
-			Generate:     spec,
-		}
+		cspec := cluster.Spec{Suite: spec.Suite, Seed: c.seed, Generate: spec}
 		if p, _, err = df.dispatch(ctx, &c, "generate", "one per point", cspec, stderr); err != nil || !df.wait {
 			return err
 		}

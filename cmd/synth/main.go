@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	synth profile -workload NAME [-isa amd64] [-O 0] [-workers N] [-store DIR]
+//	synth profile -workload NAME [-workers N] [-store DIR]
 //	synth synthesize {-workload NAME | -from PROFILE.json} [-seed N] [-report] [-validate]
 //	synth consolidate [-name NAME] [-synthesize] WORKLOAD-OR-PROFILE.json...
 //	synth experiments [-suite tiny|quick|full] [-only LIST] [-stats] [-store DIR]
@@ -36,7 +36,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/store"
@@ -54,8 +53,6 @@ func main() {
 type commonFlags struct {
 	workers  int
 	seed     int64
-	isaName  string
-	level    int
 	storeDir string
 	// tracePath is the -trace flag: where to write the pipeline span trace
 	// (empty = tracing off). metrics and tracer are the telemetry handles
@@ -75,8 +72,6 @@ const traceSpanCapacity = 65536
 func addCommon(fs *flag.FlagSet, c *commonFlags) {
 	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.Int64Var(&c.seed, "seed", experiments.CloneSeed, "clone synthesis seed")
-	fs.StringVar(&c.isaName, "isa", isa.AMD64.Name, "profiling target ISA (x86v, amd64v, ia64v)")
-	fs.IntVar(&c.level, "O", 0, "profiling optimization level (0-3)")
 	fs.StringVar(&c.storeDir, "store", "", "persistent artifact store directory (empty = memory-only)")
 	fs.StringVar(&c.tracePath, "trace", "", "write computed pipeline stages as a Chrome trace_event JSON file (load in chrome://tracing or ui.perfetto.dev)")
 }
@@ -85,38 +80,29 @@ func (c *commonFlags) pipeline() (*pipeline.Pipeline, error) {
 	if c.storeDir == "" {
 		// A literal nil: wrapping a nil *store.Store in the Backend
 		// interface would read as non-nil inside the pipeline.
-		return c.pipelineWith(nil)
+		return c.pipelineWith(nil), nil
 	}
 	st, err := store.Open(c.storeDir)
 	if err != nil {
 		return nil, err
 	}
-	return c.pipelineWith(st)
+	return c.pipelineWith(st), nil
 }
 
 // pipelineWith builds the pipeline over an already-opened store backend
 // (nil = memory-only), for commands that also hold the backend's cluster
 // queue and must share one instance between both.
-func (c *commonFlags) pipelineWith(st store.Backend) (*pipeline.Pipeline, error) {
-	target := isa.ByName(c.isaName)
-	if target == nil {
-		return nil, fmt.Errorf("unknown ISA %q", c.isaName)
-	}
-	if c.level < 0 || c.level >= len(compiler.Levels) {
-		return nil, fmt.Errorf("optimization level -O%d out of range 0-%d", c.level, len(compiler.Levels)-1)
-	}
+func (c *commonFlags) pipelineWith(st store.Backend) *pipeline.Pipeline {
 	if c.tracePath != "" && c.tracer == nil {
 		c.tracer = telemetry.NewTracer(traceSpanCapacity)
 	}
 	return pipeline.New(pipeline.Options{
-		Workers:      c.workers,
-		Seed:         c.seed,
-		ProfileISA:   target,
-		ProfileLevel: compiler.Levels[c.level],
-		Store:        st,
-		Metrics:      c.metrics,
-		Tracer:       c.tracer,
-	}), nil
+		Workers: c.workers,
+		Seed:    c.seed,
+		Store:   st,
+		Metrics: c.metrics,
+		Tracer:  c.tracer,
+	})
 }
 
 // writeTrace flushes the -trace span ring to its file. It runs deferred
@@ -237,7 +223,7 @@ Commands:
   serve        expose the HTTP service; -pool-max N embeds a self-scaling worker pool
   workloads    list available workload/input pairs
 
-Common flags: -workers N  -seed N  -isa NAME  -O N  -store DIR
+Common flags: -workers N  -seed N  -store DIR
 Run "synth <command> -h" for command-specific flags; see docs/cli.md and
 docs/cluster.md.
 `)
@@ -290,9 +276,6 @@ func loadProfileFile(path string) (*profile.Profile, error) {
 	prof, err := profile.Load(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if prof.Graph == nil {
-		return nil, fmt.Errorf("%s: not a profile (missing graph)", path)
 	}
 	return prof, nil
 }

@@ -700,16 +700,6 @@ func (s *server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "nothing dispatched (run \"synth dispatch -store ...\")")
 		return
 	}
-	nt := &nodeTelemetry{QueueDepth: st.Pending + st.Leased}
-	if s.opts.sup != nil {
-		snap := s.opts.sup.Metrics().Snapshot()
-		nt.WorkersBusy = st.Node.Busy
-		nt.WorkersIdle = st.Node.Workers - st.Node.Busy
-		nt.JobsAcked = snap.JobsOK + snap.JobsFailed
-		nt.JobsFailed = snap.JobsFailed
-		nt.Jobs = snap
-	}
-	st.Telemetry = nt
 	writeJSON(w, st)
 }
 
@@ -765,11 +755,8 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		}
 		opts.storeBackend = opts.queue.Store()
 		cluster.RegisterQueueGauges(reg, opts.queue)
-		p, err = c.pipelineWith(opts.storeBackend)
-	} else {
-		p, err = c.pipeline()
-	}
-	if err != nil {
+		p = c.pipelineWith(opts.storeBackend)
+	} else if p, err = c.pipeline(); err != nil {
 		return err
 	}
 	// Supervisor events from concurrent workers funnel through one writer

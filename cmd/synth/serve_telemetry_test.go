@@ -10,7 +10,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 )
@@ -107,8 +109,10 @@ func TestServePprofGating(t *testing.T) {
 	}
 }
 
-// TestServeClusterStatusTelemetry pins the status endpoint's telemetry
-// section on a queue-backed (but poolless) node.
+// TestServeClusterStatusTelemetry pins the status endpoint's single
+// statement of each count on a node with an embedded pool: the response has
+// no separate telemetry section, and the pool's job-lifecycle counters
+// appear once, under node.jobs, equal to the supervisor's metrics.
 func TestServeClusterStatusTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	q, err := openQueue(dir)
@@ -119,26 +123,47 @@ func TestServeClusterStatusTelemetry(t *testing.T) {
 	if c := run(context.Background(), []string{"dispatch", "-suite", "tiny", "-seed", "1", "-store", dir}, &out, &errBuf); c != 0 {
 		t.Fatalf("dispatch exited %d: %s", c, errBuf.String())
 	}
-	s, _, _ := telemetryServer(t, serverOptions{queue: q})
+	sup, err := cluster.NewSupervisor(q, cluster.SupervisorOptions{Node: "statusnode"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sup.Metrics()
+	m.Claim()
+	m.Claim()
+	m.Acked(time.Millisecond, false)
+	m.Acked(time.Millisecond, true)
+	m.Panic()
+	m.Reclaimed(3)
+	s, _, _ := telemetryServer(t, serverOptions{queue: q, sup: sup})
 	code, body := get(t, s.handler(), "/api/v1/cluster/status")
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	var st struct {
-		Pending   int `json:"pending"`
-		Telemetry *struct {
-			QueueDepth  int `json:"queue_depth"`
-			WorkersBusy int `json:"workers_busy"`
-		} `json:"telemetry"`
-	}
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
 		t.Fatalf("bad status JSON: %v\n%s", err, body)
 	}
-	if st.Telemetry == nil {
-		t.Fatalf("status lacks telemetry section: %s", body)
+	if _, ok := raw["telemetry"]; ok {
+		t.Errorf("status restates its counts in a telemetry section: %s", body)
 	}
-	if st.Telemetry.QueueDepth != st.Pending {
-		t.Errorf("queue_depth = %d, want pending %d", st.Telemetry.QueueDepth, st.Pending)
+	var node map[string]json.RawMessage
+	if err := json.Unmarshal(raw["node"], &node); err != nil {
+		t.Fatalf("status lacks node object: %v\n%s", err, body)
+	}
+	for _, k := range []string{"failed", "panics", "reclaimed"} {
+		if _, ok := node[k]; ok {
+			t.Errorf("node restates %q outside node.jobs: %s", k, body)
+		}
+	}
+	var jobs cluster.MetricsSnapshot
+	if err := json.Unmarshal(node["jobs"], &jobs); err != nil {
+		t.Fatalf("node.jobs is not the lifecycle snapshot: %v\n%s", err, body)
+	}
+	if want := m.Snapshot(); jobs != want {
+		t.Errorf("node.jobs = %+v, want %+v", jobs, want)
+	}
+	if jobs.Claims != 2 || jobs.JobsOK != 1 || jobs.JobsFailed != 1 || jobs.Panics != 1 || jobs.Reclaims != 3 {
+		t.Errorf("node.jobs lost counts: %+v", jobs)
 	}
 }
 

@@ -278,13 +278,7 @@ func TestChaosCorruptedArtifactRecomputed(t *testing.T) {
 
 	// A fresh pipeline over the same (now corrupting) backend: its first
 	// disk read comes back damaged, fails decode, and is recomputed.
-	opts, err := PipelineOptions(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 2
-	opts.Store = q.Store()
-	p2 := pipeline.New(opts)
+	p2 := testPipeline(t, q, spec)
 	wl := workloads.ByName("crc32/small")
 	if _, err := p2.Profile(ctx, wl); err != nil {
 		t.Fatalf("profile through corrupting store: %v", err)

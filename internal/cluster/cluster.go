@@ -39,12 +39,14 @@ import (
 // store-queue timing model and its v5 artifact keys, so mixed fleets
 // can't blend pre- and post-forwarding cycle counts in one queue; version
 // 5 moved to store schema 6, whose simulations count a forwarded
-// out-of-order load as a cache access.
-const SchemaVersion = 5
+// out-of-order load as a cache access; version 6 dropped the spec's
+// profiling-point and profiling-bound fields (the profiling point is
+// fixed in package profile).
+const SchemaVersion = 6
 
 // Spec declares one dispatch: which workloads to synthesize, over which
-// (ISA, level) grid, and the pipeline options that shape the artifacts.
-// Workers rebuild their pipeline from the manifest's Spec, so every
+// (ISA, level) grid, and the synthesis seed that shapes the artifacts.
+// Workers build their pipeline with the manifest's Seed, so every
 // participant derives identical cache keys by construction.
 type Spec struct {
 	// Suite names the workload suite the spec was built from (tiny, quick,
@@ -55,14 +57,8 @@ type Spec struct {
 	// ISAs and Levels define the per-workload compilation grid.
 	ISAs   []string `json:"isas"`
 	Levels []int    `json:"levels"`
-	// Seed, TargetDyn, and MaxInstrs mirror the pipeline options of the
-	// same names.
-	Seed      int64  `json:"seed"`
-	TargetDyn uint64 `json:"targetDyn"`
-	MaxInstrs uint64 `json:"maxInstrs"`
-	// ProfileISA and ProfileLevel fix the profiling point.
-	ProfileISA   string `json:"profileIsa"`
-	ProfileLevel int    `json:"profileLevel"`
+	// Seed is the pipeline's clone-synthesis seed.
+	Seed int64 `json:"seed"`
 	// Explore, when non-empty, makes this an exploration dispatch: each
 	// job simulates its workload's original and synthetic clone on every
 	// one of these machine configurations at every level of the grid,
@@ -95,10 +91,9 @@ func (s Spec) Canonical() string {
 	if s.Generate != nil {
 		gen = s.Generate.Canonical()
 	}
-	return fmt.Sprintf("v3|%s|%s|%s|%s|%d|%d|%d|%s|%d|%s|%d|%s",
+	return fmt.Sprintf("v4|%s|%s|%s|%s|%d|%s|%d|%s",
 		s.Suite, strings.Join(s.Workloads, ","), strings.Join(s.ISAs, ","),
-		joinInts(s.Levels), s.Seed, s.TargetDyn, s.MaxInstrs,
-		s.ProfileISA, s.ProfileLevel,
+		joinInts(s.Levels), s.Seed,
 		strings.Join(sims, ";"), s.SimMaxInstrs, gen)
 }
 

@@ -10,16 +10,10 @@ import (
 )
 
 // testPipeline builds the pipeline a worker for spec would run with,
-// exactly as the CLI does: manifest options plus the queue's store.
+// exactly as the CLI does: the manifest's seed plus the queue's store.
 func testPipeline(t *testing.T, q *Queue, spec Spec) *pipeline.Pipeline {
 	t.Helper()
-	opts, err := PipelineOptions(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 2
-	opts.Store = q.Store()
-	return pipeline.New(opts)
+	return pipeline.New(pipeline.Options{Workers: 2, Seed: spec.Seed, Store: q.Store()})
 }
 
 // TestClusterDispatchDrainDedup is the coordinator's core property chain:
@@ -179,7 +173,6 @@ func TestClusterDispatchValidation(t *testing.T) {
 		func() Spec { s := testSpec("no/such"); return s }(),
 		func() Spec { s := testSpec("crc32/small"); s.ISAs = []string{"z80"}; return s }(),
 		func() Spec { s := testSpec("crc32/small"); s.Levels = []int{9}; return s }(),
-		func() Spec { s := testSpec("crc32/small"); s.ProfileISA = "z80"; return s }(),
 	}
 	for i, s := range bad {
 		if _, err := Dispatch(ctx, q, p, s, DispatchOptions{}); err == nil {
@@ -376,28 +369,5 @@ func TestClusterReportMerge(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestClusterPipelineOptions checks the spec→options translation workers
-// rely on for key agreement.
-func TestClusterPipelineOptions(t *testing.T) {
-	spec := testSpec("crc32/small")
-	spec.Seed = 7
-	spec.TargetDyn = 1000
-	spec.MaxInstrs = 2000
-	opts, err := PipelineOptions(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Seed != 7 || opts.TargetDyn != 1000 || opts.MaxInstrs != 2000 ||
-		opts.ProfileISA.Name != "amd64v" {
-		t.Fatalf("options: %+v", opts)
-	}
-	if _, err := PipelineOptions(Spec{ProfileISA: "z80"}); err == nil {
-		t.Error("unknown profile ISA accepted")
-	}
-	if _, err := PipelineOptions(Spec{ProfileISA: "amd64v", ProfileLevel: 9}); err == nil {
-		t.Error("out-of-range profile level accepted")
 	}
 }

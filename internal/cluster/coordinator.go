@@ -122,19 +122,12 @@ func validateSpec(spec Spec) error {
 	if spec.Generate != nil {
 		// Generation dispatches have no workload grid of their own: the
 		// generate spec names the baseline suite, and its own validation
-		// covers bounds and axis names. The profiling point below still
-		// applies — workers profile the baseline through it.
+		// covers bounds and axis names.
 		if err := spec.Generate.Validate(); err != nil {
 			return fmt.Errorf("cluster: dispatch: %w", err)
 		}
 		if _, err := generate.BaselineWorkloads(spec.Generate); err != nil {
 			return fmt.Errorf("cluster: dispatch: %w", err)
-		}
-		if isa.ByName(spec.ProfileISA) == nil {
-			return fmt.Errorf("cluster: dispatch: unknown ISA %q", spec.ProfileISA)
-		}
-		if spec.ProfileLevel < 0 || spec.ProfileLevel >= len(compiler.Levels) {
-			return fmt.Errorf("cluster: dispatch: optimization level %d out of range 0-%d", spec.ProfileLevel, len(compiler.Levels)-1)
 		}
 		return nil
 	}
@@ -149,12 +142,12 @@ func validateSpec(spec Spec) error {
 			return fmt.Errorf("cluster: dispatch: unknown workload %q", w)
 		}
 	}
-	for _, name := range append([]string{spec.ProfileISA}, spec.ISAs...) {
+	for _, name := range spec.ISAs {
 		if isa.ByName(name) == nil {
 			return fmt.Errorf("cluster: dispatch: unknown ISA %q", name)
 		}
 	}
-	for _, l := range append([]int{spec.ProfileLevel}, spec.Levels...) {
+	for _, l := range spec.Levels {
 		if l < 0 || l >= len(compiler.Levels) {
 			return fmt.Errorf("cluster: dispatch: optimization level %d out of range 0-%d", l, len(compiler.Levels)-1)
 		}

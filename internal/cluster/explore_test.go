@@ -20,7 +20,7 @@ func testExploreSpec(names ...string) Spec {
 	return Spec{
 		Suite: "test", Workloads: names,
 		ISAs: []string{"amd64v"}, Levels: []int{2},
-		Seed: 1, ProfileISA: "amd64v", ProfileLevel: 0,
+		Seed:         1,
 		Explore:      []cpu.ConfigSpec{small, big},
 		SimMaxInstrs: 100_000,
 	}

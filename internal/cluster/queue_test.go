@@ -27,7 +27,7 @@ func testSpec(workloads ...string) Spec {
 	return Spec{
 		Suite: "test", Workloads: workloads,
 		ISAs: []string{"amd64v"}, Levels: []int{0},
-		Seed: 1, ProfileISA: "amd64v", ProfileLevel: 0,
+		Seed: 1,
 	}
 }
 

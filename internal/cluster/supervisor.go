@@ -96,13 +96,10 @@ type SupervisorStatus struct {
 	// Min and Max are the autoscaler bounds.
 	Min int `json:"min"`
 	Max int `json:"max"`
-	// Jobs, Failed, Panics, and Reclaimed are read from Metrics: acked
-	// jobs, the failed subset, recovered execution panics, and expired
-	// leases returned to pending, since the supervisor started.
-	Jobs      int `json:"jobs"`
-	Failed    int `json:"failed"`
-	Panics    int `json:"panics"`
-	Reclaimed int `json:"reclaimed"`
+	// Jobs is the pool's job-lifecycle counters since the supervisor
+	// started (claims, acks by result, ack retries, reclaimed leases,
+	// recovered panics, timeouts), read once from Metrics.
+	Jobs MetricsSnapshot `json:"jobs"`
 	// Decisions is the most recent autoscaler history, newest last.
 	Decisions []Decision `json:"decisions,omitempty"`
 }
@@ -402,14 +399,12 @@ func (s *Supervisor) pipelineFor(digest string) (*pipeline.Pipeline, error) {
 	if m.Spec.Digest() != digest {
 		return nil, fmt.Errorf("cluster: job belongs to dispatch %s but the manifest holds %s", digest, m.Spec.Digest())
 	}
-	opts, err := PipelineOptions(m.Spec)
-	if err != nil {
-		return nil, err
-	}
-	opts.Workers = s.opts.PipelineWorkers
-	opts.Store = s.q.Store()
-	opts.Metrics = s.opts.Telemetry
-	p := pipeline.New(opts)
+	p := pipeline.New(pipeline.Options{
+		Workers: s.opts.PipelineWorkers,
+		Seed:    m.Spec.Seed,
+		Store:   s.q.Store(),
+		Metrics: s.opts.Telemetry,
+	})
 
 	s.mu.Lock()
 	if cached, ok := s.pipes[digest]; ok { // lost a benign build race
@@ -437,10 +432,6 @@ func (s *Supervisor) Status() SupervisorStatus {
 	}
 	s.mu.Unlock()
 	st.Busy = int(s.busy.Load())
-	m := s.metrics.Snapshot()
-	st.Jobs = int(m.JobsOK + m.JobsFailed)
-	st.Failed = int(m.JobsFailed)
-	st.Panics = int(m.Panics)
-	st.Reclaimed = int(m.Reclaims)
+	st.Jobs = s.metrics.Snapshot()
 	return st
 }

@@ -121,7 +121,7 @@ func TestSupervisorPanicTwiceAcksFailed(t *testing.T) {
 	if err != nil || len(results) != 1 || !strings.Contains(results[0].Err, "panicked") {
 		t.Fatalf("results = %+v, %v; want one failure recording the panic", results, err)
 	}
-	if st := sup.Status(); st.Panics != 2 || st.Jobs != 1 || st.Failed != 1 {
+	if st := sup.Status().Jobs; st.Panics != 2 || st.JobsOK != 0 || st.JobsFailed != 1 {
 		t.Fatalf("status = %+v, want 2 panics, 1 acked job, 1 failed", st)
 	}
 }
@@ -235,7 +235,7 @@ func TestSupervisorAutoscaleRace(t *testing.T) {
 		t.Fatalf("jobs executed %d times, want exactly %d (no loss, no duplication)", n, total)
 	}
 	st := sup.Status()
-	if st.Jobs != total || st.Failed != 0 {
+	if st.Jobs.JobsOK != total || st.Jobs.JobsFailed != 0 {
 		t.Fatalf("status counters: %+v", st)
 	}
 	scaledUp := false

@@ -106,19 +106,18 @@ func TestClusterTelemetrySupervisorPool(t *testing.T) {
 		t.Fatalf("scrape: %v", err)
 	}
 	out := b.String()
-	st, m := sup.Status(), sup.Metrics().Snapshot()
-	if st.Jobs != 3 || st.Failed != 1 || st.Panics != 1 || st.Reclaimed != 1 {
+	st, m := sup.Status().Jobs, sup.Metrics().Snapshot()
+	if st.JobsOK != 2 || st.JobsFailed != 1 || st.Panics != 1 || st.Reclaims != 1 {
 		t.Fatalf("status counters: %+v", st)
 	}
-	if uint64(st.Jobs) != m.JobsOK+m.JobsFailed || uint64(st.Failed) != m.JobsFailed ||
-		uint64(st.Panics) != m.Panics || uint64(st.Reclaimed) != m.Reclaims {
+	if st != m {
 		t.Fatalf("status %+v disagrees with metrics snapshot %+v", st, m)
 	}
 	for _, line := range []string{
-		fmt.Sprintf(`synth_cluster_jobs_total{result="ok"} %d`, st.Jobs-st.Failed),
-		fmt.Sprintf(`synth_cluster_jobs_total{result="failed"} %d`, st.Failed),
+		fmt.Sprintf(`synth_cluster_jobs_total{result="ok"} %d`, st.JobsOK),
+		fmt.Sprintf(`synth_cluster_jobs_total{result="failed"} %d`, st.JobsFailed),
 		fmt.Sprintf("synth_cluster_panics_total %d", st.Panics),
-		fmt.Sprintf("synth_cluster_reclaims_total %d", st.Reclaimed),
+		fmt.Sprintf("synth_cluster_reclaims_total %d", st.Reclaims),
 		"synth_cluster_queue_done 3",
 		"synth_cluster_queue_pending 0",
 		"synth_cluster_pool_busy 0",

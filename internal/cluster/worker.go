@@ -22,9 +22,9 @@ import (
 type Worker struct {
 	// Queue is the job queue to drain.
 	Queue *Queue
-	// Pipe executes jobs. It must be built from the manifest's Spec (see
-	// PipelineOptions) and backed by the queue's store, or the worker's
-	// artifacts would not land where the dispatch's dedup looks.
+	// Pipe executes jobs. It must be built with the manifest's Spec.Seed
+	// and backed by the queue's store, or the worker's artifacts would not
+	// land where the dispatch's dedup looks.
 	Pipe *pipeline.Pipeline
 	// ID names the worker in lease files and results.
 	ID string
@@ -57,27 +57,6 @@ type Worker struct {
 	panicked *sync.Map
 	// event, when non-nil, receives lifecycle events (set by the pool).
 	event func(typ, job, detail string)
-}
-
-// PipelineOptions translates a dispatch spec into the pipeline options a
-// worker must run with, so every participant derives identical artifact
-// keys. The caller supplies Workers and Store (the per-process knobs the
-// spec deliberately does not pin).
-func PipelineOptions(spec Spec) (pipeline.Options, error) {
-	target := isa.ByName(spec.ProfileISA)
-	if target == nil {
-		return pipeline.Options{}, fmt.Errorf("cluster: unknown profiling ISA %q", spec.ProfileISA)
-	}
-	if spec.ProfileLevel < 0 || spec.ProfileLevel >= len(compiler.Levels) {
-		return pipeline.Options{}, fmt.Errorf("cluster: profiling level %d out of range", spec.ProfileLevel)
-	}
-	return pipeline.Options{
-		Seed:         spec.Seed,
-		TargetDyn:    spec.TargetDyn,
-		MaxInstrs:    spec.MaxInstrs,
-		ProfileISA:   target,
-		ProfileLevel: compiler.Levels[spec.ProfileLevel],
-	}, nil
 }
 
 // Run drains the queue: claim a job, step it through execute and ack,

@@ -36,19 +36,16 @@ import (
 
 // Config controls synthesis.
 type Config struct {
-	// TargetDyn is the clone's intended dynamic instruction count; the
-	// reduction factor R of Section III.B.1 is calibrated to reach it
-	// (default 150k; the paper targets 10M on MiBench-scale inputs — the
-	// repo's workloads are scaled down ~60x to keep `go test` fast, and so
-	// is this default).
-	TargetDyn uint64
 	// Seed drives the semi-random binary-to-source translation that
 	// obfuscates proprietary structure. Equal seeds reproduce clones
 	// exactly.
 	Seed int64
 }
 
-// DefaultTargetDyn is the default synthetic dynamic instruction target.
+// DefaultTargetDyn is the clone's intended dynamic instruction count; the
+// reduction factor R of Section III.B.1 is calibrated to reach it. The
+// paper targets 10M on MiBench-scale inputs; the repo's workloads are
+// scaled down ~60x to keep `go test` fast, and so is this target.
 const DefaultTargetDyn = 150_000
 
 // Report summarizes a synthesis run.
@@ -84,16 +81,14 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 	if p == nil || p.Graph == nil {
 		return nil, Report{}, fmt.Errorf("core: nil profile")
 	}
-	if cfg.TargetDyn == 0 {
-		cfg.TargetDyn = DefaultTargetDyn
-	}
 	// Small originals get proportionally smaller clones: a proxy that runs
 	// nearly as long as its original defeats the simulation-time-reduction
 	// purpose (the paper's R ranges from 1 to 250 for the same reason).
-	if cap := p.TotalDyn / 4; cfg.TargetDyn > cap && cap > 0 {
-		cfg.TargetDyn = cap
+	targetDyn := uint64(DefaultTargetDyn)
+	if cap := p.TotalDyn / 4; targetDyn > cap && cap > 0 {
+		targetDyn = cap
 	}
-	r := p.TotalDyn / cfg.TargetDyn
+	r := p.TotalDyn / targetDyn
 	if r == 0 {
 		r = 1
 	}
@@ -125,7 +120,7 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 		// Chase-permutation shuffles run before the work functions; cap
 		// their total footprint (~7 instructions per element) so small
 		// clones stay mostly work.
-		gen.chaseBudget = float64(cfg.TargetDyn) / 28
+		gen.chaseBudget = float64(targetDyn) / 28
 		// A third of FP-compensation multiplies become divides when the
 		// profile's own FP traffic is divide-heavy.
 		fpTotal := p.Mix[isa.ClassFPAdd] + p.Mix[isa.ClassFPMul] + p.Mix[isa.ClassFPDiv]
@@ -158,23 +153,19 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 	// change regenerates it; a measured prog is never compiled and run
 	// twice, and the clone returned is the measured one when there is one.
 	var meas *measurement
-	profCache := p.CacheCfg
-	if profCache == (cache.Config{}) {
-		profCache = profile.DefaultCache
-	}
 	// Every measurement runs under one instruction budget. It must see
 	// past the phase-2 size ceiling (maxTotal below, at most 3.8×
-	// TargetDyn), or that loop would keep growing compDyn against a
+	// targetDyn), or that loop would keep growing compDyn against a
 	// truncated reading and the ceiling guard could never fire.
-	budget := 16 * cfg.TargetDyn
+	budget := 16 * targetDyn
 	// Phase 1: calibrate R so the base clone (no compensation yet)
-	// lands near TargetDyn.
+	// lands near targetDyn.
 	for attempt := 0; attempt < 3; attempt++ {
 		var err error
-		if meas, err = measureClone(prog, budget, profCache); err != nil {
+		if meas, err = measureClone(prog, budget); err != nil {
 			return nil, rep, fmt.Errorf("core: calibration run: %w", err)
 		}
-		ratio := float64(meas.dyn) / float64(cfg.TargetDyn)
+		ratio := float64(meas.dyn) / float64(targetDyn)
 		if ratio < 1.4 && ratio > 0.7 {
 			break
 		}
@@ -216,11 +207,11 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 	// the Fig. 4 reduction factor inverts — and near its configured
 	// target, or the proxy stops being cheap; compensation never
 	// grows the total beyond this ceiling.
-	maxTotal := min(0.75*float64(p.TotalDyn), 3.8*float64(cfg.TargetDyn))
+	maxTotal := min(0.75*float64(p.TotalDyn), 3.8*float64(targetDyn))
 	for attempt := 0; attempt < 7; attempt++ {
 		if meas == nil {
 			var err error
-			if meas, err = measureClone(prog, budget, profCache); err != nil {
+			if meas, err = measureClone(prog, budget); err != nil {
 				return nil, rep, fmt.Errorf("core: mix calibration: %w", err)
 			}
 		}
@@ -334,17 +325,17 @@ type measurement struct {
 	missPI float64                // misses per instruction at the profiling cache
 }
 
-// measureClone type-checks a candidate clone, compiles it at -O0 and
-// executes it to obtain its true dynamic instruction count, class mix, and
-// per-access miss rate at the given profiling cache. The clone is
+// measureClone type-checks a candidate clone, compiles it at the profiling
+// point and executes it to obtain its true dynamic instruction count, class
+// mix, and per-access miss rate at the profiling cache. The clone is
 // self-contained (stride arrays start zeroed), so no input setup is
 // needed.
-func measureClone(prog *hlc.Program, budget uint64, cacheCfg cache.Config) (*measurement, error) {
+func measureClone(prog *hlc.Program, budget uint64) (*measurement, error) {
 	cp, err := hlc.Check(prog)
 	if err != nil {
 		return nil, err
 	}
-	mp, err := compiler.Compile(cp, isa.AMD64, compiler.O0)
+	mp, err := compiler.Compile(cp, profile.Target, profile.Level)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +347,7 @@ func measureClone(prog *hlc.Program, budget uint64, cacheCfg cache.Config) (*mea
 		classBySite[s] = uint8(lay.Instr(s).Class())
 	}
 	m := &measurement{cp: cp}
-	c := cache.New(cacheCfg)
+	c := cache.New(profile.DefaultCache)
 	var misses uint64
 	res, err := vm.New(mp).Run(vm.Config{
 		MaxInstrs: budget,

@@ -12,15 +12,15 @@ import (
 	"repro/internal/vm"
 )
 
-// profileSrc compiles src at O0 (as the paper prescribes) and profiles it.
+// profileSrc compiles src at the profiling point and profiles it.
 func profileSrc(t *testing.T, name, src string) *profile.Profile {
 	t.Helper()
 	cp := hlc.MustCheck(src)
-	prog, err := compiler.Compile(cp, isa.AMD64, compiler.O0)
+	prog, err := compiler.Compile(cp, profile.Target, profile.Level)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := profile.Collect(prog, nil, name, profile.Options{})
+	p, err := profile.Collect(prog, nil, name)
 	if err != nil {
 		t.Fatal(err)
 	}

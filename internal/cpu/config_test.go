@@ -188,7 +188,7 @@ func TestSimulateBudgetTruncationIsMeasurement(t *testing.T) {
 		t.Errorf("truncated run executed %d instrs, want ~%d", trunc.Instrs, bound)
 	}
 	if trunc.Cycles == 0 || trunc.CPI == 0 {
-		t.Errorf("truncated run carries no timing: %+v", trunc.Summary())
+		t.Errorf("truncated run carries no timing: %+v", trunc)
 	}
 }
 

@@ -50,27 +50,10 @@ type Config struct {
 	NewPredictor func() bpred.Predictor
 }
 
-// Result summarizes a timed execution.
-type Result struct {
-	Machine     string
-	Cycles      uint64
-	Instrs      uint64
-	CPI         float64
-	TimeSec     float64
-	L1          cache.Stats
-	L2          cache.Stats
-	L1Store     cache.Stats
-	L2Store     cache.Stats
-	BranchAcc   float64
-	Branches    uint64
-	Mispredicts uint64
-	Run         vm.Result
-}
-
-// Summary is the serializable core of a Result: everything the design-
-// space exploration engine ranks on, without the VM run details (whose
-// printed output can be large and is already covered by validation). It
-// is the artifact kind the pipeline's Simulate stage persists.
+// Summary is the result of a timed execution: everything the design-space
+// exploration engine ranks on, without the VM run details (whose printed
+// output can be large and is already covered by validation). It is the
+// artifact kind the pipeline's Simulate stage persists.
 type Summary struct {
 	// Machine names the simulated configuration.
 	Machine string `json:"machine"`
@@ -92,16 +75,6 @@ type Summary struct {
 	Mispredicts uint64  `json:"mispredicts"`
 }
 
-// Summary extracts the serializable core of the result.
-func (r Result) Summary() Summary {
-	return Summary{
-		Machine: r.Machine, Cycles: r.Cycles, Instrs: r.Instrs,
-		CPI: r.CPI, TimeSec: r.TimeSec, L1: r.L1, L2: r.L2,
-		L1Store: r.L1Store, L2Store: r.L2Store,
-		BranchAcc: r.BranchAcc, Branches: r.Branches, Mispredicts: r.Mispredicts,
-	}
-}
-
 // IPC returns instructions per cycle (0 when no cycles elapsed).
 func (s Summary) IPC() float64 {
 	if s.Cycles == 0 {
@@ -115,10 +88,10 @@ func (s Summary) IPC() float64 {
 // maxInstrs bounds the simulated execution; a run that exhausts the
 // budget is a valid (truncated) measurement, not an error — sampled
 // simulation is how design-space sweeps stay affordable.
-func Simulate(prog *isa.Program, setup func(*vm.VM) error, cfg Config, maxInstrs uint64) (Result, error) {
+func Simulate(prog *isa.Program, setup func(*vm.VM) error, cfg Config, maxInstrs uint64) (Summary, error) {
 	res, err := SimulateMany(prog, setup, []Config{cfg}, maxInstrs)
 	if err != nil {
-		return Result{}, err
+		return Summary{}, err
 	}
 	return res[0], nil
 }
@@ -134,7 +107,7 @@ func Simulate(prog *isa.Program, setup func(*vm.VM) error, cfg Config, maxInstrs
 // design point, and for each distinct cache geometry and branch predictor
 // once instead of once per config (see frontEnd). Every back end lives for
 // the whole run, so memory grows with len(cfgs); callers bound it.
-func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, maxInstrs uint64) ([]Result, error) {
+func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, maxInstrs uint64) ([]Summary, error) {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -216,11 +189,10 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 	for i, md := range epicModels {
 		cycles[i] = md.cycles()
 	}
-	out := make([]Result, len(cfgs))
+	out := make([]Summary, len(cfgs))
 	for i, cfg := range cfgs {
 		res := fe.finish(fe.slots[i], cycles[i])
 		res.Machine = cfg.Name
-		res.Run = runRes
 		res.Instrs = runRes.DynInstrs
 		if res.Cycles > 0 {
 			res.CPI = float64(res.Cycles) / float64(res.Instrs)
@@ -334,9 +306,9 @@ func (fe *frontEnd) observe(ev *vm.Event, si *siteInfo) {
 
 // finish builds a config's result from its back end's cycle count and its
 // slot's cache and branch statistics.
-func (fe *frontEnd) finish(s feSlot, cycles uint64) Result {
+func (fe *frontEnd) finish(s feSlot, cycles uint64) Summary {
 	h := fe.hiers[s.hier]
-	res := Result{
+	res := Summary{
 		Cycles:      cycles,
 		L1:          h.L1.Stats,
 		L2:          h.L2.Stats,

@@ -6,6 +6,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/hlc"
 	"repro/internal/isa"
+	"repro/internal/vm"
 )
 
 func compileFor(t *testing.T, src string, target *isa.Desc, level compiler.OptLevel) *isa.Program {
@@ -44,8 +45,15 @@ func TestSimulateBasics(t *testing.T) {
 	if res.BranchAcc < 0.8 {
 		t.Errorf("loop branches should predict well, got %.3f", res.BranchAcc)
 	}
-	if res.Run.Output[0] != "62883840" { // 30 * 2047*2048/2
-		t.Errorf("wrong program output: %v", res.Run.Output)
+	run, err := vm.New(prog).Run(vm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.DynInstrs != res.Instrs {
+		t.Errorf("timed %d instructions, the program executes %d", res.Instrs, run.DynInstrs)
+	}
+	if run.Output[0] != "62883840" { // 30 * 2047*2048/2
+		t.Errorf("wrong program output: %v", run.Output)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/profile"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -38,7 +39,7 @@ func (r *Runner) Fig4(ctx context.Context, suite []*workloads.Workload) (*Fig4Re
 		if err != nil {
 			return Fig4Row{}, err
 		}
-		syn, err := r.P.CompileClone(ctx, w, isa.AMD64, compiler.O0)
+		syn, err := r.P.CompileClone(ctx, w, profile.Target, profile.Level)
 		if err != nil {
 			return Fig4Row{}, err
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/plagiarism"
+	"repro/internal/profile"
 	"repro/internal/sfgl"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -246,7 +247,7 @@ func TableI() []TableIRow {
 	var rows []TableIRow
 	for class := 0; class < sfgl.NumMemClasses; class++ {
 		stride := sfgl.StrideBytes(class)
-		c := cache.New(profileCacheCfg())
+		c := cache.New(profile.DefaultCache)
 		span := uint64(64 * 1024)
 		var addr uint64
 		const accesses = 200000
@@ -274,10 +275,6 @@ func TableI() []TableIRow {
 		})
 	}
 	return rows
-}
-
-func profileCacheCfg() cache.Config {
-	return cache.Config{Name: "tableI", Size: 8 * 1024, LineSize: 32, Assoc: 2}
 }
 
 // PrintTableI renders the table.

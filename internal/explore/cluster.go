@@ -7,13 +7,13 @@ import (
 
 // ClusterSpec translates a resolved sweep into a cluster dispatch spec:
 // one exploration job per workload, each simulating every design point
-// at every level. seed, profileISA, and profileLevel pin the pipeline
-// options every worker must share (see cluster.PipelineOptions), so the
-// fleet's simulation keys match the dispatcher's by construction.
+// at every level. seed pins the one pipeline option every worker must
+// share, so the fleet's simulation keys match the dispatcher's by
+// construction.
 //
 // After the queue drains, Run over the same store aggregates the report
 // without recomputing anything — every cell is a warm simulate hit.
-func (sw *Sweep) ClusterSpec(seed int64, profileISA string, profileLevel int) cluster.Spec {
+func (sw *Sweep) ClusterSpec(seed int64) cluster.Spec {
 	names := make([]string, len(sw.Workloads))
 	for i, w := range sw.Workloads {
 		names[i] = w.Name
@@ -44,8 +44,6 @@ func (sw *Sweep) ClusterSpec(seed int64, profileISA string, profileLevel int) cl
 		ISAs:         isas,
 		Levels:       levels,
 		Seed:         seed,
-		ProfileISA:   profileISA,
-		ProfileLevel: profileLevel,
 		Explore:      points,
 		SimMaxInstrs: sw.Spec.MaxInstrs,
 	}

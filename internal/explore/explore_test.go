@@ -205,15 +205,15 @@ func TestClusterSpecBridge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := sw.ClusterSpec(42, "amd64v", 0)
+	spec := sw.ClusterSpec(42)
 	if len(spec.Workloads) != 3 || len(spec.Explore) != len(sw.Points) {
 		t.Fatalf("bridge lost workloads or points: %+v", spec)
 	}
 	if len(spec.ISAs) != 1 || spec.ISAs[0] != "amd64v" {
 		t.Errorf("ISAs = %v, want the deduplicated point ISA", spec.ISAs)
 	}
-	if spec.Seed != 42 || spec.ProfileISA != "amd64v" || spec.ProfileLevel != 0 {
-		t.Errorf("pipeline pins lost: %+v", spec)
+	if spec.Seed != 42 {
+		t.Errorf("seed lost: %+v", spec)
 	}
 	jobs := spec.Jobs()
 	if len(jobs) != 3 {
@@ -230,7 +230,7 @@ func TestClusterSpecBridge(t *testing.T) {
 	// The simulation bound is part of the dispatch identity.
 	bounded := *sw
 	bounded.Spec.MaxInstrs = 1000
-	if bounded.ClusterSpec(42, "amd64v", 0).Canonical() == spec.Canonical() {
+	if bounded.ClusterSpec(42).Canonical() == spec.Canonical() {
 		t.Error("SimMaxInstrs not in the dispatch canonical")
 	}
 }

@@ -126,8 +126,8 @@ func samplePoints(ctx context.Context, p *pipeline.Pipeline, spec *Spec) ([]Samp
 
 // realizePoint feeds one sampled profile through the pipeline's cached
 // Synthesize stage, then validates and measures the realized clone by
-// compiling it at the profiling point and re-profiling it under the same
-// cache — the achieved feature vector is the clone's own embedding, so
+// compiling it at the profiling point and re-profiling it there — the
+// achieved feature vector is the clone's own embedding, so
 // requested-vs-achieved error is measured in the exact space the sampler
 // targeted. Failures land in the point's Reject field, never as errors:
 // one unrealizable point must not void the corpus.
@@ -138,8 +138,7 @@ func realizePoint(ctx context.Context, p *pipeline.Pipeline, sp SampledPoint) Po
 		rep.Reject = fmt.Sprintf("synthesize: %v", err)
 		return rep
 	}
-	target, level := p.ProfilePoint()
-	prog, err := compiler.Compile(cl.Checked, target, level)
+	prog, err := compiler.Compile(cl.Checked, profile.Target, profile.Level)
 	if err != nil {
 		rep.Reject = fmt.Sprintf("compile: %v", err)
 		return rep
@@ -147,7 +146,7 @@ func realizePoint(ctx context.Context, p *pipeline.Pipeline, sp SampledPoint) Po
 	// Clones are self-contained (no inputs) and terminate by construction;
 	// a clone that traps or executes nothing is rejected, the same
 	// criterion the Validate stage applies to named workloads.
-	measured, err := profile.Collect(prog, nil, sp.Name, profile.Options{Cache: p.ProfileCacheConfig()})
+	measured, err := profile.Collect(prog, nil, sp.Name)
 	if err != nil {
 		rep.Reject = fmt.Sprintf("validate: %v", err)
 		return rep

@@ -49,7 +49,7 @@ func BenchmarkPipelineSequentialSeed(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			prof, err := profile.Collect(prog, w.Setup, w.Name, profile.Options{})
+			prof, err := profile.Collect(prog, w.Setup, w.Name)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -32,11 +32,6 @@ type Key struct {
 	Seed     int64        // clone-synthesis seed (clone artifacts only)
 	Clone    bool         // artifact derives from the synthetic clone
 	Cache    cache.Config // profiling cache configuration (profile-derived artifacts)
-	// TargetDyn and MaxInstrs carry the pipeline options that shape
-	// profile- and clone-derived artifacts, so two processes sharing a
-	// persistent store with different bounds never exchange artifacts.
-	TargetDyn uint64
-	MaxInstrs uint64
 	// Src fingerprints the workload's HLC source on keys whose artifacts
 	// are persisted, so editing a workload self-invalidates its disk
 	// entries instead of serving stale artifacts under the same name.
@@ -60,12 +55,15 @@ type Key struct {
 // fingerprint carried in Workload; v5 invalidates everything simulated
 // or synthesized before the timing model learned memory dependences —
 // store-queue forwarding and the dependence-chain emission change both
-// cycle counts and clone sources, so pre-v5 artifacts are stale).
+// cycle counts and clone sources, so pre-v5 artifacts are stale). The
+// two literal 0 fields before Src were a clone-size target and a
+// profiling bound that no caller ever set; they stay so every stored
+// digest keeps its bytes.
 func (k Key) Canonical() string {
-	return fmt.Sprintf("v5|%d|%s|%s|%d|%d|%t|%s|%d|%d|%d|%d|%d|%s|%s",
+	return fmt.Sprintf("v5|%d|%s|%s|%d|%d|%t|%s|%d|%d|%d|0|0|%s|%s",
 		k.Stage, k.Workload, k.ISA, k.Level, k.Seed, k.Clone,
 		k.Cache.Name, k.Cache.Size, k.Cache.LineSize, k.Cache.Assoc,
-		k.TargetDyn, k.MaxInstrs, k.Src, k.Sim)
+		k.Src, k.Sim)
 }
 
 // Digest returns the printable content address: a 64-bit FNV-1a hash over

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/hlc"
@@ -37,18 +36,6 @@ type Options struct {
 	Workers int
 	// Seed drives clone synthesis; equal seeds reproduce clones exactly.
 	Seed int64
-	// TargetDyn overrides the clone's intended dynamic instruction count
-	// (0 = the core package default).
-	TargetDyn uint64
-	// ProfileISA and ProfileLevel fix where profiling happens. The paper
-	// profiles at a low optimization level; defaults are amd64 and -O0.
-	ProfileISA   *isa.Desc
-	ProfileLevel compiler.OptLevel
-	// ProfileCache is the cache simulated while profiling (zero value =
-	// the profile package default).
-	ProfileCache cache.Config
-	// MaxInstrs bounds profiled executions (0 = VM default).
-	MaxInstrs uint64
 	// Store, when non-nil, adds a persistent tier under the artifact
 	// cache: memory misses probe the backend first, and computed artifacts
 	// are written through under a cross-process in-progress marker, so
@@ -79,18 +66,12 @@ type Pipeline struct {
 	cache *artifactCache
 }
 
-// New builds a pipeline. The zero Options value gives the paper's setup:
-// profile at amd64 -O0 with the default 8KB profiling cache, GOMAXPROCS
-// workers, seed 0.
+// New builds a pipeline. Every pipeline profiles at the profiling point
+// (profile.Target, profile.Level, profile.DefaultCache); the zero Options
+// value adds GOMAXPROCS workers and seed 0.
 func New(opts Options) *Pipeline {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.ProfileISA == nil {
-		opts.ProfileISA = isa.AMD64
-	}
-	if opts.ProfileCache == (cache.Config{}) {
-		opts.ProfileCache = profile.DefaultCache
 	}
 	return &Pipeline{opts: opts,
 		cache: newArtifactCache(opts.Store, opts.Metrics, opts.Tracer)}
@@ -104,15 +85,6 @@ func (p *Pipeline) Seed() int64 { return p.opts.Seed }
 
 // CacheStats reports artifact-cache hit/miss counts so far.
 func (p *Pipeline) CacheStats() CacheStats { return p.cache.n.stats() }
-
-// ProfilePoint returns the (ISA, level) compilation point profiling and
-// clone measurement run at.
-func (p *Pipeline) ProfilePoint() (*isa.Desc, compiler.OptLevel) {
-	return p.opts.ProfileISA, p.opts.ProfileLevel
-}
-
-// ProfileCacheConfig returns the profiling cache configuration.
-func (p *Pipeline) ProfileCacheConfig() cache.Config { return p.opts.ProfileCache }
 
 // Clone bundles every artifact of one synthesized benchmark.
 type Clone struct {
@@ -181,9 +153,7 @@ func (p *Pipeline) Compile(ctx context.Context, w *workloads.Workload, target *i
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := Key{Stage: StageCompile, Workload: w.Name, ISA: target.Name, Level: level,
-		Src: srcID(w)}
-	v, err := p.cache.do(ctx, key, codecProgram, func(ctx context.Context) (any, error) {
+	v, err := p.cache.do(ctx, compileKey(w, target, level), codecProgram, func(ctx context.Context) (any, error) {
 		cp, err := p.Check(ctx, w)
 		if err != nil {
 			return nil, err
@@ -202,23 +172,17 @@ func (p *Pipeline) Compile(ctx context.Context, w *workloads.Workload, target *i
 }
 
 // Profile runs the Profile stage: execute the workload compiled at the
-// pipeline's profiling point under instrumentation and build its SFGL.
+// profiling point under instrumentation and build its SFGL.
 func (p *Pipeline) Profile(ctx context.Context, w *workloads.Workload) (*profile.Profile, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := Key{Stage: StageProfile, Workload: w.Name, ISA: p.opts.ProfileISA.Name,
-		Level: p.opts.ProfileLevel, Cache: p.opts.ProfileCache,
-		MaxInstrs: p.opts.MaxInstrs, Src: srcID(w)}
-	v, err := p.cache.do(ctx, key, codecProfile, func(ctx context.Context) (any, error) {
-		prog, err := p.Compile(ctx, w, p.opts.ProfileISA, p.opts.ProfileLevel)
+	v, err := p.cache.do(ctx, profileKey(w), codecProfile, func(ctx context.Context) (any, error) {
+		prog, err := p.Compile(ctx, w, profile.Target, profile.Level)
 		if err != nil {
 			return nil, err
 		}
-		prof, err := profile.Collect(prog, w.Setup, w.Name, profile.Options{
-			Cache:     p.opts.ProfileCache,
-			MaxInstrs: p.opts.MaxInstrs,
-		})
+		prof, err := profile.Collect(prog, w.Setup, w.Name)
 		if err != nil {
 			return nil, p.fail(StageProfile, w.Name, err)
 		}
@@ -235,11 +199,26 @@ func srcID(w *workloads.Workload) string {
 	return store.Fingerprint([]byte(w.Source))
 }
 
+// compileKey keys the original workload compiled at one (ISA, level)
+// point: the Compile stage and PairKeys both build it here.
+func compileKey(w *workloads.Workload, target *isa.Desc, level compiler.OptLevel) Key {
+	return Key{Stage: StageCompile, Workload: w.Name, ISA: target.Name, Level: level,
+		Src: srcID(w)}
+}
+
+// profileKey keys the workload's profile, taken at the profiling point.
+func profileKey(w *workloads.Workload) Key {
+	return Key{Stage: StageProfile, Workload: w.Name, ISA: profile.Target.Name,
+		Level: profile.Level, Cache: profile.DefaultCache, Src: srcID(w)}
+}
+
+// cloneKey keys a stage-s artifact derived from the workload's clone: the
+// profiling point plus the synthesis seed. Stages that compile or run the
+// clone elsewhere (CompileClone, Simulate) overwrite ISA and Level.
 func (p *Pipeline) cloneKey(s Stage, w *workloads.Workload) Key {
-	return Key{Stage: s, Workload: w.Name, ISA: p.opts.ProfileISA.Name,
-		Level: p.opts.ProfileLevel, Seed: p.opts.Seed, Clone: true,
-		Cache: p.opts.ProfileCache, TargetDyn: p.opts.TargetDyn,
-		MaxInstrs: p.opts.MaxInstrs, Src: srcID(w)}
+	return Key{Stage: s, Workload: w.Name, ISA: profile.Target.Name,
+		Level: profile.Level, Seed: p.opts.Seed, Clone: true,
+		Cache: profile.DefaultCache, Src: srcID(w)}
 }
 
 // Synthesize runs the Synthesize stage: profile to benchmark clone.
@@ -267,10 +246,7 @@ func (p *Pipeline) Synthesize(ctx context.Context, w *workloads.Workload) (*Clon
 // synthesizeClone runs the synthesis core on a profile and packages the
 // result, shared by Synthesize and SynthesizeProfile.
 func (p *Pipeline) synthesizeClone(prof *profile.Profile, workload string) (*Clone, error) {
-	cp, rep, err := core.Synthesize(prof, core.Config{
-		Seed:      p.opts.Seed,
-		TargetDyn: p.opts.TargetDyn,
-	})
+	cp, rep, err := core.Synthesize(prof, core.Config{Seed: p.opts.Seed})
 	if err != nil {
 		return nil, &StageError{Stage: StageSynthesize, Workload: workload, Clone: true, Err: err}
 	}
@@ -315,19 +291,17 @@ func (p *Pipeline) SynthesizeProfile(ctx context.Context, prof *profile.Profile)
 // GenerateArtifact runs the Generate stage: it returns the cached
 // generation report stored under the given spec fingerprint, computing it
 // with the supplied function on a miss. The payload is opaque JSON —
-// the generate package owns the report schema — but the key carries every
-// pipeline option that shapes generated clones (profiling point, cache,
-// seed, synthesis bounds), so two pipelines sharing a store with
-// different options never exchange reports. Failed computations are not
-// cached.
+// the generate package owns the report schema — but the key carries the
+// profiling point and the seed, which shape generated clones, so two
+// pipelines sharing a store with different seeds never exchange reports.
+// Failed computations are not cached.
 func (p *Pipeline) GenerateArtifact(ctx context.Context, fingerprint string, compute func(context.Context) ([]byte, error)) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	key := Key{Stage: StageGenerate, Workload: "generate:" + fingerprint,
-		ISA: p.opts.ProfileISA.Name, Level: p.opts.ProfileLevel,
-		Seed: p.opts.Seed, Cache: p.opts.ProfileCache,
-		TargetDyn: p.opts.TargetDyn, MaxInstrs: p.opts.MaxInstrs}
+		ISA: profile.Target.Name, Level: profile.Level,
+		Seed: p.opts.Seed, Cache: profile.DefaultCache}
 	v, err := p.cache.do(ctx, key, codecGenerate, func(ctx context.Context) (any, error) {
 		data, err := compute(ctx)
 		if err != nil {
@@ -378,7 +352,7 @@ func (p *Pipeline) Validate(ctx context.Context, w *workloads.Workload) error {
 		return err
 	}
 	_, err := p.cache.do(ctx, p.cloneKey(StageValidate, w), codecMarker, func(ctx context.Context) (any, error) {
-		prog, err := p.CompileClone(ctx, w, p.opts.ProfileISA, p.opts.ProfileLevel)
+		prog, err := p.CompileClone(ctx, w, profile.Target, profile.Level)
 		if err != nil {
 			return nil, err
 		}
@@ -408,18 +382,12 @@ func (p *Pipeline) Validate(ctx context.Context, w *workloads.Workload) error {
 // Profile, Synthesize, and CompileClone; TestPairKeysMatchStoredDigests
 // guards against drift.
 func (p *Pipeline) PairKeys(w *workloads.Workload, target *isa.Desc, level compiler.OptLevel) []Key {
-	orig := Key{Stage: StageCompile, Workload: w.Name, ISA: target.Name, Level: level,
-		Src: srcID(w)}
+	orig := compileKey(w, target, level)
 	keys := []Key{orig}
-	profCompile := Key{Stage: StageCompile, Workload: w.Name, ISA: p.opts.ProfileISA.Name,
-		Level: p.opts.ProfileLevel, Src: srcID(w)}
-	if profCompile != orig {
+	if profCompile := compileKey(w, profile.Target, profile.Level); profCompile != orig {
 		keys = append(keys, profCompile)
 	}
-	keys = append(keys, Key{Stage: StageProfile, Workload: w.Name, ISA: p.opts.ProfileISA.Name,
-		Level: p.opts.ProfileLevel, Cache: p.opts.ProfileCache,
-		MaxInstrs: p.opts.MaxInstrs, Src: srcID(w)})
-	keys = append(keys, p.cloneKey(StageSynthesize, w))
+	keys = append(keys, profileKey(w), p.cloneKey(StageSynthesize, w))
 	cloneCompile := p.cloneKey(StageCompile, w)
 	cloneCompile.ISA, cloneCompile.Level = target.Name, level
 	keys = append(keys, cloneCompile)

@@ -21,12 +21,10 @@ import (
 // sweep — recomputes nothing.
 
 // simKey builds the Simulate-stage cache key. Clone simulations extend
-// the clone-artifact key (seed, profiling point, target-dyn, profiling
-// bound) so that clones synthesized under different options never share
-// simulation artifacts; original simulations are keyed by the compile
-// point alone. The simulation bound rides inside Sim, not MaxInstrs —
-// the MaxInstrs field means "profiling bound" on clone-derived keys and
-// must keep meaning that.
+// the clone-artifact key (seed, profiling point) so that clones
+// synthesized under different seeds never share simulation artifacts;
+// original simulations are keyed by the compile point alone. The
+// simulation bound rides inside Sim.
 func (p *Pipeline) simKey(w *workloads.Workload, target *isa.Desc, level compiler.OptLevel, cfg cpu.Config, clone bool, maxInstrs uint64) Key {
 	var k Key
 	if clone {
@@ -118,10 +116,7 @@ func (p *Pipeline) SimulateColumn(ctx context.Context, w *workloads.Workload, ta
 			if err != nil {
 				return nil, stageErr(err)
 			}
-			group, at = make([]cpu.Summary, len(res)), i
-			for j, r := range res {
-				group[j] = r.Summary()
-			}
+			group, at = res, i
 			return group[0], nil
 		})
 		if err != nil {

@@ -14,24 +14,25 @@ import (
 	"sort"
 
 	"repro/internal/cache"
+	"repro/internal/compiler"
 	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/sfgl"
 	"repro/internal/vm"
 )
 
-// Options configures profiling.
-type Options struct {
-	// Cache is the configuration simulated during profiling to classify
-	// memory accesses (Section III.A.3). The zero value selects the
-	// default 8KB 2-way cache with 32-byte lines.
-	Cache cache.Config
-	// MaxInstrs bounds the profiled execution (0 = VM default).
-	MaxInstrs uint64
-}
+// The profiling point: every profile is taken, and every clone measured,
+// on code compiled for Target at Level, with memory accesses classified
+// (Section III.A.3) against DefaultCache. The paper profiles at a low
+// optimization level (Section III.A) so the statistics describe the
+// program rather than one compiler's output of it.
+var (
+	Target       = isa.AMD64
+	DefaultCache = cache.Config{Name: "profile-8KB", Size: 8 * 1024, LineSize: 32, Assoc: 2}
+)
 
-// DefaultCache is the profiling cache configuration.
-var DefaultCache = cache.Config{Name: "profile-8KB", Size: 8 * 1024, LineSize: 32, Assoc: 2}
+// Level is the profiling point's optimization level.
+const Level = compiler.O0
 
 // WideCache returns the wide profiling cache derived from the primary
 // one: 8x the capacity at doubled associativity. Per-site miss rates at
@@ -208,12 +209,9 @@ type branchStat struct {
 	any                       bool
 }
 
-// Collect profiles a compiled program. setup (optional) installs workload
-// inputs before the run.
-func Collect(prog *isa.Program, setup func(*vm.VM) error, name string, opts Options) (*Profile, error) {
-	if opts.Cache == (cache.Config{}) {
-		opts.Cache = DefaultCache
-	}
+// Collect profiles a program compiled at the profiling point under
+// DefaultCache. setup (optional) installs workload inputs before the run.
+func Collect(prog *isa.Program, setup func(*vm.VM) error, name string) (*Profile, error) {
 	m := vm.New(prog)
 	if setup != nil {
 		if err := setup(m); err != nil {
@@ -221,8 +219,8 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string, opts Opti
 		}
 	}
 
-	c := cache.New(opts.Cache)
-	cWide := cache.New(WideCache(opts.Cache))
+	c := cache.New(DefaultCache)
+	cWide := cache.New(WideCache(DefaultCache))
 	callCounts := make([]uint64, len(prog.Funcs))
 	var mix [isa.NumClasses]uint64
 	var total uint64
@@ -269,7 +267,7 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string, opts Opti
 	// taken and JMP), the fall-through arm Succs[1] (BR not taken).
 	edgeTaken := make([]uint64, nBlocks)
 	edgeNot := make([]uint64, nBlocks)
-	lineSize := opts.Cache.LineSize
+	lineSize := DefaultCache.LineSize
 
 	hook := func(ev *vm.Event) {
 		total++
@@ -304,7 +302,7 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string, opts Opti
 		}
 	}
 
-	res, err := m.Run(vm.Config{Hook: hook, MaxInstrs: opts.MaxInstrs})
+	res, err := m.Run(vm.Config{Hook: hook})
 	if err != nil {
 		return nil, fmt.Errorf("profile: %s: %w", name, err)
 	}
@@ -348,7 +346,7 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string, opts Opti
 		Graph:      g,
 		TotalDyn:   total,
 		Mix:        mix,
-		CacheCfg:   opts.Cache,
+		CacheCfg:   DefaultCache,
 		OutputHash: res.OutputHash,
 	}, nil
 }

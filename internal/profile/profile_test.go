@@ -15,8 +15,7 @@ import (
 func collect(t *testing.T, src string) *Profile {
 	t.Helper()
 	cp := hlc.MustCheck(src)
-	// Profiling happens at -O0, as in the paper.
-	prog, err := compiler.Compile(cp, isa.AMD64, compiler.O0)
+	prog, err := compiler.Compile(cp, Target, Level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +36,7 @@ func collect(t *testing.T, src string) *Profile {
 		}
 		return nil
 	}
-	p, err := Collect(prog, setup, "test", Options{})
+	p, err := Collect(prog, setup, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
