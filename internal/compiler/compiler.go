@@ -17,6 +17,12 @@
 // slightly after; the load fraction falls and the arithmetic fraction rises
 // with optimization; and only the EPIC target gains substantially from the
 // O2 scheduler, which is the Itanium effect in Fig. 11.
+//
+// Compilation has two halves. Optimize is everything that does not depend
+// on the target: lowering, the level's passes, and the live intervals
+// register allocation needs. (*Optimized).Target is the per-ISA rest:
+// linear-scan allocation, spill code, and EPIC scheduling. One Optimized
+// serves any number of targets; Compile is Optimize followed by Target.
 package compiler
 
 import (
@@ -44,12 +50,31 @@ func (l OptLevel) String() string { return fmt.Sprintf("-O%d", int(l)) }
 var Levels = []OptLevel{O0, O1, O2, O3}
 
 // Compile translates a checked program for the given ISA at the given
-// optimization level.
+// optimization level: Optimize followed by Target.
 func Compile(cp *hlc.CheckedProgram, target *isa.Desc, level OptLevel) (*isa.Program, error) {
-	if target == nil {
-		return nil, fmt.Errorf("compiler: nil target ISA")
+	o, err := Optimize(cp, level)
+	if err != nil {
+		return nil, err
 	}
-	prog := &isa.Program{ISA: target}
+	return o.Target(target)
+}
+
+// Optimized is a program after the target-independent half of
+// compilation: lowered, optimized virtual-register code, plus each
+// function's live intervals for register allocation. One Optimized serves
+// any number of Target calls, concurrently too; none of them changes it.
+type Optimized struct {
+	level OptLevel
+	prog  *isa.Program // virtual-register code; ISA is nil
+	// itvs holds each function's live intervals in (begin, reg) order.
+	itvs [][]interval
+}
+
+// Optimize runs everything of compilation that does not depend on the
+// target: lowering, the level's optimization passes, and the liveness
+// analysis behind register allocation.
+func Optimize(cp *hlc.CheckedProgram, level OptLevel) (*Optimized, error) {
+	prog := &isa.Program{}
 
 	// Globals: scalars become length-1 globals. Initializers are evaluated
 	// by the VM at program start via a synthetic init sequence baked into
@@ -93,7 +118,8 @@ func Compile(cp *hlc.CheckedProgram, target *isa.Desc, level OptLevel) (*isa.Pro
 	if level >= O3 {
 		inlineSmallFuncs(prog)
 	}
-	for _, f := range prog.Funcs {
+	o := &Optimized{level: level, prog: prog, itvs: make([][]interval, len(prog.Funcs))}
+	for i, f := range prog.Funcs {
 		if level >= O1 {
 			mem2reg(f)
 			for i := 0; i < 3; i++ {
@@ -112,22 +138,42 @@ func Compile(cp *hlc.CheckedProgram, target *isa.Desc, level OptLevel) (*isa.Pro
 			}
 		}
 		tidy(f)
+		o.itvs[i] = intervals(f)
 	}
+	return o, nil
+}
 
-	// Register allocation maps virtual registers onto the target's
-	// register file, spilling to stack slots under pressure.
-	for _, f := range prog.Funcs {
-		if err := allocate(f, target); err != nil {
+// Target finishes compilation for one ISA: register allocation maps the
+// virtual registers onto the target's register file, spilling to stack
+// slots under pressure, and EPIC targets get static schedules at O2+
+// (otherwise each instruction issues alone on in-order machines). The
+// program it returns has its own functions and blocks but shares the
+// global table. Allocation and scheduling write their code into new
+// slices, so Target only reads the optimized instruction slices; a block
+// that needs neither keeps sharing its slice with the Optimized and the
+// other targets' programs.
+func (o *Optimized) Target(target *isa.Desc) (*isa.Program, error) {
+	if target == nil {
+		return nil, fmt.Errorf("compiler: nil target ISA")
+	}
+	prog := &isa.Program{ISA: target, Globals: o.prog.Globals,
+		Funcs: make([]*isa.Func, len(o.prog.Funcs)), Entry: o.prog.Entry}
+	for i, of := range o.prog.Funcs {
+		f := new(isa.Func)
+		*f = *of
+		blocks := make([]isa.Block, len(of.Blocks))
+		f.Blocks = make([]*isa.Block, len(of.Blocks))
+		for b, ob := range of.Blocks {
+			blocks[b] = *ob
+			f.Blocks[b] = &blocks[b]
+		}
+		if err := allocate(f, target, o.itvs[i]); err != nil {
 			return nil, fmt.Errorf("compiler: %s: %w", f.Name, err)
 		}
-	}
-
-	// EPIC targets get static schedules at O2+; otherwise each
-	// instruction issues alone on in-order machines.
-	if target.EPIC && level >= O2 {
-		for _, f := range prog.Funcs {
+		if target.EPIC && o.level >= O2 {
 			scheduleEPIC(f)
 		}
+		prog.Funcs[i] = f
 	}
 	return prog, nil
 }

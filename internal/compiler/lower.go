@@ -25,6 +25,13 @@ type lowerer struct {
 	// Loop context stacks for break/continue targets.
 	breakTo    []int
 	continueTo []int
+
+	// code holds the instructions emitted so far into the current chunk;
+	// the current block's are code[start:]. Each block is lowered in one
+	// run: it is made current once, empty, and left only once terminated,
+	// when it takes its instructions as a slice of the chunk.
+	code  []isa.Instr
+	start int
 }
 
 func lowerFunc(cp *hlc.CheckedProgram, prog *isa.Program, fn *hlc.FuncDecl, out *isa.Func) error {
@@ -60,6 +67,7 @@ func lowerFunc(cp *hlc.CheckedProgram, prog *isa.Program, fn *hlc.FuncDecl, out 
 	if err != nil {
 		return err
 	}
+	lw.finishBlock()
 	lw.out.NumRegs = lw.nextReg
 	if lw.maxOut > 0 {
 		lw.out.FirstArgSlot = lw.out.NumSlots
@@ -108,25 +116,41 @@ func (lw *lowerer) reg() isa.RegID {
 }
 
 func (lw *lowerer) newBlock() int {
-	lw.out.Blocks = append(lw.out.Blocks, &isa.Block{})
-	lw.cur = len(lw.out.Blocks) - 1
+	lw.switchTo(lw.reserveBlock())
 	return lw.cur
 }
 
 func (lw *lowerer) curBlock() *isa.Block { return lw.out.Blocks[lw.cur] }
 
+// emit appends an instruction to the current block. A full chunk is
+// left to the blocks that own slices of it: the current block's
+// instructions so far move to a new chunk, twice the last one's size up
+// to 1024 instructions (32 KB, the largest small allocation), so blocks
+// stay contiguous at a few allocations per function.
 func (lw *lowerer) emit(in isa.Instr) {
-	b := lw.curBlock()
-	b.Instrs = append(b.Instrs, in)
+	if len(lw.code) == cap(lw.code) {
+		n := len(lw.code) - lw.start
+		chunk := make([]isa.Instr, n, max(min(2*cap(lw.code), 1024), 64, 2*n))
+		copy(chunk, lw.code[lw.start:])
+		lw.code, lw.start = chunk, 0
+	}
+	lw.code = append(lw.code, in)
+}
+
+// finishBlock gives the current block the instructions emitted since it
+// became current.
+func (lw *lowerer) finishBlock() {
+	if n := len(lw.code); n > lw.start {
+		lw.out.Blocks[lw.cur].Instrs = lw.code[lw.start:n:n]
+	}
 }
 
 // terminated reports whether the current block already ends in control flow.
 func (lw *lowerer) terminated() bool {
-	b := lw.curBlock()
-	if len(b.Instrs) == 0 {
+	if len(lw.code) == lw.start {
 		return false
 	}
-	switch b.Instrs[len(b.Instrs)-1].Op {
+	switch lw.code[len(lw.code)-1].Op {
 	case isa.BR, isa.JMP, isa.RET:
 		return true
 	}
@@ -149,7 +173,10 @@ func (lw *lowerer) branchTo(cond isa.RegID, taken, fall int) {
 }
 
 // switchTo makes an existing (pre-created) block current.
-func (lw *lowerer) switchTo(b int) { lw.cur = b }
+func (lw *lowerer) switchTo(b int) {
+	lw.finishBlock()
+	lw.cur, lw.start = b, len(lw.code)
+}
 
 // reserveBlock creates a block without making it current.
 func (lw *lowerer) reserveBlock() int {

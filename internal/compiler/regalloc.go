@@ -124,43 +124,34 @@ func liveness(f *isa.Func) *liveSets {
 	return l
 }
 
-// interval is a live interval over the linearized instruction numbering.
+// interval is a live interval over the function's linearized
+// instruction numbering.
 type interval struct {
 	reg        isa.RegID
-	begin, end int
+	begin, end int32
 }
 
-// allocate performs linear-scan register allocation for the target's
-// register file, rewriting virtual registers to physical ones and inserting
-// spill loads/stores (via two reserved scratch registers) when the function
-// needs more registers than the ISA provides. Register-starved targets like
-// x86v therefore execute extra memory traffic — the register-pressure axis
-// that separates the paper's x86 machines from x86_64 and IA64.
-func allocate(f *isa.Func, target *isa.Desc) error {
-	k := target.IntRegs
-	if k < 4 {
-		return fmt.Errorf("ISA %s has too few registers (%d)", target.Name, k)
-	}
-	if f.NumRegs <= k {
-		return nil // virtual registers already fit the machine
-	}
-
+// intervals returns the live interval of every register f mentions, in
+// (begin, reg) order: a total order, since each register has one
+// interval. One counting pass over instruction positions sorts them,
+// registers taken in ascending order within each position.
+func intervals(f *isa.Func) []interval {
 	// Linearize and compute positions.
-	startOf := make([]int, len(f.Blocks))
-	pos := 0
+	startOf := make([]int32, len(f.Blocks))
+	var pos int32
 	for b := range f.Blocks {
 		startOf[b] = pos
-		pos += len(f.Blocks[b].Instrs)
+		pos += int32(len(f.Blocks[b].Instrs))
 	}
 	live := liveness(f)
 
-	begin := make([]int, f.NumRegs)
-	end := make([]int, f.NumRegs)
+	begin := make([]int32, f.NumRegs)
+	end := make([]int32, f.NumRegs)
 	for r := range begin {
 		begin[r] = -1
 		end[r] = -1
 	}
-	extend := func(r isa.RegID, p int) {
+	extend := func(r isa.RegID, p int32) {
 		if begin[r] == -1 || p < begin[r] {
 			begin[r] = p
 		}
@@ -170,32 +161,57 @@ func allocate(f *isa.Func, target *isa.Desc) error {
 	}
 	for b := range f.Blocks {
 		s := startOf[b]
-		e := s + len(f.Blocks[b].Instrs) - 1
+		e := s + int32(len(f.Blocks[b].Instrs)) - 1
 		live.forEach(live.in[b], func(r isa.RegID) { extend(r, s) })
 		live.forEach(live.out[b], func(r isa.RegID) { extend(r, e) })
 		for i := range f.Blocks[b].Instrs {
 			u1, u2, d := ir.UseDef2(&f.Blocks[b].Instrs[i])
 			for _, r := range [3]isa.RegID{u1, u2, d} {
 				if r != isa.NoReg {
-					extend(r, s+i)
+					extend(r, s+int32(i))
 				}
 			}
 		}
 	}
 
-	itvs := make([]interval, 0, f.NumRegs)
-	for r := 0; r < f.NumRegs; r++ {
-		if begin[r] >= 0 {
-			itvs = append(itvs, interval{isa.RegID(r), begin[r], end[r]})
+	// at[p] becomes the index in itvs of the first interval beginning at
+	// position p.
+	at := make([]int32, pos+1)
+	n := int32(0)
+	for _, b := range begin {
+		if b >= 0 {
+			at[b+1]++
+			n++
 		}
 	}
-	// (begin, reg) is a total order, since each register has one interval.
-	slices.SortFunc(itvs, func(a, b interval) int {
-		if a.begin != b.begin {
-			return cmp.Compare(a.begin, b.begin)
+	for p := int32(1); p <= pos; p++ {
+		at[p] += at[p-1]
+	}
+	itvs := make([]interval, n)
+	for r, b := range begin {
+		if b >= 0 {
+			itvs[at[b]] = interval{isa.RegID(r), b, end[r]}
+			at[b]++
 		}
-		return cmp.Compare(a.reg, b.reg)
-	})
+	}
+	return itvs
+}
+
+// allocate performs linear-scan register allocation for the target's
+// register file over f's live intervals itvs, as intervals returns them,
+// rewriting virtual registers to physical ones and inserting spill
+// loads/stores (via two reserved scratch registers) when the function
+// needs more registers than the ISA provides. Register-starved targets like
+// x86v therefore execute extra memory traffic — the register-pressure axis
+// that separates the paper's x86 machines from x86_64 and IA64.
+func allocate(f *isa.Func, target *isa.Desc, itvs []interval) error {
+	k := target.IntRegs
+	if k < 4 {
+		return fmt.Errorf("ISA %s has too few registers (%d)", target.Name, k)
+	}
+	if f.NumRegs <= k {
+		return nil // virtual registers already fit the machine
+	}
 
 	// Two registers are reserved as spill scratch; the rest are allocatable.
 	alloc := k - 2
@@ -218,7 +234,7 @@ func allocate(f *isa.Func, target *isa.Desc) error {
 	active := make([]interval, 0, alloc)
 
 	insertActive := func(it interval) {
-		i, _ := slices.BinarySearchFunc(active, it.end, func(a interval, end int) int {
+		i, _ := slices.BinarySearchFunc(active, it.end, func(a interval, end int32) int {
 			return cmp.Compare(a.end, end)
 		})
 		active = slices.Insert(active, i, it)
@@ -258,31 +274,54 @@ func allocate(f *isa.Func, target *isa.Desc) error {
 
 	// Rewrite instructions: physical renaming plus spill code. An
 	// instruction reads at most two registers, so its spilled operands are
-	// each loaded once, into scratch[0] then scratch[1].
+	// each loaded once, into scratch[0] then scratch[1]. The new code of
+	// every block goes into one slice, sized first: one instruction per
+	// instruction, plus a load per spilled register it reads and a store
+	// if it writes one.
+	spilled := func(r isa.RegID) bool { return r != isa.NoReg && spillSlot[r] >= 0 }
+	size := 0
 	for _, b := range f.Blocks {
-		out := make([]isa.Instr, 0, len(b.Instrs))
+		for i := range b.Instrs {
+			u1, u2, d := ir.UseDef2(&b.Instrs[i])
+			size++
+			if spilled(u1) {
+				size++
+			}
+			if u2 != u1 && spilled(u2) {
+				size++
+			}
+			if spilled(d) {
+				size++
+			}
+		}
+	}
+	out := make([]isa.Instr, 0, size)
+	var loaded [2]isa.RegID
+	nLoaded := 0
+	rename := func(r isa.RegID) isa.RegID {
+		if p := phys[r]; p != isa.NoReg {
+			return p
+		}
+		slot := spillSlot[r]
+		if slot < 0 {
+			return r // untouched (should not happen)
+		}
+		for i := 0; i < nLoaded; i++ {
+			if loaded[i] == r {
+				return scratch[i]
+			}
+		}
+		s := scratch[nLoaded]
+		loaded[nLoaded] = r
+		nLoaded++
+		out = append(out, isa.Instr{Op: isa.LDL, Dst: s, Imm: slot})
+		return s
+	}
+	for _, b := range f.Blocks {
+		start := len(out)
 		for _, in := range b.Instrs {
-			var loaded [2]isa.RegID
-			nLoaded := 0
-			mapUses(&in, func(r isa.RegID) isa.RegID {
-				if p := phys[r]; p != isa.NoReg {
-					return p
-				}
-				slot := spillSlot[r]
-				if slot < 0 {
-					return r // untouched (should not happen)
-				}
-				for i := 0; i < nLoaded; i++ {
-					if loaded[i] == r {
-						return scratch[i]
-					}
-				}
-				s := scratch[nLoaded]
-				loaded[nLoaded] = r
-				nLoaded++
-				out = append(out, isa.Instr{Op: isa.LDL, Dst: s, Imm: slot})
-				return s
-			})
+			nLoaded = 0
+			mapUses(&in, rename)
 			_, _, d := ir.UseDef2(&in)
 			storeSlot := int64(-1)
 			if d != isa.NoReg {
@@ -297,7 +336,7 @@ func allocate(f *isa.Func, target *isa.Desc) error {
 				out = append(out, isa.Instr{Op: isa.STL, A: scratch[0], Imm: storeSlot})
 			}
 		}
-		b.Instrs = out
+		b.Instrs = out[start:len(out):len(out)]
 	}
 	f.NumRegs = k
 	return nil

@@ -56,6 +56,10 @@ func (c Config) Validate() error {
 	if c.FreqGHz < 0 || math.IsNaN(c.FreqGHz) || math.IsInf(c.FreqGHz, 0) {
 		return fmt.Errorf("cpu: config %q: bad frequency %v", c.Name, c.FreqGHz)
 	}
+	if PredictorByName(c.Predictor) == nil {
+		return fmt.Errorf("cpu: config %q: unknown predictor %q (want %s, %s, or %s)",
+			c.Name, c.Predictor, PredictorHybrid, PredictorBimodal, PredictorGShare)
+	}
 	return nil
 }
 
@@ -74,7 +78,7 @@ func (c Config) CanonicalConfig() string {
 		c.Width, c.ROB, c.MispredictPenalty, c.StoreQueue,
 		c.L1KB, c.L1Assoc, c.L1Lat,
 		c.L2KB, c.L2Assoc, c.L2Lat, c.MemLat,
-		c.EPIC, newPredictor(c).Name())
+		c.EPIC, c.predictorName())
 }
 
 // Fingerprint returns the printable 64-bit FNV-1a hash of the config's
@@ -93,6 +97,15 @@ const (
 	PredictorBimodal = "bimodal"
 	PredictorGShare  = "gshare"
 )
+
+// predictorName returns the name of the config's branch predictor, the
+// one its predictor's Name method reports: "" means the default hybrid.
+func (c Config) predictorName() string {
+	if c.Predictor == "" {
+		return PredictorHybrid
+	}
+	return c.Predictor
+}
 
 // PredictorByName returns the constructor for a named branch predictor
 // ("" and "hybrid" mean the default hybrid), or nil for an unknown name.
@@ -140,8 +153,8 @@ type ConfigSpec struct {
 }
 
 // SpecOf captures a Config as its serializable spec. The predictor is
-// recorded by constructing it once and reading its name, so a spec round
-// trip preserves the config's fingerprint.
+// recorded by its resolved name ("" becomes hybrid), so a spec round trip
+// preserves the config's fingerprint.
 func SpecOf(c Config) ConfigSpec {
 	isaName := ""
 	if c.ISA != nil {
@@ -153,7 +166,7 @@ func SpecOf(c Config) ConfigSpec {
 		StoreQueue: c.StoreQueue,
 		L1KB:       c.L1KB, L1Assoc: c.L1Assoc, L1Lat: c.L1Lat,
 		L2KB: c.L2KB, L2Assoc: c.L2Assoc, L2Lat: c.L2Lat, MemLat: c.MemLat,
-		EPIC: c.EPIC, Predictor: newPredictor(c).Name(),
+		EPIC: c.EPIC, Predictor: c.predictorName(),
 	}
 }
 
@@ -171,17 +184,11 @@ func (s ConfigSpec) Canonical() string {
 }
 
 // Config resolves the spec into a runnable machine configuration,
-// re-linking the ISA descriptor and predictor constructor by name and
-// validating the result.
+// re-linking the ISA descriptor by name and validating the result.
 func (s ConfigSpec) Config() (Config, error) {
 	desc := isa.ByName(s.ISA)
 	if desc == nil {
 		return Config{}, fmt.Errorf("cpu: config spec %q: unknown ISA %q", s.Name, s.ISA)
-	}
-	newPred := PredictorByName(s.Predictor)
-	if newPred == nil {
-		return Config{}, fmt.Errorf("cpu: config spec %q: unknown predictor %q (want %s, %s, or %s)",
-			s.Name, s.Predictor, PredictorHybrid, PredictorBimodal, PredictorGShare)
 	}
 	c := Config{
 		Name: s.Name, ISA: desc, FreqGHz: s.FreqGHz,
@@ -189,7 +196,7 @@ func (s ConfigSpec) Config() (Config, error) {
 		StoreQueue: s.StoreQueue,
 		L1KB:       s.L1KB, L1Assoc: s.L1Assoc, L1Lat: s.L1Lat,
 		L2KB: s.L2KB, L2Assoc: s.L2Assoc, L2Lat: s.L2Lat, MemLat: s.MemLat,
-		EPIC: s.EPIC, NewPredictor: newPred,
+		EPIC: s.EPIC, Predictor: s.Predictor,
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err
@@ -260,11 +267,10 @@ var Axes = []Axis{
 		if !ok {
 			return fmt.Errorf("cpu: axis predictor: want a string, got %v", v)
 		}
-		newPred := PredictorByName(name)
-		if newPred == nil {
+		if PredictorByName(name) == nil {
 			return fmt.Errorf("cpu: axis predictor: unknown predictor %q", name)
 		}
-		cfg.NewPredictor = newPred
+		cfg.Predictor = name
 		return nil
 	}},
 	intAxis("rob", func(c *Config, v int) { c.ROB = v }),

@@ -46,8 +46,9 @@ type Config struct {
 
 	EPIC bool // in-order, bundle-driven (requires cfg.ISA.EPIC code)
 
-	// NewPredictor constructs the branch predictor (nil = DefaultHybrid).
-	NewPredictor func() bpred.Predictor
+	// Predictor names the branch predictor: PredictorHybrid,
+	// PredictorBimodal or PredictorGShare ("" = PredictorHybrid).
+	Predictor string
 }
 
 // Summary is the result of a timed execution: everything the design-space
@@ -260,12 +261,12 @@ func newFrontEnd(cfgs []Config) *frontEnd {
 			hierOf[g] = h
 			fe.hiers = append(fe.hiers, newHierarchy(cfg))
 		}
-		pr := newPredictor(cfg)
-		p, ok := predOf[pr.Name()]
+		name := cfg.predictorName()
+		p, ok := predOf[name]
 		if !ok {
 			p = len(fe.preds)
-			predOf[pr.Name()] = p
-			fe.preds = append(fe.preds, pr)
+			predOf[name] = p
+			fe.preds = append(fe.preds, PredictorByName(name)())
 		}
 		fe.slots[i] = feSlot{hier: h, pred: p}
 	}
@@ -366,13 +367,6 @@ func newHierarchy(cfg Config) *cache.Hierarchy {
 		L2Lat:  levelL2,
 		MemLat: levelMem,
 	}
-}
-
-func newPredictor(cfg Config) bpred.Predictor {
-	if cfg.NewPredictor != nil {
-		return cfg.NewPredictor()
-	}
-	return bpred.DefaultHybrid()
 }
 
 // branchPC builds a stable synthetic PC for a static branch site.

@@ -112,7 +112,7 @@ func TestSimulateManyRejectsLikeSimulate(t *testing.T) {
 // mixedGroup is one SimulateMany group that shares the front end
 // unevenly: two L2 geometries crossed with the three predictors and two
 // ROB sizes, so every (geometry, predictor) pair feeds two back ends.
-// Point 0 is the 2-wide OoO baseline, whose nil NewPredictor shares the
+// Point 0 is the 2-wide OoO baseline, whose empty Predictor shares the
 // explicit hybrid's slot.
 func mixedGroup(t *testing.T) []cpu.Config {
 	t.Helper()
@@ -162,10 +162,7 @@ func TestSimulateFrontEndOracle(t *testing.T) {
 				L2:    cache.New(cache.Config{Size: cfg.L2KB << 10, LineSize: 32, Assoc: cfg.L2Assoc}),
 				L1Lat: cfg.L1Lat, L2Lat: cfg.L2Lat, MemLat: cfg.MemLat,
 			}
-			preds[i] = bpred.DefaultHybrid() // a nil NewPredictor means the default
-			if cfg.NewPredictor != nil {
-				preds[i] = cfg.NewPredictor()
-			}
+			preds[i] = cpu.PredictorByName(cfg.Predictor)()
 		}
 		var branches uint64
 		lay := vm.LayoutOf(prog)

@@ -62,8 +62,9 @@ type Options struct {
 // It is safe for concurrent use; experiments running in parallel share one
 // pipeline and therefore one artifact cache.
 type Pipeline struct {
-	opts  Options
-	cache *artifactCache
+	opts   Options
+	cache  *artifactCache
+	middle *middleEnds
 }
 
 // New builds a pipeline. Every pipeline profiles at the profiling point
@@ -74,7 +75,8 @@ func New(opts Options) *Pipeline {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &Pipeline{opts: opts,
-		cache: newArtifactCache(opts.Store, opts.Metrics, opts.Tracer)}
+		cache:  newArtifactCache(opts.Store, opts.Metrics, opts.Tracer),
+		middle: newMiddleEnds()}
 }
 
 // Workers returns the fan-out bound.
@@ -153,12 +155,13 @@ func (p *Pipeline) Compile(ctx context.Context, w *workloads.Workload, target *i
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	v, err := p.cache.do(ctx, compileKey(w, target, level), codecProgram, func(ctx context.Context) (any, error) {
+	key := compileKey(w, target, level)
+	v, err := p.cache.do(ctx, key, codecProgram, func(ctx context.Context) (any, error) {
 		cp, err := p.Check(ctx, w)
 		if err != nil {
 			return nil, err
 		}
-		out, err := compiler.Compile(cp, target, level)
+		out, err := p.middle.compile(ctx, key, cp, target)
 		if err != nil {
 			return nil, &StageError{Stage: StageCompile, Workload: w.Name,
 				ISA: target.Name, Level: level, Err: err}
@@ -328,7 +331,7 @@ func (p *Pipeline) CompileClone(ctx context.Context, w *workloads.Workload, targ
 		if err != nil {
 			return nil, err
 		}
-		out, err := compiler.Compile(cl.Checked, target, level)
+		out, err := p.middle.compile(ctx, key, cl.Checked, target)
 		if err != nil {
 			return nil, &StageError{Stage: StageCompile, Workload: w.Name,
 				ISA: target.Name, Level: level, Clone: true, Err: err}

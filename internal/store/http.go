@@ -66,7 +66,8 @@ func coordName(name string) (string, error) {
 func NewHandler(b Backend) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/get", func(w http.ResponseWriter, r *http.Request) {
-		payload, ok := b.Get(r.URL.Query().Get("digest"), r.URL.Query().Get("kind"), r.URL.Query().Get("key"))
+		q := r.URL.Query()
+		payload, ok := b.Get(q.Get("digest"), q.Get("kind"), q.Get("key"))
 		if !ok {
 			http.Error(w, "no such artifact", http.StatusNotFound)
 			return
