@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -93,6 +94,39 @@ func TestConfigFingerprint(t *testing.T) {
 		if cfg.Fingerprint() == base.Fingerprint() {
 			t.Errorf("axis %s did not change the fingerprint", ax.Name)
 		}
+	}
+}
+
+// TestConfigFingerprintGolden pins the fingerprints of the paper's
+// machines. Every cached and stored simulation is keyed by them, so a
+// change to the canonical encoding must show here before it silently
+// orphans every store.
+func TestConfigFingerprintGolden(t *testing.T) {
+	want := map[string]string{
+		"Pentium 4 3GHz":   "216bc9326b1f8bc4",
+		"Core 2":           "0af0645a15c367d0",
+		"Pentium 4 2.8GHz": "109d60f68f1ff2ce",
+		"Itanium 2":        "15caf1d18123f465",
+		"Core i7":          "6da0c144f110842f",
+		"2-wide OoO/8":     "7772b2d3aecc1eea",
+		"2-wide OoO/16":    "9fbbb8bae546dd57",
+		"2-wide OoO/32":    "ab264a9ae4b1230d",
+	}
+	got := map[string]string{}
+	for _, m := range Machines {
+		got[m.Name] = m.Fingerprint()
+	}
+	for _, kb := range []int{8, 16, 32} {
+		m := Simulated2Wide(kb)
+		got[fmt.Sprintf("%s/%d", m.Name, kb)] = m.Fingerprint()
+	}
+	for name, fp := range want {
+		if got[name] != fp {
+			t.Errorf("%s: fingerprint %s, want %s", name, got[name], fp)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("fingerprinted %d machines, want %d", len(got), len(want))
 	}
 }
 
