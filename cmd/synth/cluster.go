@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/experiments"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/store"
@@ -139,7 +140,7 @@ func cmdDispatch(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ws, err := suiteWorkloads(*suite)
+	ws, err := experiments.Suite(*suite)
 	if err != nil {
 		return err
 	}
@@ -337,21 +338,15 @@ func buildClusterStatus(q *cluster.Queue) (*clusterStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &clusterStatus{
+	rep := cluster.BuildReport(m, results)
+	return &clusterStatus{
 		Suite:   m.Spec.Suite,
 		Total:   m.Total,
 		Pending: counts.Pending,
 		Leased:  counts.Leased,
 		Done:    counts.Done,
+		Failed:  rep.Failed,
+		Deduped: rep.Deduped,
 		Workers: workers,
-	}
-	for _, r := range results {
-		if r.Err != "" {
-			st.Failed++
-		}
-		if r.Deduped {
-			st.Deduped++
-		}
-	}
-	return st, nil
+	}, nil
 }

@@ -403,11 +403,6 @@ var experimentNames = []string{
 	"obfuscation",
 }
 
-// suiteWorkloads resolves a suite name to its workload set.
-func suiteWorkloads(suite string) ([]*workloads.Workload, error) {
-	return experiments.Suite(suite)
-}
-
 // parseOnly parses the -only experiment subset; an empty string selects
 // everything.
 func parseOnly(only string) (map[string]bool, error) {
@@ -501,7 +496,7 @@ func cmdExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ws, err := suiteWorkloads(*suite)
+	ws, err := experiments.Suite(*suite)
 	if err != nil {
 		return err
 	}

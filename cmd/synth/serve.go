@@ -492,7 +492,7 @@ func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	if suite == "" {
 		suite = "quick"
 	}
-	ws, err := suiteWorkloads(suite)
+	ws, err := experiments.Suite(suite)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -625,7 +625,7 @@ func (s *server) handleBatchSynthesize(w http.ResponseWriter, r *http.Request) {
 	}
 	names := append([]string(nil), req.Workloads...)
 	if req.Suite != "" {
-		ws, err := suiteWorkloads(req.Suite)
+		ws, err := experiments.Suite(req.Suite)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -703,19 +703,10 @@ func (s *server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-// snapshotStats is the single accessor every handler reads cache
-// statistics through. The snapshot is taken once per request from the
-// pipeline's atomic counters; handlers must not cache or re-derive it, so
-// concurrent stats reads racing batch work always see a coherent
-// (point-in-time, monotone) view.
-func (s *server) snapshotStats() pipeline.CacheStats {
-	return s.p.CacheStats()
-}
-
 // handleStats reports the shared pipeline's artifact-cache statistics.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
-		"cache":   s.snapshotStats(),
+		"cache":   s.p.CacheStats(),
 		"workers": s.p.Workers(),
 		"seed":    s.p.Seed(),
 	})

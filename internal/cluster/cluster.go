@@ -24,11 +24,11 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"repro/internal/cpu"
 	"repro/internal/generate"
+	"repro/internal/store"
 )
 
 // SchemaVersion is the queue's on-disk schema. Manifests written under a
@@ -41,8 +41,9 @@ import (
 // 5 moved to store schema 6, whose simulations count a forwarded
 // out-of-order load as a cache access; version 6 dropped the spec's
 // profiling-point and profiling-bound fields (the profiling point is
-// fixed in package profile).
-const SchemaVersion = 6
+// fixed in package profile); version 7 dropped the machine configs' "epic"
+// field (a config's ISA decides its timing model).
+const SchemaVersion = 7
 
 // Spec declares one dispatch: which workloads to synthesize, over which
 // (ISA, level) grid, and the synthesis seed that shapes the artifacts.
@@ -65,7 +66,7 @@ type Spec struct {
 	// through the pipeline's cached Simulate stage. Jobs remain sharded
 	// per workload, and simulation keys are workload-scoped, so the
 	// queue's zero-duplication guarantee is unchanged.
-	Explore []cpu.ConfigSpec `json:"explore,omitempty"`
+	Explore []cpu.Config `json:"explore,omitempty"`
 	// SimMaxInstrs bounds each exploration simulation's dynamic
 	// instruction count (0 = run to completion); part of the simulation
 	// cache key, so every participant must agree on it.
@@ -84,8 +85,8 @@ type Spec struct {
 // canonical differs from a new dispatch's marks a conflicting queue.
 func (s Spec) Canonical() string {
 	sims := make([]string, len(s.Explore))
-	for i, cs := range s.Explore {
-		sims[i] = cs.Canonical()
+	for i, cfg := range s.Explore {
+		sims[i] = cfg.CanonicalConfig()
 	}
 	gen := ""
 	if s.Generate != nil {
@@ -103,7 +104,7 @@ func (s Spec) Canonical() string {
 // queue re-dispatched under a worker's feet aborts the worker instead of
 // executing foreign jobs with stale options.
 func (s Spec) Digest() string {
-	return digestOf(s.Canonical())
+	return store.Fingerprint([]byte(s.Canonical()))
 }
 
 // Jobs enumerates the spec's job list: one job per workload carrying the
@@ -158,14 +159,6 @@ type Manifest struct {
 	Canonical string `json:"canonical"`
 	// Total is the number of jobs the dispatch enumerated.
 	Total int `json:"total"`
-}
-
-// digestOf returns the printable 64-bit FNV-1a hash of s, the queue's file
-// naming scheme (mirroring pipeline.Key.Digest).
-func digestOf(s string) string {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // joinInts renders ints comma-separated.

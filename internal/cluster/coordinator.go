@@ -152,8 +152,8 @@ func validateSpec(spec Spec) error {
 			return fmt.Errorf("cluster: dispatch: optimization level %d out of range 0-%d", l, len(compiler.Levels)-1)
 		}
 	}
-	for i, cs := range spec.Explore {
-		if _, err := cs.Config(); err != nil {
+	for i, cfg := range spec.Explore {
+		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("cluster: dispatch: explore point %d: %w", i, err)
 		}
 	}
@@ -183,11 +183,7 @@ func jobStored(q *Queue, p *pipeline.Pipeline, j Job) bool {
 			return false
 		}
 		keys := p.PairKeys(w, target, compiler.Levels[pt.Level])
-		for _, cs := range j.Sims {
-			cfg, err := cs.Config()
-			if err != nil {
-				return false
-			}
+		for _, cfg := range j.Sims {
 			if cfg.ISA != target {
 				continue // this config simulates on a different grid ISA
 			}

@@ -15,13 +15,11 @@ import (
 // testExploreSpec builds a 2-point exploration dispatch over the given
 // workloads.
 func testExploreSpec(names ...string) Spec {
-	small := cpu.SpecOf(cpu.Simulated2Wide(8))
-	big := cpu.SpecOf(cpu.Simulated2Wide(32))
 	return Spec{
 		Suite: "test", Workloads: names,
 		ISAs: []string{"amd64v"}, Levels: []int{2},
 		Seed:         1,
-		Explore:      []cpu.ConfigSpec{small, big},
+		Explore:      []cpu.Config{cpu.Simulated2Wide(8), cpu.Simulated2Wide(32)},
 		SimMaxInstrs: 100_000,
 	}
 }
@@ -169,11 +167,7 @@ func TestClusterExploreWorkerExecutesPair(t *testing.T) {
 	}
 	wl := workloads.ByName("crc32/small")
 	st := q.Store()
-	for _, cs := range spec.Explore {
-		cfg, err := cs.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, cfg := range spec.Explore {
 		for _, k := range p.SimKeys(wl, isa.AMD64, compiler.O2, cfg, spec.SimMaxInstrs) {
 			if !st.Has(k.Digest(), k.StoreKind(), k.Canonical()) {
 				t.Errorf("simulation artifact missing for %s (clone=%v)", cfg.Name, k.Clone)

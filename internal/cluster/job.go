@@ -6,6 +6,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/generate"
 	"repro/internal/pipeline"
+	"repro/internal/store"
 )
 
 // KindExplore marks a job as an exploration shard: beyond the pair grid,
@@ -37,8 +38,8 @@ type Job struct {
 	Kind string `json:"kind,omitempty"`
 	// Sims and SimMaxInstrs carry an exploration spec's machine
 	// configurations and simulation bound (KindExplore jobs only).
-	Sims         []cpu.ConfigSpec `json:"sims,omitempty"`
-	SimMaxInstrs uint64           `json:"simMaxInstrs,omitempty"`
+	Sims         []cpu.Config `json:"sims,omitempty"`
+	SimMaxInstrs uint64       `json:"simMaxInstrs,omitempty"`
 	// Gen and GenIndex carry a generation spec and which of its sampled
 	// points this job realizes (KindGenerate jobs only). The spec rides in
 	// every job so jobs stay self-describing; the point index is also baked
@@ -52,7 +53,7 @@ type Job struct {
 // and the workload name. Stable across processes, unique within a
 // dispatch, and distinct across different dispatch specs.
 func (j Job) ID() string {
-	return digestOf(fmt.Sprintf("v1|%s|%s", j.Dispatch, j.Workload))
+	return store.Fingerprint([]byte(fmt.Sprintf("v1|%s|%s", j.Dispatch, j.Workload)))
 }
 
 // Cells returns the number of evaluation cells the job executes: the

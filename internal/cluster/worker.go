@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/compiler"
-	"repro/internal/cpu"
 	"repro/internal/generate"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
@@ -311,14 +310,6 @@ func (w *Worker) runJob(ctx context.Context, j Job) error {
 // in the shared store, so the dispatcher can aggregate the sweep report
 // warm.
 func (w *Worker) runExploreJob(ctx context.Context, wl *workloads.Workload, j Job) error {
-	cfgs := make([]cpu.Config, len(j.Sims))
-	for i, cs := range j.Sims {
-		cfg, err := cs.Config()
-		if err != nil {
-			return fmt.Errorf("cluster: explore job %s: %w", j.Workload, err)
-		}
-		cfgs[i] = cfg
-	}
 	var cols []pipeline.Column
 	for _, l := range j.Levels {
 		if l < 0 || l >= len(compiler.Levels) {
@@ -328,6 +319,6 @@ func (w *Worker) runExploreJob(ctx context.Context, wl *workloads.Workload, j Jo
 			pipeline.Column{Workload: wl, Level: compiler.Levels[l]},
 			pipeline.Column{Workload: wl, Level: compiler.Levels[l], Clone: true})
 	}
-	_, err := w.Pipe.SimulateColumns(ctx, cols, cfgs, j.SimMaxInstrs)
+	_, err := w.Pipe.SimulateColumns(ctx, cols, j.Sims, j.SimMaxInstrs)
 	return err
 }

@@ -146,19 +146,23 @@ func scheduleBlock(b *isa.Block, d *deps) {
 		}
 	}
 
-	var ready []int
+	// ready and next swap each cycle; an instruction is ready at most
+	// once, so n entries hold either. taken marks issued instructions.
+	ready, next := make([]int, 0, n), make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
+	taken := make([]bool, n)
+	var takeBuf [bundleWidth]int
 	order := make([]isa.Instr, 0, n)
 	bundles := make([]int, 0, n)
 	cycle := 0
 	remaining := n
 	for remaining > 0 {
 		memUsed := 0
-		var take []int
+		take := takeBuf[:0]
 		for _, i := range ready {
 			if len(take) == bundleWidth {
 				break
@@ -176,13 +180,12 @@ func scheduleBlock(b *isa.Block, d *deps) {
 			// Cannot happen in a valid DAG, but never wedge.
 			take = append(take, ready[0])
 		}
-		taken := make(map[int]bool, len(take))
 		for _, i := range take {
 			taken[i] = true
 			order = append(order, b.Instrs[i])
 			bundles = append(bundles, cycle)
 		}
-		var next []int
+		next = next[:0]
 		for _, i := range ready {
 			if !taken[i] {
 				next = append(next, i)
@@ -197,7 +200,7 @@ func scheduleBlock(b *isa.Block, d *deps) {
 			}
 		}
 		sort.Ints(next)
-		ready = next
+		ready, next = next, ready
 		remaining -= len(take)
 		cycle++
 	}

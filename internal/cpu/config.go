@@ -1,10 +1,13 @@
 package cpu
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"strings"
 
 	"repro/internal/bpred"
 	"repro/internal/isa"
@@ -12,9 +15,8 @@ import (
 
 // This file is the design-space face of the timing models: structural
 // validation of machine configurations, a canonical encoding and content
-// fingerprint (the identity simulation artifacts are cached under), a
-// serializable ConfigSpec for specs and job queues, and the axis metadata
-// the exploration engine sweeps over.
+// fingerprint (the identity simulation artifacts are cached under), and
+// the JSON wire form specs, reports and job queues carry machines in.
 
 // Validate checks a machine configuration for structural soundness: an
 // out-of-order machine must have a positive dispatch width, cache sizes
@@ -25,7 +27,7 @@ func (c Config) Validate() error {
 	if c.ISA == nil {
 		return fmt.Errorf("cpu: config %q: nil ISA", c.Name)
 	}
-	if !c.EPIC && c.Width <= 0 {
+	if !c.ISA.EPIC && c.Width <= 0 {
 		return fmt.Errorf("cpu: config %q: out-of-order machine needs Width >= 1, got %d", c.Name, c.Width)
 	}
 	for _, kb := range []struct {
@@ -67,18 +69,16 @@ func (c Config) Validate() error {
 // field that shapes a simulation's outcome. The Name is deliberately
 // excluded: two configs that differ only in display name are the same
 // machine. Changing this format invalidates every cached simulation
-// artifact; bump store.SchemaVersion alongside it.
+// artifact; bump store.SchemaVersion alongside it. The %t slot is the
+// ISA's EPIC flag, which the ISA name already implies; it stays so every
+// fingerprint keeps its bytes.
 func (c Config) CanonicalConfig() string {
-	isaName := ""
-	if c.ISA != nil {
-		isaName = c.ISA.Name
-	}
 	return fmt.Sprintf("v2|%s|%016x|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%t|%s",
-		isaName, math.Float64bits(c.FreqGHz),
+		c.isaName(), math.Float64bits(c.FreqGHz),
 		c.Width, c.ROB, c.MispredictPenalty, c.StoreQueue,
 		c.L1KB, c.L1Assoc, c.L1Lat,
 		c.L2KB, c.L2Assoc, c.L2Lat, c.MemLat,
-		c.EPIC, c.predictorName())
+		c.ISA != nil && c.ISA.EPIC, c.predictorName())
 }
 
 // Fingerprint returns the printable 64-bit FNV-1a hash of the config's
@@ -90,8 +90,8 @@ func (c Config) Fingerprint() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Predictor names accepted by ConfigSpec and the predictor axis. The empty
-// name selects the default hybrid predictor.
+// Predictor names a Config accepts. The empty name selects the default
+// hybrid predictor.
 const (
 	PredictorHybrid  = "hybrid"
 	PredictorBimodal = "bimodal"
@@ -121,87 +121,62 @@ func PredictorByName(name string) func() bpred.Predictor {
 	return nil
 }
 
-// ConfigSpec is the serializable form of a Config: the ISA and branch
-// predictor are stored by name and re-linked on resolution, everything
-// else is the scalar machine parameters. It is the shape exploration
-// specs, cluster job queues, and HTTP bodies carry machine
-// configurations in.
-type ConfigSpec struct {
-	// Name labels the configuration in reports (optional).
-	Name string `json:"name,omitempty"`
-	// ISA names the target ISA (x86v, amd64v, ia64v).
+// configFields is Config without its JSON methods, so wireConfig can
+// embed it.
+type configFields Config
+
+// wireConfig is Config's JSON form: every field of the Config it points
+// at, with the ISA pointer replaced by the ISA's name.
+type wireConfig struct {
 	ISA string `json:"isa"`
-	// FreqGHz is the clock frequency used for wall-clock projection.
-	FreqGHz float64 `json:"freqGHz,omitempty"`
-	// Width, ROB, MispredictPenalty, and StoreQueue mirror Config.
-	Width             int `json:"width"`
-	ROB               int `json:"rob,omitempty"`
-	MispredictPenalty int `json:"mispredictPenalty"`
-	StoreQueue        int `json:"storeQueue,omitempty"`
-	// Cache hierarchy geometry and latencies, mirroring Config.
-	L1KB    int `json:"l1KB"`
-	L1Assoc int `json:"l1Assoc"`
-	L1Lat   int `json:"l1Lat"`
-	L2KB    int `json:"l2KB"`
-	L2Assoc int `json:"l2Assoc"`
-	L2Lat   int `json:"l2Lat"`
-	MemLat  int `json:"memLat"`
-	// EPIC selects the in-order bundle model (requires an EPIC ISA).
-	EPIC bool `json:"epic,omitempty"`
-	// Predictor names the branch predictor ("", hybrid, bimodal, gshare).
-	Predictor string `json:"predictor,omitempty"`
+	*configFields
 }
 
-// SpecOf captures a Config as its serializable spec. The predictor is
-// recorded by its resolved name ("" becomes hybrid), so a spec round trip
-// preserves the config's fingerprint.
-func SpecOf(c Config) ConfigSpec {
-	isaName := ""
-	if c.ISA != nil {
-		isaName = c.ISA.Name
+// isaName returns the name of the config's ISA ("" when unset).
+func (c Config) isaName() string {
+	if c.ISA == nil {
+		return ""
 	}
-	return ConfigSpec{
-		Name: c.Name, ISA: isaName, FreqGHz: c.FreqGHz,
-		Width: c.Width, ROB: c.ROB, MispredictPenalty: c.MispredictPenalty,
-		StoreQueue: c.StoreQueue,
-		L1KB:       c.L1KB, L1Assoc: c.L1Assoc, L1Lat: c.L1Lat,
-		L2KB: c.L2KB, L2Assoc: c.L2Assoc, L2Lat: c.L2Lat, MemLat: c.MemLat,
-		EPIC: c.EPIC, Predictor: c.predictorName(),
+	return c.ISA.Name
+}
+
+// MarshalJSON writes the config's wire form: every field under its JSON
+// name, the ISA by name and the branch predictor by resolved name (""
+// becomes hybrid), so a round trip keeps the fingerprint.
+func (c Config) MarshalJSON() ([]byte, error) {
+	c.Predictor = c.predictorName()
+	return json.Marshal(wireConfig{c.isaName(), (*configFields)(&c)})
+}
+
+// UnmarshalJSON decodes a wire-form config onto the receiver's current
+// values: fields the JSON leaves out keep them. It resolves the ISA name
+// to its canonical descriptor and rejects unknown ISAs, unknown branch
+// predictors and unknown fields. A design point is its baseline with the
+// point's axis values decoded over it, so the sweep axes are exactly the
+// JSON fields (see package explore).
+func (c *Config) UnmarshalJSON(data []byte) error {
+	wire := wireConfig{c.isaName(), (*configFields)(c)}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wire); err != nil {
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) {
+			// Name the field by its JSON name alone, not by its path
+			// through the wire struct.
+			field := te.Field[strings.LastIndexByte(te.Field, '.')+1:]
+			return fmt.Errorf("cpu: config %q: field %s: want %s, got JSON %s", c.Name, field, te.Type, te.Value)
+		}
+		return fmt.Errorf("cpu: config %q: %w", c.Name, err)
 	}
-}
-
-// Canonical returns a versioned, unambiguous field-wise rendering of the
-// spec, used inside cluster dispatch canonicals. Unlike CanonicalConfig
-// it never resolves names, so it is total: even a spec naming an unknown
-// ISA has a stable canonical.
-func (s ConfigSpec) Canonical() string {
-	return fmt.Sprintf("v2|%s|%016x|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%t|%s",
-		s.ISA, math.Float64bits(s.FreqGHz),
-		s.Width, s.ROB, s.MispredictPenalty, s.StoreQueue,
-		s.L1KB, s.L1Assoc, s.L1Lat,
-		s.L2KB, s.L2Assoc, s.L2Lat, s.MemLat,
-		s.EPIC, s.Predictor)
-}
-
-// Config resolves the spec into a runnable machine configuration,
-// re-linking the ISA descriptor by name and validating the result.
-func (s ConfigSpec) Config() (Config, error) {
-	desc := isa.ByName(s.ISA)
+	desc := isa.ByName(wire.ISA)
 	if desc == nil {
-		return Config{}, fmt.Errorf("cpu: config spec %q: unknown ISA %q", s.Name, s.ISA)
+		return fmt.Errorf("cpu: config %q: unknown ISA %q", c.Name, wire.ISA)
 	}
-	c := Config{
-		Name: s.Name, ISA: desc, FreqGHz: s.FreqGHz,
-		Width: s.Width, ROB: s.ROB, MispredictPenalty: s.MispredictPenalty,
-		StoreQueue: s.StoreQueue,
-		L1KB:       s.L1KB, L1Assoc: s.L1Assoc, L1Lat: s.L1Lat,
-		L2KB: s.L2KB, L2Assoc: s.L2Assoc, L2Lat: s.L2Lat, MemLat: s.MemLat,
-		EPIC: s.EPIC, Predictor: s.Predictor,
+	if PredictorByName(c.Predictor) == nil {
+		return fmt.Errorf("cpu: config %q: unknown predictor %q", c.Name, c.Predictor)
 	}
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
+	c.ISA = desc
+	return nil
 }
 
 // MachineByName returns a copy of the named baseline machine: one of the
@@ -217,72 +192,4 @@ func MachineByName(name string) (Config, bool) {
 		return c, true
 	}
 	return Config{}, false
-}
-
-// Axis is one sweepable Config parameter: the name exploration specs use
-// and the application of one swept value. Numeric axes accept float64
-// (the type JSON numbers decode to) and require integral values for
-// integer parameters; the predictor axis accepts a string.
-type Axis struct {
-	// Name is the axis's spec name (e.g. "width", "l1KB", "predictor").
-	Name string
-	// Apply sets the axis to v on cfg, rejecting values of the wrong
-	// type or domain.
-	Apply func(cfg *Config, v any) error
-}
-
-// intAxis builds an Axis over an integer Config field.
-func intAxis(name string, set func(*Config, int)) Axis {
-	return Axis{Name: name, Apply: func(cfg *Config, v any) error {
-		f, ok := v.(float64)
-		if !ok || f != math.Trunc(f) {
-			return fmt.Errorf("cpu: axis %s: want an integer, got %v", name, v)
-		}
-		set(cfg, int(f))
-		return nil
-	}}
-}
-
-// Axes lists every sweepable configuration axis, in spec name order. The
-// exploration engine crosses subsets of these to enumerate design points.
-var Axes = []Axis{
-	{Name: "freqGHz", Apply: func(cfg *Config, v any) error {
-		f, ok := v.(float64)
-		if !ok {
-			return fmt.Errorf("cpu: axis freqGHz: want a number, got %v", v)
-		}
-		cfg.FreqGHz = f
-		return nil
-	}},
-	intAxis("l1Assoc", func(c *Config, v int) { c.L1Assoc = v }),
-	intAxis("l1KB", func(c *Config, v int) { c.L1KB = v }),
-	intAxis("l1Lat", func(c *Config, v int) { c.L1Lat = v }),
-	intAxis("l2Assoc", func(c *Config, v int) { c.L2Assoc = v }),
-	intAxis("l2KB", func(c *Config, v int) { c.L2KB = v }),
-	intAxis("l2Lat", func(c *Config, v int) { c.L2Lat = v }),
-	intAxis("memLat", func(c *Config, v int) { c.MemLat = v }),
-	intAxis("mispredictPenalty", func(c *Config, v int) { c.MispredictPenalty = v }),
-	{Name: "predictor", Apply: func(cfg *Config, v any) error {
-		name, ok := v.(string)
-		if !ok {
-			return fmt.Errorf("cpu: axis predictor: want a string, got %v", v)
-		}
-		if PredictorByName(name) == nil {
-			return fmt.Errorf("cpu: axis predictor: unknown predictor %q", name)
-		}
-		cfg.Predictor = name
-		return nil
-	}},
-	intAxis("rob", func(c *Config, v int) { c.ROB = v }),
-	intAxis("storeQueue", func(c *Config, v int) { c.StoreQueue = v }),
-	intAxis("width", func(c *Config, v int) { c.Width = v }),
-}
-
-// AxisByName returns the named axis, or nil for an unknown name.
-func AxisByName(name string) *Axis {
-	i := sort.Search(len(Axes), func(i int) bool { return Axes[i].Name >= name })
-	if i < len(Axes) && Axes[i].Name == name {
-		return &Axes[i]
-	}
-	return nil
 }

@@ -1,8 +1,8 @@
 package cpu
 
 import (
+	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -78,23 +78,43 @@ func TestConfigFingerprint(t *testing.T) {
 	if base.Fingerprint() != renamed.Fingerprint() {
 		t.Error("fingerprint depends on the display name")
 	}
-	// Every swept axis changes the identity.
-	for _, ax := range Axes {
+	// Every sweep axis — every JSON field but name and isa — changes the
+	// identity.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(mustMarshal(t, base), &fields); err != nil {
+		t.Fatal(err)
+	}
+	if len(fields) != 15 {
+		t.Errorf("wire form has %d fields, want 15: %v", len(fields), fields)
+	}
+	for name := range fields {
+		if name == "name" || name == "isa" {
+			continue
+		}
+		v := "7"
+		switch name {
+		case "predictor":
+			v = `"` + PredictorGShare + `"`
+		case "l1KB", "l2KB":
+			v = "2048"
+		}
 		cfg := base
-		var v any = 7.0
-		if ax.Name == "predictor" {
-			v = PredictorGShare
-		}
-		if ax.Name == "l1KB" || ax.Name == "l2KB" {
-			v = 2048.0
-		}
-		if err := ax.Apply(&cfg, v); err != nil {
-			t.Fatalf("axis %s: %v", ax.Name, err)
+		if err := json.Unmarshal([]byte(`{"`+name+`": `+v+`}`), &cfg); err != nil {
+			t.Fatalf("axis %s: %v", name, err)
 		}
 		if cfg.Fingerprint() == base.Fingerprint() {
-			t.Errorf("axis %s did not change the fingerprint", ax.Name)
+			t.Errorf("axis %s did not change the fingerprint", name)
 		}
 	}
+}
+
+func mustMarshal(t *testing.T, c Config) []byte {
+	t.Helper()
+	data, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestConfigFingerprintGolden pins the fingerprints of the paper's
@@ -130,65 +150,79 @@ func TestConfigFingerprintGolden(t *testing.T) {
 	}
 }
 
-func TestConfigSpecRoundTrip(t *testing.T) {
+func TestConfigJSONRoundTrip(t *testing.T) {
 	for _, m := range append(append([]Config{}, Machines...), Simulated2Wide(32)) {
-		spec := SpecOf(m)
-		back, err := spec.Config()
-		if err != nil {
+		var back Config
+		if err := json.Unmarshal(mustMarshal(t, m), &back); err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
+		}
+		if back.ISA != m.ISA {
+			t.Errorf("%s: round trip resolved ISA %v, want the canonical %s", m.Name, back.ISA, m.ISA.Name)
 		}
 		if got, want := back.Fingerprint(), m.Fingerprint(); got != want {
 			t.Errorf("%s: round trip changed fingerprint %s -> %s", m.Name, want, got)
 		}
-	}
-}
-
-func TestConfigSpecRejections(t *testing.T) {
-	good := SpecOf(validBase())
-	bad := good
-	bad.ISA = "mips"
-	if _, err := bad.Config(); err == nil {
-		t.Error("unknown ISA accepted")
-	}
-	bad = good
-	bad.Predictor = "perceptron"
-	if _, err := bad.Config(); err == nil {
-		t.Error("unknown predictor accepted")
-	}
-	bad = good
-	bad.Width = 0
-	if _, err := bad.Config(); err == nil {
-		t.Error("invalid config accepted")
-	}
-}
-
-func TestAxesSortedAndResolvable(t *testing.T) {
-	if !sort.SliceIsSorted(Axes, func(i, j int) bool { return Axes[i].Name < Axes[j].Name }) {
-		t.Fatal("Axes must be sorted by name (AxisByName binary-searches them)")
-	}
-	for _, ax := range Axes {
-		if got := AxisByName(ax.Name); got == nil || got.Name != ax.Name {
-			t.Errorf("AxisByName(%q) = %v", ax.Name, got)
+		if back.Name != m.Name {
+			t.Errorf("%s: round trip renamed it %q", m.Name, back.Name)
 		}
 	}
-	if AxisByName("no-such-axis") != nil {
-		t.Error("AxisByName resolved an unknown axis")
+	// The default predictor goes on the wire by its resolved name.
+	if data := string(mustMarshal(t, validBase())); !strings.Contains(data, `"predictor":"hybrid"`) {
+		t.Errorf("wire form %s does not name the default predictor", data)
+	}
+}
+
+// TestConfigJSONDecodesOntoReceiver: fields the JSON leaves out keep the
+// receiver's values, which is how a design point is its baseline with the
+// point's axis values decoded over it.
+func TestConfigJSONDecodesOntoReceiver(t *testing.T) {
+	cfg := Itanium2
+	if err := json.Unmarshal([]byte(`{"l1KB": 32, "predictor": "gshare"}`), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := Itanium2
+	want.L1KB, want.Predictor = 32, PredictorGShare
+	if cfg != want {
+		t.Errorf("decoded %+v, want %+v", cfg, want)
+	}
+}
+
+func TestConfigJSONRejections(t *testing.T) {
+	for _, tc := range []struct{ name, json, want string }{
+		{"unknown ISA", `{"isa": "mips"}`, "unknown ISA"},
+		{"no ISA", `{"width": 2}`, "unknown ISA"},
+		{"unknown predictor", `{"isa": "amd64v", "predictor": "perceptron"}`, "unknown predictor"},
+		{"unknown field", `{"isa": "amd64v", "cores": 2}`, "unknown field"},
+		{"EPIC flag", `{"isa": "ia64v", "epic": true}`, "unknown field"},
+	} {
+		var cfg Config
+		err := json.Unmarshal([]byte(tc.json), &cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	// Decoding does not validate: an invalid machine decodes and is
+	// rejected by Validate, like one built in Go.
+	cfg := validBase()
+	if err := json.Unmarshal([]byte(`{"width": 0}`), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Validate(); err == nil {
+		t.Error("zero-width out-of-order machine validated")
 	}
 }
 
 func TestAxisApplyTypeErrors(t *testing.T) {
-	cfg := validBase()
-	if err := AxisByName("width").Apply(&cfg, "wide"); err == nil {
-		t.Error("string accepted for an integer axis")
-	}
-	if err := AxisByName("width").Apply(&cfg, 2.5); err == nil {
-		t.Error("fractional value accepted for an integer axis")
-	}
-	if err := AxisByName("predictor").Apply(&cfg, 3.0); err == nil {
-		t.Error("number accepted for the predictor axis")
-	}
-	if err := AxisByName("predictor").Apply(&cfg, "perceptron"); err == nil {
-		t.Error("unknown predictor accepted")
+	for _, axis := range []string{
+		`{"width": "wide"}`, // string for an integer field
+		`{"width": 2.5}`,    // fraction for an integer field
+		`{"predictor": 3}`,  // number for the predictor
+		`{"freqGHz": "fast"}`,
+	} {
+		cfg := validBase()
+		if err := json.Unmarshal([]byte(axis), &cfg); err == nil {
+			t.Errorf("%s accepted", axis)
+		}
 	}
 }
 

@@ -29,26 +29,34 @@ import (
 	"repro/internal/vm"
 )
 
-// Config describes one machine.
+// Config describes one machine. Its JSON form (see MarshalJSON) is the
+// machine description explore specs, explore reports and cluster queues
+// carry. It writes every field, and every field but name and isa is a
+// sweep axis.
 type Config struct {
-	Name    string
-	ISA     *isa.Desc
-	FreqGHz float64
+	Name string `json:"name"`
+	// ISA is the target ISA, by name on the wire. It decides the timing
+	// model: an EPIC ISA runs on the in-order bundle model, any other on
+	// the out-of-order model.
+	ISA     *isa.Desc `json:"isa"`
+	FreqGHz float64   `json:"freqGHz"`
 
-	Width             int // dispatch width (instructions/cycle); EPIC: bundles/cycle
-	ROB               int // reorder-buffer entries (OoO only)
-	MispredictPenalty int // front-end refill bubbles after a mispredict
-	StoreQueue        int // in-flight store entries (0 = DefaultStoreQueue)
+	Width             int `json:"width"`             // dispatch width (instructions/cycle); EPIC: bundles/cycle
+	ROB               int `json:"rob"`               // reorder-buffer entries (OoO only)
+	MispredictPenalty int `json:"mispredictPenalty"` // front-end refill bubbles after a mispredict
+	StoreQueue        int `json:"storeQueue"`        // in-flight store entries (0 = DefaultStoreQueue)
 
-	L1KB, L1Assoc        int
-	L2KB, L2Assoc        int
-	L1Lat, L2Lat, MemLat int
-
-	EPIC bool // in-order, bundle-driven (requires cfg.ISA.EPIC code)
+	L1KB    int `json:"l1KB"`
+	L1Assoc int `json:"l1Assoc"`
+	L1Lat   int `json:"l1Lat"`
+	L2KB    int `json:"l2KB"`
+	L2Assoc int `json:"l2Assoc"`
+	L2Lat   int `json:"l2Lat"`
+	MemLat  int `json:"memLat"`
 
 	// Predictor names the branch predictor: PredictorHybrid,
 	// PredictorBimodal or PredictorGShare ("" = PredictorHybrid).
-	Predictor string
+	Predictor string `json:"predictor"`
 }
 
 // Summary is the result of a timed execution: everything the design-space
@@ -113,10 +121,6 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		if cfg.EPIC != cfg.ISA.EPIC {
-			return nil, fmt.Errorf("cpu: machine %s EPIC=%v but ISA %s EPIC=%v",
-				cfg.Name, cfg.EPIC, cfg.ISA.Name, cfg.ISA.EPIC)
-		}
 		if prog.ISA != cfg.ISA {
 			return nil, fmt.Errorf("cpu: program compiled for %s, machine %s wants %s",
 				prog.ISA.Name, cfg.Name, cfg.ISA.Name)
@@ -148,7 +152,7 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 		epicModels []*epicModel
 	)
 	for i, cfg := range cfgs {
-		if cfg.EPIC {
+		if cfg.ISA.EPIC {
 			epicModels = append(epicModels, newEPICModel(maxRegs, cfg, fe.slots[i]))
 		} else {
 			oooModels = append(oooModels, newOoOModel(len(sites), maxRegs, cfg, fe.slots[i]))

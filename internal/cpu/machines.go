@@ -32,7 +32,7 @@ var (
 	// Itanium2 is "Itanium 2 at 900MHz — IA64 — 256KB L2" (in-order EPIC).
 	Itanium2 = Config{
 		Name: "Itanium 2", ISA: isa.IA64, FreqGHz: 0.9,
-		Width: 1, MispredictPenalty: 6, StoreQueue: 16, EPIC: true,
+		Width: 1, MispredictPenalty: 6, StoreQueue: 16,
 		L1KB: 16, L1Assoc: 4, L2KB: 256, L2Assoc: 8,
 		L1Lat: 1, L2Lat: 7, MemLat: 110,
 	}

@@ -95,9 +95,7 @@ func TestSimulateManyRejectsLikeSimulate(t *testing.T) {
 	prog := compileWorkload(t, w, isa.AMD64)
 	invalid := cpu.Core2
 	invalid.L1Lat = 0
-	epic := cpu.Core2
-	epic.EPIC = true
-	for _, bad := range []cpu.Config{invalid, epic, cpu.Pentium4_3000, cpu.Itanium2} {
+	for _, bad := range []cpu.Config{invalid, cpu.Pentium4_3000, cpu.Itanium2} {
 		_, want := cpu.Simulate(prog, w.Setup, bad, 0)
 		if want == nil {
 			t.Fatalf("Simulate accepted %s", bad.Name)

@@ -49,7 +49,7 @@ func TestTimingMetamorphicInvariants(t *testing.T) {
 				}
 				for i := 0; i < len(cfgs); i += 2 {
 					m, base, slow := cfgs[i], res[i], res[i+1]
-					if !m.EPIC && base.Cycles*uint64(m.Width) < base.Instrs {
+					if !m.ISA.EPIC && base.Cycles*uint64(m.Width) < base.Instrs {
 						t.Errorf("%s -O%d on %s: %d cycles × width %d < %d instructions",
 							w.Name, level, m.Name, base.Cycles, m.Width, base.Instrs)
 					}

@@ -345,7 +345,7 @@ func PrintTableIII(w io.Writer) {
 		"machine", "ISA", "GHz", "width", "L1KB", "L2KB", "EPIC")
 	for _, m := range cpu.Machines {
 		fmt.Fprintf(w, "%-18s %-8s %6.2f %6d %6d %6d %5v\n",
-			m.Name, m.ISA.Name, m.FreqGHz, m.Width, m.L1KB, m.L2KB, m.EPIC)
+			m.Name, m.ISA.Name, m.FreqGHz, m.Width, m.L1KB, m.L2KB, m.ISA.EPIC)
 	}
 }
 

@@ -22,12 +22,12 @@ func (sw *Sweep) ClusterSpec(seed int64) cluster.Spec {
 	// order (a sweep normally has exactly one: the baseline's).
 	var isas []string
 	seen := map[string]bool{}
-	points := make([]cpu.ConfigSpec, len(sw.Points))
+	points := make([]cpu.Config, len(sw.Points))
 	for i, pt := range sw.Points {
 		points[i] = pt.Spec
-		if !seen[pt.Spec.ISA] {
-			seen[pt.Spec.ISA] = true
-			isas = append(isas, pt.Spec.ISA)
+		if name := pt.Spec.ISA.Name; !seen[name] {
+			seen[name] = true
+			isas = append(isas, name)
 		}
 	}
 	levels := make([]int, len(sw.Levels))

@@ -1,6 +1,6 @@
 // Package explore is the design-space exploration engine: it takes a
 // declarative sweep specification — a baseline machine configuration,
-// value lists over the sweepable cpu.Config axes, and workload ×
+// value lists over cpu.Config's JSON fields, and workload ×
 // optimization-level selectors — expands it into concrete design points,
 // evaluates every (point, workload, level) cell through the pipeline's
 // cached Simulate stage, and ranks the points by how faithfully the
@@ -51,11 +51,12 @@ type Spec struct {
 	// Base names the baseline machine (a Table III name or "2-wide
 	// OoO"; default "2-wide OoO"). Config, when non-nil, is an explicit
 	// baseline overriding Base.
-	Base   string          `json:"base,omitempty"`
-	Config *cpu.ConfigSpec `json:"config,omitempty"`
-	// Axes maps sweepable axis names (see cpu.Axes) to the values to
-	// cross. The design points are the baseline plus the full cross
-	// product of all axis value lists.
+	Base   string      `json:"base,omitempty"`
+	Config *cpu.Config `json:"config,omitempty"`
+	// Axes maps sweep axes — cpu.Config JSON fields other than name and
+	// isa — to the values to cross. The design points are the baseline
+	// plus the full cross product of all axis value lists; each point is
+	// the baseline with the point's values decoded over it.
 	Axes map[string][]any `json:"axes,omitempty"`
 	// MaxInstrs bounds each simulation's dynamic instruction count
 	// (0 = run to completion). It is part of the simulation cache key.
@@ -96,17 +97,15 @@ type Point struct {
 	// Name renders the point's axis assignment ("base" for the
 	// baseline).
 	Name string `json:"name"`
-	// Spec is the point's serializable configuration.
-	Spec cpu.ConfigSpec `json:"spec"`
+	// Spec is the point's validated machine configuration.
+	Spec cpu.Config `json:"spec"`
 	// Fingerprint is the configuration's content address, the identity
 	// its simulation artifacts are cached under.
 	Fingerprint string `json:"fingerprint"`
-
-	cfg cpu.Config // resolved, validated
 }
 
-// Config returns the point's resolved machine configuration.
-func (p Point) Config() cpu.Config { return p.cfg }
+// Config returns the point's machine configuration.
+func (p Point) Config() cpu.Config { return p.Spec }
 
 // Resolve validates the spec and expands it into a Sweep.
 func (s Spec) Resolve() (*Sweep, error) {
@@ -157,11 +156,7 @@ func (s Spec) Resolve() (*Sweep, error) {
 	var base cpu.Config
 	switch {
 	case s.Config != nil:
-		c, err := s.Config.Config()
-		if err != nil {
-			return nil, fmt.Errorf("explore: baseline: %w", err)
-		}
-		base = c
+		base = *s.Config
 	default:
 		name := s.Base
 		if name == "" {
@@ -196,11 +191,20 @@ func expandPoints(base cpu.Config, axes map[string][]any) ([]Point, error) {
 	}
 	sort.Strings(names)
 
+	// The axes are the config's JSON fields but name and isa, matched
+	// exactly (decoding alone would match them case-insensitively).
+	var fields map[string]json.RawMessage
+	data, err := json.Marshal(base)
+	if err == nil {
+		err = json.Unmarshal(data, &fields)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("explore: baseline: %w", err)
+	}
 	total := 1
 	for _, n := range names {
-		ax := cpu.AxisByName(n)
-		if ax == nil {
-			return nil, fmt.Errorf("explore: unknown axis %q (known: %s)", n, axisNames())
+		if _, ok := fields[n]; !ok || n == "name" || n == "isa" {
+			return nil, fmt.Errorf("explore: unknown axis %q (the axes are the config fields but name and isa)", n)
 		}
 		if len(axes[n]) == 0 {
 			return nil, fmt.Errorf("explore: axis %q has no values", n)
@@ -221,18 +225,24 @@ func expandPoints(base cpu.Config, axes map[string][]any) ([]Point, error) {
 	// Odometer enumeration keeps the order deterministic: the last axis
 	// varies fastest, mirroring nested loops over the sorted names.
 	idx := make([]int, len(names))
+	values := make(map[string]any, len(names))
 	for n := 0; n < total; n++ {
-		cfg := base
 		label := ""
 		for i, name := range names {
 			v := axes[name][idx[i]]
-			if err := cpu.AxisByName(name).Apply(&cfg, v); err != nil {
-				return nil, fmt.Errorf("explore: %w", err)
-			}
+			values[name] = v
 			if label != "" {
 				label += ","
 			}
 			label += fmt.Sprintf("%s=%v", name, v)
+		}
+		cfg := base
+		data, err := json.Marshal(values)
+		if err == nil {
+			err = json.Unmarshal(data, &cfg)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("explore: point %s: %w", label, err)
 		}
 		pt, err := makePoint(label, cfg)
 		if err != nil {
@@ -259,22 +269,5 @@ func makePoint(name string, cfg cpu.Config) (Point, error) {
 		return Point{}, err
 	}
 	cfg.Name = name
-	return Point{
-		Name:        name,
-		Spec:        cpu.SpecOf(cfg),
-		Fingerprint: cfg.Fingerprint(),
-		cfg:         cfg,
-	}, nil
-}
-
-// axisNames renders the known axis names for error messages.
-func axisNames() string {
-	out := ""
-	for i, a := range cpu.Axes {
-		if i > 0 {
-			out += ", "
-		}
-		out += a.Name
-	}
-	return out
+	return Point{Name: name, Spec: cfg, Fingerprint: cfg.Fingerprint()}, nil
 }

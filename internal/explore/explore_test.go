@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/store"
 )
@@ -62,8 +63,15 @@ func TestParseSpecRejections(t *testing.T) {
 		{"bad level", `{"suite": "tiny", "levels": [9]}`, "out of range"},
 		{"unknown base", `{"suite": "tiny", "base": "PDP-11"}`, "unknown baseline"},
 		{"unknown axis", `{"suite": "tiny", "axes": {"cores": [2]}}`, "unknown axis"},
+		{"name axis", `{"suite": "tiny", "axes": {"name": ["x"]}}`, "unknown axis"},
+		{"isa axis", `{"suite": "tiny", "axes": {"isa": ["ia64v"]}}`, "unknown axis"},
+		{"miscased axis", `{"suite": "tiny", "axes": {"Width": [4]}}`, "unknown axis"},
 		{"empty axis", `{"suite": "tiny", "axes": {"width": []}}`, "no values"},
-		{"bad axis value", `{"suite": "tiny", "axes": {"width": ["wide"]}}`, "integer"},
+		{"bad axis value", `{"suite": "tiny", "axes": {"width": ["wide"]}}`, "field width: want int"},
+		{"fractional axis value", `{"suite": "tiny", "axes": {"width": [2.5]}}`, "field width: want int"},
+		{"unknown predictor", `{"suite": "tiny", "axes": {"predictor": ["perceptron"]}}`, "unknown predictor"},
+		{"unknown config ISA", `{"suite": "tiny", "config": {"isa": "mips"}}`, "unknown ISA"},
+		{"EPIC flag", `{"suite": "tiny", "config": {"isa": "ia64v", "epic": true}}`, `unknown field "epic"`},
 		{"invalid point", `{"suite": "tiny", "axes": {"l1KB": [12]}}`, "power of two"},
 		{"bad base config", `{"suite": "tiny", "config": {"isa": "amd64v"}}`, "baseline"},
 	}
@@ -101,6 +109,33 @@ func TestExplicitBaseConfig(t *testing.T) {
 	}
 	if len(sw.Points) != 1 || sw.Points[0].Config().Width != 1 {
 		t.Fatalf("explicit base not honored: %+v", sw.Points)
+	}
+}
+
+// TestExplicitIA64BaseConfig sweeps an explicit Itanium-shaped baseline
+// that names its ISA and nothing else about the model: the ISA decides
+// that the machine is EPIC, so the spec resolves and every cell simulates
+// on the in-order bundle model.
+func TestExplicitIA64BaseConfig(t *testing.T) {
+	spec := `{"workloads": ["crc32/small"], "levels": [2], "maxInstrs": 200000,
+	  "config": {"name": "it2", "isa": "ia64v", "freqGHz": 0.9, "width": 1, "mispredictPenalty": 6,
+	    "l1KB": 16, "l1Assoc": 4, "l1Lat": 1, "l2KB": 256, "l2Assoc": 8, "l2Lat": 7, "memLat": 110},
+	  "axes": {"l1KB": [16, 32]}}`
+	sw, err := ParseSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Points) != 2 || sw.Points[1].Config().ISA != isa.IA64 {
+		t.Fatalf("ia64v sweep resolved to %+v", sw.Points)
+	}
+	rep, err := Run(context.Background(), pipeline.New(pipeline.Options{Workers: 2, Seed: 7}), sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rep.Points {
+		if p.OrigCycles == 0 || p.SynCycles == 0 {
+			t.Errorf("point %s simulated nothing: %+v", p.Point.Name, p)
+		}
 	}
 }
 
@@ -251,9 +286,6 @@ func TestReportPrintShape(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q:\n%s", want, out)
 		}
-	}
-	if rep.Best().Point.Name == "base" && len(rep.Points) > 1 {
-		t.Error("Best returned the baseline despite other points")
 	}
 	if cpu.Simulated2Wide(8).Name != "2-wide OoO" {
 		t.Error("default baseline machine renamed; update the explore docs")

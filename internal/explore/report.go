@@ -83,15 +83,6 @@ func (r *Report) rank(topK int) {
 	}
 }
 
-// Best returns the most accurate non-baseline point, or the baseline
-// when the sweep has no other points.
-func (r *Report) Best() PointResult {
-	if len(r.Points) > 1 {
-		return r.Points[1]
-	}
-	return r.Points[0]
-}
-
 // ParetoFront returns the non-dominated points in rank order.
 func (r *Report) ParetoFront() []PointResult {
 	var out []PointResult

@@ -3,9 +3,12 @@ package isa
 import "math"
 
 // The evaluation helpers below define the arithmetic semantics of the
-// virtual ISA in exactly one place, shared by the VM interpreter and the
-// compiler's constant folder — if they disagreed, optimized and unoptimized
-// code could compute different results.
+// virtual ISA. The compiler's constant folder calls them; the VM inlines
+// the same arithmetic in its dispatch loop for speed, and the VM's golden
+// test (TestGoldenEventStream) checks the two agree by running real
+// programs through a reference interpreter built on these helpers. If
+// they disagreed, optimized and unoptimized code could compute different
+// results.
 
 // EvalIntBin evaluates an integer binary opcode over two operands. The
 // second result is false when the operation would trap (divide or modulo by

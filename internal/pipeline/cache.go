@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io/fs"
 	"sync"
 	"sync/atomic"
@@ -66,12 +65,10 @@ func (k Key) Canonical() string {
 		k.Src, k.Sim)
 }
 
-// Digest returns the printable content address: a 64-bit FNV-1a hash over
+// Digest returns the printable content address: the store fingerprint of
 // Canonical, used as the disk filename and in logs and diagnostics.
 func (k Key) Digest() string {
-	h := fnv.New64a()
-	h.Write([]byte(k.Canonical()))
-	return fmt.Sprintf("%016x", h.Sum64())
+	return store.Fingerprint([]byte(k.Canonical()))
 }
 
 // StoreKind returns the store artifact kind the key's stage persists, or

@@ -61,20 +61,6 @@ type Profile struct {
 	OutputHash uint64 `json:"outputHash"`
 }
 
-// MixFractions returns the instruction-mix fractions of Fig. 6: loads,
-// stores, branches (conditional), and everything else.
-func (p *Profile) MixFractions() (loads, stores, branches, others float64) {
-	total := float64(p.TotalDyn)
-	if total == 0 {
-		return 0, 0, 0, 0
-	}
-	loads = float64(p.Mix[isa.ClassLoad]) / total
-	stores = float64(p.Mix[isa.ClassStore]) / total
-	branches = float64(p.Mix[isa.ClassBranch]) / total
-	others = 1 - loads - stores - branches
-	return loads, stores, branches, others
-}
-
 // blockKey identifies a static basic block.
 type blockKey struct{ fn, block int }
 

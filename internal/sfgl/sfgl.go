@@ -185,16 +185,6 @@ type Graph struct {
 	FuncCalls []uint64 `json:"funcCalls"`
 }
 
-// NodeAt returns the node for a (func, block) location, or nil.
-func (g *Graph) NodeAt(fn, block int) *Node {
-	for _, n := range g.Nodes {
-		if n.Func == fn && n.Block == block {
-			return n
-		}
-	}
-	return nil
-}
-
 // Node returns the node with the given ID, or nil. IDs are not slice
 // indices: scaled-down graphs drop nodes but keep the original IDs.
 func (g *Graph) Node(id int) *Node {

@@ -195,12 +195,6 @@ func TestMemClassTable(t *testing.T) {
 
 func TestGraphQueries(t *testing.T) {
 	g := paperExample()
-	if n := g.NodeAt(0, 4); n == nil || n.ID != 4 {
-		t.Errorf("NodeAt(0,4) = %+v", n)
-	}
-	if g.NodeAt(3, 0) != nil {
-		t.Error("NodeAt for unknown function should be nil")
-	}
 	out := g.OutEdges(4)
 	if len(out) != 2 {
 		t.Errorf("OutEdges(E) = %d edges, want 2", len(out))

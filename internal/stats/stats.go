@@ -16,24 +16,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of positive values (0 for empty input;
-// non-positive values are skipped).
-func GeoMean(xs []float64) float64 {
-	var s float64
-	n := 0
-	for _, x := range xs {
-		if x <= 0 {
-			continue
-		}
-		s += math.Log(x)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
-}
-
 // RelErr returns |a-b| / b (0 when b is 0).
 func RelErr(a, b float64) float64 {
 	if b == 0 {
@@ -71,18 +53,6 @@ func MaxRelErr(a, b []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Normalize divides every element by base (returns zeros when base is 0).
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
 }
 
 // Pearson returns the Pearson correlation coefficient of two equal-length

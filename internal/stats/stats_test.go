@@ -18,15 +18,6 @@ func TestMean(t *testing.T) {
 	approx(t, "Mean(single)", Mean([]float64{7}), 7)
 }
 
-func TestGeoMean(t *testing.T) {
-	approx(t, "GeoMean", GeoMean([]float64{1, 4}), 2)
-	approx(t, "GeoMean", GeoMean([]float64{2, 2, 2}), 2)
-	// Non-positive values are skipped, not poisoned into NaN.
-	approx(t, "GeoMean(skip)", GeoMean([]float64{0, -3, 8, 2}), 4)
-	approx(t, "GeoMean(empty)", GeoMean(nil), 0)
-	approx(t, "GeoMean(all non-positive)", GeoMean([]float64{0, -1}), 0)
-}
-
 func TestRelErr(t *testing.T) {
 	approx(t, "RelErr", RelErr(110, 100), 0.1)
 	approx(t, "RelErr(under)", RelErr(90, 100), 0.1)
@@ -43,16 +34,6 @@ func TestMeanAndMaxRelErr(t *testing.T) {
 	approx(t, "MeanRelErr(short)", MeanRelErr([]float64{110}, b), 0.1)
 	approx(t, "MeanRelErr(empty)", MeanRelErr(nil, nil), 0)
 	approx(t, "MaxRelErr(empty)", MaxRelErr(nil, nil), 0)
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 6}, 2)
-	for i, want := range []float64{1, 2, 3} {
-		approx(t, "Normalize", out[i], want)
-	}
-	for _, v := range Normalize([]float64{1, 2}, 0) {
-		approx(t, "Normalize(zero base)", v, 0)
-	}
 }
 
 func TestPearson(t *testing.T) {

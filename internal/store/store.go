@@ -95,8 +95,9 @@ type envelope struct {
 }
 
 // Fingerprint returns the printable 64-bit FNV-1a hash of data. It is the
-// checksum used inside envelopes and the content address used for artifacts
-// that have no pipeline key of their own (externally loaded profiles).
+// checksum used inside envelopes, the digest of pipeline keys and cluster
+// queue entries, and the content address used for artifacts that have no
+// pipeline key of their own (externally loaded profiles).
 func Fingerprint(data []byte) string {
 	h := fnv.New64a()
 	h.Write(data)

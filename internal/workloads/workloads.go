@@ -126,14 +126,3 @@ func Benchmarks() []string {
 	}
 	return out
 }
-
-// ByBench returns all workload/input pairs of one benchmark family.
-func ByBench(bench string) []*Workload {
-	var out []*Workload
-	for _, w := range registry {
-		if w.Bench == bench {
-			out = append(out, w)
-		}
-	}
-	return out
-}

@@ -54,15 +54,12 @@ func TestSuiteShape(t *testing.T) {
 	}
 }
 
-func TestByNameAndByBench(t *testing.T) {
+func TestByName(t *testing.T) {
 	if ByName("crc32/large") == nil {
 		t.Error("crc32/large missing")
 	}
 	if ByName("nonesuch") != nil {
 		t.Error("unknown name should return nil")
-	}
-	if got := len(ByBench("susan")); got != 6 {
-		t.Errorf("susan variants = %d, want 6", got)
 	}
 }
 
