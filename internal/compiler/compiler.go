@@ -27,6 +27,7 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/hlc"
 	"repro/internal/isa"
@@ -76,19 +77,24 @@ type Optimized struct {
 func Optimize(cp *hlc.CheckedProgram, level OptLevel) (*Optimized, error) {
 	prog := &isa.Program{}
 
-	// Globals: scalars become length-1 globals. Initializers are evaluated
-	// by the VM at program start via a synthetic init sequence baked into
-	// the global table (constant initializers only, enforced here).
+	// Globals: scalars become length-1 globals. A scalar's initializer, a
+	// literal (hlc.Check enforces it), is recorded in the global table and
+	// installed by vm.New when the program is loaded.
 	for _, g := range cp.Prog.Globals {
-		kind := isa.KindInt
+		gl := isa.Global{Name: g.Name, Kind: isa.KindInt, Len: max(g.ArrayLen, 1)}
 		if g.Type == hlc.TypeFloat {
-			kind = isa.KindFloat
+			gl.Kind = isa.KindFloat
 		}
-		length := g.ArrayLen
-		if length == 0 {
-			length = 1
+		switch v := g.Init.(type) {
+		case *hlc.IntLit:
+			gl.Init = v.Value
+			if gl.Kind == isa.KindFloat {
+				gl.Init = int64(math.Float64bits(float64(v.Value)))
+			}
+		case *hlc.FloatLit:
+			gl.Init = int64(math.Float64bits(v.Value))
 		}
-		prog.Globals = append(prog.Globals, isa.Global{Name: g.Name, Kind: kind, Len: length})
+		prog.Globals = append(prog.Globals, gl)
 	}
 
 	// Pre-register every function shell so calls can resolve indices
@@ -176,29 +182,4 @@ func (o *Optimized) Target(target *isa.Desc) (*isa.Program, error) {
 		prog.Funcs[i] = f
 	}
 	return prog, nil
-}
-
-// GlobalInits extracts the constant initial values of global scalars so the
-// VM can install them before execution. Arrays always start zeroed.
-func GlobalInits(cp *hlc.CheckedProgram) (ints map[string]int64, floats map[string]float64, err error) {
-	ints = make(map[string]int64)
-	floats = make(map[string]float64)
-	for _, g := range cp.Prog.Globals {
-		if g.Init == nil {
-			continue
-		}
-		switch v := g.Init.(type) {
-		case *hlc.IntLit:
-			if g.Type == hlc.TypeFloat {
-				floats[g.Name] = float64(v.Value)
-			} else {
-				ints[g.Name] = v.Value
-			}
-		case *hlc.FloatLit:
-			floats[g.Name] = v.Value
-		default:
-			return nil, nil, fmt.Errorf("compiler: global %s: initializer must be a literal", g.Name)
-		}
-	}
-	return ints, floats, nil
 }

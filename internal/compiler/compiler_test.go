@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/hlc"
@@ -10,31 +9,15 @@ import (
 	"repro/internal/vm"
 )
 
-// run compiles src for the given ISA/level, applies scalar-global
-// initializers, runs it, and returns the result.
+// run compiles src for the given ISA/level, runs it, and returns the
+// result.
 func run(t *testing.T, src string, target *isa.Desc, level OptLevel) vm.Result {
 	t.Helper()
-	cp := hlc.MustCheck(src)
-	prog, err := Compile(cp, target, level)
+	prog, err := Compile(hlc.MustCheck(src), target, level)
 	if err != nil {
 		t.Fatalf("compile %s %v: %v", target.Name, level, err)
 	}
-	m := vm.New(prog)
-	ints, floats, err := GlobalInits(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, v := range ints {
-		if err := m.SetInt(name, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, v := range floats {
-		if err := m.SetFloat(name, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := m.Run(vm.Config{MaxInstrs: 50_000_000})
+	res, err := vm.New(prog).Run(vm.Config{MaxInstrs: 50_000_000})
 	if err != nil {
 		t.Fatalf("run %s %v: %v", target.Name, level, err)
 	}
@@ -479,8 +462,8 @@ void main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lay := vm.LayoutOf(prog)
 		m := vm.New(prog)
+		lay := m.Layout()
 		var loads, total uint64
 		_, err = m.Run(vm.Config{Hook: func(ev *vm.Event) {
 			total++
@@ -507,18 +490,6 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := Compile(cp, &isa.Desc{Name: "tiny", IntRegs: 2}, O0); err == nil {
 		t.Error("expected error for too-few registers")
-	}
-}
-
-func TestGlobalInitsRejectNonLiteral(t *testing.T) {
-	prog := hlc.MustParse("int g = 1 + 2; void main() { print(g); }")
-	cp, err := hlc.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := GlobalInits(cp); err == nil ||
-		!strings.Contains(err.Error(), "literal") {
-		t.Errorf("expected literal-initializer error, got %v", err)
 	}
 }
 

@@ -25,7 +25,7 @@ func Liveness(f *isa.Func) (in, out [][]isa.RegID) {
 		return rs
 	}
 	for b := range f.Blocks {
-		in, out = append(in, regs(l.in[b])), append(out, regs(l.out[b]))
+		in, out = append(in, regs(l.in(b))), append(out, regs(l.out(b)))
 	}
 	return in, out
 }

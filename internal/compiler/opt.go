@@ -540,7 +540,7 @@ func deadCodeElim(f *isa.Func) {
 		roundChanged := false
 		for bi, b := range f.Blocks {
 			gen++
-			lv.forEach(lv.out[bi], func(r isa.RegID) { live[r] = gen })
+			lv.forEach(lv.out(bi), func(r isa.RegID) { live[r] = gen })
 			// Walk backward, marking removals.
 			keep = slices.Grow(keep[:0], len(b.Instrs))[:len(b.Instrs)]
 			for i := len(b.Instrs) - 1; i >= 0; i-- {

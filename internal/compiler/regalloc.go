@@ -45,9 +45,19 @@ func (s bitset) forEach(f func(int)) {
 // to the construction and destruction of static single assignment form").
 // Set members are dense indices into regs.
 type liveSets struct {
-	regs    []isa.RegID
-	in, out []bitset
+	regs  []isa.RegID
+	words int
+	slab  []uint64 // block b's use, def, in and out sets, words each
 }
+
+// set returns the k-th of block b's four sets: use, def, in, out.
+func (l *liveSets) set(b, k int) bitset {
+	i := (4*b + k) * l.words
+	return l.slab[i : i+l.words : i+l.words]
+}
+
+func (l *liveSets) in(b int) bitset  { return l.set(b, 2) }
+func (l *liveSets) out(b int) bitset { return l.set(b, 3) }
 
 // forEach calls f for every register in s, one of l's sets.
 func (l *liveSets) forEach(s bitset, f func(isa.RegID)) {
@@ -81,25 +91,19 @@ func liveness(f *isa.Func) *liveSets {
 		}
 	}
 
-	// use, def, in and out of every block come from one slab.
 	words := (len(regs) + 63) / 64
-	slab := make([]uint64, 4*nb*words)
-	sets := make([]bitset, 4*nb)
-	for i := range sets {
-		sets[i], slab = slab[:words:words], slab[words:]
-	}
-	use, def := sets[:nb], sets[nb:2*nb]
-	l := &liveSets{regs: regs, in: sets[2*nb : 3*nb], out: sets[3*nb:]}
+	l := &liveSets{regs: regs, slab: make([]uint64, 4*nb*words), words: words}
 	for b, blk := range f.Blocks {
+		use, def := l.set(b, 0), l.set(b, 1)
 		for i := range blk.Instrs {
 			u1, u2, d := ir.UseDef2(&blk.Instrs[i])
 			for _, u := range [2]isa.RegID{u1, u2} {
-				if u != isa.NoReg && idx[u] >= 0 && !def[b].has(int(idx[u])) {
-					use[b].set(int(idx[u]))
+				if u != isa.NoReg && idx[u] >= 0 && !def.has(int(idx[u])) {
+					use.set(int(idx[u]))
 				}
 			}
 			if d != isa.NoReg && idx[d] >= 0 {
-				def[b].set(int(idx[d]))
+				def.set(int(idx[d]))
 			}
 		}
 	}
@@ -107,16 +111,18 @@ func liveness(f *isa.Func) *liveSets {
 	for changed := true; changed; {
 		changed = false
 		for b := nb - 1; b >= 0; b-- {
+			in, out := l.in(b), l.out(b)
 			for _, s := range f.Blocks[b].Succs {
-				if l.out[b].orInto(l.in[s]) {
+				if out.orInto(l.in(s)) {
 					changed = true
 				}
 			}
 			// in = use ∪ (out − def)
+			use, def := l.set(b, 0), l.set(b, 1)
 			for i := range tmp {
-				tmp[i] = use[b][i] | (l.out[b][i] &^ def[b][i])
+				tmp[i] = use[i] | (out[i] &^ def[i])
 			}
-			if l.in[b].orInto(tmp) {
+			if in.orInto(tmp) {
 				changed = true
 			}
 		}
@@ -162,8 +168,8 @@ func intervals(f *isa.Func) []interval {
 	for b := range f.Blocks {
 		s := startOf[b]
 		e := s + int32(len(f.Blocks[b].Instrs)) - 1
-		live.forEach(live.in[b], func(r isa.RegID) { extend(r, s) })
-		live.forEach(live.out[b], func(r isa.RegID) { extend(r, e) })
+		live.forEach(live.in(b), func(r isa.RegID) { extend(r, s) })
+		live.forEach(live.out(b), func(r isa.RegID) { extend(r, e) })
 		for i := range f.Blocks[b].Instrs {
 			u1, u2, d := ir.UseDef2(&f.Blocks[b].Instrs[i])
 			for _, r := range [3]isa.RegID{u1, u2, d} {

@@ -48,12 +48,27 @@ func isBarrierOp(op isa.Opcode) bool {
 	return false
 }
 
-// deps is scheduleBlock's per-register state, by register: the block's
-// last instruction that wrote it (-1 if none), and the instructions that
-// read it since. scheduleBlock leaves it as it found it.
+// deps is scheduleBlock's state, kept across a function's blocks. By
+// register: the block's last instruction that wrote it (-1 if none), and
+// the instructions that read it since; scheduleBlock leaves both as it
+// found them. The rest holds one block's dependence graph in flat arrays:
+// preds lists every instruction's predecessors in instruction order,
+// indeg[j] of them for instruction j, and succs[succAt[i]:succAt[i+1]]
+// are instruction i's successors.
 type deps struct {
 	lastDef []int32
 	readers [][]int32
+
+	preds, indeg, succs, succAt []int32
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are stale.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // scheduleBlock list-schedules one block. Instruction j depends on an
@@ -75,55 +90,50 @@ func scheduleBlock(b *isa.Block, d *deps) {
 		b.Bundle = nil
 		return
 	}
-	adj := make([][]int, n)
-	indeg := make([]int, n)
-	addEdge := func(i, j int) {
-		adj[i] = append(adj[i], j)
-		indeg[j]++
-	}
+	preds, indeg := d.preds[:0], resize(d.indeg, n)
 	// memOps holds the last store and the memory operations since, and
 	// sinceBarrier the last barrier and the instructions since; before
 	// the first store or barrier they hold everything from block start.
 	lastStore, lastBarrier := -1, -1
 	var memOps, sinceBarrier []int
 	for j := 0; j < n-1; j++ {
+		first := len(preds)
 		in := &b.Instrs[j]
 		u1, u2, def := ir.UseDef2(in)
 		for _, u := range [2]isa.RegID{u1, u2} {
 			if u != isa.NoReg && d.lastDef[u] >= 0 {
-				addEdge(int(d.lastDef[u]), j) // RAW
+				preds = append(preds, d.lastDef[u]) // RAW
 			}
 		}
 		if def != isa.NoReg {
 			if d.lastDef[def] >= 0 {
-				addEdge(int(d.lastDef[def]), j) // WAW
+				preds = append(preds, d.lastDef[def]) // WAW
 			}
-			for _, i := range d.readers[def] {
-				addEdge(int(i), j) // WAR
-			}
+			preds = append(preds, d.readers[def]...) // WAR
 		}
 		if op := in.Op; isStoreOp(op) {
 			for _, i := range memOps {
-				addEdge(i, j)
+				preds = append(preds, int32(i))
 			}
 			lastStore, memOps = j, append(memOps[:0], j)
 		} else if isMemOp(op) {
 			if lastStore >= 0 {
-				addEdge(lastStore, j)
+				preds = append(preds, int32(lastStore))
 			}
 			memOps = append(memOps, j)
 		}
 		if isBarrierOp(in.Op) {
 			for _, i := range sinceBarrier {
-				addEdge(i, j)
+				preds = append(preds, int32(i))
 			}
 			lastBarrier, sinceBarrier = j, append(sinceBarrier[:0], j)
 		} else {
 			if lastBarrier >= 0 {
-				addEdge(lastBarrier, j)
+				preds = append(preds, int32(lastBarrier))
 			}
 			sinceBarrier = append(sinceBarrier, j)
 		}
+		indeg[j] = int32(len(preds) - first)
 		for _, u := range [2]isa.RegID{u1, u2} {
 			if u != isa.NoReg {
 				d.readers[u] = append(d.readers[u], int32(j))
@@ -135,8 +145,9 @@ func scheduleBlock(b *isa.Block, d *deps) {
 		}
 	}
 	for i := 0; i < n-1; i++ {
-		addEdge(i, n-1) // the terminator issues after everything
+		preds = append(preds, int32(i)) // the terminator issues after everything
 	}
+	indeg[n-1] = int32(n - 1)
 	for j := 0; j < n-1; j++ {
 		u1, u2, def := ir.UseDef2(&b.Instrs[j])
 		for _, r := range [3]isa.RegID{u1, u2, def} {
@@ -145,6 +156,27 @@ func scheduleBlock(b *isa.Block, d *deps) {
 			}
 		}
 	}
+
+	// Turn the predecessor lists around: count each instruction's
+	// successors two slots up, sum, then fill with succAt[i+1] as i's
+	// cursor, which leaves it at the end of i's list.
+	succAt, succs := resize(d.succAt, n+2), resize(d.succs, len(preds))
+	clear(succAt)
+	for _, i := range preds {
+		succAt[i+2]++
+	}
+	for i := 2; i < n+2; i++ {
+		succAt[i] += succAt[i-1]
+	}
+	rest := preds
+	for j := 0; j < n; j++ {
+		for _, i := range rest[:indeg[j]] {
+			succs[succAt[i+1]] = int32(j)
+			succAt[i+1]++
+		}
+		rest = rest[indeg[j]:]
+	}
+	d.preds, d.indeg, d.succs, d.succAt = preds, indeg, succs, succAt
 
 	// ready and next swap each cycle; an instruction is ready at most
 	// once, so n entries hold either. taken marks issued instructions.
@@ -192,10 +224,10 @@ func scheduleBlock(b *isa.Block, d *deps) {
 			}
 		}
 		for _, i := range take {
-			for _, s := range adj[i] {
+			for _, s := range succs[succAt[i]:succAt[i+1]] {
 				indeg[s]--
 				if indeg[s] == 0 {
-					next = append(next, s)
+					next = append(next, int(s))
 				}
 			}
 		}

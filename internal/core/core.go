@@ -339,17 +339,12 @@ func measureClone(prog *hlc.Program, budget uint64) (*measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Per-site class table: the hook indexes it by the event's dense
-	// static-site ID instead of classifying the opcode per instruction.
-	lay := vm.LayoutOf(mp)
-	classBySite := make([]uint8, lay.NumSites())
-	for s := range classBySite {
-		classBySite[s] = uint8(lay.Instr(s).Class())
-	}
+	vmc := vm.New(mp)
+	classBySite := vmc.Layout().Classes()
 	m := &measurement{cp: cp}
 	c := cache.New(profile.DefaultCache)
 	var misses uint64
-	res, err := vm.New(mp).Run(vm.Config{
+	res, err := vmc.Run(vm.Config{
 		MaxInstrs: budget,
 		Hook: func(ev *vm.Event) {
 			m.mix[classBySite[ev.Site]]++

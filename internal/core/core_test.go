@@ -36,8 +36,8 @@ func runClone(t *testing.T, clone *hlc.CheckedProgram, target *isa.Desc, level c
 		t.Fatalf("clone does not compile: %v", err)
 	}
 	var mix [isa.NumClasses]uint64
-	lay := vm.LayoutOf(prog)
 	m := vm.New(prog)
+	lay := m.Layout()
 	res, err := m.Run(vm.Config{MaxInstrs: 100_000_000, Hook: func(ev *vm.Event) {
 		mix[lay.Instr(ev.Site).Class()]++
 	}})

@@ -135,7 +135,7 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 
 	// Every config matches prog's ISA, so the group is all EPIC or all
 	// out-of-order.
-	sites := buildSites(prog)
+	sites := buildSites(prog, m.Layout())
 	maxRegs := 0
 	for _, f := range prog.Funcs {
 		maxRegs = max(maxRegs, f.NumRegs)
@@ -373,8 +373,9 @@ func newHierarchy(cfg Config) *cache.Hierarchy {
 	}
 }
 
-// branchPC builds a stable synthetic PC for a static branch site.
-func branchPC(fn, block, index int) uint64 {
+// BranchPC is the stable synthetic PC of the static branch site at
+// (fn, block, index): the address every branch predictor indexes by.
+func BranchPC(fn, block, index int) uint64 {
 	return uint64(fn)<<24 ^ uint64(block)<<10 ^ uint64(index)
 }
 
@@ -401,8 +402,7 @@ const (
 	kindRet
 )
 
-func buildSites(prog *isa.Program) []siteInfo {
-	lay := vm.LayoutOf(prog)
+func buildSites(prog *isa.Program, lay *vm.Layout) []siteInfo {
 	sites := make([]siteInfo, lay.NumSites())
 	for s := range sites {
 		in := lay.Instr(s)
@@ -417,7 +417,7 @@ func buildSites(prog *isa.Program) []siteInfo {
 			si.kind = kindStore
 		case isa.BR:
 			si.kind = kindBranch
-			si.pc = branchPC(loc.Func, loc.Block, loc.Index)
+			si.pc = BranchPC(loc.Func, loc.Block, loc.Index)
 		case isa.CALL:
 			si.kind = kindCall
 		case isa.RET:

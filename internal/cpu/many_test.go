@@ -163,8 +163,8 @@ func TestSimulateFrontEndOracle(t *testing.T) {
 			preds[i] = cpu.PredictorByName(cfg.Predictor)()
 		}
 		var branches uint64
-		lay := vm.LayoutOf(prog)
 		m := vm.New(prog)
+		lay := m.Layout()
 		if err := w.Setup(m); err != nil {
 			t.Fatal(err)
 		}

@@ -79,9 +79,10 @@ func TestStoreForwardProbesL1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := vm.LayoutOf(prog)
+	m := vm.New(prog)
+	lay := m.Layout()
 	var loads uint64
-	if _, err := vm.New(prog).Run(vm.Config{Hook: func(ev *vm.Event) {
+	if _, err := m.Run(vm.Config{Hook: func(ev *vm.Event) {
 		if op := lay.Instr(ev.Site).Op; op == isa.LD || op == isa.LDL {
 			loads++
 		}

@@ -16,7 +16,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -87,9 +86,8 @@ type Runner struct {
 // NewRunner wraps a pipeline in a Runner.
 func NewRunner(p *pipeline.Pipeline) *Runner { return &Runner{P: p} }
 
-// runProgram executes a compiled program with an optional setup and hook.
-func runProgram(prog *isa.Program, setup func(*vm.VM) error, hook vm.Hook) (vm.Result, error) {
-	m := vm.New(prog)
+// runProgram executes a loaded program with an optional setup and hook.
+func runProgram(m *vm.VM, setup func(*vm.VM) error, hook vm.Hook) (vm.Result, error) {
 	if setup != nil {
 		if err := setup(m); err != nil {
 			return vm.Result{}, err

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/compiler"
+	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
@@ -43,7 +44,7 @@ func (r *Runner) Fig4(ctx context.Context, suite []*workloads.Workload) (*Fig4Re
 		if err != nil {
 			return Fig4Row{}, err
 		}
-		res, err := runProgram(syn, nil, nil)
+		res, err := runProgram(vm.New(syn), nil, nil)
 		if err != nil {
 			return Fig4Row{}, fmt.Errorf("%s clone: %w", w.Name, err)
 		}
@@ -104,11 +105,11 @@ func (r *Runner) Fig5(ctx context.Context, suite []*workloads.Workload) (*Fig5Re
 			if err != nil {
 				return row, err
 			}
-			ro, err := runProgram(pair.Orig, w.Setup, nil)
+			ro, err := runProgram(vm.New(pair.Orig), w.Setup, nil)
 			if err != nil {
 				return row, fmt.Errorf("%s %v: %w", w.Name, level, err)
 			}
-			rs, err := runProgram(pair.Syn, nil, nil)
+			rs, err := runProgram(vm.New(pair.Syn), nil, nil)
 			if err != nil {
 				return row, fmt.Errorf("%s clone %v: %w", w.Name, level, err)
 			}
@@ -164,14 +165,11 @@ type Fig6Result struct {
 }
 
 func measureMix(prog *isa.Program, setup func(*vm.VM) error) ([4]float64, error) {
-	lay := vm.LayoutOf(prog)
-	classBySite := make([]isa.Class, lay.NumSites())
-	for s := range classBySite {
-		classBySite[s] = lay.Instr(s).Class()
-	}
+	m := vm.New(prog)
+	classBySite := m.Layout().Classes()
 	var mix [isa.NumClasses]uint64
 	var total uint64
-	_, err := runProgram(prog, setup, func(ev *vm.Event) {
+	_, err := runProgram(m, setup, func(ev *vm.Event) {
 		total++
 		mix[classBySite[ev.Site]]++
 	})
@@ -278,7 +276,7 @@ type FigCacheResult struct {
 
 func measureCacheSweep(prog *isa.Program, setup func(*vm.VM) error) ([]float64, error) {
 	ms := cache.NewMultiSim(cache.SweepConfigs())
-	_, err := runProgram(prog, setup, func(ev *vm.Event) {
+	_, err := runProgram(vm.New(prog), setup, func(ev *vm.Event) {
 		if ev.IsMem {
 			ms.Access(ev.Addr)
 		}
@@ -358,17 +356,18 @@ type Fig9Result struct {
 func measureBranchAcc(prog *isa.Program, setup func(*vm.VM) error) (float64, error) {
 	meter := &bpred.Meter{P: bpred.DefaultHybrid()}
 	// Per-site predictor PCs, derived from each branch's static location.
-	lay := vm.LayoutOf(prog)
+	m := vm.New(prog)
+	lay := m.Layout()
 	isBranch := make([]bool, lay.NumSites())
 	pcBySite := make([]uint64, lay.NumSites())
 	for s := range pcBySite {
 		if lay.Instr(s).Op == isa.BR {
 			loc := lay.Loc(s)
 			isBranch[s] = true
-			pcBySite[s] = uint64(loc.Func)<<24 ^ uint64(loc.Block)<<10 ^ uint64(loc.Index)
+			pcBySite[s] = cpu.BranchPC(loc.Func, loc.Block, loc.Index)
 		}
 	}
-	_, err := runProgram(prog, setup, func(ev *vm.Event) {
+	_, err := runProgram(m, setup, func(ev *vm.Event) {
 		if isBranch[ev.Site] {
 			meter.Observe(pcBySite[ev.Site], ev.Taken)
 		}

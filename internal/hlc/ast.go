@@ -50,7 +50,8 @@ func (p *Program) Global(name string) *VarDecl {
 }
 
 // VarDecl declares a scalar or array variable. ArrayLen == 0 means scalar.
-// Init, if non-nil, is the scalar initializer (constant expression).
+// Init, if non-nil, is the scalar initializer; a global's must be a
+// literal.
 type VarDecl struct {
 	Name     string
 	Type     Type

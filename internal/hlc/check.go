@@ -60,11 +60,14 @@ func Check(prog *Program) (*CheckedProgram, error) {
 			c.errorf(g.Pos, "duplicate global %s", g.Name)
 			continue
 		}
-		if g.Init != nil {
-			t := c.exprType(g.Init)
-			if !assignable(g.Type, t) {
+		switch g.Init.(type) {
+		case nil:
+		case *IntLit, *FloatLit:
+			if t := c.exprType(g.Init); !assignable(g.Type, t) {
 				c.errorf(g.Pos, "cannot initialize %s %s with %s", g.Type, g.Name, t)
 			}
+		default:
+			c.errorf(g.Pos, "global %s: initializer must be a literal", g.Name)
 		}
 		c.globals[g.Name] = &Symbol{Name: g.Name, Kind: SymGlobal, Type: g.Type, ArrayLen: g.ArrayLen, Decl: g}
 	}

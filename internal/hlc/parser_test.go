@@ -213,6 +213,7 @@ func TestCheckErrors(t *testing.T) {
 		{"return type", "int f() { return 1.5; } void main() { }", "returns int, got float"},
 		{"void return value", "void main() { return 3; }", "returns a value"},
 		{"dup global", "int g; int g; void main() { }", "duplicate global"},
+		{"global init not literal", "int g = 1 + 2; void main() { print(g); }", "must be a literal"},
 		{"dup param", "void f(int a, int a) { } void main() { }", "duplicate parameter"},
 		{"builtin arity", "void main() { float f; f = sqrt(1.0, 2.0); }", "expects 1"},
 		{"call arity", "int f(int a) { return a; } void main() { int x; x = f(); }", "expects 1"},

@@ -267,6 +267,9 @@ type Global struct {
 	Name string
 	Kind ValKind
 	Len  int
+	// Init is a scalar's initial value (float bits for a float); arrays
+	// start zeroed.
+	Init int64 `json:",omitempty"`
 }
 
 // ElemBytes returns the byte size of one element of the global.

@@ -61,9 +61,6 @@ type Profile struct {
 	OutputHash uint64 `json:"outputHash"`
 }
 
-// blockKey identifies a static basic block.
-type blockKey struct{ fn, block int }
-
 // memStat tracks one static memory instruction's cache behavior and its
 // stride stream: the top-K address deltas (space-saving counters), the
 // stride-repeat count, and a tiny recent-line window for the coarse reuse
@@ -211,12 +208,13 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string) (*Profile
 	var mix [isa.NumClasses]uint64
 	var total uint64
 
-	// Per-event state is dense, indexed by the VM's static-site and block
-	// IDs (see vm.Layout): the hook does pure slice arithmetic, no map
-	// lookups. siteKind collapses the opcode dispatch to one byte per site.
-	lay := vm.LayoutOf(prog)
+	// All run state is dense, indexed by the VM's static-site and block
+	// IDs (see vm.Layout): the hook does pure slice arithmetic, and the
+	// SFGL is built from the same slices. siteKind collapses the opcode
+	// dispatch to one byte per site.
+	lay := m.Layout()
 	nSites, nBlocks := lay.NumSites(), lay.NumBlocks()
-	classBySite := make([]isa.Class, nSites)
+	classBySite := lay.Classes()
 	kindBySite := make([]uint8, nSites)
 	blockBySite := make([]int32, nSites)
 	entryBySite := make([]bool, nSites) // first instruction of its block
@@ -231,7 +229,6 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string) (*Profile
 	for s := 0; s < nSites; s++ {
 		in := lay.Instr(s)
 		loc := lay.Loc(s)
-		classBySite[s] = in.Class()
 		blockBySite[s] = int32(lay.BlockID(loc.Func, loc.Block))
 		entryBySite[s] = loc.Index == 0
 		switch in.Op {
@@ -293,40 +290,7 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string) (*Profile
 		return nil, fmt.Errorf("profile: %s: %w", name, err)
 	}
 
-	// Re-key the dense run state by static location for graph construction
-	// (cold: one pass over static sites and blocks).
-	blockCountsM := make(map[blockKey]uint64)
-	branchStatsM := make(map[blockKey]*branchStat)
-	edgeCounts := make(map[[2]int]uint64)
-	bid := 0
-	for fi, f := range prog.Funcs {
-		for bi, blk := range f.Blocks {
-			if blockCounts[bid] > 0 {
-				blockCountsM[blockKey{fi, bi}] = blockCounts[bid]
-			}
-			if branchStats[bid].total > 0 {
-				branchStatsM[blockKey{fi, bi}] = &branchStats[bid]
-			}
-			if edgeTaken[bid] > 0 {
-				to := lay.BlockID(fi, blk.Succs[0])
-				edgeCounts[[2]int{bid, to}] += edgeTaken[bid]
-			}
-			if edgeNot[bid] > 0 {
-				to := lay.BlockID(fi, blk.Succs[1])
-				edgeCounts[[2]int{bid, to}] += edgeNot[bid]
-			}
-			bid++
-		}
-	}
-	memStatsM := make(map[[3]int]*memStat)
-	for s := 0; s < nSites; s++ {
-		if memStats[s].accesses > 0 {
-			loc := lay.Loc(s)
-			memStatsM[[3]int{loc.Func, loc.Block, loc.Index}] = &memStats[s]
-		}
-	}
-
-	g := buildGraph(prog, blockCountsM, edgeCounts, memStatsM, branchStatsM, callCounts)
+	g := buildGraph(prog, lay, blockCounts, edgeTaken, edgeNot, memStats, branchStats, callCounts)
 	return &Profile{
 		Workload:   name,
 		Graph:      g,
@@ -337,49 +301,28 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string) (*Profile
 	}, nil
 }
 
-// nodeID assigns a dense node ID per static block: blocks are numbered
-// function by function in program order.
-func nodeID(prog *isa.Program, fn, block int) int {
-	id := 0
-	for i := 0; i < fn; i++ {
-		id += len(prog.Funcs[i].Blocks)
-	}
-	return id + block
-}
-
-func buildGraph(prog *isa.Program,
-	blockCounts map[blockKey]uint64,
-	edgeCounts map[[2]int]uint64,
-	memStats map[[3]int]*memStat,
-	branchStats map[blockKey]*branchStat,
-	callCounts []uint64) *sfgl.Graph {
+// buildGraph builds the SFGL from one run's dense state: block entries,
+// taken- and fall-through-arm transfers and branch statistics by block ID,
+// memory statistics by site ID, and calls by function. Nodes and their
+// instructions come out in ID order, and edges in (From, To) order.
+func buildGraph(prog *isa.Program, lay *vm.Layout,
+	blockCounts, edgeTaken, edgeNot []uint64,
+	memStats []memStat, branchStats []branchStat, callCounts []uint64) *sfgl.Graph {
 
 	g := &sfgl.Graph{FuncCalls: callCounts}
 	for _, f := range prog.Funcs {
 		g.FuncNames = append(g.FuncNames, f.Name)
 	}
 
-	// Nodes: one per static block, in nodeID order.
+	// Nodes in block-ID order, each followed by its out-edges: the taken
+	// and fall-through arms, in To order, merged when both enter the same
+	// block. edgesOf[id] is the first of block id's edges in g.Edges.
+	edgesOf := make([]int, lay.NumBlocks()+1)
 	for fi, f := range prog.Funcs {
 		for bi, blk := range f.Blocks {
-			n := &sfgl.Node{
-				ID:    nodeID(prog, fi, bi),
-				Func:  fi,
-				Block: bi,
-				Count: blockCounts[blockKey{fi, bi}],
-			}
-			for ii := range blk.Instrs {
-				in := &blk.Instrs[ii]
-				info := sfgl.InstrInfo{Op: in.Op, Class: in.Class(), MemClass: -1}
-				if ms := memStats[[3]int{fi, bi, ii}]; ms != nil && ms.accesses > 0 {
-					miss := float64(ms.misses) / float64(ms.accesses)
-					info.MemClass = sfgl.MemClassFor(miss)
-					info.Stream = ms.stream()
-				}
-				n.Instrs = append(n.Instrs, info)
-			}
-			if bs := branchStats[blockKey{fi, bi}]; bs != nil && bs.total > 0 {
-				takenRate := float64(bs.taken) / float64(bs.total)
+			id := lay.BlockID(fi, bi)
+			n := &sfgl.Node{ID: id, Func: fi, Block: bi, Count: blockCounts[id]}
+			if bs := &branchStats[id]; bs.total > 0 {
 				transRate := 0.0
 				if bs.total > 1 {
 					transRate = float64(bs.transitions) / float64(bs.total-1)
@@ -388,81 +331,84 @@ func buildGraph(prog *isa.Program,
 					Taken:       bs.taken,
 					Total:       bs.total,
 					Transitions: bs.transitions,
-					TakenRate:   takenRate,
+					TakenRate:   float64(bs.taken) / float64(bs.total),
 					TransRate:   transRate,
 					Hard:        transRate > 0.15 && transRate < 0.85,
 				}
 			}
 			g.Nodes = append(g.Nodes, n)
+
+			edgesOf[id] = len(g.Edges)
+			if c := edgeTaken[id]; c > 0 {
+				g.Edges = append(g.Edges, &sfgl.Edge{From: id, To: lay.BlockID(fi, blk.Succs[0]), Count: c})
+			}
+			if c := edgeNot[id]; c > 0 {
+				to := lay.BlockID(fi, blk.Succs[1])
+				if k := len(g.Edges) - 1; k >= edgesOf[id] && g.Edges[k].To == to {
+					g.Edges[k].Count += c
+				} else {
+					g.Edges = append(g.Edges, &sfgl.Edge{From: id, To: to, Count: c})
+					if k >= edgesOf[id] && g.Edges[k].To > to {
+						g.Edges[k], g.Edges[k+1] = g.Edges[k+1], g.Edges[k]
+					}
+				}
+			}
 		}
 	}
+	edgesOf[lay.NumBlocks()] = len(g.Edges)
 
-	for k, c := range edgeCounts {
-		g.Edges = append(g.Edges, &sfgl.Edge{From: k[0], To: k[1], Count: c})
+	for s := 0; s < lay.NumSites(); s++ {
+		in, loc := lay.Instr(s), lay.Loc(s)
+		info := sfgl.InstrInfo{Op: in.Op, Class: in.Class(), MemClass: -1}
+		if ms := &memStats[s]; ms.accesses > 0 {
+			info.MemClass = sfgl.MemClassFor(float64(ms.misses) / float64(ms.accesses))
+			info.Stream = ms.stream()
+		}
+		n := g.Nodes[lay.BlockID(loc.Func, loc.Block)]
+		n.Instrs = append(n.Instrs, info)
 	}
-	sortEdges(g.Edges)
 
-	// Loop annotation: natural loops on each function's static CFG, with
-	// entry counts from edges entering the header from outside the loop.
+	// Loop annotation: natural loops on each function's static CFG. A
+	// loop's entries are the transfers into its header from outside it:
+	// everything entering the header, less its loop blocks' edges into it.
+	into := make([]uint64, lay.NumBlocks())
+	for _, e := range g.Edges {
+		into[e.To] += e.Count
+	}
 	loopID := 0
 	for fi, f := range prog.Funcs {
 		forest := ir.FindLoops(ir.Succs(f), 0)
-		// Map forest index -> global loop ID for parents.
-		idOf := make([]int, len(forest.Loops))
-		for li := range forest.Loops {
-			idOf[li] = loopID + li
-		}
 		for li := range forest.Loops {
 			l := &forest.Loops[li]
-			headerID := nodeID(prog, fi, l.Header)
-			iterations := blockCounts[blockKey{fi, l.Header}]
-			var entries uint64
-			inLoop := make(map[int]bool)
-			for _, b := range l.Blocks {
-				inLoop[nodeID(prog, fi, b)] = true
-			}
-			for k, c := range edgeCounts {
-				if k[1] == headerID && !inLoop[k[0]] {
-					entries += c
+			header := lay.BlockID(fi, l.Header)
+			entries := into[header]
+			nodes := make([]int, len(l.Blocks))
+			for i, b := range l.Blocks {
+				nodes[i] = lay.BlockID(fi, b)
+				for _, e := range g.Edges[edgesOf[nodes[i]]:edgesOf[nodes[i]+1]] {
+					if e.To == header {
+						entries -= e.Count
+					}
 				}
 			}
 			parent := -1
 			if l.Parent >= 0 {
-				parent = idOf[l.Parent]
-			}
-			var nodes []int
-			for _, b := range l.Blocks {
-				nodes = append(nodes, nodeID(prog, fi, b))
+				parent = loopID + l.Parent
 			}
 			g.Loops = append(g.Loops, &sfgl.Loop{
-				ID:         idOf[li],
+				ID:         loopID + li,
 				Func:       fi,
-				Header:     headerID,
+				Header:     header,
 				Nodes:      nodes,
 				Parent:     parent,
 				Depth:      l.Depth,
 				Entries:    entries,
-				Iterations: iterations,
+				Iterations: blockCounts[header],
 			})
 		}
 		loopID += len(forest.Loops)
 	}
 	return g
-}
-
-func sortEdges(edges []*sfgl.Edge) {
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0 && less(edges[j], edges[j-1]); j-- {
-			edges[j], edges[j-1] = edges[j-1], edges[j]
-		}
-	}
-}
-
-func less(a, b *sfgl.Edge) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.To < b.To
 }
 
 // Save writes the profile as JSON.

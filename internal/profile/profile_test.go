@@ -14,29 +14,11 @@ import (
 
 func collect(t *testing.T, src string) *Profile {
 	t.Helper()
-	cp := hlc.MustCheck(src)
-	prog, err := compiler.Compile(cp, Target, Level)
+	prog, err := compiler.Compile(hlc.MustCheck(src), Target, Level)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ints, floats, err := compiler.GlobalInits(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup := func(m *vm.VM) error {
-		for k, v := range ints {
-			if err := m.SetInt(k, v); err != nil {
-				return err
-			}
-		}
-		for k, v := range floats {
-			if err := m.SetFloat(k, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	p, err := Collect(prog, setup, "test")
+	p, err := Collect(prog, nil, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +238,44 @@ void main() {
 	}
 	if p.Graph.FuncCalls[hi] != 25 {
 		t.Errorf("helper called %d times in profile, want 25", p.Graph.FuncCalls[hi])
+	}
+}
+
+// A scalar global's literal initializer is part of the compiled program:
+// loading it installs the value at every ISA and level, so a plain run and
+// the profiled run both see it.
+func TestGlobalInitializers(t *testing.T) {
+	cp := hlc.MustCheck(`
+int counter = 5;
+float scale = 2.5;
+float widened = 3;
+int zero = 0;
+void main() { print(counter); print(scale); print(widened); print(zero); }`)
+	const want = "5 2.5 3 0"
+	for _, target := range []*isa.Desc{isa.X86, isa.AMD64, isa.IA64} {
+		for _, level := range compiler.Levels {
+			prog, err := compiler.Compile(cp, target, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := vm.New(prog).Run(vm.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(res.Output, " "); got != want {
+				t.Errorf("%s %v: printed %q, want %q", target.Name, level, got, want)
+			}
+			if target != Target || level != Level {
+				continue
+			}
+			p, err := Collect(prog, nil, "init")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.OutputHash != res.OutputHash {
+				t.Errorf("profiled run's output hash %x, plain run's %x", p.OutputHash, res.OutputHash)
+			}
+		}
 	}
 }
 

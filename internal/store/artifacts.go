@@ -77,10 +77,11 @@ func DecodeProgram(data []byte) (*isa.Program, error) {
 }
 
 // Size bounds on a decoded program, far above anything the compiler emits
-// (over the full suite: 65536 elements in the largest global, 67 slots in
-// the largest frame), so a hostile payload cannot make loading or running
-// it allocate without limit. Register IDs are 16 bits with isa.NoReg
-// reserved, which bounds a frame's registers.
+// (over the full suite and its clones: 262,272 elements in the largest
+// global, a clone's walker array, and 67 slots in the largest frame), so
+// a hostile payload cannot make loading or running it allocate without
+// limit. Register IDs are 16 bits with isa.NoReg reserved, which bounds a
+// frame's registers.
 const (
 	maxGlobalElems = 1 << 24 // all globals together
 	maxFrameSlots  = 1 << 16 // one function's stack frame
@@ -97,6 +98,9 @@ func validateProgram(pj *programJSON) error {
 	for i, g := range pj.Globals {
 		if g.Len < 0 || g.Len > maxGlobalElems-elems {
 			return fmt.Errorf("global %d: length %d out of range", i, g.Len)
+		}
+		if g.Init != 0 && g.Len != 1 {
+			return fmt.Errorf("global %d: initializer on an array of %d elements", i, g.Len)
 		}
 		elems += g.Len
 	}

@@ -218,6 +218,7 @@ func TestStoreProgramDecodeRejects(t *testing.T) {
 		"unknown opcode":            func(p *isa.Program) { first(p).Instrs[0].Op = isa.Opcode(isa.NumOpcodes) },
 		"short bundle list":         func(p *isa.Program) { first(p).Bundle = []int{0} },
 		"oversized global":          func(p *isa.Program) { p.Globals = []isa.Global{{Name: "g", Len: 1 << 40}} },
+		"initialized array":         func(p *isa.Program) { p.Globals = []isa.Global{{Name: "g", Len: 4, Init: 1}} },
 		"oversized frame":           func(p *isa.Program) { p.Funcs[0].NumSlots = 1 << 40 },
 	} {
 		p := smallProgram()

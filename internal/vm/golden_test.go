@@ -287,7 +287,7 @@ func TestGoldenEventStream(t *testing.T) {
 			if err := w.Setup(m); err != nil {
 				t.Fatal(err)
 			}
-			lay := vm.LayoutOf(prog)
+			lay := m.Layout()
 			i := 0
 			mismatches := 0
 			hook := func(ev *vm.Event) {

@@ -9,11 +9,12 @@ type SiteLoc struct {
 }
 
 // Layout is the dense static numbering of a program's instruction sites and
-// basic blocks. Site IDs match Event.Site exactly: instructions are numbered
-// in (function, block, index) order across the whole program. Block IDs
+// basic blocks, recorded by the predecode pass as it stamps each site ID.
+// Site IDs match Event.Site exactly: instructions are numbered in
+// (function, block, index) order across the whole program. Block IDs
 // number blocks the same way ((function, block) order); they are the node
-// IDs of the statistical flow graph. Hook consumers build a Layout once and
-// replace per-event map lookups with slice indexing.
+// IDs of the statistical flow graph. Hook consumers read the Layout of the
+// VM they run and replace per-event map lookups with slice indexing.
 type Layout struct {
 	sites     []SiteLoc
 	instrs    []*isa.Instr
@@ -21,31 +22,8 @@ type Layout struct {
 	numBlocks int
 }
 
-// LayoutOf computes the dense site and block numbering of a program.
-func LayoutOf(prog *isa.Program) *Layout {
-	l := &Layout{blockBase: make([]int, len(prog.Funcs))}
-	n := 0
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			n += len(b.Instrs)
-		}
-	}
-	l.sites = make([]SiteLoc, 0, n)
-	l.instrs = make([]*isa.Instr, 0, n)
-	nb := 0
-	for fi, f := range prog.Funcs {
-		l.blockBase[fi] = nb
-		nb += len(f.Blocks)
-		for bi, b := range f.Blocks {
-			for ii := range b.Instrs {
-				l.sites = append(l.sites, SiteLoc{Func: fi, Block: bi, Index: ii})
-				l.instrs = append(l.instrs, &b.Instrs[ii])
-			}
-		}
-	}
-	l.numBlocks = nb
-	return l
-}
+// Layout returns the site and block numbering of the loaded program.
+func (vm *VM) Layout() *Layout { return vm.layout }
 
 // NumSites returns the number of static instruction sites.
 func (l *Layout) NumSites() int { return len(l.sites) }
@@ -61,3 +39,13 @@ func (l *Layout) Instr(site int) *isa.Instr { return l.instrs[site] }
 
 // BlockID returns the dense block ID of block `block` in function `fn`.
 func (l *Layout) BlockID(fn, block int) int { return l.blockBase[fn] + block }
+
+// Classes returns every site's instruction class, indexed by site ID: the
+// table a hook indexes by Event.Site instead of classifying per event.
+func (l *Layout) Classes() []isa.Class {
+	out := make([]isa.Class, len(l.instrs))
+	for s, in := range l.instrs {
+		out[s] = in.Class()
+	}
+	return out
+}

@@ -51,12 +51,26 @@ type fcode struct {
 }
 
 // predecode flattens every function into its fcode. Site IDs are assigned
-// densely in (function, block, instruction) order — the same numbering
-// LayoutOf produces, which consumers rely on to index per-site state.
-func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) []fcode {
+// densely in (function, block, instruction) order, and the Layout it
+// returns records that one numbering for the hooks that index per-site
+// state by it.
+func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) ([]fcode, *Layout) {
 	fns := make([]fcode, len(prog.Funcs))
+	nSites := 0
+	for _, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			nSites += len(b.Instrs)
+		}
+	}
+	lay := &Layout{
+		sites:     make([]SiteLoc, 0, nSites),
+		instrs:    make([]*isa.Instr, 0, nSites),
+		blockBase: make([]int, len(prog.Funcs)),
+	}
 	site := int32(0)
 	for fi, f := range prog.Funcs {
+		lay.blockBase[fi] = lay.numBlocks
+		lay.numBlocks += len(f.Blocks)
 		fc := &fns[fi]
 		fc.name = f.Name
 		fc.nRegs = f.NumRegs + 1 // trailing always-zero register
@@ -80,6 +94,8 @@ func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) []fcod
 					segLen: int32(nb - ii),
 				}
 				site++
+				lay.sites = append(lay.sites, SiteLoc{Func: fi, Block: bi, Index: ii})
+				lay.instrs = append(lay.instrs, in)
 				switch in.Op {
 				case isa.MOVF:
 					// A float constant is an integer constant holding the
@@ -124,5 +140,5 @@ func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) []fcod
 			}
 		}
 	}
-	return fns
+	return fns, lay
 }

@@ -22,12 +22,12 @@ import (
 
 // Event describes one executed instruction to observers. It carries only
 // what varies per execution; everything static about the instruction (its
-// location, opcode and operands) comes from LayoutOf, by Site.
+// location, opcode and operands) comes from the VM's Layout, by Site.
 type Event struct {
 	// Site is the instruction's dense static-site ID: its position in the
 	// program-wide enumeration of instructions in (function, block, index)
-	// order, exactly the numbering LayoutOf assigns. Hooks use it to index
-	// flat per-site tables built once from the Layout.
+	// order, exactly the numbering of the VM's Layout. Hooks use it to
+	// index flat per-site tables built once from the Layout.
 	Site  int
 	Addr  uint64 // data address (valid when IsMem)
 	IsMem bool
@@ -92,19 +92,25 @@ type VM struct {
 	globals    [][]int64 // float elements stored as IEEE bits
 	globalAddr []uint64  // byte base address per global
 	fns        []fcode   // predecoded functions, indexed like prog.Funcs
+	layout     *Layout   // the site and block numbering predecode stamped
 }
 
-// New loads a compiled program.
+// New loads a compiled program: globals start zeroed, scalars holding
+// their initializers.
 func New(prog *isa.Program) *VM {
 	vm := &VM{prog: prog}
 	addr := uint64(globalsBase)
 	for _, g := range prog.Globals {
-		vm.globals = append(vm.globals, make([]int64, g.Len))
+		mem := make([]int64, g.Len)
+		if g.Init != 0 {
+			mem[0] = g.Init
+		}
+		vm.globals = append(vm.globals, mem)
 		vm.globalAddr = append(vm.globalAddr, addr)
 		size := uint64(g.Len * g.ElemBytes())
 		addr += (size + globalAlign - 1) / globalAlign * globalAlign
 	}
-	vm.fns = predecode(prog, vm.globals, vm.globalAddr)
+	vm.fns, vm.layout = predecode(prog, vm.globals, vm.globalAddr)
 	return vm
 }
 
@@ -146,12 +152,6 @@ func (vm *VM) SetFloats(name string, vals []float64) error {
 	}
 	return nil
 }
-
-// SetInt sets a scalar int global.
-func (vm *VM) SetInt(name string, v int64) error { return vm.SetInts(name, []int64{v}) }
-
-// SetFloat sets a scalar float global.
-func (vm *VM) SetFloat(name string, v float64) error { return vm.SetFloats(name, []float64{v}) }
 
 // Ints returns a copy of an int global's contents (after a run, typically).
 func (vm *VM) Ints(name string) ([]int64, error) {

@@ -55,8 +55,8 @@ func TestHandProgram(t *testing.T) {
 
 func TestHookSeesEveryInstruction(t *testing.T) {
 	p := handProg()
-	lay := LayoutOf(p)
 	m := New(p)
+	lay := m.Layout()
 	var classes []isa.Class
 	var memAddrs []uint64
 	res, err := m.Run(Config{Hook: func(ev *Event) {
@@ -239,9 +239,10 @@ func TestBranchEventsReportDirection(t *testing.T) {
 		},
 	}
 	p := &isa.Program{ISA: isa.AMD64, Funcs: []*isa.Func{main}, Entry: 0}
-	lay := LayoutOf(p)
+	m := New(p)
+	lay := m.Layout()
 	taken, notTaken := 0, 0
-	_, err := New(p).Run(Config{Hook: func(ev *Event) {
+	_, err := m.Run(Config{Hook: func(ev *Event) {
 		if lay.Instr(ev.Site).Op == isa.BR {
 			if ev.Taken {
 				taken++

@@ -170,7 +170,7 @@ func TestSuiteHasBehavioralDiversity(t *testing.T) {
 		if err := w.Setup(m); err != nil {
 			t.Fatal(err)
 		}
-		lay := vm.LayoutOf(prog)
+		lay := m.Layout()
 		var fp, total uint64
 		_, err = m.Run(vm.Config{MaxInstrs: 80_000_000, Hook: func(ev *vm.Event) {
 			total++
