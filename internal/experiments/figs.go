@@ -355,9 +355,9 @@ type Fig9Result struct {
 
 func measureBranchAcc(prog *isa.Program, setup func(*vm.VM) error) (float64, error) {
 	meter := &bpred.Meter{P: bpred.DefaultHybrid()}
-	// Per-site predictor PCs, derived from each branch's static location.
 	m := vm.New(prog)
 	lay := m.Layout()
+	// Per-site predictor PCs, derived from each branch's static location.
 	isBranch := make([]bool, lay.NumSites())
 	pcBySite := make([]uint64, lay.NumSites())
 	for s := range pcBySite {

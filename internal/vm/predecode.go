@@ -67,7 +67,6 @@ func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) ([]fco
 		instrs:    make([]*isa.Instr, 0, nSites),
 		blockBase: make([]int, len(prog.Funcs)),
 	}
-	site := int32(0)
 	for fi, f := range prog.Funcs {
 		lay.blockBase[fi] = lay.numBlocks
 		lay.numBlocks += len(f.Blocks)
@@ -90,10 +89,9 @@ func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) ([]fco
 				in := &blk.Instrs[ii]
 				pi := pins{
 					op: in.Op, dst: in.Dst, a: in.A, b: in.B, imm: in.Imm,
-					site: site, block: int32(bi), index: int32(ii),
+					site: int32(len(lay.sites)), block: int32(bi), index: int32(ii),
 					segLen: int32(nb - ii),
 				}
-				site++
 				lay.sites = append(lay.sites, SiteLoc{Func: fi, Block: bi, Index: ii})
 				lay.instrs = append(lay.instrs, in)
 				switch in.Op {
