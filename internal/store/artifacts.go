@@ -77,11 +77,11 @@ func DecodeProgram(data []byte) (*isa.Program, error) {
 }
 
 // Size bounds on a decoded program, far above anything the compiler emits
-// (over the full suite and its clones: 262,272 elements in the largest
-// global, a clone's walker array, and 67 slots in the largest frame), so
-// a hostile payload cannot make loading or running it allocate without
-// limit. Register IDs are 16 bits with isa.NoReg reserved, which bounds a
-// frame's registers.
+// (over the full suite: 67 slots in the largest frame; its clones' walker
+// arrays reach 262,272 elements in one global), so a hostile payload
+// cannot make loading or running it allocate without limit. Register
+// IDs are 16 bits with isa.NoReg reserved, which bounds a frame's
+// registers.
 const (
 	maxGlobalElems = 1 << 24 // all globals together
 	maxFrameSlots  = 1 << 16 // one function's stack frame

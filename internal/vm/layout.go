@@ -16,8 +16,8 @@ type SiteLoc struct {
 // IDs of the statistical flow graph. Hook consumers read the Layout of the
 // VM they run and replace per-event map lookups with slice indexing.
 type Layout struct {
+	prog      *isa.Program
 	sites     []SiteLoc
-	instrs    []*isa.Instr
 	blockBase []int // first block ID of each function
 	numBlocks int
 }
@@ -35,7 +35,10 @@ func (l *Layout) NumBlocks() int { return l.numBlocks }
 func (l *Layout) Loc(site int) SiteLoc { return l.sites[site] }
 
 // Instr returns the instruction at a site ID.
-func (l *Layout) Instr(site int) *isa.Instr { return l.instrs[site] }
+func (l *Layout) Instr(site int) *isa.Instr {
+	loc := l.sites[site]
+	return &l.prog.Funcs[loc.Func].Blocks[loc.Block].Instrs[loc.Index]
+}
 
 // BlockID returns the dense block ID of block `block` in function `fn`.
 func (l *Layout) BlockID(fn, block int) int { return l.blockBase[fn] + block }
@@ -43,9 +46,9 @@ func (l *Layout) BlockID(fn, block int) int { return l.blockBase[fn] + block }
 // Classes returns every site's instruction class, indexed by site ID: the
 // table a hook indexes by Event.Site instead of classifying per event.
 func (l *Layout) Classes() []isa.Class {
-	out := make([]isa.Class, len(l.instrs))
-	for s, in := range l.instrs {
-		out[s] = in.Class()
+	out := make([]isa.Class, len(l.sites))
+	for s := range out {
+		out[s] = l.Instr(s).Class()
 	}
 	return out
 }

@@ -63,8 +63,8 @@ func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) ([]fco
 		}
 	}
 	lay := &Layout{
+		prog:      prog,
 		sites:     make([]SiteLoc, 0, nSites),
-		instrs:    make([]*isa.Instr, 0, nSites),
 		blockBase: make([]int, len(prog.Funcs)),
 	}
 	for fi, f := range prog.Funcs {
@@ -93,7 +93,6 @@ func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) ([]fco
 					segLen: int32(nb - ii),
 				}
 				lay.sites = append(lay.sites, SiteLoc{Func: fi, Block: bi, Index: ii})
-				lay.instrs = append(lay.instrs, in)
 				switch in.Op {
 				case isa.MOVF:
 					// A float constant is an integer constant holding the
