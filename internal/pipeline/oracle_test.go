@@ -275,3 +275,72 @@ func TestCloneGridOracle(t *testing.T) {
 		}
 	}
 }
+
+// seedSourceDigests pins every quick-suite clone's HLC source at two more
+// seeds, the same way cloneSourceDigests does at the experiments' seed. A
+// seed changes the skeleton, so calibration takes another path of
+// attempts and regenerations; the pins guard that path as well.
+var seedSourceDigests = map[int64]map[string]string{
+	1: {
+		"adpcm/small1":       "4e2164cb775c1ee9",
+		"basicmath/small":    "509d3af8509e25c4",
+		"bitcount/small":     "f171893b21250a93",
+		"crc32/small":        "19be04da7c21c3c2",
+		"dijkstra/small":     "6d91a5e336642f72",
+		"fft/small1":         "44eb2558a0debe61",
+		"gsm/small1":         "3d95212fc583d3ac",
+		"jpeg/large1":        "a02ab89bae8783b5",
+		"patricia/small":     "a9130576e342b583",
+		"qsort/large":        "e765f33146fe6f20",
+		"sha/small":          "fc9f09e7f7485f27",
+		"stringsearch/small": "13e0771e0e5b1954",
+		"susan/small2":       "aa07c753373d2bd9",
+	},
+	2: {
+		"adpcm/small1":       "f2fab4f5d1bbe81b",
+		"basicmath/small":    "14e0b0c5ad458abf",
+		"bitcount/small":     "55eecc7ed29a2569",
+		"crc32/small":        "9ece6bda7afe20cb",
+		"dijkstra/small":     "a4c5c05f2990a24c",
+		"fft/small1":         "a1b3671cd62ce641",
+		"gsm/small1":         "51a45cbd3eeaafdd",
+		"jpeg/large1":        "2b5b5ee76edfbed5",
+		"patricia/small":     "92c25e8ef6699518",
+		"qsort/large":        "44e6ebd723d2900d",
+		"sha/small":          "cafb34654e4ef593",
+		"stringsearch/small": "876f3b9cc223c3ca",
+		"susan/small2":       "80fe185d74a515e7",
+	},
+}
+
+// TestCloneSourcesAtOtherSeeds checks every quick-suite clone's source at
+// the seeds of seedSourceDigests.
+func TestCloneSourcesAtOtherSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesizes the quick suite at two seeds")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("clone digests are recorded on amd64; not checked on %s", runtime.GOARCH)
+	}
+	ctx := context.Background()
+	for seed, want := range seedSourceDigests {
+		p := pipeline.New(pipeline.Options{Seed: seed})
+		got, err := pipeline.Map(ctx, p, experiments.Quick(), func(ctx context.Context, w *workloads.Workload) (string, error) {
+			cl, err := p.Synthesize(ctx, w)
+			if err != nil {
+				return "", err
+			}
+			h := fnv.New64a()
+			h.Write([]byte(cl.Source))
+			return fmt.Sprintf("%016x", h.Sum64()), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range experiments.Quick() {
+			if got[i] != want[w.Name] {
+				t.Errorf("seed %d: %s clone source digest %s, want %s", seed, w.Name, got[i], want[w.Name])
+			}
+		}
+	}
+}
