@@ -75,46 +75,25 @@ type Optimized struct {
 // target: lowering, the level's optimization passes, and the liveness
 // analysis behind register allocation.
 func Optimize(cp *hlc.CheckedProgram, level OptLevel) (*Optimized, error) {
-	prog := &isa.Program{}
-
-	// Globals: scalars become length-1 globals. A scalar's initializer, a
-	// literal (hlc.Check enforces it), is recorded in the global table and
-	// installed by vm.New when the program is loaded.
-	for _, g := range cp.Prog.Globals {
-		gl := isa.Global{Name: g.Name, Kind: isa.KindInt, Len: max(g.ArrayLen, 1)}
-		if g.Type == hlc.TypeFloat {
-			gl.Kind = isa.KindFloat
-		}
-		switch v := g.Init.(type) {
-		case *hlc.IntLit:
-			gl.Init = v.Value
-			if gl.Kind == isa.KindFloat {
-				gl.Init = int64(math.Float64bits(float64(v.Value)))
-			}
-		case *hlc.FloatLit:
-			gl.Init = int64(math.Float64bits(v.Value))
-		}
-		prog.Globals = append(prog.Globals, gl)
-	}
-
-	// Pre-register every function shell so calls can resolve indices
-	// while bodies are being lowered, then fill the bodies in.
-	for _, fn := range cp.Prog.Funcs {
-		prog.Funcs = append(prog.Funcs, &isa.Func{Name: fn.Name})
-	}
-	for i, fn := range cp.Prog.Funcs {
-		if err := lowerFunc(cp, prog, fn, prog.Funcs[i]); err != nil {
+	prog := &isa.Program{Globals: globalTable(cp.Prog), Funcs: make([]*isa.Func, len(cp.Funcs))}
+	syms := newSymbols(cp.Prog)
+	for i, cf := range cp.Funcs {
+		obj, err := lowerFunc(cp, cf)
+		if err != nil {
 			return nil, err
 		}
-	}
-	prog.Entry = -1
-	for i, f := range prog.Funcs {
-		if f.Name == "main" {
-			prog.Entry = i
+		globals, funcs, err := obj.resolve(syms)
+		if err != nil {
+			return nil, err
 		}
+		for _, b := range obj.Func.Blocks {
+			resolve(b.Instrs, globals, funcs)
+		}
+		prog.Funcs[i] = obj.Func
 	}
-	if prog.Entry < 0 {
-		return nil, fmt.Errorf("compiler: no main function")
+	var err error
+	if prog.Entry, err = entry(prog.Funcs); err != nil {
+		return nil, err
 	}
 
 	// Optimization pipeline on virtual-register code.
@@ -126,27 +105,59 @@ func Optimize(cp *hlc.CheckedProgram, level OptLevel) (*Optimized, error) {
 	}
 	o := &Optimized{level: level, prog: prog, itvs: make([][]interval, len(prog.Funcs))}
 	for i, f := range prog.Funcs {
-		if level >= O1 {
-			mem2reg(f)
-			for i := 0; i < 3; i++ {
-				constFold(f)
-				copyProp(f)
-				if level >= O2 {
-					localCSE(f)
-					strengthReduce(f)
-				}
-				deadCodeElim(f)
-			}
-			if level >= O2 {
-				licm(f)
-				copyProp(f)
-				deadCodeElim(f)
-			}
-		}
-		tidy(f)
-		o.itvs[i] = intervals(f)
+		o.itvs[i] = optimizeFunc(f, level)
 	}
 	return o, nil
+}
+
+// optimizeFunc runs the level's per-function passes over f, after
+// lowering and tidying (and, at O3, inlining), and returns its live
+// intervals in (begin, reg) order.
+func optimizeFunc(f *isa.Func, level OptLevel) []interval {
+	if level >= O1 {
+		mem2reg(f)
+		for i := 0; i < 3; i++ {
+			constFold(f)
+			copyProp(f)
+			if level >= O2 {
+				localCSE(f)
+				strengthReduce(f)
+			}
+			deadCodeElim(f)
+		}
+		if level >= O2 {
+			licm(f)
+			copyProp(f)
+			deadCodeElim(f)
+		}
+	}
+	tidy(f)
+	return intervals(f)
+}
+
+// globalTable lays out a program's globals: scalars become length-1
+// globals. A scalar's initializer, a literal (hlc.Check enforces it), is
+// recorded in the table and installed by vm.New when the program is
+// loaded.
+func globalTable(prog *hlc.Program) []isa.Global {
+	globals := make([]isa.Global, len(prog.Globals))
+	for i, g := range prog.Globals {
+		gl := isa.Global{Name: g.Name, Kind: isa.KindInt, Len: max(g.ArrayLen, 1)}
+		if g.Type == hlc.TypeFloat {
+			gl.Kind = isa.KindFloat
+		}
+		switch v := hlc.Literal(g.Init).(type) {
+		case *hlc.IntLit:
+			gl.Init = v.Value
+			if gl.Kind == isa.KindFloat {
+				gl.Init = int64(math.Float64bits(float64(v.Value)))
+			}
+		case *hlc.FloatLit:
+			gl.Init = int64(math.Float64bits(v.Value))
+		}
+		globals[i] = gl
+	}
+	return globals
 }
 
 // Target finishes compilation for one ISA: register allocation maps the

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/hlc"
@@ -270,6 +271,37 @@ void main() {
   print(acc);
   print(ratio * 4.0);
 }`, []string{"7", "13", "2"})
+}
+
+// A negative literal initializes a global: the parser reads -1 as minus
+// applied to 1, and the check and the global table fold it.
+func TestNegativeGlobalInitializers(t *testing.T) {
+	src := `
+int g = -1;
+float f = -0.5;
+float w = -2;
+void main() { print(g); print(f); print(w); }`
+	allTargets(t, src, []string{"-1", "-0.5", "-2"})
+	for _, target := range []*isa.Desc{isa.X86, isa.AMD64, isa.IA64} {
+		for _, level := range Levels {
+			prog, err := Compile(hlc.MustCheck(src), target, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := vm.New(prog)
+			g, err := m.Ints("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := m.Ints("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g[0] != -1 || math.Float64frombits(uint64(f[0])) != -0.5 {
+				t.Errorf("%s %v: loaded g = %d, f = %g; want -1, -0.5", target.Name, level, g[0], math.Float64frombits(uint64(f[0])))
+			}
+		}
+	}
 }
 
 func TestCompileFibonacciExample(t *testing.T) {

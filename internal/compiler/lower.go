@@ -12,15 +12,18 @@ import (
 // of an unoptimized compile (every local access is a stack-slot load or
 // store); the optimization passes then earn their keep at O1+.
 type lowerer struct {
-	cp   *hlc.CheckedProgram
-	prog *isa.Program
-	fn   *hlc.FuncDecl
-	out  *isa.Func
+	cp  *hlc.CheckedProgram
+	cf  *hlc.CheckedFunc
+	obj *Object
+	out *isa.Func
 
 	cur     int // current block index
 	nextReg int
 	slotOf  map[*hlc.Symbol]int
 	maxOut  int // widest outgoing-argument list of any call site
+	// globalSym and funcSym give each name in obj's symbol tables its
+	// index there.
+	globalSym, funcSym map[string]int32
 
 	// Loop context stacks for break/continue targets.
 	breakTo    []int
@@ -34,20 +37,25 @@ type lowerer struct {
 	start int
 }
 
-func lowerFunc(cp *hlc.CheckedProgram, prog *isa.Program, fn *hlc.FuncDecl, out *isa.Func) error {
-	out.NumParams = len(fn.Params)
-	out.RetKind = kindOf(fn.Ret)
+// lowerFunc lowers one checked function of cp into an object whose
+// symbol tables list the globals and functions it names in order of
+// first use.
+func lowerFunc(cp *hlc.CheckedProgram, cf *hlc.CheckedFunc) (*Object, error) {
+	fn := cf.Decl
+	out := &isa.Func{Name: fn.Name, NumParams: len(fn.Params), RetKind: kindOf(fn.Ret)}
 	lw := &lowerer{
-		cp:     cp,
-		prog:   prog,
-		fn:     fn,
-		out:    out,
-		slotOf: make(map[*hlc.Symbol]int),
+		cp:        cp,
+		cf:        cf,
+		obj:       &Object{Func: out},
+		out:       out,
+		slotOf:    make(map[*hlc.Symbol]int),
+		globalSym: make(map[string]int32),
+		funcSym:   make(map[string]int32),
 	}
-	for i, sym := range cp.LocalsOf[fn] {
+	for i, sym := range cf.Locals {
 		lw.slotOf[sym] = i
 	}
-	lw.out.NumSlots = len(cp.LocalsOf[fn])
+	lw.out.NumSlots = len(cf.Locals)
 	lw.newBlock()
 
 	var err error
@@ -65,7 +73,7 @@ func lowerFunc(cp *hlc.CheckedProgram, prog *isa.Program, fn *hlc.FuncDecl, out 
 		}
 	}()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	lw.finishBlock()
 	lw.out.NumRegs = lw.nextReg
@@ -76,7 +84,7 @@ func lowerFunc(cp *hlc.CheckedProgram, prog *isa.Program, fn *hlc.FuncDecl, out 
 	} else {
 		lw.out.FirstArgSlot = -1
 	}
-	return nil
+	return lw.obj, nil
 }
 
 func kindOf(t hlc.Type) isa.ValKind {
@@ -248,7 +256,7 @@ func (lw *lowerer) stmt(s hlc.Stmt) {
 
 // resolveDecl finds the Symbol the checker created for a local declaration.
 func (lw *lowerer) resolveDecl(d *hlc.VarDecl) *hlc.Symbol {
-	for _, sym := range lw.cp.LocalsOf[lw.fn] {
+	for _, sym := range lw.cf.Locals {
 		if sym.Decl == d {
 			return sym
 		}
@@ -259,7 +267,7 @@ func (lw *lowerer) resolveDecl(d *hlc.VarDecl) *hlc.Symbol {
 func (lw *lowerer) assign(st *hlc.AssignStmt) {
 	switch lhs := st.LHS.(type) {
 	case *hlc.VarRef:
-		sym := lw.cp.Resolved[lhs]
+		sym := lw.cf.Resolved[lhs]
 		dstKind := kindOf(sym.Type)
 		var val isa.RegID
 		if st.Op == hlc.Assign {
@@ -273,7 +281,7 @@ func (lw *lowerer) assign(st *hlc.AssignStmt) {
 		}
 		lw.storeVar(sym, val)
 	case *hlc.IndexExpr:
-		sym := lw.cp.Resolved[lhs]
+		sym := lw.cf.Resolved[lhs]
 		idx, ik := lw.expr(lhs.Idx)
 		if ik != isa.KindInt {
 			panic("array index must be int")
@@ -418,12 +426,20 @@ func (lw *lowerer) condValue(e hlc.Expr) isa.RegID {
 
 // --- variable access ---
 
+// globalIndex returns the index of a global in the object's table,
+// entering it on first use.
 func (lw *lowerer) globalIndex(name string) int32 {
-	gi := lw.prog.GlobalIndex(name)
-	if gi < 0 {
-		panic(fmt.Sprintf("unknown global %s", name))
+	return symIndex(lw.globalSym, &lw.obj.Globals, name)
+}
+
+func symIndex(index map[string]int32, table *[]string, name string) int32 {
+	i, ok := index[name]
+	if !ok {
+		i = int32(len(*table))
+		index[name] = i
+		*table = append(*table, name)
 	}
-	return int32(gi)
+	return i
 }
 
 // loadVar loads a scalar variable into a fresh register.
@@ -478,10 +494,10 @@ func (lw *lowerer) expr(e hlc.Expr) (isa.RegID, isa.ValKind) {
 		lw.emit(isa.Instr{Op: isa.MOVF, Dst: r, F: x.Value})
 		return r, isa.KindFloat
 	case *hlc.VarRef:
-		sym := lw.cp.Resolved[x]
+		sym := lw.cf.Resolved[x]
 		return lw.loadVar(sym), kindOf(sym.Type)
 	case *hlc.IndexExpr:
-		sym := lw.cp.Resolved[x]
+		sym := lw.cf.Resolved[x]
 		idx, _ := lw.expr(x.Idx)
 		r := lw.reg()
 		lw.emit(isa.Instr{Op: isa.LD, Dst: r, A: idx, Sym: lw.globalIndex(sym.Name)})
@@ -642,11 +658,11 @@ func (lw *lowerer) call(x *hlc.CallExpr) (isa.RegID, isa.ValKind) {
 	if b, ok := hlc.Builtins[x.Name]; ok {
 		return lw.builtin(b, x)
 	}
-	callee := lw.prog.FuncIndex(x.Name)
-	if callee < 0 {
+	fnDecl := lw.cp.Prog.Func(x.Name)
+	if fnDecl == nil {
 		panic(fmt.Sprintf("unknown function %s", x.Name))
 	}
-	fnDecl := lw.cp.Prog.Func(x.Name)
+	callee := symIndex(lw.funcSym, &lw.obj.Funcs, x.Name)
 	// Evaluate every argument first (nested calls reuse the same outgoing
 	// area and complete before the stores below), then store them into the
 	// outgoing-argument slots — stack argument passing, cdecl style.
@@ -656,7 +672,7 @@ func (lw *lowerer) call(x *hlc.CallExpr) (isa.RegID, isa.ValKind) {
 		r = lw.convert(r, k, kindOf(fnDecl.Params[i].Type))
 		args = append(args, r)
 	}
-	argBase := len(lw.cp.LocalsOf[lw.fn]) // outgoing area begins after locals
+	argBase := len(lw.cf.Locals) // outgoing area begins after locals
 	for i, r := range args {
 		lw.emit(isa.Instr{Op: isa.STL, A: r, Imm: int64(argBase + i)})
 	}
@@ -668,7 +684,7 @@ func (lw *lowerer) call(x *hlc.CallExpr) (isa.RegID, isa.ValKind) {
 	if retKind != isa.KindVoid {
 		dst = lw.reg()
 	}
-	lw.emit(isa.Instr{Op: isa.CALL, Dst: dst, Sym: int32(callee), Imm: int64(argBase)})
+	lw.emit(isa.Instr{Op: isa.CALL, Dst: dst, Sym: callee, Imm: int64(argBase)})
 	return dst, retKind
 }
 

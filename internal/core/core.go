@@ -25,13 +25,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/cache"
-	"repro/internal/compiler"
 	"repro/internal/hlc"
 	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/sfgl"
-	"repro/internal/vm"
 )
 
 // Config controls synthesis.
@@ -78,6 +75,11 @@ type Report struct {
 // Synthesize generates a benchmark clone from a statistical profile and
 // returns it type-checked.
 func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, error) {
+	return synthesize(p, cfg, newBuilder())
+}
+
+// synthesize is Synthesize, checking and measuring its candidates with b.
+func synthesize(p *profile.Profile, cfg Config, b *builder) (*hlc.CheckedProgram, Report, error) {
 	if p == nil || p.Graph == nil {
 		return nil, Report{}, fmt.Errorf("core: nil profile")
 	}
@@ -150,8 +152,8 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 	}
 	gen := generate()
 	// meas is the measurement of the current prog, or nil once a knob
-	// change regenerates it; a measured prog is never compiled and run
-	// twice, and the clone returned is the measured one when there is one.
+	// change regenerates it; the builder runs an equal candidate only
+	// once, and the clone returned is the measured one when there is one.
 	var meas *measurement
 	// Every measurement runs under one instruction budget. It must see
 	// past the phase-2 size ceiling (maxTotal below, at most 3.8×
@@ -162,7 +164,7 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 	// lands near targetDyn.
 	for attempt := 0; attempt < 3; attempt++ {
 		var err error
-		if meas, err = measureClone(prog, budget); err != nil {
+		if meas, err = b.measure(prog, budget); err != nil {
 			return nil, rep, fmt.Errorf("core: calibration run: %w", err)
 		}
 		ratio := float64(meas.dyn) / float64(targetDyn)
@@ -211,7 +213,7 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 	for attempt := 0; attempt < 7; attempt++ {
 		if meas == nil {
 			var err error
-			if meas, err = measureClone(prog, budget); err != nil {
+			if meas, err = b.measure(prog, budget); err != nil {
 				return nil, rep, fmt.Errorf("core: mix calibration: %w", err)
 			}
 		}
@@ -309,61 +311,11 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.CheckedProgram, Report, er
 
 	// The clone must be a valid HLC program; a failure here is a bug in
 	// the generator, surfaced as an error for the caller.
-	cp, err := hlc.Check(prog)
+	cp, _, err := b.check(prog)
 	if err != nil {
 		return nil, rep, fmt.Errorf("core: generated clone does not type-check: %w", err)
 	}
 	return cp, rep, nil
-}
-
-// measurement is one calibration run of a candidate clone: the
-// type-checked program it compiled, and what the run observed.
-type measurement struct {
-	cp     *hlc.CheckedProgram
-	dyn    uint64                 // dynamic instructions (the budget when truncated)
-	mix    [isa.NumClasses]uint64 // dynamic instructions per class
-	missPI float64                // misses per instruction at the profiling cache
-}
-
-// measureClone type-checks a candidate clone, compiles it at the profiling
-// point and executes it to obtain its true dynamic instruction count, class
-// mix, and per-access miss rate at the profiling cache. The clone is
-// self-contained (stride arrays start zeroed), so no input setup is
-// needed.
-func measureClone(prog *hlc.Program, budget uint64) (*measurement, error) {
-	cp, err := hlc.Check(prog)
-	if err != nil {
-		return nil, err
-	}
-	mp, err := compiler.Compile(cp, profile.Target, profile.Level)
-	if err != nil {
-		return nil, err
-	}
-	vmc := vm.New(mp)
-	classBySite := vmc.Layout().Classes()
-	m := &measurement{cp: cp}
-	c := cache.New(profile.DefaultCache)
-	var misses uint64
-	res, err := vmc.Run(vm.Config{
-		MaxInstrs: budget,
-		Hook: func(ev *vm.Event) {
-			m.mix[classBySite[ev.Site]]++
-			if ev.IsMem && !c.Access(ev.Addr) {
-				misses++
-			}
-		},
-	})
-	if err != nil {
-		if t, ok := err.(*vm.Trap); !ok || t.Reason != vm.TrapBudgetExhausted {
-			return nil, err
-		}
-		// Budget exhausted: report the cap.
-	}
-	m.dyn = res.DynInstrs
-	if res.DynInstrs > 0 {
-		m.missPI = float64(misses) / float64(res.DynInstrs)
-	}
-	return m, nil
 }
 
 // profileMissPerInstr returns the profile's misses per dynamic instruction

@@ -6,11 +6,21 @@ import "fmt"
 // information the compiler front end needs.
 type CheckedProgram struct {
 	Prog *Program
-	// VarKinds records how each VarRef/IndexExpr name resolves in context;
-	// keyed by the expression node because names may shadow.
+	// Funcs holds each function's resolution results, indexed like
+	// Prog.Funcs.
+	Funcs []*CheckedFunc
+}
+
+// CheckedFunc is one type-checked function. It refers to nothing of the
+// rest of its program but the values of its global symbols, so it serves
+// any program whose function has the same FuncKeys key (see CheckWith).
+type CheckedFunc struct {
+	Decl *FuncDecl
+	// Resolved records how each VarRef/IndexExpr name in the body
+	// resolves; keyed by the expression node because names may shadow.
 	Resolved map[Expr]*Symbol
-	// LocalsOf lists the local variables (including parameters) per function.
-	LocalsOf map[*FuncDecl][]*Symbol
+	// Locals lists the parameters and local variables in slot order.
+	Locals []*Symbol
 }
 
 // SymbolKind distinguishes storage classes.
@@ -25,20 +35,19 @@ const (
 
 // Symbol describes a resolved variable.
 type Symbol struct {
-	Name     string
-	Kind     SymbolKind
-	Type     Type
-	ArrayLen int // >0 only for globals
-	Decl     *VarDecl
-	Index    int // parameter index, or per-function local slot order
+	Name  string
+	Kind  SymbolKind
+	Type  Type
+	Array bool     // a global array
+	Decl  *VarDecl // a local's declaration (nil for parameters and globals)
+	Index int      // parameter index, or per-function local slot order
 }
 
 type checker struct {
-	prog    *Program
-	out     *CheckedProgram
 	globals map[string]*Symbol
+	funcs   map[string]*FuncDecl // the first declaration of each name
+	out     *CheckedFunc
 	scopes  []map[string]*Symbol
-	fn      *FuncDecl
 	loops   int
 	errs    []error
 }
@@ -46,51 +55,86 @@ type checker struct {
 // Check type checks a parsed program. All errors found are joined into the
 // returned error; on success the CheckedProgram carries resolution results.
 func Check(prog *Program) (*CheckedProgram, error) {
+	return CheckWith(prog, nil)
+}
+
+// CheckWith type checks prog like Check, but takes function i's result
+// from known[i] instead of checking it again when known[i] is non-nil. A
+// known function must have been checked under a program where its FuncKeys
+// key equals that of prog's function i, so it is the same function under
+// the same view of the rest of the program. The result's Prog holds
+// known[i].Decl in place of function i: an equal declaration whose nodes
+// the reused resolution results are keyed by.
+func CheckWith(prog *Program, known []*CheckedFunc) (*CheckedProgram, error) {
 	c := &checker{
-		prog: prog,
-		out: &CheckedProgram{
-			Prog:     prog,
-			Resolved: make(map[Expr]*Symbol),
-			LocalsOf: make(map[*FuncDecl][]*Symbol),
-		},
-		globals: make(map[string]*Symbol),
+		globals: make(map[string]*Symbol, len(prog.Globals)),
+		funcs:   make(map[string]*FuncDecl, len(prog.Funcs)),
 	}
 	for _, g := range prog.Globals {
 		if _, dup := c.globals[g.Name]; dup {
 			c.errorf(g.Pos, "duplicate global %s", g.Name)
 			continue
 		}
-		switch g.Init.(type) {
-		case nil:
-		case *IntLit, *FloatLit:
-			if t := c.exprType(g.Init); !assignable(g.Type, t) {
+		if lit := Literal(g.Init); lit != nil {
+			if t := c.exprType(lit); !assignable(g.Type, t) {
 				c.errorf(g.Pos, "cannot initialize %s %s with %s", g.Type, g.Name, t)
 			}
-		default:
+		} else if g.Init != nil {
 			c.errorf(g.Pos, "global %s: initializer must be a literal", g.Name)
 		}
-		c.globals[g.Name] = &Symbol{Name: g.Name, Kind: SymGlobal, Type: g.Type, ArrayLen: g.ArrayLen, Decl: g}
+		c.globals[g.Name] = &Symbol{Name: g.Name, Kind: SymGlobal, Type: g.Type, Array: g.ArrayLen > 0}
 	}
-	seenFn := make(map[string]bool)
 	for _, fn := range prog.Funcs {
-		if seenFn[fn.Name] {
+		if _, dup := c.funcs[fn.Name]; dup {
 			c.errorf(fn.Pos, "duplicate function %s", fn.Name)
+		} else {
+			c.funcs[fn.Name] = fn
 		}
-		seenFn[fn.Name] = true
 		if _, isBuiltin := Builtins[fn.Name]; isBuiltin {
 			c.errorf(fn.Pos, "function %s shadows a builtin", fn.Name)
 		}
 	}
-	for _, fn := range prog.Funcs {
-		c.checkFunc(fn)
+	out := &CheckedProgram{
+		Prog:  &Program{Globals: prog.Globals, Funcs: make([]*FuncDecl, len(prog.Funcs))},
+		Funcs: make([]*CheckedFunc, len(prog.Funcs)),
 	}
-	if prog.Func("main") == nil {
+	for i, fn := range prog.Funcs {
+		var cf *CheckedFunc
+		if i < len(known) && known[i] != nil {
+			cf = known[i]
+		} else {
+			cf = c.checkFunc(fn)
+		}
+		out.Prog.Funcs[i], out.Funcs[i] = cf.Decl, cf
+	}
+	if c.funcs["main"] == nil {
 		c.errs = append(c.errs, fmt.Errorf("hlc: program has no main function"))
 	}
 	if len(c.errs) > 0 {
 		return nil, joinErrors(c.errs)
 	}
-	return c.out, nil
+	return out, nil
+}
+
+// Literal returns a global initializer's value as a literal: an int or
+// float literal as it is, or one negated by unary minus (the parser reads
+// -1 as minus applied to 1). It returns nil for anything else.
+func Literal(e Expr) Expr {
+	switch x := e.(type) {
+	case *IntLit, *FloatLit:
+		return x
+	case *UnaryExpr:
+		if x.Op != Minus {
+			return nil
+		}
+		switch v := Literal(x.X).(type) {
+		case *IntLit:
+			return &IntLit{Value: -v.Value, Pos: x.Pos}
+		case *FloatLit:
+			return &FloatLit{Value: -v.Value, Pos: x.Pos}
+		}
+	}
+	return nil
 }
 
 // MustCheck parses and checks src, panicking on any error. For tests and
@@ -126,8 +170,8 @@ func assignable(dst, src Type) bool {
 	return dst == TypeFloat && src == TypeInt
 }
 
-func (c *checker) checkFunc(fn *FuncDecl) {
-	c.fn = fn
+func (c *checker) checkFunc(fn *FuncDecl) *CheckedFunc {
+	c.out = &CheckedFunc{Decl: fn, Resolved: make(map[Expr]*Symbol)}
 	c.scopes = []map[string]*Symbol{make(map[string]*Symbol)}
 	c.loops = 0
 	for i, prm := range fn.Params {
@@ -136,10 +180,10 @@ func (c *checker) checkFunc(fn *FuncDecl) {
 			c.errorf(fn.Pos, "duplicate parameter %s", prm.Name)
 		}
 		c.scopes[0][prm.Name] = sym
-		c.out.LocalsOf[fn] = append(c.out.LocalsOf[fn], sym)
+		c.out.Locals = append(c.out.Locals, sym)
 	}
 	c.checkBlock(fn.Body)
-	c.fn = nil
+	return c.out
 }
 
 func (c *checker) push() { c.scopes = append(c.scopes, make(map[string]*Symbol)) }
@@ -161,9 +205,9 @@ func (c *checker) declareLocal(d *VarDecl) {
 		return
 	}
 	sym := &Symbol{Name: d.Name, Kind: SymLocal, Type: d.Type, Decl: d,
-		Index: len(c.out.LocalsOf[c.fn])}
+		Index: len(c.out.Locals)}
 	top[d.Name] = sym
-	c.out.LocalsOf[c.fn] = append(c.out.LocalsOf[c.fn], sym)
+	c.out.Locals = append(c.out.Locals, sym)
 }
 
 func (c *checker) checkBlock(b *Block) {
@@ -247,18 +291,18 @@ func (c *checker) checkStmt(s Stmt) {
 			c.errorf(st.Pos, "continue outside loop")
 		}
 	case *ReturnStmt:
-		want := c.fn.Ret
+		fn := c.out.Decl
 		if st.X == nil {
-			if want != TypeVoid {
-				c.errorf(st.Pos, "missing return value in %s", c.fn.Name)
+			if fn.Ret != TypeVoid {
+				c.errorf(st.Pos, "missing return value in %s", fn.Name)
 			}
 			return
 		}
 		got := c.exprType(st.X)
-		if want == TypeVoid {
-			c.errorf(st.Pos, "void function %s returns a value", c.fn.Name)
-		} else if !assignable(want, got) {
-			c.errorf(st.Pos, "function %s returns %s, got %s", c.fn.Name, want, got)
+		if fn.Ret == TypeVoid {
+			c.errorf(st.Pos, "void function %s returns a value", fn.Name)
+		} else if !assignable(fn.Ret, got) {
+			c.errorf(st.Pos, "function %s returns %s, got %s", fn.Name, fn.Ret, got)
 		}
 	case *PrintStmt:
 		for _, a := range st.Args {
@@ -285,7 +329,7 @@ func (c *checker) exprType(e Expr) Type {
 			c.errorf(x.Pos, "undefined variable %s", x.Name)
 			return TypeInt
 		}
-		if sym.ArrayLen > 0 {
+		if sym.Array {
 			c.errorf(x.Pos, "array %s used without index", x.Name)
 		}
 		c.out.Resolved[x] = sym
@@ -296,7 +340,7 @@ func (c *checker) exprType(e Expr) Type {
 			c.errorf(x.Pos, "undefined array %s", x.Name)
 			return TypeInt
 		}
-		if sym.ArrayLen == 0 {
+		if !sym.Array {
 			c.errorf(x.Pos, "%s is not an array", x.Name)
 		}
 		if t := c.exprType(x.Idx); t != TypeInt {
@@ -361,7 +405,7 @@ func (c *checker) exprType(e Expr) Type {
 			}
 			return b.Ret
 		}
-		fn := c.prog.Func(x.Name)
+		fn := c.funcs[x.Name]
 		if fn == nil {
 			c.errorf(x.Pos, "undefined function %s", x.Name)
 			return TypeInt

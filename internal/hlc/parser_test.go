@@ -184,13 +184,11 @@ func TestCheckSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	main := prog.Func("main")
 	// main declares sum and the loop variable i.
-	if got := len(cp.LocalsOf[main]); got != 2 {
+	if got := len(checkedFunc(cp, "main").Locals); got != 2 {
 		t.Errorf("main locals = %d, want 2", got)
 	}
-	add := prog.Func("add")
-	if got := len(cp.LocalsOf[add]); got != 2 {
+	if got := len(checkedFunc(cp, "add").Locals); got != 2 {
 		t.Errorf("add locals (params) = %d, want 2", got)
 	}
 }
@@ -214,6 +212,9 @@ func TestCheckErrors(t *testing.T) {
 		{"void return value", "void main() { return 3; }", "returns a value"},
 		{"dup global", "int g; int g; void main() { }", "duplicate global"},
 		{"global init not literal", "int g = 1 + 2; void main() { print(g); }", "must be a literal"},
+		{"global init negated variable", "int h; int g = -h; void main() { print(g); }", "must be a literal"},
+		{"global init negative float into int", "int g = -0.5; void main() { print(g); }", "cannot initialize int g with float"},
+		{"global init negative literals", "int g = -1; float f = -0.5; float w = -2; void main() { print(g); }", ""},
 		{"dup param", "void f(int a, int a) { } void main() { }", "duplicate parameter"},
 		{"builtin arity", "void main() { float f; f = sqrt(1.0, 2.0); }", "expects 1"},
 		{"call arity", "int f(int a) { return a; } void main() { int x; x = f(); }", "expects 1"},
@@ -281,8 +282,17 @@ void main() {
 	if cp == nil {
 		t.Fatal("check failed")
 	}
-	main := cp.Prog.Func("main")
-	if got := len(cp.LocalsOf[main]); got != 2 {
+	if got := len(checkedFunc(cp, "main").Locals); got != 2 {
 		t.Errorf("main locals = %d, want 2 (shadowing x's)", got)
 	}
+}
+
+// checkedFunc returns the checked function of the given name.
+func checkedFunc(cp *CheckedProgram, name string) *CheckedFunc {
+	for _, cf := range cp.Funcs {
+		if cf.Decl.Name == name {
+			return cf
+		}
+	}
+	return nil
 }

@@ -16,6 +16,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -96,9 +97,61 @@ type VM struct {
 }
 
 // New loads a compiled program: globals start zeroed, scalars holding
-// their initializers.
+// their initializers. Loading predecodes every function, numbering its
+// sites after the previous functions', and binds its global accesses.
 func New(prog *isa.Program) *VM {
-	vm := &VM{prog: prog}
+	vm := load(prog)
+	for fi, f := range prog.Funcs {
+		fc := decode(f, int32(vm.layout.NumSites()))
+		for i := range fc.ins {
+			if pi := &fc.ins[i]; pi.op == isa.LD || pi.op == isa.ST {
+				vm.bind(pi, pi.gi)
+			}
+		}
+		vm.fns[fi] = fc
+		vm.layout.add(fi)
+	}
+	return vm
+}
+
+// Link loads a compiled program from its functions predecoded one by one:
+// code[i] is the Decode of prog.Funcs[i], or of a function that differs
+// from it only in the symbol indices of its instructions. Each function
+// runs on a copy of its code, relocated: its site IDs are rebased past
+// the previous functions' sites, and its LD/ST and CALL instructions take
+// their symbols from prog and are bound to this VM's globals. The VM
+// equals New(prog).
+func Link(prog *isa.Program, code []*Code) *VM {
+	vm := load(prog)
+	for fi, c := range code {
+		blocks := prog.Funcs[fi].Blocks
+		base := int32(vm.layout.NumSites())
+		fc := c.fc
+		fc.ins = slices.Clone(c.fc.ins)
+		for i := range fc.ins {
+			pi := &fc.ins[i]
+			if pi.op == opFellOff {
+				continue
+			}
+			pi.site += base
+			switch pi.op {
+			case isa.LD, isa.ST:
+				vm.bind(pi, blocks[pi.block].Instrs[pi.index].Sym)
+			case isa.CALL:
+				pi.gi = blocks[pi.block].Instrs[pi.index].Sym
+			}
+		}
+		vm.fns[fi] = fc
+		vm.layout.add(fi)
+	}
+	return vm
+}
+
+// load allocates prog's globals, zeroed, scalars holding their
+// initializers, each at a cache-line-aligned byte address, and room for
+// its predecoded functions and their layout.
+func load(prog *isa.Program) *VM {
+	vm := &VM{prog: prog, fns: make([]fcode, len(prog.Funcs)), layout: newLayout(prog)}
 	addr := uint64(globalsBase)
 	for _, g := range prog.Globals {
 		mem := make([]int64, g.Len)
@@ -110,7 +163,6 @@ func New(prog *isa.Program) *VM {
 		size := uint64(g.Len * g.ElemBytes())
 		addr += (size + globalAlign - 1) / globalAlign * globalAlign
 	}
-	vm.fns, vm.layout = predecode(prog, vm.globals, vm.globalAddr)
 	return vm
 }
 
