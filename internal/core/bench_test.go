@@ -8,15 +8,21 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
+	"repro/internal/workloads"
 )
 
 // quickProfiles profiles every quick-suite workload.
 func quickProfiles(tb testing.TB) []*profile.Profile {
+	return profiles(tb, experiments.Quick())
+}
+
+// profiles profiles the given workloads.
+func profiles(tb testing.TB, ws []*workloads.Workload) []*profile.Profile {
 	tb.Helper()
 	ctx := context.Background()
 	p := pipeline.New(pipeline.Options{Seed: experiments.CloneSeed})
 	var profs []*profile.Profile
-	for _, w := range experiments.Quick() {
+	for _, w := range ws {
 		prof, err := p.Profile(ctx, w)
 		if err != nil {
 			tb.Fatal(err)

@@ -13,29 +13,35 @@ import (
 
 // builder checks, compiles, loads and runs the candidate clones of one
 // Synthesize call. Calibration regenerates the clone from one seed and one
-// scaled graph with other knob values, so a candidate's functions are
-// mostly ones an earlier candidate had, and now and then the whole
-// candidate is one measured before. The builder keeps every function it
-// has checked, compiled and predecoded, by its hlc.FuncKeys key, and
-// every measurement, by its candidate: a new candidate costs the static
-// work of its new functions, a link, and a run; a repeated one costs
+// scaled graph with other knob values, so most of a candidate's functions
+// are its predecessor's, and now and then the whole candidate is. The
+// builder keeps the previous candidate's functions checked, compiled and
+// predecoded, by their hlc.FuncKeys keys, and the previous run's
+// measurement: a new candidate costs the static work of its changed
+// functions, a link, and a run; a repeat of the one just run costs
 // nothing. Measurements are deterministic, so reusing one changes no
 // clone. A builder serves one call and is not shared.
 type builder struct {
-	funcs map[string]*builtFunc
-	runs  map[string]*measurement
-	key   []byte // scratch for key encoding
-	stats buildStats
+	funcs map[string]*builtFunc // the previous candidate's functions
+	// last is the previous run's measurement, and lastKey its
+	// candidate's key.
+	last    *measurement
+	lastKey string
+	linker  vm.Linker // loads each run's VM onto the functions' code
+	key     []byte    // scratch for key encoding
+	nextID  int
+	stats   buildStats
 	// observe, when set, sees every candidate the builder runs (tests).
 	observe func(*candidate)
 }
 
-// builtFunc is one distinct function of a call's candidates.
+// builtFunc is one function of a call's candidates.
 type builtFunc struct {
-	id   int // dense, in order of first appearance
-	cf   *hlc.CheckedFunc
-	obj  *compiler.Object // nil until a candidate holding it is run
-	code *vm.Code
+	key  string
+	id   int              // unique within the call
+	cf   *hlc.CheckedFunc // its check result
+	obj  *compiler.Object // its -O0 object; nil until a candidate holding it runs
+	code *vm.Code         // obj predecoded, linked into the last run
 }
 
 // buildStats counts a builder's work.
@@ -54,12 +60,13 @@ type candidate struct {
 	meas   *measurement
 }
 
-func newBuilder() *builder {
-	return &builder{funcs: make(map[string]*builtFunc), runs: make(map[string]*measurement)}
-}
+func newBuilder() *builder { return &builder{} }
 
-// check type-checks prog, checking only the functions no earlier
-// candidate had, and returns each function's entry.
+// check type-checks prog, checking only the functions the previous
+// candidate did not have, and returns each function's entry. The builder
+// then keeps the entries of prog's functions alone: a regeneration
+// mostly repeats its predecessor, and keeping older candidates' code
+// would cost memory for little reuse.
 func (b *builder) check(prog *hlc.Program) (*hlc.CheckedProgram, []*builtFunc, error) {
 	keys := hlc.NewFuncKeys(prog)
 	fns := make([]*builtFunc, len(prog.Funcs))
@@ -77,11 +84,14 @@ func (b *builder) check(prog *hlc.Program) (*hlc.CheckedProgram, []*builtFunc, e
 	if err != nil {
 		return nil, nil, err
 	}
+	b.funcs = make(map[string]*builtFunc, len(fns))
 	for i, f := range fns {
 		if f == nil {
-			fns[i] = &builtFunc{id: len(b.funcs), cf: cp.Funcs[i]}
-			b.funcs[fresh[i]] = fns[i]
+			b.nextID++
+			f = &builtFunc{key: fresh[i], id: b.nextID, cf: cp.Funcs[i]}
+			fns[i] = f
 		}
+		b.funcs[f.key] = f
 	}
 	return cp, fns, nil
 }
@@ -100,9 +110,9 @@ func (b *builder) measure(prog *hlc.Program, budget uint64) (*measurement, error
 	for _, f := range fns {
 		b.key = binary.AppendUvarint(b.key, uint64(f.id))
 	}
-	if m := b.runs[string(b.key)]; m != nil {
+	if b.last != nil && b.lastKey == string(b.key) {
 		b.stats.reused++
-		return m, nil
+		return b.last, nil
 	}
 	runKey := string(b.key)
 	objs := make([]*compiler.Object, len(fns))
@@ -121,12 +131,12 @@ func (b *builder) measure(prog *hlc.Program, budget uint64) (*measurement, error
 	if err != nil {
 		return nil, err
 	}
-	m, err := measureRun(vm.Link(mp, code), budget)
+	m, err := measureRun(b.linker.Link(mp, code), budget)
 	if err != nil {
 		return nil, err
 	}
 	m.cp = cp
-	b.runs[runKey] = m
+	b.lastKey, b.last = runKey, m
 	b.stats.measurements++
 	if b.observe != nil {
 		b.observe(&candidate{prog: prog, linked: mp, code: code, budget: budget, meas: m})
@@ -149,14 +159,17 @@ type measurement struct {
 // self-contained (stride arrays start zeroed), so no input setup is
 // needed.
 func measureRun(vmc *vm.VM, budget uint64) (*measurement, error) {
-	classBySite := vmc.Layout().Classes()
-	m := &measurement{}
+	// The hook counts executions per site and the mix is summed after
+	// the run: consecutive events rarely share a site, while a per-class
+	// counter would chain every increment on the one before.
+	lay := vmc.Layout()
+	counts := make([]uint64, lay.NumSites())
 	c := cache.New(profile.DefaultCache)
 	var misses uint64
 	res, err := vmc.Run(vm.Config{
 		MaxInstrs: budget,
 		Hook: func(ev *vm.Event) {
-			m.mix[classBySite[ev.Site]]++
+			counts[ev.Site]++
 			if ev.IsMem && !c.Access(ev.Addr) {
 				misses++
 			}
@@ -168,7 +181,10 @@ func measureRun(vmc *vm.VM, budget uint64) (*measurement, error) {
 		}
 		// Budget exhausted: report the cap.
 	}
-	m.dyn = res.DynInstrs
+	m := &measurement{dyn: res.DynInstrs}
+	for s, n := range counts {
+		m.mix[lay.Instr(s).Class()] += n
+	}
 	if res.DynInstrs > 0 {
 		m.missPI = float64(misses) / float64(res.DynInstrs)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/hlc"
 	"repro/internal/profile"
 	"repro/internal/vm"
+	"repro/internal/workloads"
 )
 
 // TestLinkedBuildsMatchWhole checks calibration's per-function builds
@@ -68,7 +69,8 @@ func checkLinked(t *testing.T, name string, c core.Candidate) {
 	if !reflect.DeepEqual(c.Linked, whole) {
 		t.Errorf("%s: linked program differs from compiler.Compile's", name)
 	}
-	lv, wv := vm.Link(c.Linked, c.Code), vm.New(whole)
+	var l vm.Linker
+	lv, wv := l.Link(c.Linked, c.Code), vm.New(whole)
 	if err := sameLayout(lv.Layout(), wv.Layout()); err != nil {
 		t.Errorf("%s: layout: %v", name, err)
 	}
@@ -120,15 +122,13 @@ func eventDigest(m *vm.VM, budget uint64) string {
 // more than once, at the same time and requires every clone and report to
 // equal a sequential run's: no calibration state is shared between calls.
 func TestSynthesizeConcurrent(t *testing.T) {
-	profs := quickProfiles(t)
-	byName := make(map[string]*profile.Profile)
-	for _, p := range profs {
-		byName[p.Workload] = p
+	var ws []*workloads.Workload
+	for _, name := range []string{"sha/small", "crc32/small", "gsm/small1"} {
+		ws = append(ws, workloads.ByName(name))
 	}
-	var jobs []*profile.Profile
-	for _, name := range []string{"sha/small", "crc32/small", "sha/small", "gsm/small1", "crc32/small", "sha/small"} {
-		jobs = append(jobs, byName[name])
-	}
+	profs := profiles(t, ws)
+	// Each profile twice or three times, the copies apart.
+	jobs := []*profile.Profile{profs[0], profs[1], profs[0], profs[2], profs[1], profs[0]}
 	type result struct {
 		src string
 		rep core.Report

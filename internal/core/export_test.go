@@ -27,7 +27,7 @@ type Measurement struct {
 
 // Candidate is a candidate clone as a builder linked and ran it: Linked
 // is the program compiler.Link assembled, and Code the predecoded
-// functions vm.Link loaded it from.
+// functions a vm.Linker loaded it from.
 type Candidate struct {
 	Prog   *hlc.Program
 	Linked *isa.Program

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/hlc"
 	"repro/internal/sfgl"
@@ -272,15 +273,15 @@ func (gen *generator) nearestStride(spec walkerSpec) *walker {
 func (w *walker) arrName() string {
 	switch {
 	case w.kind == walkChase:
-		return fmt.Sprintf("cA%d", w.id)
+		return "cA" + strconv.Itoa(w.id)
 	case w.short && w.float:
 		return "shF" // wide-resident walkers share one arena per type:
 	case w.short:
 		return "shA" // their sites share buffers in the original too
 	case w.float:
-		return fmt.Sprintf("sF%d", w.id)
+		return "sF" + strconv.Itoa(w.id)
 	}
-	return fmt.Sprintf("sA%d", w.id)
+	return "sA" + strconv.Itoa(w.id)
 }
 
 // dataName is the array data references read and write. For stride walkers
@@ -292,19 +293,20 @@ func (w *walker) dataName() string {
 		return w.arrName()
 	}
 	if w.float {
-		return fmt.Sprintf("cF%d", w.id)
+		return "cF" + strconv.Itoa(w.id)
 	}
-	return fmt.Sprintf("cD%d", w.id)
+	return "cD" + strconv.Itoa(w.id)
 }
 
-func (w *walker) idxName() string { return fmt.Sprintf("wp%d", w.id) }
+func (w *walker) idxName() string { return "wp" + strconv.Itoa(w.id) }
 
 // scalarName returns the j-th scalar of a walkScalar pool.
 func (w *walker) scalarName(j int) string {
+	prefix := "zi"
 	if w.float {
-		return fmt.Sprintf("zf%d_%d", w.id, j)
+		prefix = "zf"
 	}
-	return fmt.Sprintf("zi%d_%d", w.id, j)
+	return prefix + strconv.Itoa(w.id) + "_" + strconv.Itoa(j)
 }
 
 // chaseSpan is a chase walker's walked element range: the permutation
@@ -561,7 +563,7 @@ func (gen *generator) hardBranchState(b *sfgl.BranchInfo) string {
 		id = len(gen.hardBranches)
 		gen.hardBranches[b] = id
 	}
-	return fmt.Sprintf("hb%d", id)
+	return "hb" + strconv.Itoa(id)
 }
 
 // hardBranchStmts emits the data-entropy conditional for a hard branch:

@@ -186,7 +186,9 @@ func (c *checker) checkFunc(fn *FuncDecl) *CheckedFunc {
 	return c.out
 }
 
-func (c *checker) push() { c.scopes = append(c.scopes, make(map[string]*Symbol)) }
+// push opens a scope; its map is made by the first declaration in it,
+// since most blocks declare nothing.
+func (c *checker) push() { c.scopes = append(c.scopes, nil) }
 func (c *checker) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
 
 func (c *checker) lookup(name string) *Symbol {
@@ -200,6 +202,10 @@ func (c *checker) lookup(name string) *Symbol {
 
 func (c *checker) declareLocal(d *VarDecl) {
 	top := c.scopes[len(c.scopes)-1]
+	if top == nil {
+		top = make(map[string]*Symbol)
+		c.scopes[len(c.scopes)-1] = top
+	}
 	if _, dup := top[d.Name]; dup {
 		c.errorf(d.Pos, "duplicate local %s", d.Name)
 		return

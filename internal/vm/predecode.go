@@ -50,14 +50,14 @@ type fcode struct {
 	nParams    int
 }
 
-// Code is one function predecoded on its own: flattened, with branch
-// targets resolved and site IDs numbered from 0 within the function.
-// Linking it into a program (Link) rebases the site IDs and binds its
-// global accesses and calls to the program's. Linking never changes a
-// Code, so one serves any number of VMs.
+// Code is one function predecoded on its own, for Linker.Link:
+// flattened, with branch targets resolved. Linking stamps its site IDs
+// and binds its global accesses and calls for one program and VM, in
+// place, so a Code serves one VM at a time: a VM linked from it must not
+// run once the Code is linked again.
 type Code struct{ fc fcode }
 
-// Decode predecodes one function on its own, for Link.
+// Decode predecodes one function on its own, for Linker.Link.
 func Decode(f *isa.Func) *Code { return &Code{decode(f, 0)} }
 
 // decode flattens f into its fcode, numbering its sites densely in

@@ -16,7 +16,6 @@ package vm
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/isa"
 )
@@ -90,7 +89,8 @@ const (
 // to Run.
 type VM struct {
 	prog       *isa.Program
-	globals    [][]int64 // float elements stored as IEEE bits
+	mem        []int64   // every global's storage, one after another
+	globals    [][]int64 // each global's part of mem; float elements stored as IEEE bits
 	globalAddr []uint64  // byte base address per global
 	fns        []fcode   // predecoded functions, indexed like prog.Funcs
 	layout     *Layout   // the site and block numbering predecode stamped
@@ -100,7 +100,7 @@ type VM struct {
 // their initializers. Loading predecodes every function, numbering its
 // sites after the previous functions', and binds its global accesses.
 func New(prog *isa.Program) *VM {
-	vm := load(prog)
+	vm := load(prog, nil)
 	for fi, f := range prog.Funcs {
 		fc := decode(f, int32(vm.layout.NumSites()))
 		for i := range fc.ins {
@@ -114,26 +114,36 @@ func New(prog *isa.Program) *VM {
 	return vm
 }
 
-// Link loads a compiled program from its functions predecoded one by one:
-// code[i] is the Decode of prog.Funcs[i], or of a function that differs
-// from it only in the symbol indices of its instructions. Each function
-// runs on a copy of its code, relocated: its site IDs are rebased past
-// the previous functions' sites, and its LD/ST and CALL instructions take
-// their symbols from prog and are bound to this VM's globals. The VM
+// A Linker loads one program after another, each onto its functions
+// predecoded one by one, for a caller that runs each program only until
+// it links the next: it relocates the code in place and reuses the
+// previous VM's global storage. The zero Linker is ready to use.
+type Linker struct {
+	mem []int64 // the last VM's global storage
+}
+
+// Link loads prog onto code: code[i] is the Decode of prog.Funcs[i], or
+// of a function that differs from it only in the symbol indices of its
+// instructions. Each function's code is relocated in place for this
+// program and VM: site IDs are numbered after the previous functions'
+// sites, and LD/ST and CALL take their symbols from prog, LD/ST bound to
+// this VM's globals, which start as New's do. The VM runs on the code
+// and on the storage of the VM l linked before, so that VM, and any VM
+// linked from one of these Codes before, must not run again. The VM
 // equals New(prog).
-func Link(prog *isa.Program, code []*Code) *VM {
-	vm := load(prog)
+func (l *Linker) Link(prog *isa.Program, code []*Code) *VM {
+	vm := load(prog, l.mem)
+	l.mem = vm.mem
 	for fi, c := range code {
 		blocks := prog.Funcs[fi].Blocks
-		base := int32(vm.layout.NumSites())
-		fc := c.fc
-		fc.ins = slices.Clone(c.fc.ins)
-		for i := range fc.ins {
-			pi := &fc.ins[i]
+		site := int32(vm.layout.NumSites())
+		for i := range c.fc.ins {
+			pi := &c.fc.ins[i]
 			if pi.op == opFellOff {
 				continue
 			}
-			pi.site += base
+			pi.site = site
+			site++
 			switch pi.op {
 			case isa.LD, isa.ST:
 				vm.bind(pi, blocks[pi.block].Instrs[pi.index].Sym)
@@ -141,24 +151,37 @@ func Link(prog *isa.Program, code []*Code) *VM {
 				pi.gi = blocks[pi.block].Instrs[pi.index].Sym
 			}
 		}
-		vm.fns[fi] = fc
+		vm.fns[fi] = c.fc
 		vm.layout.add(fi)
 	}
 	return vm
 }
 
-// load allocates prog's globals, zeroed, scalars holding their
-// initializers, each at a cache-line-aligned byte address, and room for
-// its predecoded functions and their layout.
-func load(prog *isa.Program) *VM {
+// load lays out prog's globals, zeroed, scalars holding their
+// initializers, each at a cache-line-aligned byte address, in one block
+// of storage (mem's, cleared, when it is large enough), and makes room
+// for its predecoded functions and their layout.
+func load(prog *isa.Program, mem []int64) *VM {
 	vm := &VM{prog: prog, fns: make([]fcode, len(prog.Funcs)), layout: newLayout(prog)}
-	addr := uint64(globalsBase)
+	n := 0
 	for _, g := range prog.Globals {
-		mem := make([]int64, g.Len)
+		n += g.Len
+	}
+	if cap(mem) >= n {
+		vm.mem = mem[:n]
+		clear(vm.mem)
+	} else {
+		vm.mem = make([]int64, n)
+	}
+	addr := uint64(globalsBase)
+	off := 0
+	for _, g := range prog.Globals {
+		m := vm.mem[off : off+g.Len : off+g.Len]
+		off += g.Len
 		if g.Init != 0 {
-			mem[0] = g.Init
+			m[0] = g.Init
 		}
-		vm.globals = append(vm.globals, mem)
+		vm.globals = append(vm.globals, m)
 		vm.globalAddr = append(vm.globalAddr, addr)
 		size := uint64(g.Len * g.ElemBytes())
 		addr += (size + globalAlign - 1) / globalAlign * globalAlign
