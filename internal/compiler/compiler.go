@@ -78,18 +78,11 @@ func Optimize(cp *hlc.CheckedProgram, level OptLevel) (*Optimized, error) {
 	prog := &isa.Program{Globals: globalTable(cp.Prog), Funcs: make([]*isa.Func, len(cp.Funcs))}
 	syms := newSymbols(cp.Prog)
 	for i, cf := range cp.Funcs {
-		obj, err := lowerFunc(cp, cf)
+		f, err := lowerFunc(cp, cf, syms)
 		if err != nil {
 			return nil, err
 		}
-		globals, funcs, err := obj.resolve(syms)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range obj.Func.Blocks {
-			resolve(b.Instrs, globals, funcs)
-		}
-		prog.Funcs[i] = obj.Func
+		prog.Funcs[i] = f
 	}
 	var err error
 	if prog.Entry, err = entry(prog.Funcs); err != nil {

@@ -8,66 +8,81 @@ import (
 	"repro/internal/isa"
 )
 
-// Object is one function compiled on its own, like an object file. Its
-// LD/ST instructions name globals, and its CALLs functions, by index into
-// the object's own symbol tables; linking resolves those names against a
-// program. Linking never changes an Object, so one serves any number of
-// programs.
+// Object is one function compiled on its own, like an object file: its
+// code, whose LD/ST and CALL instructions name globals and functions by
+// their indices in the program it was compiled in, and that program's
+// name tables, by which linking resolves them against another program.
+// Linking never changes an Object, so one serves any number of programs.
 type Object struct {
 	Func *isa.Func
 	// Globals names the global of each LD/ST Sym index, Funcs the callee
-	// of each CALL Sym index, in order of first use.
+	// of each CALL Sym index.
 	Globals, Funcs []string
 }
 
-// CompileFunc compiles function i of cp on its own for target at -O0, the
-// level synthesis calibrates at. -O0 code depends on nothing of the rest
-// of the program but what the function's hlc.FuncKeys key records, so the
-// object links into any program holding a function of the same key.
-func CompileFunc(cp *hlc.CheckedProgram, i int, target *isa.Desc) (*Object, error) {
+// CompileFuncs compiles the functions of cp at the indices idx, each on
+// its own, for target at -O0, the level synthesis calibrates at. -O0 code
+// depends on nothing of the rest of the program but what a function's
+// hlc.FuncKeys key records, so each object links into any program holding
+// a function of the same key.
+func CompileFuncs(cp *hlc.CheckedProgram, idx []int, target *isa.Desc) ([]*Object, error) {
 	if target == nil {
 		return nil, fmt.Errorf("compiler: nil target ISA")
 	}
-	obj, err := lowerFunc(cp, cp.Funcs[i])
-	if err != nil {
-		return nil, err
+	syms := newSymbols(cp.Prog)
+	objs := make([]*Object, len(idx))
+	for k, i := range idx {
+		f, err := lowerFunc(cp, cp.Funcs[i], syms)
+		if err != nil {
+			return nil, err
+		}
+		tidy(f)
+		if err := allocate(f, target, optimizeFunc(f, O0)); err != nil {
+			return nil, fmt.Errorf("compiler: %s: %w", f.Name, err)
+		}
+		objs[k] = &Object{Func: f, Globals: syms.globalNames, Funcs: syms.funcNames}
 	}
-	f := obj.Func
-	tidy(f)
-	if err := allocate(f, target, optimizeFunc(f, O0)); err != nil {
-		return nil, fmt.Errorf("compiler: %s: %w", f.Name, err)
-	}
-	return obj, nil
+	return objs, nil
 }
 
 // Link assembles cp's -O0 program for target from one object per
-// function, objs[i] compiled by CompileFunc from a function with the key
+// function, objs[i] compiled by CompileFuncs from a function with the key
 // of cp's function i (under cp or under any other program). The result
-// equals Compile(cp, target, O0). It shares each object's blocks whose
-// instructions name no symbol, or name each at its index in cp already;
-// the rest are copied with their symbols resolved.
+// equals Compile(cp, target, O0). It shares an object's code wherever
+// cp gives each symbol the object names the index the object's program
+// gave it, and copies the blocks where it does not, resolved; the
+// program is read-only, like every compiled program.
 func Link(cp *hlc.CheckedProgram, target *isa.Desc, objs []*Object) (*isa.Program, error) {
 	if len(objs) != len(cp.Funcs) {
 		return nil, fmt.Errorf("compiler: link: %d objects for %d functions", len(objs), len(cp.Funcs))
 	}
 	prog := &isa.Program{ISA: target, Globals: globalTable(cp.Prog), Funcs: make([]*isa.Func, len(objs))}
 	syms := newSymbols(cp.Prog)
+	// Objects compiled together share their name tables, so each table
+	// is resolved once.
+	resolved := make(map[*string][]int32)
+	resolve := func(table []string, index map[string]int32) []int32 {
+		if len(table) == 0 {
+			return nil
+		}
+		out, ok := resolved[&table[0]]
+		if !ok {
+			out = make([]int32, len(table))
+			for i, name := range table {
+				if x, ok := index[name]; ok {
+					out[i] = x
+				} else {
+					out[i] = -1 // an error only where an object uses it
+				}
+			}
+			resolved[&table[0]] = out
+		}
+		return out
+	}
 	for i, obj := range objs {
-		globals, funcs, err := obj.resolve(syms)
+		f, err := obj.link(resolve(obj.Globals, syms.globals), resolve(obj.Funcs, syms.funcs))
 		if err != nil {
 			return nil, err
-		}
-		f := new(isa.Func)
-		*f = *obj.Func
-		blocks := make([]isa.Block, len(f.Blocks))
-		f.Blocks = make([]*isa.Block, len(blocks))
-		for b, ob := range obj.Func.Blocks {
-			blocks[b] = *ob
-			f.Blocks[b] = &blocks[b]
-			if !resolved(ob.Instrs, globals, funcs) {
-				blocks[b].Instrs = slices.Clone(ob.Instrs)
-				resolve(blocks[b].Instrs, globals, funcs)
-			}
 		}
 		prog.Funcs[i] = f
 	}
@@ -76,47 +91,44 @@ func Link(cp *hlc.CheckedProgram, target *isa.Desc, objs []*Object) (*isa.Progra
 	return prog, err
 }
 
-// symbols indexes a program's globals and functions by name, the first
-// declaration of a name winning as in hlc.Check.
-type symbols struct{ globals, funcs map[string]int32 }
-
-func newSymbols(prog *hlc.Program) symbols {
-	s := symbols{make(map[string]int32, len(prog.Globals)), make(map[string]int32, len(prog.Funcs))}
-	for i, g := range prog.Globals {
-		if _, dup := s.globals[g.Name]; !dup {
-			s.globals[g.Name] = int32(i)
-		}
-	}
-	for i, fn := range prog.Funcs {
-		if _, dup := s.funcs[fn.Name]; !dup {
-			s.funcs[fn.Name] = int32(i)
-		}
-	}
-	return s
-}
-
-// resolve maps each entry of obj's symbol tables to its program index.
-func (obj *Object) resolve(syms symbols) (globals, funcs []int32, err error) {
-	index := func(table []string, of map[string]int32, what string) ([]int32, error) {
-		out := make([]int32, len(table))
-		for i, name := range table {
-			x, ok := of[name]
-			if !ok {
-				return nil, fmt.Errorf("compiler: %s: unknown %s %s", obj.Func.Name, what, name)
+// link returns obj's code with every symbol at the index the maps give
+// it: obj.Func itself when each is there already, or else a copy that
+// shares every block whose symbols are.
+func (obj *Object) link(globals, funcs []int32) (*isa.Func, error) {
+	var f *isa.Func
+	for b, ob := range obj.Func.Blocks {
+		var code []isa.Instr // ob's instructions, copied once a symbol moves
+		for k := range ob.Instrs {
+			in := &ob.Instrs[k]
+			sym := linkedSym(in, globals, funcs)
+			if sym == in.Sym {
+				continue
 			}
-			out[i] = x
+			if sym < 0 {
+				return nil, fmt.Errorf("compiler: link %s: %s names a symbol the program lacks", obj.Func.Name, in)
+			}
+			if f == nil {
+				f = new(isa.Func)
+				*f = *obj.Func
+				f.Blocks = slices.Clone(f.Blocks)
+			}
+			if code == nil {
+				code = slices.Clone(ob.Instrs)
+				nb := *ob
+				nb.Instrs = code
+				f.Blocks[b] = &nb
+			}
+			code[k].Sym = sym
 		}
-		return out, nil
 	}
-	if globals, err = index(obj.Globals, syms.globals, "global"); err != nil {
-		return nil, nil, err
+	if f == nil {
+		return obj.Func, nil
 	}
-	funcs, err = index(obj.Funcs, syms.funcs, "function")
-	return globals, funcs, err
+	return f, nil
 }
 
-// linkedSym returns the program index in's symbol resolves to (in.Sym for
-// an instruction that names none).
+// linkedSym returns the index in's symbol resolves to through the tables
+// (in.Sym for an instruction that names none).
 func linkedSym(in *isa.Instr, globals, funcs []int32) int32 {
 	switch in.Op {
 	case isa.LD, isa.ST:
@@ -127,21 +139,34 @@ func linkedSym(in *isa.Instr, globals, funcs []int32) int32 {
 	return in.Sym
 }
 
-// resolve rewrites every symbol in code to its program index.
-func resolve(code []isa.Instr, globals, funcs []int32) {
-	for i := range code {
-		code[i].Sym = linkedSym(&code[i], globals, funcs)
-	}
+// symbols indexes a program's globals and functions by name, the first
+// declaration of a name winning as in hlc.Check, and keeps the names by
+// index.
+type symbols struct {
+	globals, funcs         map[string]int32
+	globalNames, funcNames []string
 }
 
-// resolved reports whether every symbol in code is at its program index.
-func resolved(code []isa.Instr, globals, funcs []int32) bool {
-	for i := range code {
-		if code[i].Sym != linkedSym(&code[i], globals, funcs) {
-			return false
+func newSymbols(prog *hlc.Program) *symbols {
+	s := &symbols{
+		globals:     make(map[string]int32, len(prog.Globals)),
+		funcs:       make(map[string]int32, len(prog.Funcs)),
+		globalNames: make([]string, len(prog.Globals)),
+		funcNames:   make([]string, len(prog.Funcs)),
+	}
+	for i, g := range prog.Globals {
+		s.globalNames[i] = g.Name
+		if _, dup := s.globals[g.Name]; !dup {
+			s.globals[g.Name] = int32(i)
 		}
 	}
-	return true
+	for i, fn := range prog.Funcs {
+		s.funcNames[i] = fn.Name
+		if _, dup := s.funcs[fn.Name]; !dup {
+			s.funcs[fn.Name] = int32(i)
+		}
+	}
+	return s
 }
 
 // entry returns the index of main.

@@ -12,18 +12,15 @@ import (
 // of an unoptimized compile (every local access is a stack-slot load or
 // store); the optimization passes then earn their keep at O1+.
 type lowerer struct {
-	cp  *hlc.CheckedProgram
-	cf  *hlc.CheckedFunc
-	obj *Object
-	out *isa.Func
+	cp   *hlc.CheckedProgram
+	cf   *hlc.CheckedFunc
+	syms *symbols // the program's globals and functions by name
+	out  *isa.Func
 
 	cur     int // current block index
 	nextReg int
 	slotOf  map[*hlc.Symbol]int
 	maxOut  int // widest outgoing-argument list of any call site
-	// globalSym and funcSym give each name in obj's symbol tables its
-	// index there.
-	globalSym, funcSym map[string]int32
 
 	// Loop context stacks for break/continue targets.
 	breakTo    []int
@@ -37,20 +34,17 @@ type lowerer struct {
 	start int
 }
 
-// lowerFunc lowers one checked function of cp into an object whose
-// symbol tables list the globals and functions it names in order of
-// first use.
-func lowerFunc(cp *hlc.CheckedProgram, cf *hlc.CheckedFunc) (*Object, error) {
+// lowerFunc lowers one checked function of cp, naming globals and
+// functions by their indices in syms.
+func lowerFunc(cp *hlc.CheckedProgram, cf *hlc.CheckedFunc, syms *symbols) (*isa.Func, error) {
 	fn := cf.Decl
 	out := &isa.Func{Name: fn.Name, NumParams: len(fn.Params), RetKind: kindOf(fn.Ret)}
 	lw := &lowerer{
-		cp:        cp,
-		cf:        cf,
-		obj:       &Object{Func: out},
-		out:       out,
-		slotOf:    make(map[*hlc.Symbol]int),
-		globalSym: make(map[string]int32),
-		funcSym:   make(map[string]int32),
+		cp:     cp,
+		cf:     cf,
+		syms:   syms,
+		out:    out,
+		slotOf: make(map[*hlc.Symbol]int),
 	}
 	for i, sym := range cf.Locals {
 		lw.slotOf[sym] = i
@@ -84,7 +78,7 @@ func lowerFunc(cp *hlc.CheckedProgram, cf *hlc.CheckedFunc) (*Object, error) {
 	} else {
 		lw.out.FirstArgSlot = -1
 	}
-	return lw.obj, nil
+	return out, nil
 }
 
 func kindOf(t hlc.Type) isa.ValKind {
@@ -426,20 +420,12 @@ func (lw *lowerer) condValue(e hlc.Expr) isa.RegID {
 
 // --- variable access ---
 
-// globalIndex returns the index of a global in the object's table,
-// entering it on first use.
 func (lw *lowerer) globalIndex(name string) int32 {
-	return symIndex(lw.globalSym, &lw.obj.Globals, name)
-}
-
-func symIndex(index map[string]int32, table *[]string, name string) int32 {
-	i, ok := index[name]
+	gi, ok := lw.syms.globals[name]
 	if !ok {
-		i = int32(len(*table))
-		index[name] = i
-		*table = append(*table, name)
+		panic(fmt.Sprintf("unknown global %s", name))
 	}
-	return i
+	return gi
 }
 
 // loadVar loads a scalar variable into a fresh register.
@@ -658,11 +644,11 @@ func (lw *lowerer) call(x *hlc.CallExpr) (isa.RegID, isa.ValKind) {
 	if b, ok := hlc.Builtins[x.Name]; ok {
 		return lw.builtin(b, x)
 	}
-	fnDecl := lw.cp.Prog.Func(x.Name)
-	if fnDecl == nil {
+	callee, ok := lw.syms.funcs[x.Name]
+	if !ok {
 		panic(fmt.Sprintf("unknown function %s", x.Name))
 	}
-	callee := symIndex(lw.funcSym, &lw.obj.Funcs, x.Name)
+	fnDecl := lw.cp.Prog.Funcs[callee]
 	// Evaluate every argument first (nested calls reuse the same outgoing
 	// area and complete before the stores below), then store them into the
 	// outgoing-argument slots — stack argument passing, cdecl style.

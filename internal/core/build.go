@@ -15,47 +15,47 @@ import (
 // Synthesize call. Calibration regenerates the clone from one seed and one
 // scaled graph with other knob values, so most of a candidate's functions
 // are its predecessor's, and now and then the whole candidate is. The
-// builder keeps the previous candidate's functions checked, compiled and
-// predecoded, by their hlc.FuncKeys keys, and the previous run's
-// measurement: a new candidate costs the static work of its changed
-// functions, a link, and a run; a repeat of the one just run costs
-// nothing. Measurements are deterministic, so reusing one changes no
-// clone. A builder serves one call and is not shared.
+// builder keeps the previous candidate's functions checked and compiled,
+// by their hlc.FuncKeys keys, and what the previous run observed: a new
+// candidate costs the check and -O0 compile of its changed functions, a
+// link, a load and a run; a repeat of the one just run costs its keys.
+// Measurements are deterministic, so reusing one changes no clone. (Its
+// functions' predecoded code is not kept: loading the linked program
+// anew costs no more than relinking kept code, which would also stay
+// resident between runs.) A builder serves one call and is not shared.
 type builder struct {
 	funcs map[string]*builtFunc // the previous candidate's functions
-	// last is the previous run's measurement, and lastKey its
+	// last is what the previous run observed, and lastKey its
 	// candidate's key.
-	last    *measurement
+	last    observed
 	lastKey string
-	linker  vm.Linker // loads each run's VM onto the functions' code
-	key     []byte    // scratch for key encoding
+	key     []byte // scratch for key encoding
 	nextID  int
 	stats   buildStats
-	// observe, when set, sees every candidate the builder runs (tests).
+	// observe, when set, sees every candidate the builder measures (tests).
 	observe func(*candidate)
 }
 
 // builtFunc is one function of a call's candidates.
 type builtFunc struct {
-	key  string
-	id   int              // unique within the call
-	cf   *hlc.CheckedFunc // its check result
-	obj  *compiler.Object // its -O0 object; nil until a candidate holding it runs
-	code *vm.Code         // obj predecoded, linked into the last run
+	key string
+	id  int              // unique within the call
+	cf  *hlc.CheckedFunc // its check result
+	obj *compiler.Object // its -O0 object; nil until a candidate holding it runs
 }
 
 // buildStats counts a builder's work.
 type buildStats struct {
 	measurements int // candidates run
 	reused       int // candidates served a measurement run before
-	funcsRebuilt int // functions compiled and predecoded
+	funcsRebuilt int // functions compiled
 }
 
-// candidate is one candidate clone as the builder linked and ran it.
+// candidate is one candidate clone as the builder linked and ran it, or
+// (linked nil) served the previous run's measurement.
 type candidate struct {
 	prog   *hlc.Program
 	linked *isa.Program
-	code   []*vm.Code
 	budget uint64
 	meas   *measurement
 }
@@ -110,36 +110,46 @@ func (b *builder) measure(prog *hlc.Program, budget uint64) (*measurement, error
 	for _, f := range fns {
 		b.key = binary.AppendUvarint(b.key, uint64(f.id))
 	}
-	if b.last != nil && b.lastKey == string(b.key) {
+	if b.lastKey == string(b.key) {
 		b.stats.reused++
-		return b.last, nil
+		m := &measurement{cp, b.last}
+		if b.observe != nil {
+			b.observe(&candidate{prog: prog, budget: budget, meas: m})
+		}
+		return m, nil
 	}
 	runKey := string(b.key)
-	objs := make([]*compiler.Object, len(fns))
-	code := make([]*vm.Code, len(fns))
+	var fresh []int
 	for i, f := range fns {
 		if f.obj == nil {
-			if f.obj, err = compiler.CompileFunc(cp, i, profile.Target); err != nil {
-				return nil, err
-			}
-			f.code = vm.Decode(f.obj.Func)
-			b.stats.funcsRebuilt++
+			fresh = append(fresh, i)
 		}
-		objs[i], code[i] = f.obj, f.code
+	}
+	built, err := compiler.CompileFuncs(cp, fresh, profile.Target)
+	if err != nil {
+		return nil, err
+	}
+	for k, i := range fresh {
+		fns[i].obj = built[k]
+	}
+	b.stats.funcsRebuilt += len(fresh)
+	objs := make([]*compiler.Object, len(fns))
+	for i, f := range fns {
+		objs[i] = f.obj
 	}
 	mp, err := compiler.Link(cp, profile.Target, objs)
 	if err != nil {
 		return nil, err
 	}
-	m, err := measureRun(b.linker.Link(mp, code), budget)
+	obs, err := measureRun(vm.New(mp), budget)
 	if err != nil {
 		return nil, err
 	}
-	m.cp = cp
-	b.lastKey, b.last = runKey, m
+	b.lastKey, b.last = runKey, obs
+	m := &measurement{cp, obs}
 	b.stats.measurements++
 	if b.observe != nil {
-		b.observe(&candidate{prog: prog, linked: mp, code: code, budget: budget, meas: m})
+		b.observe(&candidate{prog: prog, linked: mp, budget: budget, meas: m})
 	}
 	return m, nil
 }
@@ -147,7 +157,12 @@ func (b *builder) measure(prog *hlc.Program, budget uint64) (*measurement, error
 // measurement is one calibration run of a candidate clone: the
 // type-checked program it compiled, and what the run observed.
 type measurement struct {
-	cp     *hlc.CheckedProgram
+	cp *hlc.CheckedProgram
+	observed
+}
+
+// observed is what one calibration run observes.
+type observed struct {
 	dyn    uint64                 // dynamic instructions (the budget when truncated)
 	mix    [isa.NumClasses]uint64 // dynamic instructions per class
 	missPI float64                // misses per instruction at the profiling cache
@@ -158,7 +173,7 @@ type measurement struct {
 // per-access miss rate at the profiling cache. The clone is
 // self-contained (stride arrays start zeroed), so no input setup is
 // needed.
-func measureRun(vmc *vm.VM, budget uint64) (*measurement, error) {
+func measureRun(vmc *vm.VM, budget uint64) (observed, error) {
 	// The hook counts executions per site and the mix is summed after
 	// the run: consecutive events rarely share a site, while a per-class
 	// counter would chain every increment on the one before.
@@ -177,16 +192,16 @@ func measureRun(vmc *vm.VM, budget uint64) (*measurement, error) {
 	})
 	if err != nil {
 		if t, ok := err.(*vm.Trap); !ok || t.Reason != vm.TrapBudgetExhausted {
-			return nil, err
+			return observed{}, err
 		}
 		// Budget exhausted: report the cap.
 	}
-	m := &measurement{dyn: res.DynInstrs}
+	obs := observed{dyn: res.DynInstrs}
 	for s, n := range counts {
-		m.mix[lay.Instr(s).Class()] += n
+		obs.mix[lay.Instr(s).Class()] += n
 	}
 	if res.DynInstrs > 0 {
-		m.missPI = float64(misses) / float64(res.DynInstrs)
+		obs.missPI = float64(misses) / float64(res.DynInstrs)
 	}
-	return m, nil
+	return obs, nil
 }

@@ -17,14 +17,15 @@ import (
 
 // TestLinkedBuildsMatchWhole checks calibration's per-function builds
 // against whole-program ones. Every candidate one Synthesize call runs
-// for each quick-suite workload, and every clone it returns, is built per
-// function and linked (functions reused from earlier candidates included)
-// and also by hlc.Check, compiler.Compile and vm.New. The two must give
-// equal programs and layouts, identical event streams, and equal
-// measurements.
+// for each quick-suite workload, and every clone it returns, is checked
+// and compiled per function and linked (functions reused from the
+// previous candidate included) and also by hlc.Check and
+// compiler.Compile. The two must give equal programs, and the
+// measurement calibration used, reused ones included, must equal one of
+// the whole program.
 func TestLinkedBuildsMatchWhole(t *testing.T) {
 	if testing.Short() {
-		t.Skip("synthesizes the quick suite and runs every candidate three more times")
+		t.Skip("synthesizes the quick suite and runs every candidate again")
 	}
 	var total core.BuildStats
 	funcs := 0
@@ -39,7 +40,9 @@ func TestLinkedBuildsMatchWhole(t *testing.T) {
 		total.Reused += stats.Reused
 		total.FuncsRebuilt += stats.FuncsRebuilt
 		for i, c := range cands {
-			funcs += len(c.Prog.Funcs)
+			if c.Linked != nil {
+				funcs += len(c.Prog.Funcs)
+			}
 			checkLinked(t, fmt.Sprintf("%s candidate %d", prof.Workload, i), c)
 		}
 		c, err := core.MeasureLinked(clone.Prog, cands[0].Budget)
@@ -66,16 +69,8 @@ func checkLinked(t *testing.T, name string, c core.Candidate) {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if !reflect.DeepEqual(c.Linked, whole) {
+	if c.Linked != nil && !reflect.DeepEqual(c.Linked, whole) {
 		t.Errorf("%s: linked program differs from compiler.Compile's", name)
-	}
-	var l vm.Linker
-	lv, wv := l.Link(c.Linked, c.Code), vm.New(whole)
-	if err := sameLayout(lv.Layout(), wv.Layout()); err != nil {
-		t.Errorf("%s: layout: %v", name, err)
-	}
-	if lr, wr := eventDigest(lv, c.Budget), eventDigest(wv, c.Budget); lr != wr {
-		t.Errorf("%s: linked run %s, whole-program run %s", name, lr, wr)
 	}
 	m, err := core.MeasureVM(vm.New(whole), c.Budget)
 	if err != nil {
@@ -84,38 +79,6 @@ func checkLinked(t *testing.T, name string, c core.Candidate) {
 	if m != c.Meas {
 		t.Errorf("%s: measured %+v, whole program %+v", name, c.Meas, m)
 	}
-}
-
-func sameLayout(a, b *vm.Layout) error {
-	if a.NumSites() != b.NumSites() || a.NumBlocks() != b.NumBlocks() {
-		return fmt.Errorf("%d sites, %d blocks; want %d, %d", a.NumSites(), a.NumBlocks(), b.NumSites(), b.NumBlocks())
-	}
-	for s := 0; s < a.NumSites(); s++ {
-		if a.Loc(s) != b.Loc(s) || *a.Instr(s) != *b.Instr(s) {
-			return fmt.Errorf("site %d: %+v %v; want %+v %v", s, a.Loc(s), *a.Instr(s), b.Loc(s), *b.Instr(s))
-		}
-		if loc := a.Loc(s); a.BlockID(loc.Func, loc.Block) != b.BlockID(loc.Func, loc.Block) {
-			return fmt.Errorf("site %d: block ID %d, want %d", s, a.BlockID(loc.Func, loc.Block), b.BlockID(loc.Func, loc.Block))
-		}
-	}
-	return nil
-}
-
-// eventDigest runs m under budget and summarizes its whole event stream
-// (sites, addresses, branch outcomes) and its result.
-func eventDigest(m *vm.VM, budget uint64) string {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
-	res, err := m.Run(vm.Config{MaxInstrs: budget, Hook: func(ev *vm.Event) {
-		mix(uint64(ev.Site))
-		if ev.IsMem {
-			mix(ev.Addr)
-		}
-		if ev.Taken {
-			mix(1)
-		}
-	}})
-	return fmt.Sprintf("events %#x, %d instrs, %d prints, output %#x, err %v", h, res.DynInstrs, res.Prints, res.OutputHash, err)
 }
 
 // TestSynthesizeConcurrent synthesizes several profiles, some of them

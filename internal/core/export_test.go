@@ -15,7 +15,7 @@ import (
 type BuildStats struct {
 	Measurements int // candidates run
 	Reused       int // candidates served a measurement run before
-	FuncsRebuilt int // functions compiled and predecoded
+	FuncsRebuilt int // functions compiled
 }
 
 // Measurement is what one calibration run observed.
@@ -25,24 +25,23 @@ type Measurement struct {
 	MissPI float64
 }
 
-// Candidate is a candidate clone as a builder linked and ran it: Linked
-// is the program compiler.Link assembled, and Code the predecoded
-// functions a vm.Linker loaded it from.
+// Candidate is a candidate clone as a builder measured it: Linked is the
+// program compiler.Link assembled from the functions' objects, or nil
+// when the candidate was served the previous run's measurement.
 type Candidate struct {
 	Prog   *hlc.Program
 	Linked *isa.Program
-	Code   []*vm.Code
 	Budget uint64
 	Meas   Measurement
 }
 
 func exportCandidate(c *candidate) Candidate {
-	return Candidate{Prog: c.prog, Linked: c.linked, Code: c.code, Budget: c.budget,
+	return Candidate{Prog: c.prog, Linked: c.linked, Budget: c.budget,
 		Meas: Measurement{Dyn: c.meas.dyn, Mix: c.meas.mix, MissPI: c.meas.missPI}}
 }
 
 // SynthesizeObserved is Synthesize, also returning its builder's work and
-// handing every candidate it runs to observe when that is non-nil.
+// handing every candidate it measures to observe when that is non-nil.
 func SynthesizeObserved(p *profile.Profile, cfg Config, observe func(Candidate)) (*hlc.CheckedProgram, Report, BuildStats, error) {
 	b := newBuilder()
 	if observe != nil {
@@ -66,9 +65,6 @@ func MeasureLinked(prog *hlc.Program, budget uint64) (Candidate, error) {
 // MeasureVM runs a loaded clone under budget as calibration runs a
 // candidate.
 func MeasureVM(m *vm.VM, budget uint64) (Measurement, error) {
-	meas, err := measureRun(m, budget)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return Measurement{Dyn: meas.dyn, Mix: meas.mix, MissPI: meas.missPI}, nil
+	obs, err := measureRun(m, budget)
+	return Measurement{Dyn: obs.dyn, Mix: obs.mix, MissPI: obs.missPI}, err
 }

@@ -9,8 +9,7 @@ type SiteLoc struct {
 }
 
 // Layout is the dense static numbering of a program's instruction sites and
-// basic blocks, recorded function by function as loading stamps each
-// function's site IDs.
+// basic blocks, recorded by the predecode pass as it stamps each site ID.
 // Site IDs match Event.Site exactly: instructions are numbered in
 // (function, block, index) order across the whole program. Block IDs
 // number blocks the same way ((function, block) order); they are the node
@@ -21,29 +20,6 @@ type Layout struct {
 	sites     []SiteLoc
 	blockBase []int // first block ID of each function
 	numBlocks int
-}
-
-// newLayout returns an empty layout of prog, for add to fill.
-func newLayout(prog *isa.Program) *Layout {
-	n := 0
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			n += len(b.Instrs)
-		}
-	}
-	return &Layout{prog: prog, sites: make([]SiteLoc, 0, n), blockBase: make([]int, len(prog.Funcs))}
-}
-
-// add numbers function fi's blocks and sites after those already added.
-func (l *Layout) add(fi int) {
-	f := l.prog.Funcs[fi]
-	l.blockBase[fi] = l.numBlocks
-	l.numBlocks += len(f.Blocks)
-	for bi, b := range f.Blocks {
-		for ii := range b.Instrs {
-			l.sites = append(l.sites, SiteLoc{Func: fi, Block: bi, Index: ii})
-		}
-	}
 }
 
 // Layout returns the site and block numbering of the loaded program.

@@ -50,88 +50,92 @@ type fcode struct {
 	nParams    int
 }
 
-// Code is one function predecoded on its own, for Linker.Link:
-// flattened, with branch targets resolved. Linking stamps its site IDs
-// and binds its global accesses and calls for one program and VM, in
-// place, so a Code serves one VM at a time: a VM linked from it must not
-// run once the Code is linked again.
-type Code struct{ fc fcode }
-
-// Decode predecodes one function on its own, for Linker.Link.
-func Decode(f *isa.Func) *Code { return &Code{decode(f, 0)} }
-
-// decode flattens f into its fcode, numbering its sites densely in
-// (block, instruction) order from site. LD/ST and CALL keep f's symbol
-// index; LD/ST are bound to a global's storage by bind.
-func decode(f *isa.Func, site int32) fcode {
-	fc := fcode{
-		name:       f.Name,
-		nRegs:      f.NumRegs + 1, // trailing always-zero register
-		nSlots:     max(f.NumSlots, 1),
-		nParams:    f.NumParams,
-		frameBytes: uint64(f.NumSlots) * isa.SlotBytes,
-		blockStart: make([]int32, len(f.Blocks)),
+// predecode flattens every function into its fcode. Site IDs are assigned
+// densely in (function, block, instruction) order, and the Layout it
+// returns records that one numbering for the hooks that index per-site
+// state by it.
+func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) ([]fcode, *Layout) {
+	fns := make([]fcode, len(prog.Funcs))
+	nSites := 0
+	for _, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			nSites += len(b.Instrs)
+		}
 	}
-	n := 0
-	for _, b := range f.Blocks {
-		n += len(b.Instrs) + 1 // +1 for the fell-off sentinel
+	lay := &Layout{
+		prog:      prog,
+		sites:     make([]SiteLoc, 0, nSites),
+		blockBase: make([]int, len(prog.Funcs)),
 	}
-	fc.ins = make([]pins, 0, n)
-	for bi, blk := range f.Blocks {
-		fc.blockStart[bi] = int32(len(fc.ins))
-		nb := len(blk.Instrs)
-		for ii := range blk.Instrs {
-			in := &blk.Instrs[ii]
-			pi := pins{
-				op: in.Op, dst: in.Dst, a: in.A, b: in.B, imm: in.Imm,
-				site: site, block: int32(bi), index: int32(ii),
-				segLen: int32(nb - ii), gi: in.Sym,
-			}
-			site++
-			switch in.Op {
-			case isa.MOVF:
-				// A float constant is an integer constant holding the
-				// IEEE bits; fuse to MOVI here (the program is
-				// untouched, so Layout.Instr still reports the MOVF).
-				pi.op = isa.MOVI
-				pi.imm = int64(math.Float64bits(in.F))
-			case isa.LD, isa.ST:
-				if in.A == isa.NoReg {
-					// Scalar access: read the index from the frame's
-					// always-zero register so the hot path needs no
-					// NoReg test.
-					pi.a = isa.RegID(f.NumRegs)
+	for fi, f := range prog.Funcs {
+		lay.blockBase[fi] = lay.numBlocks
+		lay.numBlocks += len(f.Blocks)
+		fc := &fns[fi]
+		fc.name = f.Name
+		fc.nRegs = f.NumRegs + 1 // trailing always-zero register
+		fc.nSlots = max(f.NumSlots, 1)
+		fc.nParams = f.NumParams
+		fc.frameBytes = uint64(f.NumSlots) * isa.SlotBytes
+		fc.blockStart = make([]int32, len(f.Blocks))
+		n := 0
+		for _, b := range f.Blocks {
+			n += len(b.Instrs) + 1 // +1 for the fell-off sentinel
+		}
+		fc.ins = make([]pins, 0, n)
+		for bi, blk := range f.Blocks {
+			fc.blockStart[bi] = int32(len(fc.ins))
+			nb := len(blk.Instrs)
+			for ii := range blk.Instrs {
+				in := &blk.Instrs[ii]
+				pi := pins{
+					op: in.Op, dst: in.Dst, a: in.A, b: in.B, imm: in.Imm,
+					site: int32(len(lay.sites)), block: int32(bi), index: int32(ii),
+					segLen: int32(nb - ii),
 				}
-			case isa.LDL, isa.STL:
-				pi.base = uint64(in.Imm) * isa.SlotBytes
+				lay.sites = append(lay.sites, SiteLoc{Func: fi, Block: bi, Index: ii})
+				switch in.Op {
+				case isa.MOVF:
+					// A float constant is an integer constant holding the
+					// IEEE bits; fuse to MOVI here (the program is
+					// untouched, so Layout.Instr still reports the MOVF).
+					pi.op = isa.MOVI
+					pi.imm = int64(math.Float64bits(in.F))
+				case isa.LD, isa.ST:
+					g := prog.Globals[in.Sym]
+					pi.gi = in.Sym
+					pi.base = globalAddr[in.Sym]
+					pi.esize = uint64(g.ElemBytes())
+					pi.mem = globals[in.Sym]
+					if in.A == isa.NoReg {
+						// Scalar access: read the index from the frame's
+						// always-zero register so the hot path needs no
+						// NoReg test.
+						pi.a = isa.RegID(f.NumRegs)
+					}
+				case isa.LDL, isa.STL:
+					pi.base = uint64(in.Imm) * isa.SlotBytes
+				case isa.CALL:
+					pi.gi = in.Sym
+				}
+				fc.ins = append(fc.ins, pi)
 			}
-			fc.ins = append(fc.ins, pi)
+			fc.ins = append(fc.ins, pins{
+				op: opFellOff, site: -1,
+				block: int32(bi), index: int32(nb), segLen: 1,
+			})
 		}
-		fc.ins = append(fc.ins, pins{
-			op: opFellOff, site: -1,
-			block: int32(bi), index: int32(nb), segLen: 1,
-		})
-	}
-	// Resolve branch targets now that every block's flat start is known.
-	for i := range fc.ins {
-		pi := &fc.ins[i]
-		switch pi.op {
-		case isa.BR:
-			succs := f.Blocks[pi.block].Succs
-			pi.t0 = fc.blockStart[succs[0]]
-			pi.t1 = fc.blockStart[succs[1]]
-		case isa.JMP:
-			pi.t0 = fc.blockStart[f.Blocks[pi.block].Succs[0]]
+		// Resolve branch targets now that every block's flat start is known.
+		for i := range fc.ins {
+			pi := &fc.ins[i]
+			switch pi.op {
+			case isa.BR:
+				succs := f.Blocks[pi.block].Succs
+				pi.t0 = fc.blockStart[succs[0]]
+				pi.t1 = fc.blockStart[succs[1]]
+			case isa.JMP:
+				pi.t0 = fc.blockStart[f.Blocks[pi.block].Succs[0]]
+			}
 		}
 	}
-	return fc
-}
-
-// bind points an LD/ST at global gi of vm: its index, byte base address,
-// element size and storage.
-func (vm *VM) bind(pi *pins, gi int32) {
-	pi.gi = gi
-	pi.base = vm.globalAddr[gi]
-	pi.esize = uint64(vm.prog.Globals[gi].ElemBytes())
-	pi.mem = vm.globals[gi]
+	return fns, lay
 }

@@ -89,103 +89,28 @@ const (
 // to Run.
 type VM struct {
 	prog       *isa.Program
-	mem        []int64   // every global's storage, one after another
-	globals    [][]int64 // each global's part of mem; float elements stored as IEEE bits
+	globals    [][]int64 // float elements stored as IEEE bits
 	globalAddr []uint64  // byte base address per global
 	fns        []fcode   // predecoded functions, indexed like prog.Funcs
 	layout     *Layout   // the site and block numbering predecode stamped
 }
 
 // New loads a compiled program: globals start zeroed, scalars holding
-// their initializers. Loading predecodes every function, numbering its
-// sites after the previous functions', and binds its global accesses.
+// their initializers.
 func New(prog *isa.Program) *VM {
-	vm := load(prog, nil)
-	for fi, f := range prog.Funcs {
-		fc := decode(f, int32(vm.layout.NumSites()))
-		for i := range fc.ins {
-			if pi := &fc.ins[i]; pi.op == isa.LD || pi.op == isa.ST {
-				vm.bind(pi, pi.gi)
-			}
-		}
-		vm.fns[fi] = fc
-		vm.layout.add(fi)
-	}
-	return vm
-}
-
-// A Linker loads one program after another, each onto its functions
-// predecoded one by one, for a caller that runs each program only until
-// it links the next: it relocates the code in place and reuses the
-// previous VM's global storage. The zero Linker is ready to use.
-type Linker struct {
-	mem []int64 // the last VM's global storage
-}
-
-// Link loads prog onto code: code[i] is the Decode of prog.Funcs[i], or
-// of a function that differs from it only in the symbol indices of its
-// instructions. Each function's code is relocated in place for this
-// program and VM: site IDs are numbered after the previous functions'
-// sites, and LD/ST and CALL take their symbols from prog, LD/ST bound to
-// this VM's globals, which start as New's do. The VM runs on the code
-// and on the storage of the VM l linked before, so that VM, and any VM
-// linked from one of these Codes before, must not run again. The VM
-// equals New(prog).
-func (l *Linker) Link(prog *isa.Program, code []*Code) *VM {
-	vm := load(prog, l.mem)
-	l.mem = vm.mem
-	for fi, c := range code {
-		blocks := prog.Funcs[fi].Blocks
-		site := int32(vm.layout.NumSites())
-		for i := range c.fc.ins {
-			pi := &c.fc.ins[i]
-			if pi.op == opFellOff {
-				continue
-			}
-			pi.site = site
-			site++
-			switch pi.op {
-			case isa.LD, isa.ST:
-				vm.bind(pi, blocks[pi.block].Instrs[pi.index].Sym)
-			case isa.CALL:
-				pi.gi = blocks[pi.block].Instrs[pi.index].Sym
-			}
-		}
-		vm.fns[fi] = c.fc
-		vm.layout.add(fi)
-	}
-	return vm
-}
-
-// load lays out prog's globals, zeroed, scalars holding their
-// initializers, each at a cache-line-aligned byte address, in one block
-// of storage (mem's, cleared, when it is large enough), and makes room
-// for its predecoded functions and their layout.
-func load(prog *isa.Program, mem []int64) *VM {
-	vm := &VM{prog: prog, fns: make([]fcode, len(prog.Funcs)), layout: newLayout(prog)}
-	n := 0
-	for _, g := range prog.Globals {
-		n += g.Len
-	}
-	if cap(mem) >= n {
-		vm.mem = mem[:n]
-		clear(vm.mem)
-	} else {
-		vm.mem = make([]int64, n)
-	}
+	vm := &VM{prog: prog}
 	addr := uint64(globalsBase)
-	off := 0
 	for _, g := range prog.Globals {
-		m := vm.mem[off : off+g.Len : off+g.Len]
-		off += g.Len
+		mem := make([]int64, g.Len)
 		if g.Init != 0 {
-			m[0] = g.Init
+			mem[0] = g.Init
 		}
-		vm.globals = append(vm.globals, m)
+		vm.globals = append(vm.globals, mem)
 		vm.globalAddr = append(vm.globalAddr, addr)
 		size := uint64(g.Len * g.ElemBytes())
 		addr += (size + globalAlign - 1) / globalAlign * globalAlign
 	}
+	vm.fns, vm.layout = predecode(prog, vm.globals, vm.globalAddr)
 	return vm
 }
 
