@@ -79,7 +79,7 @@ const maxGroupLen = 24
 // translate emits C statements for one basic-block occurrence expected to
 // execute w times.
 func (gen *generator) translate(n *sfgl.Node, w float64) []hlc.Stmt {
-	var seq []tok
+	seq := make([]tok, 0, len(n.Instrs))
 	for _, in := range n.Instrs {
 		gen.target[in.Class] += w
 		k := kindOf(in)
