@@ -14,10 +14,10 @@ import (
 // name tables, by which linking resolves them against another program.
 // Linking never changes an Object, so one serves any number of programs.
 type Object struct {
-	Func *isa.Func
-	// Globals names the global of each LD/ST Sym index, Funcs the callee
+	fn *isa.Func
+	// globals names the global of each LD/ST Sym index, funcs the callee
 	// of each CALL Sym index.
-	Globals, Funcs []string
+	globals, funcs []string
 }
 
 // CompileFuncs compiles the functions of cp at the indices idx, each on
@@ -40,7 +40,7 @@ func CompileFuncs(cp *hlc.CheckedProgram, idx []int, target *isa.Desc) ([]*Objec
 		if err := allocate(f, target, optimizeFunc(f, O0)); err != nil {
 			return nil, fmt.Errorf("compiler: %s: %w", f.Name, err)
 		}
-		objs[k] = &Object{Func: f, Globals: syms.globalNames, Funcs: syms.funcNames}
+		objs[k] = &Object{fn: f, globals: syms.globalNames, funcs: syms.funcNames}
 	}
 	return objs, nil
 }
@@ -80,7 +80,7 @@ func Link(cp *hlc.CheckedProgram, target *isa.Desc, objs []*Object) (*isa.Progra
 		return out
 	}
 	for i, obj := range objs {
-		f, err := obj.link(resolve(obj.Globals, syms.globals), resolve(obj.Funcs, syms.funcs))
+		f, err := obj.link(resolve(obj.globals, syms.globals), resolve(obj.funcs, syms.funcs))
 		if err != nil {
 			return nil, err
 		}
@@ -92,11 +92,11 @@ func Link(cp *hlc.CheckedProgram, target *isa.Desc, objs []*Object) (*isa.Progra
 }
 
 // link returns obj's code with every symbol at the index the maps give
-// it: obj.Func itself when each is there already, or else a copy that
+// it: obj.fn itself when each is there already, or else a copy that
 // shares every block whose symbols are.
 func (obj *Object) link(globals, funcs []int32) (*isa.Func, error) {
 	var f *isa.Func
-	for b, ob := range obj.Func.Blocks {
+	for b, ob := range obj.fn.Blocks {
 		var code []isa.Instr // ob's instructions, copied once a symbol moves
 		for k := range ob.Instrs {
 			in := &ob.Instrs[k]
@@ -105,11 +105,11 @@ func (obj *Object) link(globals, funcs []int32) (*isa.Func, error) {
 				continue
 			}
 			if sym < 0 {
-				return nil, fmt.Errorf("compiler: link %s: %s names a symbol the program lacks", obj.Func.Name, in)
+				return nil, fmt.Errorf("compiler: link %s: %s names a symbol the program lacks", obj.fn.Name, in)
 			}
 			if f == nil {
 				f = new(isa.Func)
-				*f = *obj.Func
+				*f = *obj.fn
 				f.Blocks = slices.Clone(f.Blocks)
 			}
 			if code == nil {
@@ -122,7 +122,7 @@ func (obj *Object) link(globals, funcs []int32) (*isa.Func, error) {
 		}
 	}
 	if f == nil {
-		return obj.Func, nil
+		return obj.fn, nil
 	}
 	return f, nil
 }

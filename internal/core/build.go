@@ -96,10 +96,10 @@ func (b *builder) check(prog *hlc.Program) (*hlc.CheckedProgram, []*builtFunc, e
 	return cp, fns, nil
 }
 
-// measure returns the measurement of prog run under budget: the one taken
-// of an equal candidate before, or a new one of prog built from its
-// functions' objects, compiled for those no earlier run needed, and
-// linked.
+// measure returns the measurement of prog run under budget: the previous
+// run's when prog equals the candidate it ran, or else a run of prog
+// linked from its functions' -O0 objects, compiling only the functions
+// that have none yet.
 func (b *builder) measure(prog *hlc.Program, budget uint64) (*measurement, error) {
 	cp, fns, err := b.check(prog)
 	if err != nil {
