@@ -1,6 +1,9 @@
 package hlc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CheckedProgram is a type-checked program together with the symbol
 // information the compiler front end needs.
@@ -62,9 +65,10 @@ func Check(prog *Program) (*CheckedProgram, error) {
 // from known[i] instead of checking it again when known[i] is non-nil. A
 // known function must have been checked under a program where its FuncKeys
 // key equals that of prog's function i, so it is the same function under
-// the same view of the rest of the program. The result's Prog holds
-// known[i].Decl in place of function i: an equal declaration whose nodes
-// the reused resolution results are keyed by.
+// the same view of the rest of the program. When it reuses any, the
+// result's Prog is a copy of prog holding known[i].Decl in place of
+// function i: an equal declaration whose nodes the reused resolution
+// results are keyed by.
 func CheckWith(prog *Program, known []*CheckedFunc) (*CheckedProgram, error) {
 	c := &checker{
 		globals: make(map[string]*Symbol, len(prog.Globals)),
@@ -94,18 +98,17 @@ func CheckWith(prog *Program, known []*CheckedFunc) (*CheckedProgram, error) {
 			c.errorf(fn.Pos, "function %s shadows a builtin", fn.Name)
 		}
 	}
-	out := &CheckedProgram{
-		Prog:  &Program{Globals: prog.Globals, Funcs: make([]*FuncDecl, len(prog.Funcs))},
-		Funcs: make([]*CheckedFunc, len(prog.Funcs)),
-	}
+	out := &CheckedProgram{Prog: prog, Funcs: make([]*CheckedFunc, len(prog.Funcs))}
 	for i, fn := range prog.Funcs {
-		var cf *CheckedFunc
-		if i < len(known) && known[i] != nil {
-			cf = known[i]
-		} else {
-			cf = c.checkFunc(fn)
+		if i >= len(known) || known[i] == nil {
+			out.Funcs[i] = c.checkFunc(fn)
+			continue
 		}
-		out.Prog.Funcs[i], out.Funcs[i] = cf.Decl, cf
+		out.Funcs[i] = known[i]
+		if out.Prog == prog {
+			out.Prog = &Program{Globals: prog.Globals, Funcs: slices.Clone(prog.Funcs)}
+		}
+		out.Prog.Funcs[i] = known[i].Decl
 	}
 	if c.funcs["main"] == nil {
 		c.errs = append(c.errs, fmt.Errorf("hlc: program has no main function"))
