@@ -18,11 +18,11 @@ import (
 // builder keeps the previous candidate's functions checked and compiled,
 // by their hlc.FuncKeys keys, and what the previous run observed: a new
 // candidate costs the check and -O0 compile of its changed functions, a
-// link, a load and a run; a repeat of the one just run costs its keys.
-// Measurements are deterministic, so reusing one changes no clone. (Its
-// functions' predecoded code is not kept: loading the linked program
-// anew costs no more than relinking kept code, which would also stay
-// resident between runs.) A builder serves one call and is not shared.
+// link, a load and a run; a repeat of the one just run is not run again.
+// Measurements are deterministic, so reusing one changes no clone.
+// Predecoded code is not kept: loading the linked program anew costs no
+// more than relinking kept code, which would also stay resident between
+// runs. A builder serves one call and is not shared.
 type builder struct {
 	funcs map[string]*builtFunc // the previous candidate's functions
 	// last is what the previous run observed, and lastKey its
