@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/experiments"
+	"repro/internal/hlc"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/store"
@@ -272,6 +274,58 @@ func TestCloneGridOracle(t *testing.T) {
 					t.Errorf("%s on %s %v: compiled program digest %s, want %s", name, pt.target.Name, pt.level, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestCloneSourceRoundTrip compiles each quick-suite clone as synthesized
+// and as a store read rebuilds it, by parsing and checking Clone.Source,
+// on amd64v at -O0 to -O3, and requires identical programs: a warm
+// pipeline compiles the reparsed clone, so the printer and parser must
+// round-trip every generated AST (negative literals, for one).
+func TestCloneSourceRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesizes the quick suite's clones")
+	}
+	ctx := context.Background()
+	p := pipeline.New(pipeline.Options{Seed: experiments.CloneSeed})
+	diffs, err := pipeline.Map(ctx, p, experiments.Quick(), func(ctx context.Context, w *workloads.Workload) ([]string, error) {
+		cl, err := p.Synthesize(ctx, w)
+		if err != nil {
+			return nil, err
+		}
+		ast, err := hlc.Parse(cl.Source)
+		if err != nil {
+			return nil, err
+		}
+		reparsed, err := hlc.Check(ast)
+		if err != nil {
+			return nil, err
+		}
+		var diffs []string
+		for _, level := range []compiler.OptLevel{compiler.O0, compiler.O1, compiler.O2, compiler.O3} {
+			var enc [2][]byte
+			for i, cp := range []*hlc.CheckedProgram{cl.Checked, reparsed} {
+				prog, err := compiler.Compile(cp, isa.AMD64, level)
+				if err != nil {
+					return nil, err
+				}
+				if enc[i], err = store.EncodeProgram(prog); err != nil {
+					return nil, err
+				}
+			}
+			if !bytes.Equal(enc[0], enc[1]) {
+				diffs = append(diffs, fmt.Sprintf("%s clone at %v: the reparsed source compiles differently", w.Name, level))
+			}
+		}
+		return diffs, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diffs {
+		for _, msg := range d {
+			t.Error(msg)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -74,9 +75,18 @@ func TestPipelineDiskWarmSharedStore(t *testing.T) {
 	if coldPair.Clone.Source != warmPair.Clone.Source {
 		t.Error("clone source differs between cold and warm runs")
 	}
-	if coldPair.Orig.NumStaticInstrs() != warmPair.Orig.NumStaticInstrs() ||
-		coldPair.Syn.NumStaticInstrs() != warmPair.Syn.NumStaticInstrs() {
-		t.Error("compiled artifacts differ between cold and warm runs")
+	for _, progs := range [][2]*isa.Program{{coldPair.Orig, warmPair.Orig}, {coldPair.Syn, warmPair.Syn}} {
+		cold, err := store.EncodeProgram(progs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := store.EncodeProgram(progs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Error("compiled artifacts differ between cold and warm runs")
+		}
 	}
 }
 

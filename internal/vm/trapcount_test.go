@@ -18,15 +18,20 @@ import (
 // sentinel) emits no event, a CALL emits its event before the depth check
 // can trap, and a budget trap has emitted exactly MaxInstrs events.
 
-// runTrap runs a one-function program twice — with no hook and with a
-// hook recording every event — and requires both runs to trap with the
-// same Result and the same Trap. It returns the hooked run's Result, Trap
-// and events.
+// runTrap runs a one-function program through runProgTrap.
 func runTrap(t *testing.T, main *isa.Func, globals []isa.Global, cfg Config) (Result, *Trap, []Event) {
+	t.Helper()
+	return runProgTrap(t, &isa.Program{ISA: isa.AMD64, Globals: globals, Funcs: []*isa.Func{main}, Entry: 0}, cfg)
+}
+
+// runProgTrap runs a program twice — with no hook and with a hook
+// recording every event — and requires both runs to trap with the same
+// Result and the same Trap. It returns the hooked run's Result, Trap and
+// events.
+func runProgTrap(t *testing.T, p *isa.Program, cfg Config) (Result, *Trap, []Event) {
 	t.Helper()
 	run := func(hook Hook) (Result, *Trap) {
 		t.Helper()
-		p := &isa.Program{ISA: isa.AMD64, Globals: globals, Funcs: []*isa.Func{main}, Entry: 0}
 		c := cfg
 		c.Hook = hook
 		res, err := New(p).Run(c)
@@ -183,6 +188,75 @@ func TestFaultingInstructionEmitsNoEvent(t *testing.T) {
 			}
 			if len(events) != 2 || events[0].Site != 0 || events[1].Site != 1 {
 				t.Fatalf("events = %+v, want the two MOVIs (sites 0 and 1) only", events)
+			}
+		})
+	}
+}
+
+// TestTrapLocations places every kind of trap in the third block of a
+// program's third function, reached through a call, and checks the
+// reported function, block, index and dynamic count. The trapping block
+// comes after a block that never runs, so a location read from the wrong
+// block or the wrong function shows.
+func TestTrapLocations(t *testing.T) {
+	globals := []isa.Global{{Name: "g", Kind: isa.KindInt, Len: 4}}
+	// main: CALL work (1 instruction). work block 0: r0=7, r1=0, JMP to
+	// block 2 (3 more). Block 2 then runs two NOPs before the instruction
+	// under test at index 2, so a fault there is dynamic instruction 7.
+	prog := func(tail []isa.Instr) *isa.Program {
+		main := &isa.Func{
+			Name: "main", RetKind: isa.KindVoid, NumRegs: 1, NumSlots: 1, FirstArgSlot: 0,
+			Blocks: []*isa.Block{{Instrs: []isa.Instr{
+				{Op: isa.CALL, Dst: isa.NoReg, Sym: 2},
+				{Op: isa.RET, A: isa.NoReg},
+			}}},
+		}
+		spare := &isa.Func{
+			Name: "spare", RetKind: isa.KindVoid, NumRegs: 1, NumSlots: 1, FirstArgSlot: -1,
+			Blocks: []*isa.Block{{Instrs: []isa.Instr{{Op: isa.RET, A: isa.NoReg}}}},
+		}
+		work := &isa.Func{
+			Name: "work", RetKind: isa.KindVoid, NumRegs: 3, NumSlots: 1, FirstArgSlot: 0,
+			Blocks: []*isa.Block{
+				{Instrs: []isa.Instr{
+					{Op: isa.MOVI, Dst: 0, Imm: 7},
+					{Op: isa.MOVI, Dst: 1, Imm: 0},
+					{Op: isa.JMP},
+				}, Succs: []int{2}},
+				{Instrs: []isa.Instr{{Op: isa.RET, A: isa.NoReg}}},
+				{Instrs: append([]isa.Instr{{Op: isa.NOP}, {Op: isa.NOP}}, tail...)},
+			},
+		}
+		return &isa.Program{ISA: isa.AMD64, Globals: globals, Funcs: []*isa.Func{main, spare, work}, Entry: 0}
+	}
+	ret := isa.Instr{Op: isa.RET, A: isa.NoReg}
+	for _, tc := range []struct {
+		name   string
+		tail   []isa.Instr // block 2 from index 2 on
+		cfg    Config
+		reason string
+		index  int
+		dyn    uint64
+	}{
+		{"DIV", []isa.Instr{{Op: isa.DIV, Dst: 2, A: 0, B: 1}, ret}, Config{}, "integer division by zero", 2, 7},
+		{"MOD", []isa.Instr{{Op: isa.MOD, Dst: 2, A: 0, B: 1}, ret}, Config{}, "integer division by zero", 2, 7},
+		{"LD", []isa.Instr{{Op: isa.LD, Dst: 2, A: 0, Sym: 0}, ret}, Config{}, "load index 7 out of bounds for g[4]", 2, 7},
+		{"ST", []isa.Instr{{Op: isa.ST, A: 0, B: 1, Sym: 0}, ret}, Config{}, "store index 7 out of bounds for g[4]", 2, 7},
+		{"stack overflow", []isa.Instr{{Op: isa.CALL, Dst: isa.NoReg, Sym: 2}, ret}, Config{MaxDepth: 2}, "stack overflow", 2, 7},
+		{"unknown opcode", []isa.Instr{{Op: isa.Opcode(999)}, ret}, Config{}, "unknown opcode op(999)", 2, 7},
+		{"fell off", nil, Config{}, "fell off the end of a basic block", 2, 7},
+		{"budget at block entry", []isa.Instr{ret}, Config{MaxInstrs: 4}, TrapBudgetExhausted, 0, 5},
+		{"budget mid-block", []isa.Instr{ret}, Config{MaxInstrs: 5}, TrapBudgetExhausted, 1, 6},
+		{"budget on sentinel", nil, Config{MaxInstrs: 6}, "fell off the end of a basic block", 2, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, trap, _ := runProgTrap(t, prog(tc.tail), tc.cfg)
+			want := Trap{Reason: tc.reason, Func: "work", Block: 2, Index: tc.index}
+			if *trap != want {
+				t.Fatalf("trap = %+v, want %+v", *trap, want)
+			}
+			if res.DynInstrs != tc.dyn {
+				t.Fatalf("DynInstrs = %d, want %d", res.DynInstrs, tc.dyn)
 			}
 		})
 	}
