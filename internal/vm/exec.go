@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/isa"
@@ -56,6 +57,7 @@ func (vm *VM) run(hook Hook, limit uint64, maxOutput, maxDepth int) (Result, err
 	res.OutputHash = fnvOffset
 
 	fns := vm.fns
+	globals := vm.globals
 	free := make([][][]int64, len(fns))
 
 	fnIdx := int32(vm.prog.Entry)
@@ -89,18 +91,24 @@ func (vm *VM) run(hook Hook, limit uint64, maxOutput, maxDepth int) (Result, err
 		}
 	}
 
-	trapAt := func(reason string, in *pins, count uint64) (Result, error) {
+	// trapAt traps at flat PC pc, in the last block starting at or before
+	// it (a sentinel's index is its block's length).
+	trapAt := func(reason string, pc int32, count uint64) (Result, error) {
 		res.DynInstrs = count
-		return res, &Trap{Reason: reason, Func: fc.name, Block: int(in.block), Index: int(in.index)}
+		b, found := slices.BinarySearch(fc.blockStart, pc)
+		if !found {
+			b--
+		}
+		return res, &Trap{Reason: reason, Func: vm.prog.Funcs[fnIdx].Name, Block: b, Index: int(pc - fc.blockStart[b])}
 	}
 	// outOfBudget raises the budget trap at the next instruction — unless
 	// that instruction is a block sentinel, where the pre-predecode
 	// interpreter's fell-off trap fired before it could re-check the budget.
-	outOfBudget := func(in *pins, count uint64) (Result, error) {
-		if in.op == opFellOff {
-			return trapAt("fell off the end of a basic block", in, count)
+	outOfBudget := func(pc int32, count uint64) (Result, error) {
+		if fc.ins[pc].op == opFellOff {
+			return trapAt("fell off the end of a basic block", pc, count)
 		}
-		return trapAt(TrapBudgetExhausted, in, count)
+		return trapAt(TrapBudgetExhausted, pc, count)
 	}
 	record := func(s string) {
 		res.Prints++
@@ -121,7 +129,7 @@ run:
 		// against the budget in one comparison. Only when the block could
 		// straddle the limit does the inner loop check per instruction.
 		if dyn >= limit {
-			return outOfBudget(&code[pc], dyn+1)
+			return outOfBudget(pc, dyn+1)
 		}
 		stop := ^uint64(0)
 		if limit-dyn < uint64(code[pc].segLen) {
@@ -129,7 +137,7 @@ run:
 		}
 		for {
 			if dyn >= stop {
-				return outOfBudget(&code[pc], dyn+1)
+				return outOfBudget(pc, dyn+1)
 			}
 			in := &code[pc]
 			dyn++
@@ -156,13 +164,13 @@ run:
 				emit(in, false, 0, false)
 			case isa.DIV:
 				if regs[in.b] == 0 {
-					return trapAt("integer division by zero", in, dyn)
+					return trapAt("integer division by zero", pc, dyn)
 				}
 				regs[in.dst] = regs[in.a] / regs[in.b]
 				emit(in, false, 0, false)
 			case isa.MOD:
 				if regs[in.b] == 0 {
-					return trapAt("integer division by zero", in, dyn)
+					return trapAt("integer division by zero", pc, dyn)
 				}
 				regs[in.dst] = regs[in.a] % regs[in.b]
 				emit(in, false, 0, false)
@@ -268,27 +276,29 @@ run:
 				emit(in, false, 0, false)
 
 			case isa.LD:
+				g := &globals[in.gi]
 				idx := in.imm + regs[in.a]
-				if uint64(idx) >= uint64(len(in.mem)) {
+				if uint64(idx) >= uint64(len(g.mem)) {
 					return trapAt(fmt.Sprintf("load index %d out of bounds for %s[%d]",
-						idx, vm.prog.Globals[in.gi].Name, len(in.mem)), in, dyn)
+						idx, vm.prog.Globals[in.gi].Name, len(g.mem)), pc, dyn)
 				}
-				regs[in.dst] = in.mem[idx]
-				emit(in, true, in.base+uint64(idx)*in.esize, false)
+				regs[in.dst] = g.mem[idx]
+				emit(in, true, g.addr+uint64(idx)*g.esize, false)
 			case isa.ST:
+				g := &globals[in.gi]
 				idx := in.imm + regs[in.a]
-				if uint64(idx) >= uint64(len(in.mem)) {
+				if uint64(idx) >= uint64(len(g.mem)) {
 					return trapAt(fmt.Sprintf("store index %d out of bounds for %s[%d]",
-						idx, vm.prog.Globals[in.gi].Name, len(in.mem)), in, dyn)
+						idx, vm.prog.Globals[in.gi].Name, len(g.mem)), pc, dyn)
 				}
-				in.mem[idx] = regs[in.b]
-				emit(in, true, in.base+uint64(idx)*in.esize, false)
+				g.mem[idx] = regs[in.b]
+				emit(in, true, g.addr+uint64(idx)*g.esize, false)
 			case isa.LDL:
 				regs[in.dst] = slots[in.imm]
-				emit(in, true, base+in.base, false)
+				emit(in, true, base+uint64(in.imm)*isa.SlotBytes, false)
 			case isa.STL:
 				slots[in.imm] = regs[in.a]
-				emit(in, true, base+in.base, false)
+				emit(in, true, base+uint64(in.imm)*isa.SlotBytes, false)
 
 			case isa.BR:
 				if regs[in.a] != 0 {
@@ -307,7 +317,7 @@ run:
 			case isa.CALL:
 				emit(in, false, 0, false)
 				if len(frames) >= maxDepth {
-					return trapAt("stack overflow", in, dyn)
+					return trapAt("stack overflow", pc, dyn)
 				}
 				callee := &fns[in.gi]
 				nbuf := takeBuf(free, in.gi, callee)
@@ -363,10 +373,10 @@ run:
 				emit(in, false, 0, false)
 
 			case opFellOff:
-				return trapAt("fell off the end of a basic block", in, dyn)
+				return trapAt("fell off the end of a basic block", pc, dyn)
 
 			default:
-				return trapAt(fmt.Sprintf("unknown opcode %v", in.op), in, dyn)
+				return trapAt(fmt.Sprintf("unknown opcode %v", in.op), pc, dyn)
 			}
 			pc++
 		}

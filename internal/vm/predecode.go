@@ -14,20 +14,15 @@ import (
 const opFellOff isa.Opcode = -1
 
 // pins ("predecoded instruction") is one slot of a function's flat
-// instruction array. The predecode pass resolves everything resolvable at
-// load time — branch targets to flat PCs, global bases and element sizes,
-// frame-slot byte offsets, the dense static-site ID — so the dispatch loop
-// touches no program structure beyond this array.
+// instruction array: only what the dispatch loop executes, with branch
+// targets resolved to flat PCs and the dense static-site ID stamped. It
+// holds no pointers; a global's storage comes from the VM by gi, and a
+// trap's location from fcode.blockStart.
 type pins struct {
-	mem   []int64 // LD/ST: the global's backing storage
-	imm   int64   // immediate; MOVF is fused to MOVI with float bits here
-	base  uint64  // LD/ST: global byte base; LDL/STL: slot byte offset
-	esize uint64  // LD/ST: element size in bytes
-	t0    int32   // BR taken / JMP target (flat PC)
-	t1    int32   // BR fall-through target (flat PC)
-	site  int32   // dense static-site ID (-1 for sentinels)
-	block int32   // static block index within the function
-	index int32   // static instruction index within the block
+	imm  int64 // immediate; MOVF is fused to MOVI with float bits here
+	t0   int32 // BR taken / JMP target (flat PC)
+	t1   int32 // BR fall-through target (flat PC)
+	site int32 // dense static-site ID (-1 for sentinels)
 	// segLen is the number of instructions from this one to the end of its
 	// block, inclusive. At a control transfer the dispatch loop authorizes
 	// that many instructions against the budget at once, so the hot path
@@ -41,12 +36,11 @@ type pins struct {
 
 // fcode is one function's predecoded form.
 type fcode struct {
-	name       string
 	ins        []pins
-	blockStart []int32
-	frameBytes uint64 // NumSlots * SlotBytes: callee frames start past this
-	nRegs      int    // register file size including the trailing zero register
-	nSlots     int    // frame slots (at least 1)
+	blockStart []int32 // flat PC of each block's first instruction
+	frameBytes uint64  // NumSlots * SlotBytes: callee frames start past this
+	nRegs      int     // register file size including the trailing zero register
+	nSlots     int     // frame slots (at least 1)
 	nParams    int
 }
 
@@ -54,7 +48,7 @@ type fcode struct {
 // densely in (function, block, instruction) order, and the Layout it
 // returns records that one numbering for the hooks that index per-site
 // state by it.
-func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) ([]fcode, *Layout) {
+func predecode(prog *isa.Program) ([]fcode, *Layout) {
 	fns := make([]fcode, len(prog.Funcs))
 	nSites := 0
 	for _, f := range prog.Funcs {
@@ -71,26 +65,24 @@ func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) ([]fco
 		lay.blockBase[fi] = lay.numBlocks
 		lay.numBlocks += len(f.Blocks)
 		fc := &fns[fi]
-		fc.name = f.Name
 		fc.nRegs = f.NumRegs + 1 // trailing always-zero register
 		fc.nSlots = max(f.NumSlots, 1)
 		fc.nParams = f.NumParams
 		fc.frameBytes = uint64(f.NumSlots) * isa.SlotBytes
 		fc.blockStart = make([]int32, len(f.Blocks))
 		n := 0
-		for _, b := range f.Blocks {
+		for bi, b := range f.Blocks {
+			fc.blockStart[bi] = int32(n)
 			n += len(b.Instrs) + 1 // +1 for the fell-off sentinel
 		}
 		fc.ins = make([]pins, 0, n)
 		for bi, blk := range f.Blocks {
-			fc.blockStart[bi] = int32(len(fc.ins))
 			nb := len(blk.Instrs)
 			for ii := range blk.Instrs {
 				in := &blk.Instrs[ii]
 				pi := pins{
 					op: in.Op, dst: in.Dst, a: in.A, b: in.B, imm: in.Imm,
-					site: int32(len(lay.sites)), block: int32(bi), index: int32(ii),
-					segLen: int32(nb - ii),
+					site: int32(len(lay.sites)), segLen: int32(nb - ii),
 				}
 				lay.sites = append(lay.sites, SiteLoc{Func: fi, Block: bi, Index: ii})
 				switch in.Op {
@@ -101,40 +93,24 @@ func predecode(prog *isa.Program, globals [][]int64, globalAddr []uint64) ([]fco
 					pi.op = isa.MOVI
 					pi.imm = int64(math.Float64bits(in.F))
 				case isa.LD, isa.ST:
-					g := prog.Globals[in.Sym]
 					pi.gi = in.Sym
-					pi.base = globalAddr[in.Sym]
-					pi.esize = uint64(g.ElemBytes())
-					pi.mem = globals[in.Sym]
 					if in.A == isa.NoReg {
 						// Scalar access: read the index from the frame's
 						// always-zero register so the hot path needs no
 						// NoReg test.
 						pi.a = isa.RegID(f.NumRegs)
 					}
-				case isa.LDL, isa.STL:
-					pi.base = uint64(in.Imm) * isa.SlotBytes
 				case isa.CALL:
 					pi.gi = in.Sym
+				case isa.BR:
+					pi.t0 = fc.blockStart[blk.Succs[0]]
+					pi.t1 = fc.blockStart[blk.Succs[1]]
+				case isa.JMP:
+					pi.t0 = fc.blockStart[blk.Succs[0]]
 				}
 				fc.ins = append(fc.ins, pi)
 			}
-			fc.ins = append(fc.ins, pins{
-				op: opFellOff, site: -1,
-				block: int32(bi), index: int32(nb), segLen: 1,
-			})
-		}
-		// Resolve branch targets now that every block's flat start is known.
-		for i := range fc.ins {
-			pi := &fc.ins[i]
-			switch pi.op {
-			case isa.BR:
-				succs := f.Blocks[pi.block].Succs
-				pi.t0 = fc.blockStart[succs[0]]
-				pi.t1 = fc.blockStart[succs[1]]
-			case isa.JMP:
-				pi.t0 = fc.blockStart[f.Blocks[pi.block].Succs[0]]
-			}
+			fc.ins = append(fc.ins, pins{op: opFellOff, site: -1, segLen: 1})
 		}
 	}
 	return fns, lay

@@ -5,9 +5,9 @@
 // the executed instruction stream via Hook.
 //
 // Loading a program predecodes it: each function's blocks are flattened
-// into one contiguous instruction array with branch targets resolved to
-// flat PCs, global bases and element sizes baked in, and a dense static-site
-// ID stamped on every instruction (see docs/vm.md). Run then executes it in
+// into one contiguous, pointer-free instruction array with branch targets
+// resolved to flat PCs and a dense static-site ID stamped on every
+// instruction (see docs/vm.md). Run then executes it in
 // one dispatch loop that emits an Event only when a hook is installed,
 // authorizes the instruction budget per basic block, and pools frame
 // register/slot storage so calls do not allocate.
@@ -16,6 +16,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -88,11 +89,17 @@ const (
 // Runs of distinct VMs are safe; all per-run state (frames, pools) is local
 // to Run.
 type VM struct {
-	prog       *isa.Program
-	globals    [][]int64 // float elements stored as IEEE bits
-	globalAddr []uint64  // byte base address per global
-	fns        []fcode   // predecoded functions, indexed like prog.Funcs
-	layout     *Layout   // the site and block numbering predecode stamped
+	prog    *isa.Program
+	globals []global // indexed like prog.Globals
+	fns     []fcode  // predecoded functions, indexed like prog.Funcs
+	layout  *Layout  // the site and block numbering predecode stamped
+}
+
+// global is one global's storage, indexed by the gi LD/ST carry.
+type global struct {
+	mem   []int64 // elements; floats stored as IEEE bits
+	addr  uint64  // byte base address
+	esize uint64  // element size in bytes
 }
 
 // New loads a compiled program: globals start zeroed, scalars holding
@@ -105,12 +112,11 @@ func New(prog *isa.Program) *VM {
 		if g.Init != 0 {
 			mem[0] = g.Init
 		}
-		vm.globals = append(vm.globals, mem)
-		vm.globalAddr = append(vm.globalAddr, addr)
+		vm.globals = append(vm.globals, global{mem: mem, addr: addr, esize: uint64(g.ElemBytes())})
 		size := uint64(g.Len * g.ElemBytes())
 		addr += (size + globalAlign - 1) / globalAlign * globalAlign
 	}
-	vm.fns, vm.layout = predecode(prog, vm.globals, vm.globalAddr)
+	vm.fns, vm.layout = predecode(prog)
 	return vm
 }
 
@@ -130,7 +136,7 @@ func (vm *VM) SetInts(name string, vals []int64) error {
 	if len(vals) > g.Len {
 		return fmt.Errorf("vm: global %q holds %d elements, got %d", name, g.Len, len(vals))
 	}
-	copy(vm.globals[gi], vals)
+	copy(vm.globals[gi].mem, vals)
 	return nil
 }
 
@@ -148,7 +154,7 @@ func (vm *VM) SetFloats(name string, vals []float64) error {
 		return fmt.Errorf("vm: global %q holds %d elements, got %d", name, g.Len, len(vals))
 	}
 	for i, v := range vals {
-		vm.globals[gi][i] = int64(math.Float64bits(v))
+		vm.globals[gi].mem[i] = int64(math.Float64bits(v))
 	}
 	return nil
 }
@@ -159,9 +165,7 @@ func (vm *VM) Ints(name string) ([]int64, error) {
 	if gi < 0 {
 		return nil, fmt.Errorf("vm: no global %q", name)
 	}
-	out := make([]int64, len(vm.globals[gi]))
-	copy(out, vm.globals[gi])
-	return out, nil
+	return slices.Clone(vm.globals[gi].mem), nil
 }
 
 // TrapBudgetExhausted is the Reason of the trap raised when a Run hits

@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -179,13 +181,13 @@ func TestGlobalAddressesDisjointAndAligned(t *testing.T) {
 	}
 	m := New(p)
 	for i := range p.Globals {
-		if m.globalAddr[i]%globalAlign != 0 {
-			t.Errorf("global %d not aligned: %#x", i, m.globalAddr[i])
+		if m.globals[i].addr%globalAlign != 0 {
+			t.Errorf("global %d not aligned: %#x", i, m.globals[i].addr)
 		}
 	}
-	aEnd := m.globalAddr[0] + uint64(100*isa.IntBytes)
-	if m.globalAddr[1] < aEnd {
-		t.Errorf("globals overlap: a ends %#x, b starts %#x", aEnd, m.globalAddr[1])
+	aEnd := m.globals[0].addr + uint64(100*isa.IntBytes)
+	if m.globals[1].addr < aEnd {
+		t.Errorf("globals overlap: a ends %#x, b starts %#x", aEnd, m.globals[1].addr)
 	}
 }
 
@@ -256,5 +258,39 @@ func TestBranchEventsReportDirection(t *testing.T) {
 	}
 	if taken != 99 || notTaken != 1 {
 		t.Errorf("taken=%d notTaken=%d, want 99/1", taken, notTaken)
+	}
+}
+
+// TestPinsIsPlainData pins the predecoded instruction's layout: at most 48
+// bytes and no field that holds a pointer, so predecoded code is an
+// allocation the runtime need not scan. Facts owned elsewhere (a global's
+// storage, a trap's location) are read from their owners, not copied in.
+func TestPinsIsPlainData(t *testing.T) {
+	if size := unsafe.Sizeof(pins{}); size > 48 {
+		t.Errorf("pins is %d bytes, want at most 48", size)
+	}
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Array:
+			return hasPointers(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Chan, reflect.Func, reflect.Interface, reflect.Map,
+			reflect.Pointer, reflect.Slice, reflect.String, reflect.UnsafePointer:
+			return true
+		}
+		return false
+	}
+	typ := reflect.TypeOf(pins{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); hasPointers(f.Type) {
+			t.Errorf("pins.%s (%v) holds a pointer", f.Name, f.Type)
+		}
 	}
 }
