@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/compiler"
@@ -66,14 +67,17 @@ type Spec struct {
 }
 
 // ParseSpec decodes and resolves a JSON sweep specification. Unknown
-// fields are rejected, so a typoed axis name outside "axes" fails
-// loudly instead of silently sweeping nothing.
+// fields and data after the spec are rejected, so a typoed axis name
+// outside "axes" fails loudly instead of silently sweeping nothing.
 func ParseSpec(data []byte) (*Sweep, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("explore: bad spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("explore: bad spec: data after the spec")
 	}
 	return s.Resolve()
 }

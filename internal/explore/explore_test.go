@@ -74,6 +74,7 @@ func TestParseSpecRejections(t *testing.T) {
 		{"EPIC flag", `{"suite": "tiny", "config": {"isa": "ia64v", "epic": true}}`, `unknown field "epic"`},
 		{"invalid point", `{"suite": "tiny", "axes": {"l1KB": [12]}}`, "power of two"},
 		{"bad base config", `{"suite": "tiny", "config": {"isa": "amd64v"}}`, "baseline"},
+		{"trailing data", `{"suite": "tiny"} {"suite": "nonsense"} garbage`, "data after the spec"},
 	}
 	for _, tc := range cases {
 		_, err := ParseSpec([]byte(tc.spec))

@@ -30,6 +30,7 @@ func FuzzExploreParseSpec(f *testing.F) {
 	f.Add([]byte(`{"suite": "tiny", "axes": {"l1KB": []}}`))
 	f.Add([]byte(`{"suite": "tiny", "config": {"isa": "amd64v"}}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"suite": "tiny"} {"suite": "nonsense"} garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sw, err := ParseSpec(data)
 		if err != nil {

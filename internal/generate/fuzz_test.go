@@ -22,6 +22,7 @@ func FuzzGenerateSpec(f *testing.F) {
 	f.Add([]byte(`{"n": 2, "typo": 1}`))    // unknown field
 	f.Add([]byte(`{"n": 2, "axes": [""]}`)) // unknown axis
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"n": 2, "seed": 1} {"n": 0} garbage`)) // trailing data
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := generate.ParseSpec(data)
 		if err != nil {

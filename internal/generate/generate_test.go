@@ -167,6 +167,7 @@ func TestSpecValidation(t *testing.T) {
 		{"bad strength", `{"n": 2, "seed": 1, "strength": 1.5}`, "strength"},
 		{"bad candidates", `{"n": 2, "seed": 1, "candidates": 9999}`, "candidates"},
 		{"unknown axis", `{"n": 2, "seed": 1, "axes": ["vliw"]}`, "unknown axis"},
+		{"trailing data", `{"n": 2, "seed": 1} garbage`, "data after the spec"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseSpec([]byte(tc.spec)); err == nil {

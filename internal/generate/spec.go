@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/store"
@@ -55,14 +56,17 @@ const (
 )
 
 // ParseSpec decodes and validates a JSON generation spec. Unknown fields
-// are rejected, so a typoed knob fails loudly instead of silently running
-// the defaults.
+// and data after the spec are rejected, so a typoed knob fails loudly
+// instead of silently running the defaults.
 func ParseSpec(data []byte) (*Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("generate: bad spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("generate: bad spec: data after the spec")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -50,6 +50,7 @@ func FuzzProfileLoad(f *testing.F) {
 	f.Add([]byte(`{"graph":{"nodes":[null]}}`))                         // nil node
 	f.Add([]byte(strings.Replace(string(valid), `"v":1`, `"v":99`, 1))) // future stream version
 	f.Add([]byte(`not json at all`))
+	f.Add([]byte(string(valid) + "garbage")) // trailing data
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := profile.Load(bytes.NewReader(data))
 		if err != nil {

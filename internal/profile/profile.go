@@ -419,13 +419,17 @@ func (p *Profile) Save(w io.Writer) error {
 }
 
 // Load reads a profile from JSON and checks it with Validate. Broken
-// payloads are errors, never panics: profiles cross process boundaries
-// (`synth synthesize -from`, the artifact store) and must fail loudly
-// instead of synthesizing garbage.
+// payloads, data after the profile included, are errors, never panics:
+// profiles cross process boundaries (`synth synthesize -from`, the
+// artifact store) and must fail loudly instead of synthesizing garbage.
 func Load(r io.Reader) (*Profile, error) {
 	var p Profile
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("profile: decode: data after the profile")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)

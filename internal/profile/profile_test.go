@@ -295,6 +295,13 @@ func TestProfileSaveLoad(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("nope")); err == nil {
 		t.Error("expected decode error")
 	}
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("garbage")
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "data after the profile") {
+		t.Errorf("Load(profile + garbage) = %v, want a trailing-data error", err)
+	}
 }
 
 // TestLoadRejectsPreStreamProfile checks that a profile whose memory

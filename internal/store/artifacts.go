@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -20,17 +21,14 @@ func EncodeProfile(p *profile.Profile) ([]byte, error) {
 	return json.Marshal(p)
 }
 
-// DecodeProfile deserializes a statistical profile and checks it with
-// profile.Profile.Validate.
+// DecodeProfile deserializes a statistical profile with profile.Load, the
+// one profile decoder.
 func DecodeProfile(data []byte) (*profile.Profile, error) {
-	var p profile.Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("store: decode profile: %w", err)
+	p, err := profile.Load(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("store: decode profile: %w", err)
-	}
-	return &p, nil
+	return p, nil
 }
 
 // programJSON is the portable form of a compiled program: the ISA is stored
