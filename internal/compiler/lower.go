@@ -19,7 +19,6 @@ type lowerer struct {
 
 	cur     int // current block index
 	nextReg int
-	slotOf  map[*hlc.Symbol]int
 	maxOut  int // widest outgoing-argument list of any call site
 
 	// Loop context stacks for break/continue targets.
@@ -39,16 +38,7 @@ type lowerer struct {
 func lowerFunc(cp *hlc.CheckedProgram, cf *hlc.CheckedFunc, syms *symbols) (*isa.Func, error) {
 	fn := cf.Decl
 	out := &isa.Func{Name: fn.Name, NumParams: len(fn.Params), RetKind: kindOf(fn.Ret)}
-	lw := &lowerer{
-		cp:     cp,
-		cf:     cf,
-		syms:   syms,
-		out:    out,
-		slotOf: make(map[*hlc.Symbol]int),
-	}
-	for i, sym := range cf.Locals {
-		lw.slotOf[sym] = i
-	}
+	lw := &lowerer{cp: cp, cf: cf, syms: syms, out: out}
 	lw.out.NumSlots = len(cf.Locals)
 	lw.newBlock()
 
@@ -434,7 +424,7 @@ func (lw *lowerer) loadVar(sym *hlc.Symbol) isa.RegID {
 	if sym.Kind == hlc.SymGlobal {
 		lw.emit(isa.Instr{Op: isa.LD, Dst: r, A: isa.NoReg, Sym: lw.globalIndex(sym.Name)})
 	} else {
-		lw.emit(isa.Instr{Op: isa.LDL, Dst: r, Imm: int64(lw.slotOf[sym])})
+		lw.emit(isa.Instr{Op: isa.LDL, Dst: r, Imm: int64(sym.Index)})
 	}
 	return r
 }
@@ -449,7 +439,7 @@ func (lw *lowerer) storeVar(sym *hlc.Symbol, val isa.RegID) {
 }
 
 func (lw *lowerer) storeLocal(sym *hlc.Symbol, val isa.RegID) {
-	lw.emit(isa.Instr{Op: isa.STL, A: val, Imm: int64(lw.slotOf[sym])})
+	lw.emit(isa.Instr{Op: isa.STL, A: val, Imm: int64(sym.Index)})
 }
 
 // convert inserts a conversion instruction when kinds differ.

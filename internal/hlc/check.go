@@ -43,7 +43,7 @@ type Symbol struct {
 	Type  Type
 	Array bool     // a global array
 	Decl  *VarDecl // a local's declaration (nil for parameters and globals)
-	Index int      // parameter index, or per-function local slot order
+	Index int      // a parameter's or local's position in CheckedFunc.Locals: its frame slot
 }
 
 type checker struct {

@@ -65,7 +65,6 @@ var codecClone = &codec{
 			return nil, fmt.Errorf("pipeline: stored clone does not check: %w", err)
 		}
 		return &Clone{
-			Prog:    prog,
 			Checked: cp,
 			Report:  sc.Report,
 			Source:  sc.Source,

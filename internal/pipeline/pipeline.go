@@ -90,7 +90,6 @@ func (p *Pipeline) CacheStats() CacheStats { return p.cache.n.stats() }
 
 // Clone bundles every artifact of one synthesized benchmark.
 type Clone struct {
-	Prog    *hlc.Program
 	Checked *hlc.CheckedProgram
 	Report  core.Report
 	Source  string
@@ -254,7 +253,6 @@ func (p *Pipeline) synthesizeClone(prof *profile.Profile, workload string) (*Clo
 		return nil, &StageError{Stage: StageSynthesize, Workload: workload, Clone: true, Err: err}
 	}
 	return &Clone{
-		Prog:    cp.Prog,
 		Checked: cp,
 		Report:  rep,
 		Source:  hlc.Print(cp.Prog),
