@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -333,6 +334,23 @@ func TestServeBatchSynthesize(t *testing.T) {
 		var r batchResponse
 		if err := json.Unmarshal([]byte(body), &r); err != nil || len(r.Results) != 3 {
 			t.Errorf("tiny suite batch returned %d results (%v)", len(r.Results), err)
+		}
+	}
+
+	// Named workloads come first, then the suite's, each once.
+	if code, body := post(`{"workloads":["fft/small1","crc32/small"],"suite":"tiny"}`); code != http.StatusOK {
+		t.Errorf("named+suite batch: %d %s", code, body)
+	} else {
+		var r batchResponse
+		if err := json.Unmarshal([]byte(body), &r); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, item := range r.Results {
+			got = append(got, item.Workload)
+		}
+		if want := []string{"fft/small1", "crc32/small", "dijkstra/small"}; !slices.Equal(got, want) {
+			t.Errorf("named+suite batch order %v, want %v", got, want)
 		}
 	}
 

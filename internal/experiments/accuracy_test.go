@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"maps"
 	"math"
 	"testing"
 )
@@ -14,19 +15,39 @@ import (
 
 // Accuracy floors/ceilings. Measured at the time of writing (after the
 // store-forwarding timing model and dependence-chain emission landed):
-// Fig. 10 quick-suite correlation 0.725, qsort relative CPI error 0.26,
-// susan 0.04, patricia 0.02, Fig. 11 average speedup-prediction error
-// 11.0%, max 29.9%.
+// Fig. 10 quick-suite correlation 0.725, Fig. 11 average speedup-prediction
+// error 11.0%, max 29.9%. The per-clone Fig. 10 ceilings are in
+// fig10CPIErrCeil.
 const (
-	fig10CorrFloor     = 0.70
-	qsortCPIErrCeil    = 0.35
-	susanCPIErrCeil    = 0.10
-	patriciaCPIErrCeil = 0.50 // the paper's 1.5x CPI acceptance band
-	fig11AvgErrCeil    = 0.12
-	fig11MaxErrCeil    = 0.30
-	tableIIMinCovFlr   = 0.85
-	tableIIAvgCovFlr   = 0.95
+	fig10CorrFloor   = 0.70
+	fig11AvgErrCeil  = 0.12
+	fig11MaxErrCeil  = 0.30
+	tableIIMinCovFlr = 0.85
+	tableIIAvgCovFlr = 0.95
 )
+
+// fig10CPIErrCeil gates every quick-suite clone's worst relative CPI error
+// over the three Fig. 10 L1 points. The qsort, susan and patricia ceilings
+// came first, with the stride-stream model built to fix those
+// memory-irregular workloads (errors then 0.26, 0.04, 0.02; patricia's is
+// the paper's 1.5x CPI acceptance band). The others are the smallest
+// multiple of 0.05 at least 0.02 above the error measured when they were
+// added (in parentheses).
+var fig10CPIErrCeil = map[string]float64{
+	"qsort/large":        0.35,
+	"susan/small2":       0.10,
+	"patricia/small":     0.50,
+	"basicmath/small":    0.55, // (0.5117)
+	"crc32/small":        0.50, // (0.4768)
+	"sha/small":          0.45, // (0.3962)
+	"fft/small1":         0.45, // (0.3948)
+	"stringsearch/small": 0.45, // (0.3869)
+	"bitcount/small":     0.30, // (0.2347)
+	"dijkstra/small":     0.30, // (0.2337)
+	"jpeg/large1":        0.25, // (0.1863)
+	"adpcm/small1":       0.15, // (0.1271)
+	"gsm/small1":         0.10, // (0.0754)
+}
 
 // relErr returns |a-b| / |b|.
 func relErr(a, b float64) float64 {
@@ -37,8 +58,7 @@ func relErr(a, b float64) float64 {
 }
 
 // TestAccuracyGateFig10 asserts the quick-suite CPI correlation floor and
-// the per-workload CPI error ceilings for the memory-irregular workloads
-// (qsort, susan) that the stride-stream model was built to fix.
+// every clone's CPI error ceiling.
 func TestAccuracyGateFig10(t *testing.T) {
 	res, err := shared().Fig10(context.Background(), Quick())
 	if err != nil {
@@ -48,14 +68,11 @@ func TestAccuracyGateFig10(t *testing.T) {
 		t.Errorf("Fig. 10 quick-suite CPI correlation %.3f below the %.2f floor — accuracy regressed",
 			res.Correlation, fig10CorrFloor)
 	}
-	ceilings := map[string]float64{
-		"qsort/large":    qsortCPIErrCeil,
-		"susan/small2":   susanCPIErrCeil,
-		"patricia/small": patriciaCPIErrCeil,
-	}
+	ceilings := maps.Clone(fig10CPIErrCeil)
 	for _, row := range res.Rows {
 		ceil, ok := ceilings[row.Name]
 		if !ok {
+			t.Errorf("%s: no Fig. 10 CPI error ceiling", row.Name)
 			continue
 		}
 		delete(ceilings, row.Name)
