@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/sfgl"
@@ -72,7 +73,7 @@ func buildSkeleton(g *sfgl.Graph, rng *rand.Rand) *skeleton {
 	}
 	for _, l := range g.Loops {
 		for _, e := range g.Edges {
-			if e.To == l.Header && contains(l.Nodes, e.From) {
+			if e.To == l.Header && slices.Contains(l.Nodes, e.From) {
 				b.latches[e.From] = true
 			}
 		}
@@ -284,13 +285,4 @@ func (b *skeletonBuilder) emitLoopNested(l *sfgl.Loop, freq float64) *loopItem {
 		b.itemCount++
 	}
 	return it
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

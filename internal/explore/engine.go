@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/compiler"
 	"repro/internal/cpu"
@@ -120,7 +121,7 @@ func buildReport(sw *Sweep, cs []cell, pairs []pipeline.SimPair) *Report {
 		pr.SpeedupOrig = ratio(base.OrigTimeSec, pr.OrigTimeSec, base.OrigCycles, pr.OrigCycles)
 		pr.SpeedupSyn = ratio(base.SynTimeSec, pr.SynTimeSec, base.SynCycles, pr.SynCycles)
 		if pr.SpeedupOrig > 0 {
-			pr.SpeedupErr = abs(pr.SpeedupSyn-pr.SpeedupOrig) / pr.SpeedupOrig
+			pr.SpeedupErr = math.Abs(pr.SpeedupSyn-pr.SpeedupOrig) / pr.SpeedupOrig
 		}
 	}
 
@@ -145,14 +146,6 @@ func ratio(baseTime, ptTime float64, baseCycles, ptCycles uint64) float64 {
 		return 0
 	}
 	return float64(baseCycles) / float64(ptCycles)
-}
-
-// abs avoids importing math for one absolute value.
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // markPareto flags the points on the Pareto frontier of (CPIErr down,

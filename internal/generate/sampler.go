@@ -245,7 +245,7 @@ func moveMixCount(p *profile.Profile, class isa.Class, want uint64) {
 	if want > cur {
 		need := want - cur
 		for _, filler := range []isa.Class{isa.ClassIntALU, isa.ClassOther} {
-			take := min64(need, p.Mix[filler])
+			take := min(need, p.Mix[filler])
 			p.Mix[filler] -= take
 			p.Mix[class] += take
 			need -= take
@@ -269,7 +269,7 @@ func mutateFPShare(p *profile.Profile, target, s float64) {
 	if want > have {
 		need := want - have
 		for _, filler := range []isa.Class{isa.ClassIntALU, isa.ClassOther} {
-			take := min64(need, p.Mix[filler])
+			take := min(need, p.Mix[filler])
 			p.Mix[filler] -= take
 			p.Mix[isa.ClassFPAdd] += take
 			need -= take
@@ -282,7 +282,7 @@ func mutateFPShare(p *profile.Profile, target, s float64) {
 	// Shrink proportionally, largest class first to absorb rounding.
 	give := have - want
 	for _, cls := range []isa.Class{isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPDiv} {
-		take := min64(give, p.Mix[cls])
+		take := min(give, p.Mix[cls])
 		p.Mix[cls] -= take
 		p.Mix[isa.ClassIntALU] += take
 		give -= take
@@ -304,7 +304,7 @@ func mutateFPDivShare(p *profile.Profile, target, s float64) {
 	if want > p.Mix[isa.ClassFPDiv] {
 		need := want - p.Mix[isa.ClassFPDiv]
 		for _, cls := range []isa.Class{isa.ClassFPAdd, isa.ClassFPMul} {
-			take := min64(need, p.Mix[cls])
+			take := min(need, p.Mix[cls])
 			p.Mix[cls] -= take
 			p.Mix[isa.ClassFPDiv] += take
 			need -= take
@@ -415,11 +415,4 @@ func cloneProfile(p *profile.Profile) *profile.Profile {
 	}
 	out.Graph = ng
 	return &out
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,7 @@
 package sfgl_test
 
 import (
-	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -25,16 +25,18 @@ func validGraphJSON(t testing.TB) []byte {
 		Edges: []*sfgl.Edge{{From: 0, To: 0, Count: 2}},
 		Loops: []*sfgl.Loop{{ID: 0, Header: 0, Nodes: []int{0}, Parent: -1, Entries: 1, Iterations: 3}},
 	}
-	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
+	data, err := json.Marshal(g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
-// FuzzSFGLLoad asserts sfgl.Load never panics and never accepts a graph
-// that fails its own validation: corrupt, truncated, or future-versioned
-// stream descriptors must surface as errors.
+// FuzzSFGLLoad decodes a graph the way profile.Load does (json.Unmarshal,
+// then Validate) and asserts it never panics and never accepts a graph
+// with a nil node, a memory site without a stream descriptor, or a stream
+// version outside 1..StreamVersion: corrupt, truncated, or
+// future-versioned stream descriptors must surface as errors.
 func FuzzSFGLLoad(f *testing.F) {
 	valid := validGraphJSON(f)
 	f.Add(valid)
@@ -44,12 +46,19 @@ func FuzzSFGLLoad(f *testing.F) {
 	f.Add([]byte(strings.Replace(string(valid), `"v":1`, `"v":0`, 1))) // zero stream version
 	f.Add([]byte(`[]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := sfgl.Load(bytes.NewReader(data))
-		if err != nil {
+		var g sfgl.Graph
+		if json.Unmarshal(data, &g) != nil || g.Validate() != nil {
 			return
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("Load returned invalid graph without error: %v", err)
+		for _, n := range g.Nodes {
+			if n == nil {
+				t.Fatal("Validate accepted a nil node")
+			}
+			for i, in := range n.Instrs {
+				if s := in.Stream; s == nil && in.MemClass >= 0 || s != nil && (s.V < 1 || s.V > sfgl.StreamVersion) {
+					t.Fatalf("Validate accepted node %d instr %d: memClass %d stream %+v", n.ID, i, in.MemClass, s)
+				}
+			}
 		}
 	})
 }

@@ -9,9 +9,7 @@
 package sfgl
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/isa"
 )
@@ -96,8 +94,9 @@ func (s *Stream) TopFrac(n int) float64 {
 
 // Validate checks a graph's stream descriptors: every memory site (memory
 // class >= 0) must carry one, and every version must be known and
-// positive. Load calls it so that corrupt, pre-stream or future-versioned
-// profiles fail loudly instead of synthesizing from garbage.
+// positive. profile.Load calls it so that corrupt, pre-stream or
+// future-versioned profiles fail loudly instead of synthesizing from
+// garbage.
 func (g *Graph) Validate() error {
 	for _, n := range g.Nodes {
 		if n == nil {
@@ -344,25 +343,4 @@ func StrideBytes(class int) int {
 		class = 8
 	}
 	return class * 4
-}
-
-// Save writes the graph as JSON.
-func (g *Graph) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(g)
-}
-
-// Load reads a graph from JSON. Graphs with corrupt structure, memory
-// sites without a stream descriptor, or stream descriptors from an
-// unknown version are rejected with an error.
-func Load(r io.Reader) (*Graph, error) {
-	var g Graph
-	if err := json.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("sfgl: decode: %w", err)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &g, nil
 }
