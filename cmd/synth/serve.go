@@ -514,6 +514,25 @@ func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// readPOST reads the body of a POST endpoint, capped at 1 MiB: a spec or a
+// batch is a list of names and numbers, and without the cap one oversized
+// POST would buffer unbounded memory while holding an admission slot. It
+// answers any other method with 405 and hint, and a failed read with 400
+// naming what the body is; ok is false when it has answered.
+func readPOST(w http.ResponseWriter, r *http.Request, what, hint string) (body []byte, ok bool) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		httpError(w, http.StatusMethodNotAllowed, "%s", hint)
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad %s body: %v", what, err)
+		return nil, false
+	}
+	return body, true
+}
+
 // handleExplore evaluates a design-space sweep: the POST body is the
 // same JSON spec `synth explore -spec` consumes, and the response is the
 // full ranked report. The whole sweep occupies one admission slot, and
@@ -521,14 +540,8 @@ func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // overlapping sweep requests recompute only what no earlier request (or
 // the store) has seen.
 func (s *server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "POST a sweep spec JSON body (see docs/explore.md)")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec body: %v", err)
+	body, ok := readPOST(w, r, "spec", "POST a sweep spec JSON body (see docs/explore.md)")
+	if !ok {
 		return
 	}
 	sw, err := explore.ParseSpec(body)
@@ -554,14 +567,8 @@ func (s *server) handleExplore(w http.ResponseWriter, r *http.Request) {
 // the report and every underlying synthesis are cached pipeline
 // artifacts, so a repeated spec is answered from the store.
 func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "POST a generation spec JSON body (see docs/generate.md)")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec body: %v", err)
+	body, ok := readPOST(w, r, "spec", "POST a generation spec JSON body (see docs/generate.md)")
+	if !ok {
 		return
 	}
 	spec, err := generate.ParseSpec(body)
@@ -581,7 +588,8 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchRequest is the POST body of /api/v1/batch/synthesize: an explicit
-// workload list, a suite name, or both (the union, deduplicated).
+// workload list, a suite name, or both (the named workloads, then the
+// suite's, each once).
 type batchRequest struct {
 	Workloads []string `json:"workloads"`
 	Suite     string   `json:"suite"`
@@ -605,48 +613,29 @@ type batchResponse struct {
 
 // handleBatchSynthesize synthesizes many clones in one request, fanned out
 // on the shared pipeline's worker pool. Each source in the response is
-// byte-identical to the single-workload endpoint's; item order follows the
-// request. The whole batch occupies one admission slot, so a farm driving
+// byte-identical to the single-workload endpoint's; items come in
+// batchRequest order. The whole batch occupies one admission slot, so a farm driving
 // batches cannot starve interactive requests any worse than one request
 // can.
 func (s *server) handleBatchSynthesize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON body {workloads:[...]} or {suite:\"quick\"}")
+	body, ok := readPOST(w, r, "batch", "POST a JSON body {workloads:[...]} or {suite:\"quick\"}")
+	if !ok {
 		return
 	}
-	// A batch body is a list of names; a megabyte is already generous.
-	// Without the cap, one oversized POST would buffer unbounded memory
-	// while holding a single admission slot.
 	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad batch body: %v", err)
 		return
 	}
-	names := append([]string(nil), req.Workloads...)
-	if req.Suite != "" {
-		ws, err := experiments.Suite(req.Suite)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
+	// The named workloads come first, then the suite's.
+	wls, err := experiments.Resolve(req.Suite, req.Workloads, true)
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, experiments.ErrUnknownWorkload) {
+			status = http.StatusNotFound
 		}
-		for _, wl := range ws {
-			names = append(names, wl.Name)
-		}
-	}
-	seen := map[string]bool{}
-	var wls []*workloads.Workload
-	for _, n := range names {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		wl := workloads.ByName(n)
-		if wl == nil {
-			httpError(w, http.StatusNotFound, "unknown workload %q", n)
-			return
-		}
-		wls = append(wls, wl)
+		httpError(w, status, "%v", err)
+		return
 	}
 	if len(wls) == 0 {
 		httpError(w, http.StatusBadRequest, "empty batch: name workloads or a suite")

@@ -363,6 +363,7 @@ func TestServeBatchSynthesize(t *testing.T) {
 		{"POST", `{}`, http.StatusBadRequest},
 		{"POST", `{"workloads": ["no/such"]}`, http.StatusNotFound},
 		{"POST", `{"suite": "bogus"}`, http.StatusBadRequest},
+		{"POST", `{"suite":"tiny"} garbage`, http.StatusBadRequest},
 	}
 	for _, c := range errCases {
 		req := httptest.NewRequest(c.method, "/api/v1/batch/synthesize", strings.NewReader(c.body))

@@ -14,8 +14,13 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 
+	"repro/internal/compiler"
+	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -57,6 +62,46 @@ func Suite(name string) ([]*workloads.Workload, error) {
 	return nil, fmt.Errorf("unknown suite %q (want tiny, quick, or full)", name)
 }
 
+// ErrUnknownWorkload is wrapped by Resolve's error for a name that no
+// workload has.
+var ErrUnknownWorkload = errors.New("unknown workload")
+
+// Resolve returns a workload set: the suite's workloads (none when suite
+// is empty) and the named ones, the suite's first unless namesFirst is
+// set, each once where first seen. A bad suite fails before any name is
+// looked up. It is the single resolution path of explore, generate and the
+// HTTP batch endpoint.
+func Resolve(suite string, names []string, namesFirst bool) ([]*workloads.Workload, error) {
+	var fromSuite []*workloads.Workload
+	if suite != "" {
+		var err error
+		if fromSuite, err = Suite(suite); err != nil {
+			return nil, err
+		}
+	}
+	var named []*workloads.Workload
+	for _, n := range names {
+		w := workloads.ByName(n)
+		if w == nil {
+			return nil, fmt.Errorf("%w %q", ErrUnknownWorkload, n)
+		}
+		named = append(named, w)
+	}
+	first, second := fromSuite, named
+	if namesFirst {
+		first, second = named, fromSuite
+	}
+	var out []*workloads.Workload
+	seen := map[string]bool{}
+	for _, w := range slices.Concat(first, second) {
+		if !seen[w.Name] {
+			seen[w.Name] = true
+			out = append(out, w)
+		}
+	}
+	return out, nil
+}
+
 // Quick returns the representative subset.
 func Quick() []*workloads.Workload {
 	names := []string{
@@ -85,6 +130,35 @@ type Runner struct {
 
 // NewRunner wraps a pipeline in a Runner.
 func NewRunner(p *pipeline.Pipeline) *Runner { return &Runner{P: p} }
+
+// pair is one measurement of an original program and of its clone.
+type pair[T any] struct{ orig, syn T }
+
+// measurePairs is the evaluation's one method: it compiles each workload
+// and its clone at the same (target, level) point, measures the original
+// with its inputs and the clone without, and returns out[w][l] for
+// suite[w] at levels[l], in suite order. Each workload is one pool job
+// that loops over the levels.
+func measurePairs[T any](ctx context.Context, p *pipeline.Pipeline, suite []*workloads.Workload,
+	target *isa.Desc, measure func(*isa.Program, func(*vm.VM) error) (T, error),
+	levels ...compiler.OptLevel) ([][]pair[T], error) {
+	return pipeline.Map(ctx, p, suite, func(ctx context.Context, w *workloads.Workload) ([]pair[T], error) {
+		out := make([]pair[T], len(levels))
+		for l, level := range levels {
+			progs, err := p.PairAt(ctx, w, target, level)
+			if err != nil {
+				return nil, err
+			}
+			if out[l].orig, err = measure(progs.Orig, w.Setup); err != nil {
+				return nil, fmt.Errorf("%s: %w", w.Name, err)
+			}
+			if out[l].syn, err = measure(progs.Syn, nil); err != nil {
+				return nil, fmt.Errorf("%s clone: %w", w.Name, err)
+			}
+		}
+		return out, nil
+	})
+}
 
 // runProgram executes a loaded program with an optional setup and hook.
 func runProgram(m *vm.VM, setup func(*vm.VM) error, hook vm.Hook) (vm.Result, error) {

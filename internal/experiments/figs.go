@@ -89,38 +89,15 @@ type Fig5Result struct {
 	Syn    []float64
 }
 
-// fig5Row is one workload's per-level dyn counts, normalized to its O0.
-type fig5Row struct {
-	orig, syn []float64
+func measureDyn(prog *isa.Program, setup func(*vm.VM) error) (float64, error) {
+	res, err := runProgram(vm.New(prog), setup, nil)
+	return float64(res.DynInstrs), err
 }
 
 // Fig5 measures how the dynamic instruction count responds to the
 // optimization level for originals and clones.
 func (r *Runner) Fig5(ctx context.Context, suite []*workloads.Workload) (*Fig5Result, error) {
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (fig5Row, error) {
-		var row fig5Row
-		var o0Orig, o0Syn float64
-		for li, level := range compiler.Levels {
-			pair, err := r.P.PairAt(ctx, w, isa.AMD64, level)
-			if err != nil {
-				return row, err
-			}
-			ro, err := runProgram(vm.New(pair.Orig), w.Setup, nil)
-			if err != nil {
-				return row, fmt.Errorf("%s %v: %w", w.Name, level, err)
-			}
-			rs, err := runProgram(vm.New(pair.Syn), nil, nil)
-			if err != nil {
-				return row, fmt.Errorf("%s clone %v: %w", w.Name, level, err)
-			}
-			if li == 0 {
-				o0Orig, o0Syn = float64(ro.DynInstrs), float64(rs.DynInstrs)
-			}
-			row.orig = append(row.orig, float64(ro.DynInstrs)/o0Orig)
-			row.syn = append(row.syn, float64(rs.DynInstrs)/o0Syn)
-		}
-		return row, nil
-	})
+	rows, err := measurePairs(ctx, r.P, suite, isa.AMD64, measureDyn, compiler.Levels...)
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +105,8 @@ func (r *Runner) Fig5(ctx context.Context, suite []*workloads.Workload) (*Fig5Re
 	for li, level := range compiler.Levels {
 		var po, ps []float64
 		for _, row := range rows {
-			po = append(po, row.orig[li])
-			ps = append(ps, row.syn[li])
+			po = append(po, row[li].orig/row[0].orig)
+			ps = append(ps, row[li].syn/row[0].syn)
 		}
 		res.Levels = append(res.Levels, level.String())
 		res.Orig = append(res.Orig, stats.Mean(po))
@@ -187,24 +164,7 @@ func measureMix(prog *isa.Program, setup func(*vm.VM) error) ([4]float64, error)
 
 // Fig6 measures the instruction mix per benchmark family at one level.
 func (r *Runner) Fig6(ctx context.Context, suite []*workloads.Workload, level compiler.OptLevel) (*Fig6Result, error) {
-	type mixPair struct {
-		orig, syn [4]float64
-	}
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (mixPair, error) {
-		pair, err := r.P.PairAt(ctx, w, isa.AMD64, level)
-		if err != nil {
-			return mixPair{}, err
-		}
-		om, err := measureMix(pair.Orig, w.Setup)
-		if err != nil {
-			return mixPair{}, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		sm, err := measureMix(pair.Syn, nil)
-		if err != nil {
-			return mixPair{}, fmt.Errorf("%s clone: %w", w.Name, err)
-		}
-		return mixPair{orig: om, syn: sm}, nil
-	})
+	rows, err := measurePairs(ctx, r.P, suite, isa.AMD64, measureMix, level)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +176,7 @@ func (r *Runner) Fig6(ctx context.Context, suite []*workloads.Workload, level co
 			order = append(order, w.Bench)
 		}
 		perBench[w.Bench] = append(perBench[w.Bench],
-			&MixRow{Name: w.Name, Orig: rows[i].orig, Syn: rows[i].syn})
+			&MixRow{Name: w.Name, Orig: rows[i][0].orig, Syn: rows[i][0].syn})
 	}
 	var avg MixRow
 	avg.Name = "average"
@@ -293,25 +253,14 @@ func measureCacheSweep(prog *isa.Program, setup func(*vm.VM) error) ([]float64, 
 
 // FigCache measures data-cache hit rates for 1KB..32KB caches.
 func (r *Runner) FigCache(ctx context.Context, suite []*workloads.Workload, level compiler.OptLevel) (*FigCacheResult, error) {
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (CacheRow, error) {
-		pair, err := r.P.PairAt(ctx, w, isa.AMD64, level)
-		if err != nil {
-			return CacheRow{}, err
-		}
-		oh, err := measureCacheSweep(pair.Orig, w.Setup)
-		if err != nil {
-			return CacheRow{}, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		sh, err := measureCacheSweep(pair.Syn, nil)
-		if err != nil {
-			return CacheRow{}, fmt.Errorf("%s clone: %w", w.Name, err)
-		}
-		return CacheRow{Name: w.Name, Orig: oh, Syn: sh}, nil
-	})
+	rows, err := measurePairs(ctx, r.P, suite, isa.AMD64, measureCacheSweep, level)
 	if err != nil {
 		return nil, err
 	}
-	res := &FigCacheResult{Level: level.String(), Rows: rows}
+	res := &FigCacheResult{Level: level.String()}
+	for i, w := range suite {
+		res.Rows = append(res.Rows, CacheRow{Name: w.Name, Orig: rows[i][0].orig, Syn: rows[i][0].syn})
+	}
 	for _, cfg := range cache.SweepConfigs() {
 		res.Sizes = append(res.Sizes, cfg.Name)
 	}
@@ -380,33 +329,17 @@ func measureBranchAcc(prog *isa.Program, setup func(*vm.VM) error) (float64, err
 
 // Fig9 measures hybrid-predictor accuracy for originals and clones.
 func (r *Runner) Fig9(ctx context.Context, suite []*workloads.Workload) (*Fig9Result, error) {
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (BranchRow, error) {
-		row := BranchRow{Name: w.Name}
-		for _, level := range []compiler.OptLevel{compiler.O0, compiler.O2} {
-			pair, err := r.P.PairAt(ctx, w, isa.AMD64, level)
-			if err != nil {
-				return row, err
-			}
-			oa, err := measureBranchAcc(pair.Orig, w.Setup)
-			if err != nil {
-				return row, fmt.Errorf("%s: %w", w.Name, err)
-			}
-			sa, err := measureBranchAcc(pair.Syn, nil)
-			if err != nil {
-				return row, fmt.Errorf("%s clone: %w", w.Name, err)
-			}
-			if level == compiler.O0 {
-				row.OrigO0, row.SynO0 = oa, sa
-			} else {
-				row.OrigO2, row.SynO2 = oa, sa
-			}
-		}
-		return row, nil
-	})
+	rows, err := measurePairs(ctx, r.P, suite, isa.AMD64, measureBranchAcc, compiler.O0, compiler.O2)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig9Result{Rows: rows}, nil
+	res := &Fig9Result{}
+	for i, w := range suite {
+		o0, o2 := rows[i][0], rows[i][1]
+		res.Rows = append(res.Rows, BranchRow{Name: w.Name,
+			OrigO0: o0.orig, OrigO2: o2.orig, SynO0: o0.syn, SynO2: o2.syn})
+	}
+	return res, nil
 }
 
 // Print renders the figure.

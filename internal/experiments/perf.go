@@ -14,6 +14,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/sfgl"
 	"repro/internal/stats"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -45,32 +46,23 @@ func (r *Runner) Fig10(ctx context.Context, suite []*workloads.Workload) (*Fig10
 	for _, kb := range Fig10L1Sizes {
 		cfgs = append(cfgs, cpu.Simulated2Wide(kb))
 	}
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (CPIRow, error) {
-		pair, err := r.P.PairAt(ctx, w, cfgs[0].ISA, compiler.O2)
-		if err != nil {
-			return CPIRow{}, err
+	cpis := func(prog *isa.Program, setup func(*vm.VM) error) ([]float64, error) {
+		sums, err := cpu.SimulateMany(prog, setup, cfgs, 0)
+		var out []float64
+		for _, s := range sums {
+			out = append(out, s.CPI)
 		}
-		ro, err := cpu.SimulateMany(pair.Orig, w.Setup, cfgs, 0)
-		if err != nil {
-			return CPIRow{}, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		rs, err := cpu.SimulateMany(pair.Syn, nil, cfgs, 0)
-		if err != nil {
-			return CPIRow{}, fmt.Errorf("%s clone: %w", w.Name, err)
-		}
-		row := CPIRow{Name: w.Name}
-		for i := range cfgs {
-			row.Orig = append(row.Orig, ro[i].CPI)
-			row.Syn = append(row.Syn, rs[i].CPI)
-		}
-		return row, nil
-	})
+		return out, err
+	}
+	rows, err := measurePairs(ctx, r.P, suite, cfgs[0].ISA, cpis, compiler.O2)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig10Result{Rows: rows}
+	res := &Fig10Result{}
 	var allOrig, allSyn []float64
-	for _, row := range rows {
+	for i, w := range suite {
+		row := CPIRow{Name: w.Name, Orig: rows[i][0].orig, Syn: rows[i][0].syn}
+		res.Rows = append(res.Rows, row)
 		allOrig = append(allOrig, row.Orig...)
 		allSyn = append(allSyn, row.Syn...)
 	}

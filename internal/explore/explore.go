@@ -115,30 +115,10 @@ func (p Point) Config() cpu.Config { return p.Spec }
 func (s Spec) Resolve() (*Sweep, error) {
 	sw := &Sweep{Spec: s}
 
-	// Evaluation suite: the named suite, then the extra workloads,
-	// deduplicated in order.
-	var names []string
-	if s.Suite != "" {
-		ws, err := experiments.Suite(s.Suite)
-		if err != nil {
-			return nil, fmt.Errorf("explore: %w", err)
-		}
-		for _, w := range ws {
-			names = append(names, w.Name)
-		}
-	}
-	names = append(names, s.Workloads...)
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		w := workloads.ByName(n)
-		if w == nil {
-			return nil, fmt.Errorf("explore: unknown workload %q", n)
-		}
-		sw.Workloads = append(sw.Workloads, w)
+	// Evaluation suite: the named suite, then the extra workloads.
+	var err error
+	if sw.Workloads, err = experiments.Resolve(s.Suite, s.Workloads, false); err != nil {
+		return nil, fmt.Errorf("explore: %w", err)
 	}
 	if len(sw.Workloads) == 0 {
 		return nil, fmt.Errorf("explore: no workloads (set suite and/or workloads)")

@@ -74,29 +74,11 @@ func BaselineWorkloads(spec *Spec) ([]*workloads.Workload, error) {
 	if suite == "" {
 		suite = "quick"
 	}
-	ws, err := experiments.Suite(suite)
+	ws, err := experiments.Resolve(suite, spec.Workloads, false)
 	if err != nil {
 		return nil, fmt.Errorf("generate: %w", err)
 	}
-	var names []string
-	for _, w := range ws {
-		names = append(names, w.Name)
-	}
-	names = append(names, spec.Workloads...)
-	seen := map[string]bool{}
-	var out []*workloads.Workload
-	for _, n := range names {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		w := workloads.ByName(n)
-		if w == nil {
-			return nil, fmt.Errorf("generate: unknown workload %q", n)
-		}
-		out = append(out, w)
-	}
-	return out, nil
+	return ws, nil
 }
 
 // samplePoints profiles the baseline through the cached pipeline and runs
