@@ -614,9 +614,9 @@ type batchResponse struct {
 // handleBatchSynthesize synthesizes many clones in one request, fanned out
 // on the shared pipeline's worker pool. Each source in the response is
 // byte-identical to the single-workload endpoint's; items come in
-// batchRequest order. The whole batch occupies one admission slot, so a farm driving
-// batches cannot starve interactive requests any worse than one request
-// can.
+// batchRequest order. The whole batch occupies one admission slot, so a
+// farm driving batches cannot starve interactive requests any worse than
+// one request can.
 func (s *server) handleBatchSynthesize(w http.ResponseWriter, r *http.Request) {
 	body, ok := readPOST(w, r, "batch", "POST a JSON body {workloads:[...]} or {suite:\"quick\"}")
 	if !ok {
