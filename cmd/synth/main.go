@@ -233,9 +233,9 @@ func lookupWorkload(name string) (*workloads.Workload, error) {
 	if name == "" {
 		return nil, fmt.Errorf("missing -workload (try \"synth workloads\")")
 	}
-	w := workloads.ByName(name)
-	if w == nil {
-		return nil, fmt.Errorf("unknown workload %q (try \"synth workloads\")", name)
+	w, err := experiments.Lookup(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w (try \"synth workloads\")", err)
 	}
 	return w, nil
 }

@@ -331,9 +331,9 @@ func queryWorkload(r *http.Request) (*workloads.Workload, int, error) {
 	if name == "" {
 		return nil, http.StatusBadRequest, errors.New("missing workload parameter")
 	}
-	w := workloads.ByName(name)
-	if w == nil {
-		return nil, http.StatusNotFound, fmt.Errorf("unknown workload %q", name)
+	w, err := experiments.Lookup(name)
+	if err != nil {
+		return nil, http.StatusNotFound, err
 	}
 	return w, 0, nil
 }
@@ -443,9 +443,9 @@ func (s *server) handleConsolidate(w http.ResponseWriter, r *http.Request) {
 	}
 	var wls []*workloads.Workload
 	for _, n := range names {
-		wl := workloads.ByName(n)
-		if wl == nil {
-			httpError(w, http.StatusNotFound, "unknown workload %q", n)
+		wl, err := experiments.Lookup(n)
+		if err != nil {
+			httpError(w, http.StatusNotFound, "%v", err)
 			return
 		}
 		wls = append(wls, wl)

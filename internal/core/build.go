@@ -197,9 +197,9 @@ func measureRun(vmc *vm.VM, budget uint64) (observed, error) {
 		// Budget exhausted: report the cap.
 	}
 	obs := observed{dyn: res.DynInstrs}
-	for s, n := range counts {
-		obs.mix[lay.Instr(s).Class()] += n
-	}
+	lay.Walk(func(s int, _ vm.SiteLoc, in *isa.Instr) {
+		obs.mix[in.Class()] += counts[s]
+	})
 	if res.DynInstrs > 0 {
 		obs.missPI = float64(misses) / float64(res.DynInstrs)
 	}

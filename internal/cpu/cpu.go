@@ -404,9 +404,7 @@ const (
 
 func buildSites(prog *isa.Program, lay *vm.Layout) []siteInfo {
 	sites := make([]siteInfo, lay.NumSites())
-	for s := range sites {
-		in := lay.Instr(s)
-		loc := lay.Loc(s)
+	lay.Walk(func(s int, loc vm.SiteLoc, in *isa.Instr) {
 		si := &sites[s]
 		si.u1, si.u2, si.def = ir.UseDef2(in)
 		si.lat = uint32(latencyFor(in.Class()))
@@ -429,7 +427,7 @@ func buildSites(prog *isa.Program, lay *vm.Layout) []siteInfo {
 			bundleID = blk.Bundle[loc.Index]
 		}
 		si.bkey = uint64(lay.BlockID(loc.Func, loc.Block))<<20 | uint64(bundleID)&(1<<20-1)
-	}
+	})
 	return sites
 }
 

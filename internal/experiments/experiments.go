@@ -62,9 +62,19 @@ func Suite(name string) ([]*workloads.Workload, error) {
 	return nil, fmt.Errorf("unknown suite %q (want tiny, quick, or full)", name)
 }
 
-// ErrUnknownWorkload is wrapped by Resolve's error for a name that no
+// ErrUnknownWorkload is wrapped by Lookup's error for a name that no
 // workload has.
 var ErrUnknownWorkload = errors.New("unknown workload")
+
+// Lookup returns the workload called name. It is the single name lookup of
+// the CLI, the HTTP service and Resolve.
+func Lookup(name string) (*workloads.Workload, error) {
+	w := workloads.ByName(name)
+	if w == nil {
+		return nil, fmt.Errorf("%w %q", ErrUnknownWorkload, name)
+	}
+	return w, nil
+}
 
 // Resolve returns a workload set: the suite's workloads (none when suite
 // is empty) and the named ones, the suite's first unless namesFirst is
@@ -81,9 +91,9 @@ func Resolve(suite string, names []string, namesFirst bool) ([]*workloads.Worklo
 	}
 	var named []*workloads.Workload
 	for _, n := range names {
-		w := workloads.ByName(n)
-		if w == nil {
-			return nil, fmt.Errorf("%w %q", ErrUnknownWorkload, n)
+		w, err := Lookup(n)
+		if err != nil {
+			return nil, err
 		}
 		named = append(named, w)
 	}

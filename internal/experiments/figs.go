@@ -309,13 +309,12 @@ func measureBranchAcc(prog *isa.Program, setup func(*vm.VM) error) (float64, err
 	// Per-site predictor PCs, derived from each branch's static location.
 	isBranch := make([]bool, lay.NumSites())
 	pcBySite := make([]uint64, lay.NumSites())
-	for s := range pcBySite {
-		if lay.Instr(s).Op == isa.BR {
-			loc := lay.Loc(s)
+	lay.Walk(func(s int, loc vm.SiteLoc, in *isa.Instr) {
+		if in.Op == isa.BR {
 			isBranch[s] = true
 			pcBySite[s] = cpu.BranchPC(loc.Func, loc.Block, loc.Index)
 		}
-	}
+	})
 	_, err := runProgram(m, setup, func(ev *vm.Event) {
 		if isBranch[ev.Site] {
 			meter.Observe(pcBySite[ev.Site], ev.Taken)

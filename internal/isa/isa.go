@@ -344,16 +344,6 @@ func (p *Program) GlobalIndex(name string) int {
 	return -1
 }
 
-// FuncIndex returns the index of the named function, or -1.
-func (p *Program) FuncIndex(name string) int {
-	for i, f := range p.Funcs {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // NumStaticInstrs counts instructions across all functions.
 func (p *Program) NumStaticInstrs() int {
 	n := 0

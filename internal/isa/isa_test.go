@@ -172,12 +172,6 @@ func TestProgramLookups(t *testing.T) {
 	if i := p.GlobalIndex("missing"); i != -1 {
 		t.Errorf("GlobalIndex(missing) = %d", i)
 	}
-	if i := p.FuncIndex("work"); i != 1 {
-		t.Errorf("FuncIndex(work) = %d", i)
-	}
-	if i := p.FuncIndex("missing"); i != -1 {
-		t.Errorf("FuncIndex(missing) = %d", i)
-	}
 	if n := p.NumStaticInstrs(); n != 3 {
 		t.Errorf("NumStaticInstrs = %d, want 3", n)
 	}

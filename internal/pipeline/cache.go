@@ -77,19 +77,8 @@ func (k Key) Digest() string {
 // already-stored work — pass it alongside Digest and Canonical so a digest
 // collision between artifact types reads as absent.
 func (k Key) StoreKind() string {
-	switch k.Stage {
-	case StageCompile:
-		return store.KindProgram
-	case StageProfile:
-		return store.KindProfile
-	case StageSynthesize:
-		return store.KindClone
-	case StageValidate:
-		return store.KindMarker
-	case StageSimulate:
-		return store.KindSim
-	case StageGenerate:
-		return store.KindGenerate
+	if cd := codecFor(k.Stage); cd != nil {
+		return cd.kind
 	}
 	return ""
 }
@@ -150,15 +139,6 @@ type entry struct {
 	err   error
 }
 
-// codec (de)serializes one artifact kind for the disk tier. Stages whose
-// artifacts are process-bound (ASTs with pointer identity) have no codec
-// and stay memory-only.
-type codec struct {
-	kind   string
-	encode func(any) ([]byte, error)
-	decode func([]byte) (any, error)
-}
-
 // cacheCounters is the one store of a cache's CacheStats counts; the
 // metrics registry reads it at scrape time (see newCacheTelemetry).
 type cacheCounters struct {
@@ -203,7 +183,8 @@ func newArtifactCache(disk store.Backend, reg *telemetry.Registry, tracer *telem
 
 // fromDisk tries to satisfy k from the persistent tier. A damaged or
 // mismatched entry is a miss.
-func (c *artifactCache) fromDisk(k Key, cd *codec) (any, bool) {
+func (c *artifactCache) fromDisk(k Key) (any, bool) {
+	cd := codecFor(k.Stage)
 	if c.disk == nil || cd == nil {
 		return nil, false
 	}
@@ -224,7 +205,8 @@ func (c *artifactCache) fromDisk(k Key, cd *codec) (any, bool) {
 
 // toDisk writes a freshly computed artifact through to the persistent
 // tier. Failures are counted, not propagated: the store is a cache.
-func (c *artifactCache) toDisk(k Key, cd *codec, v any) {
+func (c *artifactCache) toDisk(k Key, v any) {
+	cd := codecFor(k.Stage)
 	if c.disk == nil || cd == nil {
 		return
 	}
@@ -238,17 +220,17 @@ func (c *artifactCache) toDisk(k Key, cd *codec, v any) {
 }
 
 // do returns the artifact for k, computing it with fn at most once across
-// all concurrent callers. Lookup order is memory, then disk (when cd and a
-// store are configured), then fn with a write-through to disk. Failed
-// computations are not cached, and waiters that coalesced onto a
-// computation whose owner got canceled retry under their own context
-// instead of inheriting the cancellation — the pipeline is shared, and one
-// run's cancel must not fail an unrelated run's jobs.
+// all concurrent callers. Lookup order is memory, then disk (when k's
+// stage has a codec and a store is configured), then fn with a
+// write-through to disk. Failed computations are not cached, and waiters
+// that coalesced onto a computation whose owner got canceled retry under
+// their own context instead of inheriting the cancellation — the pipeline
+// is shared, and one run's cancel must not fail an unrelated run's jobs.
 //
 // fn receives the context to run under: when tracing is enabled this is
 // the computation's span context, so nested stage calls made inside fn
 // parent their spans under this artifact's span.
-func (c *artifactCache) do(ctx context.Context, k Key, cd *codec, fn func(context.Context) (any, error)) (any, error) {
+func (c *artifactCache) do(ctx context.Context, k Key, fn func(context.Context) (any, error)) (any, error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.m[k]; ok {
@@ -271,18 +253,18 @@ func (c *artifactCache) do(ctx context.Context, k Key, cd *codec, fn func(contex
 		c.m[k] = e
 		c.mu.Unlock()
 
-		if v, ok := c.fromDisk(k, cd); ok {
+		if v, ok := c.fromDisk(k); ok {
 			c.n.diskHits.Add(1)
 			e.val = v
 			close(e.ready)
 			return v, nil
 		}
 
-		if c.disk != nil && cd != nil {
+		if c.disk != nil && codecFor(k.Stage) != nil {
 			// Persisted stage over a shared store: gate the computation on a
 			// cross-process in-progress marker so concurrent processes never
 			// duplicate it. computeGated writes the artifact through itself.
-			e.val, e.err = c.computeGated(ctx, k, cd, fn)
+			e.val, e.err = c.computeGated(ctx, k, fn)
 		} else {
 			e.val, e.err = c.compute(ctx, k, fn)
 		}
@@ -348,7 +330,7 @@ func wipName(k Key) string {
 // hit. A stale marker (no heartbeat for wipTTL) is stolen, and any marker
 // operation failing for other reasons degrades to an uncoordinated compute:
 // the gate is a dedup optimization, never a correctness gate.
-func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, fn func(context.Context) (any, error)) (any, error) {
+func (c *artifactCache) computeGated(ctx context.Context, k Key, fn func(context.Context) (any, error)) (any, error) {
 	marker := wipName(k)
 	retried := false
 	for {
@@ -360,14 +342,14 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, fn f
 			if retried {
 				// We waited on another process's marker before winning the
 				// claim; it may have finished between our last poll and now.
-				if v, ok := c.fromDisk(k, cd); ok {
+				if v, ok := c.fromDisk(k); ok {
 					c.disk.Remove(marker)
 					c.n.diskHits.Add(1)
 					c.tm.wipAdopted.Inc()
 					return v, nil
 				}
 			}
-			return c.computeOwned(ctx, k, cd, marker, fn)
+			return c.computeOwned(ctx, k, marker, fn)
 		}
 		if !errors.Is(err, fs.ErrExist) {
 			// Store flake on the marker path: fall back to computing without
@@ -375,7 +357,7 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, fn f
 			c.n.diskErrors.Add(1)
 			v, ferr := c.compute(ctx, k, fn)
 			if ferr == nil {
-				c.toDisk(k, cd, v)
+				c.toDisk(k, v)
 			}
 			return v, ferr
 		}
@@ -386,7 +368,7 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, fn f
 			return nil, ctx.Err()
 		case <-time.After(wipPoll):
 		}
-		if v, ok := c.fromDisk(k, cd); ok {
+		if v, ok := c.fromDisk(k); ok {
 			c.n.diskHits.Add(1)
 			c.tm.wipAdopted.Inc()
 			return v, nil
@@ -407,7 +389,7 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, fn f
 // artifact is written through before the marker is released, so a waiter
 // that observes the marker disappear without an artifact knows the owner
 // failed.
-func (c *artifactCache) computeOwned(ctx context.Context, k Key, cd *codec, marker string, fn func(context.Context) (any, error)) (any, error) {
+func (c *artifactCache) computeOwned(ctx context.Context, k Key, marker string, fn func(context.Context) (any, error)) (any, error) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -425,7 +407,7 @@ func (c *artifactCache) computeOwned(ctx context.Context, k Key, cd *codec, mark
 	}()
 	v, err := c.compute(ctx, k, fn)
 	if err == nil {
-		c.toDisk(k, cd, v)
+		c.toDisk(k, v)
 	}
 	close(stop)
 	<-done

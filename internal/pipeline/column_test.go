@@ -24,7 +24,7 @@ type simCounter struct {
 }
 
 func (b *simCounter) Get(digest, kind, key string) ([]byte, bool) {
-	if kind == store.KindSim {
+	if kind == "sim" {
 		b.mu.Lock()
 		b.gets++
 		b.mu.Unlock()
@@ -33,7 +33,7 @@ func (b *simCounter) Get(digest, kind, key string) ([]byte, bool) {
 }
 
 func (b *simCounter) Has(digest, kind, key string) bool {
-	if kind == store.KindSim {
+	if kind == "sim" {
 		b.mu.Lock()
 		b.has++
 		b.mu.Unlock()
@@ -43,7 +43,7 @@ func (b *simCounter) Has(digest, kind, key string) bool {
 
 func (b *simCounter) Put(digest, kind, key string, payload []byte) error {
 	err := b.Backend.Put(digest, kind, key, payload)
-	if kind == store.KindSim {
+	if kind == "sim" {
 		b.mu.Lock()
 		b.puts++
 		f := b.onPut

@@ -1,4 +1,4 @@
-package store_test
+package pipeline_test
 
 import (
 	"context"
@@ -16,7 +16,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/sfgl"
-	"repro/internal/store"
 	"repro/internal/vm"
 )
 
@@ -52,7 +51,7 @@ func quickPrograms(t testing.TB, targets []*isa.Desc, levels []compiler.OptLevel
 // decodes to the program that was encoded.
 func TestDecodeProgramQuickSuite(t *testing.T) {
 	for _, prog := range quickPrograms(t, []*isa.Desc{isa.X86, isa.AMD64, isa.IA64}, compiler.Levels) {
-		got, err := store.DecodeProgram(mustEncode(t, prog))
+		got, err := pipeline.DecodeProgram(mustEncode(t, prog))
 		if err != nil {
 			t.Fatalf("%s: compiled program rejected: %v", prog.ISA.Name, err)
 		}
@@ -71,7 +70,7 @@ func FuzzDecodeProgram(f *testing.F) {
 		f.Add(mustEncode(f, prog))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		prog, err := store.DecodeProgram(data)
+		prog, err := pipeline.DecodeProgram(data)
 		if err != nil {
 			return
 		}
@@ -96,7 +95,7 @@ func TestDecodeProfileRejectsPreStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = store.DecodeProfile(data)
+	_, err = pipeline.DecodeProfile(data)
 	if err == nil || !strings.Contains(err.Error(), "pre-stream profile") {
 		t.Fatalf("DecodeProfile(pre-stream) = %v, want a pre-stream profile error", err)
 	}
@@ -124,14 +123,14 @@ func TestDecodeProfileRejectsOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := store.DecodeProfile(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := pipeline.DecodeProfile(data); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: DecodeProfile = %v, want an error containing %q", tc.name, err, tc.want)
 		}
-		data, err = json.Marshal(&store.Clone{Source: progSrc, Profile: p})
+		data, err = pipeline.EncodeClone(&pipeline.Clone{Source: progSrc, Profile: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := store.DecodeClone(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := pipeline.DecodeClone(data); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: DecodeClone = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
@@ -142,8 +141,8 @@ func TestDecodeProfileRejectsOutOfRange(t *testing.T) {
 // one must be a decode error (a disk miss the pipeline recomputes), not a
 // hit with a nil profile.
 func TestDecodeCloneRejects(t *testing.T) {
-	encode := func(c any) []byte {
-		data, err := json.Marshal(c)
+	encode := func(c *pipeline.Clone) []byte {
+		data, err := pipeline.EncodeClone(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,17 +157,17 @@ func TestDecodeCloneRejects(t *testing.T) {
 	}{
 		{"null profile", []byte(`{"source":"void main() {}","profile":null}`), "missing profile"},
 		{"no profile field", []byte(`{"source":"void main() {}"}`), "missing profile"},
-		{"missing graph", encode(&store.Clone{Source: progSrc, Profile: &profile.Profile{Workload: "w"}}), "missing graph"},
-		{"pre-stream profile", encode(&store.Clone{Source: progSrc, Profile: preStreamProfile()}), "pre-stream profile"},
-		{"future stream version", encode(&store.Clone{Source: progSrc, Profile: futureStream}), "unsupported stream version"},
+		{"missing graph", encode(&pipeline.Clone{Source: progSrc, Profile: &profile.Profile{Workload: "w"}}), "missing graph"},
+		{"pre-stream profile", encode(&pipeline.Clone{Source: progSrc, Profile: preStreamProfile()}), "pre-stream profile"},
+		{"future stream version", encode(&pipeline.Clone{Source: progSrc, Profile: futureStream}), "unsupported stream version"},
 	}
 	for _, tc := range cases {
-		_, err := store.DecodeClone(tc.data)
+		_, err := pipeline.DecodeClone(tc.data)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: DecodeClone = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := store.DecodeClone(encode(&store.Clone{Source: progSrc, Profile: testProfile()})); err != nil {
+	if _, err := pipeline.DecodeClone(encode(&pipeline.Clone{Source: progSrc, Profile: testProfile()})); err != nil {
 		t.Errorf("valid clone rejected: %v", err)
 	}
 }
@@ -189,14 +188,14 @@ var quickSeeds = sync.OnceValue(func() (a quickArtifacts) {
 		if err != nil {
 			return quickArtifacts{err: err}
 		}
-		data, err := store.EncodeClone(&store.Clone{Source: cl.Source, Report: cl.Report, Profile: cl.Profile})
+		data, err := pipeline.EncodeClone(cl)
 		if err != nil {
 			return quickArtifacts{err: err}
 		}
 		a.clones = append(a.clones, data)
 		sum, err := p.Simulate(ctx, w, isa.AMD64, compiler.O2, cpu.Simulated2Wide(8), false, 20_000)
 		if err == nil {
-			data, err = store.EncodeSim(sum)
+			data, err = pipeline.EncodeSim(sum)
 		}
 		if err != nil {
 			return quickArtifacts{err: err}
@@ -218,7 +217,7 @@ func FuzzDecodeClone(f *testing.F) {
 	}
 	f.Add([]byte(`{"source":"void main() {}","profile":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := store.DecodeClone(data)
+		c, err := pipeline.DecodeClone(data)
 		if err != nil {
 			return
 		}
@@ -242,7 +241,7 @@ func FuzzDecodeSim(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := store.DecodeSim(data)
+		s, err := pipeline.DecodeSim(data)
 		if err == nil && s.Instrs == 0 {
 			t.Fatalf("accepted an empty simulation: %+v", s)
 		}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/hlc"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
-	"repro/internal/store"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -55,7 +54,7 @@ type gridPoint struct {
 }
 
 // compiledProgramDigests pins the compiler's output: FNV-64a of
-// store.EncodeProgram for every quick-suite original and clone at the
+// the stored program encoding for every quick-suite original and clone at the
 // experiments' seed, one row per ISA (x86v, amd64v, ia64v) and one column
 // per level (-O0 to -O3), recorded on linux/amd64. A change that alters
 // compiled code on purpose refreshes the table along with
@@ -264,7 +263,7 @@ func TestCloneGridOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				data, err := store.EncodeProgram(prog)
+				data, err := pipeline.EncodeProgram(prog)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -310,7 +309,7 @@ func TestCloneSourceRoundTrip(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				if enc[i], err = store.EncodeProgram(prog); err != nil {
+				if enc[i], err = pipeline.EncodeProgram(prog); err != nil {
 					return nil, err
 				}
 			}

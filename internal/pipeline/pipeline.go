@@ -113,7 +113,7 @@ func (p *Pipeline) Parse(ctx context.Context, w *workloads.Workload) (*hlc.Progr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	v, err := p.cache.do(ctx, Key{Stage: StageParse, Workload: w.Name}, nil, func(context.Context) (any, error) {
+	v, err := p.cache.do(ctx, Key{Stage: StageParse, Workload: w.Name}, func(context.Context) (any, error) {
 		prog, err := hlc.Parse(w.Source)
 		if err != nil {
 			return nil, p.fail(StageParse, w.Name, err)
@@ -131,7 +131,7 @@ func (p *Pipeline) Check(ctx context.Context, w *workloads.Workload) (*hlc.Check
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	v, err := p.cache.do(ctx, Key{Stage: StageCheck, Workload: w.Name}, nil, func(ctx context.Context) (any, error) {
+	v, err := p.cache.do(ctx, Key{Stage: StageCheck, Workload: w.Name}, func(ctx context.Context) (any, error) {
 		prog, err := p.Parse(ctx, w)
 		if err != nil {
 			return nil, err
@@ -155,7 +155,7 @@ func (p *Pipeline) Compile(ctx context.Context, w *workloads.Workload, target *i
 		return nil, err
 	}
 	key := compileKey(w, target, level)
-	v, err := p.cache.do(ctx, key, codecProgram, func(ctx context.Context) (any, error) {
+	v, err := p.cache.do(ctx, key, func(ctx context.Context) (any, error) {
 		cp, err := p.Check(ctx, w)
 		if err != nil {
 			return nil, err
@@ -179,7 +179,7 @@ func (p *Pipeline) Profile(ctx context.Context, w *workloads.Workload) (*profile
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	v, err := p.cache.do(ctx, profileKey(w), codecProfile, func(ctx context.Context) (any, error) {
+	v, err := p.cache.do(ctx, profileKey(w), func(ctx context.Context) (any, error) {
 		prog, err := p.Compile(ctx, w, profile.Target, profile.Level)
 		if err != nil {
 			return nil, err
@@ -228,7 +228,7 @@ func (p *Pipeline) Synthesize(ctx context.Context, w *workloads.Workload) (*Clon
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	v, err := p.cache.do(ctx, p.cloneKey(StageSynthesize, w), codecClone, func(ctx context.Context) (any, error) {
+	v, err := p.cache.do(ctx, p.cloneKey(StageSynthesize, w), func(ctx context.Context) (any, error) {
 		prof, err := p.Profile(ctx, w)
 		if err != nil {
 			return nil, err
@@ -273,14 +273,14 @@ func (p *Pipeline) SynthesizeProfile(ctx context.Context, prof *profile.Profile)
 	if prof == nil || prof.Graph == nil {
 		return nil, p.fail(StageSynthesize, "(profile)", fmt.Errorf("nil profile"))
 	}
-	payload, err := store.EncodeProfile(prof)
+	payload, err := codecs[StageProfile].encode(prof)
 	if err != nil {
 		return nil, p.fail(StageSynthesize, prof.Workload, err)
 	}
 	key := p.cloneKey(StageSynthesize, &workloads.Workload{
 		Name: "profile:" + store.Fingerprint(payload),
 	})
-	v, err := p.cache.do(ctx, key, codecClone, func(context.Context) (any, error) {
+	v, err := p.cache.do(ctx, key, func(context.Context) (any, error) {
 		return p.synthesizeClone(prof, prof.Workload)
 	})
 	if err != nil {
@@ -303,7 +303,7 @@ func (p *Pipeline) GenerateArtifact(ctx context.Context, fingerprint string, com
 	key := Key{Stage: StageGenerate, Workload: "generate:" + fingerprint,
 		ISA: profile.Target.Name, Level: profile.Level,
 		Seed: p.opts.Seed, Cache: profile.DefaultCache}
-	v, err := p.cache.do(ctx, key, codecGenerate, func(ctx context.Context) (any, error) {
+	v, err := p.cache.do(ctx, key, func(ctx context.Context) (any, error) {
 		data, err := compute(ctx)
 		if err != nil {
 			return nil, p.fail(StageGenerate, fingerprint, err)
@@ -324,7 +324,7 @@ func (p *Pipeline) CompileClone(ctx context.Context, w *workloads.Workload, targ
 	}
 	key := p.cloneKey(StageCompile, w)
 	key.ISA, key.Level = target.Name, level
-	v, err := p.cache.do(ctx, key, codecProgram, func(ctx context.Context) (any, error) {
+	v, err := p.cache.do(ctx, key, func(ctx context.Context) (any, error) {
 		cl, err := p.Synthesize(ctx, w)
 		if err != nil {
 			return nil, err
@@ -352,7 +352,7 @@ func (p *Pipeline) Validate(ctx context.Context, w *workloads.Workload) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, err := p.cache.do(ctx, p.cloneKey(StageValidate, w), codecMarker, func(ctx context.Context) (any, error) {
+	_, err := p.cache.do(ctx, p.cloneKey(StageValidate, w), func(ctx context.Context) (any, error) {
 		prog, err := p.CompileClone(ctx, w, profile.Target, profile.Level)
 		if err != nil {
 			return nil, err

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -57,7 +56,7 @@ func TestPipelineProfileDeterminism(t *testing.T) {
 			if err != nil {
 				return keyed{}, err
 			}
-			payload, err := store.EncodeProfile(prof)
+			payload, err := pipeline.EncodeProfile(prof)
 			if err != nil {
 				return keyed{}, err
 			}

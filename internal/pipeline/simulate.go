@@ -92,7 +92,7 @@ func (p *Pipeline) SimulateColumn(ctx context.Context, w *workloads.Workload, ta
 	var group []cpu.Summary // summaries of cfgs[at:at+len(group)]
 	at := 0
 	for i, key := range keys {
-		v, err := p.cache.do(ctx, key, codecSim, func(ctx context.Context) (any, error) {
+		v, err := p.cache.do(ctx, key, func(ctx context.Context) (any, error) {
 			if i >= at && i < at+len(group) {
 				return group[i-at], nil
 			}

@@ -76,11 +76,11 @@ func TestPipelineDiskWarmSharedStore(t *testing.T) {
 		t.Error("clone source differs between cold and warm runs")
 	}
 	for _, progs := range [][2]*isa.Program{{coldPair.Orig, warmPair.Orig}, {coldPair.Syn, warmPair.Syn}} {
-		cold, err := store.EncodeProgram(progs[0])
+		cold, err := pipeline.EncodeProgram(progs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := store.EncodeProgram(progs[1])
+		warm, err := pipeline.EncodeProgram(progs[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestPipelineDiskCloneWithoutProfileIsError(t *testing.T) {
 			Key     string                     `json:"key"`
 			Payload map[string]json.RawMessage `json:"payload"`
 		}
-		if err := json.Unmarshal(raw, &env); err != nil || env.Kind != store.KindClone {
+		if err := json.Unmarshal(raw, &env); err != nil || env.Kind != "clone" {
 			return err
 		}
 		delete(env.Payload, "profile")

@@ -226,9 +226,7 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string) (*Profile
 		siteJMP
 		siteCALL
 	)
-	for s := 0; s < nSites; s++ {
-		in := lay.Instr(s)
-		loc := lay.Loc(s)
+	lay.Walk(func(s int, loc vm.SiteLoc, in *isa.Instr) {
 		blockBySite[s] = int32(lay.BlockID(loc.Func, loc.Block))
 		entryBySite[s] = loc.Index == 0
 		switch in.Op {
@@ -242,7 +240,7 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string) (*Profile
 			kindBySite[s] = siteCALL
 			siteSym[s] = in.Sym
 		}
-	}
+	})
 	blockCounts := make([]uint64, nBlocks)
 	memStats := make([]memStat, nSites)
 	branchStats := make([]branchStat, nBlocks)
@@ -357,8 +355,7 @@ func buildGraph(prog *isa.Program, lay *vm.Layout,
 	}
 	edgesOf[lay.NumBlocks()] = len(g.Edges)
 
-	for s := 0; s < lay.NumSites(); s++ {
-		in, loc := lay.Instr(s), lay.Loc(s)
+	lay.Walk(func(s int, loc vm.SiteLoc, in *isa.Instr) {
 		info := sfgl.InstrInfo{Op: in.Op, Class: in.Class(), MemClass: -1}
 		if ms := &memStats[s]; ms.accesses > 0 {
 			info.MemClass = sfgl.MemClassFor(float64(ms.misses) / float64(ms.accesses))
@@ -366,7 +363,7 @@ func buildGraph(prog *isa.Program, lay *vm.Layout,
 		}
 		n := g.Nodes[lay.BlockID(loc.Func, loc.Block)]
 		n.Instrs = append(n.Instrs, info)
-	}
+	})
 
 	// Loop annotation: natural loops on each function's static CFG. A
 	// loop's entries are the transfers into its header from outside it:
@@ -437,7 +434,7 @@ func Load(r io.Reader) (*Profile, error) {
 	return &p, nil
 }
 
-// Validate is the single profile validator: Load, the artifact store's
+// Validate is the single profile validator: Load, the pipeline's stored
 // profile and clone decoders, and the generate sampler's mutant filter
 // all call it, so a profile no synthesis should start from is rejected
 // the same way wherever it comes from. A valid profile is present, has a

@@ -22,7 +22,7 @@ func prunableStore(t *testing.T, n int) (*Store, []string) {
 	for i := 0; i < n; i++ {
 		payload := []byte(fmt.Sprintf(`{"i":%d}`, i))
 		digest := Fingerprint([]byte(fmt.Sprintf("entry-%d", i)))
-		if err := s.Put(digest, KindMarker, fmt.Sprintf("key-%d", i), payload); err != nil {
+		if err := s.Put(digest, "marker", fmt.Sprintf("key-%d", i), payload); err != nil {
 			t.Fatal(err)
 		}
 		mtime := base.Add(time.Duration(i) * time.Hour)
@@ -47,7 +47,7 @@ func TestStorePruneMaxAge(t *testing.T) {
 		t.Fatalf("stats: %+v", stats)
 	}
 	for i, d := range digests {
-		_, ok := s.Get(d, KindMarker, fmt.Sprintf("key-%d", i))
+		_, ok := s.Get(d, "marker", fmt.Sprintf("key-%d", i))
 		if want := i >= 3; ok != want {
 			t.Errorf("entry %d present=%v, want %v", i, ok, want)
 		}
@@ -79,7 +79,7 @@ func TestStorePruneMaxBytes(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("after prune: %d entries, %v", n, err)
 	}
-	if _, ok := s.Get(digests[4], KindMarker, "key-4"); !ok {
+	if _, ok := s.Get(digests[4], "marker", "key-4"); !ok {
 		t.Error("newest entry evicted")
 	}
 }
@@ -209,7 +209,7 @@ func TestStorePruneStaleWIPMarkers(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		d := Fingerprint([]byte(fmt.Sprintf("entry-%d", i)))
-		if _, ok := s.Get(d, KindMarker, fmt.Sprintf("key-%d", i)); !ok {
+		if _, ok := s.Get(d, "marker", fmt.Sprintf("key-%d", i)); !ok {
 			t.Errorf("cache entry %d disturbed by wip sweep", i)
 		}
 	}

@@ -10,10 +10,6 @@
 // trusting the payload; any mismatch — truncated file, stale schema, digest
 // collision, bit rot — is reported as a miss, never as an error, so a
 // damaged store degrades to recomputation rather than failure.
-//
-// The package also owns the (de)serialization of the artifact kinds the
-// pipeline persists: statistical profiles, compiled programs, and
-// synthesized clones (see artifacts.go).
 package store
 
 import (
@@ -39,19 +35,6 @@ import (
 // the cache (the timing models' shared front end) and synthesis reports
 // that still carried the empty StreamClasses field.
 const SchemaVersion = 6
-
-// Artifact kinds. An entry's kind must match the reader's expectation, so
-// a digest collision between two different artifact types reads as a miss.
-const (
-	KindProfile = "profile" // a profile.Profile (statistical profile JSON)
-	KindProgram = "program" // a compiled isa.Program
-	KindClone   = "clone"   // a synthesized clone (source + report + profile)
-	KindMarker  = "marker"  // a validation marker carrying no payload data
-	KindSim     = "sim"     // a timing-simulation summary (cpu.Summary)
-	// KindGenerate is a workload-generation report (generate.Report JSON):
-	// the requested-vs-achieved outcome of one directed generation run.
-	KindGenerate = "generate"
-)
 
 // Store is a content-addressed artifact store rooted at one directory.
 // Entries are named by digest and sharded into two-hex-character

@@ -50,20 +50,18 @@ type fcode struct {
 // state by it.
 func predecode(prog *isa.Program) ([]fcode, *Layout) {
 	fns := make([]fcode, len(prog.Funcs))
-	nSites := 0
+	nBlocks := 0
 	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			nSites += len(b.Instrs)
-		}
+		nBlocks += len(f.Blocks)
 	}
 	lay := &Layout{
 		prog:      prog,
-		sites:     make([]SiteLoc, 0, nSites),
 		blockBase: make([]int, len(prog.Funcs)),
+		blockSite: make([]int, 0, nBlocks+1),
 	}
+	site := 0
 	for fi, f := range prog.Funcs {
-		lay.blockBase[fi] = lay.numBlocks
-		lay.numBlocks += len(f.Blocks)
+		lay.blockBase[fi] = len(lay.blockSite)
 		fc := &fns[fi]
 		fc.nRegs = f.NumRegs + 1 // trailing always-zero register
 		fc.nSlots = max(f.NumSlots, 1)
@@ -76,15 +74,16 @@ func predecode(prog *isa.Program) ([]fcode, *Layout) {
 			n += len(b.Instrs) + 1 // +1 for the fell-off sentinel
 		}
 		fc.ins = make([]pins, 0, n)
-		for bi, blk := range f.Blocks {
+		for _, blk := range f.Blocks {
+			lay.blockSite = append(lay.blockSite, site)
 			nb := len(blk.Instrs)
 			for ii := range blk.Instrs {
 				in := &blk.Instrs[ii]
 				pi := pins{
 					op: in.Op, dst: in.Dst, a: in.A, b: in.B, imm: in.Imm,
-					site: int32(len(lay.sites)), segLen: int32(nb - ii),
+					site: int32(site), segLen: int32(nb - ii),
 				}
-				lay.sites = append(lay.sites, SiteLoc{Func: fi, Block: bi, Index: ii})
+				site++
 				switch in.Op {
 				case isa.MOVF:
 					// A float constant is an integer constant holding the
@@ -113,5 +112,6 @@ func predecode(prog *isa.Program) ([]fcode, *Layout) {
 			fc.ins = append(fc.ins, pins{op: opFellOff, site: -1, segLen: 1})
 		}
 	}
+	lay.blockSite = append(lay.blockSite, site)
 	return fns, lay
 }

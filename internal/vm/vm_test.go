@@ -294,3 +294,41 @@ func TestPinsIsPlainData(t *testing.T) {
 		}
 	}
 }
+
+// TestLayoutWalkMatchesLoc checks that Walk visits every static site once
+// in ID order, empty blocks included, and that Loc, which binary-searches
+// the blocks' first site IDs, names the same location for every site.
+func TestLayoutWalkMatchesLoc(t *testing.T) {
+	p := &isa.Program{ISA: isa.AMD64, Funcs: []*isa.Func{
+		{Name: "main", NumRegs: 1, NumSlots: 1, Blocks: []*isa.Block{
+			{Instrs: []isa.Instr{{Op: isa.MOVI, Dst: 0}, {Op: isa.JMP}}, Succs: []int{2}},
+			{},
+			{Instrs: []isa.Instr{{Op: isa.RET, A: isa.NoReg}}},
+		}},
+		{Name: "leaf", NumRegs: 1, NumSlots: 1, Blocks: []*isa.Block{
+			{Instrs: []isa.Instr{{Op: isa.RET, A: isa.NoReg}}},
+		}},
+	}}
+	lay := New(p).Layout()
+	want := []SiteLoc{{0, 0, 0}, {0, 0, 1}, {0, 2, 0}, {1, 0, 0}}
+	var got []SiteLoc
+	lay.Walk(func(site int, loc SiteLoc, in *isa.Instr) {
+		if site != len(got) {
+			t.Errorf("site %d visited as number %d", site, len(got))
+		}
+		if in != &p.Funcs[loc.Func].Blocks[loc.Block].Instrs[loc.Index] {
+			t.Errorf("site %d: instruction is not the one at %+v", site, loc)
+		}
+		if l := lay.Loc(site); l != loc {
+			t.Errorf("Loc(%d) = %+v, Walk says %+v", site, l, loc)
+		}
+		got = append(got, loc)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Walk visited %v, want %v", got, want)
+	}
+	if lay.NumSites() != 4 || lay.NumBlocks() != 4 || lay.BlockID(1, 0) != 3 {
+		t.Errorf("NumSites %d, NumBlocks %d, BlockID(1, 0) %d; want 4, 4, 3",
+			lay.NumSites(), lay.NumBlocks(), lay.BlockID(1, 0))
+	}
+}
