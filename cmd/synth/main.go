@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 
@@ -407,22 +408,8 @@ var experimentNames = []string{
 // everything.
 func parseOnly(only string) (map[string]bool, error) {
 	selected := map[string]bool{}
-	if only == "" {
-		return selected, nil
-	}
-	for _, n := range strings.Split(only, ",") {
-		n = strings.TrimSpace(strings.ToLower(n))
-		if n == "" {
-			continue
-		}
-		ok := false
-		for _, known := range experimentNames {
-			if n == known {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+	for _, n := range splitList(strings.ToLower(only)) {
+		if !slices.Contains(experimentNames, n) {
 			return nil, fmt.Errorf("unknown experiment %q (known: %s)", n, strings.Join(experimentNames, ", "))
 		}
 		selected[n] = true

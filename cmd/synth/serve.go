@@ -16,7 +16,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -422,12 +421,7 @@ func (s *server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // merged profile JSON, or — with synthesize=1 — the consolidated clone.
 func (s *server) handleConsolidate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	var names []string
-	for _, n := range strings.Split(q.Get("workloads"), ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
-		}
-	}
+	names := splitList(q.Get("workloads"))
 	if len(names) == 0 {
 		httpError(w, http.StatusBadRequest, "missing workloads parameter (comma-separated names)")
 		return

@@ -166,7 +166,7 @@ func TestChaosWorkerCrashMidJob(t *testing.T) {
 	if err != nil || lease == nil {
 		t.Fatalf("crash setup claim: %v %v", lease, err)
 	}
-	backdate(t, lease, time.Minute) // the dead worker stops heartbeating
+	backdate(t, dir, lease, time.Minute) // the dead worker stops heartbeating
 
 	w := &Worker{Queue: q, Pipe: p, ID: "healthy", TTL: time.Second, Poll: 5 * time.Millisecond}
 	if err := w.Run(ctx); err != nil {
@@ -239,7 +239,7 @@ func TestChaosLeaseExpiryUnderStalledWorker(t *testing.T) {
 	if err != nil || stalled == nil {
 		t.Fatalf("stall setup claim: %v %v", stalled, err)
 	}
-	backdate(t, stalled, time.Minute)
+	backdate(t, dir, stalled, time.Minute)
 
 	w := &Worker{Queue: q, Pipe: p, ID: "healthy", TTL: time.Second, Poll: 5 * time.Millisecond}
 	if err := w.Run(ctx); err != nil {

@@ -28,21 +28,20 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/generate"
+	"repro/internal/pipeline"
 	"repro/internal/store"
 )
 
-// SchemaVersion is the queue's on-disk schema. Manifests written under a
-// different version are rejected, so mixed-binary fleets fail loudly
-// instead of corrupting each other's queues. Version 2 added exploration
-// dispatches (Spec.Explore, Job.Kind/Sims); version 3 added generation
-// dispatches (Spec.Generate, Job.GenIndex); version 4 cut over to the
-// store-queue timing model and its v5 artifact keys, so mixed fleets
-// can't blend pre- and post-forwarding cycle counts in one queue; version
-// 5 moved to store schema 6, whose simulations count a forwarded
-// out-of-order load as a cache access; version 6 dropped the spec's
-// profiling-point and profiling-bound fields (the profiling point is
-// fixed in package profile); version 7 dropped the machine configs' "epic"
-// field (a config's ISA decides its timing model).
+// SchemaVersion is the queue's on-disk schema: the layout of its manifest
+// and job files. Manifests written under a different version are
+// rejected, so mixed-binary fleets fail loudly instead of corrupting each
+// other's queues. Version 2 added exploration dispatches (Spec.Explore,
+// Job.Kind/Sims); version 3 added generation dispatches (Spec.Generate,
+// Job.GenIndex); versions 4 and 5 followed artifact-format changes, which
+// Spec.Canonical now carries instead (see pipeline.ArtifactVersion);
+// version 6 dropped the spec's profiling-point and profiling-bound fields
+// (the profiling point is fixed in package profile); version 7 dropped the
+// machine configs' "epic" field (a config's ISA decides its timing model).
 const SchemaVersion = 7
 
 // Spec declares one dispatch: which workloads to synthesize, over which
@@ -82,7 +81,10 @@ type Spec struct {
 
 // Canonical returns the versioned, unambiguous encoding of the spec. Two
 // dispatches with equal canonicals are the same dispatch; a manifest whose
-// canonical differs from a new dispatch's marks a conflicting queue.
+// canonical differs from a new dispatch's marks a conflicting queue. It
+// includes the pipeline's artifact version, so a worker built for another
+// version derives a different dispatch digest from the same manifest and
+// aborts instead of storing artifacts its coordinator cannot read.
 func (s Spec) Canonical() string {
 	sims := make([]string, len(s.Explore))
 	for i, cfg := range s.Explore {
@@ -92,7 +94,7 @@ func (s Spec) Canonical() string {
 	if s.Generate != nil {
 		gen = s.Generate.Canonical()
 	}
-	return fmt.Sprintf("v4|%s|%s|%s|%s|%d|%s|%d|%s",
+	return fmt.Sprintf("v4|a%d|%s|%s|%s|%s|%d|%s|%d|%s", pipeline.ArtifactVersion,
 		s.Suite, strings.Join(s.Workloads, ","), strings.Join(s.ISAs, ","),
 		joinInts(s.Levels), s.Seed,
 		strings.Join(sims, ";"), s.SimMaxInstrs, gen)

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/pipeline"
+	"repro/internal/store"
 )
 
 // testPipeline builds the pipeline a worker for spec would run with,
@@ -308,30 +310,40 @@ func TestClusterStalledQueueDetected(t *testing.T) {
 }
 
 // TestClusterWorkerRejectsForeignDispatch checks an idle worker that
-// claims a job from a *different* dispatch — the queue was drained, reset,
-// and re-dispatched under it — aborts instead of executing the job with
-// its stale pipeline, and hands the job back.
+// claims a job from a *different* dispatch aborts instead of executing the
+// job with its stale pipeline, and hands the job back. The foreign job is
+// either from a queue drained, reset and re-dispatched under the worker,
+// or from the same spec dispatched by a coordinator built for the previous
+// artifact version: the dispatch identity carries pipeline.ArtifactVersion,
+// so such a worker never stores artifacts under keys that coordinator
+// never reads.
 func TestClusterWorkerRejectsForeignDispatch(t *testing.T) {
 	ctx := context.Background()
-	q := testQueue(t)
 	specA := testSpec("crc32/small")
-	p := testPipeline(t, q, specA)
-	if err := q.WriteManifest(&Manifest{Version: SchemaVersion, Spec: specA,
-		Canonical: specA.Canonical(), Total: 1}); err != nil {
-		t.Fatal(err)
-	}
 	specB := testSpec("crc32/small")
 	specB.Seed = 99
-	if _, err := q.Enqueue(specB.Jobs()[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	w := &Worker{Queue: q, Pipe: p, ID: "stale", Dispatch: specA.Digest()}
-	if err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "re-dispatched") {
-		t.Fatalf("stale worker must abort on a foreign job: %v", err)
-	}
-	if c, _ := q.Counts(); c.Pending != 1 || c.Leased != 0 || c.Done != 0 {
-		t.Fatalf("foreign job must be handed back: %+v", c)
+	prevVersion := specA.Jobs()[0]
+	prevVersion.Dispatch = store.Fingerprint([]byte(strings.Replace(specA.Canonical(),
+		fmt.Sprintf("|a%d|", pipeline.ArtifactVersion), fmt.Sprintf("|a%d|", pipeline.ArtifactVersion-1), 1)))
+	for name, job := range map[string]Job{
+		"re-dispatch":               specB.Jobs()[0],
+		"previous artifact version": prevVersion,
+	} {
+		q := testQueue(t)
+		if err := q.WriteManifest(&Manifest{Version: SchemaVersion, Spec: specA,
+			Canonical: specA.Canonical(), Total: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Enqueue(job); err != nil {
+			t.Fatal(err)
+		}
+		w := &Worker{Queue: q, Pipe: testPipeline(t, q, specA), ID: "stale", Dispatch: specA.Digest()}
+		if err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "re-dispatched") {
+			t.Fatalf("%s: stale worker must abort on a foreign job: %v", name, err)
+		}
+		if c, _ := q.Counts(); c.Pending != 1 || c.Leased != 0 || c.Done != 0 {
+			t.Fatalf("%s: foreign job must be handed back: %+v", name, c)
+		}
 	}
 }
 

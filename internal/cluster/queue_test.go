@@ -12,7 +12,13 @@ import (
 
 func testQueue(t *testing.T) *Queue {
 	t.Helper()
-	st, err := store.Open(t.TempDir())
+	return queueAt(t, t.TempDir())
+}
+
+// queueAt opens a queue over a filesystem store rooted at dir.
+func queueAt(t *testing.T, dir string) *Queue {
+	t.Helper()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,18 +38,12 @@ func testSpec(workloads ...string) Spec {
 }
 
 // backdate pushes a lease file's heartbeat into the past. It reaches
-// through to the filesystem (Backend has no "set mtime backwards" op —
-// production code never needs one), unwrapping a fault decorator if the
-// chaos suite is in play.
-func backdate(t *testing.T, l *Lease, age time.Duration) {
+// through to the filesystem store rooted at dir (Backend has no "set
+// mtime backwards" op — production code never needs one).
+func backdate(t *testing.T, dir string, l *Lease, age time.Duration) {
 	t.Helper()
 	old := time.Now().Add(-age)
-	be := l.q.be
-	if f, ok := be.(*store.Fault); ok {
-		be = f.Inner()
-	}
-	st := be.(*store.Store)
-	if err := os.Chtimes(filepath.Join(st.Root(), filepath.FromSlash(l.name)), old, old); err != nil {
+	if err := os.Chtimes(filepath.Join(dir, filepath.FromSlash(l.name)), old, old); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,7 +169,8 @@ func TestClusterClaimExclusive(t *testing.T) {
 // lease goes back to pending and is claimable by another worker, while a
 // heartbeating lease is left alone.
 func TestClusterReclaimExpired(t *testing.T) {
-	q := testQueue(t)
+	dir := t.TempDir()
+	q := queueAt(t, dir)
 	job := testSpec("crc32/small").Jobs()[0]
 	if _, err := q.Enqueue(job); err != nil {
 		t.Fatal(err)
@@ -185,7 +186,7 @@ func TestClusterReclaimExpired(t *testing.T) {
 	}
 
 	// A heartbeat keeps an old lease alive.
-	backdate(t, lease, 2*time.Minute)
+	backdate(t, dir, lease, 2*time.Minute)
 	if err := lease.Heartbeat(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestClusterReclaimExpired(t *testing.T) {
 	}
 
 	// Silence (the crash) expires it.
-	backdate(t, lease, 2*time.Minute)
+	backdate(t, dir, lease, 2*time.Minute)
 	if n, err := q.Reclaim(time.Minute); err != nil || n != 1 {
 		t.Fatalf("reclaim expired lease: %d, %v", n, err)
 	}
@@ -211,7 +212,8 @@ func TestClusterReclaimExpired(t *testing.T) {
 // result and removing its lease: reclaim must clean the lease up without
 // re-pending an already-done job.
 func TestClusterReclaimAfterAckCrash(t *testing.T) {
-	q := testQueue(t)
+	dir := t.TempDir()
+	q := queueAt(t, dir)
 	job := testSpec("crc32/small").Jobs()[0]
 	if _, err := q.Enqueue(job); err != nil {
 		t.Fatal(err)
@@ -224,7 +226,7 @@ func TestClusterReclaimAfterAckCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash here: result written, lease never removed.
-	backdate(t, lease, 2*time.Minute)
+	backdate(t, dir, lease, 2*time.Minute)
 	if n, err := q.Reclaim(time.Minute); err != nil || n != 0 {
 		t.Fatalf("done job re-pended: %d, %v", n, err)
 	}

@@ -495,11 +495,11 @@ void main() {
 			t.Fatal(err)
 		}
 		m := vm.New(prog)
-		lay := m.Layout()
+		classes := m.Layout().Classes()
 		var loads, total uint64
 		_, err = m.Run(vm.Config{Hook: func(ev *vm.Event) {
 			total++
-			if lay.Instr(ev.Site).Class() == isa.ClassLoad {
+			if classes[ev.Site] == isa.ClassLoad {
 				loads++
 			}
 		}})

@@ -37,9 +37,9 @@ func runClone(t *testing.T, clone *hlc.CheckedProgram, target *isa.Desc, level c
 	}
 	var mix [isa.NumClasses]uint64
 	m := vm.New(prog)
-	lay := m.Layout()
+	classes := m.Layout().Classes()
 	res, err := m.Run(vm.Config{MaxInstrs: 100_000_000, Hook: func(ev *vm.Event) {
-		mix[lay.Instr(ev.Site).Class()]++
+		mix[classes[ev.Site]]++
 	}})
 	if err != nil {
 		t.Fatalf("clone traps: %v", err)
@@ -286,7 +286,7 @@ func TestSynthesizeWithoutMemorySites(t *testing.T) {
 	in := func(ops ...isa.Opcode) []sfgl.InstrInfo {
 		var out []sfgl.InstrInfo
 		for _, op := range ops {
-			out = append(out, sfgl.InstrInfo{Op: op, Class: op.ClassOf(), MemClass: -1})
+			out = append(out, sfgl.InstrInfo{Op: op, Class: op.ClassOf()})
 		}
 		return out
 	}

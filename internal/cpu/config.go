@@ -69,7 +69,7 @@ func (c Config) Validate() error {
 // field that shapes a simulation's outcome. The Name is deliberately
 // excluded: two configs that differ only in display name are the same
 // machine. Changing this format invalidates every cached simulation
-// artifact; bump store.SchemaVersion alongside it. The %t slot is the
+// artifact; bump pipeline.ArtifactVersion alongside it. The %t slot is the
 // ISA's EPIC flag, which the ISA name already implies; it stays so every
 // fingerprint keeps its bytes.
 func (c Config) CanonicalConfig() string {

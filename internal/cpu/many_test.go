@@ -165,11 +165,16 @@ func TestSimulateFrontEndOracle(t *testing.T) {
 		var branches uint64
 		m := vm.New(prog)
 		lay := m.Layout()
+		ops := make([]isa.Opcode, lay.NumSites())
+		pcs := make([]uint64, lay.NumSites())
+		lay.Walk(func(s int, loc vm.SiteLoc, in *isa.Instr) {
+			ops[s], pcs[s] = in.Op, cpu.BranchPC(loc.Func, loc.Block, loc.Index)
+		})
 		if err := w.Setup(m); err != nil {
 			t.Fatal(err)
 		}
 		_, err = m.Run(vm.Config{Hook: func(ev *vm.Event) {
-			switch lay.Instr(ev.Site).Op {
+			switch ops[ev.Site] {
 			case isa.LD, isa.LDL:
 				for _, h := range hiers {
 					h.AccessLatency(ev.Addr)
@@ -180,8 +185,7 @@ func TestSimulateFrontEndOracle(t *testing.T) {
 				}
 			case isa.BR:
 				branches++
-				loc := lay.Loc(ev.Site)
-				pc := cpu.BranchPC(loc.Func, loc.Block, loc.Index)
+				pc := pcs[ev.Site]
 				for i, p := range preds {
 					if p.Predict(pc) != ev.Taken {
 						mispredicts[i]++

@@ -80,10 +80,10 @@ func TestStoreForwardProbesL1(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := vm.New(prog)
-	lay := m.Layout()
+	classes := m.Layout().Classes()
 	var loads uint64
 	if _, err := m.Run(vm.Config{Hook: func(ev *vm.Event) {
-		if op := lay.Instr(ev.Site).Op; op == isa.LD || op == isa.LDL {
+		if classes[ev.Site] == isa.ClassLoad {
 			loads++
 		}
 	}}); err != nil {

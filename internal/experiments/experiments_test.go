@@ -192,9 +192,9 @@ func TestQuickSuiteCoversAllBenchmarks(t *testing.T) {
 	for _, w := range Quick() {
 		seen[w.Bench] = true
 	}
-	for _, b := range workloads.Benchmarks() {
-		if !seen[b] {
-			t.Errorf("Quick() misses benchmark family %s", b)
+	for _, w := range workloads.All() {
+		if !seen[w.Bench] {
+			t.Errorf("Quick() misses benchmark family %s", w.Bench)
 		}
 	}
 	if len(Full()) != 32 {

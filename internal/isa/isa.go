@@ -344,17 +344,6 @@ func (p *Program) GlobalIndex(name string) int {
 	return -1
 }
 
-// NumStaticInstrs counts instructions across all functions.
-func (p *Program) NumStaticInstrs() int {
-	n := 0
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			n += len(b.Instrs)
-		}
-	}
-	return n
-}
-
 // Desc describes one virtual ISA.
 type Desc struct {
 	Name    string

@@ -172,9 +172,6 @@ func TestProgramLookups(t *testing.T) {
 	if i := p.GlobalIndex("missing"); i != -1 {
 		t.Errorf("GlobalIndex(missing) = %d", i)
 	}
-	if n := p.NumStaticInstrs(); n != 3 {
-		t.Errorf("NumStaticInstrs = %d, want 3", n)
-	}
 	if b := p.Globals[0].ElemBytes(); b != IntBytes {
 		t.Errorf("int ElemBytes = %d", b)
 	}

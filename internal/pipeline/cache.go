@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -28,14 +27,13 @@ type Key struct {
 	Workload string
 	ISA      string
 	Level    compiler.OptLevel
-	Seed     int64        // clone-synthesis seed (clone artifacts only)
-	Clone    bool         // artifact derives from the synthetic clone
-	Cache    cache.Config // profiling cache configuration (profile-derived artifacts)
+	Seed     int64 // clone-synthesis seed (clone artifacts only)
+	Clone    bool  // artifact derives from the synthetic clone
 	// Src fingerprints the workload's HLC source on keys whose artifacts
 	// are persisted, so editing a workload self-invalidates its disk
 	// entries instead of serving stale artifacts under the same name.
-	// (Compiler or profiler changes are not fingerprinted: those require
-	// a store.SchemaVersion bump or a fresh store directory.)
+	// (Compiler or profiler changes are not fingerprinted: those bump
+	// ArtifactVersion.)
 	Src string
 	// Sim scopes Simulate artifacts to one machine configuration and
 	// simulation bound: the cpu.Config fingerprint plus the instruction
@@ -44,25 +42,12 @@ type Key struct {
 }
 
 // Canonical returns the versioned, unambiguous encoding of the key that
-// disk entries store and verify. Changing this format is a store schema
-// change: bump store.SchemaVersion alongside it (v2 added the Sim field;
-// v3 partitions stream-profiled artifacts — profiles carry per-site
-// stride-stream descriptors and clones are synthesized from them, so
-// artifacts computed under the v2 single-class model must never be
-// served to a v3 pipeline; v4 adds the Generate stage, whose reports
-// embed whole-corpus coverage statistics keyed by a generation-spec
-// fingerprint carried in Workload; v5 invalidates everything simulated
-// or synthesized before the timing model learned memory dependences —
-// store-queue forwarding and the dependence-chain emission change both
-// cycle counts and clone sources, so pre-v5 artifacts are stale). The
-// two literal 0 fields before Src were a clone-size target and a
-// profiling bound that no caller ever set; they stay so every stored
-// digest keeps its bytes.
+// disk entries store and verify. Its first field is ArtifactVersion, so
+// an entry written by another version reads as a miss: its stored key
+// does not match.
 func (k Key) Canonical() string {
-	return fmt.Sprintf("v5|%d|%s|%s|%d|%d|%t|%s|%d|%d|%d|0|0|%s|%s",
-		k.Stage, k.Workload, k.ISA, k.Level, k.Seed, k.Clone,
-		k.Cache.Name, k.Cache.Size, k.Cache.LineSize, k.Cache.Assoc,
-		k.Src, k.Sim)
+	return fmt.Sprintf("v%d|%d|%s|%s|%d|%d|%t|%s|%s", ArtifactVersion,
+		k.Stage, k.Workload, k.ISA, k.Level, k.Seed, k.Clone, k.Src, k.Sim)
 }
 
 // Digest returns the printable content address: the store fingerprint of

@@ -81,7 +81,7 @@ func FuzzDecodeProgram(f *testing.F) {
 }
 
 // preStreamProfile is testProfile as a profile written before stream
-// profiling: its memory site has a Table I class but no stream.
+// profiling: its executed load has no stream.
 func preStreamProfile() *profile.Profile {
 	p := testProfile()
 	p.Graph.Nodes[0].Instrs[0].Stream = nil

@@ -19,6 +19,15 @@ import (
 // do not serialize, and both stages are cheap enough that a disk round trip
 // would cost more than recomputation.
 
+// ArtifactVersion is the one version of everything the pipeline persists:
+// the first field of every Key.Canonical, and through it of every cluster
+// dispatch's identity. A change that alters any artifact's bytes or
+// meaning (a codec below, the profiler, the synthesizer, the compiler, the
+// timing models, or the key's own encoding) bumps it and nothing else;
+// entries written under another version are then misses, because their
+// stored keys no longer match.
+const ArtifactVersion = 6
+
 // codec (de)serializes one stage's artifacts for the disk tier. An entry's
 // kind must match the reader's expectation, so a digest collision between
 // two different artifact types reads as a miss.

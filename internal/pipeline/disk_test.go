@@ -18,7 +18,7 @@ import (
 )
 
 // testProfile builds a small hand-made profile exercising every optional
-// field: branch info, loops with parents, mem classes with their stream
+// field: branch info, loops with parents, a memory site with its stream
 // descriptor, func calls.
 func testProfile() *profile.Profile {
 	g := &sfgl.Graph{
@@ -27,16 +27,16 @@ func testProfile() *profile.Profile {
 		Nodes: []*sfgl.Node{
 			{ID: 0, Func: 0, Block: 0, Count: 100,
 				Instrs: []sfgl.InstrInfo{
-					{Op: isa.LD, Class: isa.ClassLoad, MemClass: 3, Stream: &sfgl.Stream{
+					{Op: isa.LD, Class: isa.ClassLoad, Stream: &sfgl.Stream{
 						V: sfgl.StreamVersion, Accesses: 100, MissRate: 0.375, MissWide: 0.125,
 						Strides: []sfgl.StrideBin{{Stride: 12, Frac: 0.9}}, Regularity: 0.9}},
-					{Op: isa.ADD, Class: isa.ClassIntALU, MemClass: -1},
-					{Op: isa.BR, Class: isa.ClassBranch, MemClass: -1},
+					{Op: isa.ADD, Class: isa.ClassIntALU},
+					{Op: isa.BR, Class: isa.ClassBranch},
 				},
 				Branch: &sfgl.BranchInfo{Taken: 60, Total: 100, Transitions: 20,
 					TakenRate: 0.6, TransRate: 0.2020202, Hard: true}},
 			{ID: 1, Func: 1, Block: 0, Count: 42,
-				Instrs: []sfgl.InstrInfo{{Op: isa.RET, Class: isa.ClassRet, MemClass: -1}}},
+				Instrs: []sfgl.InstrInfo{{Op: isa.RET, Class: isa.ClassRet}}},
 		},
 		Edges: []*sfgl.Edge{{From: 0, To: 0, Count: 60}, {From: 0, To: 1, Count: 40}},
 		Loops: []*sfgl.Loop{

@@ -58,7 +58,7 @@ type gridPoint struct {
 // experiments' seed, one row per ISA (x86v, amd64v, ia64v) and one column
 // per level (-O0 to -O3), recorded on linux/amd64. A change that alters
 // compiled code on purpose refreshes the table along with
-// store.SchemaVersion; a compiler speed-up must leave it alone.
+// pipeline.ArtifactVersion; a compiler speed-up must leave it alone.
 var compiledProgramDigests = map[string][12]string{
 	"adpcm/small1": {
 		"1181c77dd786c57f", "bdad73cabb25dec5", "306ea336cd7d3815", "306ea336cd7d3815",

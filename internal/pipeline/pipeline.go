@@ -211,7 +211,7 @@ func compileKey(w *workloads.Workload, target *isa.Desc, level compiler.OptLevel
 // profileKey keys the workload's profile, taken at the profiling point.
 func profileKey(w *workloads.Workload) Key {
 	return Key{Stage: StageProfile, Workload: w.Name, ISA: profile.Target.Name,
-		Level: profile.Level, Cache: profile.DefaultCache, Src: srcID(w)}
+		Level: profile.Level, Src: srcID(w)}
 }
 
 // cloneKey keys a stage-s artifact derived from the workload's clone: the
@@ -219,8 +219,7 @@ func profileKey(w *workloads.Workload) Key {
 // clone elsewhere (CompileClone, Simulate) overwrite ISA and Level.
 func (p *Pipeline) cloneKey(s Stage, w *workloads.Workload) Key {
 	return Key{Stage: s, Workload: w.Name, ISA: profile.Target.Name,
-		Level: profile.Level, Seed: p.opts.Seed, Clone: true,
-		Cache: profile.DefaultCache, Src: srcID(w)}
+		Level: profile.Level, Seed: p.opts.Seed, Clone: true, Src: srcID(w)}
 }
 
 // Synthesize runs the Synthesize stage: profile to benchmark clone.
@@ -302,7 +301,7 @@ func (p *Pipeline) GenerateArtifact(ctx context.Context, fingerprint string, com
 	}
 	key := Key{Stage: StageGenerate, Workload: "generate:" + fingerprint,
 		ISA: profile.Target.Name, Level: profile.Level,
-		Seed: p.opts.Seed, Cache: profile.DefaultCache}
+		Seed: p.opts.Seed}
 	v, err := p.cache.do(ctx, key, func(ctx context.Context) (any, error) {
 		data, err := compute(ctx)
 		if err != nil {

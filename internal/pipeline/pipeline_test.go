@@ -22,6 +22,17 @@ func mustWorkload(t *testing.T, name string) *workloads.Workload {
 	return w
 }
 
+// staticInstrs counts a program's instructions across all functions.
+func staticInstrs(p *isa.Program) int {
+	n := 0
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			n += len(b.Instrs)
+		}
+	}
+	return n
+}
+
 func tinySuite(t *testing.T) []*workloads.Workload {
 	t.Helper()
 	var out []*workloads.Workload
@@ -175,8 +186,8 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 			}
 			return outcome{
 				CloneSource: pair.Clone.Source,
-				OrigStatic:  pair.Orig.NumStaticInstrs(),
-				SynStatic:   pair.Syn.NumStaticInstrs(),
+				OrigStatic:  staticInstrs(pair.Orig),
+				SynStatic:   staticInstrs(pair.Syn),
 			}, nil
 		})
 		if err != nil {

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
@@ -165,6 +165,70 @@ func TestPipelineDiskCorruptionIsMiss(t *testing.T) {
 	}
 }
 
+// TestPipelineDiskPreviousVersionIsMiss rewrites every stored entry's key
+// as the previous artifact version's canonical, keeping its path, kind,
+// payload and a valid checksum: the entry a store peer built one version
+// earlier would hold under a colliding digest. A fresh pipeline must read
+// each as a miss, not a disk error, recompute everything, and heal the
+// store.
+func TestPipelineDiskPreviousVersionIsMiss(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	w := mustWorkload(t, "crc32/small")
+	cold := pipeline.New(pipeline.Options{Workers: 1, Seed: 1, Store: openStore(t, dir)})
+	if _, err := cold.PairAt(ctx, w, isa.AMD64, compiler.O0); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openStore(t, dir)
+	cur, prev := fmt.Sprintf("v%d|", pipeline.ArtifactVersion), fmt.Sprintf("v%d|", pipeline.ArtifactVersion-1)
+	rewritten := 0
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var env struct {
+			Kind    string          `json:"kind"`
+			Key     string          `json:"key"`
+			Payload json.RawMessage `json:"payload"`
+		}
+		if err := json.Unmarshal(raw, &env); err != nil {
+			return err
+		}
+		if !strings.HasPrefix(env.Key, cur) {
+			return fmt.Errorf("%s: key %q does not start with %q", path, env.Key, cur)
+		}
+		rewritten++
+		return s.Put(strings.TrimSuffix(filepath.Base(path), ".json"), env.Kind,
+			prev+strings.TrimPrefix(env.Key, cur), env.Payload)
+	})
+	if err != nil || rewritten != 4 {
+		t.Fatalf("rewrite keys: %v, %d entries", err, rewritten)
+	}
+
+	warm := pipeline.New(pipeline.Options{Workers: 1, Seed: 1, Store: openStore(t, dir)})
+	if _, err := warm.PairAt(ctx, w, isa.AMD64, compiler.O0); err != nil {
+		t.Fatal(err)
+	}
+	ws := warm.CacheStats()
+	if ws.DiskHits != 0 || ws.DiskErrors != 0 || ws.ComputedFor(pipeline.StageCompile) != 2 ||
+		ws.ComputedFor(pipeline.StageProfile) != 1 || ws.ComputedFor(pipeline.StageSynthesize) != 1 {
+		t.Errorf("previous-version entries: want 2 compiles, a profile and a synthesis with no disk hit or error, got %+v", ws)
+	}
+
+	healed := pipeline.New(pipeline.Options{Workers: 1, Seed: 1, Store: openStore(t, dir)})
+	if _, err := healed.PairAt(ctx, w, isa.AMD64, compiler.O0); err != nil {
+		t.Fatal(err)
+	}
+	if hs := healed.CacheStats(); hs.Misses != 0 || hs.DiskErrors != 0 {
+		t.Errorf("store did not heal after recomputation: %+v", hs)
+	}
+}
+
 // TestPipelineDiskCloneWithoutProfileIsError stores a well-formed clone
 // entry (valid checksum) whose profile was removed. A fresh pipeline must
 // count it as a disk error and recompute the clone, which heals the
@@ -277,7 +341,7 @@ func TestPipelineDiskOptionsPartitionStore(t *testing.T) {
 	if st := c2.CacheStats(); st.ComputedFor(pipeline.StageCompile) != 1 || st.DiskHits != 0 {
 		t.Errorf("edited source must recompile, not disk-hit the stale artifact: %+v", st)
 	}
-	if p1.NumStaticInstrs() == p2.NumStaticInstrs() {
+	if staticInstrs(p1) == staticInstrs(p2) {
 		t.Error("edited source compiled to a suspiciously identical program")
 	}
 }
@@ -388,24 +452,21 @@ func TestCacheStatsAddSub(t *testing.T) {
 
 // TestPipelineKeyGoldenDigests pins digests across processes and builds:
 // the disk store files artifacts by these strings, so any drift silently
-// invalidates every existing store. Bump store.SchemaVersion if a change
-// here is intentional.
+// invalidates every existing store. A change here is intentional only
+// together with a pipeline.ArtifactVersion bump.
 func TestPipelineKeyGoldenDigests(t *testing.T) {
-	profCache := cache.Config{Name: "profile-8KB", Size: 8192, LineSize: 32, Assoc: 2}
 	golden := []struct {
 		key  pipeline.Key
 		want string
 	}{
 		{pipeline.Key{Stage: pipeline.StageCompile, Workload: "crc32/small",
-			ISA: "amd64v", Level: compiler.O2}, "232916afb5c50b10"},
+			ISA: "amd64v", Level: compiler.O2}, "817256de756ac747"},
 		{pipeline.Key{Stage: pipeline.StageProfile, Workload: "crc32/small",
-			ISA: "amd64v", Level: compiler.O0, Cache: profCache}, "a1f4efa5f08d74f1"},
+			ISA: "amd64v", Level: compiler.O0}, "eff43cd5ae7d0e78"},
 		{pipeline.Key{Stage: pipeline.StageSynthesize, Workload: "crc32/small",
-			ISA: "amd64v", Level: compiler.O0, Seed: 20100321, Clone: true,
-			Cache: profCache}, "f7a24f8e528aed50"},
+			ISA: "amd64v", Level: compiler.O0, Seed: 20100321, Clone: true}, "f1826a52f33dbc09"},
 		{pipeline.Key{Stage: pipeline.StageGenerate, Workload: "generate:0123456789abcdef",
-			ISA: "amd64v", Level: compiler.O0, Seed: 20100321,
-			Cache: profCache}, "925ea2378ba494ca"},
+			ISA: "amd64v", Level: compiler.O0, Seed: 20100321}, "9459ea253f35c661"},
 	}
 	for i, g := range golden {
 		if got := g.key.Digest(); got != g.want {

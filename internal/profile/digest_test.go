@@ -17,40 +17,41 @@ import (
 // the stored profile encoding (its JSON) for the program compiled at the profiling point and
 // run on the workload's inputs, recorded on linux/amd64. A change that
 // alters profiles on purpose refreshes the table along with
-// store.SchemaVersion; any other change must leave it alone.
+// pipeline.ArtifactVersion; any other change must leave it alone. Every
+// profile must also pass Validate.
 var profileDigests = map[string]string{
-	"adpcm/large1":       "35708b9a230eb9ff",
-	"adpcm/large2":       "9799f601332f1e6a",
-	"adpcm/small1":       "e468d2b2d8f6db15",
-	"adpcm/small2":       "a1aba866f5869e7b",
-	"basicmath/large":    "11e879228d295465",
-	"basicmath/small":    "b35de66daaa08254",
-	"bitcount/large":     "f6effcbf069f7ee3",
-	"bitcount/small":     "505d3c202da6848e",
-	"crc32/large":        "7d3ab9e86a20633e",
-	"crc32/small":        "c786b382a803c0e1",
-	"dijkstra/large":     "1214302003bf98b3",
-	"dijkstra/small":     "aed55b5064625ff3",
-	"fft/large1":         "cb83b31b518349ac",
-	"fft/large2":         "b3b6acc23f29a555",
-	"fft/small1":         "e2e87dfa2f200cfc",
-	"gsm/large1":         "d1613ca97d89f9fe",
-	"gsm/large2":         "a7c822801f7647b1",
-	"gsm/small1":         "b7f1b25b227f6fc2",
-	"gsm/small2":         "17f9ae339c2340fa",
-	"jpeg/large1":        "8b48e7a46246c2df",
-	"patricia/small":     "cd51e3c4ff22f39f",
-	"qsort/large":        "4d8339e54aa3a027",
-	"sha/large":          "bd70e18e9bd5f71e",
-	"sha/small":          "605ed86bc7d0171e",
-	"stringsearch/large": "3468adb3ed44f8f8",
-	"stringsearch/small": "9308c4710b47c94d",
-	"susan/large1":       "30406fe5df06063c",
-	"susan/large2":       "d03d8147a1894799",
-	"susan/large3":       "b229f2a683cca137",
-	"susan/small1":       "3fd2cae1151bf71e",
-	"susan/small2":       "ebf320b2c6380677",
-	"susan/small3":       "43eda3ab453173d3",
+	"adpcm/large1":       "5ec7e6194d968421",
+	"adpcm/large2":       "bf4a87eb50d8b6a4",
+	"adpcm/small1":       "a20f8e78ce5004cb",
+	"adpcm/small2":       "988e38943684c7cf",
+	"basicmath/large":    "2108bf4274b11cdc",
+	"basicmath/small":    "0482a2a367bcba81",
+	"bitcount/large":     "51f66193d852590b",
+	"bitcount/small":     "09721a7828683cb0",
+	"crc32/large":        "459b9bb43db3f5e4",
+	"crc32/small":        "071e83407dfde487",
+	"dijkstra/large":     "eb05dd69f584378e",
+	"dijkstra/small":     "7b883f35b4b7f3e1",
+	"fft/large1":         "610662d481ee91a1",
+	"fft/large2":         "47d085181a60baca",
+	"fft/small1":         "72e8bfe899aa849d",
+	"gsm/large1":         "0b4baf1370ffc660",
+	"gsm/large2":         "1bc4ae83dce22078",
+	"gsm/small1":         "d691ce8394e75e41",
+	"gsm/small2":         "80a350cc82a8ad6f",
+	"jpeg/large1":        "66b836f35408a9fa",
+	"patricia/small":     "34291f92d42eb421",
+	"qsort/large":        "0a9423fc6af5bcf5",
+	"sha/large":          "7b935fb93e47d802",
+	"sha/small":          "6469a78e0a379fd8",
+	"stringsearch/large": "be1f4e4659965c55",
+	"stringsearch/small": "91e7acbe63471c29",
+	"susan/large1":       "8ed0906254da4507",
+	"susan/large2":       "0644ea9f9c10276c",
+	"susan/large3":       "868e540cc2953dc6",
+	"susan/small1":       "97d4c81660da7045",
+	"susan/small2":       "c54cc761d7dc7f0f",
+	"susan/small3":       "f0ae95e84f0635f5",
 }
 
 // compileAtProfilingPoint compiles a workload the way the Profile stage
@@ -81,6 +82,9 @@ func TestProfileDigests(t *testing.T) {
 		p, err := profile.Collect(compileAtProfilingPoint(t, w), w.Setup, w.Name)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: %v", w.Name, err)
 		}
 		data, err := json.Marshal(p)
 		if err != nil {

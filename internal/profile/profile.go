@@ -2,8 +2,8 @@
 // (Section III.A): it executes a workload compiled at a low optimization
 // level under the VM's instrumentation hook (the Pin substitute) and
 // produces the statistical profile — the SFGL with loop annotation, branch
-// taken/transition rates, per-access cache behavior quantized into the
-// Table I classes, and the instruction mix.
+// taken/transition rates, each memory site's cache behavior and stride
+// stream, and the instruction mix.
 package profile
 
 import (
@@ -356,9 +356,8 @@ func buildGraph(prog *isa.Program, lay *vm.Layout,
 	edgesOf[lay.NumBlocks()] = len(g.Edges)
 
 	lay.Walk(func(s int, loc vm.SiteLoc, in *isa.Instr) {
-		info := sfgl.InstrInfo{Op: in.Op, Class: in.Class(), MemClass: -1}
+		info := sfgl.InstrInfo{Op: in.Op, Class: in.Class()}
 		if ms := &memStats[s]; ms.accesses > 0 {
-			info.MemClass = sfgl.MemClassFor(float64(ms.misses) / float64(ms.accesses))
 			info.Stream = ms.stream()
 		}
 		n := g.Nodes[lay.BlockID(loc.Func, loc.Block)]

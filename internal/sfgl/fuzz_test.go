@@ -2,9 +2,11 @@ package sfgl_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/sfgl"
 )
 
@@ -16,7 +18,7 @@ func validGraphJSON(t testing.TB) []byte {
 		FuncCalls: []uint64{1},
 		Nodes: []*sfgl.Node{{
 			ID: 0, Count: 3,
-			Instrs: []sfgl.InstrInfo{{MemClass: 2, Stream: &sfgl.Stream{
+			Instrs: []sfgl.InstrInfo{{Op: isa.LD, Class: isa.ClassLoad, Stream: &sfgl.Stream{
 				V: sfgl.StreamVersion, Accesses: 3, MissRate: 0.5,
 				Strides: []sfgl.StrideBin{{Stride: 8, Frac: 0.9}, {Stride: -4, Frac: 0.1}},
 			}}},
@@ -34,9 +36,10 @@ func validGraphJSON(t testing.TB) []byte {
 
 // FuzzSFGLLoad decodes a graph the way profile.Load does (json.Unmarshal,
 // then Validate) and asserts it never panics and never accepts a graph
-// with a nil node, a memory site without a stream descriptor, or a stream
-// version outside 1..StreamVersion: corrupt, truncated, or
-// future-versioned stream descriptors must surface as errors.
+// with a nil node, an executed load or store (LD/ST/LDL/STL in a node
+// with a nonzero count) without a stream descriptor, or a stream version
+// outside 1..StreamVersion: corrupt, truncated, stream-less or
+// future-versioned memory sites must surface as errors.
 func FuzzSFGLLoad(f *testing.F) {
 	valid := validGraphJSON(f)
 	f.Add(valid)
@@ -44,6 +47,10 @@ func FuzzSFGLLoad(f *testing.F) {
 	f.Add([]byte(`{"nodes":[null]}`))                                  // nil node
 	f.Add([]byte(strings.Replace(string(valid), `"v":1`, `"v":2`, 1))) // future stream version
 	f.Add([]byte(strings.Replace(string(valid), `"v":1`, `"v":0`, 1))) // zero stream version
+	// A stream-less store, executed and never executed.
+	memSite := `{"nodes":[{"id":0,"count":%d,"instrs":[{"op":%d}]}]}`
+	f.Add([]byte(fmt.Sprintf(memSite, 1, isa.STL)))
+	f.Add([]byte(fmt.Sprintf(memSite, 0, isa.STL)))
 	f.Add([]byte(`[]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var g sfgl.Graph
@@ -55,8 +62,13 @@ func FuzzSFGLLoad(f *testing.F) {
 				t.Fatal("Validate accepted a nil node")
 			}
 			for i, in := range n.Instrs {
-				if s := in.Stream; s == nil && in.MemClass >= 0 || s != nil && (s.V < 1 || s.V > sfgl.StreamVersion) {
-					t.Fatalf("Validate accepted node %d instr %d: memClass %d stream %+v", n.ID, i, in.MemClass, s)
+				mem := false
+				switch in.Op {
+				case isa.LD, isa.ST, isa.LDL, isa.STL:
+					mem = n.Count > 0
+				}
+				if s := in.Stream; s == nil && mem || s != nil && (s.V < 1 || s.V > sfgl.StreamVersion) {
+					t.Fatalf("Validate accepted node %d (count %d) instr %d: op %v stream %+v", n.ID, n.Count, i, in.Op, s)
 				}
 			}
 		}

@@ -16,16 +16,14 @@ import (
 
 // InstrInfo describes one static instruction of a basic block: its opcode
 // and class (the paper's "instruction types" with operand kinds, which our
-// opcodes encode), plus the memory-access class of Table I and the
-// per-site stride-stream descriptor for profiled loads and stores. Every
-// site with a memory class must carry a Stream: the synthesizer builds
-// memory accesses from streams alone, so Validate rejects profiles written
-// before stream profiling existed.
+// opcodes encode), plus the per-site stride-stream descriptor for profiled
+// loads and stores. Every executed load or store must carry a Stream: the
+// synthesizer builds memory accesses from streams alone, so Validate
+// rejects profiles that lack one.
 type InstrInfo struct {
-	Op       isa.Opcode `json:"op"`
-	Class    isa.Class  `json:"class"`
-	MemClass int        `json:"memClass"` // Table I class 0..8; -1 for non-memory ops
-	Stream   *Stream    `json:"stream,omitempty"`
+	Op     isa.Opcode `json:"op"`
+	Class  isa.Class  `json:"class"`
+	Stream *Stream    `json:"stream,omitempty"`
 }
 
 // StreamVersion is the current Stream descriptor serialization version.
@@ -92,11 +90,12 @@ func (s *Stream) TopFrac(n int) float64 {
 	return f
 }
 
-// Validate checks a graph's stream descriptors: every memory site (memory
-// class >= 0) must carry one, and every version must be known and
-// positive. profile.Load calls it so that corrupt, pre-stream or
-// future-versioned profiles fail loudly instead of synthesizing from
-// garbage.
+// Validate checks a graph's stream descriptors: every memory site (a
+// load or store, LD/ST/LDL/STL, in a node that executed) must carry one,
+// and every version must be known and positive. The opcode decides which
+// sites are memory sites, not anything the profile says about itself.
+// profile.Load calls it so that corrupt, pre-stream or future-versioned
+// profiles fail loudly instead of synthesizing from garbage.
 func (g *Graph) Validate() error {
 	for _, n := range g.Nodes {
 		if n == nil {
@@ -105,9 +104,12 @@ func (g *Graph) Validate() error {
 		for i := range n.Instrs {
 			s := n.Instrs[i].Stream
 			if s == nil {
-				if n.Instrs[i].MemClass >= 0 {
-					return fmt.Errorf("sfgl: node %d instr %d: memory site has no stream descriptor (pre-stream profile: re-profile it)",
-						n.ID, i)
+				switch n.Instrs[i].Op {
+				case isa.LD, isa.ST, isa.LDL, isa.STL:
+					if n.Count > 0 {
+						return fmt.Errorf("sfgl: node %d instr %d: memory site has no stream descriptor (pre-stream profile: re-profile it)",
+							n.ID, i)
+					}
 				}
 				continue
 			}
@@ -193,15 +195,6 @@ func (g *Graph) Node(id int) *Node {
 		}
 	}
 	return nil
-}
-
-// TotalCount sums all node execution counts.
-func (g *Graph) TotalCount() uint64 {
-	var t uint64
-	for _, n := range g.Nodes {
-		t += n.Count
-	}
-	return t
 }
 
 // OutEdges returns the edges leaving node id.
@@ -321,18 +314,6 @@ func (g *Graph) ScaleDown(r uint64) *Graph {
 
 // NumMemClasses is the number of Table I classes.
 const NumMemClasses = 9
-
-// MemClassFor quantizes a miss rate (0..1) to its Table I class.
-func MemClassFor(missRate float64) int {
-	c := int(missRate*8 + 0.5)
-	if c < 0 {
-		c = 0
-	}
-	if c > 8 {
-		c = 8
-	}
-	return c
-}
 
 // StrideBytes returns the Table I stride for a memory class.
 func StrideBytes(class int) int {

@@ -119,6 +119,15 @@ func TestScaleDownNestedLoops(t *testing.T) {
 	}
 }
 
+// totalCount sums a graph's node execution counts.
+func totalCount(g *Graph) uint64 {
+	var t uint64
+	for _, n := range g.Nodes {
+		t += n.Count
+	}
+	return t
+}
+
 func TestScaleDownIdentity(t *testing.T) {
 	g := paperExample()
 	s := g.ScaleDown(1)
@@ -130,16 +139,16 @@ func TestScaleDownIdentity(t *testing.T) {
 			t.Errorf("R=1 changed node %d count", i)
 		}
 	}
-	if s.ScaleDown(0).TotalCount() != s.TotalCount() {
+	if totalCount(s.ScaleDown(0)) != totalCount(s) {
 		t.Errorf("R=0 should behave as R=1")
 	}
 }
 
 func TestScaleDownDoesNotMutateOriginal(t *testing.T) {
 	g := paperExample()
-	before := g.TotalCount()
+	before := totalCount(g)
 	_ = g.ScaleDown(100)
-	if g.TotalCount() != before {
+	if totalCount(g) != before {
 		t.Error("ScaleDown mutated the source graph")
 	}
 	if len(g.Nodes) != 9 {
@@ -160,7 +169,7 @@ func TestScaleDownProperty(t *testing.T) {
 				return false
 			}
 		}
-		return s.TotalCount() <= g.TotalCount()/r
+		return totalCount(s) <= totalCount(g)/r
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -168,19 +177,6 @@ func TestScaleDownProperty(t *testing.T) {
 }
 
 func TestMemClassTable(t *testing.T) {
-	// The exact Table I ranges.
-	cases := []struct {
-		miss  float64
-		class int
-	}{
-		{0.0, 0}, {0.05, 0}, {0.0625, 1}, {0.10, 1}, {0.1875, 2},
-		{0.25, 2}, {0.50, 4}, {0.75, 6}, {0.9375, 8}, {1.0, 8},
-	}
-	for _, tc := range cases {
-		if got := MemClassFor(tc.miss); got != tc.class {
-			t.Errorf("MemClassFor(%.4f) = %d, want %d", tc.miss, got, tc.class)
-		}
-	}
 	// Stride column of Table I.
 	for class, want := range []int{0, 4, 8, 12, 16, 20, 24, 28, 32} {
 		if got := StrideBytes(class); got != want {
@@ -206,19 +202,28 @@ func TestGraphQueries(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsPreStreamSite checks that a memory site (memory class >=
-// 0) without a stream descriptor fails validation, while a non-memory
-// instruction needs none.
+// TestLoadRejectsPreStreamSite checks that every kind of executed memory
+// site (LD, ST, LDL, STL in a node with a nonzero count) without a stream
+// descriptor fails validation, while a non-memory instruction, and a
+// memory instruction in a node that never ran, need none.
 func TestLoadRejectsPreStreamSite(t *testing.T) {
 	g := paperExample()
-	g.Nodes[0].Instrs = []InstrInfo{
-		{Op: isa.ADD, Class: isa.ClassIntALU, MemClass: -1},
-		{Op: isa.LD, Class: isa.ClassLoad, MemClass: 2},
+	for _, op := range []isa.Opcode{isa.LD, isa.ST, isa.LDL, isa.STL} {
+		g.Nodes[0].Instrs = []InstrInfo{
+			{Op: isa.ADD, Class: isa.ClassIntALU},
+			{Op: op, Class: op.ClassOf()},
+		}
+		err := g.Validate()
+		if err == nil || !strings.Contains(err.Error(), "pre-stream profile") {
+			t.Fatalf("Validate(stream-less %v site) = %v, want a pre-stream profile error", op, err)
+		}
 	}
-	err := g.Validate()
-	if err == nil || !strings.Contains(err.Error(), "pre-stream profile") {
-		t.Fatalf("Validate(stream-less memory site) = %v, want a pre-stream profile error", err)
+	count := g.Nodes[0].Count
+	g.Nodes[0].Count = 0
+	if err := g.Validate(); err != nil {
+		t.Errorf("memory instruction in a node that never ran rejected: %v", err)
 	}
+	g.Nodes[0].Count = count
 	g.Nodes[0].Instrs = g.Nodes[0].Instrs[:1]
 	if err := g.Validate(); err != nil {
 		t.Errorf("non-memory instruction without a stream rejected: %v", err)

@@ -105,14 +105,14 @@ func TestStorePruneSkipsTempAndQueue(t *testing.T) {
 	s, _ := prunableStore(t, 2)
 	old := time.Now().Add(-48 * time.Hour)
 
-	tmp := filepath.Join(s.Root(), "ab", ".deadbeef.json.tmp-1")
+	tmp := filepath.Join(s.root, "ab", ".deadbeef.json.tmp-1")
 	if err := os.MkdirAll(filepath.Dir(tmp), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	queueFile := filepath.Join(s.Root(), "cluster", "pending", "job.json")
+	queueFile := filepath.Join(s.root, "cluster", "pending", "job.json")
 	if err := os.MkdirAll(filepath.Dir(queueFile), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestStorePruneSkipsTempAndQueue(t *testing.T) {
 // only scans two-hex shard directories, so wip/ was invisible to GC.
 func TestStorePruneStaleWIPMarkers(t *testing.T) {
 	s, _ := prunableStore(t, 2)
-	wip := filepath.Join(s.Root(), WIPDir)
+	wip := filepath.Join(s.root, WIPDir)
 	if err := os.MkdirAll(wip, 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,14 @@
 // instead of recompiling and re-profiling the workload × ISA × level cross
 // product from scratch.
 //
-// Every entry is a self-describing envelope: a schema version, an artifact
-// kind, the full canonical key the artifact was stored under, a checksum of
-// the payload, and the payload itself. Readers validate all four before
-// trusting the payload; any mismatch — truncated file, stale schema, digest
-// collision, bit rot — is reported as a miss, never as an error, so a
-// damaged store degrades to recomputation rather than failure.
+// Every entry is a self-describing envelope: an artifact kind, the full
+// canonical key the artifact was stored under, a checksum of the payload,
+// and the payload itself. Readers validate all three before trusting the
+// payload; any mismatch — truncated file, digest collision, bit rot — is
+// reported as a miss, never as an error, so a damaged store degrades to
+// recomputation rather than failure. The store keeps bytes: artifact
+// formats and their version belong to the caller, whose canonical keys
+// carry that version, so an entry of another version is never a hit.
 package store
 
 import (
@@ -20,21 +22,6 @@ import (
 	"os"
 	"path/filepath"
 )
-
-// SchemaVersion is the store's on-disk schema. Entries written under a
-// different version are treated as misses, so a schema bump invalidates an
-// old store directory without breaking readers. Version 2 added the
-// simulation-config fingerprint to the pipeline's canonical keys; version
-// 3 moved profiling and synthesis to the per-site stride-stream model
-// (pipeline canonical keys v3), partitioning stream-keyed artifacts from
-// single-class ones; version 4 added the generation stage and its report
-// artifacts (pipeline canonical keys v4); version 5 invalidates artifacts
-// simulated or synthesized before the timing model's store-queue and
-// dependence-chain changes (pipeline canonical keys v5); version 6
-// invalidates simulations made before forwarded out-of-order loads probed
-// the cache (the timing models' shared front end) and synthesis reports
-// that still carried the empty StreamClasses field.
-const SchemaVersion = 6
 
 // Store is a content-addressed artifact store rooted at one directory.
 // Entries are named by digest and sharded into two-hex-character
@@ -56,9 +43,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // path maps a digest to its sharded file path.
 func (s *Store) path(digest string) string {
 	shard := "00"
@@ -70,7 +54,6 @@ func (s *Store) path(digest string) string {
 
 // envelope is the on-disk entry format.
 type envelope struct {
-	Schema   int             `json:"schema"`
 	Kind     string          `json:"kind"`
 	Key      string          `json:"key"`
 	Checksum string          `json:"checksum"`
@@ -88,10 +71,9 @@ func Fingerprint(data []byte) string {
 }
 
 // Get returns the payload stored under digest, or ok=false if the entry is
-// absent, unreadable, written under a different schema version, of the
-// wrong kind, keyed by a different canonical key (a digest collision), or
-// fails its checksum. Corruption is a miss by design: the store is a cache,
-// and the caller recomputes.
+// absent, unreadable, of the wrong kind, keyed by a different canonical
+// key (a digest collision), or fails its checksum. Corruption is a miss by
+// design: the store is a cache, and the caller recomputes.
 func (s *Store) Get(digest, kind, key string) (payload []byte, ok bool) {
 	data, err := os.ReadFile(s.path(digest))
 	if err != nil {
@@ -101,7 +83,7 @@ func (s *Store) Get(digest, kind, key string) (payload []byte, ok bool) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, false
 	}
-	if env.Schema != SchemaVersion || env.Kind != kind || env.Key != key {
+	if env.Kind != kind || env.Key != key {
 		return nil, false
 	}
 	if Fingerprint(env.Payload) != env.Checksum {
@@ -127,7 +109,6 @@ func (s *Store) Put(digest, kind, key string, payload []byte) error {
 		return fmt.Errorf("store: put %s: %w", digest, err)
 	}
 	data, err := json.Marshal(envelope{
-		Schema:   SchemaVersion,
 		Kind:     kind,
 		Key:      key,
 		Checksum: Fingerprint(payload),

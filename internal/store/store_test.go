@@ -2,7 +2,6 @@ package store_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +10,7 @@ import (
 )
 
 // TestStoreGetPut exercises the envelope contract: hits require matching
-// digest, kind, key, schema, and checksum.
+// digest, kind, key, and checksum.
 func TestStoreGetPut(t *testing.T) {
 	s, err := store.Open(t.TempDir())
 	if err != nil {
@@ -74,11 +73,6 @@ func TestStoreCorruptionIsMiss(t *testing.T) {
 			data[i+4] = '9'
 			return os.WriteFile(p, data, 0o644)
 		},
-		"stale schema": func(p string) error {
-			data, _ := os.ReadFile(p)
-			data = bytes.Replace(data, []byte(fmt.Sprintf(`"schema":%d`, store.SchemaVersion)), []byte(`"schema":999`), 1)
-			return os.WriteFile(p, data, 0o644)
-		},
 		"empty file": func(p string) error {
 			return os.WriteFile(p, nil, 0o644)
 		},
@@ -119,4 +113,58 @@ func TestStoreOpenRejectsEmpty(t *testing.T) {
 	if _, err := store.Open(""); err == nil {
 		t.Error("Open(\"\") must fail")
 	}
+}
+
+// FuzzStoreGet writes arbitrary bytes at an entry's path and asserts that
+// Get never panics and returns either a miss or exactly the payload Put
+// wrote there. The seeds are the envelope Put writes, damaged copies of
+// it, intact envelopes of another kind and of the previous artifact
+// version's key holding another payload, and an envelope in the earlier
+// format that also carried a schema number.
+func FuzzStoreGet(f *testing.F) {
+	const digest, kind, key = "00aa00aa00aa00aa", "profile", "v6|3|crc32/small|amd64v|0|0|false||"
+	payload := []byte(`{"x":1}`)
+	path := func(root string) string { return filepath.Join(root, digest[:2], digest+".json") }
+	// entry returns the file Put writes for one envelope.
+	entry := func(kind, key string, payload []byte) []byte {
+		root := f.TempDir()
+		s, err := store.Open(root)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := s.Put(digest, kind, key, payload); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path(root))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	valid := entry(kind, key, payload)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add(bytes.Replace(valid, []byte(`"x":1`), []byte(`"x":2`), 1))
+	f.Add(bytes.Replace(valid, []byte(`{"kind"`), []byte(`{"schema":6,"kind"`), 1))
+	f.Add(entry("program", key, []byte(`{"x":2}`)))
+	f.Add(entry(kind, "v5|3|crc32/small|amd64v|0|0|false||", []byte(`{"x":2}`)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		root := t.TempDir()
+		s, err := store.Open(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path(root)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path(root), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(digest, kind, key); ok && !bytes.Equal(got, payload) {
+			t.Fatalf("Get served %q, but Put wrote %q", got, payload)
+		}
+	})
 }

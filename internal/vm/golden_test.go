@@ -287,7 +287,12 @@ func TestGoldenEventStream(t *testing.T) {
 			if err := w.Setup(m); err != nil {
 				t.Fatal(err)
 			}
+			// The Site contract: the Layout's numbering of Site must name
+			// the location and instruction the reference ran.
 			lay := m.Layout()
+			locs := make([]vm.SiteLoc, lay.NumSites())
+			instrs := make([]*isa.Instr, lay.NumSites())
+			lay.Walk(func(s int, loc vm.SiteLoc, in *isa.Instr) { locs[s], instrs[s] = loc, in })
 			i := 0
 			mismatches := 0
 			hook := func(ev *vm.Event) {
@@ -300,9 +305,7 @@ func TestGoldenEventStream(t *testing.T) {
 					return
 				}
 				e := want[i]
-				// The Site contract: the Layout's numbering of Site must
-				// name the location and instruction the reference ran.
-				loc, instr := lay.Loc(ev.Site), lay.Instr(ev.Site)
+				loc, instr := locs[ev.Site], instrs[ev.Site]
 				if loc.Func != e.fn || loc.Block != e.block || loc.Index != e.index ||
 					instr != e.instr || ev.Addr != e.addr || ev.IsMem != e.isMem || ev.Taken != e.taken {
 					if mismatches < 5 {

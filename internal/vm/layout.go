@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"sort"
-
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // SiteLoc is the static (function, block, index) location of one
 // instruction site.
@@ -21,8 +17,7 @@ type SiteLoc struct {
 // VM they run and replace per-event map lookups with slice indexing.
 //
 // The Layout keeps per-function and per-block state only: consumers that
-// build per-site tables take every site from one Walk, and Loc derives a
-// single site's location from the blocks' first site IDs.
+// need per-site tables build them from one Walk.
 type Layout struct {
 	prog      *isa.Program
 	blockBase []int // first block ID of each function
@@ -50,20 +45,6 @@ func (l *Layout) Walk(fn func(site int, loc SiteLoc, in *isa.Instr)) {
 			}
 		}
 	}
-}
-
-// Loc returns the static location of a site ID by binary search of the
-// blocks' first site IDs; per-site tables are cheaper built with Walk.
-func (l *Layout) Loc(site int) SiteLoc {
-	blk := sort.Search(l.NumBlocks(), func(b int) bool { return l.blockSite[b+1] > site })
-	fn := sort.Search(len(l.blockBase), func(f int) bool { return l.blockBase[f] > blk }) - 1
-	return SiteLoc{Func: fn, Block: blk - l.blockBase[fn], Index: site - l.blockSite[blk]}
-}
-
-// Instr returns the instruction at a site ID.
-func (l *Layout) Instr(site int) *isa.Instr {
-	loc := l.Loc(site)
-	return &l.prog.Funcs[loc.Func].Blocks[loc.Block].Instrs[loc.Index]
 }
 
 // BlockID returns the dense block ID of block `block` in function `fn`.

@@ -88,7 +88,7 @@ func predecode(prog *isa.Program) ([]fcode, *Layout) {
 				case isa.MOVF:
 					// A float constant is an integer constant holding the
 					// IEEE bits; fuse to MOVI here (the program is
-					// untouched, so Layout.Instr still reports the MOVF).
+					// untouched, so Layout.Walk still reports the MOVF).
 					pi.op = isa.MOVI
 					pi.imm = int64(math.Float64bits(in.F))
 				case isa.LD, isa.ST:

@@ -58,11 +58,11 @@ func TestHandProgram(t *testing.T) {
 func TestHookSeesEveryInstruction(t *testing.T) {
 	p := handProg()
 	m := New(p)
-	lay := m.Layout()
+	bySite := m.Layout().Classes()
 	var classes []isa.Class
 	var memAddrs []uint64
 	res, err := m.Run(Config{Hook: func(ev *Event) {
-		classes = append(classes, lay.Instr(ev.Site).Class())
+		classes = append(classes, bySite[ev.Site])
 		if ev.IsMem {
 			memAddrs = append(memAddrs, ev.Addr)
 		}
@@ -242,10 +242,10 @@ func TestBranchEventsReportDirection(t *testing.T) {
 	}
 	p := &isa.Program{ISA: isa.AMD64, Funcs: []*isa.Func{main}, Entry: 0}
 	m := New(p)
-	lay := m.Layout()
+	classes := m.Layout().Classes()
 	taken, notTaken := 0, 0
 	_, err := m.Run(Config{Hook: func(ev *Event) {
-		if lay.Instr(ev.Site).Op == isa.BR {
+		if classes[ev.Site] == isa.ClassBranch {
 			if ev.Taken {
 				taken++
 			} else {
@@ -296,8 +296,8 @@ func TestPinsIsPlainData(t *testing.T) {
 }
 
 // TestLayoutWalkMatchesLoc checks that Walk visits every static site once
-// in ID order, empty blocks included, and that Loc, which binary-searches
-// the blocks' first site IDs, names the same location for every site.
+// in ID order, empty blocks included, with each site's location and the
+// instruction stored there.
 func TestLayoutWalkMatchesLoc(t *testing.T) {
 	p := &isa.Program{ISA: isa.AMD64, Funcs: []*isa.Func{
 		{Name: "main", NumRegs: 1, NumSlots: 1, Blocks: []*isa.Block{
@@ -318,9 +318,6 @@ func TestLayoutWalkMatchesLoc(t *testing.T) {
 		}
 		if in != &p.Funcs[loc.Func].Blocks[loc.Block].Instrs[loc.Index] {
 			t.Errorf("site %d: instruction is not the one at %+v", site, loc)
-		}
-		if l := lay.Loc(site); l != loc {
-			t.Errorf("Loc(%d) = %+v, Walk says %+v", site, l, loc)
 		}
 		got = append(got, loc)
 	})

@@ -113,16 +113,3 @@ func ByName(name string) *Workload {
 	}
 	return nil
 }
-
-// Benchmarks returns the distinct benchmark family names in suite order.
-func Benchmarks() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, w := range registry {
-		if !seen[w.Bench] {
-			seen[w.Bench] = true
-			out = append(out, w.Bench)
-		}
-	}
-	return out
-}

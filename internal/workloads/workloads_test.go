@@ -35,12 +35,12 @@ func TestSuiteShape(t *testing.T) {
 	if got := len(All()); got != 32 {
 		t.Fatalf("suite has %d workload/input pairs, want 32 (Fig. 4)", got)
 	}
-	if got := len(Benchmarks()); got != 13 {
-		t.Fatalf("suite has %d benchmark families, want 13", got)
-	}
 	counts := map[string]int{}
 	for _, w := range All() {
 		counts[w.Bench]++
+	}
+	if got := len(counts); got != 13 {
+		t.Fatalf("suite has %d benchmark families, want 13", got)
 	}
 	want := map[string]int{
 		"adpcm": 4, "basicmath": 2, "bitcount": 2, "crc32": 2, "dijkstra": 2,
@@ -170,11 +170,11 @@ func TestSuiteHasBehavioralDiversity(t *testing.T) {
 		if err := w.Setup(m); err != nil {
 			t.Fatal(err)
 		}
-		lay := m.Layout()
+		classes := m.Layout().Classes()
 		var fp, total uint64
 		_, err = m.Run(vm.Config{MaxInstrs: 80_000_000, Hook: func(ev *vm.Event) {
 			total++
-			switch lay.Instr(ev.Site).Class() {
+			switch classes[ev.Site] {
 			case isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPDiv:
 				fp++
 			}
