@@ -81,7 +81,7 @@ func TestSimulateDeterminism(t *testing.T) {
 }
 
 // mustParse parses a workload's HLC source.
-func mustParse(t *testing.T, w *workloads.Workload) *hlc.Program {
+func mustParse(t testing.TB, w *workloads.Workload) *hlc.Program {
 	t.Helper()
 	prog, err := hlc.Parse(w.Source)
 	if err != nil {

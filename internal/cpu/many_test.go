@@ -214,7 +214,7 @@ func TestSimulateFrontEndOracle(t *testing.T) {
 }
 
 // compileWorkload compiles a workload's original at -O2 for target.
-func compileWorkload(t *testing.T, w *workloads.Workload, target *isa.Desc) *isa.Program {
+func compileWorkload(t testing.TB, w *workloads.Workload, target *isa.Desc) *isa.Program {
 	t.Helper()
 	cp, err := hlc.Check(mustParse(t, w))
 	if err != nil {

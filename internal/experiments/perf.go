@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/compiler"
@@ -99,61 +101,120 @@ type Fig11Result struct {
 	MaxSpeedupErr float64
 }
 
-// fig11Job is one cell of the ISA × level × workload cross product: one
-// program pair timed on every Table III machine of that ISA.
-type fig11Job struct {
+// fig11Cell is one cell of the ISA group × level × workload cross product:
+// one program pair, timed on every Table III machine of the group.
+type fig11Cell struct {
 	group    int // index into the machine groups
 	level    int
 	workload *workloads.Workload
 }
 
-// Fig11 measures normalized execution time across machines and levels by
-// fanning the full cross product out as one job list. Machines sharing an
-// ISA time each program in one interpretation (cpu.SimulateMany).
-func (r *Runner) Fig11(ctx context.Context, suite []*workloads.Workload) (*Fig11Result, error) {
-	var groups [][]int // Table III machine indices by ISA, in table order
+// fig11Run is one distinct compiled program of an ISA group: a workload's
+// original (run with its setup) or its clone, timed once on every machine
+// of the group. Cells whose builds are identical share a run; an -O3
+// build that inlines nothing equals its -O2 build.
+type fig11Run struct {
+	group    int
+	workload *workloads.Workload
+	clone    bool
+	prog     *isa.Program
+}
+
+// fig11Plan is Fig. 11's work: the Table III machine indices of each ISA
+// group (in table order), the cells, the runs, and for each cell the
+// indices of its original's and its clone's runs.
+type fig11Plan struct {
+	groups [][]int
+	cells  []fig11Cell
+	runs   []fig11Run
+	of     [][2]int
+}
+
+// planFig11 resolves every cell's pair (one PairAt per cell) and assigns
+// the pairs' programs to runs.
+func (r *Runner) planFig11(ctx context.Context, suite []*workloads.Workload) (*fig11Plan, error) {
+	plan := &fig11Plan{}
 	byISA := map[*isa.Desc]int{}
 	for mi, m := range cpu.Machines {
 		g, ok := byISA[m.ISA]
 		if !ok {
-			g = len(groups)
+			g = len(plan.groups)
 			byISA[m.ISA] = g
-			groups = append(groups, nil)
+			plan.groups = append(plan.groups, nil)
 		}
-		groups[g] = append(groups[g], mi)
+		plan.groups[g] = append(plan.groups[g], mi)
 	}
-	var jobs []fig11Job
-	for g := range groups {
+	for g := range plan.groups {
 		for li := range compiler.Levels {
 			for _, w := range suite {
-				jobs = append(jobs, fig11Job{group: g, level: li, workload: w})
+				plan.cells = append(plan.cells, fig11Cell{group: g, level: li, workload: w})
 			}
 		}
 	}
-	type cell struct{ orig, syn []float64 } // TimeSec per machine of the group
-	cells, err := pipeline.Map(ctx, r.P, jobs, func(ctx context.Context, j fig11Job) (cell, error) {
+	pairs, err := pipeline.Map(ctx, r.P, plan.cells, func(ctx context.Context, c fig11Cell) (pipeline.Pair, error) {
+		target := cpu.Machines[plan.groups[c.group][0]].ISA
+		return r.P.PairAt(ctx, c.workload, target, compiler.Levels[c.level])
+	})
+	if err != nil {
+		return nil, err
+	}
+	plan.runs, plan.of = shareRuns(plan.cells, pairs)
+	return plan, nil
+}
+
+// shareRuns makes one run per distinct (group, workload, original | clone,
+// program) of the cells' pairs, in first-use order, and returns it with
+// each cell's original and clone run indices. Programs are the same when
+// they are one pointer or reflect.DeepEqual: exact identity, so a shared
+// run times exactly what each of its cells would have timed.
+func shareRuns(cells []fig11Cell, pairs []pipeline.Pair) ([]fig11Run, [][2]int) {
+	var runs []fig11Run
+	of := make([][2]int, len(cells))
+	for i, c := range cells {
+		for side, prog := range [2]*isa.Program{pairs[i].Orig, pairs[i].Syn} {
+			run := fig11Run{group: c.group, workload: c.workload, clone: side == 1, prog: prog}
+			k := slices.IndexFunc(runs, func(o fig11Run) bool {
+				return o.group == run.group && o.workload == run.workload && o.clone == run.clone &&
+					(o.prog == prog || reflect.DeepEqual(o.prog, prog))
+			})
+			if k < 0 {
+				k = len(runs)
+				runs = append(runs, run)
+			}
+			of[i][side] = k
+		}
+	}
+	return runs, of
+}
+
+// Fig11 measures normalized execution time across machines and levels.
+// It resolves every cell's pair, then fans the distinct programs out as
+// one job list: each run times one program on all machines of its ISA
+// group in one interpretation (cpu.SimulateMany), and every cell takes
+// its times from its original's and its clone's runs.
+func (r *Runner) Fig11(ctx context.Context, suite []*workloads.Workload) (*Fig11Result, error) {
+	plan, err := r.planFig11(ctx, suite)
+	if err != nil {
+		return nil, err
+	}
+	times, err := pipeline.Map(ctx, r.P, plan.runs, func(ctx context.Context, run fig11Run) ([]float64, error) {
 		var machines []cpu.Config
-		for _, mi := range groups[j.group] {
+		for _, mi := range plan.groups[run.group] {
 			machines = append(machines, cpu.Machines[mi])
 		}
-		pair, err := r.P.PairAt(ctx, j.workload, machines[0].ISA, compiler.Levels[j.level])
+		setup, what := run.workload.Setup, run.workload.Name
+		if run.clone {
+			setup, what = nil, what+" clone"
+		}
+		sums, err := cpu.SimulateMany(run.prog, setup, machines, 0)
 		if err != nil {
-			return cell{}, err
+			return nil, fmt.Errorf("%s on %s: %w", what, machines[0].ISA.Name, err)
 		}
-		ro, err := cpu.SimulateMany(pair.Orig, j.workload.Setup, machines, 0)
-		if err != nil {
-			return cell{}, fmt.Errorf("%s on %s: %w", j.workload.Name, machines[0].ISA.Name, err)
+		var t []float64 // TimeSec per machine of the group
+		for _, s := range sums {
+			t = append(t, s.TimeSec)
 		}
-		rs, err := cpu.SimulateMany(pair.Syn, nil, machines, 0)
-		if err != nil {
-			return cell{}, fmt.Errorf("%s clone on %s: %w", j.workload.Name, machines[0].ISA.Name, err)
-		}
-		var c cell
-		for k := range machines {
-			c.orig = append(c.orig, ro[k].TimeSec)
-			c.syn = append(c.syn, rs[k].TimeSec)
-		}
-		return c, nil
+		return t, nil
 	})
 	if err != nil {
 		return nil, err
@@ -172,10 +233,11 @@ func (r *Runner) Fig11(ctx context.Context, suite []*workloads.Workload) (*Fig11
 	}
 	// Aggregate each (machine, level) total over the suite in suite order,
 	// so the floating-point sums are identical for any worker count.
-	for i, j := range jobs {
-		for k, mi := range groups[j.group] {
-			res.Orig[mi][j.level] += cells[i].orig[k]
-			res.Syn[mi][j.level] += cells[i].syn[k]
+	for i, c := range plan.cells {
+		orig, syn := times[plan.of[i][0]], times[plan.of[i][1]]
+		for k, mi := range plan.groups[c.group] {
+			res.Orig[mi][c.level] += orig[k]
+			res.Syn[mi][c.level] += syn[k]
 		}
 	}
 
