@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 
 	"repro/internal/compiler"
@@ -144,30 +145,104 @@ func NewRunner(p *pipeline.Pipeline) *Runner { return &Runner{P: p} }
 // pair is one measurement of an original program and of its clone.
 type pair[T any] struct{ orig, syn T }
 
-// measurePairs is the evaluation's one method: it compiles each workload
-// and its clone at the same (target, level) point, measures the original
-// with its inputs and the clone without, and returns out[w][l] for
-// suite[w] at levels[l], in suite order. Each workload is one pool job
-// that loops over the levels.
-func measurePairs[T any](ctx context.Context, p *pipeline.Pipeline, suite []*workloads.Workload,
-	target *isa.Desc, measure func(*isa.Program, func(*vm.VM) error) (T, error),
-	levels ...compiler.OptLevel) ([][]pair[T], error) {
-	return pipeline.Map(ctx, p, suite, func(ctx context.Context, w *workloads.Workload) ([]pair[T], error) {
-		out := make([]pair[T], len(levels))
-		for l, level := range levels {
-			progs, err := p.PairAt(ctx, w, target, level)
-			if err != nil {
-				return nil, err
+// point is one (target, level) at which workloads and clones are compiled.
+type point struct {
+	target *isa.Desc
+	level  compiler.OptLevel
+}
+
+// at returns the points of one target at the given levels.
+func at(target *isa.Desc, levels ...compiler.OptLevel) []point {
+	var out []point
+	for _, level := range levels {
+		out = append(out, point{target, level})
+	}
+	return out
+}
+
+// cell is one workload at one point: one program pair.
+type cell struct {
+	point
+	w *workloads.Workload
+}
+
+// run is one distinct program to measure: a workload's original (run with
+// its setup) or its clone, compiled for target. Cells whose builds are
+// identical share a run; an -O3 build that inlines nothing equals its -O2
+// build.
+type run struct {
+	target *isa.Desc
+	w      *workloads.Workload
+	clone  bool
+	prog   *isa.Program
+}
+
+// runsOf makes one run per distinct (target, workload, original | clone,
+// program) of the cells' pairs, in first-use order, and returns it with
+// each cell's original and clone run indices. Programs are the same when
+// they are one pointer or reflect.DeepEqual: exact identity, so a shared
+// run measures exactly what each of its cells would have measured.
+func runsOf(cells []cell, pairs []pipeline.Pair) ([]run, [][2]int) {
+	var runs []run
+	of := make([][2]int, len(cells))
+	for i, c := range cells {
+		for side, prog := range [2]*isa.Program{pairs[i].Orig, pairs[i].Syn} {
+			r := run{target: c.target, w: c.w, clone: side == 1, prog: prog}
+			k := slices.IndexFunc(runs, func(o run) bool {
+				return o.target == r.target && o.w == r.w && o.clone == r.clone &&
+					(o.prog == prog || reflect.DeepEqual(o.prog, prog))
+			})
+			if k < 0 {
+				k = len(runs)
+				runs = append(runs, r)
 			}
-			if out[l].orig, err = measure(progs.Orig, w.Setup); err != nil {
-				return nil, fmt.Errorf("%s: %w", w.Name, err)
-			}
-			if out[l].syn, err = measure(progs.Syn, nil); err != nil {
-				return nil, fmt.Errorf("%s clone: %w", w.Name, err)
-			}
+			of[i][side] = k
 		}
-		return out, nil
+	}
+	return runs, of
+}
+
+// measurePairs is the evaluation's one method: it compiles each workload
+// and its clone at each point, measures the original with its inputs and
+// the clone without, and returns out[p][w] for points[p] and suite[w], in
+// suite order. It resolves every cell's pair first (one PairAt per cell),
+// then measures each distinct program once (one pool job per run); cells
+// that share a run share its value, so measure's results are read only.
+func measurePairs[T any](ctx context.Context, p *pipeline.Pipeline, suite []*workloads.Workload,
+	points []point, measure func(*isa.Program, func(*vm.VM) error) (T, error)) ([][]pair[T], error) {
+	var cells []cell
+	for _, pt := range points {
+		for _, w := range suite {
+			cells = append(cells, cell{pt, w})
+		}
+	}
+	pairs, err := pipeline.Map(ctx, p, cells, func(ctx context.Context, c cell) (pipeline.Pair, error) {
+		return p.PairAt(ctx, c.w, c.target, c.level)
 	})
+	if err != nil {
+		return nil, err
+	}
+	runs, of := runsOf(cells, pairs)
+	vals, err := pipeline.Map(ctx, p, runs, func(_ context.Context, r run) (T, error) {
+		setup, what := r.w.Setup, r.w.Name
+		if r.clone {
+			setup, what = nil, what+" clone"
+		}
+		v, err := measure(r.prog, setup)
+		if err != nil {
+			return v, fmt.Errorf("%s on %s: %w", what, r.target.Name, err)
+		}
+		return v, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]pair[T], len(points))
+	for i, c := range of {
+		pi := i / len(suite)
+		out[pi] = append(out[pi], pair[T]{vals[c[0]], vals[c[1]]})
+	}
+	return out, nil
 }
 
 // runProgram executes a loaded program with an optional setup and hook.

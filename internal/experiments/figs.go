@@ -97,16 +97,16 @@ func measureDyn(prog *isa.Program, setup func(*vm.VM) error) (float64, error) {
 // Fig5 measures how the dynamic instruction count responds to the
 // optimization level for originals and clones.
 func (r *Runner) Fig5(ctx context.Context, suite []*workloads.Workload) (*Fig5Result, error) {
-	rows, err := measurePairs(ctx, r.P, suite, isa.AMD64, measureDyn, compiler.Levels...)
+	rows, err := measurePairs(ctx, r.P, suite, at(isa.AMD64, compiler.Levels...), measureDyn)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig5Result{}
 	for li, level := range compiler.Levels {
 		var po, ps []float64
-		for _, row := range rows {
-			po = append(po, row[li].orig/row[0].orig)
-			ps = append(ps, row[li].syn/row[0].syn)
+		for w, c := range rows[li] {
+			po = append(po, c.orig/rows[0][w].orig)
+			ps = append(ps, c.syn/rows[0][w].syn)
 		}
 		res.Levels = append(res.Levels, level.String())
 		res.Orig = append(res.Orig, stats.Mean(po))
@@ -164,7 +164,7 @@ func measureMix(prog *isa.Program, setup func(*vm.VM) error) ([4]float64, error)
 
 // Fig6 measures the instruction mix per benchmark family at one level.
 func (r *Runner) Fig6(ctx context.Context, suite []*workloads.Workload, level compiler.OptLevel) (*Fig6Result, error) {
-	rows, err := measurePairs(ctx, r.P, suite, isa.AMD64, measureMix, level)
+	rows, err := measurePairs(ctx, r.P, suite, at(isa.AMD64, level), measureMix)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func (r *Runner) Fig6(ctx context.Context, suite []*workloads.Workload, level co
 			order = append(order, w.Bench)
 		}
 		perBench[w.Bench] = append(perBench[w.Bench],
-			&MixRow{Name: w.Name, Orig: rows[i][0].orig, Syn: rows[i][0].syn})
+			&MixRow{Name: w.Name, Orig: rows[0][i].orig, Syn: rows[0][i].syn})
 	}
 	var avg MixRow
 	avg.Name = "average"
@@ -253,13 +253,13 @@ func measureCacheSweep(prog *isa.Program, setup func(*vm.VM) error) ([]float64, 
 
 // FigCache measures data-cache hit rates for 1KB..32KB caches.
 func (r *Runner) FigCache(ctx context.Context, suite []*workloads.Workload, level compiler.OptLevel) (*FigCacheResult, error) {
-	rows, err := measurePairs(ctx, r.P, suite, isa.AMD64, measureCacheSweep, level)
+	rows, err := measurePairs(ctx, r.P, suite, at(isa.AMD64, level), measureCacheSweep)
 	if err != nil {
 		return nil, err
 	}
 	res := &FigCacheResult{Level: level.String()}
 	for i, w := range suite {
-		res.Rows = append(res.Rows, CacheRow{Name: w.Name, Orig: rows[i][0].orig, Syn: rows[i][0].syn})
+		res.Rows = append(res.Rows, CacheRow{Name: w.Name, Orig: rows[0][i].orig, Syn: rows[0][i].syn})
 	}
 	for _, cfg := range cache.SweepConfigs() {
 		res.Sizes = append(res.Sizes, cfg.Name)
@@ -328,13 +328,13 @@ func measureBranchAcc(prog *isa.Program, setup func(*vm.VM) error) (float64, err
 
 // Fig9 measures hybrid-predictor accuracy for originals and clones.
 func (r *Runner) Fig9(ctx context.Context, suite []*workloads.Workload) (*Fig9Result, error) {
-	rows, err := measurePairs(ctx, r.P, suite, isa.AMD64, measureBranchAcc, compiler.O0, compiler.O2)
+	rows, err := measurePairs(ctx, r.P, suite, at(isa.AMD64, compiler.O0, compiler.O2), measureBranchAcc)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig9Result{}
 	for i, w := range suite {
-		o0, o2 := rows[i][0], rows[i][1]
+		o0, o2 := rows[0][i], rows[1][i]
 		res.Rows = append(res.Rows, BranchRow{Name: w.Name,
 			OrigO0: o0.orig, OrigO2: o2.orig, SynO0: o0.syn, SynO2: o2.syn})
 	}

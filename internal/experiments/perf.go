@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"reflect"
-	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/compiler"
@@ -56,14 +54,14 @@ func (r *Runner) Fig10(ctx context.Context, suite []*workloads.Workload) (*Fig10
 		}
 		return out, err
 	}
-	rows, err := measurePairs(ctx, r.P, suite, cfgs[0].ISA, cpis, compiler.O2)
+	rows, err := measurePairs(ctx, r.P, suite, at(cfgs[0].ISA, compiler.O2), cpis)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig10Result{}
 	var allOrig, allSyn []float64
 	for i, w := range suite {
-		row := CPIRow{Name: w.Name, Orig: rows[i][0].orig, Syn: rows[i][0].syn}
+		row := CPIRow{Name: w.Name, Orig: rows[0][i].orig, Syn: rows[0][i].syn}
 		res.Rows = append(res.Rows, row)
 		allOrig = append(allOrig, row.Orig...)
 		allSyn = append(allSyn, row.Syn...)
@@ -101,121 +99,38 @@ type Fig11Result struct {
 	MaxSpeedupErr float64
 }
 
-// fig11Cell is one cell of the ISA group × level × workload cross product:
-// one program pair, timed on every Table III machine of the group.
-type fig11Cell struct {
-	group    int // index into the machine groups
-	level    int
-	workload *workloads.Workload
-}
-
-// fig11Run is one distinct compiled program of an ISA group: a workload's
-// original (run with its setup) or its clone, timed once on every machine
-// of the group. Cells whose builds are identical share a run; an -O3
-// build that inlines nothing equals its -O2 build.
-type fig11Run struct {
-	group    int
-	workload *workloads.Workload
-	clone    bool
-	prog     *isa.Program
-}
-
-// fig11Plan is Fig. 11's work: the Table III machine indices of each ISA
-// group (in table order), the cells, the runs, and for each cell the
-// indices of its original's and its clone's runs.
-type fig11Plan struct {
-	groups [][]int
-	cells  []fig11Cell
-	runs   []fig11Run
-	of     [][2]int
-}
-
-// planFig11 resolves every cell's pair (one PairAt per cell) and assigns
-// the pairs' programs to runs.
-func (r *Runner) planFig11(ctx context.Context, suite []*workloads.Workload) (*fig11Plan, error) {
-	plan := &fig11Plan{}
-	byISA := map[*isa.Desc]int{}
+// fig11Grid returns Fig. 11's points, each Table III ISA (in table order)
+// at every level, and the Table III indices of each ISA's machines.
+func fig11Grid() ([]point, map[*isa.Desc][]int) {
+	var points []point
+	machines := map[*isa.Desc][]int{}
 	for mi, m := range cpu.Machines {
-		g, ok := byISA[m.ISA]
-		if !ok {
-			g = len(plan.groups)
-			byISA[m.ISA] = g
-			plan.groups = append(plan.groups, nil)
+		if machines[m.ISA] == nil {
+			points = append(points, at(m.ISA, compiler.Levels...)...)
 		}
-		plan.groups[g] = append(plan.groups[g], mi)
+		machines[m.ISA] = append(machines[m.ISA], mi)
 	}
-	for g := range plan.groups {
-		for li := range compiler.Levels {
-			for _, w := range suite {
-				plan.cells = append(plan.cells, fig11Cell{group: g, level: li, workload: w})
-			}
-		}
-	}
-	pairs, err := pipeline.Map(ctx, r.P, plan.cells, func(ctx context.Context, c fig11Cell) (pipeline.Pair, error) {
-		target := cpu.Machines[plan.groups[c.group][0]].ISA
-		return r.P.PairAt(ctx, c.workload, target, compiler.Levels[c.level])
-	})
-	if err != nil {
-		return nil, err
-	}
-	plan.runs, plan.of = shareRuns(plan.cells, pairs)
-	return plan, nil
-}
-
-// shareRuns makes one run per distinct (group, workload, original | clone,
-// program) of the cells' pairs, in first-use order, and returns it with
-// each cell's original and clone run indices. Programs are the same when
-// they are one pointer or reflect.DeepEqual: exact identity, so a shared
-// run times exactly what each of its cells would have timed.
-func shareRuns(cells []fig11Cell, pairs []pipeline.Pair) ([]fig11Run, [][2]int) {
-	var runs []fig11Run
-	of := make([][2]int, len(cells))
-	for i, c := range cells {
-		for side, prog := range [2]*isa.Program{pairs[i].Orig, pairs[i].Syn} {
-			run := fig11Run{group: c.group, workload: c.workload, clone: side == 1, prog: prog}
-			k := slices.IndexFunc(runs, func(o fig11Run) bool {
-				return o.group == run.group && o.workload == run.workload && o.clone == run.clone &&
-					(o.prog == prog || reflect.DeepEqual(o.prog, prog))
-			})
-			if k < 0 {
-				k = len(runs)
-				runs = append(runs, run)
-			}
-			of[i][side] = k
-		}
-	}
-	return runs, of
+	return points, machines
 }
 
 // Fig11 measures normalized execution time across machines and levels.
-// It resolves every cell's pair, then fans the distinct programs out as
-// one job list: each run times one program on all machines of its ISA
-// group in one interpretation (cpu.SimulateMany), and every cell takes
-// its times from its original's and its clone's runs.
+// Each distinct program is timed on every Table III machine of its ISA in
+// one interpretation (cpu.SimulateMany).
 func (r *Runner) Fig11(ctx context.Context, suite []*workloads.Workload) (*Fig11Result, error) {
-	plan, err := r.planFig11(ctx, suite)
-	if err != nil {
-		return nil, err
-	}
-	times, err := pipeline.Map(ctx, r.P, plan.runs, func(ctx context.Context, run fig11Run) ([]float64, error) {
-		var machines []cpu.Config
-		for _, mi := range plan.groups[run.group] {
-			machines = append(machines, cpu.Machines[mi])
+	points, machines := fig11Grid()
+	times := func(prog *isa.Program, setup func(*vm.VM) error) ([]float64, error) {
+		var cfgs []cpu.Config
+		for _, mi := range machines[prog.ISA] {
+			cfgs = append(cfgs, cpu.Machines[mi])
 		}
-		setup, what := run.workload.Setup, run.workload.Name
-		if run.clone {
-			setup, what = nil, what+" clone"
-		}
-		sums, err := cpu.SimulateMany(run.prog, setup, machines, 0)
-		if err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", what, machines[0].ISA.Name, err)
-		}
-		var t []float64 // TimeSec per machine of the group
+		sums, err := cpu.SimulateMany(prog, setup, cfgs, 0)
+		var t []float64 // TimeSec per machine of the ISA
 		for _, s := range sums {
 			t = append(t, s.TimeSec)
 		}
-		return t, nil
-	})
+		return t, err
+	}
+	rows, err := measurePairs(ctx, r.P, suite, points, times)
 	if err != nil {
 		return nil, err
 	}
@@ -233,11 +148,12 @@ func (r *Runner) Fig11(ctx context.Context, suite []*workloads.Workload) (*Fig11
 	}
 	// Aggregate each (machine, level) total over the suite in suite order,
 	// so the floating-point sums are identical for any worker count.
-	for i, c := range plan.cells {
-		orig, syn := times[plan.of[i][0]], times[plan.of[i][1]]
-		for k, mi := range plan.groups[c.group] {
-			res.Orig[mi][c.level] += orig[k]
-			res.Syn[mi][c.level] += syn[k]
+	for pi, pt := range points {
+		for _, c := range rows[pi] {
+			for k, mi := range machines[pt.target] {
+				res.Orig[mi][pt.level] += c.orig[k]
+				res.Syn[mi][pt.level] += c.syn[k]
+			}
 		}
 	}
 

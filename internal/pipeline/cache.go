@@ -317,22 +317,20 @@ func wipName(k Key) string {
 // the gate is a dedup optimization, never a correctness gate.
 func (c *artifactCache) computeGated(ctx context.Context, k Key, fn func(context.Context) (any, error)) (any, error) {
 	marker := wipName(k)
-	retried := false
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		err := c.disk.CreateExclusive(marker, []byte(k.Canonical()))
 		if err == nil {
-			if retried {
-				// We waited on another process's marker before winning the
-				// claim; it may have finished between our last poll and now.
-				if v, ok := c.fromDisk(k); ok {
-					c.disk.Remove(marker)
-					c.n.diskHits.Add(1)
-					c.tm.wipAdopted.Inc()
-					return v, nil
-				}
+			// Another process may have finished the artifact and released
+			// its marker since our last read: between do's first miss and
+			// this claim, or between our last poll and now.
+			if v, ok := c.fromDisk(k); ok {
+				c.disk.Remove(marker)
+				c.n.diskHits.Add(1)
+				c.tm.wipAdopted.Inc()
+				return v, nil
 			}
 			return c.computeOwned(ctx, k, marker, fn)
 		}
@@ -347,7 +345,6 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, fn func(context
 			return v, ferr
 		}
 		// Another process holds the claim: wait for its artifact.
-		retried = true
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()

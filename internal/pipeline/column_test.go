@@ -101,10 +101,11 @@ func sameSummaries(t *testing.T, what string, got, want []cpu.Summary) {
 }
 
 // TestSimulateColumnStoreTraffic pins the column path's store contract:
-// a cold column of K configs computes K simulations with exactly K sim
-// Gets and K sim Puts, and a second pipeline over the same store computes
-// nothing, reading each summary with one Get and no Has probe. Both match
-// per-config Simulate exactly.
+// a cold column of K configs computes K simulations with exactly 2K sim
+// Gets (each summary is looked up once, and once more after its
+// in-progress marker is claimed) and K sim Puts, and a second pipeline
+// over the same store computes nothing, reading each summary with one Get
+// and no Has probe. Both match per-config Simulate exactly.
 func TestSimulateColumnStoreTraffic(t *testing.T) {
 	ctx := context.Background()
 	w := mustWorkload(t, "crc32/small")
@@ -124,8 +125,8 @@ func TestSimulateColumnStoreTraffic(t *testing.T) {
 		if n := p.CacheStats().ComputedFor(pipeline.StageSimulate); n != uint64(k) {
 			t.Errorf("clone=%v cold: computed %d simulations, want %d", clone, n, k)
 		}
-		if gets, has, puts := cold.counts(); gets != k || has != 0 || puts != k {
-			t.Errorf("clone=%v cold: %d Gets, %d Has, %d Puts; want %d, 0, %d", clone, gets, has, puts, k, k)
+		if gets, has, puts := cold.counts(); gets != 2*k || has != 0 || puts != k {
+			t.Errorf("clone=%v cold: %d Gets, %d Has, %d Puts; want %d, 0, %d", clone, gets, has, puts, 2*k, k)
 		}
 
 		warm := &simCounter{Backend: openStore(t, dir)}
@@ -150,7 +151,8 @@ func TestSimulateColumnStoreTraffic(t *testing.T) {
 }
 
 // TestSimulateColumnPartialStore verifies a column over a store that holds
-// some of its summaries computes only the missing ones.
+// some of its summaries computes only the missing ones; each missing one is
+// read a second time after its in-progress marker is claimed.
 func TestSimulateColumnPartialStore(t *testing.T) {
 	ctx := context.Background()
 	w := mustWorkload(t, "crc32/small")
@@ -180,8 +182,8 @@ func TestSimulateColumnPartialStore(t *testing.T) {
 	if n := cs.ComputedFor(pipeline.StageSimulate); n != uint64(missing) || cs.DiskHits != uint64(len(stored)) {
 		t.Errorf("computed %d simulations with %d disk hits, want %d and %d", n, cs.DiskHits, missing, len(stored))
 	}
-	if gets, has, puts := st.counts(); gets != len(cfgs) || has != 0 || puts != missing {
-		t.Errorf("%d Gets, %d Has, %d Puts; want %d, 0, %d", gets, has, puts, len(cfgs), missing)
+	if gets, has, puts := st.counts(); gets != len(cfgs)+missing || has != 0 || puts != missing {
+		t.Errorf("%d Gets, %d Has, %d Puts; want %d, 0, %d", gets, has, puts, len(cfgs)+missing, missing)
 	}
 }
 

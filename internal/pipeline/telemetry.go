@@ -36,7 +36,7 @@ func newCacheTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, n *cac
 		"Store entries that failed to decode and store writes that failed.", n.diskErrors.Load)
 	t := &cacheTelemetry{tracer: tracer}
 	t.wipAdopted = reg.Counter("synth_pipeline_wip_adopted_total",
-		"Artifacts adopted after waiting on another process's in-progress marker.")
+		"Artifacts another process computed, adopted through the in-progress gate instead of computed.")
 	for s := Stage(0); int(s) < NumStages; s++ {
 		reg.CounterFunc("synth_pipeline_stage_computed_total",
 			"Artifact computations by pipeline stage.", n.computed[s].Load, "stage", s.String())

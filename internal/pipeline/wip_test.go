@@ -84,6 +84,61 @@ func TestWIPGateCrossProcessDedup(t *testing.T) {
 	}
 }
 
+// missThen is a store.Backend whose first Get miss runs then before it
+// returns: it stands in for another process that computes, writes and
+// releases the same artifact just after this one looked for it.
+type missThen struct {
+	store.Backend
+	once sync.Once
+	then func()
+}
+
+func (m *missThen) Get(digest, kind, key string) ([]byte, bool) {
+	payload, ok := m.Backend.Get(digest, kind, key)
+	if !ok {
+		m.once.Do(m.then)
+	}
+	return payload, ok
+}
+
+// TestWIPGateRereadsAfterClaim pins the gate's last window: pipeline B
+// profiles a workload to completion between pipeline A's first miss on the
+// profile and A's claim of its marker. A must find B's artifact after the
+// claim instead of profiling a second time.
+func TestWIPGateRereadsAfterClaim(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	w := workloads.ByName("crc32/small")
+	if w == nil {
+		t.Fatal("workload crc32/small missing")
+	}
+	b := wipPipeline(t, dir)
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errB error
+	a := New(Options{Workers: 2, Seed: 1, Store: &missThen{Backend: st, then: func() {
+		_, errB = b.Profile(ctx, w)
+	}}})
+	if _, err := a.Profile(ctx, w); err != nil {
+		t.Fatalf("profile on A: %v", err)
+	}
+	if errB != nil {
+		t.Fatalf("profile on B: %v", errB)
+	}
+	if got := b.CacheStats().ComputedFor(StageProfile); got != 1 {
+		t.Fatalf("B computed the profile %d times, want 1", got)
+	}
+	sum := a.CacheStats().Add(b.CacheStats())
+	if got := sum.ComputedFor(StageProfile); got != 1 {
+		t.Errorf("profile computed %d times across both pipelines, want 1", got)
+	}
+	if got := sum.ComputedFor(StageCompile); got != 1 {
+		t.Errorf("profiling compile computed %d times across both pipelines, want 1", got)
+	}
+}
+
 // TestWIPStaleMarkerStolen simulates a process that claimed an artifact
 // and died without heartbeating: its marker must be stolen after wipTTL
 // and the computation must proceed, so a crash can only stall the fleet

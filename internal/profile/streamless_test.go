@@ -72,7 +72,8 @@ func (b storedBackend) Get(digest, kind, key string) ([]byte, bool) {
 // TestLoadRejectsStreamlessLoads checks that a profile whose executed
 // loads carry no stream descriptor is rejected wherever profiles are
 // decoded: by profile.Load, and by the pipeline's stored-profile and
-// stored-clone decoders, which count it as a disk error and recompute.
+// stored-clone decoders, which count it as a disk error each time they
+// read it (before and after the in-progress claim) and recompute.
 // The opcode decides that a load is a memory site; a profile cannot opt
 // out by claiming no memory class.
 func TestLoadRejectsStreamlessLoads(t *testing.T) {
@@ -97,9 +98,9 @@ func TestLoadRejectsStreamlessLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.CacheStats()
-	if s.DiskHits != 0 || s.DiskErrors != 2 ||
+	if s.DiskHits != 0 || s.DiskErrors != 4 ||
 		s.ComputedFor(pipeline.StageProfile) != 1 || s.ComputedFor(pipeline.StageSynthesize) != 1 {
-		t.Errorf("stored stream-less profile and clone: want 2 disk errors, a profile and a synthesis, got %+v", s)
+		t.Errorf("stored stream-less profile and clone: want 4 disk errors, a profile and a synthesis, got %+v", s)
 	}
 	if err := cl.Profile.Validate(); err != nil {
 		t.Errorf("recomputed clone's profile: %v", err)

@@ -1,17 +1,20 @@
-package store
+// Package storefault is test support: a store.Backend decorator that
+// injects scripted failures, for the cluster's chaos tests. No non-test
+// code imports it.
+package storefault
 
 import (
 	"fmt"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/store"
 )
 
-// Fault is a Backend decorator that injects scripted failures for the
-// chaos test suites: transient errors, added latency, and payload
-// corruption, scheduled per operation and per name. Production code never
-// constructs one; it lives in the main package (rather than a _test file)
-// so the cluster and cmd/synth chaos tests can wrap their backends with it.
+// Fault is a store.Backend decorator that injects scripted failures for
+// the chaos test suites: transient errors, added latency, and payload
+// corruption, scheduled per operation and per name.
 //
 // Rules are matched in order against each operation; the first rule whose
 // Op and Match accept the call decides its fate. A rule with Count > 0
@@ -19,17 +22,19 @@ import (
 // is one rule. All methods are safe for concurrent use if the wrapped
 // Backend is.
 type Fault struct {
-	inner Backend
+	inner store.Backend
 
 	mu    sync.Mutex
-	rules []*FaultRule
+	rules []*Rule
 	fired map[string]int
 }
 
-// FaultRule schedules one kind of injected fault. Zero-valued fields mean
+var _ store.Backend = (*Fault)(nil)
+
+// Rule schedules one kind of injected fault. Zero-valued fields mean
 // "no constraint": an empty Op matches every operation, an empty Match
 // every name, Count == 0 fires forever.
-type FaultRule struct {
+type Rule struct {
 	// Op restricts the rule to one Backend method, named lower-case:
 	// "get", "put", "has", "readfile", "writefile", "createexclusive",
 	// "stat", "list", "rename", "remove", "touch". Empty matches all.
@@ -55,17 +60,17 @@ type FaultRule struct {
 	seen int // calls that matched, including skipped ones
 }
 
-// NewFault wraps inner with an initially empty fault script.
-func NewFault(inner Backend) *Fault {
+// New wraps inner with an initially empty fault script.
+func New(inner store.Backend) *Fault {
 	return &Fault{inner: inner, fired: map[string]int{}}
 }
 
 // Inner returns the wrapped backend, so tests that need to reach past the
 // fault layer (e.g. to manipulate filesystem state directly) can unwrap it.
-func (f *Fault) Inner() Backend { return f.inner }
+func (f *Fault) Inner() store.Backend { return f.inner }
 
 // Script appends rules to the fault schedule.
-func (f *Fault) Script(rules ...FaultRule) {
+func (f *Fault) Script(rules ...Rule) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i := range rules {
@@ -92,7 +97,7 @@ func (f *Fault) Fired(op string) int {
 // check consults the script for one call and returns the rule to apply,
 // if any. It mutates rule bookkeeping under the lock; the injected delay
 // and error are applied by the caller outside it.
-func (f *Fault) check(op, name string) *FaultRule {
+func (f *Fault) check(op, name string) *Rule {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, r := range f.rules {
@@ -128,7 +133,7 @@ func corrupt(payload []byte) []byte {
 	return bad
 }
 
-// Get implements Backend; injected errors surface as misses.
+// Get implements store.Backend; injected errors surface as misses.
 func (f *Fault) Get(digest, kind, key string) ([]byte, bool) {
 	r := f.check("get", digest+"/"+kind)
 	if r != nil && r.Delay > 0 {
@@ -144,7 +149,7 @@ func (f *Fault) Get(digest, kind, key string) ([]byte, bool) {
 	return payload, ok
 }
 
-// Put implements Backend.
+// Put implements store.Backend.
 func (f *Fault) Put(digest, kind, key string, payload []byte) error {
 	if err := f.apply("put", digest+"/"+kind); err != nil {
 		return err
@@ -152,7 +157,7 @@ func (f *Fault) Put(digest, kind, key string, payload []byte) error {
 	return f.inner.Put(digest, kind, key, payload)
 }
 
-// Has implements Backend; injected errors read as absent.
+// Has implements store.Backend; injected errors read as absent.
 func (f *Fault) Has(digest, kind, key string) bool {
 	r := f.check("has", digest+"/"+kind)
 	if r != nil && r.Delay > 0 {
@@ -179,7 +184,7 @@ func (f *Fault) apply(op, name string) error {
 	return nil
 }
 
-// ReadFile implements Backend.
+// ReadFile implements store.Backend.
 func (f *Fault) ReadFile(name string) ([]byte, error) {
 	r := f.check("readfile", name)
 	if r != nil && r.Delay > 0 {
@@ -195,7 +200,7 @@ func (f *Fault) ReadFile(name string) ([]byte, error) {
 	return data, err
 }
 
-// WriteFile implements Backend.
+// WriteFile implements store.Backend.
 func (f *Fault) WriteFile(name string, data []byte) error {
 	if err := f.apply("writefile", name); err != nil {
 		return err
@@ -203,7 +208,7 @@ func (f *Fault) WriteFile(name string, data []byte) error {
 	return f.inner.WriteFile(name, data)
 }
 
-// CreateExclusive implements Backend.
+// CreateExclusive implements store.Backend.
 func (f *Fault) CreateExclusive(name string, data []byte) error {
 	if err := f.apply("createexclusive", name); err != nil {
 		return err
@@ -211,23 +216,23 @@ func (f *Fault) CreateExclusive(name string, data []byte) error {
 	return f.inner.CreateExclusive(name, data)
 }
 
-// Stat implements Backend.
-func (f *Fault) Stat(name string) (FileInfo, error) {
+// Stat implements store.Backend.
+func (f *Fault) Stat(name string) (store.FileInfo, error) {
 	if err := f.apply("stat", name); err != nil {
-		return FileInfo{}, err
+		return store.FileInfo{}, err
 	}
 	return f.inner.Stat(name)
 }
 
-// List implements Backend.
-func (f *Fault) List(dir string) ([]FileInfo, error) {
+// List implements store.Backend.
+func (f *Fault) List(dir string) ([]store.FileInfo, error) {
 	if err := f.apply("list", dir); err != nil {
 		return nil, err
 	}
 	return f.inner.List(dir)
 }
 
-// Rename implements Backend.
+// Rename implements store.Backend.
 func (f *Fault) Rename(oldname, newname string) error {
 	if err := f.apply("rename", oldname); err != nil {
 		return err
@@ -235,7 +240,7 @@ func (f *Fault) Rename(oldname, newname string) error {
 	return f.inner.Rename(oldname, newname)
 }
 
-// Remove implements Backend.
+// Remove implements store.Backend.
 func (f *Fault) Remove(name string) error {
 	if err := f.apply("remove", name); err != nil {
 		return err
@@ -243,7 +248,7 @@ func (f *Fault) Remove(name string) error {
 	return f.inner.Remove(name)
 }
 
-// Touch implements Backend.
+// Touch implements store.Backend.
 func (f *Fault) Touch(name string) error {
 	if err := f.apply("touch", name); err != nil {
 		return err

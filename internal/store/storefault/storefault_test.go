@@ -1,33 +1,37 @@
-package store_test
+package storefault_test
 
-// Tests for the fault-injection Backend decorator itself. The decorator
-// lives in fault.go (non-test code) so the cluster chaos suite and the
-// cmd/synth fabric tests can wrap their backends with it; this file pins
-// its scheduling semantics — op/name matching, skip/count windows,
-// corruption, and miss-degradation on the cache-facing ops.
+// Tests for the fault-injection Backend decorator itself: its scheduling
+// semantics — op/name matching, skip/count windows, corruption, and
+// miss-degradation on the cache-facing ops.
 
 import (
 	"errors"
+	"go/parser"
+	"go/token"
 	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/store/storefault"
 )
 
-func faultPair(t *testing.T) (*store.Fault, *store.Store) {
+func faultPair(t *testing.T) (*storefault.Fault, *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
-	return store.NewFault(st), st
+	return storefault.New(st), st
 }
 
 var errInjected = errors.New("injected flake")
 
 func TestFaultErrorsAreTransient(t *testing.T) {
 	f, _ := faultPair(t)
-	f.Script(store.FaultRule{Op: "writefile", Match: "cluster/done/", Count: 2, Err: errInjected})
+	f.Script(storefault.Rule{Op: "writefile", Match: "cluster/done/", Count: 2, Err: errInjected})
 
 	// The first two done-dir writes flake, the third lands.
 	for i := 0; i < 2; i++ {
@@ -49,7 +53,7 @@ func TestFaultErrorsAreTransient(t *testing.T) {
 
 func TestFaultSkipWindow(t *testing.T) {
 	f, _ := faultPair(t)
-	f.Script(store.FaultRule{Op: "touch", Skip: 1, Count: 1, Err: errInjected})
+	f.Script(storefault.Rule{Op: "touch", Skip: 1, Count: 1, Err: errInjected})
 
 	if err := f.WriteFile("cluster/leased/j.json", nil); err != nil {
 		t.Fatal(err)
@@ -70,7 +74,7 @@ func TestFaultGetDegradesToMiss(t *testing.T) {
 	if err := st.Put("cafe01", "profile", "k", []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	f.Script(store.FaultRule{Op: "get", Count: 1, Err: errInjected})
+	f.Script(storefault.Rule{Op: "get", Count: 1, Err: errInjected})
 
 	if _, ok := f.Get("cafe01", "profile", "k"); ok {
 		t.Fatal("faulted get should read as a miss")
@@ -79,7 +83,7 @@ func TestFaultGetDegradesToMiss(t *testing.T) {
 		t.Fatalf("recovered get: ok=%v payload=%q", ok, payload)
 	}
 
-	f.Script(store.FaultRule{Op: "has", Count: 1, Err: errInjected})
+	f.Script(storefault.Rule{Op: "has", Count: 1, Err: errInjected})
 	if f.Has("cafe01", "profile", "k") {
 		t.Fatal("faulted has should read as absent")
 	}
@@ -93,7 +97,7 @@ func TestFaultCorruption(t *testing.T) {
 	if err := st.Put("cafe01", "profile", "k", []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	f.Script(store.FaultRule{Op: "get", Count: 1, Corrupt: true})
+	f.Script(storefault.Rule{Op: "get", Count: 1, Corrupt: true})
 
 	bad, ok := f.Get("cafe01", "profile", "k")
 	if !ok {
@@ -137,5 +141,35 @@ func TestFaultPassThrough(t *testing.T) {
 	}
 	if got := f.Fired(""); got != 0 {
 		t.Fatalf("no faults should have fired, got %d", got)
+	}
+}
+
+// TestOnlyTestsImportStorefault keeps the decorator out of the program: no
+// non-test Go file of the repository imports this package.
+func TestOnlyTestsImportStorefault(t *testing.T) {
+	const self = "repro/internal/store/storefault"
+	err := filepath.WalkDir("../../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "../../.." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == strconv.Quote(self) {
+				t.Errorf("%s imports %s", path, self)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
