@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/hlc"
+	"repro/internal/hlc/hlctest"
 	"repro/internal/isa"
 	"repro/internal/vm"
 )
@@ -14,7 +14,7 @@ import (
 // result.
 func run(t *testing.T, src string, target *isa.Desc, level OptLevel) vm.Result {
 	t.Helper()
-	prog, err := Compile(hlc.MustCheck(src), target, level)
+	prog, err := Compile(hlctest.MustCheck(src), target, level)
 	if err != nil {
 		t.Fatalf("compile %s %v: %v", target.Name, level, err)
 	}
@@ -284,7 +284,7 @@ void main() { print(g); print(f); print(w); }`
 	allTargets(t, src, []string{"-1", "-0.5", "-2"})
 	for _, target := range []*isa.Desc{isa.X86, isa.AMD64, isa.IA64} {
 		for _, level := range Levels {
-			prog, err := Compile(hlc.MustCheck(src), target, level)
+			prog, err := Compile(hlctest.MustCheck(src), target, level)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -401,7 +401,7 @@ void main() {
   }
   print(out[63]);
 }`
-	cp := hlc.MustCheck(src)
+	cp := hlctest.MustCheck(src)
 	progO2, err := Compile(cp, isa.IA64, O2)
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +453,7 @@ void main() {
   for (int i = 0; i < 100; i++) { sum += sq(i); }
   print(sum);
 }`
-	cp := hlc.MustCheck(src)
+	cp := hlctest.MustCheck(src)
 	progO3, err := Compile(cp, isa.AMD64, O3)
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +489,7 @@ void main() {
   print(sum);
 }`
 	loadFrac := func(level OptLevel) float64 {
-		cp := hlc.MustCheck(src)
+		cp := hlctest.MustCheck(src)
 		prog, err := Compile(cp, isa.X86, level)
 		if err != nil {
 			t.Fatal(err)
@@ -516,7 +516,7 @@ void main() {
 }
 
 func TestCompileErrors(t *testing.T) {
-	cp := hlc.MustCheck("void main() { print(1); }")
+	cp := hlctest.MustCheck("void main() { print(1); }")
 	if _, err := Compile(cp, nil, O0); err == nil {
 		t.Error("expected error for nil ISA")
 	}

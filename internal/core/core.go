@@ -390,6 +390,5 @@ func Consolidate(name string, profiles ...*profile.Profile) (*profile.Profile, e
 		funcBase += len(g.FuncNames)
 		loopBase += len(g.Loops)
 	}
-	out.CacheCfg = profiles[0].CacheCfg
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/hlc"
+	"repro/internal/hlc/hlctest"
 	"repro/internal/isa"
 	"repro/internal/profile"
 	"repro/internal/sfgl"
@@ -15,7 +16,7 @@ import (
 // profileSrc compiles src at the profiling point and profiles it.
 func profileSrc(t *testing.T, name, src string) *profile.Profile {
 	t.Helper()
-	cp := hlc.MustCheck(src)
+	cp := hlctest.MustCheck(src)
 	prog, err := compiler.Compile(cp, profile.Target, profile.Level)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +287,7 @@ func TestSynthesizeWithoutMemorySites(t *testing.T) {
 	in := func(ops ...isa.Opcode) []sfgl.InstrInfo {
 		var out []sfgl.InstrInfo
 		for _, op := range ops {
-			out = append(out, sfgl.InstrInfo{Op: op, Class: op.ClassOf()})
+			out = append(out, sfgl.InstrInfo{Op: op})
 		}
 		return out
 	}

@@ -81,7 +81,7 @@ const maxGroupLen = 24
 func (gen *generator) translate(n *sfgl.Node, w float64) []hlc.Stmt {
 	seq := make([]tok, 0, len(n.Instrs))
 	for _, in := range n.Instrs {
-		gen.target[in.Class] += w
+		gen.target[in.Op.ClassOf()] += w
 		k := kindOf(in)
 		if k == kSkip {
 			continue

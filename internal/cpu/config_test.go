@@ -255,7 +255,7 @@ func TestSimulateBudgetTruncationIsMeasurement(t *testing.T) {
 	if trunc.Instrs < bound || trunc.Instrs > bound+1 {
 		t.Errorf("truncated run executed %d instrs, want ~%d", trunc.Instrs, bound)
 	}
-	if trunc.Cycles == 0 || trunc.CPI == 0 {
+	if trunc.Cycles == 0 || trunc.CPI() == 0 {
 		t.Errorf("truncated run carries no timing: %+v", trunc)
 	}
 }

@@ -66,10 +66,9 @@ type Config struct {
 type Summary struct {
 	// Machine names the simulated configuration.
 	Machine string `json:"machine"`
-	// Cycles, Instrs, CPI, and TimeSec summarize the timed execution.
+	// Cycles, Instrs, and TimeSec summarize the timed execution.
 	Cycles  uint64  `json:"cycles"`
 	Instrs  uint64  `json:"instrs"`
-	CPI     float64 `json:"cpi"`
 	TimeSec float64 `json:"timeSec"`
 	// L1 and L2 are the load-side data-cache access statistics; L1Store
 	// and L2Store count store accesses separately so the load hit rates
@@ -78,10 +77,17 @@ type Summary struct {
 	L2      cache.Stats `json:"l2"`
 	L1Store cache.Stats `json:"l1Store,omitempty"`
 	L2Store cache.Stats `json:"l2Store,omitempty"`
-	// BranchAcc, Branches, and Mispredicts summarize branch prediction.
-	BranchAcc   float64 `json:"branchAcc"`
-	Branches    uint64  `json:"branches"`
-	Mispredicts uint64  `json:"mispredicts"`
+	// Branches and Mispredicts summarize branch prediction.
+	Branches    uint64 `json:"branches"`
+	Mispredicts uint64 `json:"mispredicts"`
+}
+
+// CPI returns cycles per instruction (0 when no cycles elapsed).
+func (s Summary) CPI() float64 {
+	if s.Cycles == 0 {
+		return 0
+	}
+	return float64(s.Cycles) / float64(s.Instrs)
 }
 
 // IPC returns instructions per cycle (0 when no cycles elapsed).
@@ -90,6 +96,15 @@ func (s Summary) IPC() float64 {
 		return 0
 	}
 	return float64(s.Instrs) / float64(s.Cycles)
+}
+
+// BranchAcc returns the branch prediction accuracy (1 when no branch
+// executed).
+func (s Summary) BranchAcc() float64 {
+	if s.Branches == 0 {
+		return 1
+	}
+	return 1 - float64(s.Mispredicts)/float64(s.Branches)
 }
 
 // Simulate runs prog on the configured machine model. setup (optional)
@@ -199,9 +214,6 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 		res := fe.finish(fe.slots[i], cycles[i])
 		res.Machine = cfg.Name
 		res.Instrs = runRes.DynInstrs
-		if res.Cycles > 0 {
-			res.CPI = float64(res.Cycles) / float64(res.Instrs)
-		}
 		if cfg.FreqGHz > 0 {
 			res.TimeSec = float64(res.Cycles) / (cfg.FreqGHz * 1e9)
 		}
@@ -313,7 +325,7 @@ func (fe *frontEnd) observe(ev *vm.Event, si *siteInfo) {
 // slot's cache and branch statistics.
 func (fe *frontEnd) finish(s feSlot, cycles uint64) Summary {
 	h := fe.hiers[s.hier]
-	res := Summary{
+	return Summary{
 		Cycles:      cycles,
 		L1:          h.L1.Stats,
 		L2:          h.L2.Stats,
@@ -322,12 +334,6 @@ func (fe *frontEnd) finish(s feSlot, cycles uint64) Summary {
 		Branches:    fe.branches,
 		Mispredicts: fe.mispredicts[s.pred],
 	}
-	if res.Branches > 0 {
-		res.BranchAcc = 1 - float64(res.Mispredicts)/float64(res.Branches)
-	} else {
-		res.BranchAcc = 1
-	}
-	return res
 }
 
 // latencyFor returns the fixed functional-unit latency per class (loads and

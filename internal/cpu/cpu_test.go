@@ -4,14 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/hlc"
+	"repro/internal/hlc/hlctest"
 	"repro/internal/isa"
 	"repro/internal/vm"
 )
 
 func compileFor(t *testing.T, src string, target *isa.Desc, level compiler.OptLevel) *isa.Program {
 	t.Helper()
-	cp := hlc.MustCheck(src)
+	cp := hlctest.MustCheck(src)
 	prog, err := compiler.Compile(cp, target, level)
 	if err != nil {
 		t.Fatal(err)
@@ -39,11 +39,11 @@ func TestSimulateBasics(t *testing.T) {
 	if res.Instrs == 0 || res.Cycles == 0 {
 		t.Fatal("empty simulation result")
 	}
-	if res.CPI < 0.3 || res.CPI > 30 {
-		t.Errorf("implausible CPI %.2f", res.CPI)
+	if res.CPI() < 0.3 || res.CPI() > 30 {
+		t.Errorf("implausible CPI %.2f", res.CPI())
 	}
-	if res.BranchAcc < 0.8 {
-		t.Errorf("loop branches should predict well, got %.3f", res.BranchAcc)
+	if res.BranchAcc() < 0.8 {
+		t.Errorf("loop branches should predict well, got %.3f", res.BranchAcc())
 	}
 	run, err := vm.New(prog).Run(vm.Config{})
 	if err != nil {
@@ -133,8 +133,8 @@ void main() {
 		t.Fatal(err)
 	}
 	// Equal work; the independent version should achieve lower CPI.
-	if ri.CPI >= rd.CPI {
-		t.Errorf("independent chains CPI %.2f should beat dependent chain CPI %.2f", ri.CPI, rd.CPI)
+	if ri.CPI() >= rd.CPI() {
+		t.Errorf("independent chains CPI %.2f should beat dependent chain CPI %.2f", ri.CPI(), rd.CPI())
 	}
 }
 
@@ -197,8 +197,8 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.BranchAcc > 0.95 {
-		t.Errorf("random branches predicted too well: %.3f", rd.BranchAcc)
+	if rd.BranchAcc() > 0.95 {
+		t.Errorf("random branches predicted too well: %.3f", rd.BranchAcc())
 	}
 	if rd.Cycles <= rc.Cycles {
 		t.Errorf("penalty 30 (%d cycles) should cost more than penalty 2 (%d)", rd.Cycles, rc.Cycles)

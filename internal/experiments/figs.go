@@ -50,11 +50,11 @@ func (r *Runner) Fig4(ctx context.Context, suite []*workloads.Workload) (*Fig4Re
 		}
 		row := Fig4Row{
 			Workload: w.Name,
-			OrigDyn:  cl.Profile.TotalDyn,
+			OrigDyn:  cl.Report.OriginalDyn,
 			SynDyn:   res.DynInstrs,
 		}
 		if res.DynInstrs > 0 {
-			row.Reduction = float64(cl.Profile.TotalDyn) / float64(res.DynInstrs)
+			row.Reduction = float64(cl.Report.OriginalDyn) / float64(res.DynInstrs)
 		}
 		return row, nil
 	})

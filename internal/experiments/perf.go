@@ -50,7 +50,7 @@ func (r *Runner) Fig10(ctx context.Context, suite []*workloads.Workload) (*Fig10
 		sums, err := cpu.SimulateMany(prog, setup, cfgs, 0)
 		var out []float64
 		for _, s := range sums {
-			out = append(out, s.CPI)
+			out = append(out, s.CPI())
 		}
 		return out, err
 	}

@@ -94,15 +94,15 @@ func buildReport(sw *Sweep, cs []cell, pairs []pipeline.SimPair) *Report {
 	var allOrig, allSyn []float64
 	for i, c := range cs {
 		pr := points[c.pi]
-		pr.origCPI = append(pr.origCPI, pairs[i].Orig.CPI)
-		pr.synCPI = append(pr.synCPI, pairs[i].Syn.CPI)
+		pr.origCPI = append(pr.origCPI, pairs[i].Orig.CPI())
+		pr.synCPI = append(pr.synCPI, pairs[i].Syn.CPI())
 		pr.origIPC = append(pr.origIPC, pairs[i].Orig.IPC())
 		pr.OrigCycles += pairs[i].Orig.Cycles
 		pr.SynCycles += pairs[i].Syn.Cycles
 		pr.OrigTimeSec += pairs[i].Orig.TimeSec
 		pr.SynTimeSec += pairs[i].Syn.TimeSec
-		allOrig = append(allOrig, pairs[i].Orig.CPI)
-		allSyn = append(allSyn, pairs[i].Syn.CPI)
+		allOrig = append(allOrig, pairs[i].Orig.CPI())
+		allSyn = append(allSyn, pairs[i].Syn.CPI())
 	}
 	for _, pr := range points {
 		pr.OrigCPI = stats.Mean(pr.origCPI)

@@ -16,23 +16,14 @@
 package generate
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 
 	"repro/internal/isa"
 	"repro/internal/profile"
 )
 
-// FeaturesVersion is the feature-vector serialization version. Load
-// rejects vectors from a newer (unknown) version instead of silently
-// comparing incompatible embeddings; changing the dimension list or the
-// semantics of any dimension requires bumping it.
-const FeaturesVersion = 1
-
 // NumFeatures is the embedding dimension. Every Features vector has
-// exactly this length, and Distance is only defined between vectors of
-// the same version.
+// exactly this length.
 const NumFeatures = 16
 
 // FeatureNames labels the embedding dimensions, index-aligned with
@@ -62,11 +53,11 @@ var FeatureNames = [NumFeatures]string{
 // dimension. The suite's blocks run from ~4 to ~20 instructions.
 const blockSizeScale = 24.0
 
-// Features is one profile's embedding: a versioned, fixed-length point in
-// the generation feature space, with canonical JSON encoding.
+// Features is one profile's embedding: a fixed-length point in the
+// generation feature space. Vectors are built in-process by FromProfile
+// and persisted only inside a stored generate report, whose key carries
+// the pipeline's artifact version.
 type Features struct {
-	// V is the embedding version (FeaturesVersion when produced here).
-	V int `json:"v"`
 	// Workload names the profile the vector embeds.
 	Workload string `json:"workload"`
 	// Vec is the feature vector, index-aligned with FeatureNames.
@@ -77,7 +68,7 @@ type Features struct {
 // pure function of the profile's statistics, so equal profiles embed to
 // equal vectors regardless of how they were produced.
 func FromProfile(p *profile.Profile) Features {
-	f := Features{V: FeaturesVersion, Workload: p.Workload, Vec: make([]float64, NumFeatures)}
+	f := Features{Workload: p.Workload, Vec: make([]float64, NumFeatures)}
 	total := float64(p.TotalDyn)
 	if total <= 0 {
 		return f
@@ -181,10 +172,10 @@ func clamp01(v float64) float64 {
 
 // Distance is the root-mean-square distance between two feature vectors —
 // the metric coverage analysis, hole detection, and the requested-vs-
-// achieved error all share. Vectors of different versions or lengths are
-// infinitely far apart rather than silently comparable.
+// achieved error all share. Vectors of different lengths are infinitely
+// far apart rather than silently comparable.
 func Distance(a, b Features) float64 {
-	if a.V != b.V || len(a.Vec) != len(b.Vec) || len(a.Vec) == 0 {
+	if len(a.Vec) != len(b.Vec) || len(a.Vec) == 0 {
 		return math.Inf(1)
 	}
 	var sum float64
@@ -193,33 +184,4 @@ func Distance(a, b Features) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(a.Vec)))
-}
-
-// Encode renders the vector as canonical JSON (fixed field order, no
-// indentation), the byte form reports and fingerprints use.
-func (f Features) Encode() ([]byte, error) {
-	return json.Marshal(f)
-}
-
-// LoadFeatures decodes and validates a feature vector: the version must
-// be known, the dimension must match, and every component must be finite.
-// Malformed or future-versioned vectors fail loudly instead of skewing a
-// coverage analysis.
-func LoadFeatures(data []byte) (Features, error) {
-	var f Features
-	if err := json.Unmarshal(data, &f); err != nil {
-		return Features{}, fmt.Errorf("generate: bad features: %w", err)
-	}
-	if f.V < 1 || f.V > FeaturesVersion {
-		return Features{}, fmt.Errorf("generate: unsupported features version %d (max %d)", f.V, FeaturesVersion)
-	}
-	if len(f.Vec) != NumFeatures {
-		return Features{}, fmt.Errorf("generate: features have %d dimensions, want %d", len(f.Vec), NumFeatures)
-	}
-	for i, v := range f.Vec {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Features{}, fmt.Errorf("generate: feature %q is not finite", FeatureNames[i])
-		}
-	}
-	return f, nil
 }

@@ -1,7 +1,6 @@
 package generate_test
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/generate"
@@ -40,49 +39,6 @@ func FuzzGenerateSpec(f *testing.F) {
 		}
 		if spec.Fingerprint() == "" || spec.Fingerprint() != spec.Fingerprint() {
 			t.Fatal("unstable fingerprint")
-		}
-	})
-}
-
-// FuzzFeaturesLoad asserts LoadFeatures never panics and enforces the
-// embedding contract: anything it accepts has the exact dimension count,
-// a known version, and only finite components — so a damaged vector can
-// never skew a coverage analysis silently.
-func FuzzFeaturesLoad(f *testing.F) {
-	valid, err := generate.Features{
-		V:        generate.FeaturesVersion,
-		Workload: "fuzz/seed",
-		Vec:      make([]float64, generate.NumFeatures),
-	}.Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                              // truncated
-	f.Add([]byte(`{}`))                                      // empty
-	f.Add([]byte(`{"v": 99, "workload": "x", "vec": [0]}`))  // future version
-	f.Add([]byte(`{"v": 1, "workload": "x", "vec": [0.5]}`)) // wrong dims
-	f.Add([]byte(`{"v": 1, "vec": [1e308, 1e308]}`))         // huge components
-	f.Add([]byte(`not json`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		feats, err := generate.LoadFeatures(data)
-		if err != nil {
-			return
-		}
-		if feats.V < 1 || feats.V > generate.FeaturesVersion {
-			t.Fatalf("accepted version %d", feats.V)
-		}
-		if len(feats.Vec) != generate.NumFeatures {
-			t.Fatalf("accepted %d dimensions", len(feats.Vec))
-		}
-		for i, v := range feats.Vec {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("accepted non-finite component %d", i)
-			}
-		}
-		// An accepted vector is self-comparable under the metric.
-		if d := generate.Distance(feats, feats); d != 0 {
-			t.Fatalf("self-distance %v", d)
 		}
 	})
 }

@@ -37,8 +37,8 @@ func TestFeaturesRoundTrip(t *testing.T) {
 	profs := suiteProfiles(t, p, "tiny")
 	for _, pr := range profs {
 		f := FromProfile(pr)
-		if f.V != FeaturesVersion || len(f.Vec) != NumFeatures {
-			t.Fatalf("%s: embedding shape v=%d dims=%d", pr.Workload, f.V, len(f.Vec))
+		if len(f.Vec) != NumFeatures {
+			t.Fatalf("%s: embedding has %d dimensions", pr.Workload, len(f.Vec))
 		}
 		for i, v := range f.Vec {
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -48,12 +48,13 @@ func TestFeaturesRoundTrip(t *testing.T) {
 		if d := Distance(f, f); d != 0 {
 			t.Errorf("%s: self-distance %v", pr.Workload, d)
 		}
-		data, err := f.Encode()
+		// Vectors are persisted inside the stored generate report's JSON.
+		data, err := json.Marshal(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadFeatures(data)
-		if err != nil {
+		var got Features
+		if err := json.Unmarshal(data, &got); err != nil {
 			t.Fatalf("%s: round trip: %v", pr.Workload, err)
 		}
 		if !reflect.DeepEqual(f, got) {
@@ -76,42 +77,20 @@ func TestFeaturesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDistanceVersionAndShapeMismatch(t *testing.T) {
-	a := Features{V: FeaturesVersion, Vec: make([]float64, NumFeatures)}
-	b := Features{V: FeaturesVersion + 1, Vec: make([]float64, NumFeatures)}
-	if d := Distance(a, b); !math.IsInf(d, 1) {
-		t.Errorf("cross-version distance = %v, want +Inf", d)
-	}
-	c := Features{V: FeaturesVersion, Vec: make([]float64, 3)}
+func TestDistanceShapeMismatch(t *testing.T) {
+	a := Features{Vec: make([]float64, NumFeatures)}
+	c := Features{Vec: make([]float64, 3)}
 	if d := Distance(a, c); !math.IsInf(d, 1) {
 		t.Errorf("cross-shape distance = %v, want +Inf", d)
 	}
-	if d := Distance(Features{V: 1}, Features{V: 1}); !math.IsInf(d, 1) {
+	if d := Distance(Features{}, Features{}); !math.IsInf(d, 1) {
 		t.Errorf("empty-vector distance = %v, want +Inf", d)
-	}
-}
-
-func TestLoadFeaturesRejections(t *testing.T) {
-	cases := []struct {
-		name, data, want string
-	}{
-		{"garbage", `{`, "bad features"},
-		{"future version", `{"v": 99, "workload": "x", "vec": [0]}`, "unsupported features version"},
-		{"zero version", `{"v": 0, "workload": "x", "vec": [0]}`, "unsupported features version"},
-		{"wrong dims", `{"v": 1, "workload": "x", "vec": [0.5, 0.5]}`, "dimensions"},
-	}
-	for _, tc := range cases {
-		if _, err := LoadFeatures([]byte(tc.data)); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		} else if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
 	}
 }
 
 // vec builds a NumFeatures-dim test vector with the given leading values.
 func vec(workload string, lead ...float64) Features {
-	f := Features{V: FeaturesVersion, Workload: workload, Vec: make([]float64, NumFeatures)}
+	f := Features{Workload: workload, Vec: make([]float64, NumFeatures)}
 	copy(f.Vec, lead)
 	return f
 }

@@ -140,16 +140,6 @@ func Literal(e Expr) Expr {
 	return nil
 }
 
-// MustCheck parses and checks src, panicking on any error. For tests and
-// embedded workloads.
-func MustCheck(src string) *CheckedProgram {
-	cp, err := Check(MustParse(src))
-	if err != nil {
-		panic(err)
-	}
-	return cp
-}
-
 func joinErrors(errs []error) error {
 	if len(errs) == 1 {
 		return errs[0]

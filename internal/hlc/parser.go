@@ -22,16 +22,6 @@ func Parse(src string) (*Program, error) {
 	return p.program()
 }
 
-// MustParse parses src and panics on error. Intended for tests and for the
-// embedded workload sources, which are validated by the test suite.
-func MustParse(src string) *Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 func (p *Parser) cur() Lexeme  { return p.toks[p.pos] }
 func (p *Parser) tok() Token   { return p.toks[p.pos].Tok }
 func (p *Parser) next() Lexeme { l := p.toks[p.pos]; p.pos++; return l }

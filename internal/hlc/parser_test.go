@@ -171,7 +171,7 @@ func TestPrintParseRoundTrip(t *testing.T) {
 func TestPrintPreservesPrecedence(t *testing.T) {
 	// (1 + 2) * 3 must keep its parentheses through a round trip.
 	src := "void main() { int x; x = (1 + 2) * 3; }"
-	prog := MustParse(src)
+	prog := mustParse(t, src)
 	out := Print(prog)
 	if !strings.Contains(out, "(1 + 2) * 3") {
 		t.Fatalf("printer lost required parentheses:\n%s", out)
@@ -179,7 +179,7 @@ func TestPrintPreservesPrecedence(t *testing.T) {
 }
 
 func TestCheckSample(t *testing.T) {
-	prog := MustParse(sampleProgram)
+	prog := mustParse(t, sampleProgram)
 	cp, err := Check(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ void main() {
   acc = f * 2 + 1;
   print(acc);
 }`
-	MustCheck(src)
+	mustCheck(t, src)
 	// Widening is one-way: mixed arithmetic is float, so it cannot
 	// initialize an int.
 	narrow := `
@@ -278,7 +278,7 @@ void main() {
   for (int x = 0; x < 3; x++) { print(x); }
   print(x);
 }`
-	cp := MustCheck(src)
+	cp := mustCheck(t, src)
 	if cp == nil {
 		t.Fatal("check failed")
 	}
@@ -295,4 +295,24 @@ func checkedFunc(cp *CheckedProgram, name string) *CheckedFunc {
 		}
 	}
 	return nil
+}
+
+// mustParse parses src, failing the test on error.
+func mustParse(t *testing.T, src string) *Program {
+	t.Helper()
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// mustCheck parses and checks src, failing the test on any error.
+func mustCheck(t *testing.T, src string) *CheckedProgram {
+	t.Helper()
+	cp, err := Check(mustParse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/hlc"
+	"repro/internal/hlc/hlctest"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
@@ -44,7 +45,7 @@ func BenchmarkPipelineSequentialSeed(b *testing.B) {
 			if ci, ok := cloneCache[w.Name]; ok {
 				return ci
 			}
-			cp := hlc.MustCheck(w.Source)
+			cp := hlctest.MustCheck(w.Source)
 			prog, err := compiler.Compile(cp, isa.AMD64, compiler.O0)
 			if err != nil {
 				b.Fatal(err)
@@ -65,7 +66,7 @@ func BenchmarkPipelineSequentialSeed(b *testing.B) {
 			for n := 0; n < use.count; n++ {
 				for _, w := range suite {
 					ci := cloneOf(w)
-					cp := hlc.MustCheck(w.Source)
+					cp := hlctest.MustCheck(w.Source)
 					if _, err := compiler.Compile(cp, isa.AMD64, use.level); err != nil {
 						b.Fatal(err)
 					}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
-	"repro/internal/sfgl"
 	"repro/internal/vm"
 )
 
@@ -101,9 +100,8 @@ func TestDecodeProfileRejectsPreStream(t *testing.T) {
 	}
 }
 
-// TestDecodeProfileRejectsOutOfRange checks that stored profiles and
-// clones pass profile.Profile.Validate's range and mix checks, not just
-// the graph's: a stream miss rate outside [0,1] or a mix that does not sum
+// TestDecodeProfileRejectsOutOfRange checks that stored profiles pass
+// profile.Profile.Validate's range and mix checks, not just the graph's: a stream miss rate outside [0,1] or a mix that does not sum
 // to the dynamic total must be a decode error naming the cause.
 func TestDecodeProfileRejectsOutOfRange(t *testing.T) {
 	cases := []struct {
@@ -126,48 +124,36 @@ func TestDecodeProfileRejectsOutOfRange(t *testing.T) {
 		if _, err := pipeline.DecodeProfile(data); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: DecodeProfile = %v, want an error containing %q", tc.name, err, tc.want)
 		}
-		data, err = pipeline.EncodeClone(&pipeline.Clone{Source: progSrc, Profile: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pipeline.DecodeClone(data); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: DecodeClone = %v, want an error containing %q", tc.name, err, tc.want)
-		}
 	}
 }
 
-// TestDecodeCloneRejects requires a stored clone to carry a valid
-// profile: readers use it as the clone's original, so a clone without
-// one must be a decode error (a disk miss the pipeline recomputes), not a
-// hit with a nil profile.
+// TestDecodeCloneRejects requires a stored clone's source to be present,
+// to parse and to check: the source is the artifact of record, so a clone
+// without a usable one must be a decode error (a disk miss the pipeline
+// recomputes), not a hit.
 func TestDecodeCloneRejects(t *testing.T) {
-	encode := func(c *pipeline.Clone) []byte {
-		data, err := pipeline.EncodeClone(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	futureStream := testProfile()
-	futureStream.Graph.Nodes[0].Instrs[0].Stream.V = sfgl.StreamVersion + 1
 	cases := []struct {
 		name string
-		data []byte
+		data string
 		want string
 	}{
-		{"null profile", []byte(`{"source":"void main() {}","profile":null}`), "missing profile"},
-		{"no profile field", []byte(`{"source":"void main() {}"}`), "missing profile"},
-		{"missing graph", encode(&pipeline.Clone{Source: progSrc, Profile: &profile.Profile{Workload: "w"}}), "missing graph"},
-		{"pre-stream profile", encode(&pipeline.Clone{Source: progSrc, Profile: preStreamProfile()}), "pre-stream profile"},
-		{"future stream version", encode(&pipeline.Clone{Source: progSrc, Profile: futureStream}), "unsupported stream version"},
+		{"not json", `{"source":`, "decode clone"},
+		{"no source field", `{"report":{}}`, "empty source"},
+		{"empty source", `{"source":"","report":{}}`, "empty source"},
+		{"does not parse", `{"source":"void main( {","report":{}}`, "does not parse"},
+		{"does not check", `{"source":"void main() { undeclared = 1; }","report":{}}`, "does not check"},
 	}
 	for _, tc := range cases {
-		_, err := pipeline.DecodeClone(tc.data)
+		_, err := pipeline.DecodeClone([]byte(tc.data))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: DecodeClone = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := pipeline.DecodeClone(encode(&pipeline.Clone{Source: progSrc, Profile: testProfile()})); err != nil {
+	data, err := pipeline.EncodeClone(&pipeline.Clone{Source: progSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipeline.DecodeClone(data); err != nil {
 		t.Errorf("valid clone rejected: %v", err)
 	}
 }
@@ -206,7 +192,7 @@ var quickSeeds = sync.OnceValue(func() (a quickArtifacts) {
 })
 
 // FuzzDecodeClone asserts that DecodeClone never panics and that what it
-// accepts has a source and a profile that passes validation.
+// accepts has a source and its checked program.
 func FuzzDecodeClone(f *testing.F) {
 	seeds := quickSeeds()
 	if seeds.err != nil {
@@ -215,17 +201,14 @@ func FuzzDecodeClone(f *testing.F) {
 	for _, data := range seeds.clones {
 		f.Add(data)
 	}
-	f.Add([]byte(`{"source":"void main() {}","profile":null}`))
+	f.Add([]byte(`{"source":"void main() {}","report":{}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := pipeline.DecodeClone(data)
 		if err != nil {
 			return
 		}
-		if c.Source == "" {
-			t.Fatalf("accepted clone without source: %+v", c)
-		}
-		if err := c.Profile.Validate(); err != nil {
-			t.Fatalf("accepted clone whose profile fails validation: %v", err)
+		if c.Source == "" || c.Checked == nil {
+			t.Fatalf("accepted clone without source or checked program: %+v", c)
 		}
 	})
 }

@@ -26,7 +26,7 @@ import (
 // timing models, or the key's own encoding) bumps it and nothing else;
 // entries written under another version are then misses, because their
 // stored keys no longer match.
-const ArtifactVersion = 6
+const ArtifactVersion = 7
 
 // codec (de)serializes one stage's artifacts for the disk tier. An entry's
 // kind must match the reader's expectation, so a digest collision between
@@ -283,12 +283,10 @@ func instrValid(pj *programJSON, f *isa.Func, b *isa.Block, in *isa.Instr) bool 
 // storedClone is the serialized form of a synthesized clone. The HLC
 // source is the artifact of record — decodeClone re-parses and re-checks
 // it to rebuild the AST forms, exactly as a distributed clone would be
-// consumed — alongside the synthesis report and the profile the clone was
-// synthesized from.
+// consumed — alongside the synthesis report.
 type storedClone struct {
-	Source  string           `json:"source"`
-	Report  core.Report      `json:"report"`
-	Profile *profile.Profile `json:"profile"`
+	Source string      `json:"source"`
+	Report core.Report `json:"report"`
 }
 
 func encodeClone(v any) ([]byte, error) {
@@ -296,12 +294,10 @@ func encodeClone(v any) ([]byte, error) {
 	if cl == nil || cl.Source == "" {
 		return nil, fmt.Errorf("pipeline: encode clone: nil clone or empty source")
 	}
-	return json.Marshal(storedClone{Source: cl.Source, Report: cl.Report, Profile: cl.Profile})
+	return json.Marshal(storedClone{Source: cl.Source, Report: cl.Report})
 }
 
-// decodeClone deserializes a synthesized clone. The profile is required
-// and validated like a stored profile: readers use it as the clone's
-// original (Fig. 4 reads its dynamic size).
+// decodeClone deserializes a synthesized clone.
 func decodeClone(data []byte) (any, error) {
 	var sc storedClone
 	if err := json.Unmarshal(data, &sc); err != nil {
@@ -309,9 +305,6 @@ func decodeClone(data []byte) (any, error) {
 	}
 	if sc.Source == "" {
 		return nil, fmt.Errorf("pipeline: decode clone: empty source")
-	}
-	if err := sc.Profile.Validate(); err != nil {
-		return nil, fmt.Errorf("pipeline: decode clone: %w", err)
 	}
 	prog, err := hlc.Parse(sc.Source)
 	if err != nil {
@@ -321,5 +314,5 @@ func decodeClone(data []byte) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stored clone does not check: %w", err)
 	}
-	return &Clone{Checked: cp, Report: sc.Report, Source: sc.Source, Profile: sc.Profile}, nil
+	return &Clone{Checked: cp, Report: sc.Report, Source: sc.Source}, nil
 }

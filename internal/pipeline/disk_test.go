@@ -27,16 +27,16 @@ func testProfile() *profile.Profile {
 		Nodes: []*sfgl.Node{
 			{ID: 0, Func: 0, Block: 0, Count: 100,
 				Instrs: []sfgl.InstrInfo{
-					{Op: isa.LD, Class: isa.ClassLoad, Stream: &sfgl.Stream{
+					{Op: isa.LD, Stream: &sfgl.Stream{
 						V: sfgl.StreamVersion, Accesses: 100, MissRate: 0.375, MissWide: 0.125,
 						Strides: []sfgl.StrideBin{{Stride: 12, Frac: 0.9}}, Regularity: 0.9}},
-					{Op: isa.ADD, Class: isa.ClassIntALU},
-					{Op: isa.BR, Class: isa.ClassBranch},
+					{Op: isa.ADD},
+					{Op: isa.BR},
 				},
 				Branch: &sfgl.BranchInfo{Taken: 60, Total: 100, Transitions: 20,
 					TakenRate: 0.6, TransRate: 0.2020202, Hard: true}},
 			{ID: 1, Func: 1, Block: 0, Count: 42,
-				Instrs: []sfgl.InstrInfo{{Op: isa.RET, Class: isa.ClassRet}}},
+				Instrs: []sfgl.InstrInfo{{Op: isa.RET}}},
 		},
 		Edges: []*sfgl.Edge{{From: 0, To: 0, Count: 60}, {From: 0, To: 1, Count: 40}},
 		Loops: []*sfgl.Loop{
@@ -55,7 +55,6 @@ func testProfile() *profile.Profile {
 			m[isa.ClassRet] = 42
 			return
 		}(),
-		CacheCfg:   cache.Config{Name: "profile-8KB", Size: 8192, LineSize: 32, Assoc: 2},
 		OutputHash: 0xdeadbeef,
 	}
 }
@@ -232,7 +231,7 @@ func TestStoreProgramDecodeRejects(t *testing.T) {
 // TestStoreCloneRoundTrip round-trips a clone record; decoding re-parses
 // and re-checks its source, the way the disk tier rebuilds clone artifacts.
 func TestStoreCloneRoundTrip(t *testing.T) {
-	c := &pipeline.Clone{Source: progSrc, Profile: testProfile()}
+	c := &pipeline.Clone{Source: progSrc}
 	c.Report.Workload = "test/tiny"
 	c.Report.Reduction = 7
 	c.Report.Coverage = 0.998
@@ -262,10 +261,10 @@ func TestStoreCloneRoundTrip(t *testing.T) {
 func TestStoreSimRoundTrip(t *testing.T) {
 	s := cpu.Summary{
 		Machine: "2-wide OoO", Cycles: 123456, Instrs: 100000,
-		CPI: 1.23456, TimeSec: 0.000123456,
-		L1:        cache.Stats{Accesses: 40000, Misses: 1200},
-		L2:        cache.Stats{Accesses: 1200, Misses: 300},
-		BranchAcc: 0.97, Branches: 9000, Mispredicts: 270,
+		TimeSec:  0.000123456,
+		L1:       cache.Stats{Accesses: 40000, Misses: 1200},
+		L2:       cache.Stats{Accesses: 1200, Misses: 300},
+		Branches: 9000, Mispredicts: 270,
 	}
 	enc, err := pipeline.EncodeSim(s)
 	if err != nil {

@@ -93,7 +93,6 @@ type Clone struct {
 	Checked *hlc.CheckedProgram
 	Report  core.Report
 	Source  string
-	Profile *profile.Profile // the profile the clone was synthesized from
 }
 
 // Pair holds the original and synthetic programs compiled for one
@@ -255,7 +254,6 @@ func (p *Pipeline) synthesizeClone(prof *profile.Profile, workload string) (*Clo
 		Checked: cp,
 		Report:  rep,
 		Source:  hlc.Print(cp.Prog),
-		Profile: prof,
 	}, nil
 }
 

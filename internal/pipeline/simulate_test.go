@@ -26,7 +26,7 @@ func TestPipelineSimulateCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pair.Orig.Instrs == 0 || pair.Syn.Instrs == 0 || pair.Orig.CPI == 0 || pair.Syn.CPI == 0 {
+	if pair.Orig.Instrs == 0 || pair.Syn.Instrs == 0 || pair.Orig.CPI() == 0 || pair.Syn.CPI() == 0 {
 		t.Fatalf("empty simulation summaries: %+v", pair)
 	}
 	if got := p.CacheStats().ComputedFor(pipeline.StageSimulate); got != 2 {

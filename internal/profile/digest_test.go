@@ -20,38 +20,38 @@ import (
 // pipeline.ArtifactVersion; any other change must leave it alone. Every
 // profile must also pass Validate.
 var profileDigests = map[string]string{
-	"adpcm/large1":       "5ec7e6194d968421",
-	"adpcm/large2":       "bf4a87eb50d8b6a4",
-	"adpcm/small1":       "a20f8e78ce5004cb",
-	"adpcm/small2":       "988e38943684c7cf",
-	"basicmath/large":    "2108bf4274b11cdc",
-	"basicmath/small":    "0482a2a367bcba81",
-	"bitcount/large":     "51f66193d852590b",
-	"bitcount/small":     "09721a7828683cb0",
-	"crc32/large":        "459b9bb43db3f5e4",
-	"crc32/small":        "071e83407dfde487",
-	"dijkstra/large":     "eb05dd69f584378e",
-	"dijkstra/small":     "7b883f35b4b7f3e1",
-	"fft/large1":         "610662d481ee91a1",
-	"fft/large2":         "47d085181a60baca",
-	"fft/small1":         "72e8bfe899aa849d",
-	"gsm/large1":         "0b4baf1370ffc660",
-	"gsm/large2":         "1bc4ae83dce22078",
-	"gsm/small1":         "d691ce8394e75e41",
-	"gsm/small2":         "80a350cc82a8ad6f",
-	"jpeg/large1":        "66b836f35408a9fa",
-	"patricia/small":     "34291f92d42eb421",
-	"qsort/large":        "0a9423fc6af5bcf5",
-	"sha/large":          "7b935fb93e47d802",
-	"sha/small":          "6469a78e0a379fd8",
-	"stringsearch/large": "be1f4e4659965c55",
-	"stringsearch/small": "91e7acbe63471c29",
-	"susan/large1":       "8ed0906254da4507",
-	"susan/large2":       "0644ea9f9c10276c",
-	"susan/large3":       "868e540cc2953dc6",
-	"susan/small1":       "97d4c81660da7045",
-	"susan/small2":       "c54cc761d7dc7f0f",
-	"susan/small3":       "f0ae95e84f0635f5",
+	"adpcm/large1":       "4860e82d6a90a809",
+	"adpcm/large2":       "f21ef2575fc22b12",
+	"adpcm/small1":       "04c04e53a8f7ee8d",
+	"adpcm/small2":       "1a64f5df21f12fcd",
+	"basicmath/large":    "d3e10617ba7e782b",
+	"basicmath/small":    "d18b3643368cb536",
+	"bitcount/large":     "6eb9217328eeeb82",
+	"bitcount/small":     "46949271adab3e61",
+	"crc32/large":        "048f93ef2ba77982",
+	"crc32/small":        "78a611c7dbffb9ab",
+	"dijkstra/large":     "d20adf5b91a6caf2",
+	"dijkstra/small":     "0148079c9875644f",
+	"fft/large1":         "09468dc12a5af79d",
+	"fft/large2":         "2b55caf97b1075a8",
+	"fft/small1":         "e5c28b9521d7f6d5",
+	"gsm/large1":         "4416831353261262",
+	"gsm/large2":         "c67c1df160a4c63c",
+	"gsm/small1":         "f000e4e5f6fcbe55",
+	"gsm/small2":         "467664e0e9ffaee7",
+	"jpeg/large1":        "20bd0556e5d9e8ae",
+	"patricia/small":     "8600950a0da59554",
+	"qsort/large":        "4364080f579a644a",
+	"sha/large":          "70815aabfcb155ad",
+	"sha/small":          "d292085dbc14142d",
+	"stringsearch/large": "1374f5013d0bd0eb",
+	"stringsearch/small": "82939623f04ffbe3",
+	"susan/large1":       "a809c103b061dac9",
+	"susan/large2":       "1aaa7e3afd227852",
+	"susan/large3":       "405a7e0d73925390",
+	"susan/small1":       "236523864a00dfb1",
+	"susan/small2":       "1167d4ae2b29864b",
+	"susan/small3":       "b3662a57f2bb14a5",
 }
 
 // compileAtProfilingPoint compiles a workload the way the Profile stage

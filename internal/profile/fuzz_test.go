@@ -22,7 +22,7 @@ func validProfileJSON(t testing.TB) []byte {
 			FuncCalls: []uint64{1},
 			Nodes: []*sfgl.Node{{
 				ID: 0, Count: 5,
-				Instrs: []sfgl.InstrInfo{{Op: isa.LD, Class: isa.ClassLoad, Stream: &sfgl.Stream{
+				Instrs: []sfgl.InstrInfo{{Op: isa.LD, Stream: &sfgl.Stream{
 					V: sfgl.StreamVersion, Accesses: 5, MissRate: 0.25,
 					Strides: []sfgl.StrideBin{{Stride: 4, Frac: 1}},
 				}}},

@@ -55,8 +55,6 @@ type Profile struct {
 	TotalDyn uint64      `json:"totalDyn"`
 	// Mix counts executed instructions per class.
 	Mix [isa.NumClasses]uint64 `json:"mix"`
-	// CacheCfg documents the profiling cache.
-	CacheCfg cache.Config `json:"cacheCfg"`
 	// Output of the profiled run (for sanity checks).
 	OutputHash uint64 `json:"outputHash"`
 }
@@ -294,7 +292,6 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string) (*Profile
 		Graph:      g,
 		TotalDyn:   total,
 		Mix:        mix,
-		CacheCfg:   DefaultCache,
 		OutputHash: res.OutputHash,
 	}, nil
 }
@@ -356,7 +353,7 @@ func buildGraph(prog *isa.Program, lay *vm.Layout,
 	edgesOf[lay.NumBlocks()] = len(g.Edges)
 
 	lay.Walk(func(s int, loc vm.SiteLoc, in *isa.Instr) {
-		info := sfgl.InstrInfo{Op: in.Op, Class: in.Class()}
+		info := sfgl.InstrInfo{Op: in.Op}
 		if ms := &memStats[s]; ms.accesses > 0 {
 			info.Stream = ms.stream()
 		}
@@ -434,11 +431,11 @@ func Load(r io.Reader) (*Profile, error) {
 }
 
 // Validate is the single profile validator: Load, the pipeline's stored
-// profile and clone decoders, and the generate sampler's mutant filter
-// all call it, so a profile no synthesis should start from is rejected
-// the same way wherever it comes from. A valid profile is present, has a
-// graph that passes sfgl.Graph.Validate (a known-version stream on every
-// memory site), a nonzero dynamic total that its instruction mix sums
+// profile decoder, and the generate sampler's mutant filter all call it,
+// so a profile no synthesis should start from is rejected the same way
+// wherever it comes from. A valid profile is present, has a graph that
+// passes sfgl.Graph.Validate (sound loop structure and a known-version
+// stream on every memory site), a nonzero dynamic total that its instruction mix sums
 // to, and every stream and executed-branch statistic in [0,1] with
 // stride fractions non-negative and summing to at most 1.
 func (p *Profile) Validate() error {

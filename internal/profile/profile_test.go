@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/hlc"
+	"repro/internal/hlc/hlctest"
 	"repro/internal/isa"
 	"repro/internal/sfgl"
 	"repro/internal/vm"
@@ -14,7 +14,7 @@ import (
 
 func collect(t *testing.T, src string) *Profile {
 	t.Helper()
-	prog, err := compiler.Compile(hlc.MustCheck(src), Target, Level)
+	prog, err := compiler.Compile(hlctest.MustCheck(src), Target, Level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ void main() {
 // loading it installs the value at every ISA and level, so a plain run and
 // the profiled run both see it.
 func TestGlobalInitializers(t *testing.T) {
-	cp := hlc.MustCheck(`
+	cp := hlctest.MustCheck(`
 int counter = 5;
 float scale = 2.5;
 float widened = 3;

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -71,9 +70,9 @@ func (b storedBackend) Get(digest, kind, key string) ([]byte, bool) {
 
 // TestLoadRejectsStreamlessLoads checks that a profile whose executed
 // loads carry no stream descriptor is rejected wherever profiles are
-// decoded: by profile.Load, and by the pipeline's stored-profile and
-// stored-clone decoders, which count it as a disk error each time they
-// read it (before and after the in-progress claim) and recompute.
+// decoded: by profile.Load, and by the pipeline's stored-profile decoder,
+// which counts it as a disk error each time it reads it (before and after
+// the in-progress claim) and recomputes.
 // The opcode decides that a load is a memory site; a profile cannot opt
 // out by claiming no memory class.
 func TestLoadRejectsStreamlessLoads(t *testing.T) {
@@ -90,19 +89,17 @@ func TestLoadRejectsStreamlessLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := []byte(fmt.Sprintf(`{"source":"void main() { print(1); }","report":{},"profile":%s}`, data))
 	p := pipeline.New(pipeline.Options{Workers: 1, Store: storedBackend{Backend: st,
-		payloads: map[string][]byte{"profile": data, "clone": clone}}})
-	cl, err := p.Synthesize(context.Background(), w)
+		payloads: map[string][]byte{"profile": data}}})
+	prof, err := p.Profile(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := p.CacheStats()
-	if s.DiskHits != 0 || s.DiskErrors != 4 ||
-		s.ComputedFor(pipeline.StageProfile) != 1 || s.ComputedFor(pipeline.StageSynthesize) != 1 {
-		t.Errorf("stored stream-less profile and clone: want 4 disk errors, a profile and a synthesis, got %+v", s)
+	if s.DiskHits != 0 || s.DiskErrors != 2 || s.ComputedFor(pipeline.StageProfile) != 1 {
+		t.Errorf("stored stream-less profile: want 2 disk errors and a profile, got %+v", s)
 	}
-	if err := cl.Profile.Validate(); err != nil {
-		t.Errorf("recomputed clone's profile: %v", err)
+	if err := prof.Validate(); err != nil {
+		t.Errorf("recomputed profile: %v", err)
 	}
 }

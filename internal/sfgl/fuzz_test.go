@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/sfgl"
@@ -18,7 +19,7 @@ func validGraphJSON(t testing.TB) []byte {
 		FuncCalls: []uint64{1},
 		Nodes: []*sfgl.Node{{
 			ID: 0, Count: 3,
-			Instrs: []sfgl.InstrInfo{{Op: isa.LD, Class: isa.ClassLoad, Stream: &sfgl.Stream{
+			Instrs: []sfgl.InstrInfo{{Op: isa.LD, Stream: &sfgl.Stream{
 				V: sfgl.StreamVersion, Accesses: 3, MissRate: 0.5,
 				Strides: []sfgl.StrideBin{{Stride: 8, Frac: 0.9}, {Stride: -4, Frac: 0.1}},
 			}}},
@@ -39,7 +40,8 @@ func validGraphJSON(t testing.TB) []byte {
 // with a nil node, an executed load or store (LD/ST/LDL/STL in a node
 // with a nonzero count) without a stream descriptor, or a stream version
 // outside 1..StreamVersion: corrupt, truncated, stream-less or
-// future-versioned memory sites must surface as errors.
+// future-versioned memory sites must surface as errors. An accepted graph
+// must scale down at any factor without panicking or spinning.
 func FuzzSFGLLoad(f *testing.F) {
 	valid := validGraphJSON(f)
 	f.Add(valid)
@@ -52,6 +54,10 @@ func FuzzSFGLLoad(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(memSite, 1, isa.STL)))
 	f.Add([]byte(fmt.Sprintf(memSite, 0, isa.STL)))
 	f.Add([]byte(`[]`))
+	// Loop parents: one naming no loop, and a cycle below a real loop.
+	f.Add([]byte(`{"loops":[{"id":0,"header":0,"parent":999}]}`))
+	f.Add([]byte(`{"nodes":[{"id":0,"count":4}],"loops":[{"id":0,"header":0,"nodes":[0],"parent":1},` +
+		`{"id":1,"header":7,"parent":2},{"id":2,"header":8,"parent":1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var g sfgl.Graph
 		if json.Unmarshal(data, &g) != nil || g.Validate() != nil {
@@ -71,6 +77,17 @@ func FuzzSFGLLoad(f *testing.F) {
 					t.Fatalf("Validate accepted node %d (count %d) instr %d: op %v stream %+v", n.ID, n.Count, i, in.Op, s)
 				}
 			}
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			g.ScaleDown(1)
+			g.ScaleDown(1 << 20)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("ScaleDown of an accepted graph did not return")
 		}
 	})
 }

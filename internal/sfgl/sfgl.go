@@ -1,8 +1,8 @@
 // Package sfgl implements the Statistical Flow Graph with Loop annotation,
 // the paper's central profile structure (Section III.A.1, Fig. 2). Nodes
-// are basic blocks annotated with execution counts and per-instruction
-// information (including the Table I memory-access class and branch
-// taken/transition rates); edges carry control-flow transition counts; and
+// are basic blocks annotated with execution counts, per-instruction
+// information (opcodes and memory sites' stride streams) and branch
+// taken/transition rates; edges carry control-flow transition counts; and
 // the loop annotation records nesting and iteration counts, which is what
 // lets the synthesizer emit real (nested) loops instead of prior work's
 // linear block sequences.
@@ -15,14 +15,13 @@ import (
 )
 
 // InstrInfo describes one static instruction of a basic block: its opcode
-// and class (the paper's "instruction types" with operand kinds, which our
-// opcodes encode), plus the per-site stride-stream descriptor for profiled
-// loads and stores. Every executed load or store must carry a Stream: the
-// synthesizer builds memory accesses from streams alone, so Validate
-// rejects profiles that lack one.
+// (the paper's "instruction types" with operand kinds, which our opcodes
+// encode; Op.ClassOf gives its class), plus the per-site stride-stream
+// descriptor for profiled loads and stores. Every executed load or store
+// must carry a Stream: the synthesizer builds memory accesses from streams
+// alone, so Validate rejects profiles that lack one.
 type InstrInfo struct {
 	Op     isa.Opcode `json:"op"`
-	Class  isa.Class  `json:"class"`
 	Stream *Stream    `json:"stream,omitempty"`
 }
 
@@ -90,13 +89,43 @@ func (s *Stream) TopFrac(n int) float64 {
 	return f
 }
 
-// Validate checks a graph's stream descriptors: every memory site (a
-// load or store, LD/ST/LDL/STL, in a node that executed) must carry one,
-// and every version must be known and positive. The opcode decides which
-// sites are memory sites, not anything the profile says about itself.
+// Validate checks a graph's structure and its stream descriptors. There
+// is one call count per function, no edge or loop is nil, every loop's
+// parent is -1 or another loop's ID, and no chain of parents cycles.
+// Every memory site (a load or store, LD/ST/LDL/STL, in a node that
+// executed) carries a stream, and every version is known and positive.
+// The opcode decides which sites are memory sites, not anything the
+// profile says about itself.
 // profile.Load calls it so that corrupt, pre-stream or future-versioned
 // profiles fail loudly instead of synthesizing from garbage.
 func (g *Graph) Validate() error {
+	if len(g.FuncCalls) != len(g.FuncNames) {
+		return fmt.Errorf("sfgl: %d call counts for %d functions", len(g.FuncCalls), len(g.FuncNames))
+	}
+	for _, e := range g.Edges {
+		if e == nil {
+			return fmt.Errorf("sfgl: nil edge")
+		}
+	}
+	parent := make(map[int]int, len(g.Loops))
+	for _, l := range g.Loops {
+		if l == nil {
+			return fmt.Errorf("sfgl: nil loop")
+		}
+		parent[l.ID] = l.Parent
+	}
+	for _, l := range g.Loops {
+		// Climb to the outermost loop; a chain longer than the loop
+		// count revisits a loop.
+		for p, steps := l.Parent, 0; p != -1; p, steps = parent[p], steps+1 {
+			if _, ok := parent[p]; !ok {
+				return fmt.Errorf("sfgl: loop %d: parent chain reaches %d, which is no loop", l.ID, p)
+			}
+			if steps == len(g.Loops) {
+				return fmt.Errorf("sfgl: loop %d: parent chain cycles", l.ID)
+			}
+		}
+	}
 	for _, n := range g.Nodes {
 		if n == nil {
 			return fmt.Errorf("sfgl: nil node")

@@ -210,8 +210,8 @@ func TestLoadRejectsPreStreamSite(t *testing.T) {
 	g := paperExample()
 	for _, op := range []isa.Opcode{isa.LD, isa.ST, isa.LDL, isa.STL} {
 		g.Nodes[0].Instrs = []InstrInfo{
-			{Op: isa.ADD, Class: isa.ClassIntALU},
-			{Op: op, Class: op.ClassOf()},
+			{Op: isa.ADD},
+			{Op: op},
 		}
 		err := g.Validate()
 		if err == nil || !strings.Contains(err.Error(), "pre-stream profile") {
@@ -227,5 +227,42 @@ func TestLoadRejectsPreStreamSite(t *testing.T) {
 	g.Nodes[0].Instrs = g.Nodes[0].Instrs[:1]
 	if err := g.Validate(); err != nil {
 		t.Errorf("non-memory instruction without a stream rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsBrokenStructure checks graph shapes that used to pass
+// validation and then crash or hang their consumers: a call-count list
+// shorter than the function list (core.Consolidate indexed past it), a
+// loop parent naming no loop (ScaleDown dereferenced nil), and a parent
+// chain that cycles (ScaleDown's ancestor climb never ended).
+func TestValidateRejectsBrokenStructure(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(g *Graph)
+		want   string
+	}{
+		{"no call counts", func(g *Graph) { g.FuncCalls = nil }, "0 call counts for 1 functions"},
+		{"parent names no loop", func(g *Graph) { g.Loops[0].Parent = 999 }, "reaches 999, which is no loop"},
+		{"parent chain cycles", func(g *Graph) {
+			// Two headerless loops naming each other, below a real one.
+			g.Loops = append(g.Loops,
+				&Loop{ID: 1, Header: 100, Parent: 2, Depth: 1},
+				&Loop{ID: 2, Header: 101, Parent: 1, Depth: 1})
+			g.Loops[0].Parent = 1
+		}, "parent chain cycles"},
+		{"nil loop", func(g *Graph) { g.Loops = append(g.Loops, nil) }, "nil loop"},
+		{"nil edge", func(g *Graph) { g.Edges = append(g.Edges, nil) }, "nil edge"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := paperExample()
+			tc.mutate(g)
+			if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	if err := paperExample().Validate(); err != nil {
+		t.Errorf("paper example rejected: %v", err)
 	}
 }

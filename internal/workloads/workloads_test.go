@@ -5,18 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/hlc"
+	"repro/internal/hlc/hlctest"
 	"repro/internal/isa"
 	"repro/internal/vm"
 )
 
 func runWorkload(t *testing.T, w *Workload, target *isa.Desc, level compiler.OptLevel) vm.Result {
 	t.Helper()
-	cp, err := hlc.Check(hlc.MustParse(w.Source))
-	if err != nil {
-		t.Fatalf("%s: check: %v", w.Name, err)
-	}
-	prog, err := compiler.Compile(cp, target, level)
+	prog, err := compiler.Compile(hlctest.MustCheck(w.Source), target, level)
 	if err != nil {
 		t.Fatalf("%s: compile: %v", w.Name, err)
 	}
@@ -161,8 +157,7 @@ func TestSuiteHasBehavioralDiversity(t *testing.T) {
 	// Fig. 6/10 contrasts to exist.
 	fpShare := func(name string) float64 {
 		w := ByName(name)
-		cp, _ := hlc.Check(hlc.MustParse(w.Source))
-		prog, err := compiler.Compile(cp, isa.AMD64, compiler.O0)
+		prog, err := compiler.Compile(hlctest.MustCheck(w.Source), isa.AMD64, compiler.O0)
 		if err != nil {
 			t.Fatal(err)
 		}
