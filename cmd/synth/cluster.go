@@ -232,19 +232,19 @@ func cmdWork(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	p := pipeline.New(pipeline.Options{Workers: *workers, Seed: m.Spec.Seed, Store: q.Store()})
 
 	w := &cluster.Worker{
-		Queue:    q,
-		Pipe:     p,
-		ID:       *id,
-		Dispatch: m.Spec.Digest(),
-		TTL:      *ttl,
-		Poll:     *poll,
+		Queue: q,
+		Pipe:  p,
+		Spec:  m.Spec,
+		ID:    *id,
+		TTL:   *ttl,
+		Poll:  *poll,
 		OnJob: func(r cluster.Result) {
 			status := "ok"
 			if r.Err != "" {
 				status = "FAILED: " + r.Err
 			}
 			fmt.Fprintf(stderr, "synth work %s: %s (%d cells) in %dms: %s\n",
-				*id, r.Job.Workload, r.Job.Cells(), r.Millis, status)
+				*id, r.Job.Workload, m.Spec.Cells(), r.Millis, status)
 		},
 	}
 	// Interruption and errors exit nonzero with an honest summary — the
@@ -341,7 +341,7 @@ func buildClusterStatus(q *cluster.Queue) (*clusterStatus, error) {
 	rep := cluster.BuildReport(m, results)
 	return &clusterStatus{
 		Suite:   m.Spec.Suite,
-		Total:   m.Total,
+		Total:   rep.Total,
 		Pending: counts.Pending,
 		Leased:  counts.Leased,
 		Done:    counts.Done,

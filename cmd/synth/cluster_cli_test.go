@@ -247,7 +247,7 @@ func TestClusterShardedQuickSuite(t *testing.T) {
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			c, err := q.Counts()
-			if err == nil && c.Done >= m.Total && c.Leased == 0 {
+			if err == nil && c.Done >= len(m.Spec.Jobs()) && c.Leased == 0 {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -331,8 +331,8 @@ func TestClusterLeaseReclaimAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Done != m.Total || c.Pending != 0 || c.Leased != 0 {
-		t.Fatalf("queue did not converge after crash: %+v (total %d)", c, m.Total)
+	if c.Done != len(m.Spec.Jobs()) || c.Pending != 0 || c.Leased != 0 {
+		t.Fatalf("queue did not converge after crash: %+v (total %d)", c, len(m.Spec.Jobs()))
 	}
 	results, err := q.Results()
 	if err != nil {

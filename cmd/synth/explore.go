@@ -10,7 +10,6 @@ import (
 	"repro/internal/explore"
 	"repro/internal/generate"
 	"repro/internal/pipeline"
-	"repro/internal/workloads"
 )
 
 // cmdExplore runs a design-space exploration sweep: a declarative spec
@@ -26,13 +25,12 @@ func cmdExplore(ctx context.Context, args []string, stdout, stderr io.Writer) er
 	fs := flag.NewFlagSet("synth explore", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var c commonFlags
-	addCommon(fs, &c)
+	addOneShot(fs, &c)
 	specFile := fs.String("spec", "", "sweep specification JSON file (see docs/explore.md)")
 	preset := fs.String("preset", "", "built-in sweep preset (calibration); alternative to -spec")
 	genFile := fs.String("generate", "", "generation spec JSON file whose accepted corpus joins the sweep's workloads (local runs only)")
 	top := fs.Int("top", 0, "ranked-table rows to print (0 = the spec's topK, default 10)")
 	asJSON := fs.Bool("json", false, "emit the full report as JSON instead of the table")
-	stats := fs.Bool("stats", false, "print artifact-cache statistics to stderr afterwards")
 	dispatch := fs.Bool("dispatch", false, "enqueue the sweep into the store's cluster queue instead of simulating locally")
 	var df dispatchFlags
 	addDispatchFlags(fs, &df)
@@ -84,7 +82,7 @@ func cmdExplore(ctx context.Context, args []string, stdout, stderr io.Writer) er
 	} else {
 		rep.Print(stdout)
 	}
-	if *stats {
+	if c.stats {
 		printStats(stderr, p)
 	}
 	return nil
@@ -93,9 +91,9 @@ func cmdExplore(ctx context.Context, args []string, stdout, stderr io.Writer) er
 // addGeneratedWorkloads realizes the generation spec in genFile through the
 // sweep's pipeline and appends every accepted clone to the sweep's workload
 // set, so one `synth explore -generate` invocation evaluates design points
-// against the baseline suite plus the directed synthetic corpus. Generated
-// workloads are registered before the sweep fans out; with a warm store the
-// generation step computes nothing.
+// against the baseline suite plus the directed synthetic corpus. The
+// corpus lives only in the sweep, never in the process-wide workload
+// registry; with a warm store the generation step computes nothing.
 func addGeneratedWorkloads(ctx context.Context, p *pipeline.Pipeline, sw *explore.Sweep, genFile string, stderr io.Writer) error {
 	data, err := os.ReadFile(genFile)
 	if err != nil {
@@ -112,12 +110,7 @@ func addGeneratedWorkloads(ctx context.Context, p *pipeline.Pipeline, sw *explor
 	if len(corpus) == 0 {
 		return fmt.Errorf("%s: generation spec produced no accepted workloads", genFile)
 	}
-	for _, w := range corpus {
-		if err := workloads.Register(w); err != nil {
-			return err
-		}
-		sw.Workloads = append(sw.Workloads, w)
-	}
+	sw.Workloads = append(sw.Workloads, corpus...)
 	fmt.Fprintf(stderr, "synth explore: generated corpus %s joins the sweep: %d workloads\n", spec.Name, len(corpus))
 	return nil
 }

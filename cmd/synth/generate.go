@@ -22,13 +22,12 @@ func cmdGenerate(ctx context.Context, args []string, stdout, stderr io.Writer) e
 	fs := flag.NewFlagSet("synth generate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var c commonFlags
-	addCommon(fs, &c)
+	addOneShot(fs, &c)
 	n := fs.Int("n", 0, "number of synthetic workloads to generate (overrides -spec)")
 	specFile := fs.String("spec", "", "generation spec JSON file (see docs/generate.md)")
 	suite := fs.String("suite", "", "baseline suite whose coverage to extend: tiny, quick, or full (overrides -spec; default quick)")
 	name := fs.String("name", "", "corpus name (overrides -spec; default gen)")
 	jsonOut := fs.Bool("json", false, "emit the full generation report as JSON")
-	stats := fs.Bool("stats", false, "print artifact-cache statistics to stderr afterwards")
 	outDir := fs.String("out", "", "write each accepted clone's HLC source (and report.json) into this directory")
 	dispatch := fs.Bool("dispatch", false, "enqueue one cluster job per point instead of realizing locally (requires -store)")
 	var df dispatchFlags
@@ -67,7 +66,7 @@ func cmdGenerate(ctx context.Context, args []string, stdout, stderr io.Writer) e
 			return err
 		}
 	}
-	if *stats {
+	if c.stats {
 		printStats(stderr, p)
 	}
 	return nil

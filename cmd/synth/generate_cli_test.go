@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/generate"
+	"repro/internal/workloads"
 )
 
 // testGenSpec is the generation spec the CLI tests share: two points off
@@ -208,6 +209,35 @@ func TestExploreConsumesGeneratedCorpus(t *testing.T) {
 	errb.Reset()
 	if c := run(context.Background(), []string{"explore", "-spec", sweep, "-generate", spec, "-store", t.TempDir(), "-dispatch"}, &out, &errb); c == 0 {
 		t.Error("explore -generate -dispatch was accepted")
+	}
+}
+
+// TestExploreGenerateLeavesRegistryAlone checks that an in-process
+// `explore -generate` keeps its corpus inside the sweep: the process-wide
+// workload registry has the same members afterwards, so later lookups and
+// suites in the same process never see the generated workloads, and a
+// warm rerun over the same store prints the same report.
+func TestExploreGenerateLeavesRegistryAlone(t *testing.T) {
+	sweep := writeSpec(t)
+	spec := writeGenSpec(t, `{"name": "rg", "suite": "tiny", "n": 2, "seed": 9}`)
+	dir := t.TempDir()
+	before := len(workloads.All())
+	var reports []string
+	for _, pass := range []string{"cold", "warm"} {
+		var out, errb bytes.Buffer
+		if c := run(context.Background(), []string{"explore", "-spec", sweep, "-generate", spec, "-seed", "1", "-store", dir, "-json"}, &out, &errb); c != 0 {
+			t.Fatalf("%s explore -generate exited %d: %s", pass, c, errb.String())
+		}
+		if after := len(workloads.All()); after != before {
+			t.Fatalf("%s explore -generate changed the workload registry from %d to %d entries", pass, before, after)
+		}
+		reports = append(reports, out.String())
+	}
+	if !strings.Contains(reports[0], "gen/rg-") {
+		t.Errorf("sweep evaluated no generated workloads:\n%s", reports[0])
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("warm rerun printed another report:\ncold %s\nwarm %s", reports[0], reports[1])
 	}
 }
 

@@ -5,12 +5,12 @@
 //
 // Usage:
 //
-//	synth profile -workload NAME [-workers N] [-store DIR]
-//	synth synthesize {-workload NAME | -from PROFILE.json} [-seed N] [-report] [-validate]
-//	synth consolidate [-name NAME] [-synthesize] WORKLOAD-OR-PROFILE.json...
+//	synth profile -workload NAME [-workers N] [-store DIR] [-stats]
+//	synth synthesize {-workload NAME | -from PROFILE.json} [-seed N] [-report] [-validate] [-stats]
+//	synth consolidate [-name NAME] [-synthesize] [-stats] WORKLOAD-OR-PROFILE.json...
 //	synth experiments [-suite tiny|quick|full] [-only LIST] [-stats] [-store DIR]
-//	synth explore {-spec FILE | -preset NAME} [-store DIR] [-top K] [-json] [-dispatch [-wait]] [-generate FILE]
-//	synth generate [-n N] [-spec FILE] [-suite quick] [-seed N] [-json] [-out DIR] [-dispatch [-wait]]
+//	synth explore {-spec FILE | -preset NAME} [-store DIR] [-top K] [-json] [-stats] [-dispatch [-wait]] [-generate FILE]
+//	synth generate [-n N] [-spec FILE] [-suite quick] [-seed N] [-json] [-stats] [-out DIR] [-dispatch [-wait]]
 //	synth dispatch -store DIR [-suite quick] [-isas LIST] [-levels LIST] [-wait] [-force]
 //	synth work {-store DIR | -remote URL [-token SECRET]} [-id NAME] [-lease-ttl D] [-workers N]
 //	synth store-gc -store DIR [-max-age D] [-max-bytes N] [-wip-max-age D] [-dry-run]
@@ -55,6 +55,10 @@ type commonFlags struct {
 	workers  int
 	seed     int64
 	storeDir string
+	// stats is the -stats flag of the one-shot commands (see addOneShot):
+	// print the artifact-cache statistics line to stderr after a
+	// successful run.
+	stats bool
 	// tracePath is the -trace flag: where to write the pipeline span trace
 	// (empty = tracing off). metrics and tracer are the telemetry handles
 	// pipelineWith plumbs into the pipeline; commands that own a registry
@@ -75,6 +79,14 @@ func addCommon(fs *flag.FlagSet, c *commonFlags) {
 	fs.Int64Var(&c.seed, "seed", experiments.CloneSeed, "clone synthesis seed")
 	fs.StringVar(&c.storeDir, "store", "", "persistent artifact store directory (empty = memory-only)")
 	fs.StringVar(&c.tracePath, "trace", "", "write computed pipeline stages as a Chrome trace_event JSON file (load in chrome://tracing or ui.perfetto.dev)")
+}
+
+// addOneShot registers the common flags plus -stats, for the commands
+// that run one pipeline to completion and exit (profile, synthesize,
+// consolidate, experiments, explore, generate).
+func addOneShot(fs *flag.FlagSet, c *commonFlags) {
+	addCommon(fs, c)
+	fs.BoolVar(&c.stats, "stats", false, "print artifact-cache statistics to stderr afterwards")
 }
 
 func (c *commonFlags) pipeline() (*pipeline.Pipeline, error) {
@@ -245,7 +257,7 @@ func cmdProfile(ctx context.Context, args []string, stdout, stderr io.Writer) er
 	fs := flag.NewFlagSet("synth profile", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var c commonFlags
-	addCommon(fs, &c)
+	addOneShot(fs, &c)
 	name := fs.String("workload", "", "workload/input pair to profile (e.g. crc32/small)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -263,7 +275,13 @@ func cmdProfile(ctx context.Context, args []string, stdout, stderr io.Writer) er
 	if err != nil {
 		return err
 	}
-	return prof.Save(stdout)
+	if err := prof.Save(stdout); err != nil {
+		return err
+	}
+	if c.stats {
+		printStats(stderr, p)
+	}
+	return nil
 }
 
 // loadProfileFile reads a saved statistical profile (the JSON that `synth
@@ -285,7 +303,7 @@ func cmdSynthesize(ctx context.Context, args []string, stdout, stderr io.Writer)
 	fs := flag.NewFlagSet("synth synthesize", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var c commonFlags
-	addCommon(fs, &c)
+	addOneShot(fs, &c)
 	name := fs.String("workload", "", "workload/input pair to clone (e.g. crc32/small)")
 	from := fs.String("from", "", "synthesize from a saved profile JSON file instead of a workload")
 	report := fs.Bool("report", false, "print the synthesis report to stderr")
@@ -335,6 +353,9 @@ func cmdSynthesize(ctx context.Context, args []string, stdout, stderr io.Writer)
 			rep.Workload, rep.Reduction, rep.Coverage, rep.Functions, rep.StreamWalkers)
 	}
 	fmt.Fprint(stdout, cl.Source)
+	if c.stats {
+		printStats(stderr, p)
+	}
 	return nil
 }
 
@@ -345,7 +366,7 @@ func cmdConsolidate(ctx context.Context, args []string, stdout, stderr io.Writer
 	fs := flag.NewFlagSet("synth consolidate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var c commonFlags
-	addCommon(fs, &c)
+	addOneShot(fs, &c)
 	name := fs.String("name", "consolidated", "name of the merged profile")
 	synth := fs.Bool("synthesize", false, "emit the consolidated clone's HLC source instead of the merged profile JSON")
 	report := fs.Bool("report", false, "with -synthesize, print the synthesis report to stderr")
@@ -381,19 +402,23 @@ func cmdConsolidate(ctx context.Context, args []string, stdout, stderr io.Writer
 	if err != nil {
 		return err
 	}
-	if !*synth {
-		return merged.Save(stdout)
-	}
-	cl, err := p.SynthesizeProfile(ctx, merged)
-	if err != nil {
+	if *synth {
+		cl, err := p.SynthesizeProfile(ctx, merged)
+		if err != nil {
+			return err
+		}
+		if *report {
+			rep := cl.Report
+			fmt.Fprintf(stderr, "consolidated %s (%d profiles): R=%d coverage=%.3f functions=%d\n",
+				*name, len(profs), rep.Reduction, rep.Coverage, rep.Functions)
+		}
+		fmt.Fprint(stdout, cl.Source)
+	} else if err := merged.Save(stdout); err != nil {
 		return err
 	}
-	if *report {
-		rep := cl.Report
-		fmt.Fprintf(stderr, "consolidated %s (%d profiles): R=%d coverage=%.3f functions=%d\n",
-			*name, len(profs), rep.Reduction, rep.Coverage, rep.Functions)
+	if c.stats {
+		printStats(stderr, p)
 	}
-	fmt.Fprint(stdout, cl.Source)
 	return nil
 }
 
@@ -476,10 +501,9 @@ func cmdExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 	fs := flag.NewFlagSet("synth experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var c commonFlags
-	addCommon(fs, &c)
+	addOneShot(fs, &c)
 	suite := fs.String("suite", "quick", "workload suite: tiny, quick, or full")
 	only := fs.String("only", "", "comma-separated experiment subset (e.g. fig4,fig11); empty = all")
-	stats := fs.Bool("stats", false, "print artifact-cache statistics to stderr afterwards")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -499,7 +523,7 @@ func cmdExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 	if err := renderExperiments(ctx, experiments.NewRunner(p), ws, selected, stdout); err != nil {
 		return err
 	}
-	if *stats {
+	if c.stats {
 		printStats(stderr, p)
 	}
 	return nil

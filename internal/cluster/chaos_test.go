@@ -105,7 +105,7 @@ func soloReference(t *testing.T, spec Spec) (string, pipeline.CacheStats) {
 	if _, err := Dispatch(ctx, q, p, spec, DispatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{Queue: q, Pipe: p, ID: "solo", Poll: 5 * time.Millisecond}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "solo", Poll: 5 * time.Millisecond}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestChaosWorkerCrashMidJob(t *testing.T) {
 	}
 	backdate(t, dir, lease, time.Minute) // the dead worker stops heartbeating
 
-	w := &Worker{Queue: q, Pipe: p, ID: "healthy", TTL: time.Second, Poll: 5 * time.Millisecond}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "healthy", TTL: time.Second, Poll: 5 * time.Millisecond}
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("healthy worker: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestChaosStoreFlakeDuringAck(t *testing.T) {
 	// Script the flake only after dispatch: the fault under test is an ack
 	// blip mid-drain, not a broken dispatch.
 	f.Script(storefault.Rule{Op: "writefile", Match: "cluster/done/", Count: 2, Err: errInjectedChaos})
-	w := &Worker{Queue: q, Pipe: p, ID: "w1", Poll: 5 * time.Millisecond}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "w1", Poll: 5 * time.Millisecond}
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("worker under ack flake: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestChaosLeaseExpiryUnderStalledWorker(t *testing.T) {
 	}
 	backdate(t, dir, stalled, time.Minute)
 
-	w := &Worker{Queue: q, Pipe: p, ID: "healthy", TTL: time.Second, Poll: 5 * time.Millisecond}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "healthy", TTL: time.Second, Poll: 5 * time.Millisecond}
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("healthy worker: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestChaosCorruptedArtifactRecomputed(t *testing.T) {
 	if _, err := Dispatch(ctx, q, p, spec, DispatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{Queue: q, Pipe: p, ID: "warmup", Poll: 5 * time.Millisecond}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "warmup", Poll: 5 * time.Millisecond}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,11 @@ import (
 // Spec.Canonical now carries instead (see pipeline.ArtifactVersion);
 // version 6 dropped the spec's profiling-point and profiling-bound fields
 // (the profiling point is fixed in package profile); version 7 dropped the
-// machine configs' "epic" field (a config's ISA decides its timing model).
-const SchemaVersion = 7
+// machine configs' "epic" field (a config's ISA decides its timing model);
+// version 8 reduced a job to its dispatch digest and shard (Job.Kind, the
+// grid, machines, bound and generation spec are read from the manifest's
+// Spec) and dropped Manifest.Total.
+const SchemaVersion = 8
 
 // Spec declares one dispatch: which workloads to synthesize, over which
 // (ISA, level) grid, and the synthesis seed that shapes the artifacts.
@@ -109,58 +112,44 @@ func (s Spec) Digest() string {
 	return store.Fingerprint([]byte(s.Canonical()))
 }
 
-// Jobs enumerates the spec's job list: one job per workload carrying the
-// full (ISA, level) grid (see the package comment for why sharding is
-// per-workload). Exploration specs additionally stamp every job with the
-// machine configurations to simulate. Generation specs shard on the point
-// axis instead: one job per directed sample, so N workers realize N
-// synthetic workloads concurrently.
+// Jobs enumerates the spec's job list: one job per workload, covering
+// the spec's whole (ISA, level) grid (see the package comment for why
+// sharding is per-workload). Generation specs shard on the point axis
+// instead: one job per directed sample, so N workers realize N synthetic
+// workloads concurrently. A job names only its dispatch and its shard;
+// the grid, machines and generation spec stay in the spec, and workers
+// read them from the manifest.
 func (s Spec) Jobs() []Job {
 	specDigest := s.Digest()
 	if s.Generate != nil {
-		jobs := make([]Job, 0, s.Generate.N)
-		for i := 0; i < s.Generate.N; i++ {
-			jobs = append(jobs, Job{
-				Workload: fmt.Sprintf("gen[%d]", i),
-				Dispatch: specDigest,
-				Kind:     KindGenerate,
-				Gen:      s.Generate,
-				GenIndex: i,
-			})
+		jobs := make([]Job, s.Generate.N)
+		for i := range jobs {
+			jobs[i] = Job{Workload: fmt.Sprintf("gen[%d]", i), Dispatch: specDigest, GenIndex: i}
 		}
 		return jobs
 	}
-	kind := ""
-	if len(s.Explore) > 0 {
-		kind = KindExplore
-	}
-	jobs := make([]Job, 0, len(s.Workloads))
-	for _, w := range s.Workloads {
-		jobs = append(jobs, Job{
-			Workload:     w,
-			ISAs:         s.ISAs,
-			Levels:       s.Levels,
-			Dispatch:     specDigest,
-			Kind:         kind,
-			Sims:         s.Explore,
-			SimMaxInstrs: s.SimMaxInstrs,
-		})
+	jobs := make([]Job, len(s.Workloads))
+	for i, w := range s.Workloads {
+		jobs[i] = Job{Workload: w, Dispatch: specDigest}
 	}
 	return jobs
 }
 
 // Manifest is the queue's root document, written by the coordinator and
-// read by every worker: the dispatch spec, its canonical encoding, and the
-// total job count that Wait and status reporting converge on.
+// read by every worker: the dispatch spec, the one copy of the work its
+// jobs shard, and its canonical encoding. Canonical is kept rather than
+// recomputed because it pins the artifact version the dispatch was made
+// under: a newer binary recomputing it would take an old queue for its
+// own. The job count Wait and status reporting converge on is
+// len(Spec.Jobs()).
 type Manifest struct {
 	// Version is the queue schema the manifest was written under.
 	Version int `json:"version"`
 	// Spec is the dispatch being executed.
 	Spec Spec `json:"spec"`
-	// Canonical is Spec.Canonical(), stored for cheap conflict checks.
+	// Canonical is Spec.Canonical() as the dispatcher computed it, for
+	// cheap conflict checks.
 	Canonical string `json:"canonical"`
-	// Total is the number of jobs the dispatch enumerated.
-	Total int `json:"total"`
 }
 
 // joinInts renders ints comma-separated.

@@ -36,7 +36,7 @@ func TestClusterDispatchDrainDedup(t *testing.T) {
 		t.Fatalf("cold dispatch: %+v", out)
 	}
 
-	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "w1"}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestClusterDispatchDrainDedup(t *testing.T) {
 		t.Fatalf("forced dispatch: %+v", out)
 	}
 	warmPipe := testPipeline(t, q, spec)
-	w2 := &Worker{Queue: q, Pipe: warmPipe, ID: "w2"}
+	w2 := &Worker{Queue: q, Pipe: warmPipe, Spec: spec, ID: "w2"}
 	if err := w2.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestClusterDispatchConflict(t *testing.T) {
 	}
 
 	// Drain spec A; then spec B may reset and take over.
-	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
+	w := &Worker{Queue: q, Pipe: p, Spec: specA, ID: "w1"}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestClusterWorkerFailedJob(t *testing.T) {
 	// Enqueue a poisoned job directly, bypassing Dispatch's validation —
 	// modeling a workload that exists at dispatch time but fails in the
 	// worker's binary.
-	poisoned := Job{Workload: "no/such", ISAs: spec.ISAs, Levels: spec.Levels, Dispatch: "x"}
+	poisoned := Job{Workload: "no/such", Dispatch: spec.Digest()}
 	if _, err := q.Enqueue(poisoned); err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "w1"}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestClusterWorkerCanceled(t *testing.T) {
 	if _, err := Dispatch(context.Background(), q, p, spec, DispatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "w1"}
 	if err := w.Run(ctx); err == nil {
 		t.Fatal("canceled worker must return an error")
 	}
@@ -275,7 +275,7 @@ func runJobInline(ctx context.Context, t *testing.T, p *pipeline.Pipeline, spec 
 	t.Helper()
 	for _, j := range spec.Jobs() {
 		w := &Worker{Pipe: p}
-		if err := w.runJob(ctx, j); err != nil {
+		if err := w.runJob(ctx, spec, j); err != nil {
 			return err
 		}
 	}
@@ -288,18 +288,18 @@ func runJobInline(ctx context.Context, t *testing.T, p *pipeline.Pipeline, spec 
 func TestClusterStalledQueueDetected(t *testing.T) {
 	ctx := context.Background()
 	q := testQueue(t)
-	spec := testSpec("crc32/small")
+	spec := testSpec("crc32/small", "dijkstra/small")
 	p := testPipeline(t, q, spec)
-	// Manifest promises two jobs; only one was ever enqueued.
+	// The spec has two jobs; only one was ever enqueued.
 	if err := q.WriteManifest(&Manifest{Version: SchemaVersion, Spec: spec,
-		Canonical: spec.Canonical(), Total: 2}); err != nil {
+		Canonical: spec.Canonical()}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.Enqueue(spec.Jobs()[0]); err != nil {
 		t.Fatal(err)
 	}
 
-	w := &Worker{Queue: q, Pipe: p, ID: "w1", Poll: time.Millisecond, TTL: 30 * time.Millisecond}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "w1", Poll: time.Millisecond, TTL: 30 * time.Millisecond}
 	if err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("worker on a stalled queue: %v", err)
 	}
@@ -331,13 +331,13 @@ func TestClusterWorkerRejectsForeignDispatch(t *testing.T) {
 	} {
 		q := testQueue(t)
 		if err := q.WriteManifest(&Manifest{Version: SchemaVersion, Spec: specA,
-			Canonical: specA.Canonical(), Total: 1}); err != nil {
+			Canonical: specA.Canonical()}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := q.Enqueue(job); err != nil {
 			t.Fatal(err)
 		}
-		w := &Worker{Queue: q, Pipe: testPipeline(t, q, specA), ID: "stale", Dispatch: specA.Digest()}
+		w := &Worker{Queue: q, Pipe: testPipeline(t, q, specA), Spec: specA, ID: "stale"}
 		if err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "re-dispatched") {
 			t.Fatalf("%s: stale worker must abort on a foreign job: %v", name, err)
 		}
@@ -352,7 +352,7 @@ func TestClusterWorkerRejectsForeignDispatch(t *testing.T) {
 func TestClusterReportMerge(t *testing.T) {
 	spec := testSpec("a/1", "b/2", "c/3")
 	jobs := spec.Jobs()
-	m := &Manifest{Version: SchemaVersion, Spec: spec, Canonical: spec.Canonical(), Total: 3}
+	m := &Manifest{Version: SchemaVersion, Spec: spec, Canonical: spec.Canonical()}
 	stats := func(compiled uint64) pipeline.CacheStats {
 		var s pipeline.CacheStats
 		s.Computed[pipeline.StageCompile] = compiled

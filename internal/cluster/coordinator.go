@@ -74,7 +74,6 @@ func Dispatch(ctx context.Context, q *Queue, p *pipeline.Pipeline, spec Spec, op
 		Version:   SchemaVersion,
 		Spec:      spec,
 		Canonical: spec.Canonical(),
-		Total:     len(jobs),
 	}); err != nil {
 		return out, err
 	}
@@ -94,7 +93,7 @@ func Dispatch(ctx context.Context, q *Queue, p *pipeline.Pipeline, spec Spec, op
 				out.AlreadyDone++
 				continue
 			}
-			if jobStored(q, p, j) {
+			if jobStored(q, p, spec, j) {
 				if err := q.WriteResult(Result{Job: j, Worker: "dispatch", Deduped: true}); err != nil {
 					return out, err
 				}
@@ -160,12 +159,13 @@ func validateSpec(spec Spec) error {
 	return nil
 }
 
-// jobStored reports whether every artifact the job would persist already
-// exists in the queue's store. Exploration jobs additionally require the
-// simulation summaries of every (config, level) cell whose config runs
-// on the grid point's ISA.
-func jobStored(q *Queue, p *pipeline.Pipeline, j Job) bool {
-	if j.Kind == KindGenerate {
+// jobStored reports whether every artifact job j of spec would persist
+// already exists in the queue's store, probed with Get so that a corrupt
+// or stale entry counts as absent and the work is redone. Exploration
+// jobs additionally require the simulation summaries of every
+// (config, level) cell whose config runs on the grid point's ISA.
+func jobStored(q *Queue, p *pipeline.Pipeline, spec Spec, j Job) bool {
+	if spec.Generate != nil {
 		// A generate job's synthesis key depends on the sampled profile's
 		// content fingerprint, which only the sampler knows; probing it here
 		// would mean re-sampling at dispatch time. Always enqueue — a warm
@@ -177,20 +177,20 @@ func jobStored(q *Queue, p *pipeline.Pipeline, j Job) bool {
 		return false
 	}
 	st := q.Store()
-	for _, pt := range j.Points() {
+	for _, pt := range spec.Points() {
 		target := isa.ByName(pt.ISA)
 		if target == nil {
 			return false
 		}
 		keys := p.PairKeys(w, target, compiler.Levels[pt.Level])
-		for _, cfg := range j.Sims {
+		for _, cfg := range spec.Explore {
 			if cfg.ISA != target {
 				continue // this config simulates on a different grid ISA
 			}
-			keys = append(keys, p.SimKeys(w, target, compiler.Levels[pt.Level], cfg, j.SimMaxInstrs)...)
+			keys = append(keys, p.SimKeys(w, target, compiler.Levels[pt.Level], cfg, spec.SimMaxInstrs)...)
 		}
 		for _, k := range keys {
-			if !st.Has(k.Digest(), k.StoreKind(), k.Canonical()) {
+			if _, ok := st.Get(k.Digest(), k.StoreKind(), k.Canonical()); !ok {
 				return false
 			}
 		}
@@ -231,11 +231,10 @@ func errStalled(done, total int) error {
 
 // drained is the one convergence check of Wait and Worker.Run. It reads
 // the queue counts and reports whether the done count has reached total,
-// the manifest's job count. (The per-state reads are not one atomic
+// the dispatch's job count. (The per-state reads are not one atomic
 // snapshot — a job mid-rename is briefly in neither state — so "pending
 // and leased both empty" would be a racy exit condition; the done count is
-// monotone. total < 0 means there is no manifest, and that emptiness
-// heuristic is all there is.)
+// monotone.)
 //
 // Nothing pending, nothing leased, yet fewer done than total is an
 // impossible state: the residue of an interrupted dispatch. drained
@@ -253,7 +252,7 @@ func (q *Queue) drained(total int, ttl time.Duration, stalledSince *time.Time) (
 	}
 	idle := c.Pending == 0 && c.Leased == 0
 	switch {
-	case total >= 0 && c.Done >= total, total < 0 && idle:
+	case c.Done >= total:
 		return c, true, nil
 	case !idle:
 		*stalledSince = time.Time{}
@@ -279,14 +278,15 @@ func Wait(ctx context.Context, q *Queue, opts WaitOptions) ([]Result, error) {
 		return nil, fmt.Errorf("cluster: wait: nothing dispatched")
 	}
 	ttl := durationOr(opts.TTL, DefaultLeaseTTL)
+	total := len(m.Spec.Jobs())
 	var stalledSince time.Time
 	for {
-		c, done, err := q.drained(m.Total, ttl, &stalledSince)
+		c, done, err := q.drained(total, ttl, &stalledSince)
 		if err != nil {
 			return nil, err
 		}
 		if opts.Progress != nil {
-			opts.Progress(c, m.Total)
+			opts.Progress(c, total)
 		}
 		if done {
 			return q.Results()

@@ -43,7 +43,7 @@ func TestClusterExploreDispatchExecuteDedup(t *testing.T) {
 		t.Fatalf("dispatch: %+v", out)
 	}
 
-	w := &Worker{Queue: q, Pipe: p, ID: "w1", Dispatch: spec.Digest()}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "w1"}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestClusterExploreDispatchExecuteDedup(t *testing.T) {
 	}
 }
 
-// TestClusterExploreSpecValidation rejects bad exploration points and
-// unknown job kinds before any queue mutation.
+// TestClusterExploreSpecValidation rejects bad exploration points before
+// any queue mutation.
 func TestClusterExploreSpecValidation(t *testing.T) {
 	ctx := context.Background()
 	q := testQueue(t)
@@ -100,27 +100,9 @@ func TestClusterExploreSpecValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "explore point") {
 		t.Fatalf("invalid explore point accepted: %v", err)
 	}
-
-	// A worker that claims a job of an unknown kind fails it loudly
-	// rather than acking bogus work.
-	good := testExploreSpec("crc32/small")
-	if _, err := Dispatch(ctx, q, p, good, DispatchOptions{}); err != nil {
-		t.Fatal(err)
+	if c, _ := q.Counts(); c.Pending != 0 {
+		t.Fatalf("failed dispatch enqueued jobs: %+v", c)
 	}
-	lease, err := q.Claim("w1")
-	if err != nil || lease == nil {
-		t.Fatalf("claim: %v %v", lease, err)
-	}
-	lease.Job.Kind = "teleport"
-	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
-	res, panicked, err := w.execute(ctx, lease)
-	if err != nil || panicked {
-		t.Fatalf("execute: err=%v panicked=%v", err, panicked)
-	}
-	if !strings.Contains(res.Err, "unknown job kind") {
-		t.Errorf("unknown kind result: %+v", res)
-	}
-	lease.Release()
 }
 
 // TestClusterExploreCanonicalCoversPoints pins the dispatch identity to
@@ -145,8 +127,8 @@ func TestClusterExploreCanonicalCoversPoints(t *testing.T) {
 	if plain.Digest() == base {
 		t.Error("dropping the exploration grid invisible to the dispatch digest")
 	}
-	if plain.Jobs()[0].Kind != "" || spec.Jobs()[0].Kind != KindExplore {
-		t.Error("job kinds do not follow the spec's exploration grid")
+	if plain.Cells() != 1 || spec.Cells() != 2 {
+		t.Errorf("cells per job: plain %d, explore %d; want 1 and 2", plain.Cells(), spec.Cells())
 	}
 }
 
@@ -161,7 +143,7 @@ func TestClusterExploreWorkerExecutesPair(t *testing.T) {
 	if _, err := Dispatch(ctx, q, p, spec, DispatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{Queue: q, Pipe: p, ID: "w1"}
+	w := &Worker{Queue: q, Pipe: p, Spec: spec, ID: "w1"}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}

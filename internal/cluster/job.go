@@ -3,50 +3,29 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/cpu"
-	"repro/internal/generate"
 	"repro/internal/pipeline"
 	"repro/internal/store"
 )
 
-// KindExplore marks a job as an exploration shard: beyond the pair grid,
-// the worker simulates the workload's original and clone on every machine
-// configuration in Sims at every level.
-const KindExplore = "explore"
-
-// KindGenerate marks a job as a generation shard: the worker realizes one
-// directed synthetic workload — point GenIndex of the dispatch spec's
-// generate.Spec — through the pipeline's Synthesize → Validate path.
-const KindGenerate = "generate"
-
-// Job is one shard of a dispatch: every (ISA, level) point of one
-// workload. Jobs are self-describing — a pending file carries the whole
-// struct — so a worker needs only the manifest (for pipeline options) and
-// the job file to execute.
+// Job is one shard of a dispatch. It names its shard and nothing else:
+// the dispatch it belongs to and its workload (or, in a generation
+// dispatch, its sampled point). The work every shard shares — the
+// (ISA, level) grid, the machine configurations, the simulation bound and
+// the generation spec — lives once, in the manifest's Spec, which is the
+// copy a worker builds its pipeline from and executes jobs against.
 type Job struct {
-	// Workload is the workload/input pair to clone.
+	// Workload is the workload/input pair to clone; in a generation
+	// dispatch, the point label "gen[i]", which keeps generate job IDs
+	// distinct within a dispatch.
 	Workload string `json:"workload"`
-	// ISAs and Levels are the compilation grid, copied from the spec.
-	ISAs   []string `json:"isas"`
-	Levels []int    `json:"levels"`
 	// Dispatch is the digest of the owning spec's canonical encoding.
 	// It scopes job IDs, so results from a superseded dispatch can never
-	// be mistaken for this one's.
+	// be mistaken for this one's, and it is what a worker checks against
+	// the spec it holds before executing the job.
 	Dispatch string `json:"dispatch"`
-	// Kind discriminates job flavors: "" is pair synthesis, KindExplore
-	// an exploration shard.
-	Kind string `json:"kind,omitempty"`
-	// Sims and SimMaxInstrs carry an exploration spec's machine
-	// configurations and simulation bound (KindExplore jobs only).
-	Sims         []cpu.Config `json:"sims,omitempty"`
-	SimMaxInstrs uint64       `json:"simMaxInstrs,omitempty"`
-	// Gen and GenIndex carry a generation spec and which of its sampled
-	// points this job realizes (KindGenerate jobs only). The spec rides in
-	// every job so jobs stay self-describing; the point index is also baked
-	// into Workload ("gen[i]"), which is what keeps generate job IDs
-	// distinct within a dispatch.
-	Gen      *generate.Spec `json:"gen,omitempty"`
-	GenIndex int            `json:"genIndex,omitempty"`
+	// GenIndex is the sampled point of Spec.Generate this job realizes
+	// (generation dispatches only).
+	GenIndex int `json:"genIndex,omitempty"`
 }
 
 // ID returns the job's queue identity: a digest over the dispatch digest
@@ -56,31 +35,34 @@ func (j Job) ID() string {
 	return store.Fingerprint([]byte(fmt.Sprintf("v1|%s|%s", j.Dispatch, j.Workload)))
 }
 
-// Cells returns the number of evaluation cells the job executes: the
-// (ISA, level) compile grid for pair-synthesis jobs, the (machine
-// configuration, level) simulation grid for exploration jobs.
-func (j Job) Cells() int {
-	switch j.Kind {
-	case KindExplore:
-		return len(j.Sims) * len(j.Levels)
-	case KindGenerate:
-		return 1 // one directed point per job
+// Cells returns the number of evaluation cells one of the spec's jobs
+// executes: one directed point in a generation dispatch, the (machine
+// configuration, level) simulation grid in an exploration dispatch, and
+// the (ISA, level) compile grid otherwise.
+func (s Spec) Cells() int {
+	switch {
+	case s.Generate != nil:
+		return 1
+	case len(s.Explore) > 0:
+		return len(s.Explore) * len(s.Levels)
 	}
-	return len(j.ISAs) * len(j.Levels)
+	return len(s.ISAs) * len(s.Levels)
 }
 
-// Points returns the job's (ISA, level) grid in deterministic order.
-func (j Job) Points() []Point {
-	pts := make([]Point, 0, len(j.ISAs)*len(j.Levels))
-	for _, isaName := range j.ISAs {
-		for _, level := range j.Levels {
+// Points returns the spec's (ISA, level) grid in deterministic order: the
+// points every job of a pair or exploration dispatch covers for its
+// workload.
+func (s Spec) Points() []Point {
+	pts := make([]Point, 0, len(s.ISAs)*len(s.Levels))
+	for _, isaName := range s.ISAs {
+		for _, level := range s.Levels {
 			pts = append(pts, Point{ISA: isaName, Level: level})
 		}
 	}
 	return pts
 }
 
-// Point is one (ISA, level) cell of a job's grid.
+// Point is one (ISA, level) cell of a spec's grid.
 type Point struct {
 	// ISA names the target ISA.
 	ISA string `json:"isa"`

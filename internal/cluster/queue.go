@@ -398,8 +398,9 @@ func (q *Queue) Reclaim(ttl time.Duration) (int, error) {
 }
 
 // Lease is a worker's ownership of one claimed job. The lease file's mtime
-// is the heartbeat: Heartbeat refreshes it, and a lease idle longer than
-// the reclaim TTL is returned to pending by whoever notices first.
+// is the heartbeat: the executing worker touches it (store.Heartbeat), and
+// a lease idle longer than the reclaim TTL is returned to pending by
+// whoever notices first.
 type Lease struct {
 	q *Queue
 	// Job is the claimed job.
@@ -407,14 +408,6 @@ type Lease struct {
 	// Worker is the owning worker's ID.
 	Worker string
 	name   string
-}
-
-// Heartbeat renews the lease by refreshing its file's mtime. Errors are
-// returned for observability but a worker need not abort on them: a lost
-// lease at worst means the job is redone by someone else, and the store
-// makes the redo cheap.
-func (l *Lease) Heartbeat() error {
-	return l.q.be.Touch(l.name)
 }
 
 // Ack records the job's result and releases the lease. If the lease was

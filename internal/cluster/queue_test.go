@@ -57,12 +57,12 @@ func TestClusterQueueLifecycle(t *testing.T) {
 	if m, err := q.Manifest(); err != nil || m != nil {
 		t.Fatalf("fresh queue manifest = %v, %v; want nil, nil", m, err)
 	}
-	want := &Manifest{Version: SchemaVersion, Spec: spec, Canonical: spec.Canonical(), Total: 1}
+	want := &Manifest{Version: SchemaVersion, Spec: spec, Canonical: spec.Canonical()}
 	if err := q.WriteManifest(want); err != nil {
 		t.Fatal(err)
 	}
 	m, err := q.Manifest()
-	if err != nil || m == nil || m.Canonical != spec.Canonical() || m.Total != 1 {
+	if err != nil || m == nil || m.Canonical != spec.Canonical() || len(m.Spec.Jobs()) != 1 {
 		t.Fatalf("manifest round trip: %+v, %v", m, err)
 	}
 
@@ -93,7 +93,7 @@ func TestClusterQueueLifecycle(t *testing.T) {
 	if extra, err := q.Claim("w2"); err != nil || extra != nil {
 		t.Fatalf("empty-queue claim: %v, %v", extra, err)
 	}
-	if err := lease.Heartbeat(); err != nil {
+	if err := q.Store().Touch(lease.name); err != nil {
 		t.Fatal(err)
 	}
 	workers, err := q.Workers()
@@ -187,7 +187,7 @@ func TestClusterReclaimExpired(t *testing.T) {
 
 	// A heartbeat keeps an old lease alive.
 	backdate(t, dir, lease, 2*time.Minute)
-	if err := lease.Heartbeat(); err != nil {
+	if err := q.Store().Touch(lease.name); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := q.Reclaim(time.Minute); err != nil || n != 0 {
@@ -271,8 +271,8 @@ func TestClusterJobIdentity(t *testing.T) {
 	if jobs[0].ID() == b.Jobs()[0].ID() {
 		t.Error("distinct specs share a job ID")
 	}
-	if len(jobs[0].Points()) != 1 {
-		t.Errorf("points: %v", jobs[0].Points())
+	if len(a.Points()) != 1 {
+		t.Errorf("points: %v", a.Points())
 	}
 	if sanitizeWorker("host/1@x") != "host-1-x" {
 		t.Errorf("sanitizeWorker: %q", sanitizeWorker("host/1@x"))

@@ -45,7 +45,7 @@ type WorkerReport struct {
 func BuildReport(m *Manifest, results []Result) Report {
 	r := Report{Workers: map[string]WorkerReport{}}
 	if m != nil {
-		r.Total = m.Total
+		r.Total = len(m.Spec.Jobs())
 	}
 	for _, res := range results {
 		r.Done++

@@ -130,7 +130,7 @@ type Supervisor struct {
 	workers   map[string]*supWorker
 	seq       int
 	decisions []Decision
-	pipes     map[string]*pipeline.Pipeline
+	pipes     map[string]dispatchPipe
 	idleTicks int
 	running   bool
 
@@ -139,6 +139,13 @@ type Supervisor struct {
 	// panicked is the node's one panic record, shared by every pool
 	// worker (see Worker.step).
 	panicked sync.Map
+}
+
+// dispatchPipe is one dispatch's spec, read from the manifest, and the
+// pipeline built for it.
+type dispatchPipe struct {
+	spec Spec
+	pipe *pipeline.Pipeline
 }
 
 // supWorker is the supervisor's handle on one pool goroutine. Closing stop
@@ -181,7 +188,7 @@ func NewSupervisor(q *Queue, opts SupervisorOptions) (*Supervisor, error) {
 		opts:    opts,
 		metrics: NewMetrics(opts.Telemetry),
 		workers: make(map[string]*supWorker),
-		pipes:   make(map[string]*pipeline.Pipeline),
+		pipes:   make(map[string]dispatchPipe),
 	}
 	if opts.Telemetry != nil {
 		opts.Telemetry.GaugeFunc("synth_cluster_pool_workers",
@@ -354,7 +361,7 @@ func (s *Supervisor) workerLoop(ctx context.Context, sw *supWorker) {
 			}
 			continue
 		}
-		if w.Pipe, err = s.pipelineFor(lease.Job.Dispatch); err != nil {
+		if w.Pipe, w.Spec, err = s.pipelineFor(lease.Job.Dispatch); err != nil {
 			// The job belongs to a dispatch this node cannot reconstruct
 			// (manifest unreadable or replaced mid-flight). Hand it back and
 			// let a reclaim or a correctly-configured worker take it.
@@ -374,46 +381,46 @@ func (s *Supervisor) workerLoop(ctx context.Context, sw *supWorker) {
 	}
 }
 
-// pipelineFor returns the pipeline for one dispatch digest, built from the
-// queue's manifest and cached per digest — a re-dispatch under new options
-// gets a fresh pipeline whose artifact keys match, while jobs of one
-// dispatch share cache state across the whole pool.
-func (s *Supervisor) pipelineFor(digest string) (*pipeline.Pipeline, error) {
+// pipelineFor returns the spec and pipeline for one dispatch digest,
+// read from the queue's manifest and cached per digest — a re-dispatch
+// under new options gets a fresh pipeline whose artifact keys match, while
+// jobs of one dispatch share cache state across the whole pool.
+func (s *Supervisor) pipelineFor(digest string) (*pipeline.Pipeline, Spec, error) {
 	if s.opts.exec != nil {
-		return nil, nil // scripted execution needs no pipeline
+		return nil, Spec{}, nil // scripted execution needs no pipeline
 	}
 	s.mu.Lock()
-	if p, ok := s.pipes[digest]; ok {
+	if dp, ok := s.pipes[digest]; ok {
 		s.mu.Unlock()
-		return p, nil
+		return dp.pipe, dp.spec, nil
 	}
 	s.mu.Unlock()
 
 	m, err := s.q.Manifest()
 	if err != nil {
-		return nil, err
+		return nil, Spec{}, err
 	}
 	if m == nil {
-		return nil, fmt.Errorf("cluster: job %s has no manifest", digest)
+		return nil, Spec{}, fmt.Errorf("cluster: job %s has no manifest", digest)
 	}
 	if m.Spec.Digest() != digest {
-		return nil, fmt.Errorf("cluster: job belongs to dispatch %s but the manifest holds %s", digest, m.Spec.Digest())
+		return nil, Spec{}, fmt.Errorf("cluster: job belongs to dispatch %s but the manifest holds %s", digest, m.Spec.Digest())
 	}
-	p := pipeline.New(pipeline.Options{
+	dp := dispatchPipe{spec: m.Spec, pipe: pipeline.New(pipeline.Options{
 		Workers: s.opts.PipelineWorkers,
 		Seed:    m.Spec.Seed,
 		Store:   s.q.Store(),
 		Metrics: s.opts.Telemetry,
-	})
+	})}
 
 	s.mu.Lock()
 	if cached, ok := s.pipes[digest]; ok { // lost a benign build race
-		p = cached
+		dp = cached
 	} else {
-		s.pipes[digest] = p
+		s.pipes[digest] = dp
 	}
 	s.mu.Unlock()
-	return p, nil
+	return dp.pipe, dp.spec, nil
 }
 
 // Metrics returns the supervisor's job-lifecycle counters, shared by

@@ -11,24 +11,26 @@ import (
 	"time"
 )
 
-// fakeJobs writes a manifest promising total jobs and enqueues them. The
-// jobs carry synthetic workload names; they are only meaningful to tests
-// driving execution through the exec hook.
-func fakeJobs(t *testing.T, q *Queue, total int) []Job {
+// fakeJobs writes the manifest of a spec with total jobs, enqueues them,
+// and returns the spec. The jobs carry synthetic workload names; they are
+// only meaningful to tests driving execution through the exec hook.
+func fakeJobs(t *testing.T, q *Queue, total int) Spec {
 	t.Helper()
-	spec := testSpec("crc32/small")
+	names := make([]string, total)
+	for i := range names {
+		names[i] = fmt.Sprintf("fake/job%d", i)
+	}
+	spec := testSpec(names...)
 	if err := q.WriteManifest(&Manifest{Version: SchemaVersion, Spec: spec,
-		Canonical: spec.Canonical(), Total: total}); err != nil {
+		Canonical: spec.Canonical()}); err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]Job, total)
-	for i := range jobs {
-		jobs[i] = Job{Workload: fmt.Sprintf("fake/job%d", i), Dispatch: "fake"}
-		if ok, err := q.Enqueue(jobs[i]); err != nil || !ok {
+	for i, j := range spec.Jobs() {
+		if ok, err := q.Enqueue(j); err != nil || !ok {
 			t.Fatalf("enqueue %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	return jobs
+	return spec
 }
 
 // waitFor polls cond until it holds or the deadline expires.
@@ -51,11 +53,11 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // the same job is acked as a failure so the queue still converges.
 func TestWorkerPanicReleasesLease(t *testing.T) {
 	q := testQueue(t)
-	fakeJobs(t, q, 1)
+	spec := fakeJobs(t, q, 1)
 
 	var calls atomic.Int64
 	w := &Worker{
-		Queue: q, ID: "panicky", TTL: time.Hour, Poll: 5 * time.Millisecond,
+		Queue: q, Spec: spec, ID: "panicky", TTL: time.Hour, Poll: 5 * time.Millisecond,
 		exec: func(ctx context.Context, j Job) error {
 			calls.Add(1)
 			panic("synthetic fault in job execution")
@@ -179,7 +181,7 @@ func TestSupervisorGracefulShutdownReleasesLease(t *testing.T) {
 func TestSupervisorAutoscaleRace(t *testing.T) {
 	q := testQueue(t)
 	const total = 12
-	jobs := fakeJobs(t, q, total)
+	jobs := fakeJobs(t, q, total).Jobs()
 
 	var executions atomic.Int64
 	sup, err := NewSupervisor(q, SupervisorOptions{

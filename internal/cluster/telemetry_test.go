@@ -17,11 +17,11 @@ import (
 // carries them under the synth_cluster_* names.
 func TestClusterTelemetryWorkerDrain(t *testing.T) {
 	q := testQueue(t)
-	fakeJobs(t, q, 3)
+	spec := fakeJobs(t, q, 3)
 
 	reg := telemetry.NewRegistry()
 	w := &Worker{
-		Queue: q, ID: "metered", TTL: time.Hour, Poll: 5 * time.Millisecond,
+		Queue: q, Spec: spec, ID: "metered", TTL: time.Hour, Poll: 5 * time.Millisecond,
 		Metrics: NewMetrics(reg),
 		exec: func(ctx context.Context, j Job) error {
 			if strings.HasSuffix(j.Workload, "job0") {

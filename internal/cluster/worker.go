@@ -12,6 +12,7 @@ import (
 	"repro/internal/generate"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -27,13 +28,14 @@ type Worker struct {
 	Pipe *pipeline.Pipeline
 	// ID names the worker in lease files and results.
 	ID string
-	// Dispatch, when non-empty, is the Spec.Digest of the dispatch the
-	// pipeline was built for. A claimed job carrying a different dispatch
-	// digest — the queue was reset and re-dispatched under this worker —
-	// is released and aborts the run, since executing it with the old
-	// pipeline options would ack jobs whose artifacts were never computed
-	// under the new spec's keys.
-	Dispatch string
+	// Spec is the dispatch the pipeline was built for, as read from the
+	// queue's manifest: the grid, machines and generation spec every job
+	// of the dispatch shards. A claimed job whose Dispatch is not
+	// Spec.Digest() — the queue was reset and re-dispatched under this
+	// worker — is released and aborts the run, since executing it with the
+	// old spec would ack jobs whose artifacts were never computed under the
+	// new spec's keys.
+	Spec Spec
 	// TTL is the lease expiry the worker enforces on others and the
 	// heartbeat budget it must stay within itself (0 = DefaultLeaseTTL).
 	TTL time.Duration
@@ -72,12 +74,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.panicked = new(sync.Map)
 	}
 	ttl := durationOr(w.TTL, DefaultLeaseTTL)
-	total := -1
-	if m, err := w.Queue.Manifest(); err != nil {
-		return err
-	} else if m != nil {
-		total = m.Total
-	}
+	digest, total := w.Spec.Digest(), len(w.Spec.Jobs())
 	var stalledSince time.Time
 	for {
 		if err := ctx.Err(); err != nil {
@@ -105,10 +102,10 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		stalledSince = time.Time{}
-		if w.Dispatch != "" && lease.Job.Dispatch != w.Dispatch {
+		if lease.Job.Dispatch != digest {
 			lease.Release()
 			return fmt.Errorf("cluster: queue was re-dispatched (job %s belongs to dispatch %s, this worker was built for %s); restart the worker",
-				lease.Job.Workload, lease.Job.Dispatch, w.Dispatch)
+				lease.Job.Workload, lease.Job.Dispatch, digest)
 		}
 		if err := w.step(ctx, ctx, lease); err != nil {
 			return err
@@ -206,30 +203,14 @@ func (w *Worker) ack(lease *Lease, res Result) error {
 	return fmt.Errorf("cluster: ack failed after %d attempts: %w", ackAttempts, err)
 }
 
-// execute runs one job's (ISA, level) grid through the pipeline,
-// heartbeating the lease in the background. Job failures are recorded in
-// the Result, not returned: only cancellation of ctx is. The second return
-// reports that the job's execution panicked (recovered into the Result),
-// which step turns into release-and-retry instead of an ack.
+// execute runs one job through the pipeline, heartbeating the lease in
+// the background. Job failures are recorded in the Result, not returned:
+// only cancellation of ctx is. The second return reports that the job's
+// execution panicked (recovered into the Result), which step turns into
+// release-and-retry instead of an ack.
 func (w *Worker) execute(ctx context.Context, lease *Lease) (Result, bool, error) {
 	res := Result{Job: lease.Job, Worker: w.ID}
-
-	hbCtx, stopHB := context.WithCancel(ctx)
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(durationOr(w.TTL, DefaultLeaseTTL) / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-t.C:
-				lease.Heartbeat() // a lost lease only means a benign redo
-			}
-		}
-	}()
-	defer func() { stopHB(); <-hbDone }()
+	defer store.Heartbeat(lease.q.be, lease.name, durationOr(w.TTL, DefaultLeaseTTL)/3)()
 
 	start := time.Now()
 	var before pipeline.CacheStats
@@ -266,30 +247,26 @@ func (w *Worker) runRecovered(ctx context.Context, j Job) (err error) {
 	if w.exec != nil {
 		return w.exec(ctx, j)
 	}
-	return w.runJob(ctx, j)
+	return w.runJob(ctx, w.Spec, j)
 }
 
-// runJob fans the job's grid points out on the pipeline's worker pool.
-// Generate jobs dispatch before the workload lookup: their Workload field
-// is a synthetic point label ("gen[i]"), not a registry name.
-func (w *Worker) runJob(ctx context.Context, j Job) error {
-	if j.Kind == KindGenerate {
-		if j.Gen == nil {
-			return fmt.Errorf("cluster: generate job %s carries no spec", j.Workload)
-		}
-		return generate.RealizePoint(ctx, w.Pipe, j.Gen, j.GenIndex)
+// runJob executes job j of spec on the pipeline's worker pool. The job
+// kind is the spec's shape: a generation spec realizes the job's point
+// (its Workload is a point label, not a registry name), an exploration
+// spec simulates the workload on every machine, and otherwise the job
+// builds the workload's pair at every (ISA, level) point of the grid.
+func (w *Worker) runJob(ctx context.Context, spec Spec, j Job) error {
+	if spec.Generate != nil {
+		return generate.RealizePoint(ctx, w.Pipe, spec.Generate, j.GenIndex)
 	}
 	wl := workloads.ByName(j.Workload)
 	if wl == nil {
 		return fmt.Errorf("cluster: unknown workload %q", j.Workload)
 	}
-	if j.Kind == KindExplore {
-		return w.runExploreJob(ctx, wl, j)
+	if len(spec.Explore) > 0 {
+		return w.runExploreJob(ctx, spec, wl)
 	}
-	if j.Kind != "" {
-		return fmt.Errorf("cluster: unknown job kind %q (mixed binaries?)", j.Kind)
-	}
-	return pipeline.ForEach(ctx, w.Pipe, j.Points(), func(ctx context.Context, pt Point) error {
+	return pipeline.ForEach(ctx, w.Pipe, spec.Points(), func(ctx context.Context, pt Point) error {
 		target := isa.ByName(pt.ISA)
 		if target == nil {
 			return fmt.Errorf("cluster: unknown ISA %q", pt.ISA)
@@ -303,15 +280,15 @@ func (w *Worker) runJob(ctx context.Context, j Job) error {
 }
 
 // runExploreJob executes one exploration shard: time the workload's
-// original and clone, at every level, on every machine configuration
-// through the pipeline's cached Simulate stage — the same
+// original and clone, at every level of spec, on every machine
+// configuration through the pipeline's cached Simulate stage — the same
 // pipeline.SimulateColumns call explore.Run makes. Every
 // simulation (and the compiles, profile, and synthesis underneath) lands
 // in the shared store, so the dispatcher can aggregate the sweep report
 // warm.
-func (w *Worker) runExploreJob(ctx context.Context, wl *workloads.Workload, j Job) error {
+func (w *Worker) runExploreJob(ctx context.Context, spec Spec, wl *workloads.Workload) error {
 	var cols []pipeline.Column
-	for _, l := range j.Levels {
+	for _, l := range spec.Levels {
 		if l < 0 || l >= len(compiler.Levels) {
 			return fmt.Errorf("cluster: level %d out of range", l)
 		}
@@ -319,6 +296,6 @@ func (w *Worker) runExploreJob(ctx context.Context, wl *workloads.Workload, j Jo
 			pipeline.Column{Workload: wl, Level: compiler.Levels[l]},
 			pipeline.Column{Workload: wl, Level: compiler.Levels[l], Clone: true})
 	}
-	_, err := w.Pipe.SimulateColumns(ctx, cols, j.Sims, j.SimMaxInstrs)
+	_, err := w.Pipe.SimulateColumns(ctx, cols, spec.Explore, spec.SimMaxInstrs)
 	return err
 }

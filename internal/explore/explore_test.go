@@ -251,17 +251,11 @@ func TestClusterSpecBridge(t *testing.T) {
 	if spec.Seed != 42 {
 		t.Errorf("seed lost: %+v", spec)
 	}
-	jobs := spec.Jobs()
-	if len(jobs) != 3 {
+	if jobs := spec.Jobs(); len(jobs) != 3 {
 		t.Fatalf("%d jobs", len(jobs))
 	}
-	for _, j := range jobs {
-		if j.Kind != "explore" || len(j.Sims) != len(sw.Points) {
-			t.Errorf("job %s: kind=%q sims=%d", j.Workload, j.Kind, len(j.Sims))
-		}
-		if j.Cells() != len(sw.Points)*len(sw.Levels) {
-			t.Errorf("job %s: %d cells", j.Workload, j.Cells())
-		}
+	if spec.Cells() != len(sw.Points)*len(sw.Levels) {
+		t.Errorf("%d cells per job, want %d", spec.Cells(), len(sw.Points)*len(sw.Levels))
 	}
 	// The simulation bound is part of the dispatch identity.
 	bounded := *sw

@@ -12,7 +12,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/store"
-	"repro/internal/workloads"
 )
 
 // suiteProfiles profiles a suite through a fresh pipeline, giving tests a
@@ -354,12 +353,6 @@ func TestRealizePointAndCorpus(t *testing.T) {
 	for _, w := range corpus {
 		if !strings.HasPrefix(w.Name, "gen/tg-") || w.Source == "" {
 			t.Errorf("corpus workload %q malformed", w.Name)
-		}
-		if err := workloads.Register(w); err != nil {
-			t.Errorf("register %s: %v", w.Name, err)
-		}
-		if workloads.ByName(w.Name) != w {
-			t.Errorf("%s not resolvable after Register", w.Name)
 		}
 	}
 }

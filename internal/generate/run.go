@@ -247,10 +247,9 @@ func RealizePoint(ctx context.Context, p *pipeline.Pipeline, spec *Spec, index i
 	return nil
 }
 
-// Corpus materializes a run's accepted points as registrable workloads:
-// each clone's HLC source becomes a self-contained workload named
-// "gen/<point>", ready for workloads.Register and consumption by `synth
-// explore`. Rejected points are skipped.
+// Corpus materializes a run's accepted points as workloads: each clone's
+// HLC source becomes a self-contained workload named "gen/<point>", ready
+// to join a `synth explore` sweep. Rejected points are skipped.
 func Corpus(ctx context.Context, p *pipeline.Pipeline, spec *Spec) ([]*workloads.Workload, error) {
 	rep, err := Run(ctx, p, spec)
 	if err != nil {

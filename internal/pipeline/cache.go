@@ -372,27 +372,12 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, fn func(context
 // that observes the marker disappear without an artifact knows the owner
 // failed.
 func (c *artifactCache) computeOwned(ctx context.Context, k Key, marker string, fn func(context.Context) (any, error)) (any, error) {
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(wipTTL / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.disk.Touch(marker)
-			}
-		}
-	}()
+	stop := store.Heartbeat(c.disk, marker, wipTTL/3)
 	v, err := c.compute(ctx, k, fn)
 	if err == nil {
 		c.toDisk(k, v)
 	}
-	close(stop)
-	<-done
+	stop()
 	c.disk.Remove(marker)
 	return v, err
 }

@@ -34,7 +34,10 @@ type Backend interface {
 	// Put writes payload under digest, atomically replacing any existing
 	// entry.
 	Put(digest, kind, key string, payload []byte) error
-	// Has reports whether a valid entry exists for (digest, kind, key).
+	// Has reports whether a valid entry exists for (digest, kind, key):
+	// Get with the payload dropped. Code in this module probes with Get;
+	// Has stays because the benchmark ledger's store decorator
+	// (bench/ledger) forwards it.
 	Has(digest, kind, key string) bool
 
 	// ReadFile returns the named coordination file's contents.
@@ -222,6 +225,34 @@ func (s *Store) Touch(name string) error {
 	}
 	now := time.Now()
 	return os.Chtimes(p, now, now)
+}
+
+// Heartbeat touches the named file on b every interval, from one
+// goroutine, until the returned stop function is called. stop waits for
+// the goroutine to exit, so no Touch lands after it returns. It is the one
+// heartbeat behind cluster leases and the pipeline's in-progress markers.
+// Touch errors are ignored: a missed beat at worst lets another
+// participant take the work over, and the store makes that redo benign.
+func Heartbeat(b Backend, name string, interval time.Duration) (stop func()) {
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				b.Touch(name)
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
 // Every backend — local disk, HTTP client — satisfies the same interface,

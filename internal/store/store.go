@@ -93,9 +93,8 @@ func (s *Store) Get(digest, kind, key string) (payload []byte, ok bool) {
 }
 
 // Has reports whether a valid entry exists for (digest, kind, key) — the
-// same validation Get performs, discarding the payload. Dedup decisions
-// (skip a cluster job whose artifacts are already stored) use Has so that a
-// corrupt or stale entry counts as absent and the work is redone.
+// same validation Get performs, discarding the payload, so a corrupt or
+// stale entry counts as absent.
 func (s *Store) Has(digest, kind, key string) bool {
 	_, ok := s.Get(digest, kind, key)
 	return ok

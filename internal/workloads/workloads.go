@@ -81,25 +81,6 @@ func register(w *Workload) *Workload {
 	return w
 }
 
-// Register adds a workload to the registry at runtime — the hook generated
-// corpora use to make synthetic benchmarks addressable by name (e.g. for
-// `synth explore -generate`). Re-registering an existing name replaces the
-// earlier entry rather than shadowing it. Not safe for concurrent use with
-// lookups; register corpora up front, before fan-out.
-func Register(w *Workload) error {
-	if w == nil || w.Name == "" || w.Source == "" {
-		return fmt.Errorf("workloads: Register needs a name and source")
-	}
-	for i, old := range registry {
-		if old.Name == w.Name {
-			registry[i] = w
-			return nil
-		}
-	}
-	registry = append(registry, w)
-	return nil
-}
-
 // All returns the full suite in the paper's Fig. 4 order. The slice is
 // shared; callers must not mutate it.
 func All() []*Workload { return registry }
