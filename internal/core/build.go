@@ -22,7 +22,9 @@ import (
 // Measurements are deterministic, so reusing one changes no clone.
 // Predecoded code is not kept: loading the linked program anew costs no
 // more than relinking kept code, which would also stay resident between
-// runs. A builder serves one call and is not shared.
+// runs. Global storage is: every candidate loads into the one VM's
+// arrays (vm.Reload), zeroed, instead of allocating its own. A builder
+// serves one call and is not shared.
 type builder struct {
 	funcs map[string]*builtFunc // the previous candidate's functions
 	// last is what the previous run observed, and lastKey its
@@ -32,6 +34,8 @@ type builder struct {
 	key     []byte // scratch for key encoding
 	nextID  int
 	stats   buildStats
+	// vm runs every candidate; nil until the first one.
+	vm *vm.VM
 	// observe, when set, sees every candidate the builder measures (tests).
 	observe func(*candidate)
 }
@@ -141,7 +145,12 @@ func (b *builder) measure(prog *hlc.Program, budget uint64) (*measurement, error
 	if err != nil {
 		return nil, err
 	}
-	obs, err := measureRun(vm.New(mp), budget)
+	if b.vm == nil {
+		b.vm = vm.New(mp)
+	} else {
+		b.vm.Reload(mp)
+	}
+	obs, err := measureRun(b.vm, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -174,19 +183,26 @@ type observed struct {
 // self-contained (stride arrays start zeroed), so no input setup is
 // needed.
 func measureRun(vmc *vm.VM, budget uint64) (observed, error) {
-	// The hook counts executions per site and the mix is summed after
-	// the run: consecutive events rarely share a site, while a per-class
-	// counter would chain every increment on the one before.
+	// The trace consumer counts executions per site and the mix is
+	// summed after the run: consecutive sites rarely share a class, while
+	// a per-class counter would chain every increment on the one before.
 	lay := vmc.Layout()
 	counts := make([]uint64, lay.NumSites())
 	c := cache.New(profile.DefaultCache)
 	var misses uint64
 	res, err := vmc.Run(vm.Config{
 		MaxInstrs: budget,
-		Hook: func(ev *vm.Event) {
-			counts[ev.Site]++
-			if ev.IsMem && !c.Access(ev.Addr) {
-				misses++
+		Trace: func(t *vm.Trace) {
+			for _, sg := range t.Segs {
+				seg := counts[sg.First : sg.First+sg.N]
+				for i := range seg {
+					seg[i]++
+				}
+			}
+			for _, a := range t.Addrs {
+				if !c.Access(a) {
+					misses++
+				}
 			}
 		},
 	})

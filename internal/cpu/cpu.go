@@ -121,7 +121,7 @@ func Simulate(prog *isa.Program, setup func(*vm.VM) error, cfg Config, maxInstrs
 }
 
 // SimulateMany times prog on every configuration in one interpretation:
-// a single hooked VM run feeds each dynamic instruction to a shared front
+// a single traced VM run feeds each dynamic instruction to a shared front
 // end and then to one timing back end per config, and the back ends share
 // the program's static-site table. Result i is exactly what
 // Simulate(prog, setup, cfgs[i], maxInstrs) returns, and a config Simulate
@@ -156,13 +156,15 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 		maxRegs = max(maxRegs, f.NumRegs)
 	}
 	fe := newFrontEnd(cfgs)
-	// The back ends are held by concrete type, so the per-event loop makes
-	// direct calls, and the hook is built for the group's one model kind:
-	// Go keeps no register live across a call, so every value the hook
-	// holds is reloaded after each call it makes, and a lean hook is what
-	// keeps a one-config group as fast as a fused model.
+	// The back ends are held by concrete type, so the per-instruction loop
+	// makes direct calls, and the trace consumer is built for the group's
+	// one model kind: Go keeps no register live across a call, so every
+	// value the loop holds is reloaded after each call it makes, and a
+	// lean loop is what keeps a one-config group as fast as a fused model.
+	// The loop is event-major: each executed instruction goes through the
+	// front end and then every back end before the next one.
 	var (
-		hook       vm.Hook
+		trace      func(*vm.Trace)
 		oooModels  []*ooOModel
 		epicModels []*epicModel
 	)
@@ -173,28 +175,50 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 			oooModels = append(oooModels, newOoOModel(len(sites), maxRegs, cfg, fe.slots[i]))
 		}
 	}
+	// Each segment's sites run in order; a load or store takes the next
+	// address, and only the closing site can be a branch.
 	if len(epicModels) > 0 {
-		hook = func(ev *vm.Event) {
-			si := &sites[ev.Site]
-			if si.kind-kindLoad <= kindBranch-kindLoad {
-				fe.observe(ev, si)
-			}
-			for _, md := range epicModels {
-				md.observe(ev, si)
+		trace = func(t *vm.Trace) {
+			a := 0
+			for _, sg := range t.Segs {
+				for s := sg.First; s < sg.First+sg.N; s++ {
+					si := &sites[s]
+					var addr uint64
+					if si.kind-kindLoad <= kindBranch-kindLoad {
+						if si.kind != kindBranch {
+							addr = t.Addrs[a]
+							a++
+						}
+						fe.observe(addr, sg.Taken, si)
+					}
+					for _, md := range epicModels {
+						md.observe(addr, si)
+					}
+				}
 			}
 		}
 	} else {
-		hook = func(ev *vm.Event) {
-			si := &sites[ev.Site]
-			if si.kind-kindLoad <= kindBranch-kindLoad {
-				fe.observe(ev, si)
-			}
-			for _, md := range oooModels {
-				md.observe(ev, si)
+		trace = func(t *vm.Trace) {
+			a := 0
+			for _, sg := range t.Segs {
+				for s := sg.First; s < sg.First+sg.N; s++ {
+					si := &sites[s]
+					var addr uint64
+					if si.kind-kindLoad <= kindBranch-kindLoad {
+						if si.kind != kindBranch {
+							addr = t.Addrs[a]
+							a++
+						}
+						fe.observe(addr, sg.Taken, si)
+					}
+					for _, md := range oooModels {
+						md.observe(s, addr, si)
+					}
+				}
 			}
 		}
 	}
-	runRes, err := m.Run(vm.Config{Hook: hook, MaxInstrs: maxInstrs})
+	runRes, err := m.Run(vm.Config{Trace: trace, MaxInstrs: maxInstrs})
 	if err != nil {
 		t, ok := err.(*vm.Trap)
 		if !ok || maxInstrs == 0 || t.Reason != vm.TrapBudgetExhausted {
@@ -296,23 +320,24 @@ func newFrontEnd(cfgs []Config) *frontEnd {
 	return fe
 }
 
-// observe runs a load or store through every hierarchy, or a branch
-// through every predictor. The hook calls it for those kinds only.
-func (fe *frontEnd) observe(ev *vm.Event, si *siteInfo) {
+// observe runs a load or store at addr through every hierarchy, or a
+// branch with outcome taken through every predictor. SimulateMany calls
+// it for those kinds only.
+func (fe *frontEnd) observe(addr uint64, taken bool, si *siteInfo) {
 	switch si.kind {
 	case kindLoad:
 		for i, h := range fe.hiers {
-			fe.level[i] = uint8(h.AccessLatency(ev.Addr))
+			fe.level[i] = uint8(h.AccessLatency(addr))
 		}
 	case kindStore:
 		for i, h := range fe.hiers {
-			fe.level[i] = uint8(h.StoreLatency(ev.Addr))
+			fe.level[i] = uint8(h.StoreLatency(addr))
 		}
 	case kindBranch:
 		fe.branches++
 		for i, p := range fe.preds {
-			miss := p.Predict(si.pc) != ev.Taken
-			p.Update(si.pc, ev.Taken)
+			miss := p.Predict(si.pc) != taken
+			p.Update(si.pc, taken)
 			fe.mispredicted[i] = miss
 			if miss {
 				fe.mispredicts[i]++
@@ -387,7 +412,7 @@ func BranchPC(fn, block, index int) uint64 {
 
 // siteInfo is the per-static-site metadata both timing models need for
 // every dynamic instruction. It is precomputed once per simulation and
-// indexed by Event.Site, so observe never walks program structure, decodes
+// indexed by site ID, so observe never walks program structure, decodes
 // use/def operands, or hashes a map on the hot path.
 type siteInfo struct {
 	pc          uint64 // kindBranch: synthetic predictor PC
@@ -627,7 +652,9 @@ func newOoOModel(numSites, maxRegs int, cfg Config, fe feSlot) *ooOModel {
 	}
 }
 
-func (m *ooOModel) observe(ev *vm.Event, si *siteInfo) {
+// observe times the instruction at site, with data address addr when it
+// is a load or store.
+func (m *ooOModel) observe(site int32, addr uint64, si *siteInfo) {
 	// Dispatch: bounded by width and ROB occupancy.
 	if m.fetchedThis >= m.width {
 		m.cycle++
@@ -647,7 +674,7 @@ func (m *ooOModel) observe(ev *vm.Event, si *siteInfo) {
 	var lat uint64
 	switch si.kind {
 	case kindLoad:
-		line := ev.Addr >> lineShift
+		line := addr >> lineShift
 		if e, ok := m.sq.match(line, start); ok {
 			// An older store to the same line is in flight: forward its
 			// data. The load probed the cache in parallel (the front end
@@ -657,8 +684,8 @@ func (m *ooOModel) observe(ev *vm.Event, si *siteInfo) {
 			// store and replays; once trained, the site waits for the
 			// store data and pays only the forwarding latency.
 			data := max(start, e.dataReady) + m.l1Lat
-			if !m.depTrained[ev.Site] {
-				m.depTrained[ev.Site] = true
+			if !m.depTrained[site] {
+				m.depTrained[site] = true
 				data += m.penalty
 			}
 			lat = data - start
@@ -683,7 +710,7 @@ func (m *ooOModel) observe(ev *vm.Event, si *siteInfo) {
 			m.sq.drain(start)
 		}
 		m.sq.push(storeEntry{
-			line:      ev.Addr >> lineShift,
+			line:      addr >> lineShift,
 			dataReady: start,
 			done:      start + m.memLat[*m.fe.level],
 		})
@@ -749,7 +776,9 @@ func newEPICModel(maxRegs int, cfg Config, fe feSlot) *epicModel {
 	}
 }
 
-func (m *epicModel) observe(ev *vm.Event, si *siteInfo) {
+// observe issues the instruction of si, with data address addr when it
+// is a load or store.
+func (m *epicModel) observe(addr uint64, si *siteInfo) {
 	if si.bkey != m.curKey {
 		m.cycle++ // one bundle per cycle baseline
 		m.curKey = si.bkey
@@ -770,7 +799,7 @@ func (m *epicModel) observe(ev *vm.Event, si *siteInfo) {
 		// network — the machine stalls until the store has executed and
 		// written the cache (one L1 latency past its data being ready),
 		// then the load replays and pays its own cache access.
-		if e, ok := m.sq.match(ev.Addr>>lineShift, m.cycle); ok {
+		if e, ok := m.sq.match(addr>>lineShift, m.cycle); ok {
 			if t := e.dataReady + m.l1Lat; t > m.cycle {
 				m.cycle = t
 			}
@@ -785,7 +814,7 @@ func (m *epicModel) observe(ev *vm.Event, si *siteInfo) {
 			m.sq.drain(m.cycle)
 		}
 		m.sq.push(storeEntry{
-			line:      ev.Addr >> lineShift,
+			line:      addr >> lineShift,
 			dataReady: m.cycle,
 			done:      m.cycle + m.memLat[*m.fe.level],
 		})

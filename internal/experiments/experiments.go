@@ -245,12 +245,13 @@ func measurePairs[T any](ctx context.Context, p *pipeline.Pipeline, suite []*wor
 	return out, nil
 }
 
-// runProgram executes a loaded program with an optional setup and hook.
-func runProgram(m *vm.VM, setup func(*vm.VM) error, hook vm.Hook) (vm.Result, error) {
+// runProgram executes a loaded program with an optional setup and trace
+// consumer.
+func runProgram(m *vm.VM, setup func(*vm.VM) error, trace func(*vm.Trace)) (vm.Result, error) {
 	if setup != nil {
 		if err := setup(m); err != nil {
 			return vm.Result{}, err
 		}
 	}
-	return m.Run(vm.Config{Hook: hook, MaxInstrs: 200_000_000})
+	return m.Run(vm.Config{Trace: trace, MaxInstrs: 200_000_000})
 }

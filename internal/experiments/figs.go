@@ -146,9 +146,13 @@ func measureMix(prog *isa.Program, setup func(*vm.VM) error) ([4]float64, error)
 	classBySite := m.Layout().Classes()
 	var mix [isa.NumClasses]uint64
 	var total uint64
-	_, err := runProgram(m, setup, func(ev *vm.Event) {
-		total++
-		mix[classBySite[ev.Site]]++
+	_, err := runProgram(m, setup, func(t *vm.Trace) {
+		for _, sg := range t.Segs {
+			total += uint64(sg.N)
+			for _, c := range classBySite[sg.First : sg.First+sg.N] {
+				mix[c]++
+			}
+		}
 	})
 	var out [4]float64
 	if err != nil {
@@ -236,9 +240,9 @@ type FigCacheResult struct {
 
 func measureCacheSweep(prog *isa.Program, setup func(*vm.VM) error) ([]float64, error) {
 	ms := cache.NewMultiSim(cache.SweepConfigs())
-	_, err := runProgram(vm.New(prog), setup, func(ev *vm.Event) {
-		if ev.IsMem {
-			ms.Access(ev.Addr)
+	_, err := runProgram(vm.New(prog), setup, func(t *vm.Trace) {
+		for _, a := range t.Addrs {
+			ms.Access(a)
 		}
 	})
 	if err != nil {
@@ -315,9 +319,11 @@ func measureBranchAcc(prog *isa.Program, setup func(*vm.VM) error) (float64, err
 			pcBySite[s] = cpu.BranchPC(loc.Func, loc.Block, loc.Index)
 		}
 	})
-	_, err := runProgram(m, setup, func(ev *vm.Event) {
-		if isBranch[ev.Site] {
-			meter.Observe(pcBySite[ev.Site], ev.Taken)
+	_, err := runProgram(m, setup, func(t *vm.Trace) {
+		for _, sg := range t.Segs {
+			if last := sg.First + sg.N - 1; isBranch[last] {
+				meter.Observe(pcBySite[last], sg.Taken)
+			}
 		}
 	})
 	if err != nil {

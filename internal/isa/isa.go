@@ -141,7 +141,7 @@ const (
 // NumOpcodes is the number of defined opcodes; opcode values are dense in
 // [0, NumOpcodes). The name and class tables below are arrays indexed by
 // opcode — ClassOf sits on the per-executed-instruction path of every
-// profiling hook, where a map lookup would dominate.
+// profiling trace consumer, where a map lookup would dominate.
 const NumOpcodes = int(PRINTF) + 1
 
 var opcodeNames = [NumOpcodes]string{

@@ -167,25 +167,26 @@ func newArtifactCache(disk store.Backend, reg *telemetry.Registry, tracer *telem
 }
 
 // fromDisk tries to satisfy k from the persistent tier. A damaged or
-// mismatched entry is a miss.
-func (c *artifactCache) fromDisk(k Key) (any, bool) {
+// mismatched entry is a miss; damaged reports an entry that was found but
+// failed to decode, which the caller counts as a disk error once per
+// lookup.
+func (c *artifactCache) fromDisk(k Key) (v any, ok, damaged bool) {
 	cd := codecFor(k.Stage)
 	if c.disk == nil || cd == nil {
-		return nil, false
+		return nil, false, false
 	}
 	// Backend.Get verifies the envelope checksum and canonical key; any
 	// transport- or corruption-level damage reads as a miss here and the
 	// decode below catches payloads that are valid JSON but wrong shape.
 	payload, ok := c.disk.Get(k.Digest(), cd.kind, k.Canonical())
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
 	v, err := cd.decode(payload)
 	if err != nil {
-		c.n.diskErrors.Add(1)
-		return nil, false
+		return nil, false, true
 	}
-	return v, true
+	return v, true, false
 }
 
 // toDisk writes a freshly computed artifact through to the persistent
@@ -238,7 +239,18 @@ func (c *artifactCache) do(ctx context.Context, k Key, fn func(context.Context) 
 		c.m[k] = e
 		c.mu.Unlock()
 
-		if v, ok := c.fromDisk(k); ok {
+		// read is fromDisk for this lookup: however often it re-reads a
+		// damaged entry, the entry counts as one disk error.
+		counted := false
+		read := func() (any, bool) {
+			v, ok, damaged := c.fromDisk(k)
+			if damaged && !counted {
+				counted = true
+				c.n.diskErrors.Add(1)
+			}
+			return v, ok
+		}
+		if v, ok := read(); ok {
 			c.n.diskHits.Add(1)
 			e.val = v
 			close(e.ready)
@@ -249,7 +261,7 @@ func (c *artifactCache) do(ctx context.Context, k Key, fn func(context.Context) 
 			// Persisted stage over a shared store: gate the computation on a
 			// cross-process in-progress marker so concurrent processes never
 			// duplicate it. computeGated writes the artifact through itself.
-			e.val, e.err = c.computeGated(ctx, k, fn)
+			e.val, e.err = c.computeGated(ctx, k, read, fn)
 		} else {
 			e.val, e.err = c.compute(ctx, k, fn)
 		}
@@ -314,8 +326,9 @@ func wipName(k Key) string {
 // removes the marker; losers poll for the artifact and adopt it as a disk
 // hit. A stale marker (no heartbeat for wipTTL) is stolen, and any marker
 // operation failing for other reasons degrades to an uncoordinated compute:
-// the gate is a dedup optimization, never a correctness gate.
-func (c *artifactCache) computeGated(ctx context.Context, k Key, fn func(context.Context) (any, error)) (any, error) {
+// the gate is a dedup optimization, never a correctness gate. read is
+// the lookup's disk read (see do).
+func (c *artifactCache) computeGated(ctx context.Context, k Key, read func() (any, bool), fn func(context.Context) (any, error)) (any, error) {
 	marker := wipName(k)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -326,7 +339,7 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, fn func(context
 			// Another process may have finished the artifact and released
 			// its marker since our last read: between do's first miss and
 			// this claim, or between our last poll and now.
-			if v, ok := c.fromDisk(k); ok {
+			if v, ok := read(); ok {
 				c.disk.Remove(marker)
 				c.n.diskHits.Add(1)
 				c.tm.wipAdopted.Inc()
@@ -350,7 +363,7 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, fn func(context
 			return nil, ctx.Err()
 		case <-time.After(wipPoll):
 		}
-		if v, ok := c.fromDisk(k); ok {
+		if v, ok := read(); ok {
 			c.n.diskHits.Add(1)
 			c.tm.wipAdopted.Inc()
 			return v, nil

@@ -37,7 +37,7 @@ func (p *Pipeline) simKey(w *workloads.Workload, target *isa.Desc, level compile
 	return k
 }
 
-// simGroup bounds how many timing models one hooked interpretation
+// simGroup bounds how many timing models one traced interpretation
 // drives. A group pays for interpretation once instead of once per design
 // point, and for each distinct cache geometry and predictor once (the
 // shared front end), but each of its timing back ends (ROB, store queue,

@@ -1,6 +1,6 @@
 // Package profile implements the profiling step of the framework
 // (Section III.A): it executes a workload compiled at a low optimization
-// level under the VM's instrumentation hook (the Pin substitute) and
+// level under the VM's instrumentation trace (the Pin substitute) and
 // produces the statistical profile — the SFGL with loop annotation, branch
 // taken/transition rates, each memory site's cache behavior and stride
 // stream, and the instruction mix.
@@ -207,9 +207,9 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string) (*Profile
 	var total uint64
 
 	// All run state is dense, indexed by the VM's static-site and block
-	// IDs (see vm.Layout): the hook does pure slice arithmetic, and the
-	// SFGL is built from the same slices. siteKind collapses the opcode
-	// dispatch to one byte per site.
+	// IDs (see vm.Layout): the trace consumer does pure slice arithmetic,
+	// and the SFGL is built from the same slices. siteKind collapses the
+	// opcode dispatch to one byte per site.
 	lay := m.Layout()
 	nSites, nBlocks := lay.NumSites(), lay.NumBlocks()
 	classBySite := lay.Classes()
@@ -248,40 +248,51 @@ func Collect(prog *isa.Program, setup func(*vm.VM) error, name string) (*Profile
 	edgeNot := make([]uint64, nBlocks)
 	lineSize := DefaultCache.LineSize
 
-	hook := func(ev *vm.Event) {
-		total++
-		s := ev.Site
-		mix[classBySite[s]]++
-		if entryBySite[s] {
-			blockCounts[blockBySite[s]]++
-		}
-		switch kindBySite[s] {
-		case siteMem:
-			miss := !c.Access(ev.Addr)
-			missWide := !cWide.Access(ev.Addr)
-			memStats[s].note(ev.Addr, miss, missWide, lineSize)
-		case siteBR:
-			bs := &branchStats[blockBySite[s]]
-			bs.total++
-			if ev.Taken {
-				bs.taken++
-				edgeTaken[blockBySite[s]]++
-			} else {
-				edgeNot[blockBySite[s]]++
+	// A segment enters a block only at its first site, and only its
+	// closing site can branch, jump or call: block entries, mix and
+	// memory statistics are per site, control bookkeeping per segment.
+	trace := func(t *vm.Trace) {
+		addrs := t.Addrs
+		for _, sg := range t.Segs {
+			first, last := int(sg.First), int(sg.First+sg.N-1)
+			total += uint64(sg.N)
+			if entryBySite[first] {
+				blockCounts[blockBySite[first]]++
 			}
-			if bs.any && ev.Taken != bs.last {
-				bs.transitions++
+			for s := first; s <= last; s++ {
+				mix[classBySite[s]]++
+				if kindBySite[s] == siteMem {
+					a := addrs[0]
+					addrs = addrs[1:]
+					miss := !c.Access(a)
+					missWide := !cWide.Access(a)
+					memStats[s].note(a, miss, missWide, lineSize)
+				}
 			}
-			bs.last = ev.Taken
-			bs.any = true
-		case siteJMP:
-			edgeTaken[blockBySite[s]]++
-		case siteCALL:
-			callCounts[siteSym[s]]++
+			switch kindBySite[last] {
+			case siteBR:
+				bs := &branchStats[blockBySite[last]]
+				bs.total++
+				if sg.Taken {
+					bs.taken++
+					edgeTaken[blockBySite[last]]++
+				} else {
+					edgeNot[blockBySite[last]]++
+				}
+				if bs.any && sg.Taken != bs.last {
+					bs.transitions++
+				}
+				bs.last = sg.Taken
+				bs.any = true
+			case siteJMP:
+				edgeTaken[blockBySite[last]]++
+			case siteCALL:
+				callCounts[siteSym[last]]++
+			}
 		}
 	}
 
-	res, err := m.Run(vm.Config{Hook: hook})
+	res, err := m.Run(vm.Config{Trace: trace})
 	if err != nil {
 		return nil, fmt.Errorf("profile: %s: %w", name, err)
 	}

@@ -96,8 +96,8 @@ func TestLoadRejectsStreamlessLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.CacheStats()
-	if s.DiskHits != 0 || s.DiskErrors != 2 || s.ComputedFor(pipeline.StageProfile) != 1 {
-		t.Errorf("stored stream-less profile: want 2 disk errors and a profile, got %+v", s)
+	if s.DiskHits != 0 || s.DiskErrors != 1 || s.ComputedFor(pipeline.StageProfile) != 1 {
+		t.Errorf("stored stream-less profile: want 1 disk error and a profile, got %+v", s)
 	}
 	if err := prof.Validate(); err != nil {
 		t.Errorf("recomputed profile: %v", err)

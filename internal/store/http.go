@@ -84,6 +84,12 @@ func NewHandler(b Backend) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		// Put splices the payload into its envelope unchecked; a remote
+		// client is the one writer it cannot trust to send JSON.
+		if !json.Valid(payload) {
+			http.Error(w, "payload is not JSON", http.StatusBadRequest)
+			return
+		}
 		q := r.URL.Query()
 		if err := b.Put(q.Get("digest"), q.Get("kind"), q.Get("key"), payload); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -58,6 +58,25 @@ func TestRemoteArtifactRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRemotePutRejectsNonJSON checks that an HTTP put of a payload that
+// is not JSON fails and writes nothing: Put splices payloads into their
+// envelopes unchecked, so the handler is where a remote writer's bytes are
+// checked.
+func TestRemotePutRejectsNonJSON(t *testing.T) {
+	rem, st := remotePair(t)
+	for _, payload := range []string{"", "not json", `{"a":1`, `{"a":1} trailing`} {
+		if err := rem.Put("cafe01", "profile", "some/key", []byte(payload)); err == nil {
+			t.Errorf("remote put of %q: want an error", payload)
+		}
+	}
+	if n, err := st.Len(); err != nil || n != 0 {
+		t.Fatalf("store holds %d entries after rejected puts (%v), want 0", n, err)
+	}
+	if _, ok := rem.Get("cafe01", "profile", "some/key"); ok {
+		t.Fatal("remote get after rejected puts: want a miss")
+	}
+}
+
 func TestRemoteCoordinationFiles(t *testing.T) {
 	rem, st := remotePair(t)
 

@@ -52,7 +52,8 @@ func (s *Store) path(digest string) string {
 	return filepath.Join(s.root, shard, digest+".json")
 }
 
-// envelope is the on-disk entry format.
+// envelope is the on-disk entry format, as Get decodes it. Put writes the
+// same fields in the same order.
 type envelope struct {
 	Kind     string          `json:"kind"`
 	Key      string          `json:"key"`
@@ -100,22 +101,31 @@ func (s *Store) Has(digest, kind, key string) bool {
 	return ok
 }
 
-// Put writes payload under digest, atomically replacing any existing entry.
-// kind and key are stored in the envelope and re-verified by Get.
+// Put writes payload, one JSON value, under digest, atomically replacing
+// any existing entry. kind and key are stored in the envelope and
+// re-verified by Get. The payload is spliced into the envelope verbatim,
+// neither checked nor re-compacted: the pipeline's codecs emit compact
+// JSON, so an entry has the bytes json.Marshal of the whole envelope
+// would give, and NewHandler checks what arrives over HTTP.
 func (s *Store) Put(digest, kind, key string, payload []byte) error {
 	path := s.path(digest)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: put %s: %w", digest, err)
 	}
-	data, err := json.Marshal(envelope{
-		Kind:     kind,
-		Key:      key,
-		Checksum: Fingerprint(payload),
-		Payload:  payload,
-	})
+	head, err := json.Marshal(struct {
+		Kind     string `json:"kind"`
+		Key      string `json:"key"`
+		Checksum string `json:"checksum"`
+	}{kind, key, Fingerprint(payload)})
 	if err != nil {
 		return fmt.Errorf("store: put %s: %w", digest, err)
 	}
+	const field = `,"payload":`
+	data := make([]byte, 0, len(head)+len(field)+len(payload))
+	data = append(data, head[:len(head)-1]...) // without its closing brace
+	data = append(data, field...)
+	data = append(data, payload...)
+	data = append(data, '}')
 	if err := WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("store: put %s: %w", digest, err)
 	}

@@ -1,12 +1,14 @@
 package vm_test
 
-// Interpreter microbenchmarks. The two dispatch benchmarks report
+// Interpreter microbenchmarks. The three dispatch benchmarks report
 // instructions-per-second through the "instrs/s" custom metric, so
 // `go test -bench . ./internal/vm` gives the raw dispatch-loop throughput;
-// the benchmark ledger reports the same layer as vm.fast_mips and
-// vm.hooked_mips. Both run the one dispatch loop: the fast benchmark with
-// no hook (validation), the hooked one with an empty hook, the floor of
-// every instrumented consumer. BenchmarkVMLoad measures the loader.
+// the benchmark ledger reports the fast and hooked layers as vm.fast_mips
+// and vm.hooked_mips. All run the one dispatch loop: the fast benchmark
+// untraced (validation), the traced one with a consumer that counts sites
+// and addresses, the floor of every instrumented consumer, and the hooked
+// one with an empty hook on the per-instruction view expanded from the
+// trace. BenchmarkVMLoad measures the loader.
 
 import (
 	"context"
@@ -20,7 +22,7 @@ import (
 	"repro/internal/workloads"
 )
 
-func benchmarkVM(b *testing.B, hook vm.Hook) {
+func benchmarkVM(b *testing.B, cfg vm.Config) {
 	w, prog := compileWorkload(b, "crc32/small", compiler.O0)
 	b.ReportAllocs()
 	var instrs uint64
@@ -29,7 +31,7 @@ func benchmarkVM(b *testing.B, hook vm.Hook) {
 		if err := w.Setup(m); err != nil {
 			b.Fatal(err)
 		}
-		res, err := m.Run(vm.Config{Hook: hook})
+		res, err := m.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -38,8 +40,21 @@ func benchmarkVM(b *testing.B, hook vm.Hook) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-func BenchmarkVMFast(b *testing.B)   { benchmarkVM(b, nil) }
-func BenchmarkVMHooked(b *testing.B) { benchmarkVM(b, func(*vm.Event) {}) }
+func BenchmarkVMFast(b *testing.B)   { benchmarkVM(b, vm.Config{}) }
+func BenchmarkVMHooked(b *testing.B) { benchmarkVM(b, vm.Config{Hook: func(*vm.Event) {}}) }
+
+func BenchmarkVMTraced(b *testing.B) {
+	var sites, addrs uint64
+	benchmarkVM(b, vm.Config{Trace: func(t *vm.Trace) {
+		for _, sg := range t.Segs {
+			sites += uint64(sg.N)
+		}
+		addrs += uint64(len(t.Addrs))
+	}})
+	if sites == 0 || addrs == 0 {
+		b.Fatalf("trace recorded %d sites and %d addresses", sites, addrs)
+	}
+}
 
 // BenchmarkVMLoad is the loader's benchmark: one op is one vm.New of the
 // qsort/large clone at the experiments' seed, compiled at -O0 (25

@@ -49,10 +49,11 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// run is the dispatch loop. With a nil hook it only interprets; otherwise
-// it also emits one Event per executed instruction. Trap points, counts
-// and output hashing do not depend on the hook.
-func (vm *VM) run(hook Hook, limit uint64, maxOutput, maxDepth int) (Result, error) {
+// run is the dispatch loop. With a nil recorder it only interprets;
+// otherwise it also records the run's trace: an address at each memory
+// instruction and a segment at each segment end. Trap points, counts and
+// output hashing do not depend on the recorder.
+func (vm *VM) run(tr *recorder, limit uint64, maxOutput, maxDepth int) (Result, error) {
 	var res Result
 	res.OutputHash = fnvOffset
 
@@ -78,23 +79,27 @@ func (vm *VM) run(hook Hook, limit uint64, maxOutput, maxDepth int) (Result, err
 		base  = uint64(stackBase)
 		pc    int32
 		dyn   uint64
+		// segPC is the flat PC where the current segment began. A CALL
+		// moves it past itself once recorded, so a trap closes only the
+		// instructions it has not recorded yet.
+		segPC int32
 	)
-
-	// Event holds no pointers, so refilling it per instruction is a plain
-	// store with no GC write barrier. Without a hook, emit is one
-	// well-predicted branch.
-	var ev Event
-	emit := func(in *pins, isMem bool, addr uint64, taken bool) {
-		if hook != nil {
-			ev = Event{Site: int(in.site), Addr: addr, IsMem: isMem, Taken: taken}
-			hook(&ev)
-		}
+	// closeSeg records the segment that ends at pc, inclusive.
+	closeSeg := func(in *pins, pc int32, taken bool) {
+		tr.seg(in.site-(pc-segPC), pc-segPC+1, taken)
 	}
 
 	// trapAt traps at flat PC pc, in the last block starting at or before
-	// it (a sentinel's index is its block's length).
+	// it (a sentinel's index is its block's length). The instruction at pc
+	// did not complete, so a traced run's last segment stops before it.
 	trapAt := func(reason string, pc int32, count uint64) (Result, error) {
 		res.DynInstrs = count
+		if tr != nil {
+			if pc > segPC {
+				tr.seg(fc.ins[segPC].site, pc-segPC, false)
+			}
+			tr.flush()
+		}
 		b, found := slices.BinarySearch(fc.blockStart, pc)
 		if !found {
 			b--
@@ -128,6 +133,7 @@ run:
 		// Segment entry: authorize the rest of the current basic block
 		// against the budget in one comparison. Only when the block could
 		// straddle the limit does the inner loop check per instruction.
+		segPC = pc
 		if dyn >= limit {
 			return outOfBudget(pc, dyn+1)
 		}
@@ -144,136 +150,98 @@ run:
 
 			switch in.op {
 			case isa.NOP:
-				emit(in, false, 0, false)
 
 			case isa.MOVI: // also carries fused MOVF constants
 				regs[in.dst] = in.imm
-				emit(in, false, 0, false)
 			case isa.MOV:
 				regs[in.dst] = regs[in.a]
-				emit(in, false, 0, false)
 
 			case isa.ADD:
 				regs[in.dst] = regs[in.a] + regs[in.b]
-				emit(in, false, 0, false)
 			case isa.SUB:
 				regs[in.dst] = regs[in.a] - regs[in.b]
-				emit(in, false, 0, false)
 			case isa.MUL:
 				regs[in.dst] = regs[in.a] * regs[in.b]
-				emit(in, false, 0, false)
 			case isa.DIV:
 				if regs[in.b] == 0 {
 					return trapAt("integer division by zero", pc, dyn)
 				}
 				regs[in.dst] = regs[in.a] / regs[in.b]
-				emit(in, false, 0, false)
 			case isa.MOD:
 				if regs[in.b] == 0 {
 					return trapAt("integer division by zero", pc, dyn)
 				}
 				regs[in.dst] = regs[in.a] % regs[in.b]
-				emit(in, false, 0, false)
 			case isa.AND:
 				regs[in.dst] = regs[in.a] & regs[in.b]
-				emit(in, false, 0, false)
 			case isa.OR:
 				regs[in.dst] = regs[in.a] | regs[in.b]
-				emit(in, false, 0, false)
 			case isa.XOR:
 				regs[in.dst] = regs[in.a] ^ regs[in.b]
-				emit(in, false, 0, false)
 			case isa.SHL:
 				regs[in.dst] = regs[in.a] << (uint64(regs[in.b]) & 63)
-				emit(in, false, 0, false)
 			case isa.SHR:
 				regs[in.dst] = regs[in.a] >> (uint64(regs[in.b]) & 63)
-				emit(in, false, 0, false)
 			case isa.NEG:
 				regs[in.dst] = -regs[in.a]
-				emit(in, false, 0, false)
 			case isa.NOTB:
 				regs[in.dst] = ^regs[in.a]
-				emit(in, false, 0, false)
 
 			case isa.CMPEQ:
 				regs[in.dst] = b2i(regs[in.a] == regs[in.b])
-				emit(in, false, 0, false)
 			case isa.CMPNE:
 				regs[in.dst] = b2i(regs[in.a] != regs[in.b])
-				emit(in, false, 0, false)
 			case isa.CMPLT:
 				regs[in.dst] = b2i(regs[in.a] < regs[in.b])
-				emit(in, false, 0, false)
 			case isa.CMPLE:
 				regs[in.dst] = b2i(regs[in.a] <= regs[in.b])
-				emit(in, false, 0, false)
 			case isa.CMPGT:
 				regs[in.dst] = b2i(regs[in.a] > regs[in.b])
-				emit(in, false, 0, false)
 			case isa.CMPGE:
 				regs[in.dst] = b2i(regs[in.a] >= regs[in.b])
-				emit(in, false, 0, false)
 
 			case isa.FADD:
 				a := math.Float64frombits(uint64(regs[in.a]))
 				b := math.Float64frombits(uint64(regs[in.b]))
 				regs[in.dst] = int64(math.Float64bits(a + b))
-				emit(in, false, 0, false)
 			case isa.FSUB:
 				a := math.Float64frombits(uint64(regs[in.a]))
 				b := math.Float64frombits(uint64(regs[in.b]))
 				regs[in.dst] = int64(math.Float64bits(a - b))
-				emit(in, false, 0, false)
 			case isa.FMUL:
 				a := math.Float64frombits(uint64(regs[in.a]))
 				b := math.Float64frombits(uint64(regs[in.b]))
 				regs[in.dst] = int64(math.Float64bits(a * b))
-				emit(in, false, 0, false)
 			case isa.FDIV:
 				a := math.Float64frombits(uint64(regs[in.a]))
 				b := math.Float64frombits(uint64(regs[in.b]))
 				regs[in.dst] = int64(math.Float64bits(a / b))
-				emit(in, false, 0, false)
 			case isa.FCMPEQ:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) == math.Float64frombits(uint64(regs[in.b])))
-				emit(in, false, 0, false)
 			case isa.FCMPNE:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) != math.Float64frombits(uint64(regs[in.b])))
-				emit(in, false, 0, false)
 			case isa.FCMPLT:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) < math.Float64frombits(uint64(regs[in.b])))
-				emit(in, false, 0, false)
 			case isa.FCMPLE:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) <= math.Float64frombits(uint64(regs[in.b])))
-				emit(in, false, 0, false)
 			case isa.FCMPGT:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) > math.Float64frombits(uint64(regs[in.b])))
-				emit(in, false, 0, false)
 			case isa.FCMPGE:
 				regs[in.dst] = b2i(math.Float64frombits(uint64(regs[in.a])) >= math.Float64frombits(uint64(regs[in.b])))
-				emit(in, false, 0, false)
 			case isa.FNEG:
 				regs[in.dst] = int64(math.Float64bits(-math.Float64frombits(uint64(regs[in.a]))))
-				emit(in, false, 0, false)
 			case isa.FSQRT:
 				regs[in.dst] = int64(math.Float64bits(math.Sqrt(math.Float64frombits(uint64(regs[in.a])))))
-				emit(in, false, 0, false)
 			case isa.FSIN:
 				regs[in.dst] = int64(math.Float64bits(math.Sin(math.Float64frombits(uint64(regs[in.a])))))
-				emit(in, false, 0, false)
 			case isa.FCOS:
 				regs[in.dst] = int64(math.Float64bits(math.Cos(math.Float64frombits(uint64(regs[in.a])))))
-				emit(in, false, 0, false)
 			case isa.FABS:
 				regs[in.dst] = int64(math.Float64bits(math.Abs(math.Float64frombits(uint64(regs[in.a])))))
-				emit(in, false, 0, false)
 			case isa.ITOF:
 				regs[in.dst] = int64(math.Float64bits(float64(regs[in.a])))
-				emit(in, false, 0, false)
 			case isa.FTOI:
 				regs[in.dst] = isa.F2I(math.Float64frombits(uint64(regs[in.a])))
-				emit(in, false, 0, false)
 
 			case isa.LD:
 				g := &globals[in.gi]
@@ -283,7 +251,9 @@ run:
 						idx, vm.prog.Globals[in.gi].Name, len(g.mem)), pc, dyn)
 				}
 				regs[in.dst] = g.mem[idx]
-				emit(in, true, g.addr+uint64(idx)*g.esize, false)
+				if tr != nil {
+					tr.batch.Addrs = append(tr.batch.Addrs, g.addr+uint64(idx)*g.esize)
+				}
 			case isa.ST:
 				g := &globals[in.gi]
 				idx := in.imm + regs[in.a]
@@ -292,30 +262,43 @@ run:
 						idx, vm.prog.Globals[in.gi].Name, len(g.mem)), pc, dyn)
 				}
 				g.mem[idx] = regs[in.b]
-				emit(in, true, g.addr+uint64(idx)*g.esize, false)
+				if tr != nil {
+					tr.batch.Addrs = append(tr.batch.Addrs, g.addr+uint64(idx)*g.esize)
+				}
 			case isa.LDL:
 				regs[in.dst] = slots[in.imm]
-				emit(in, true, base+uint64(in.imm)*isa.SlotBytes, false)
+				if tr != nil {
+					tr.batch.Addrs = append(tr.batch.Addrs, base+uint64(in.imm)*isa.SlotBytes)
+				}
 			case isa.STL:
 				slots[in.imm] = regs[in.a]
-				emit(in, true, base+uint64(in.imm)*isa.SlotBytes, false)
+				if tr != nil {
+					tr.batch.Addrs = append(tr.batch.Addrs, base+uint64(in.imm)*isa.SlotBytes)
+				}
 
 			case isa.BR:
-				if regs[in.a] != 0 {
-					emit(in, false, 0, true)
+				taken := regs[in.a] != 0
+				if tr != nil {
+					closeSeg(in, pc, taken)
+				}
+				if taken {
 					pc = in.t0
 				} else {
-					emit(in, false, 0, false)
 					pc = in.t1
 				}
 				continue run
 			case isa.JMP:
-				emit(in, false, 0, false)
+				if tr != nil {
+					closeSeg(in, pc, false)
+				}
 				pc = in.t0
 				continue run
 
 			case isa.CALL:
-				emit(in, false, 0, false)
+				if tr != nil {
+					closeSeg(in, pc, false)
+					segPC = pc + 1
+				}
 				if len(frames) >= maxDepth {
 					return trapAt("stack overflow", pc, dyn)
 				}
@@ -340,7 +323,9 @@ run:
 				continue run
 
 			case isa.RET:
-				emit(in, false, 0, false)
+				if tr != nil {
+					closeSeg(in, pc, false)
+				}
 				var retVal int64
 				if in.a != isa.NoReg {
 					retVal = regs[in.a]
@@ -351,6 +336,9 @@ run:
 				frames = frames[:top]
 				if top == 0 {
 					res.DynInstrs = dyn
+					if tr != nil {
+						tr.flush()
+					}
 					return res, nil
 				}
 				cur := &frames[top-1]
@@ -366,11 +354,9 @@ run:
 
 			case isa.PRINTI:
 				record(strconv.FormatInt(regs[in.a], 10))
-				emit(in, false, 0, false)
 			case isa.PRINTF:
 				f := math.Float64frombits(uint64(regs[in.a]))
 				record(strconv.FormatFloat(f, 'g', 12, 64))
-				emit(in, false, 0, false)
 
 			case opFellOff:
 				return trapAt("fell off the end of a basic block", pc, dyn)

@@ -38,6 +38,13 @@ type goldenEvent struct {
 // events through emit and returns the dynamic count and final output hash
 // (counting genuine traps' faulting instruction exactly once).
 func refRun(prog *isa.Program, globals map[int][]int64, maxInstrs uint64, emit func(goldenEvent)) (dyn uint64, hash uint64, trap string) {
+	return refRunDepth(prog, globals, maxInstrs, 0, emit)
+}
+
+// refRunDepth is refRun with a call-depth bound: with maxDepth > 0, a
+// CALL made with maxDepth frames live emits its event and then traps, as
+// the VM's does.
+func refRunDepth(prog *isa.Program, globals map[int][]int64, maxInstrs uint64, maxDepth int, emit func(goldenEvent)) (dyn uint64, hash uint64, trap string) {
 	const stackBase = 0x4000_0000
 	globalAddr := make([]uint64, len(prog.Globals))
 	addr := uint64(0x0001_0000)
@@ -177,6 +184,9 @@ func refRun(prog *isa.Program, globals map[int][]int64, maxInstrs uint64, emit f
 			advance = false
 		case isa.CALL:
 			ev(in, false, 0, false)
+			if maxDepth > 0 && len(frames) >= maxDepth {
+				return dyn, hash, "stack overflow"
+			}
 			callee := prog.Funcs[in.Sym]
 			nf := newf(callee, int(in.Sym), cur.base+uint64(cur.fn.NumSlots)*isa.SlotBytes)
 			for p := 0; p < callee.NumParams; p++ {

@@ -10,11 +10,12 @@ type SiteLoc struct {
 
 // Layout is the dense static numbering of a program's instruction sites and
 // basic blocks, recorded by the predecode pass as it stamps each site ID.
-// Site IDs match Event.Site exactly: instructions are numbered in
-// (function, block, index) order across the whole program. Block IDs
-// number blocks the same way ((function, block) order); they are the node
-// IDs of the statistical flow graph. Hook consumers read the Layout of the
-// VM they run and replace per-event map lookups with slice indexing.
+// Site IDs are the numbering of Segment.First and Event.Site: instructions
+// are numbered in (function, block, index) order across the whole program.
+// Block IDs number blocks the same way ((function, block) order); they are
+// the node IDs of the statistical flow graph. Trace consumers read the
+// Layout of the VM they run and replace per-instruction map lookups with
+// slice indexing.
 //
 // The Layout keeps per-function and per-block state only: consumers that
 // need per-site tables build them from one Walk.
@@ -51,7 +52,8 @@ func (l *Layout) Walk(fn func(site int, loc SiteLoc, in *isa.Instr)) {
 func (l *Layout) BlockID(fn, block int) int { return l.blockBase[fn] + block }
 
 // Classes returns every site's instruction class, indexed by site ID: the
-// table a hook indexes by Event.Site instead of classifying per event.
+// table a trace consumer indexes by site instead of classifying per
+// instruction.
 func (l *Layout) Classes() []isa.Class {
 	out := make([]isa.Class, 0, l.NumSites())
 	l.Walk(func(_ int, _ SiteLoc, in *isa.Instr) { out = append(out, in.Class()) })

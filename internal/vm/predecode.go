@@ -46,8 +46,8 @@ type fcode struct {
 
 // predecode flattens every function into its fcode. Site IDs are assigned
 // densely in (function, block, instruction) order, and the Layout it
-// returns records that one numbering for the hooks that index per-site
-// state by it.
+// returns records that one numbering for the trace consumers that index
+// per-site state by it.
 func predecode(prog *isa.Program) ([]fcode, *Layout) {
 	fns := make([]fcode, len(prog.Funcs))
 	nBlocks := 0

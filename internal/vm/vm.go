@@ -1,19 +1,22 @@
 // Package vm executes compiled virtual-ISA programs. It is the functional
-// simulator of the framework and, through its per-instruction observer hook,
-// also its binary-instrumentation layer — the role Pin plays in the paper:
-// profilers, cache simulators, and branch-prediction models all attach to
-// the executed instruction stream via Hook.
+// simulator of the framework and, through its block-granular trace, also
+// its binary-instrumentation layer — the role Pin plays in the paper:
+// profilers, cache simulators, and branch-prediction models all read the
+// executed instruction stream from Config.Trace, in batches of executed
+// straight-line segments and data addresses.
 //
 // Loading a program predecodes it: each function's blocks are flattened
 // into one contiguous, pointer-free instruction array with branch targets
 // resolved to flat PCs and a dense static-site ID stamped on every
-// instruction (see docs/vm.md). Run then executes it in
-// one dispatch loop that emits an Event only when a hook is installed,
-// authorizes the instruction budget per basic block, and pools frame
-// register/slot storage so calls do not allocate.
+// instruction (see docs/vm.md). Run then executes it in one dispatch loop
+// that, when traced, records an address at each memory instruction and a
+// segment at each segment end, authorizes the instruction budget per
+// basic block, and pools frame register/slot storage so calls do not
+// allocate.
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -21,9 +24,10 @@ import (
 	"repro/internal/isa"
 )
 
-// Event describes one executed instruction to observers. It carries only
-// what varies per execution; everything static about the instruction (its
-// location, opcode and operands) comes from the VM's Layout, by Site.
+// Event describes one executed instruction to a Hook, the per-instruction
+// view of a run's Trace. It carries only what varies per execution;
+// everything static about the instruction (its location, opcode and
+// operands) comes from the VM's Layout, by Site.
 type Event struct {
 	// Site is the instruction's dense static-site ID: its position in the
 	// program-wide enumeration of instructions in (function, block, index)
@@ -41,7 +45,15 @@ type Hook func(*Event)
 
 // Config controls one execution.
 type Config struct {
-	// Hook, if non-nil, is invoked for every executed instruction.
+	// Trace, if non-nil, receives the run's trace batch by batch: when the
+	// buffer fills, and once more before Run returns, trap or not (a run
+	// that recorded nothing hands over nothing). The batch and its slices
+	// are reused; consumers must copy what they keep.
+	Trace func(*Trace)
+	// Hook, if non-nil, is invoked for every executed instruction, in
+	// order, with the events the vm package expands from the trace, one
+	// batch at a time. It is the slow, simple view for tests and
+	// reference checks; a Config sets Trace or Hook, not both.
 	Hook Hook
 	// MaxInstrs aborts execution after this many dynamic instructions
 	// (0 means the package default of 2e9).
@@ -85,7 +97,7 @@ const (
 
 // VM holds the loaded, predecoded program and its global memory. A VM may
 // be Run multiple times; each Run re-zeroes nothing — callers that need
-// pristine globals should create a fresh VM (loading is cheap). Concurrent
+// pristine globals load the program again, with New or Reload. Concurrent
 // Runs of distinct VMs are safe; all per-run state (frames, pools) is local
 // to Run.
 type VM struct {
@@ -93,6 +105,7 @@ type VM struct {
 	globals []global // indexed like prog.Globals
 	fns     []fcode  // predecoded functions, indexed like prog.Funcs
 	layout  *Layout  // the site and block numbering predecode stamped
+	rec     recorder // a traced Run's batch buffers, kept for the next one
 }
 
 // global is one global's storage, indexed by the gi LD/ST carry.
@@ -105,19 +118,38 @@ type global struct {
 // New loads a compiled program: globals start zeroed, scalars holding
 // their initializers.
 func New(prog *isa.Program) *VM {
-	vm := &VM{prog: prog}
+	vm := &VM{}
+	vm.Reload(prog)
+	return vm
+}
+
+// Reload loads prog in place of the VM's program, exactly as New would,
+// but keeps each global's array when the global at the same index of the
+// previous program had room for it, zeroing what it reuses. A caller
+// that runs many similar programs one after another (synthesis
+// calibration) reuses one VM instead of allocating fresh global arrays
+// for each.
+func (vm *VM) Reload(prog *isa.Program) {
+	old := vm.globals
+	vm.prog = prog
+	vm.globals = make([]global, len(prog.Globals))
 	addr := uint64(globalsBase)
-	for _, g := range prog.Globals {
-		mem := make([]int64, g.Len)
+	for i, g := range prog.Globals {
+		var mem []int64
+		if i < len(old) && cap(old[i].mem) >= g.Len {
+			mem = old[i].mem[:g.Len]
+			clear(mem)
+		} else {
+			mem = make([]int64, g.Len)
+		}
 		if g.Init != 0 {
 			mem[0] = g.Init
 		}
-		vm.globals = append(vm.globals, global{mem: mem, addr: addr, esize: uint64(g.ElemBytes())})
+		vm.globals[i] = global{mem: mem, addr: addr, esize: uint64(g.ElemBytes())}
 		size := uint64(g.Len * g.ElemBytes())
 		addr += (size + globalAlign - 1) / globalAlign * globalAlign
 	}
 	vm.fns, vm.layout = predecode(prog)
-	return vm
 }
 
 // Prog returns the loaded program.
@@ -207,7 +239,17 @@ func (vm *VM) Run(cfg Config) (Result, error) {
 	if entry.NumParams != 0 {
 		return Result{OutputHash: fnvOffset}, fmt.Errorf("vm: entry function %s takes parameters", entry.Name)
 	}
-	res, err := vm.run(cfg.Hook, limit, maxOutput, maxDepth)
+	var tr *recorder
+	switch {
+	case cfg.Trace != nil && cfg.Hook != nil:
+		return Result{OutputHash: fnvOffset}, errors.New("vm: Config sets both Trace and Hook")
+	case cfg.Trace != nil:
+		tr = vm.rec.start(cfg.Trace)
+	case cfg.Hook != nil:
+		tr = vm.rec.start(vm.hookTrace(cfg.Hook))
+	}
+	res, err := vm.run(tr, limit, maxOutput, maxDepth)
+	vm.rec.fn = nil // the VM outlives the run; its consumer need not
 	// One atomic add per Run, not per instruction: the process-wide
 	// telemetry counter must not slow the dispatch loop.
 	executedInstrs.Add(res.DynInstrs)
